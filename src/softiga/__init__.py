@@ -16,8 +16,8 @@ from .assembly import (IndefinitenessWarning, SoftSystem, SymBandedMatrix,
 from .eigensolve import (DefinitenessError, EigenSolveError, Spectrum,
                          generalized_eig)
 from .spaces import SplineSpace, build_of_space, build_standard_space
-from .splines import (BasisEval, KnotVector, eval_basis, open_knot_vector,
-                      pth_derivative_jump)
+from .splines import (BasisEval, KnotVector, basis_table, eval_basis,
+                      open_knot_vector, pth_derivative_jump)
 from .spectral_analysis import (ConditionStats, InsufficientDataError,
                                 SpectralReport, condition_stats,
                                 convergence_slope, eigenvalue_convergence,
@@ -25,9 +25,9 @@ from .spectral_analysis import (ConditionStats, InsufficientDataError,
                                 h1_eigenfunction_error,
                                 h1_errors_for_modes, pythagorean_check,
                                 relative_errors, solve_system,
-                                spectrum_for)
-from .tensor import (TensorSpectrum, exact_eigenvalue, exact_spectrum,
-                     kron_pencil, kron_sum_spectrum)
+                                spectral_report, spectrum_for)
+from .tensor import (TensorSpectrum, continuum_values, exact_eigenvalue,
+                     exact_spectrum, kron_pencil, kron_sum_spectrum)
 
 __version__ = "0.1.0"
 
@@ -38,9 +38,10 @@ __all__ = [
     "SoftSystem", "SpectralReport", "Spectrum", "SplineSpace",
     "SymBandedMatrix", "TensorSpectrum", "analytic_eigenvalue",
     "analytic_eigenvector_sample", "assemble_mass", "assemble_softness",
-    "assemble_stiffness", "build_of_space", "build_soft_system",
-    "build_standard_space", "commutator_norm", "condition_stats",
-    "convergence_slope", "dispersion_eigenvalue", "dispersion_expansion",
+    "assemble_stiffness", "basis_table", "build_of_space",
+    "build_soft_system", "build_standard_space", "commutator_norm",
+    "condition_stats", "continuum_values", "convergence_slope",
+    "dispersion_eigenvalue", "dispersion_expansion",
     "eigenvalue_convergence", "eta_sweep", "eta_table", "eval_basis",
     "exact_eigenvalue", "exact_spectrum", "fit_leading_coefficient",
     "generalized_eig", "h1_convergence", "h1_eigenfunction_error",
@@ -48,5 +49,5 @@ __all__ = [
     "inverse_constants_squared", "kron_pencil", "kron_sum_spectrum",
     "open_knot_vector", "pth_derivative_jump", "pythagorean_check",
     "reference_matrix", "relative_errors", "softened_reference",
-    "solve_system", "spectrum_for",
+    "solve_system", "spectral_report", "spectrum_for",
 ]

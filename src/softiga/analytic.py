@@ -20,7 +20,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .assembly import SymBandedMatrix
+from .eigensolve import SymBandedMatrix
 
 F = Fraction
 

@@ -1,12 +1,31 @@
-"""Gauss-quadrature assembly of the stiffness, mass, and softness forms.
+"""Banded assembly of the stiffness, mass, and softness forms.
+
+Every operator is assembled straight into symmetric band storage in
+O(N * p^2) work; no dense matrix of the raw or space dimension is ever
+formed.
 
 Per-element Gauss-Legendre quadrature with p+1 points is exact through
 polynomial degree 2p+1, so stiffness and mass entries are exact up to
-round-off. The softness form needs no quadrature at all: in 1D a face is
-a point and the form is a weighted sum of p-th-derivative jump products,
+round-off. On the uniform open knot vector all elements but the p-1 at
+each end are translates of one another, so the basis is evaluated once
+per distinct element (``splines.basis_table``), the element matrices
+come from one ``einsum`` over that table, and they are added into the
+raw band one (row, column) slot at a time across all elements.
+
+The softness form needs no quadrature at all: in 1D a face is a point
+and the form is a weighted sum of p-th-derivative jump products,
 
     s(w, v) = sum over interior faces of h^(2p-1) * [d^p w][d^p v]
             + (even p only) 2 * sum over the two boundary faces.
+
+The p-th derivative is constant on each element, so the jump at face f
+touches only raw functions f-1..f+p and comes from the same table.
+
+The space extraction is the identity away from the boundary; it is
+applied to the two corner blocks alone, each widened by the raw half
+bandwidth (p, or p+1 for the softness form) so that every coupling of a
+boundary member is covered. On tiny meshes whose corners meet, one
+block covers the whole matrix.
 
 Assembled matrices keep their natural magnitudes; the ``scale`` field
 only annotates the h-power class ("1/h" for stiffness and softness, "h"
@@ -14,75 +33,30 @@ for mass) so printed dimensionless stencils can be compared directly.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
-from .eigensolve import DefinitenessError, cholesky_pivot
+from .analytic import eta_table
+from .eigensolve import DefinitenessError, SymBandedMatrix, cholesky_pivot
 from .spaces import SplineSpace, build_of_space, build_standard_space
-from .splines import eval_basis, pth_derivative_jump
+from .splines import basis_table
 
 
 class IndefinitenessWarning(UserWarning):
     """Softness weight at or beyond the sharp threshold."""
 
 
-@dataclass(frozen=True)
-class SymBandedMatrix:
-    """Symmetric banded matrix stored by diagonal.
-
-    Attributes
-    ----------
-    diagonals : tuple of ndarray
-        ``diagonals[k]`` holds the k-th subdiagonal (length n - k);
-        ``diagonals[0]`` is the main diagonal. Everything beyond
-        ``half_bandwidth`` is exactly zero and not stored.
-    scale : str
-        Annotation of the entry magnitude class: "1/h", "h", or "1".
-    """
-
-    diagonals: tuple
-    scale: str = "1"
-
-    @property
-    def n(self):
-        return len(self.diagonals[0])
-
-    @property
-    def half_bandwidth(self):
-        return len(self.diagonals) - 1
-
-    def entry(self, i, j):
-        k = abs(i - j)
-        if k > self.half_bandwidth:
-            return self.diagonals[0][0] * 0
-        return self.diagonals[k][min(i, j)]
-
-    def toarray(self):
-        n = self.n
-        out = np.zeros((n, n), dtype=self.diagonals[0].dtype)
-        for k, diag in enumerate(self.diagonals):
-            for i in range(n - k):
-                out[i + k, i] = diag[i]
-                out[i, i + k] = diag[i]
-        return out
-
-    def row(self, i):
-        return self.toarray()[i]
-
-    @classmethod
-    def from_dense(cls, A, scale="1"):
-        """Fold a (nearly) symmetric dense array into banded storage."""
-        A = np.asarray(A)
-        sym = (A + A.T) / 2  # exact for object (rational) entries too
-        n = sym.shape[0]
-        hbw = 0
-        for k in range(1, n):
-            if any(sym[i + k, i] != 0 for i in range(n - k)):
-                hbw = k
-        diagonals = tuple(np.array([sym[i + k, i] for i in range(n - k)],
-                                   dtype=sym.dtype) for k in range(hbw + 1))
-        return cls(diagonals, scale)
+def _plus(X, weight, Y, scale):
+    """Banded X + weight * Y for two operators of the same order."""
+    count = max(len(X.diagonals), len(Y.diagonals))
+    diagonals = [np.zeros(X.n - k) for k in range(count)]
+    for k, diag in enumerate(X.diagonals):
+        diagonals[k] += diag
+    for k, diag in enumerate(Y.diagonals):
+        diagonals[k] += weight * diag
+    return SymBandedMatrix(tuple(diagonals), scale)
 
 
 @dataclass(frozen=True)
@@ -91,7 +65,8 @@ class SoftSystem:
 
     A = stiffness - eta * softness, and the mass side carries the
     dimensionless weight of the printed pencil, B = mass +
-    eta_b * h^2 * softness.
+    eta_b * h^2 * softness. Only the three banded operators are stored;
+    A and B are built from them, as dense arrays, on access.
     """
 
     p: int
@@ -102,60 +77,142 @@ class SoftSystem:
     stiffness: SymBandedMatrix
     mass: SymBandedMatrix
     softness: SymBandedMatrix
-    A: np.ndarray = field(repr=False)
-    B: np.ndarray = field(repr=False)
+
+    @property
+    def A(self):
+        """Stiffness side K - eta * S."""
+        return _plus(self.stiffness, -self.eta, self.softness,
+                     "1/h").toarray()
+
+    @property
+    def B(self):
+        """Mass side M + eta_b * h^2 * S."""
+        return self._mass_side().toarray()
+
+    def _mass_side(self):
+        h = self.space.kv.h
+        return _plus(self.mass, self.eta_b * h * h, self.softness, "h")
+
+    def with_weights(self, eta, eta_b=0.0):
+        """The same operators under other softness weights.
+
+        Runs the checks of ``build_soft_system`` without reassembling.
+        """
+        eta, eta_b = _checked_weights(self.p, eta, eta_b)
+        return _pencil(self.space, self.stiffness, self.mass,
+                       self.softness, eta, eta_b)
 
 
-def _gauss_points(h, nq):
-    """Reference Gauss-Legendre rule mapped to an element of size h."""
-    x, w = np.polynomial.legendre.leggauss(nq)
-    return (x + 1.0) * (h / 2.0), w * (h / 2.0)
+def _checked_weights(p, eta, eta_b):
+    """Weights as floats; warns at or beyond the sharp threshold."""
+    eta, eta_b = float(eta), float(eta_b)
+    if eta < 0 or eta_b < 0:
+        raise ValueError("softness weights must be nonnegative")
+    sharp = eta_table().sharp_max.get(p)
+    if sharp is not None and eta >= float(sharp):
+        # stacklevel 3: the caller of build_soft_system or with_weights
+        warnings.warn(
+            f"eta={eta} is at or beyond the sharp threshold {float(sharp)}"
+            f" for p={p}; the stiffness side may be indefinite",
+            IndefinitenessWarning, stacklevel=3)
+    return eta, eta_b
 
 
-def _assemble_raw(kv, deriv):
-    """Raw Gram matrix of the deriv-th derivatives, Gauss p+1 points."""
-    p, N, h = kv.p, kv.N, kv.h
-    raw = kv.num_raw
-    A = np.zeros((raw, raw))
-    offs, wts = _gauss_points(h, p + 1)
-    for e in range(N):
-        x0 = e * h
-        block = np.zeros((p + 1, p + 1))
-        for off, w in zip(offs, wts):
-            be = eval_basis(kv, x0 + off, deriv)
-            v = be.ders[deriv]
-            block += w * np.outer(v, v)
-        A[e:e + p + 1, e:e + p + 1] += block
-    return A
+def _pencil(space, K, M, S, eta, eta_b):
+    system = SoftSystem(space.p, space.N, eta, eta_b, space, K, M, S)
+    if eta_b > 0:
+        pivot = cholesky_pivot(system._mass_side())
+        if pivot:
+            raise DefinitenessError(pivot, "mass side lost definiteness")
+    return system
 
 
-def _assemble_softness_raw(kv):
-    p, N, h = kv.p, kv.N, kv.h
-    raw = kv.num_raw
-    S = np.zeros((raw, raw))
-    for f in range(1, N):
-        j = pth_derivative_jump(kv, f)
-        S += np.outer(j, j)
+def _raw_band(num_raw, blocks, index):
+    """Raw band diagonals of the sum over i of blocks[index[i]], each
+    (w x w) block placed on raw functions i..i+w-1."""
+    w = blocks.shape[-1]
+    diagonals = [np.zeros(num_raw - k) for k in range(min(w, num_raw))]
+    for a in range(w):
+        for b in range(a, min(w, a + len(diagonals))):
+            diagonals[b - a][a:a + len(index)] += blocks[index, a, b]
+    return diagonals
+
+
+def _gram(kv, deriv):
+    """Raw band of the deriv-th-derivative Gram matrix, Gauss p+1 points."""
+    x, w = np.polynomial.legendre.leggauss(kv.p + 1)
+    ders, index = basis_table(kv, (x + 1.0) / 2.0, deriv)
+    values = ders[:, :, deriv, :]
+    blocks = np.einsum("q,dqi,dqj->dij", w * (kv.h / 2.0), values, values)
+    return SymBandedMatrix(tuple(_raw_band(kv.num_raw, blocks, index)))
+
+
+def _softness_raw(kv):
+    """Raw band of the softness form from per-element p-th derivatives.
+
+    The jump at interior face f lives on raw functions f-1..f+p: the
+    left limit on element f-1 minus the right limit on element f, both
+    rows of the per-element table.
+    """
+    p, N = kv.p, kv.N
+    ders, index = basis_table(kv, [0.5], p)
+    pth = ders[:, 0, p, :]  # the p-th derivative is constant per element
+    jumps = np.zeros((N - 1, p + 2))
+    jumps[:, :p + 1] = pth[index[:-1]]
+    jumps[:, 1:] -= pth[index[1:]]
+    blocks = np.einsum("fi,fj->fij", jumps, jumps)
+    diagonals = _raw_band(kv.num_raw, blocks, np.arange(N - 1))
     if p % 2 == 0:
-        for f in (0, N):
-            j = pth_derivative_jump(kv, f)
-            S += 2.0 * np.outer(j, j)
-    return h ** (2 * p - 1) * S
+        # boundary faces: twice the one-sided trace products
+        for first, trace in ((0, pth[index[0]]), (N - 1, pth[index[-1]])):
+            for k in range(p + 1):
+                diagonals[k][first:first + p + 1 - k] += (
+                    2.0 * trace[:p + 1 - k] * trace[k:])
+    scale = kv.h ** (2 * p - 1)
+    return SymBandedMatrix(tuple(scale * d for d in diagonals))
 
 
-def _extract(space, raw_matrix, scale):
-    E = space.extraction
-    return SymBandedMatrix.from_dense(E @ raw_matrix @ E.T, scale)
+def _extract(space, raw, scale):
+    """Space operator E R E^T in band storage from the raw band R.
+
+    The identity rows of E copy the raw diagonals. A corner member
+    couples only with the next q raw functions, q the raw half
+    bandwidth, so each corner is computed densely on a window of its
+    block plus q identity rows. When fewer than q identity members
+    separate the corners, one window covers the whole (small) matrix.
+    """
+    q, dim, num_raw = raw.half_bandwidth, space.dim, raw.n
+    (a, c), (b, e) = space.left.shape, space.right.shape
+    inner = space.inner
+    if inner < q:
+        hbw = dim - 1
+        windows = [(space.extraction, 0, 0)]
+    else:
+        hbw = max(q, a + q - 1, b + q - 1)
+        windows = [(sla.block_diag(space.left, np.eye(q)), 0, 0),
+                   (sla.block_diag(np.eye(q), space.right), dim - b - q,
+                    num_raw - e - q)]
+    diagonals = [np.zeros(dim - k) for k in range(hbw + 1)]
+    if inner >= q:
+        for k in range(q + 1):
+            diagonals[k][a:a + inner - k] = raw.diagonals[k][c:c + inner - k]
+    for W, space_start, raw_start in windows:
+        R = raw.principal(raw_start, raw_start + W.shape[1]).toarray()
+        block = W @ R @ W.T
+        for k in range(min(hbw + 1, len(block))):
+            diagonals[k][space_start:space_start + len(block) - k] = (
+                np.diagonal(block, -k))
+    return SymBandedMatrix(tuple(diagonals), scale)
 
 
 def assemble_stiffness(space):
     """Gram matrix of first derivatives, a(v, w) = (v', w')."""
-    return _extract(space, _assemble_raw(space.kv, 1), "1/h")
+    return _extract(space, _gram(space.kv, 1), "1/h")
 
 
 def assemble_mass(space):
     """Gram matrix of values, b(v, w) = (v, w)."""
-    return _extract(space, _assemble_raw(space.kv, 0), "h")
+    return _extract(space, _gram(space.kv, 0), "h")
 
 
 def assemble_softness(space):
@@ -165,7 +222,7 @@ def assemble_softness(space):
     derivative jumps; for even p the two boundary faces contribute twice
     the one-sided trace products on top.
     """
-    return _extract(space, _assemble_softness_raw(space.kv), "1/h")
+    return _extract(space, _softness_raw(space.kv), "1/h")
 
 
 def build_soft_system(p, N, eta, eta_b=0.0, flavor="outlier_free"):
@@ -189,30 +246,12 @@ def build_soft_system(p, N, eta, eta_b=0.0, flavor="outlier_free"):
     -------
     SoftSystem
     """
-    eta, eta_b = float(eta), float(eta_b)
-    if eta < 0 or eta_b < 0:
-        raise ValueError("softness weights must be nonnegative")
-    from .analytic import eta_table  # deferred: analytic uses this module
-    sharp = eta_table().sharp_max.get(p)
-    if sharp is not None and eta >= float(sharp):
-        warnings.warn(
-            f"eta={eta} is at or beyond the sharp threshold {float(sharp)}"
-            f" for p={p}; the stiffness side may be indefinite",
-            IndefinitenessWarning, stacklevel=2)
+    eta, eta_b = _checked_weights(p, eta, eta_b)
     if flavor == "standard":
         space = build_standard_space(p, N)
     elif flavor == "outlier_free":
         space = build_of_space(p, N)
     else:
         raise ValueError(f"unknown space flavor {flavor!r}")
-    K = assemble_stiffness(space)
-    M = assemble_mass(space)
-    S = assemble_softness(space)
-    h = space.kv.h
-    A = K.toarray() - eta * S.toarray()
-    B = M.toarray() + (eta_b * h * h) * S.toarray()
-    if eta_b > 0:
-        pivot = cholesky_pivot(B)
-        if pivot:
-            raise DefinitenessError(pivot, "mass side lost definiteness")
-    return SoftSystem(p, N, eta, eta_b, space, K, M, S, A, B)
+    return _pencil(space, assemble_stiffness(space), assemble_mass(space),
+                   assemble_softness(space), eta, eta_b)

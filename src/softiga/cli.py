@@ -28,8 +28,8 @@ from .spaces import build_of_space
 from .spectral_analysis import (condition_stats, convergence_slope,
                                 eigenvalue_convergence, eta_sweep,
                                 h1_convergence, h1_errors_for_modes,
-                                solve_system, spectrum_for)
-from .tensor import exact_spectrum, kron_sum_spectrum
+                                solve_system, spectral_report,
+                                spectrum_for)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -178,22 +178,15 @@ def cmd_spectrum(config):
     """Discrete spectrum with continuum targets and per-mode errors."""
     system = _build(config)
     spectrum = solve_system(system)
-    if config.d == 1:
-        values = spectrum.values
-        indices = [(k,) for k in range(1, values.size + 1)]
-    else:
-        tensor = kron_sum_spectrum(spectrum.values, config.d)
-        values = tensor.values
-        indices = tensor.indices
-    exact = exact_spectrum(config.d, len(values)).values
-    rel = np.abs(values - exact) / exact
+    report = spectral_report(system, spectrum, config.d)
     columns = ["j", "indices", "lambda_exact", "lambda_h", "rel_err"]
-    rows = [[k + 1, "-".join(map(str, indices[k])), exact[k], values[k],
-             rel[k]] for k in range(len(values))]
+    rows = [[k + 1, "-".join(map(str, report.indices[k])),
+             report.exact[k], report.computed[k], report.rel_errors[k]]
+            for k in range(report.computed.size)]
     if config.d == 1:
         columns.append("h1_err")
         h1 = h1_errors_for_modes(system, spectrum,
-                                 range(1, values.size + 1))
+                                 range(1, spectrum.n + 1))
         for row, err in zip(rows, h1):
             row.append(err)
     _emit(config, columns, rows)

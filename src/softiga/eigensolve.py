@@ -7,6 +7,9 @@ quotient per pair, v^T A v / v^T B v, which restores per-mode relative
 accuracy near machine precision; the plain factorized solve only bounds
 the absolute error by eps times the largest eigenvalue, i.e. the small
 end of a stiff spectrum would carry relative errors around 1e-13.
+
+Assembled operators arrive in symmetric band storage (SymBandedMatrix);
+definiteness checks on them factor the band directly.
 """
 
 from dataclasses import dataclass, field
@@ -34,6 +37,74 @@ class EigenSolveError(RuntimeError):
     """The QR iteration failed to converge within bounded sweeps."""
 
 
+@dataclass(frozen=True)
+class SymBandedMatrix:
+    """Symmetric banded matrix stored by diagonal.
+
+    Attributes
+    ----------
+    diagonals : tuple of ndarray
+        ``diagonals[k]`` holds the k-th subdiagonal (length n - k);
+        ``diagonals[0]`` is the main diagonal. Everything beyond
+        ``half_bandwidth`` is exactly zero and not stored.
+    scale : str
+        Annotation of the entry magnitude class: "1/h", "h", or "1".
+    """
+
+    diagonals: tuple
+    scale: str = "1"
+
+    @property
+    def n(self):
+        return len(self.diagonals[0])
+
+    @property
+    def half_bandwidth(self):
+        return len(self.diagonals) - 1
+
+    def entry(self, i, j):
+        k = abs(i - j)
+        if k > self.half_bandwidth:
+            return self.diagonals[0][0] * 0
+        return self.diagonals[k][min(i, j)]
+
+    def toarray(self):
+        n = self.n
+        out = np.zeros((n, n), dtype=self.diagonals[0].dtype)
+        flat = out.reshape(-1)
+        for k, diag in enumerate(self.diagonals):
+            # entries (i + k, i) and (i, i + k) are n + 1 apart in memory
+            flat[k * n::n + 1] = diag
+            flat[k:(n - k) * n:n + 1] = diag
+        return out
+
+    def row(self, i):
+        out = np.zeros(self.n, dtype=self.diagonals[0].dtype)
+        for k, diag in enumerate(self.diagonals):
+            if i >= k:
+                out[i - k] = diag[i - k]
+            if i + k < self.n:
+                out[i + k] = diag[i]
+        return out
+
+    def principal(self, lo, hi):
+        """The principal submatrix on rows and columns lo..hi-1."""
+        return SymBandedMatrix(tuple(d[lo:hi - k] for k, d
+                                     in enumerate(self.diagonals)
+                                     if k < hi - lo), self.scale)
+
+    @classmethod
+    def from_dense(cls, A, scale="1"):
+        """Fold a (nearly) symmetric dense array into banded storage."""
+        A = np.asarray(A)
+        sym = (A + A.T) / 2  # exact for object (rational) entries too
+        diagonals = [np.diagonal(sym, -k).copy()
+                     for k in range(sym.shape[0])]
+        hbw = max((k for k in range(1, len(diagonals))
+                   if np.any(diagonals[k] != 0)), default=0)
+        return cls(tuple(diagonals[:hbw + 1]), scale)
+
+
 RESIDUAL_RTOL = 1e-10
 
 
@@ -47,8 +118,17 @@ def _as_dense(A):
 
 
 def cholesky_pivot(B):
-    """0 if B is positive definite, else the 1-based failing pivot."""
-    _, info = lapack.dpotrf(_as_dense(B), lower=1)
+    """0 if B is positive definite, else the 1-based failing pivot.
+
+    A SymBandedMatrix is factored in band storage, in O(n * hbw^2).
+    """
+    if isinstance(B, SymBandedMatrix):
+        ab = np.zeros((B.half_bandwidth + 1, B.n))
+        for k, diag in enumerate(B.diagonals):
+            ab[k, :B.n - k] = diag
+        _, info = lapack.dpbtrf(ab, lower=1)
+    else:
+        _, info = lapack.dpotrf(_as_dense(B), lower=1)
     return int(info) if info > 0 else 0
 
 

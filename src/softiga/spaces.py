@@ -1,7 +1,9 @@
 """Trial spaces as extraction operators over raw B-splines.
 
-Two flavors share one representation: a (dim x raw) extraction matrix
-whose rows express each space basis function in raw coordinates.
+Two flavors share one representation: a (dim x raw) extraction operator
+whose rows express each space basis function in raw coordinates. It is
+the identity away from the boundary, so a space stores only its two
+corner blocks; the dense matrix is built on request.
 
 * standard: drop the two endpoint-interpolatory raw functions, which
   imposes homogeneous Dirichlet conditions; dim = N + p - 2.
@@ -16,7 +18,7 @@ that choice. The right-end basis mirrors the left-end one, which keeps
 assembled matrices exactly persymmetric on the uniform mesh.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,15 +27,30 @@ from .splines import KnotVector, eval_basis, open_knot_vector
 
 @dataclass(frozen=True)
 class SplineSpace:
-    """A trial space spanned by extraction rows over raw B-splines."""
+    """A trial space spanned by extraction rows over raw B-splines.
+
+    The extraction is stored by its corners. With ``left`` of shape
+    (a, c) and ``right`` of shape (b, e), the first a members are the
+    rows of ``left`` over raw functions 0..c-1, the last b members are
+    the rows of ``right`` over the last e raw functions, and every
+    member in between is one raw function. A dense (dim x raw)
+    extraction passed as ``left`` alone is the case with no identity
+    part.
+    """
 
     kv: KnotVector
     flavor: str  # "standard" or "outlier_free"
-    extraction: np.ndarray  # (dim, raw), rows linearly independent
+    left: np.ndarray
+    right: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+
+    @property
+    def inner(self):
+        """Number of members that are single raw functions."""
+        return self.kv.num_raw - self.left.shape[1] - self.right.shape[1]
 
     @property
     def dim(self):
-        return self.extraction.shape[0]
+        return self.left.shape[0] + self.inner + self.right.shape[0]
 
     @property
     def p(self):
@@ -48,6 +65,29 @@ class SplineSpace:
         """Highest constrained half-order: even derivatives 0..2*alpha."""
         return (self.kv.p - 1) // 2
 
+    @property
+    def extraction(self):
+        """The dense (dim x raw) extraction matrix, rows independent."""
+        return self.raw_coefficients(np.eye(self.dim)).T
+
+    def raw_coefficients(self, coeffs):
+        """Raw coordinates E^T c of members with coefficients c.
+
+        ``coeffs`` has the space dimension as its first axis; further
+        axes (several coefficient vectors as columns) are kept.
+        """
+        coeffs = np.asarray(coeffs, dtype=float)
+        (a, c), (b, e) = self.left.shape, self.right.shape
+        out = np.empty((self.kv.num_raw,) + coeffs.shape[1:])
+        out[:c] = self.left.T @ coeffs[:a]
+        out[c:c + self.inner] = coeffs[a:a + self.inner]
+        out[c + self.inner:] = self.right.T @ coeffs[a + self.inner:]
+        return out
+
+
+# Corner block that drops the endpoint raw function and keeps nothing.
+_ENDPOINT = np.zeros((0, 1))
+
 
 def build_standard_space(p, N):
     """Space of all raw functions except the two endpoint ones."""
@@ -55,8 +95,7 @@ def build_standard_space(p, N):
     raw = kv.num_raw
     if raw < 3:
         raise ValueError(f"no interior functions for p={p}, N={N}")
-    extraction = np.eye(raw)[1:-1]
-    return SplineSpace(kv, "standard", extraction)
+    return SplineSpace(kv, "standard", _ENDPOINT, _ENDPOINT)
 
 
 def _boundary_constraints(kv, m, alpha):
@@ -102,25 +141,16 @@ def build_of_space(p, N):
     alpha = (p - 1) // 2
     if p <= 2:
         std = build_standard_space(p, N)
-        return SplineSpace(std.kv, "outlier_free", std.extraction)
+        return SplineSpace(std.kv, "outlier_free", std.left, std.right)
     n_min = max(2 * alpha + 2, 4 * alpha + 2 - p)
     if N < n_min:
         raise ValueError(
             f"p={p} needs N >= {n_min} for the boundary blocks to decouple")
     kv = open_knot_vector(p, N)
-    raw = kv.num_raw
     m = 2 * alpha + 1  # raw functions with a constrained boundary trace
     left = _left_null_basis(kv, m, alpha)
-
-    dim = raw - 2 * m + 2 * left.shape[0]
-    extraction = np.zeros((dim, raw))
-    extraction[:left.shape[0], :m] = left
-    for i, k in enumerate(range(m, raw - m)):
-        extraction[left.shape[0] + i, k] = 1.0
     # mirrored right block, reversed row order for persymmetry
-    for r in range(left.shape[0]):
-        extraction[dim - 1 - r, raw - m:] = left[r, ::-1]
-    return SplineSpace(kv, "outlier_free", extraction)
+    return SplineSpace(kv, "outlier_free", left, left[::-1, ::-1].copy())
 
 
 def space_member_eval(space, i, x, r=0, side=None):
@@ -128,6 +158,8 @@ def space_member_eval(space, i, x, r=0, side=None):
     if not 0 <= i < space.dim:
         raise IndexError(f"member index {i} out of range 0..{space.dim - 1}")
     be = eval_basis(space.kv, x, r, side)
-    row = space.extraction[i]
+    unit = np.zeros(space.dim)
+    unit[i] = 1.0
+    row = space.raw_coefficients(unit)
     p = space.kv.p
     return float(row[be.first:be.first + p + 1] @ be.ders[r])

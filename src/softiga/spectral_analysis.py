@@ -8,10 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import eta_table
 from .assembly import build_soft_system
 from .eigensolve import generalized_eig
-from .splines import eval_basis
-from .tensor import exact_spectrum, kron_sum_spectrum
+from .splines import basis_table
+from .tensor import continuum_values, kron_sum_spectrum
 
 
 class InsufficientDataError(ValueError):
@@ -39,15 +40,14 @@ def solve_system(system):
     return generalized_eig(system.A, system.B, meta=meta)
 
 
-def relative_errors(p, N, eta, d=1, eta_b=0.0, flavor="outlier_free"):
-    """Per-mode relative eigenvalue errors against pi^2 * sum(j_i^2).
+def spectral_report(system, spectrum, d=1):
+    """Pair a solved pencil's spectrum, lifted to d dimensions, with the
+    continuum eigenvalues pi^2 * sum(j_i^2) by rank.
 
-    Modes are paired by rank: the k-th discrete eigenvalue is compared
-    with the k-th continuum one (ties in the continuum spectrum broken
-    by index tuple). Returns a SpectralReport.
+    The k-th discrete eigenvalue is compared with the k-th smallest
+    continuum one; lifted values with equal sums keep their
+    lexicographic index order. Returns a SpectralReport.
     """
-    system = build_soft_system(p, N, eta, eta_b, flavor)
-    spectrum = solve_system(system)
     if d == 1:
         values = spectrum.values
         indices = tuple((k,) for k in range(1, values.size + 1))
@@ -55,45 +55,59 @@ def relative_errors(p, N, eta, d=1, eta_b=0.0, flavor="outlier_free"):
         tensor = kron_sum_spectrum(spectrum.values, d)
         values = tensor.values
         indices = tensor.indices
-    target = exact_spectrum(d, len(values))
-    exact = target.values[:len(values)]
+    exact = continuum_values(d, spectrum.values.size)
     rel = np.abs(values - exact) / exact
-    return SpectralReport(d, p, N, float(eta), indices, exact, values, rel)
+    return SpectralReport(d, system.p, system.N, system.eta, indices,
+                          exact, values, rel)
 
 
-def _mode_coefficients(system, j):
-    """Unit-B-norm coefficient vector of the j-th discrete mode."""
-    spectrum = solve_system(system)
-    return spectrum.values[j - 1], spectrum.vectors[:, j - 1]
+def relative_errors(p, N, eta, d=1, eta_b=0.0, flavor="outlier_free"):
+    """Per-mode relative eigenvalue errors against pi^2 * sum(j_i^2).
+
+    Modes are paired by rank as in ``spectral_report``.
+    """
+    system = build_soft_system(p, N, eta, eta_b, flavor)
+    return spectral_report(system, solve_system(system), d)
 
 
-def _design_matrices(system, nq):
-    """Quadrature grid plus value/derivative design matrices.
+def _mode_errors(system, spectrum, js, nq):
+    """Squared L2 and H1-seminorm errors of several discrete modes.
 
-    Returns (x, w, U, DU) where U @ c and DU @ c sample the member with
-    coefficients c and its derivative on the grid.
+    Each mode j is rescaled to unit L2 norm and sign-aligned with its
+    continuum counterpart sqrt(2)*sin(j*pi*x); the mismatch is then
+    integrated with an nq-point Gauss rule per element, using basis
+    values tabulated once per distinct element.
+
+    Returns (l2_sq, h1_sq, coeffs) with the rescaled coefficient vectors
+    as the columns of ``coeffs``.
     """
     space = system.space
     kv = space.kv
     p, N, h = kv.p, kv.N, kv.h
+    js = list(js)
+    coeffs = spectrum.vectors[:, [j - 1 for j in js]]
+    norms = np.einsum("ij,ij->j", coeffs, system.mass.toarray() @ coeffs)
+    coeffs = coeffs / np.sqrt(norms)
+
     xg, wg = np.polynomial.legendre.leggauss(nq)
-    xs, ws, Us, DUs = [], [], [], []
-    for e in range(N):
-        x = (e + 0.5 * (xg + 1.0)) * h
-        vals = np.empty((nq, p + 1))
-        ders = np.empty((nq, p + 1))
-        be = None
-        for q in range(nq):
-            be = eval_basis(kv, float(x[q]), 1)
-            vals[q] = be.ders[0]
-            ders[q] = be.ders[1]
-        window = space.extraction[:, be.first:be.first + p + 1]
-        xs.append(x)
-        ws.append(wg * (0.5 * h))
-        Us.append(vals @ window.T)
-        DUs.append(ders @ window.T)
-    return (np.concatenate(xs), np.concatenate(ws),
-            np.vstack(Us), np.vstack(DUs))
+    t = 0.5 * (xg + 1.0)
+    ders, index = basis_table(kv, t, 1)
+    ders = ders[index]  # (N, nq, 2, p + 1)
+    x = ((np.arange(N)[:, None] + t) * h).reshape(-1)
+    w = np.tile(wg * (0.5 * h), N)
+    raw = space.raw_coefficients(coeffs)
+    l2_sq, h1_sq = np.empty(len(js)), np.empty(len(js))
+    for k, j in enumerate(js):
+        # raw coefficients of the p+1 functions living on each element
+        local = np.lib.stride_tricks.sliding_window_view(raw[:, k], p + 1)
+        uh, duh = np.einsum("eqrm,em->req", ders, local).reshape(2, -1)
+        omega = j * math.pi
+        u = math.sqrt(2.0) * np.sin(omega * x)
+        du = math.sqrt(2.0) * omega * np.cos(omega * x)
+        sign = 1.0 if float(w @ (uh * u)) >= 0 else -1.0
+        l2_sq[k] = w @ (sign * uh - u) ** 2
+        h1_sq[k] = w @ (sign * duh - du) ** 2
+    return l2_sq, h1_sq, coeffs
 
 
 def h1_errors_for_modes(system, spectrum, js, nq=None):
@@ -103,20 +117,8 @@ def h1_errors_for_modes(system, spectrum, js, nq=None):
     continuum counterpart sqrt(2)*sin(j*pi*x) before integrating the
     derivative mismatch.
     """
-    x, w, U, DU = _design_matrices(system, nq or system.p + 4)
-    mass = system.mass.toarray()
-    out = []
-    for j in js:
-        coeffs = spectrum.vectors[:, j - 1]
-        coeffs = coeffs / math.sqrt(coeffs @ mass @ coeffs)
-        omega = j * math.pi
-        u = math.sqrt(2.0) * np.sin(omega * x)
-        du = math.sqrt(2.0) * omega * np.cos(omega * x)
-        uh = U @ coeffs
-        duh = DU @ coeffs
-        sign = 1.0 if float(w @ (uh * u)) >= 0 else -1.0
-        out.append(math.sqrt(float(w @ (sign * duh - du) ** 2)))
-    return out
+    _, h1_sq, _ = _mode_errors(system, spectrum, js, nq or system.p + 4)
+    return [math.sqrt(float(e)) for e in h1_sq]
 
 
 def h1_eigenfunction_error(p, N, eta, j, eta_b=0.0, nq=None,
@@ -184,20 +186,23 @@ def eta_sweep(p, N, etas, d=1):
 
     The baseline is the unsoftened pencil (eta = 0). Every weight must
     lie in [0, sharp_max); each row is (eta, rho, e_lambda) where
-    e_lambda is the root of the sum of squared relative errors.
+    e_lambda is the root of the sum of squared relative errors. The
+    operators are assembled once and reweighted along the grid.
     """
-    from .analytic import eta_table
-
     sharp = float(eta_table().resolve(p, "sharp_max"))
     etas = [float(e) for e in etas]
     for e in etas:
         if not 0.0 <= e < sharp:
             raise ValueError(f"weight {e} outside [0, {sharp})")
-    baseline = spectrum_for(p, N, 0.0, d)
+    system = build_soft_system(p, N, 0.0)
+    baseline = spectral_report(system, solve_system(system), d)
     rows = []
     for e in etas:
-        report = relative_errors(p, N, e, d)
-        stats = condition_stats(report.computed, baseline)
+        report = baseline
+        if e != 0.0:
+            softened = system.with_weights(e)
+            report = spectral_report(softened, solve_system(softened), d)
+        stats = condition_stats(report.computed, baseline.computed)
         e_lambda = float(np.sqrt(np.sum(report.rel_errors ** 2)))
         rows.append((e, stats.rho, e_lambda))
     return rows
@@ -248,22 +253,14 @@ def pythagorean_check(p, N, eta, j):
     eigenvalue error, so residual should be far below gap.
     """
     system = build_soft_system(p, N, eta)
-    lam_h, coeffs = _mode_coefficients(system, j)
-    coeffs = coeffs / math.sqrt(coeffs @ system.mass.toarray() @ coeffs)
-
-    x, w, U, DU = _design_matrices(system, p + 4)
-    uh = U @ coeffs
-    duh = DU @ coeffs
-    omega = j * math.pi
-    lam = omega ** 2
-    u = math.sqrt(2.0) * np.sin(omega * x)
-    du = math.sqrt(2.0) * omega * np.cos(omega * x)
-    sign = 1.0 if float(w @ (uh * u)) >= 0 else -1.0
-    l2 = float(w @ (sign * uh - u) ** 2)
-    h1 = float(w @ (sign * duh - du) ** 2)
+    spectrum = solve_system(system)
+    lam_h = spectrum.values[j - 1]
+    l2_sq, h1_sq, coeffs = _mode_errors(system, spectrum, [j], p + 4)
+    coeffs = coeffs[:, 0]
+    lam = (j * math.pi) ** 2
 
     soft = float(coeffs @ system.softness.toarray() @ coeffs)
-    energy_sq = h1 - system.eta * soft
-    residual = abs(energy_sq - (lam * l2 + (lam_h - lam)))
+    energy_sq = float(h1_sq[0]) - system.eta * soft
+    residual = abs(energy_sq - (lam * float(l2_sq[0]) + (lam_h - lam)))
     gap = abs(lam_h - lam)
     return residual, gap

@@ -196,6 +196,47 @@ def eval_basis(kv, x, r=0, side=None):
     return BasisEval(element, r, ders)
 
 
+def basis_table(kv, points, r=0):
+    """Raw basis derivatives at the same reference points of every element.
+
+    Element e carries raw functions e..e+p, whose restrictions to it
+    depend only on the knots U[e+1..e+2p]. Those are equally spaced for
+    p-1 <= e <= N-p, so every such element is a translate of element
+    p-1 and is evaluated once; only the p-1 elements at each end (all
+    elements when N < 2p-1) are evaluated on their own.
+
+    Parameters
+    ----------
+    kv : KnotVector
+    points : array
+        Reference points in the open interval (0, 1); element e is
+        sampled at x = (e + t) / N for each t.
+    r : int
+        Highest derivative order, 0 <= r <= p.
+
+    Returns
+    -------
+    (ders, index)
+        ``ders[index[e], q, k, m]`` is the k-th derivative of raw
+        function e + m at the q-th point of element e; ``ders`` has one
+        row per distinct element, shape (distinct, len(points), r + 1,
+        p + 1), and ``index`` has length N.
+    """
+    p, N = kv.p, kv.N
+    points = np.asarray(points, dtype=float)
+    if np.any((points <= 0.0) | (points >= 1.0)):
+        raise ValueError("reference points must lie in (0, 1)")
+    elements = np.arange(N)
+    interior = (elements >= p - 1) & (elements <= N - p)
+    distinct, index = np.unique(np.where(interior, p - 1, elements),
+                                return_inverse=True)
+    ders = np.empty((distinct.size, points.size, r + 1, p + 1))
+    for row, e in enumerate(distinct):
+        for q, t in enumerate(points):
+            ders[row, q] = eval_basis(kv, (e + t) / N, r).ders
+    return ders, index
+
+
 def _pth_trace(kv, x, side):
     """Dense p-th-derivative values at x, as a raw-length row."""
     be = eval_basis(kv, x, kv.p, side)

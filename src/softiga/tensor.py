@@ -7,6 +7,7 @@ a single small 1D solve instead of a dense solve of order N^3.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,27 @@ def exact_spectrum(d, n):
     """TensorSpectrum of continuum eigenvalues with 1D modes 1..n."""
     one_d = np.pi ** 2 * np.arange(1, n + 1, dtype=float) ** 2
     return kron_sum_spectrum(one_d, d)
+
+
+def continuum_values(d, n1):
+    """The n1^d smallest continuum eigenvalues pi^2 * |j|^2, ascending.
+
+    These are the rank-paired targets of a d-fold lift of n1 discrete
+    1D eigenvalues. The box [1, n1]^d already holds n1^d lattice points
+    with |j|^2 <= d * n1^2, and a point with component j_i has
+    |j|^2 >= j_i^2 + d - 1, so every wanted point has components at most
+    floor(sqrt(d * n1^2 - (d - 1))). Cutting each axis at n1 instead
+    would miss modes such as (1, 1, n1 + 1).
+    """
+    if d not in (1, 2, 3):
+        raise ValueError(f"dimension must be 1, 2, or 3, got {d}")
+    side = math.isqrt(d * n1 * n1 - (d - 1))
+    squares = np.arange(1, side + 1) ** 2
+    sums = squares
+    for _ in range(d - 1):
+        sums = np.add.outer(sums, squares)
+    smallest = np.sort(sums, axis=None)[:n1 ** d]
+    return np.pi ** 2 * smallest.astype(float)
 
 
 def kron_pencil(A, B):

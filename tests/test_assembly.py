@@ -7,13 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from softiga.analytic import analytic_eigenvalue, eta_table
+from softiga.analytic import (analytic_eigenvalue, eta_table,
+                              interior_stencil)
 from softiga.assembly import (IndefinitenessWarning, SymBandedMatrix,
                               assemble_mass, assemble_softness,
                               assemble_stiffness, build_soft_system)
-from softiga.eigensolve import generalized_eig
+from softiga.eigensolve import (DefinitenessError, cholesky_pivot,
+                                generalized_eig)
 from softiga.spaces import build_of_space, build_standard_space
-from softiga.splines import eval_basis
+from softiga.splines import eval_basis, pth_derivative_jump
 
 
 def test_banded_storage_round_trip():
@@ -268,3 +270,160 @@ def test_standard_flavor_reproduces_plain_galerkin_extremes():
 def _pencil(p, N, eta, flavor):
     system = build_soft_system(p, N, eta, flavor=flavor)
     return system.A, system.B
+
+
+def test_banded_toarray_and_row_match_elementwise_fill():
+    rng = np.random.default_rng(3)
+    n, hbw = 9, 3
+    diagonals = tuple(rng.standard_normal(n - k) for k in range(hbw + 1))
+    banded = SymBandedMatrix(diagonals)
+    expected = np.zeros((n, n))
+    for k, diag in enumerate(diagonals):
+        for i in range(n - k):
+            expected[i + k, i] = expected[i, i + k] = diag[i]
+    np.testing.assert_array_equal(banded.toarray(), expected)
+    for i in range(n):
+        np.testing.assert_array_equal(banded.row(i), expected[i])
+    np.testing.assert_array_equal(banded.principal(2, 7).toarray(),
+                                  expected[2:7, 2:7])
+    assert SymBandedMatrix.from_dense(expected).half_bandwidth == hbw
+
+
+def test_banded_rows_keep_exact_rationals():
+    A = np.array([[Fraction(2), Fraction(-1, 3), Fraction(0)],
+                  [Fraction(-1, 3), Fraction(2), Fraction(1, 7)],
+                  [Fraction(0), Fraction(1, 7), Fraction(5)]], dtype=object)
+    banded = SymBandedMatrix.from_dense(A)
+    assert banded.half_bandwidth == 1
+    assert list(banded.row(1)) == [Fraction(-1, 3), Fraction(2),
+                                   Fraction(1, 7)]
+    assert isinstance(banded.row(1)[2], Fraction)
+    assert (banded.toarray() == A).all()
+
+
+def test_banded_cholesky_pivot_matches_dense():
+    A = np.diag([2.0, 1.0, -1.0, 3.0]) + np.diag([0.5] * 3, 1) \
+        + np.diag([0.5] * 3, -1)
+    banded = SymBandedMatrix.from_dense(A)
+    assert cholesky_pivot(banded) == cholesky_pivot(A) == 3
+    B = A + 4.0 * np.eye(4)
+    assert cholesky_pivot(SymBandedMatrix.from_dense(B)) == 0
+
+
+def _reference_operators(space):
+    """K, M, S by per-point quadrature and per-face jumps, dense."""
+    kv = space.kv
+    p, N, h = kv.p, kv.N, kv.h
+    raw = kv.num_raw
+    x, w = np.polynomial.legendre.leggauss(p + 1)
+    K, M, S = (np.zeros((raw, raw)) for _ in range(3))
+    for e in range(N):
+        for xq, wq in zip(x, w):
+            be = eval_basis(kv, (e + 0.5 * (xq + 1.0)) * h, 1)
+            window = slice(be.first, be.first + p + 1)
+            M[window, window] += 0.5 * h * wq * np.outer(be.ders[0],
+                                                         be.ders[0])
+            K[window, window] += 0.5 * h * wq * np.outer(be.ders[1],
+                                                         be.ders[1])
+    for f in range(N + 1):
+        jump = pth_derivative_jump(kv, f)
+        if 0 < f < N:
+            S += np.outer(jump, jump)
+        elif p % 2 == 0:
+            S += 2.0 * np.outer(jump, jump)
+    S *= h ** (2 * p - 1)
+    E = space.extraction
+    return [E @ A @ E.T for A in (K, M, S)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("flavor", ["standard", "outlier_free"])
+def test_banded_operators_match_per_point_quadrature(p, flavor):
+    # the meshes run from ones whose two boundary blocks meet (no
+    # translate of the interior element, N < 2p + 1) to ones with many
+    build = build_standard_space if flavor == "standard" else build_of_space
+    for N in range(1, 2 * p + 6):
+        try:
+            space = build(p, N)
+        except ValueError:
+            continue
+        operators = (assemble_stiffness(space), assemble_mass(space),
+                     assemble_softness(space))
+        for got, expected in zip(operators, _reference_operators(space)):
+            scale = max(abs(expected).max(), 1e-300)
+            assert np.abs(got.toarray() - expected).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_interior_rows_match_printed_stencils(p):
+    N = 400
+    h = 1.0 / N
+    space = build_of_space(p, N)
+    for kind, op, unit in (("K", assemble_stiffness, h),
+                           ("M", assemble_mass, 1.0 / h),
+                           ("S", assemble_softness, h)):
+        stencil = np.array([float(c) for c in interior_stencil(kind, p)])
+        full = np.concatenate([stencil[::-1], stencil[1:]])
+        width = len(stencil) - 1
+        banded = op(space)
+        margin = 3 * p + 2  # rows untouched by the boundary elements
+        worst = max(
+            np.abs(banded.row(i)[i - width:i + width + 1] * unit
+                   - full).max()
+            for i in range(margin, space.dim - margin))
+        assert worst <= 1e-15 * np.abs(stencil).max(), (kind, worst)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_assembled_spectrum_matches_closed_form_on_fine_mesh(p):
+    N = 400
+    eta = eta_table().default[p]
+    values = generalized_eig(*_pencil(p, N, eta, "outlier_free")).values
+    top = N if p % 2 == 0 else N - 1
+    exact = np.array([analytic_eigenvalue(p, float(eta), j, N)
+                      for j in range(1, top + 1)])
+    np.testing.assert_allclose(values, exact, rtol=1e-9)
+
+
+def test_with_weights_equals_fresh_assembly():
+    table = eta_table()
+    for p, eta, eta_b in [(2, table.default[2], table.mass_side[2]),
+                          (3, table.superconvergent[3], 0.0),
+                          (4, table.default[4], 1e-3)]:
+        base = build_soft_system(p, 20, 0.0)
+        reweighted = base.with_weights(eta, eta_b)
+        fresh = build_soft_system(p, 20, eta, eta_b)
+        assert (reweighted.eta, reweighted.eta_b) == (float(eta),
+                                                      float(eta_b))
+        assert reweighted.stiffness is base.stiffness
+        for got, want in ((reweighted.A, fresh.A),
+                          (reweighted.B, fresh.B)):
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_with_weights_runs_the_build_checks():
+    system = build_soft_system(2, 10, 0.0)
+    with pytest.warns(IndefinitenessWarning):
+        system.with_weights(float(eta_table().sharp_max[2]))
+    with pytest.raises(ValueError):
+        system.with_weights(-1e-3)
+    with pytest.raises(ValueError):
+        system.with_weights(0.0, -1.0)
+
+
+def test_mass_side_definiteness_is_checked_on_the_band(monkeypatch):
+    import softiga.assembly as assembly
+
+    seen = []
+
+    def failing_pivot(B):
+        seen.append(B)
+        return 2
+
+    monkeypatch.setattr(assembly, "cholesky_pivot", failing_pivot)
+    build_soft_system(2, 10, 0.0)  # eta_b = 0 skips the check
+    assert seen == []
+    with pytest.raises(DefinitenessError) as err:
+        build_soft_system(2, 10, 0.0, 1e-3)
+    assert err.value.pivot == 2
+    assert isinstance(seen[0], SymBandedMatrix)

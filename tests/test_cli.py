@@ -1,8 +1,13 @@
 """End-to-end command line checks via in-process main()."""
 
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from softiga.cli import EXIT_CONFIG, EXIT_OK, main
@@ -180,3 +185,35 @@ def test_weight_above_default_warns_but_runs(capsys):
         code = main(["spectrum", "-p", "2", "-N", "8", "--eta", "0.015"])
     capsys.readouterr()
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("p,N,d,n1", [(3, 16, 2, 15), (2, 12, 3, 12),
+                                      (2, 4, 3, 4)])
+def test_multi_dimensional_spectrum_pairs_lattice_values(p, N, d, n1,
+                                                         capsys):
+    code, out = run(["spectrum", "-p", str(p), "-N", str(N), "-d", str(d)],
+                    capsys)
+    assert code == EXIT_OK
+    header, rows = parse_csv(out)
+    assert header == ["j", "indices", "lambda_exact", "lambda_h",
+                      "rel_err"]
+    assert len(rows) == n1 ** d
+    # every |j|^2 over a box large enough to hold the n1^d smallest
+    sums = sorted(sum(j * j for j in idx) for idx in
+                  itertools.product(range(1, 2 * n1 + 1), repeat=d))
+    exact = np.array([float(row[2]) for row in rows])
+    np.testing.assert_allclose(exact / math.pi ** 2, sums[:n1 ** d],
+                               rtol=1e-15)
+    computed = np.array([float(row[3]) for row in rows])
+    assert np.all(np.diff(computed) >= 0)
+
+
+def test_import_loads_no_sparse_module():
+    import softiga
+
+    source_root = os.path.dirname(os.path.dirname(softiga.__file__))
+    env = dict(os.environ, PYTHONPATH=source_root)
+    code = ("import sys, softiga, softiga.cli;"
+            " sys.exit('scipy.sparse' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code],
+                          env=env).returncode == 0

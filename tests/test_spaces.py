@@ -127,3 +127,29 @@ def test_extraction_has_full_rank():
     for p, N in [(2, 6), (3, 8), (4, 8), (5, 9)]:
         E = build_of_space(p, N).extraction
         assert np.linalg.matrix_rank(E, tol=1e-10) == E.shape[0]
+
+
+def test_corner_form_reproduces_the_dense_extraction():
+    # the stored corners and the identity part give the same matrix as
+    # writing every row out: left null basis, unit rows, mirrored block
+    for p, N in [(1, 4), (2, 6), (3, 4), (3, 9), (4, 8), (5, 6), (5, 12)]:
+        space = build_of_space(p, N)
+        raw = space.kv.num_raw
+        a, m = space.left.shape
+        E = np.zeros((space.dim, raw))
+        E[:a, :m] = space.left
+        for i in range(space.inner):
+            E[a + i, m + i] = 1.0
+        for r in range(a):
+            E[space.dim - 1 - r, raw - m:] = space.left[r, ::-1]
+        np.testing.assert_array_equal(space.extraction, E)
+        c = np.random.default_rng(p).standard_normal((space.dim, 2))
+        np.testing.assert_allclose(space.raw_coefficients(c), E.T @ c,
+                                   rtol=0, atol=1e-15)
+
+
+def test_dense_extraction_builds_a_space_without_identity_part():
+    space = build_of_space(3, 7)
+    dense = SplineSpace(space.kv, space.flavor, space.extraction)
+    assert dense.inner == 0 and dense.dim == space.dim
+    np.testing.assert_array_equal(dense.extraction, space.extraction)

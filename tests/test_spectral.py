@@ -180,3 +180,71 @@ def test_spectrum_for_dimensions():
     assert one.size == 6
     assert two.size == 36
     assert two[0] == pytest.approx(2 * one[0], rel=1e-12)
+
+
+def test_eta_sweep_assembles_once_and_matches_fresh_builds(monkeypatch):
+    import softiga.spectral_analysis as spectral
+
+    builds = []
+    original = spectral.build_soft_system
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "build_soft_system", counting)
+    etas = [0.0, 2e-3, 8e-3]
+    rows = eta_sweep(2, 16, etas, d=2)
+    assert len(builds) == 1
+    monkeypatch.undo()
+    baseline = spectrum_for(2, 16, 0.0, d=2)
+    for (eta, rho, e_lambda), eta_in in zip(rows, etas):
+        report = relative_errors(2, 16, eta_in, d=2)
+        stats = condition_stats(report.computed, baseline)
+        assert rho == stats.rho
+        assert e_lambda == float(np.sqrt(np.sum(report.rel_errors ** 2)))
+
+
+def test_h1_errors_match_pointwise_sampling():
+    # same eigenvectors, basis values sampled point by point
+    from softiga.assembly import build_soft_system
+    from softiga.spectral_analysis import h1_errors_for_modes, solve_system
+    from softiga.splines import eval_basis
+
+    for p, N in [(2, 12), (3, 9), (4, 10)]:
+        system = build_soft_system(p, N, float(eta_table().default[p]))
+        spectrum = solve_system(system)
+        kv, E = system.space.kv, system.space.extraction
+        nq = p + 4
+        xg, wg = np.polynomial.legendre.leggauss(nq)
+        mass = system.mass.toarray()
+        js = range(1, spectrum.n + 1)
+        expected = []
+        for j in js:
+            c = spectrum.vectors[:, j - 1]
+            c = E.T @ (c / math.sqrt(c @ mass @ c))
+            omega = j * math.pi
+            rows = []
+            for e in range(N):
+                for xq, wq in zip(xg, wg):
+                    x = (e + 0.5 * (xq + 1.0)) / N
+                    be = eval_basis(kv, x, 1)
+                    local = c[be.first:be.first + p + 1]
+                    rows.append((0.5 * wq / N, be.ders[0] @ local,
+                                 be.ders[1] @ local,
+                                 math.sqrt(2.0) * math.sin(omega * x),
+                                 math.sqrt(2.0) * omega
+                                 * math.cos(omega * x)))
+            w, uh, duh, u, du = map(np.array, zip(*rows))
+            sign = 1.0 if w @ (uh * u) >= 0 else -1.0
+            expected.append(math.sqrt(w @ (sign * duh - du) ** 2))
+        got = h1_errors_for_modes(system, spectrum, js)
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+
+def test_multi_dimensional_report_pairs_with_lattice_values():
+    # 3D lift of 4 modes: the eighth target is (1, 1, 3), not (1, 2, 2)
+    report = relative_errors(2, 4, 0.0, d=3)
+    assert report.computed.size == 64
+    np.testing.assert_allclose(report.exact[:8] / math.pi ** 2,
+                               [3, 6, 6, 6, 9, 9, 9, 11])

@@ -11,7 +11,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softiga.splines import (eval_basis, open_knot_vector,
+from softiga.splines import (basis_table, eval_basis, open_knot_vector,
                              pth_derivative_jump)
 
 x_sym = sp.Symbol("x")
@@ -213,3 +213,31 @@ def test_endpoint_values_are_interpolatory():
         assert at1.first == kv.N - 1
         np.testing.assert_allclose(at1.values,
                                    [0.0] * p + [1.0], atol=1e-14)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_basis_table_matches_pointwise_evaluation(p):
+    points = np.array([0.1, 0.5, 0.9])
+    for N in (1, 2, p, 2 * p - 1, 2 * p + 1, 3 * p + 4):
+        if N < 1:
+            continue
+        kv = open_knot_vector(p, N)
+        ders, index = basis_table(kv, points, p)
+        assert index.shape == (N,)
+        # p - 1 distinct elements at each end plus one translate
+        assert len(ders) == min(N, 2 * p - 1)
+        for e in range(N):
+            for q, t in enumerate(points):
+                be = eval_basis(kv, (e + t) / N, p)
+                assert be.element == e
+                scale = np.abs(be.ders).max(axis=1, keepdims=True)
+                assert np.all(np.abs(ders[index[e], q] - be.ders)
+                              <= 1e-12 * scale)
+
+
+def test_basis_table_rejects_points_on_breakpoints():
+    kv = open_knot_vector(2, 4)
+    with pytest.raises(ValueError):
+        basis_table(kv, [0.0, 0.5])
+    with pytest.raises(ValueError):
+        basis_table(kv, [1.0])

@@ -2,6 +2,7 @@
 explicitly assembled 2D pencil, exact continuum eigenvalues, and
 deterministic tie-breaking."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 
 from softiga.assembly import build_soft_system
 from softiga.eigensolve import generalized_eig
-from softiga.tensor import (exact_eigenvalue, exact_spectrum, kron_pencil,
-                            kron_sum_spectrum)
+from softiga.tensor import (continuum_values, exact_eigenvalue,
+                            exact_spectrum, kron_pencil, kron_sum_spectrum)
 
 
 def test_exact_eigenvalue_formulas():
@@ -74,3 +75,32 @@ def test_one_d_passthrough_keeps_values():
     tensor = kron_sum_spectrum(vals, 1)
     np.testing.assert_array_equal(tensor.values, vals)
     assert tensor.indices == ((1,), (2,), (3,))
+
+
+def _lattice_values(d, count, side):
+    sums = sorted(sum(j * j for j in idx)
+                  for idx in itertools.product(range(1, side + 1),
+                                               repeat=d))
+    return math.pi ** 2 * np.array(sums[:count], dtype=float)
+
+
+@pytest.mark.parametrize("d,n1", [(2, 1), (2, 7), (2, 15), (3, 2), (3, 5),
+                                  (3, 12)])
+def test_continuum_values_are_the_smallest_lattice_values(d, n1):
+    # brute force over a box twice the proven bound
+    values = continuum_values(d, n1)
+    assert values.size == n1 ** d
+    np.testing.assert_array_equal(
+        values, _lattice_values(d, n1 ** d, 2 * n1 + 2))
+
+
+def test_continuum_values_reach_beyond_the_box():
+    # the eighth smallest 3D value is (1, 1, 3), outside [1, 2]^3
+    values = continuum_values(3, 2) / math.pi ** 2
+    np.testing.assert_allclose(values, [3, 6, 6, 6, 9, 9, 9, 11])
+
+
+def test_continuum_values_in_one_dimension_are_bit_identical():
+    for n in (1, 7, 400):
+        assert (continuum_values(1, n).tobytes()
+                == exact_spectrum(1, n).values.tobytes())
