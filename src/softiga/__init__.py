@@ -27,7 +27,8 @@ from .spectral_analysis import (ConditionStats, InsufficientDataError,
                                 relative_errors, solve_system,
                                 spectral_report, spectrum_for)
 from .tensor import (TensorSpectrum, continuum_values, exact_eigenvalue,
-                     exact_spectrum, kron_pencil, kron_sum_spectrum)
+                     exact_spectrum, kron_pencil, kron_sum_spectrum,
+                     lifted_extremes)
 
 __version__ = "0.1.0"
 
@@ -47,7 +48,8 @@ __all__ = [
     "generalized_eig", "h1_convergence", "h1_eigenfunction_error",
     "h1_errors_for_modes", "interior_stencil", "inverse_constants",
     "inverse_constants_squared", "kron_pencil", "kron_sum_spectrum",
-    "open_knot_vector", "pth_derivative_jump", "pythagorean_check",
-    "reference_matrix", "relative_errors", "softened_reference",
-    "solve_system", "spectral_report", "spectrum_for",
+    "lifted_extremes", "open_knot_vector", "pth_derivative_jump",
+    "pythagorean_check", "reference_matrix", "relative_errors",
+    "softened_reference", "solve_system", "spectral_report",
+    "spectrum_for",
 ]

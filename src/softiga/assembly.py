@@ -32,6 +32,7 @@ only annotates the h-power class ("1/h" for stiffness and softness, "h"
 for mass) so printed dimensionless stencils can be compared directly.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -106,6 +107,8 @@ class SoftSystem:
 def _checked_weights(p, eta, eta_b):
     """Weights as floats; warns at or beyond the sharp threshold."""
     eta, eta_b = float(eta), float(eta_b)
+    if not (math.isfinite(eta) and math.isfinite(eta_b)):
+        raise ValueError("softness weights must be finite")
     if eta < 0 or eta_b < 0:
         raise ValueError("softness weights must be nonnegative")
     sharp = eta_table().sharp_max.get(p)

@@ -21,15 +21,14 @@ from .analytic import (analytic_eigenvalue, commutator_norm,
                        dispersion_expansion, eta_table,
                        fit_leading_coefficient, reference_matrix,
                        softened_reference)
-from .assembly import (IndefinitenessWarning, assemble_stiffness,
-                       build_soft_system)
+from .assembly import IndefinitenessWarning, build_soft_system
 from .eigensolve import DefinitenessError, EigenSolveError
-from .spaces import build_of_space
+from .spaces import space_dimension
 from .spectral_analysis import (condition_stats, convergence_slope,
                                 eigenvalue_convergence, eta_sweep,
                                 h1_convergence, h1_errors_for_modes,
-                                solve_system, spectral_report,
-                                spectrum_for)
+                                solve_system, spectral_report)
+from .tensor import check_lift_size, lifted_extremes
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -84,6 +83,8 @@ def _resolve_eta(p, spec_text, method):
     except ValueError:
         raise ConfigError(f"--eta must be default, super, zero, or a"
                           f" number, got {spec_text!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"--eta must be finite, got {value}")
     if value < 0:
         raise ConfigError(f"--eta must be nonnegative, got {value}")
     sharp = table.sharp_max.get(p)
@@ -114,6 +115,8 @@ def _resolve_eta_b(p, spec_text):
     except ValueError:
         raise ConfigError(f"--eta-b must be zero, paper, or a number,"
                           f" got {spec_text!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"--eta-b must be finite, got {value}")
     if value < 0:
         raise ConfigError(f"--eta-b must be nonnegative, got {value}")
     return value
@@ -174,8 +177,16 @@ def _build(config):
                              _METHOD_FLAVOR[config.method])
 
 
+def _check_lift(config, flavor):
+    """Refuse an oversized d-dimensional lift before any assembly."""
+    if config.d > 1:
+        check_lift_size(space_dimension(config.p, config.N, flavor),
+                        config.d)
+
+
 def cmd_spectrum(config):
     """Discrete spectrum with continuum targets and per-mode errors."""
+    _check_lift(config, _METHOD_FLAVOR[config.method])
     system = _build(config)
     spectrum = solve_system(system)
     report = spectral_report(system, spectrum, config.d)
@@ -194,11 +205,20 @@ def cmd_spectrum(config):
 
 
 def cmd_condition(config, baseline_method):
-    """Condition-number reduction of the target method over a baseline."""
-    target = spectrum_for(config.p, config.N, config.eta, config.d,
-                          config.eta_b, _METHOD_FLAVOR[config.method])
-    baseline = spectrum_for(config.p, config.N, 0.0, config.d, 0.0,
-                            _METHOD_FLAVOR[baseline_method])
+    """Condition-number reduction of the target method over a baseline.
+
+    Only the two ends of each lifted spectrum matter, and they are the
+    d-fold sums of the 1D ends, so no lift is built. A baseline on the
+    target's space reuses its assembled operators.
+    """
+    system = _build(config)
+    flavor = _METHOD_FLAVOR[baseline_method]
+    if flavor == system.space.flavor:
+        base = system.with_weights(0.0)
+    else:
+        base = build_soft_system(config.p, config.N, 0.0, 0.0, flavor)
+    target = lifted_extremes(solve_system(system).values, config.d)
+    baseline = lifted_extremes(solve_system(base).values, config.d)
     stats = condition_stats(target, baseline)
     columns = ["d", "p", "lambda_min", "lambda_max_baseline",
                "lambda_max_target", "gamma_baseline", "gamma_target",
@@ -230,6 +250,7 @@ def cmd_convergence(config, n_list, j, quantity):
 def cmd_eta_sweep(config, grid_points):
     """Reduction ratio and total eigenvalue error along a weight grid."""
     sharp = eta_table().resolve(config.p, "sharp_max")
+    _check_lift(config, "outlier_free")
     grid = np.linspace(0.0, float(sharp), grid_points, endpoint=False)
     rows = eta_sweep(config.p, config.N, grid, config.d)
     _emit(config, ["eta", "rho", "e_lambda"], rows)
@@ -261,9 +282,9 @@ def _verify_checks():
 
     worst = 0.0
     for p in (2, 3, 4):
+        base = build_soft_system(p, 16, 0.0)
         for eta in (Fraction(0), table.default[p]):
-            system = build_soft_system(p, 16, eta)
-            values = solve_system(system).values
+            values = solve_system(base.with_weights(eta)).values
             top = 16 if p % 2 == 0 else 15
             exact = np.array([analytic_eigenvalue(p, float(eta), j, 16)
                               for j in range(1, top + 1)])
@@ -289,10 +310,11 @@ def _verify_checks():
     details = []
     for p in (2, 3, 4):
         sharp = float(table.sharp_max[p])
+        base = build_soft_system(p, 50, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IndefinitenessWarning)
-            below = solve_system(build_soft_system(p, 50, 0.99 * sharp))
-            above = build_soft_system(p, 50, 1.01 * sharp)
+            below = solve_system(base.with_weights(0.99 * sharp))
+            above = base.with_weights(1.01 * sharp)
         low = float(np.linalg.eigvalsh(above.A)[0])
         if below.lam_min <= 0:
             ok = False
@@ -310,9 +332,8 @@ def _verify_checks():
     for p in (2, 3, 4):
         eta = float(table.default[p])
         theo = float(table.theoretical_max[p])
-        space = build_of_space(p, 20)
-        K = assemble_stiffness(space).toarray()
         system = build_soft_system(p, 20, eta)
+        K = system.stiffness.toarray()
         beta = 1.0 - eta / theo
         gap = float(np.linalg.eigvalsh(system.A - beta * K)[0])
         scale = float(np.linalg.norm(K))

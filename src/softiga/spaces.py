@@ -153,6 +153,16 @@ def build_of_space(p, N):
     return SplineSpace(kv, "outlier_free", left, left[::-1, ::-1].copy())
 
 
+def space_dimension(p, N, flavor):
+    """Dimension of the space ``flavor`` of degree p on N elements,
+    without building it."""
+    if flavor == "standard":
+        return N + p - 2
+    if flavor == "outlier_free":
+        return N + p - 2 - 2 * ((p - 1) // 2)
+    raise ValueError(f"unknown space flavor {flavor!r}")
+
+
 def space_member_eval(space, i, x, r=0, side=None):
     """Derivative of order r of the i-th space basis function at x."""
     if not 0 <= i < space.dim:

@@ -4,13 +4,22 @@ On a tensor-product space both 1D pencil matrices share eigenvectors,
 so the multi-dimensional generalized eigenvalues are exactly the d-fold
 sums of the 1D ones. That makes the 3D benchmark tables computable from
 a single small 1D solve instead of a dense solve of order N^3.
+
+The lift is a left fold of ``np.add.outer`` over the 1D values, so each
+sum is formed in multi-index order, ordered by a stable argsort of the
+row-major (lexicographic) flattening. A lift has n1^d entries and is
+refused up front above ``MAX_LIFT_ENTRIES``. Condition numbers need only
+the two ends of the lifted spectrum, the d-fold sums of the 1D extremes
+(``lifted_extremes``), so they never build the lift.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Largest lift, n1^d entries, that kron_sum_spectrum will build.
+MAX_LIFT_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -21,6 +30,23 @@ class TensorSpectrum:
     one_d: np.ndarray
     values: np.ndarray
     indices: tuple = field(repr=False)  # tuple of d-tuples, 1-based
+
+
+def check_lift_size(n1, d):
+    """Refuse a d-fold lift of n1 values above ``MAX_LIFT_ENTRIES``."""
+    if n1 ** d > MAX_LIFT_ENTRIES:
+        raise ValueError(f"a {d}D lift of {n1} 1D eigenvalues has"
+                         f" {n1 ** d} entries, above the limit of"
+                         f" {MAX_LIFT_ENTRIES}")
+
+
+def _ascending(one_d, d):
+    one_d = np.asarray(one_d, dtype=float)
+    if d not in (1, 2, 3):
+        raise ValueError(f"dimension must be 1, 2, or 3, got {d}")
+    if np.any(np.diff(one_d) < 0):
+        raise ValueError("1D eigenvalue list must be ascending")
+    return one_d
 
 
 def kron_sum_spectrum(one_d, d):
@@ -38,20 +64,40 @@ def kron_sum_spectrum(one_d, d):
     TensorSpectrum
         Sorted ascending; equal values are ordered by lexicographic
         multi-index, so the pairing with exact eigenvalues is stable.
+        Each sum is added left to right over its multi-index.
+
+    Raises
+    ------
+    ValueError
+        Before allocating, when the lift would exceed
+        ``MAX_LIFT_ENTRIES``.
     """
-    one_d = np.asarray(one_d, dtype=float)
-    if d not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2, or 3, got {d}")
-    if np.any(np.diff(one_d) < 0):
-        raise ValueError("1D eigenvalue list must be ascending")
-    n = len(one_d)
-    pairs = sorted(
-        (float(sum(one_d[i] for i in combo)), tuple(i + 1 for i in combo))
-        for combo in itertools.product(range(n), repeat=d)
-    )
-    values = np.array([v for v, _ in pairs])
-    indices = tuple(idx for _, idx in pairs)
-    return TensorSpectrum(d, one_d, values, indices)
+    one_d = _ascending(one_d, d)
+    n = one_d.size
+    check_lift_size(n, d)
+    sums = one_d
+    for _ in range(d - 1):
+        sums = np.add.outer(sums, one_d)
+    sums = sums.reshape(-1)  # row-major: lexicographic multi-index order
+    order = np.argsort(sums, kind="stable")
+    indices = np.stack(np.unravel_index(order, (n,) * d), axis=1) + 1
+    return TensorSpectrum(d, one_d, sums[order],
+                          tuple(map(tuple, indices.tolist())))
+
+
+def lifted_extremes(one_d, d):
+    """The smallest and largest d-fold sums of a sorted 1D list.
+
+    Returns ``[lo, hi]``, added in the order of ``kron_sum_spectrum``,
+    so they equal the first and last entries of the lift bit for bit
+    (rounded addition is monotone) without building it.
+    """
+    one_d = _ascending(one_d, d)
+    ends = one_d[[0, -1]]
+    lifted = ends
+    for _ in range(d - 1):
+        lifted = lifted + ends
+    return lifted
 
 
 def exact_eigenvalue(d, indices):

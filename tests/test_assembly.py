@@ -228,6 +228,17 @@ def test_sharp_threshold_warning_and_input_validation():
         build_soft_system(2, 10, 0.0, flavor="fancy")
 
 
+@pytest.mark.parametrize("eta,eta_b", [(float("nan"), 0.0),
+                                       (0.0, float("nan")),
+                                       (float("inf"), 0.0),
+                                       (0.0, float("inf"))])
+def test_non_finite_weights_are_rejected(eta, eta_b):
+    with pytest.raises(ValueError, match="finite"):
+        build_soft_system(2, 10, eta, eta_b)
+    with pytest.raises(ValueError, match="finite"):
+        build_soft_system(2, 10, 0.0).with_weights(eta, eta_b)
+
+
 def test_coercivity_certificate_at_default_weight():
     table = eta_table()
     for p in (2, 3, 4):

@@ -10,7 +10,11 @@ import sys
 import numpy as np
 import pytest
 
+import softiga.cli as cli
+import softiga.spectral_analysis as spectral
+import softiga.tensor as tensor
 from softiga.cli import EXIT_CONFIG, EXIT_OK, main
+from softiga.spectral_analysis import condition_stats, spectrum_for
 
 
 def run(argv, capsys):
@@ -160,6 +164,8 @@ def test_verify_reports_all_green(capsys):
     ["spectrum", "-p", "4", "--eta-b", "paper"],
     ["spectrum", "--eta", "abc"],
     ["spectrum", "-p", "2", "--eta", "-0.001"],
+    ["condition", "-p", "2", "-N", "10", "--eta", "nan"],
+    ["spectrum", "-p", "2", "-N", "10", "--eta-b", "nan"],
 ])
 def test_invalid_configurations_exit_with_config_code(argv, capsys):
     code = main(argv)
@@ -206,6 +212,85 @@ def test_multi_dimensional_spectrum_pairs_lattice_values(p, N, d, n1,
                                rtol=1e-15)
     computed = np.array([float(row[3]) for row in rows])
     assert np.all(np.diff(computed) >= 0)
+
+
+def _counting_builds(monkeypatch):
+    """Record the (p, N) of every assembly the CLI starts."""
+    builds = []
+    original = cli.build_soft_system
+
+    def counting(*args, **kwargs):
+        builds.append(args[:2])
+        return original(*args, **kwargs)
+
+    for module in (cli, spectral):
+        monkeypatch.setattr(module, "build_soft_system", counting)
+    return builds
+
+
+@pytest.mark.parametrize("baseline", ["iga", "of-iga"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_condition_equals_the_full_lift_route(p, d, baseline, monkeypatch,
+                                              capsys):
+    argv = ["condition", "-p", str(p), "-N", "20", "-d", str(d),
+            "--baseline", baseline]
+    builds = _counting_builds(monkeypatch)
+    code, out = run(argv, capsys)
+    assert code == EXIT_OK
+    # a baseline on the target's (outlier-free) space is not reassembled
+    assert len(builds) == (1 if baseline == "of-iga" else 2)
+    config = cli._config_from_args(cli.build_parser().parse_args(argv))
+    stats = condition_stats(
+        spectrum_for(p, 20, config.eta, d, config.eta_b),
+        spectrum_for(p, 20, 0.0, d, 0.0, cli._METHOD_FLAVOR[baseline]))
+    cli._emit(config, ["d", "p", "lambda_min", "lambda_max_baseline",
+                       "lambda_max_target", "gamma_baseline",
+                       "gamma_target", "rho", "varrho_pct"],
+              [[d, p, stats.lambda_min, stats.lambda_max_baseline,
+                stats.lambda_max_target, stats.gamma_baseline,
+                stats.gamma_target, stats.rho, stats.varrho_pct]])
+    assert out == capsys.readouterr().out
+
+
+def test_verify_assembles_each_mesh_once(monkeypatch):
+    builds = _counting_builds(monkeypatch)
+    cli._verify_checks()
+    assert len(builds) == len(set(builds))
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "-p", "2", "-N", "200", "-d", "3"],
+    ["eta-sweep", "-p", "2", "-N", "200", "-d", "3"],
+    ["spectrum", "-p", "3", "-N", "1500", "-d", "2", "--method", "iga"],
+])
+def test_oversized_lifts_are_refused_before_assembly(argv, monkeypatch,
+                                                     capsys):
+    builds = _counting_builds(monkeypatch)
+    code = main(argv)
+    assert code == EXIT_CONFIG
+    assert "above the limit" in capsys.readouterr().err
+    assert builds == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "-p", "2", "-N", "4", "-d", "3"],
+    ["eta-sweep", "-p", "3", "-N", "5", "-d", "3", "--grid-points", "2"],
+    ["spectrum", "-p", "3", "-N", "5", "-d", "3", "--method", "iga"],
+])
+def test_lift_limit_boundary(argv, monkeypatch, capsys):
+    # n1 = 4 (outlier-free p = 2, N = 4; p = 3, N = 5) and 6 (standard)
+    n1 = 6 if "iga" in argv else 4
+    monkeypatch.setattr(tensor, "MAX_LIFT_ENTRIES", n1 ** 3)
+    code, out = run(argv, capsys)
+    assert code == EXIT_OK and out
+    monkeypatch.setattr(tensor, "MAX_LIFT_ENTRIES", n1 ** 3 - 1)
+    builds = _counting_builds(monkeypatch)
+    assert main(argv) == EXIT_CONFIG
+    assert "above the limit" in capsys.readouterr().err
+    assert builds == []
+    # condition builds no lift, so the limit does not apply to it
+    assert main(["condition"] + argv[1:7]) == EXIT_OK
 
 
 def test_import_loads_no_sparse_module():

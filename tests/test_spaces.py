@@ -7,7 +7,8 @@ import pytest
 
 from softiga.assembly import assemble_mass, assemble_stiffness
 from softiga.spaces import (SplineSpace, build_of_space,
-                            build_standard_space, space_member_eval)
+                            build_standard_space, space_dimension,
+                            space_member_eval)
 from softiga.splines import eval_basis, open_knot_vector
 
 
@@ -26,6 +27,17 @@ def test_outlier_free_dimension(p, N, dim):
     space = build_of_space(p, N)
     assert space.dim == dim
     assert space.flavor == "outlier_free"
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_space_dimension_without_building(p):
+    for N in range(6, 14):
+        assert (space_dimension(p, N, "standard")
+                == build_standard_space(p, N).dim)
+        assert (space_dimension(p, N, "outlier_free")
+                == build_of_space(p, N).dim)
+    with pytest.raises(ValueError):
+        space_dimension(p, 8, "fancy")
 
 
 def test_low_degree_outlier_free_equals_standard():

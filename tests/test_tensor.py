@@ -10,8 +10,10 @@ import pytest
 
 from softiga.assembly import build_soft_system
 from softiga.eigensolve import generalized_eig
+import softiga.tensor as tensor
 from softiga.tensor import (continuum_values, exact_eigenvalue,
-                            exact_spectrum, kron_pencil, kron_sum_spectrum)
+                            exact_spectrum, kron_pencil, kron_sum_spectrum,
+                            lifted_extremes)
 
 
 def test_exact_eigenvalue_formulas():
@@ -104,3 +106,44 @@ def test_continuum_values_in_one_dimension_are_bit_identical():
     for n in (1, 7, 400):
         assert (continuum_values(1, n).tobytes()
                 == exact_spectrum(1, n).values.tobytes())
+
+
+def _itertools_lift(one_d, d):
+    """Reference lift: every index tuple, summed left to right and
+    sorted by (value, index tuple)."""
+    pairs = sorted(
+        (float(sum(one_d[i] for i in combo)), tuple(i + 1 for i in combo))
+        for combo in itertools.product(range(len(one_d)), repeat=d))
+    return np.array([v for v, _ in pairs]), tuple(i for _, i in pairs)
+
+
+_SPECTRA = {
+    # exact integer ties, within the 1D list and across index tuples
+    "integer_ties": np.array([1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 5.0, 8.0, 9.0]),
+    "squares": np.arange(1.0, 12.0) ** 2,
+    # sums of generic floats round differently in every order
+    "random": np.sort(np.random.default_rng(7).uniform(0.1, 1e4, 13)),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(_SPECTRA))
+def test_vectorized_lift_is_bit_identical_to_itertools_reference(name, d):
+    one_d = _SPECTRA[name]
+    values, indices = _itertools_lift(one_d, d)
+    tensor_spectrum = kron_sum_spectrum(one_d, d)
+    assert tensor_spectrum.values.tobytes() == values.tobytes()
+    assert tensor_spectrum.indices == indices
+    assert all(type(i) is int for i in tensor_spectrum.indices[-1])
+    extremes = lifted_extremes(one_d, d)
+    assert extremes.tobytes() == values[[0, -1]].tobytes()
+
+
+@pytest.mark.parametrize("n,d", [(5, 2), (3, 3), (1, 3)])
+def test_lift_size_limit_is_exact(monkeypatch, n, d):
+    one_d = np.arange(1.0, n + 1.0)
+    monkeypatch.setattr(tensor, "MAX_LIFT_ENTRIES", n ** d)
+    assert kron_sum_spectrum(one_d, d).values.size == n ** d
+    monkeypatch.setattr(tensor, "MAX_LIFT_ENTRIES", n ** d - 1)
+    with pytest.raises(ValueError, match="above the limit"):
+        kron_sum_spectrum(one_d, d)
