@@ -6,7 +6,8 @@ Everything rational is stored exactly (fractions.Fraction) and converted
 to floating point only at use sites. Reference matrices hard-code the
 printed interior stencils; the remaining boundary entries follow from
 one completion rule (symmetric Toeplitz part minus two mirrored Hankel
-tails) that reproduces every printed boundary row.
+tails) that reproduces every printed boundary row. The rule fills the
+band storage of each reference matrix directly, in O(n * hbw) work.
 
 The interior symbol of a stencil also yields the pencil eigenvalue as a
 function of the normalized wavenumber t; evaluated in high precision it
@@ -151,8 +152,8 @@ def analytic_eigenvector_sample(p, j, N, k):
 
 
 # Interior stencils of the printed matrices: (symbol, completion parity).
-# The symbol lists the main diagonal first, then successive
-# off-diagonals. The boundary completion subtracts two mirrored Hankel
+# The symbol s_k lists the entries k off the main diagonal, k = 0 first.
+# The boundary completion subtracts two mirrored Hankel
 # tails: entry(i, j) = s_|i-j| - s_(i+j+1+sigma) - s_(2n-i-j-1+sigma),
 # sigma = 0 for even p, 1 for odd p, symbols beyond the list being zero.
 _STENCILS = {
@@ -178,9 +179,6 @@ _STENCILS = {
     ("T", 5): (F(11, 20), F(13, 60), F(1, 120)),
 }
 
-_SCALES = {"K": "1/h", "M": "h", "S": "1/h", "T": "1"}
-
-
 def interior_stencil(kind, p):
     """Exact interior stencil (diagonal first) of a printed matrix."""
     try:
@@ -196,8 +194,7 @@ def reference_matrix(kind, p, N):
     ----------
     kind : {"K", "M", "S", "T"}
         Stiffness, mass, softness, or transformation matrix. Entries
-        are dimensionless as printed; the scale annotation records the
-        h-power of the corresponding assembled operator.
+        are dimensionless as printed.
     p : int
         Degree 2..5.
     N : int
@@ -205,7 +202,8 @@ def reference_matrix(kind, p, N):
 
     Returns
     -------
-    SymBandedMatrix with Fraction entries.
+    SymBandedMatrix with Fraction entries, half bandwidth
+    len(stencil) - 1, its band filled from the completion rule.
     """
     sym = interior_stencil(kind, p)
     n = N if p % 2 == 0 else N - 1
@@ -217,24 +215,19 @@ def reference_matrix(kind, p, N):
     def s(i):
         return sym[i] if 0 <= i < len(sym) else F(0)
 
-    A = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            A[i, j] = (s(abs(i - j)) - s(i + j + 1 + sigma)
-                       - s(2 * (n - 1) - i - j + 1 + sigma))
-    return SymBandedMatrix.from_dense(A, _SCALES[kind])
+    band = np.full((len(sym), n), F(0), dtype=object)
+    for k in range(len(sym)):
+        for i in range(n - k):  # entry (i + k, i)
+            band[k, i] = (sym[k] - s(2 * i + k + 1 + sigma)
+                          - s(2 * (n - 1) - 2 * i - k + 1 + sigma))
+    return SymBandedMatrix(band)
 
 
 def softened_reference(p, N, eta, eta_b=0):
     """Printed-pencil matrices (K - eta*S, M + eta_b*S), exact."""
-    eta = Fraction(eta)
-    eta_b = Fraction(eta_b)
-    K = reference_matrix("K", p, N).toarray()
-    M = reference_matrix("M", p, N).toarray()
-    S = reference_matrix("S", p, N).toarray()
-    A = SymBandedMatrix.from_dense(K - eta * S, "1/h")
-    B = SymBandedMatrix.from_dense(M + eta_b * S, "h")
-    return A, B
+    S = reference_matrix("S", p, N)
+    return (reference_matrix("K", p, N).plus(-Fraction(eta), S),
+            reference_matrix("M", p, N).plus(Fraction(eta_b), S))
 
 
 def commutator_norm(A, B):
@@ -295,12 +288,6 @@ def dispersion_eigenvalue(p, t, eta=0, eta_b=0):
     num = series(ks, -frac(eta), ss)
     den = series(ms, frac(eta_b), ss)
     return num / den
-
-
-def relative_symbol_error(p, t, eta=0, eta_b=0):
-    """|lambda_h/omega^2 - 1| from the interior symbol, high precision."""
-    t = mpmath.mpf(t)
-    return abs(dispersion_eigenvalue(p, t, eta, eta_b) / t ** 2 - 1)
 
 
 def fit_leading_coefficient(p, eta, ts=(0.02, 0.01, 0.005), dps=60):

@@ -27,9 +27,9 @@ bandwidth (p, or p+1 for the softness form) so that every coupling of a
 boundary member is covered. On tiny meshes whose corners meet, one
 block covers the whole matrix.
 
-Assembled matrices keep their natural magnitudes; the ``scale`` field
-only annotates the h-power class ("1/h" for stiffness and softness, "h"
-for mass) so printed dimensionless stencils can be compared directly.
+Every band, raw or extracted, is one LAPACK lower band array
+(``SymBandedMatrix.band``, row k the k-th subdiagonal), so the
+definiteness check factors it with no repacking.
 """
 
 import math
@@ -47,17 +47,6 @@ from .splines import basis_table
 
 class IndefinitenessWarning(UserWarning):
     """Softness weight at or beyond the sharp threshold."""
-
-
-def _plus(X, weight, Y, scale):
-    """Banded X + weight * Y for two operators of the same order."""
-    count = max(len(X.diagonals), len(Y.diagonals))
-    diagonals = [np.zeros(X.n - k) for k in range(count)]
-    for k, diag in enumerate(X.diagonals):
-        diagonals[k] += diag
-    for k, diag in enumerate(Y.diagonals):
-        diagonals[k] += weight * diag
-    return SymBandedMatrix(tuple(diagonals), scale)
 
 
 @dataclass(frozen=True)
@@ -82,8 +71,7 @@ class SoftSystem:
     @property
     def A(self):
         """Stiffness side K - eta * S."""
-        return _plus(self.stiffness, -self.eta, self.softness,
-                     "1/h").toarray()
+        return self.stiffness.plus(-self.eta, self.softness).toarray()
 
     @property
     def B(self):
@@ -92,7 +80,7 @@ class SoftSystem:
 
     def _mass_side(self):
         h = self.space.kv.h
-        return _plus(self.mass, self.eta_b * h * h, self.softness, "h")
+        return self.mass.plus(self.eta_b * h * h, self.softness)
 
     def with_weights(self, eta, eta_b=0.0):
         """The same operators under other softness weights.
@@ -131,14 +119,14 @@ def _pencil(space, K, M, S, eta, eta_b):
 
 
 def _raw_band(num_raw, blocks, index):
-    """Raw band diagonals of the sum over i of blocks[index[i]], each
-    (w x w) block placed on raw functions i..i+w-1."""
+    """Raw band of the sum over i of blocks[index[i]], each (w x w)
+    block placed on raw functions i..i+w-1."""
     w = blocks.shape[-1]
-    diagonals = [np.zeros(num_raw - k) for k in range(min(w, num_raw))]
+    band = np.zeros((min(w, num_raw), num_raw))
     for a in range(w):
-        for b in range(a, min(w, a + len(diagonals))):
-            diagonals[b - a][a:a + len(index)] += blocks[index, a, b]
-    return diagonals
+        for b in range(a, min(w, a + len(band))):
+            band[b - a, a:a + len(index)] += blocks[index, a, b]
+    return band
 
 
 def _gram(kv, deriv):
@@ -147,7 +135,7 @@ def _gram(kv, deriv):
     ders, index = basis_table(kv, (x + 1.0) / 2.0, deriv)
     values = ders[:, :, deriv, :]
     blocks = np.einsum("q,dqi,dqj->dij", w * (kv.h / 2.0), values, values)
-    return SymBandedMatrix(tuple(_raw_band(kv.num_raw, blocks, index)))
+    return SymBandedMatrix(_raw_band(kv.num_raw, blocks, index))
 
 
 def _softness_raw(kv):
@@ -164,21 +152,20 @@ def _softness_raw(kv):
     jumps[:, :p + 1] = pth[index[:-1]]
     jumps[:, 1:] -= pth[index[1:]]
     blocks = np.einsum("fi,fj->fij", jumps, jumps)
-    diagonals = _raw_band(kv.num_raw, blocks, np.arange(N - 1))
+    band = _raw_band(kv.num_raw, blocks, np.arange(N - 1))
     if p % 2 == 0:
         # boundary faces: twice the one-sided trace products
         for first, trace in ((0, pth[index[0]]), (N - 1, pth[index[-1]])):
             for k in range(p + 1):
-                diagonals[k][first:first + p + 1 - k] += (
+                band[k, first:first + p + 1 - k] += (
                     2.0 * trace[:p + 1 - k] * trace[k:])
-    scale = kv.h ** (2 * p - 1)
-    return SymBandedMatrix(tuple(scale * d for d in diagonals))
+    return SymBandedMatrix(kv.h ** (2 * p - 1) * band)
 
 
-def _extract(space, raw, scale):
+def _extract(space, raw):
     """Space operator E R E^T in band storage from the raw band R.
 
-    The identity rows of E copy the raw diagonals. A corner member
+    The identity rows of E copy the raw band. A corner member
     couples only with the next q raw functions, q the raw half
     bandwidth, so each corner is computed densely on a window of its
     block plus q identity rows. When fewer than q identity members
@@ -195,27 +182,27 @@ def _extract(space, raw, scale):
         windows = [(sla.block_diag(space.left, np.eye(q)), 0, 0),
                    (sla.block_diag(np.eye(q), space.right), dim - b - q,
                     num_raw - e - q)]
-    diagonals = [np.zeros(dim - k) for k in range(hbw + 1)]
+    band = np.zeros((hbw + 1, dim))
     if inner >= q:
         for k in range(q + 1):
-            diagonals[k][a:a + inner - k] = raw.diagonals[k][c:c + inner - k]
+            band[k, a:a + inner - k] = raw.band[k, c:c + inner - k]
     for W, space_start, raw_start in windows:
-        R = raw.principal(raw_start, raw_start + W.shape[1]).toarray()
+        R = raw.principal(raw_start, raw_start + W.shape[1])
         block = W @ R @ W.T
         for k in range(min(hbw + 1, len(block))):
-            diagonals[k][space_start:space_start + len(block) - k] = (
+            band[k, space_start:space_start + len(block) - k] = (
                 np.diagonal(block, -k))
-    return SymBandedMatrix(tuple(diagonals), scale)
+    return SymBandedMatrix(band)
 
 
 def assemble_stiffness(space):
     """Gram matrix of first derivatives, a(v, w) = (v', w')."""
-    return _extract(space, _gram(space.kv, 1), "1/h")
+    return _extract(space, _gram(space.kv, 1))
 
 
 def assemble_mass(space):
     """Gram matrix of values, b(v, w) = (v, w)."""
-    return _extract(space, _gram(space.kv, 0), "h")
+    return _extract(space, _gram(space.kv, 0))
 
 
 def assemble_softness(space):
@@ -225,7 +212,7 @@ def assemble_softness(space):
     derivative jumps; for even p the two boundary faces contribute twice
     the one-sided trace products on top.
     """
-    return _extract(space, _softness_raw(space.kv), "1/h")
+    return _extract(space, _softness_raw(space.kv))
 
 
 def build_soft_system(p, N, eta, eta_b=0.0, flavor="outlier_free"):

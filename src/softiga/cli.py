@@ -66,7 +66,7 @@ class RunConfig:
     format: str
 
 
-def _resolve_eta(p, spec_text, method):
+def _resolve_eta(p, spec_text):
     """Map an --eta value to a number; named modes use the exact table."""
     table = eta_table()
     named = {"default": "default", "super": "superconvergent",
@@ -123,11 +123,14 @@ def _resolve_eta_b(p, spec_text):
 
 
 def _config_from_args(args):
+    if args.command in ("convergence", "dispersion") and args.d != 1:
+        raise ConfigError(f"{args.command} is one-dimensional only,"
+                          f" got -d {args.d}")
     method = args.method
     eta_text = args.eta
     if eta_text is None:
         eta_text = "default" if method == "softiga" else "zero"
-    eta = _resolve_eta(args.p, eta_text, method)
+    eta = _resolve_eta(args.p, eta_text)
     eta_b = _resolve_eta_b(args.p, args.eta_b)
     if method != "softiga":
         if eta != 0:

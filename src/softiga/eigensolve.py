@@ -8,8 +8,10 @@ accuracy near machine precision; the plain factorized solve only bounds
 the absolute error by eps times the largest eigenvalue, i.e. the small
 end of a stiff spectrum would carry relative errors around 1e-13.
 
-Assembled operators arrive in symmetric band storage (SymBandedMatrix);
-definiteness checks on them factor the band directly.
+Assembled operators arrive in LAPACK lower band storage
+(SymBandedMatrix): one (hbw + 1, n) array whose row k holds the k-th
+subdiagonal, ``band[k, i]`` = entry (i + k, i). Definiteness checks hand
+that array to ``dpbtrf`` as it is.
 """
 
 from dataclasses import dataclass, field
@@ -39,70 +41,56 @@ class EigenSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class SymBandedMatrix:
-    """Symmetric banded matrix stored by diagonal.
+    """Symmetric banded matrix in LAPACK lower band storage.
 
     Attributes
     ----------
-    diagonals : tuple of ndarray
-        ``diagonals[k]`` holds the k-th subdiagonal (length n - k);
-        ``diagonals[0]`` is the main diagonal. Everything beyond
-        ``half_bandwidth`` is exactly zero and not stored.
-    scale : str
-        Annotation of the entry magnitude class: "1/h", "h", or "1".
+    band : ndarray, shape (half_bandwidth + 1, n)
+        ``band[k, i]`` is entry (i + k, i); the last k slots of row k
+        lie past the matrix and are zero. Entries beyond the half
+        bandwidth are exactly zero and not stored.
     """
 
-    diagonals: tuple
-    scale: str = "1"
+    band: np.ndarray
 
     @property
     def n(self):
-        return len(self.diagonals[0])
+        return self.band.shape[1]
 
     @property
     def half_bandwidth(self):
-        return len(self.diagonals) - 1
+        return self.band.shape[0] - 1
 
     def entry(self, i, j):
         k = abs(i - j)
         if k > self.half_bandwidth:
-            return self.diagonals[0][0] * 0
-        return self.diagonals[k][min(i, j)]
+            return self.band[0, 0] * 0
+        return self.band[k, min(i, j)]
 
     def toarray(self):
+        """Dense copy; reads only the slots inside the matrix."""
         n = self.n
-        out = np.zeros((n, n), dtype=self.diagonals[0].dtype)
+        out = np.zeros((n, n), dtype=self.band.dtype)
         flat = out.reshape(-1)
-        for k, diag in enumerate(self.diagonals):
+        for k, diag in enumerate(self.band):
             # entries (i + k, i) and (i, i + k) are n + 1 apart in memory
-            flat[k * n::n + 1] = diag
-            flat[k:(n - k) * n:n + 1] = diag
-        return out
-
-    def row(self, i):
-        out = np.zeros(self.n, dtype=self.diagonals[0].dtype)
-        for k, diag in enumerate(self.diagonals):
-            if i >= k:
-                out[i - k] = diag[i - k]
-            if i + k < self.n:
-                out[i + k] = diag[i]
+            flat[k * n::n + 1] = diag[:n - k]
+            flat[k:(n - k) * n:n + 1] = diag[:n - k]
         return out
 
     def principal(self, lo, hi):
-        """The principal submatrix on rows and columns lo..hi-1."""
-        return SymBandedMatrix(tuple(d[lo:hi - k] for k, d
-                                     in enumerate(self.diagonals)
-                                     if k < hi - lo), self.scale)
+        """The dense principal submatrix on rows and columns lo..hi-1."""
+        # the window's slots past its end are never read by toarray
+        return SymBandedMatrix(self.band[:hi - lo, lo:hi]).toarray()
 
-    @classmethod
-    def from_dense(cls, A, scale="1"):
-        """Fold a (nearly) symmetric dense array into banded storage."""
-        A = np.asarray(A)
-        sym = (A + A.T) / 2  # exact for object (rational) entries too
-        diagonals = [np.diagonal(sym, -k).copy()
-                     for k in range(sym.shape[0])]
-        hbw = max((k for k in range(1, len(diagonals))
-                   if np.any(diagonals[k] != 0)), default=0)
-        return cls(tuple(diagonals[:hbw + 1]), scale)
+    def plus(self, weight, other):
+        """self + weight * other, in the dtype of both bands."""
+        count = max(len(self.band), len(other.band))
+        dtype = np.result_type(self.band, other.band)
+        band = np.zeros((count, self.n), dtype=dtype)
+        band[:len(self.band)] += self.band
+        band[:len(other.band)] += weight * other.band
+        return SymBandedMatrix(band)
 
 
 RESIDUAL_RTOL = 1e-10
@@ -123,10 +111,7 @@ def cholesky_pivot(B):
     A SymBandedMatrix is factored in band storage, in O(n * hbw^2).
     """
     if isinstance(B, SymBandedMatrix):
-        ab = np.zeros((B.half_bandwidth + 1, B.n))
-        for k, diag in enumerate(B.diagonals):
-            ab[k, :B.n - k] = diag
-        _, info = lapack.dpbtrf(ab, lower=1)
+        _, info = lapack.dpbtrf(B.band, lower=1)
     else:
         _, info = lapack.dpotrf(_as_dense(B), lower=1)
     return int(info) if info > 0 else 0

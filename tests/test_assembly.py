@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from softiga.analytic import (analytic_eigenvalue, eta_table,
                               interior_stencil)
@@ -23,23 +24,29 @@ def test_banded_storage_round_trip():
                   [-1.0, 2.0, -1.0, 0.0],
                   [0.0, -1.0, 2.0, -1.0],
                   [0.0, 0.0, -1.0, 2.0]])
-    banded = SymBandedMatrix.from_dense(A, "1/h")
+    banded = SymBandedMatrix(np.array([[2.0, 2.0, 2.0, 2.0],
+                                       [-1.0, -1.0, -1.0, 0.0]]))
     assert banded.n == 4
     assert banded.half_bandwidth == 1
-    assert banded.scale == "1/h"
     assert banded.entry(0, 1) == -1.0
     assert banded.entry(1, 0) == -1.0
     assert banded.entry(0, 3) == 0.0
     np.testing.assert_array_equal(banded.toarray(), A)
-    np.testing.assert_array_equal(banded.row(2), A[2])
 
 
 def test_banded_storage_keeps_exact_rationals():
-    A = np.array([[Fraction(2), Fraction(-1, 3)],
-                  [Fraction(-1, 3), Fraction(2)]], dtype=object)
-    banded = SymBandedMatrix.from_dense(A)
+    banded = SymBandedMatrix(np.array([[Fraction(2), Fraction(2)],
+                                       [Fraction(-1, 3), Fraction(0)]],
+                                      dtype=object))
     assert banded.entry(0, 1) == Fraction(-1, 3)
     assert isinstance(banded.entry(0, 1), Fraction)
+    diagonal = SymBandedMatrix(np.array([[Fraction(1), Fraction(3)]],
+                                        dtype=object))
+    total = banded.plus(Fraction(-1, 2), diagonal)
+    assert total.half_bandwidth == 1
+    assert list(total.band[0]) == [Fraction(3, 2), Fraction(1, 2)]
+    assert isinstance(total.entry(0, 1), Fraction)
+    assert total.entry(0, 1) == Fraction(-1, 3)
 
 
 def test_linear_elements_reproduce_textbook_stencils():
@@ -168,13 +175,6 @@ def test_operators_are_symmetric_and_persymmetric():
                                        atol=1e-11 * abs(A).max())
 
 
-def test_scale_annotations():
-    space = build_of_space(2, 6)
-    assert assemble_stiffness(space).scale == "1/h"
-    assert assemble_mass(space).scale == "h"
-    assert assemble_softness(space).scale == "1/h"
-
-
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_assembled_spectrum_matches_closed_form(p):
     N = 12
@@ -283,42 +283,51 @@ def _pencil(p, N, eta, flavor):
     return system.A, system.B
 
 
-def test_banded_toarray_and_row_match_elementwise_fill():
+def test_banded_toarray_matches_elementwise_fill():
     rng = np.random.default_rng(3)
     n, hbw = 9, 3
-    diagonals = tuple(rng.standard_normal(n - k) for k in range(hbw + 1))
-    banded = SymBandedMatrix(diagonals)
+    band = rng.standard_normal((hbw + 1, n))
+    for k in range(1, hbw + 1):
+        band[k, n - k:] = 0.0  # slots past the end of the subdiagonal
+    banded = SymBandedMatrix(band)
     expected = np.zeros((n, n))
-    for k, diag in enumerate(diagonals):
+    for k in range(hbw + 1):
         for i in range(n - k):
-            expected[i + k, i] = expected[i, i + k] = diag[i]
+            expected[i + k, i] = expected[i, i + k] = band[k, i]
     np.testing.assert_array_equal(banded.toarray(), expected)
-    for i in range(n):
-        np.testing.assert_array_equal(banded.row(i), expected[i])
-    np.testing.assert_array_equal(banded.principal(2, 7).toarray(),
+    assert banded.entry(0, hbw + 1) == 0.0
+    assert banded.entry(hbw, 0) == expected[hbw, 0]
+    np.testing.assert_array_equal(banded.principal(2, 7),
                                   expected[2:7, 2:7])
-    assert SymBandedMatrix.from_dense(expected).half_bandwidth == hbw
+    # a window narrower than the band drops the slots past its end
+    np.testing.assert_array_equal(banded.principal(6, 8),
+                                  expected[6:8, 6:8])
 
 
 def test_banded_rows_keep_exact_rationals():
     A = np.array([[Fraction(2), Fraction(-1, 3), Fraction(0)],
                   [Fraction(-1, 3), Fraction(2), Fraction(1, 7)],
                   [Fraction(0), Fraction(1, 7), Fraction(5)]], dtype=object)
-    banded = SymBandedMatrix.from_dense(A)
+    banded = SymBandedMatrix(np.array(
+        [[Fraction(2), Fraction(2), Fraction(5)],
+         [Fraction(-1, 3), Fraction(1, 7), Fraction(0)]], dtype=object))
     assert banded.half_bandwidth == 1
-    assert list(banded.row(1)) == [Fraction(-1, 3), Fraction(2),
-                                   Fraction(1, 7)]
-    assert isinstance(banded.row(1)[2], Fraction)
+    row = banded.toarray()[1]
+    assert list(row) == [Fraction(-1, 3), Fraction(2), Fraction(1, 7)]
+    assert isinstance(row[2], Fraction)
+    assert isinstance(banded.entry(0, 2), Fraction)
     assert (banded.toarray() == A).all()
 
 
 def test_banded_cholesky_pivot_matches_dense():
-    A = np.diag([2.0, 1.0, -1.0, 3.0]) + np.diag([0.5] * 3, 1) \
-        + np.diag([0.5] * 3, -1)
-    banded = SymBandedMatrix.from_dense(A)
-    assert cholesky_pivot(banded) == cholesky_pivot(A) == 3
-    B = A + 4.0 * np.eye(4)
-    assert cholesky_pivot(SymBandedMatrix.from_dense(B)) == 0
+    band = np.array([[2.0, 1.0, -1.0, 3.0],
+                     [0.5, 0.5, 0.5, 0.0]])
+    A = SymBandedMatrix(band).toarray()
+    assert cholesky_pivot(SymBandedMatrix(band)) == cholesky_pivot(A) == 3
+    shifted = band.copy()
+    shifted[0] += 4.0
+    assert cholesky_pivot(SymBandedMatrix(shifted)) == 0
+    assert cholesky_pivot(A + 4.0 * np.eye(4)) == 0
 
 
 def _reference_operators(space):
@@ -363,6 +372,11 @@ def test_banded_operators_match_per_point_quadrature(p, flavor):
         for got, expected in zip(operators, _reference_operators(space)):
             scale = max(abs(expected).max(), 1e-300)
             assert np.abs(got.toarray() - expected).max() <= 1e-13 * scale
+            # the band is LAPACK lower storage, usable as it is
+            dense = np.linalg.eigvalsh(got.toarray())
+            banded = sla.eigvals_banded(got.band, lower=True)
+            assert (np.abs(banded - dense).max()
+                    <= 1e-12 * max(np.abs(dense).max(), 1e-300))
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
@@ -376,10 +390,10 @@ def test_interior_rows_match_printed_stencils(p):
         stencil = np.array([float(c) for c in interior_stencil(kind, p)])
         full = np.concatenate([stencil[::-1], stencil[1:]])
         width = len(stencil) - 1
-        banded = op(space)
+        dense = op(space).toarray()
         margin = 3 * p + 2  # rows untouched by the boundary elements
         worst = max(
-            np.abs(banded.row(i)[i - width:i + width + 1] * unit
+            np.abs(dense[i, i - width:i + width + 1] * unit
                    - full).max()
             for i in range(margin, space.dim - margin))
         assert worst <= 1e-15 * np.abs(stencil).max(), (kind, worst)

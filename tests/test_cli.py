@@ -166,6 +166,8 @@ def test_verify_reports_all_green(capsys):
     ["spectrum", "-p", "2", "--eta", "-0.001"],
     ["condition", "-p", "2", "-N", "10", "--eta", "nan"],
     ["spectrum", "-p", "2", "-N", "10", "--eta-b", "nan"],
+    ["convergence", "-p", "2", "-d", "3", "--N-list", "8,16"],
+    ["dispersion", "-p", "3", "-d", "3"],
 ])
 def test_invalid_configurations_exit_with_config_code(argv, capsys):
     code = main(argv)
