@@ -17,7 +17,7 @@ from .eigensolve import (DefinitenessError, EigenSolveError, Spectrum,
                          generalized_eig)
 from .spaces import SplineSpace, build_of_space, build_standard_space
 from .splines import (BasisEval, KnotVector, basis_table, eval_basis,
-                      open_knot_vector, pth_derivative_jump)
+                      open_knot_vector)
 from .spectral_analysis import (ConditionStats, InsufficientDataError,
                                 SpectralReport, condition_stats,
                                 convergence_slope, eigenvalue_convergence,
@@ -25,9 +25,8 @@ from .spectral_analysis import (ConditionStats, InsufficientDataError,
                                 h1_eigenfunction_error,
                                 h1_errors_for_modes, pythagorean_check,
                                 relative_errors, solve_system,
-                                spectral_report, spectrum_for)
-from .tensor import (TensorSpectrum, continuum_values, exact_eigenvalue,
-                     exact_spectrum, kron_pencil, kron_sum_spectrum,
+                                spectral_report)
+from .tensor import (TensorSpectrum, continuum_values, kron_sum_spectrum,
                      lifted_extremes)
 
 __version__ = "0.1.0"
@@ -44,12 +43,10 @@ __all__ = [
     "condition_stats", "continuum_values", "convergence_slope",
     "dispersion_eigenvalue", "dispersion_expansion",
     "eigenvalue_convergence", "eta_sweep", "eta_table", "eval_basis",
-    "exact_eigenvalue", "exact_spectrum", "fit_leading_coefficient",
-    "generalized_eig", "h1_convergence", "h1_eigenfunction_error",
-    "h1_errors_for_modes", "interior_stencil", "inverse_constants",
-    "inverse_constants_squared", "kron_pencil", "kron_sum_spectrum",
-    "lifted_extremes", "open_knot_vector", "pth_derivative_jump",
-    "pythagorean_check", "reference_matrix", "relative_errors",
-    "softened_reference", "solve_system", "spectral_report",
-    "spectrum_for",
+    "fit_leading_coefficient", "generalized_eig", "h1_convergence",
+    "h1_eigenfunction_error", "h1_errors_for_modes", "interior_stencil",
+    "inverse_constants", "inverse_constants_squared", "kron_sum_spectrum",
+    "lifted_extremes", "open_knot_vector", "pythagorean_check",
+    "reference_matrix", "relative_errors", "softened_reference",
+    "solve_system", "spectral_report",
 ]

@@ -49,14 +49,15 @@ class IndefinitenessWarning(UserWarning):
     """Softness weight at or beyond the sharp threshold."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SoftSystem:
     """The softened generalized eigenvalue pencil on the OF space.
 
     A = stiffness - eta * softness, and the mass side carries the
     dimensionless weight of the printed pencil, B = mass +
     eta_b * h^2 * softness. Only the three banded operators are stored;
-    A and B are built from them, as dense arrays, on access.
+    A and B are built from them, as dense arrays, on access. Instances
+    compare and hash by identity.
     """
 
     p: int

@@ -194,9 +194,9 @@ def cmd_spectrum(config):
     spectrum = solve_system(system)
     report = spectral_report(system, spectrum, config.d)
     columns = ["j", "indices", "lambda_exact", "lambda_h", "rel_err"]
-    rows = [[k + 1, "-".join(map(str, report.indices[k])),
-             report.exact[k], report.computed[k], report.rel_errors[k]]
-            for k in range(report.computed.size)]
+    rows = [[k + 1, "-".join(map(str, modes)), report.exact[k],
+             report.computed[k], report.rel_errors[k]]
+            for k, modes in enumerate(report.indices.tolist())]
     if config.d == 1:
         columns.append("h1_err")
         h1 = h1_errors_for_modes(system, spectrum,
@@ -237,6 +237,11 @@ def cmd_condition(config, baseline_method):
 def cmd_convergence(config, n_list, j, quantity):
     """Per-N errors of one mode plus the fitted convergence slope."""
     flavor = _METHOD_FLAVOR[config.method]
+    top = min((space_dimension(config.p, N, flavor) for N in n_list),
+              default=0)
+    if not 1 <= j <= top:
+        raise ConfigError(f"--j must be in 1..{top}, the smallest space"
+                          f" dimension over --N-list, got {j}")
     if quantity == "eigenvalue":
         errors = eigenvalue_convergence(config.p, n_list, j, config.eta,
                                         config.eta_b, flavor)

@@ -12,6 +12,9 @@ Assembled operators arrive in LAPACK lower band storage
 (SymBandedMatrix): one (hbw + 1, n) array whose row k holds the k-th
 subdiagonal, ``band[k, i]`` = entry (i + k, i). Definiteness checks hand
 that array to ``dpbtrf`` as it is.
+
+A solve returns a ``Spectrum``: the eigenvalues, the B-orthonormal
+eigenvectors and the residual contract of every pair, nothing more.
 """
 
 from dataclasses import dataclass, field
@@ -39,9 +42,12 @@ class EigenSolveError(RuntimeError):
     """The QR iteration failed to converge within bounded sweeps."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymBandedMatrix:
     """Symmetric banded matrix in LAPACK lower band storage.
+
+    Instances compare and hash by identity; compare ``band`` arrays to
+    compare entries.
 
     Attributes
     ----------
@@ -132,15 +138,12 @@ class Spectrum:
         ||A v - lambda B v||_2 per pair.
     residual_bounds : ndarray
         Contract bound per pair, RESIDUAL_RTOL*(||A||_F + |lambda| ||B||_F).
-    meta : dict
-        Pencil metadata (p, N, eta, ...), informational.
     """
 
     values: np.ndarray
     vectors: np.ndarray = field(repr=False)
     residuals: np.ndarray = field(repr=False)
     residual_bounds: np.ndarray = field(repr=False)
-    meta: dict = field(default_factory=dict)
 
     @property
     def n(self):
@@ -155,15 +158,13 @@ class Spectrum:
         return float(self.values[-1])
 
 
-def generalized_eig(A, B, meta=None):
+def generalized_eig(A, B):
     """Solve A v = lambda B v for symmetric A and SPD B.
 
     Parameters
     ----------
     A, B : array or SymBandedMatrix
         Same order; A symmetric, B symmetric positive definite.
-    meta : dict, optional
-        Attached to the returned Spectrum untouched.
 
     Returns
     -------
@@ -207,4 +208,4 @@ def generalized_eig(A, B, meta=None):
 
     residuals = np.linalg.norm(AV - BV * w, axis=0)
     bounds = RESIDUAL_RTOL * (np.linalg.norm(A) + np.abs(w) * np.linalg.norm(B))
-    return Spectrum(w, V, residuals, bounds, dict(meta or {}))
+    return Spectrum(w, V, residuals, bounds)

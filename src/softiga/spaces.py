@@ -162,14 +162,3 @@ def space_dimension(p, N, flavor):
         return N + p - 2 - 2 * ((p - 1) // 2)
     raise ValueError(f"unknown space flavor {flavor!r}")
 
-
-def space_member_eval(space, i, x, r=0, side=None):
-    """Derivative of order r of the i-th space basis function at x."""
-    if not 0 <= i < space.dim:
-        raise IndexError(f"member index {i} out of range 0..{space.dim - 1}")
-    be = eval_basis(space.kv, x, r, side)
-    unit = np.zeros(space.dim)
-    unit[i] = 1.0
-    row = space.raw_coefficients(unit)
-    p = space.kv.p
-    return float(row[be.first:be.first + p + 1] @ be.ders[r])

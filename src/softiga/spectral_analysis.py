@@ -1,7 +1,14 @@
 """Spectrum comparison against the continuum problem: relative
 eigenvalue errors, H1 eigenfunction errors, condition-number reduction
 statistics, weight sweeps, convergence-rate fits, and the energy-norm
-identity check."""
+identity check.
+
+Every report, in any dimension, lifts the 1D spectrum with
+``kron_sum_spectrum`` and pairs it by rank with ``continuum_values``
+(``spectral_report``). Condition statistics read only the two ends of
+each spectrum, which the ``condition`` command takes from
+``tensor.lifted_extremes`` without building a lift.
+"""
 
 import math
 from dataclasses import dataclass
@@ -27,7 +34,7 @@ class SpectralReport:
     p: int
     N: int
     eta: float
-    indices: tuple
+    indices: np.ndarray  # (n1^d, d) 1-based mode numbers, one row per mode
     exact: np.ndarray
     computed: np.ndarray
     rel_errors: np.ndarray
@@ -35,9 +42,7 @@ class SpectralReport:
 
 def solve_system(system):
     """Generalized eigenpairs of an assembled pencil."""
-    meta = {"p": system.p, "N": system.N, "eta": system.eta,
-            "eta_b": system.eta_b}
-    return generalized_eig(system.A, system.B, meta=meta)
+    return generalized_eig(system.A, system.B)
 
 
 def spectral_report(system, spectrum, d=1):
@@ -46,19 +51,14 @@ def spectral_report(system, spectrum, d=1):
 
     The k-th discrete eigenvalue is compared with the k-th smallest
     continuum one; lifted values with equal sums keep their
-    lexicographic index order. Returns a SpectralReport.
+    lexicographic index order. A 1D spectrum is its own lift. Returns a
+    SpectralReport.
     """
-    if d == 1:
-        values = spectrum.values
-        indices = tuple((k,) for k in range(1, values.size + 1))
-    else:
-        tensor = kron_sum_spectrum(spectrum.values, d)
-        values = tensor.values
-        indices = tensor.indices
+    lift = kron_sum_spectrum(spectrum.values, d)
     exact = continuum_values(d, spectrum.values.size)
-    rel = np.abs(values - exact) / exact
-    return SpectralReport(d, system.p, system.N, system.eta, indices,
-                          exact, values, rel)
+    rel = np.abs(lift.values - exact) / exact
+    return SpectralReport(d, system.p, system.N, system.eta, lift.indices,
+                          exact, lift.values, rel)
 
 
 def relative_errors(p, N, eta, d=1, eta_b=0.0, flavor="outlier_free"):
@@ -151,12 +151,12 @@ class ConditionStats:
 def condition_stats(target, baseline):
     """Reduction statistics between two positive spectra.
 
-    Both arguments are ascending arrays of eigenvalues (any object with
-    a ``values`` attribute is unwrapped). rho = gamma_baseline /
-    gamma_target and varrho = 100 * (1 - 1/rho) percent.
+    Both arguments are ascending arrays of eigenvalues; only their first
+    and last entries are read. rho = gamma_baseline / gamma_target and
+    varrho = 100 * (1 - 1/rho) percent.
     """
-    target = np.asarray(getattr(target, "values", target), dtype=float)
-    baseline = np.asarray(getattr(baseline, "values", baseline), dtype=float)
+    target = np.asarray(target, dtype=float)
+    baseline = np.asarray(baseline, dtype=float)
     if target.size == 0 or baseline.size == 0:
         raise ValueError("empty spectrum")
     if target[0] <= 0 or baseline[0] <= 0:
@@ -169,15 +169,6 @@ def condition_stats(target, baseline):
     varrho = 100.0 * (1.0 - 1.0 / rho)
     return ConditionStats(lam_min, float(baseline[-1]), float(target[-1]),
                           g_base, g_target, rho, varrho)
-
-
-def spectrum_for(p, N, eta, d=1, eta_b=0.0, flavor="outlier_free"):
-    """Eigenvalues of the d-dimensional pencil (ascending)."""
-    system = build_soft_system(p, N, eta, eta_b, flavor)
-    spectrum = solve_system(system)
-    if d == 1:
-        return spectrum.values
-    return kron_sum_spectrum(spectrum.values, d).values
 
 
 def eta_sweep(p, N, etas, d=1):

@@ -236,40 +236,3 @@ def basis_table(kv, points, r=0):
             ders[row, q] = eval_basis(kv, (e + t) / N, r).ders
     return ders, index
 
-
-def _pth_trace(kv, x, side):
-    """Dense p-th-derivative values at x, as a raw-length row."""
-    be = eval_basis(kv, x, kv.p, side)
-    out = np.zeros(kv.num_raw)
-    out[be.first:be.first + kv.p + 1] = be.ders[kv.p]
-    return out
-
-
-def pth_derivative_jump(kv, interface_index):
-    """Jump of the p-th derivative of every raw function at a face.
-
-    Interior faces (index 1..N-1) use the left-limit minus the
-    right-limit, i.e. the trace weighted by the outward normal of the
-    left element. Boundary faces (index 0 and N) carry the one-sided
-    trace weighted by the outward normal: -1 at x=0, +1 at x=1.
-
-    Parameters
-    ----------
-    kv : KnotVector
-    interface_index : int
-        Face index in 0..N; 0 and N are the boundary faces.
-
-    Returns
-    -------
-    ndarray of length ``kv.num_raw``.
-    """
-    k = int(interface_index)
-    N = kv.N
-    if not 0 <= k <= N:
-        raise ValueError(f"interface index must be in 0..{N}, got {k}")
-    x = k / N
-    if k == 0:
-        return -_pth_trace(kv, x, "right")
-    if k == N:
-        return _pth_trace(kv, x, "left")
-    return _pth_trace(kv, x, "left") - _pth_trace(kv, x, "right")

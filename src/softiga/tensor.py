@@ -10,7 +10,12 @@ sum is formed in multi-index order, ordered by a stable argsort of the
 row-major (lexicographic) flattening. A lift has n1^d entries and is
 refused up front above ``MAX_LIFT_ENTRIES``. Condition numbers need only
 the two ends of the lifted spectrum, the d-fold sums of the 1D extremes
-(``lifted_extremes``), so they never build the lift.
+(``lifted_extremes``), so they never build the lift. The multi-indices
+of a lift stay one integer array; only the report formats them.
+
+The continuum eigenvalues that a lift is paired with by rank are the
+smallest sums pi^2 * |j|^2 over the positive lattice
+(``continuum_values``).
 """
 
 import math
@@ -24,12 +29,15 @@ MAX_LIFT_ENTRIES = 2_000_000
 
 @dataclass(frozen=True)
 class TensorSpectrum:
-    """Composed spectrum with multi-indices, sorted ascending."""
+    """Composed spectrum with multi-indices, sorted ascending.
+
+    Row k of ``indices``, an (n1^d, d) integer array, holds the 1-based
+    1D mode numbers whose eigenvalues sum to ``values[k]``.
+    """
 
     dimension: int
-    one_d: np.ndarray
     values: np.ndarray
-    indices: tuple = field(repr=False)  # tuple of d-tuples, 1-based
+    indices: np.ndarray = field(repr=False)
 
 
 def check_lift_size(n1, d):
@@ -81,8 +89,7 @@ def kron_sum_spectrum(one_d, d):
     sums = sums.reshape(-1)  # row-major: lexicographic multi-index order
     order = np.argsort(sums, kind="stable")
     indices = np.stack(np.unravel_index(order, (n,) * d), axis=1) + 1
-    return TensorSpectrum(d, one_d, sums[order],
-                          tuple(map(tuple, indices.tolist())))
+    return TensorSpectrum(d, sums[order], indices)
 
 
 def lifted_extremes(one_d, d):
@@ -98,22 +105,6 @@ def lifted_extremes(one_d, d):
     for _ in range(d - 1):
         lifted = lifted + ends
     return lifted
-
-
-def exact_eigenvalue(d, indices):
-    """Continuum eigenvalue pi^2 * (j^2 + k^2 + ...) on the unit cube."""
-    indices = tuple(int(i) for i in np.atleast_1d(indices))
-    if len(indices) != d:
-        raise ValueError(f"expected {d} indices, got {len(indices)}")
-    if any(i < 1 for i in indices):
-        raise ValueError("mode indices must be positive")
-    return np.pi ** 2 * sum(i * i for i in indices)
-
-
-def exact_spectrum(d, n):
-    """TensorSpectrum of continuum eigenvalues with 1D modes 1..n."""
-    one_d = np.pi ** 2 * np.arange(1, n + 1, dtype=float) ** 2
-    return kron_sum_spectrum(one_d, d)
 
 
 def continuum_values(d, n1):
@@ -136,14 +127,3 @@ def continuum_values(d, n1):
     smallest = np.sort(sums, axis=None)[:n1 ** d]
     return np.pi ** 2 * smallest.astype(float)
 
-
-def kron_pencil(A, B):
-    """Explicit 2D Kronecker pencil (test oracle, small orders only).
-
-    Returns (A2, B2) with A2 = kron(A, B) + kron(B, A) and
-    B2 = kron(B, B); its generalized eigenvalues are all pairwise sums
-    of the 1D ones.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    return np.kron(A, B) + np.kron(B, A), np.kron(B, B)

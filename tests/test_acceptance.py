@@ -2,13 +2,15 @@
 
 Every test prints exactly one line, ``criterion N: PASS`` or
 ``criterion N: FAIL - detail``, then asserts on it. Criteria 1 and 2
-compare against the published reduction tables; their quartic target
-columns were tabulated without the boundary softness contribution that
-the bilinear form requires for even degrees, so the faithful assembly
-reproduces every other column and fails those six groups honestly
-(see README).
+run the shipped ``condition`` command and compare its row against the
+published reduction tables; their quartic target columns were
+tabulated without the boundary softness contribution that the bilinear
+form requires for even degrees, so the faithful assembly reproduces
+every other column and fails those six groups honestly (see README).
 """
 
+import contextlib
+import io
 import math
 import time
 import warnings
@@ -24,12 +26,11 @@ from softiga.analytic import (analytic_eigenvalue, commutator_norm,
                               reference_matrix, softened_reference)
 from softiga.assembly import (IndefinitenessWarning, assemble_stiffness,
                               build_soft_system)
+from softiga.cli import EXIT_OK, main
 from softiga.spaces import build_of_space
-from softiga.spectral_analysis import (condition_stats,
-                                       convergence_slope,
+from softiga.spectral_analysis import (convergence_slope,
                                        eigenvalue_convergence,
-                                       h1_convergence, solve_system,
-                                       spectrum_for)
+                                       h1_convergence, solve_system)
 from softiga.splines import eval_basis, open_knot_vector
 
 # (d, p) -> lambda_min, lambda_max_baseline, lambda_max_target,
@@ -80,8 +81,8 @@ def _track_solves():
     """Record residual-contract and B-orthonormality facts per solve."""
     original = softiga.eigensolve.generalized_eig
 
-    def wrapped(A, B, meta=None):
-        spectrum = original(A, B, meta)
+    def wrapped(A, B):
+        spectrum = original(A, B)
         dense = B.toarray() if hasattr(B, "toarray") else B
         dense = np.asarray(dense, dtype=float)
         gram = spectrum.vectors.T @ dense @ spectrum.vectors
@@ -109,19 +110,24 @@ def _finish(num, failures):
     assert not failures, line
 
 
-def _table_failures(printed, baseline_flavor, degrees):
-    table = eta_table()
+def _condition_row(p, N, d, baseline):
+    """The one CSV row of the shipped ``condition`` command, by column."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["condition", "-p", str(p), "-N", str(N), "-d", str(d),
+                     "--baseline", baseline])
+    assert code == EXIT_OK
+    header, row = out.getvalue().splitlines()
+    return dict(zip(header.split(","), map(float, row.split(","))))
+
+
+def _table_failures(printed, baseline, degrees):
     failures = []
     for (d, p), expected in sorted(printed.items()):
         if p not in degrees:
             continue
-        N = _MESH_FOR_DIM[d]
-        target = spectrum_for(p, N, float(table.default[p]), d)
-        baseline = spectrum_for(p, N, 0.0, d, flavor=baseline_flavor)
-        stats = condition_stats(target, baseline)
-        got = (stats.lambda_min, stats.lambda_max_baseline,
-               stats.lambda_max_target, stats.gamma_baseline,
-               stats.gamma_target, stats.rho, stats.varrho_pct)
+        row = _condition_row(p, _MESH_FOR_DIM[d], d, baseline)
+        got = [row[name] for name in _COLUMNS]
         bad = []
         for name, value, digits in zip(_COLUMNS, got, expected):
             tol = 0.01 if name == "varrho_pct" else 5e-5 * abs(digits)
@@ -137,7 +143,7 @@ def _table_failures(printed, baseline_flavor, degrees):
 
 def test_criterion_01_reduction_table_vs_plain_iga():
     start = time.perf_counter()
-    failures = _table_failures(_TABLE_ONE, "standard", (2, 3, 4))
+    failures = _table_failures(_TABLE_ONE, "iga", (2, 3, 4))
     elapsed = time.perf_counter() - start
     if elapsed > 60.0:
         failures.append(f"took {elapsed:.1f}s (budget 60s)")
@@ -145,7 +151,7 @@ def test_criterion_01_reduction_table_vs_plain_iga():
 
 
 def test_criterion_02_reduction_table_vs_outlier_free():
-    failures = _table_failures(_TABLE_TWO, "outlier_free", (3, 4))
+    failures = _table_failures(_TABLE_TWO, "of-iga", (3, 4))
     _finish(2, failures)
 
 

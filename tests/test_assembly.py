@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from oracles import pth_derivative_jump, space_member_eval
 from softiga.analytic import (analytic_eigenvalue, eta_table,
                               interior_stencil)
 from softiga.assembly import (IndefinitenessWarning, SymBandedMatrix,
@@ -16,7 +17,7 @@ from softiga.assembly import (IndefinitenessWarning, SymBandedMatrix,
 from softiga.eigensolve import (DefinitenessError, cholesky_pivot,
                                 generalized_eig)
 from softiga.spaces import build_of_space, build_standard_space
-from softiga.splines import eval_basis, pth_derivative_jump
+from softiga.splines import eval_basis
 
 
 def test_banded_storage_round_trip():
@@ -146,8 +147,6 @@ def test_mass_row_sums_integrate_against_member_sum():
     # sum_j M_ij = integral of member i times the sum of all members
     from scipy.integrate import quad
 
-    from softiga.spaces import space_member_eval
-
     space = build_of_space(3, 6)
     M = assemble_mass(space).toarray()
 
@@ -199,6 +198,19 @@ def test_soft_system_fields_and_pencil_composition():
     M = system.mass.toarray()
     np.testing.assert_allclose(system.A, K - eta * S, atol=1e-14)
     np.testing.assert_allclose(system.B, M, atol=1e-16)
+
+
+def test_bands_and_systems_compare_by_identity():
+    # equal fields hold arrays, so a field-wise == could not give a bool
+    one = build_soft_system(3, 8, 1e-4)
+    two = build_soft_system(3, 8, 1e-4)
+    assert one.stiffness.band.tobytes() == two.stiffness.band.tobytes()
+    for a, b in [(one, two), (one.stiffness, two.stiffness)]:
+        assert (a == b) is False
+        assert (a != b) is True
+        assert a == a
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
 
 
 def test_mass_side_weight_scales_with_square_of_mesh():

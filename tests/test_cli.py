@@ -1,5 +1,6 @@
 """End-to-end command line checks via in-process main()."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -13,8 +14,9 @@ import pytest
 import softiga.cli as cli
 import softiga.spectral_analysis as spectral
 import softiga.tensor as tensor
+from oracles import full_lift_values
 from softiga.cli import EXIT_CONFIG, EXIT_OK, main
-from softiga.spectral_analysis import condition_stats, spectrum_for
+from softiga.spectral_analysis import condition_stats
 
 
 def run(argv, capsys):
@@ -168,6 +170,11 @@ def test_verify_reports_all_green(capsys):
     ["spectrum", "-p", "2", "-N", "10", "--eta-b", "nan"],
     ["convergence", "-p", "2", "-d", "3", "--N-list", "8,16"],
     ["dispersion", "-p", "3", "-d", "3"],
+    ["convergence", "-p", "2", "--j", "0", "--N-list", "8,16"],
+    ["convergence", "-p", "2", "--j", "-2", "--quantity", "h1",
+     "--N-list", "8,16"],
+    ["convergence", "-p", "2", "--j", "40", "--N-list", "8,16"],
+    ["convergence", "-p", "2", "--N-list", ""],
 ])
 def test_invalid_configurations_exit_with_config_code(argv, capsys):
     code = main(argv)
@@ -244,8 +251,8 @@ def test_condition_equals_the_full_lift_route(p, d, baseline, monkeypatch,
     assert len(builds) == (1 if baseline == "of-iga" else 2)
     config = cli._config_from_args(cli.build_parser().parse_args(argv))
     stats = condition_stats(
-        spectrum_for(p, 20, config.eta, d, config.eta_b),
-        spectrum_for(p, 20, 0.0, d, 0.0, cli._METHOD_FLAVOR[baseline]))
+        full_lift_values(p, 20, config.eta, d, config.eta_b),
+        full_lift_values(p, 20, 0.0, d, 0.0, cli._METHOD_FLAVOR[baseline]))
     cli._emit(config, ["d", "p", "lambda_min", "lambda_max_baseline",
                        "lambda_max_target", "gamma_baseline",
                        "gamma_target", "rho", "varrho_pct"],
@@ -293,6 +300,45 @@ def test_lift_limit_boundary(argv, monkeypatch, capsys):
     assert builds == []
     # condition builds no lift, so the limit does not apply to it
     assert main(["condition"] + argv[1:7]) == EXIT_OK
+
+
+# md5 of stdout for a fixed command list, recorded from the code that
+# still had a separate d = 1 report path and a second condition path, so
+# any byte a refactor changes fails here. Every pencil has order <= 60,
+# where the output does not depend on the number of BLAS threads.
+_GOLDEN_STDOUT = {
+    "spectrum -p 2 -N 4 -d 3": "c1ca552d0175fe25f81c7f0df56e86c0",
+    "spectrum -p 3 -N 16 -d 2": "76c061cfee912d9a284479ea17c63060",
+    "spectrum -p 3 -N 12 -d 2 --format json":
+        "8c3e18076e0f21eb26b459dd789d4d7f",
+    "spectrum -p 2 -N 8": "d476db39a2d0b04e7632ad3a6682b12d",
+    "spectrum -p 3 -N 8 --format json": "c31f144dc48a8bcf707a1261deb1408c",
+    "spectrum -p 1 -N 4 --method iga": "60296e64660454d8c3f777e79b86679b",
+    "condition -p 4 -N 40 -d 3": "dccbd8b47aae5320b73f7a409fa2e8e3",
+    "condition -p 3 -N 40 -d 3 --baseline of-iga":
+        "63c8cb5b246b339c84fa7d58e9d36f94",
+    "condition -p 2 -N 60 -d 2": "1b1ba0419900a50e49e74f2aeefca128",
+    "condition -p 2 -N 10 -d 1 --format json":
+        "a9ebe865040a4228705129907fbef726",
+    "eta-sweep -p 2 -N 10 -d 3": "795769c7ae8fbe1714155eb47fec7ac9",
+    "eta-sweep -p 2 -N 10 -d 2 --grid-points 4":
+        "33afa2e375ef8afa4859976d94df1ead",
+    "eta-sweep -p 3 -N 12": "f941f7c8c140a6fb6c1eb8f317a44a13",
+    "convergence -p 3": "bcba7dea4577345adbc2cb4a3a5ad3fc",
+    "convergence -p 2 --quantity h1 --N-list 8,12,16":
+        "44c9191f9e18c7455aede55a333adb82",
+    "convergence -p 2 --j 3 --N-list 8,16":
+        "1cb541f1b767f726ec03d12557aa0bcf",
+    "dispersion -p 3 --eta super": "191625458240f70948464229e03030d3",
+    "verify": "88fd938e446fba6ba5adae056b7cbb05",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_GOLDEN_STDOUT))
+def test_stdout_matches_recorded_digest(command, capsys):
+    code, out = run(command.split(), capsys)
+    assert code == EXIT_OK
+    assert hashlib.md5(out.encode()).hexdigest() == _GOLDEN_STDOUT[command]
 
 
 def test_import_loads_no_sparse_module():

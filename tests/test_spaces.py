@@ -5,10 +5,10 @@ basis."""
 import numpy as np
 import pytest
 
+from oracles import space_member_eval
 from softiga.assembly import assemble_mass, assemble_stiffness
 from softiga.spaces import (SplineSpace, build_of_space,
-                            build_standard_space, space_dimension,
-                            space_member_eval)
+                            build_standard_space, space_dimension)
 from softiga.splines import eval_basis, open_knot_vector
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from oracles import full_lift_values
 from softiga.analytic import analytic_eigenvalue, eta_table
 from softiga.spectral_analysis import (ConditionStats,
                                        InsufficientDataError,
@@ -14,15 +15,15 @@ from softiga.spectral_analysis import (ConditionStats,
                                        eigenvalue_convergence, eta_sweep,
                                        h1_convergence,
                                        h1_eigenfunction_error,
-                                       pythagorean_check, relative_errors,
-                                       spectrum_for)
+                                       pythagorean_check, relative_errors)
 
 
 def test_relative_errors_report_shape_and_pairing():
     report = relative_errors(2, 12, 0.0)
     assert report.dimension == 1
     assert (report.p, report.N) == (2, 12)
-    assert report.indices[0] == (1,)
+    assert report.indices.shape == (12, 1)
+    assert report.indices[0].tolist() == [1]
     assert report.exact[0] == pytest.approx(math.pi ** 2)
     assert report.computed.shape == report.exact.shape
     # errors grow toward the top of the spectrum
@@ -52,9 +53,9 @@ def test_superconvergent_first_mode_hits_machine_floor():
 def test_two_dimensional_report_uses_index_tuples():
     report = relative_errors(2, 6, 0.0, d=2)
     assert report.dimension == 2
-    assert report.indices[0] == (1, 1)
+    assert report.indices[0].tolist() == [1, 1]
     assert report.exact[0] == pytest.approx(2 * math.pi ** 2)
-    assert len(report.indices) == 36
+    assert report.indices.shape == (36, 2)
 
 
 def test_h1_error_decreases_with_refinement_at_rate_p():
@@ -91,8 +92,8 @@ def test_condition_stats_identities():
 
 def test_condition_stats_table_reference_row():
     # quadratic 1D row: gamma drops from 1.0132e4 to 4.7681e3
-    target = spectrum_for(2, 100, float(eta_table().default[2]))
-    baseline = spectrum_for(2, 100, 0.0, flavor="standard")
+    target = full_lift_values(2, 100, float(eta_table().default[2]))
+    baseline = full_lift_values(2, 100, 0.0, flavor="standard")
     stats = condition_stats(target, baseline)
     assert stats.lambda_min == pytest.approx(9.8696, rel=5e-5)
     assert stats.lambda_max_baseline == pytest.approx(1.0000e5, rel=5e-5)
@@ -174,9 +175,9 @@ def test_pythagorean_identity_residual_is_negligible():
         assert residual <= 1e-3 * gap
 
 
-def test_spectrum_for_dimensions():
-    one = spectrum_for(2, 6, 0.0)
-    two = spectrum_for(2, 6, 0.0, d=2)
+def test_lifted_spectrum_dimensions():
+    one = full_lift_values(2, 6, 0.0)
+    two = full_lift_values(2, 6, 0.0, d=2)
     assert one.size == 6
     assert two.size == 36
     assert two[0] == pytest.approx(2 * one[0], rel=1e-12)
@@ -197,7 +198,7 @@ def test_eta_sweep_assembles_once_and_matches_fresh_builds(monkeypatch):
     rows = eta_sweep(2, 16, etas, d=2)
     assert len(builds) == 1
     monkeypatch.undo()
-    baseline = spectrum_for(2, 16, 0.0, d=2)
+    baseline = full_lift_values(2, 16, 0.0, d=2)
     for (eta, rho, e_lambda), eta_in in zip(rows, etas):
         report = relative_errors(2, 16, eta_in, d=2)
         stats = condition_stats(report.computed, baseline)

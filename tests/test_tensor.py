@@ -11,29 +11,22 @@ import pytest
 from softiga.assembly import build_soft_system
 from softiga.eigensolve import generalized_eig
 import softiga.tensor as tensor
-from softiga.tensor import (continuum_values, exact_eigenvalue,
-                            exact_spectrum, kron_pencil, kron_sum_spectrum,
+from softiga.tensor import (continuum_values, kron_sum_spectrum,
                             lifted_extremes)
 
 
-def test_exact_eigenvalue_formulas():
-    pi2 = math.pi ** 2
-    assert exact_eigenvalue(1, (3,)) == pytest.approx(9 * pi2)
-    assert exact_eigenvalue(2, (1, 1)) == pytest.approx(2 * pi2)
-    assert exact_eigenvalue(3, (1, 2, 2)) == pytest.approx(9 * pi2)
-    with pytest.raises(ValueError):
-        exact_eigenvalue(2, (1,))
-    with pytest.raises(ValueError):
-        exact_eigenvalue(1, (0,))
+def _continuum_one_d(n):
+    """The 1D continuum eigenvalues pi^2 * j^2, j = 1..n."""
+    return np.pi ** 2 * np.arange(1, n + 1, dtype=float) ** 2
 
 
 def test_exact_spectrum_is_sorted_with_lexicographic_ties():
-    spectrum = exact_spectrum(2, 12)
+    spectrum = kron_sum_spectrum(_continuum_one_d(12), 2)
     assert np.all(np.diff(spectrum.values) >= 0)
     # the degenerate pair (1,2)/(2,1) appears in index order
     k = spectrum.values.tolist().index(pytest.approx(5 * math.pi ** 2))
-    assert spectrum.indices[k] == (1, 2)
-    assert spectrum.indices[k + 1] == (2, 1)
+    assert spectrum.indices[k].tolist() == [1, 2]
+    assert spectrum.indices[k + 1].tolist() == [2, 1]
 
 
 @pytest.mark.parametrize("p,N", [(2, 6), (3, 8), (2, 8)])
@@ -41,7 +34,8 @@ def test_kron_sum_matches_assembled_2d_pencil(p, N):
     system = build_soft_system(p, N, 1e-4)
     one_d = generalized_eig(system.A, system.B)
     via_sum = kron_sum_spectrum(one_d.values, 2)
-    A2, B2 = kron_pencil(system.A, system.B)
+    A, B = system.A, system.B
+    A2, B2 = np.kron(A, B) + np.kron(B, A), np.kron(B, B)
     direct = generalized_eig(A2, B2)
     np.testing.assert_allclose(via_sum.values, direct.values, rtol=1e-9)
 
@@ -52,17 +46,15 @@ def test_kron_sum_counts_and_values():
         tensor = kron_sum_spectrum(vals, d)
         assert tensor.dimension == d
         assert tensor.values.size == 3 ** d
-        assert len(tensor.indices) == 3 ** d
+        assert tensor.indices.shape == (3 ** d, d)
     two = kron_sum_spectrum(vals, 2)
     assert two.values[0] == pytest.approx(2.0)
     assert two.values[-1] == pytest.approx(18.0)
-    assert two.indices[0] == (1, 1)
+    assert two.indices[0].tolist() == [1, 1]
     # the tie 1+9 = 4+4 ... no tie here; check a real one
     tied = kron_sum_spectrum(np.array([1.0, 2.0, 3.0]), 2)
     k = tied.values.tolist().index(pytest.approx(4.0))
-    assert tied.indices[k] == (1, 3)
-    assert tied.indices[k + 1] == (2, 2)
-    assert tied.indices[k + 2] == (3, 1)
+    assert tied.indices[k:k + 3].tolist() == [[1, 3], [2, 2], [3, 1]]
 
 
 def test_kron_sum_validates_input():
@@ -76,7 +68,7 @@ def test_one_d_passthrough_keeps_values():
     vals = np.array([3.0, 7.0, 11.0])
     tensor = kron_sum_spectrum(vals, 1)
     np.testing.assert_array_equal(tensor.values, vals)
-    assert tensor.indices == ((1,), (2,), (3,))
+    assert tensor.indices.tolist() == [[1], [2], [3]]
 
 
 def _lattice_values(d, count, side):
@@ -105,7 +97,7 @@ def test_continuum_values_reach_beyond_the_box():
 def test_continuum_values_in_one_dimension_are_bit_identical():
     for n in (1, 7, 400):
         assert (continuum_values(1, n).tobytes()
-                == exact_spectrum(1, n).values.tobytes())
+                == kron_sum_spectrum(_continuum_one_d(n), 1).values.tobytes())
 
 
 def _itertools_lift(one_d, d):
@@ -133,8 +125,8 @@ def test_vectorized_lift_is_bit_identical_to_itertools_reference(name, d):
     values, indices = _itertools_lift(one_d, d)
     tensor_spectrum = kron_sum_spectrum(one_d, d)
     assert tensor_spectrum.values.tobytes() == values.tobytes()
-    assert tensor_spectrum.indices == indices
-    assert all(type(i) is int for i in tensor_spectrum.indices[-1])
+    assert tensor_spectrum.indices.dtype.kind == "i"
+    assert tensor_spectrum.indices.tolist() == [list(i) for i in indices]
     extremes = lifted_extremes(one_d, d)
     assert extremes.tobytes() == values[[0, -1]].tobytes()
 
