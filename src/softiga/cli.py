@@ -12,7 +12,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -49,21 +48,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: weights are concrete numbers, not modes."""
-
-    command: str
-    p: int
-    N: int
-    d: int
-    method: str
-    eta: object
-    eta_b: object
-    out: str
-    format: str
 
 
 def _resolve_eta(p, spec_text):
@@ -122,10 +106,8 @@ def _resolve_eta_b(p, spec_text):
     return value
 
 
-def _config_from_args(args):
-    if args.command in ("convergence", "dispersion") and args.d != 1:
-        raise ConfigError(f"{args.command} is one-dimensional only,"
-                          f" got -d {args.d}")
+def _weights(args):
+    """Resolve --eta and --eta-b; only softiga takes nonzero weights."""
     method = args.method
     eta_text = args.eta
     if eta_text is None:
@@ -139,8 +121,7 @@ def _config_from_args(args):
         if eta_b != 0:
             raise ConfigError(f"method {method!r} takes no mass-side"
                               f" weight; pass --eta-b zero or use softiga")
-    return RunConfig(args.command, args.p, args.N, args.d, method,
-                     eta, eta_b, args.out, args.format)
+    return eta, eta_b
 
 
 def _fmt(value):
@@ -151,9 +132,18 @@ def _fmt(value):
     return "%.15e" % float(value)
 
 
-def _emit(config, columns, rows):
-    """Render rows and write them to --out or stdout."""
-    if config.format == "csv":
+def _write(path, text):
+    """Write a finished report to --out, or to stdout without one."""
+    if path:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _emit(args, columns, rows):
+    """Render rows as --format and write them."""
+    if args.format == "csv":
         lines = [",".join(columns)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
@@ -168,113 +158,100 @@ def _emit(config, columns, rows):
         payload = [{c: coerce(v) for c, v in zip(columns, row)}
                    for row in rows]
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if config.out:
-        with open(config.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, text)
 
 
-def _build(config):
-    return build_soft_system(config.p, config.N, config.eta, config.eta_b,
-                             _METHOD_FLAVOR[config.method])
-
-
-def _check_lift(config, flavor):
+def _check_lift(args, flavor):
     """Refuse an oversized d-dimensional lift before any assembly."""
-    if config.d > 1:
-        check_lift_size(space_dimension(config.p, config.N, flavor),
-                        config.d)
+    if args.d > 1:
+        check_lift_size(space_dimension(args.p, args.N, flavor), args.d)
 
 
-def cmd_spectrum(config):
+def cmd_spectrum(args):
     """Discrete spectrum with continuum targets and per-mode errors."""
-    _check_lift(config, _METHOD_FLAVOR[config.method])
-    system = _build(config)
+    eta, eta_b = _weights(args)
+    flavor = _METHOD_FLAVOR[args.method]
+    _check_lift(args, flavor)
+    system = build_soft_system(args.p, args.N, eta, eta_b, flavor)
     spectrum = solve_system(system)
-    report = spectral_report(system, spectrum, config.d)
+    report = spectral_report(system, spectrum, args.d)
     columns = ["j", "indices", "lambda_exact", "lambda_h", "rel_err"]
     rows = [[k + 1, "-".join(map(str, modes)), report.exact[k],
              report.computed[k], report.rel_errors[k]]
             for k, modes in enumerate(report.indices.tolist())]
-    if config.d == 1:
+    if args.d == 1:
         columns.append("h1_err")
         h1 = h1_errors_for_modes(system, spectrum,
                                  range(1, spectrum.n + 1))
         for row, err in zip(rows, h1):
             row.append(err)
-    _emit(config, columns, rows)
+    _emit(args, columns, rows)
     return EXIT_OK
 
 
-def cmd_condition(config, baseline_method):
+def cmd_condition(args):
     """Condition-number reduction of the target method over a baseline.
 
     Only the two ends of each lifted spectrum matter, and they are the
     d-fold sums of the 1D ends, so no lift is built. A baseline on the
     target's space reuses its assembled operators.
     """
-    system = _build(config)
-    flavor = _METHOD_FLAVOR[baseline_method]
+    eta, eta_b = _weights(args)
+    system = build_soft_system(args.p, args.N, eta, eta_b,
+                               _METHOD_FLAVOR[args.method])
+    flavor = _METHOD_FLAVOR[args.baseline]
     if flavor == system.space.flavor:
         base = system.with_weights(0.0)
     else:
-        base = build_soft_system(config.p, config.N, 0.0, 0.0, flavor)
-    target = lifted_extremes(solve_system(system).values, config.d)
-    baseline = lifted_extremes(solve_system(base).values, config.d)
+        base = build_soft_system(args.p, args.N, 0.0, 0.0, flavor)
+    target = lifted_extremes(solve_system(system).values, args.d)
+    baseline = lifted_extremes(solve_system(base).values, args.d)
     stats = condition_stats(target, baseline)
     columns = ["d", "p", "lambda_min", "lambda_max_baseline",
                "lambda_max_target", "gamma_baseline", "gamma_target",
                "rho", "varrho_pct"]
-    rows = [[config.d, config.p, stats.lambda_min,
+    rows = [[args.d, args.p, stats.lambda_min,
              stats.lambda_max_baseline, stats.lambda_max_target,
              stats.gamma_baseline, stats.gamma_target, stats.rho,
              stats.varrho_pct]]
-    _emit(config, columns, rows)
+    _emit(args, columns, rows)
     return EXIT_OK
 
 
-def cmd_convergence(config, n_list, j, quantity):
+def cmd_convergence(args):
     """Per-N errors of one mode plus the fitted convergence slope."""
-    flavor = _METHOD_FLAVOR[config.method]
-    top = min((space_dimension(config.p, N, flavor) for N in n_list),
-              default=0)
-    if not 1 <= j <= top:
-        raise ConfigError(f"--j must be in 1..{top}, the smallest space"
-                          f" dimension over --N-list, got {j}")
-    if quantity == "eigenvalue":
-        errors = eigenvalue_convergence(config.p, n_list, j, config.eta,
-                                        config.eta_b, flavor)
-    else:
-        errors = h1_convergence(config.p, n_list, j, config.eta,
-                                config.eta_b, flavor)
-    slope = convergence_slope(n_list, errors)
-    columns = ["N", "error", "fitted_slope"]
-    rows = [[N, err, slope] for N, err in zip(n_list, errors)]
-    _emit(config, columns, rows)
+    eta, eta_b = _weights(args)
+    measure = (eigenvalue_convergence if args.quantity == "eigenvalue"
+               else h1_convergence)
+    errors = measure(args.p, args.N_list, args.j, eta, eta_b,
+                     _METHOD_FLAVOR[args.method])
+    slope = convergence_slope(args.N_list, errors)
+    rows = [[N, err, slope] for N, err in zip(args.N_list, errors)]
+    _emit(args, ["N", "error", "fitted_slope"], rows)
     return EXIT_OK
 
 
-def cmd_eta_sweep(config, grid_points):
+def cmd_eta_sweep(args):
     """Reduction ratio and total eigenvalue error along a weight grid."""
-    sharp = eta_table().resolve(config.p, "sharp_max")
-    _check_lift(config, "outlier_free")
-    grid = np.linspace(0.0, float(sharp), grid_points, endpoint=False)
-    rows = eta_sweep(config.p, config.N, grid, config.d)
-    _emit(config, ["eta", "rho", "e_lambda"], rows)
+    sharp = eta_table().resolve(args.p, "sharp_max")
+    _check_lift(args, "outlier_free")
+    grid = np.linspace(0.0, float(sharp), args.grid_points, endpoint=False)
+    rows = eta_sweep(args.p, args.N, grid, args.d)
+    _emit(args, ["eta", "rho", "e_lambda"], rows)
     return EXIT_OK
 
 
-def cmd_dispersion(config):
+def cmd_dispersion(args):
     """Leading dispersion coefficient, exact and empirically fitted."""
-    fitted, exact, power = fit_leading_coefficient(config.p, config.eta)
-    expansion = dispersion_expansion(config.p, config.eta)
+    eta = _resolve_eta(args.p, "default" if args.eta is None else args.eta)
+    fitted, exact, power = fit_leading_coefficient(args.p, eta)
+    expansion = dispersion_expansion(args.p, eta)
     columns = ["p", "eta", "power", "coeff_exact", "coeff_fitted",
                "rel_gap", "next_coeff"]
     gap = abs(fitted - float(exact)) / abs(float(exact))
-    rows = [[config.p, float(config.eta), power, float(exact), fitted,
-             gap, float(expansion.next)]]
-    _emit(config, columns, rows)
+    rows = [[args.p, float(eta), power, float(exact), fitted, gap,
+             float(expansion.next)]]
+    _emit(args, columns, rows)
     return EXIT_OK
 
 
@@ -388,17 +365,12 @@ def _verify_checks():
     return checks
 
 
-def cmd_verify(config):
+def cmd_verify(args):
     """Run the oracle suite; exit 0 only when every check passes."""
     checks = _verify_checks()
     passed = all(c["pass"] for c in checks)
-    text = json.dumps({"checks": checks, "pass": passed},
-                      sort_keys=True, indent=2) + "\n"
-    if config.out:
-        with open(config.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, json.dumps({"checks": checks, "pass": passed},
+                                sort_keys=True, indent=2) + "\n")
     return EXIT_OK if passed else EXIT_VERIFICATION
 
 
@@ -410,6 +382,47 @@ def _int_list(text):
                                          f" integers, got {text!r}")
 
 
+# argparse settings of every option, by option string
+_OPTIONS = {
+    "-p": {"type": int, "default": 2, "help": "spline degree (default 2)"},
+    "-N": {"type": int, "default": 16, "help": "elements per direction"},
+    "-d": {"type": int, "choices": (1, 2, 3), "default": 1,
+           "help": "spatial dimension"},
+    "--method": {"choices": sorted(_METHOD_FLAVOR), "default": "softiga"},
+    "--eta": {"help": "softness weight: default, super, zero, or a number"
+                      " (default: default, or zero for --method iga and"
+                      " of-iga)"},
+    "--eta-b": {"default": "zero",
+                "help": "mass-side weight: zero, paper, or a number"},
+    "--baseline": {"choices": sorted(_METHOD_FLAVOR), "default": "iga"},
+    "--N-list": {"type": _int_list, "default": (9, 12, 15, 18, 21, 24, 27, 30),
+                 "help": "comma-separated element counts"},
+    "--j": {"type": int, "default": 1, "help": "mode index"},
+    "--quantity": {"choices": ("eigenvalue", "h1"), "default": "eigenvalue"},
+    "--grid-points": {"type": int, "default": 13},
+    "--out": {"help": "output path (default stdout)"},
+    "--format": {"choices": ("csv", "json"), "default": "csv"},
+}
+
+_PENCIL = ("-p", "-N", "-d", "--method", "--eta", "--eta-b")
+_REPORT = ("--out", "--format")
+
+# help text and options of every subcommand; each takes exactly the
+# options its cmd_* function reads
+_COMMANDS = {
+    "spectrum": ("discrete vs continuum spectrum", _PENCIL + _REPORT),
+    "condition": ("condition-number reduction",
+                  _PENCIL + ("--baseline",) + _REPORT),
+    "convergence": ("error slopes over meshes",
+                    ("-p", "--method", "--eta", "--eta-b", "--N-list",
+                     "--j", "--quantity") + _REPORT),
+    "eta-sweep": ("weight sweep up to the sharp bound",
+                  ("-p", "-N", "-d", "--grid-points") + _REPORT),
+    "dispersion": ("dispersion-coefficient fit", ("-p", "--eta") + _REPORT),
+    "verify": ("cross-module oracle suite", ("--out",)),
+}
+
+
 def build_parser():
     parser = _Parser(prog="softiga",
                      description="Spectral reports for softened"
@@ -417,71 +430,19 @@ def build_parser():
                                  " Laplace eigenproblem on the unit"
                                  " cube.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, n_default=None):
-        sp.add_argument("-p", type=int, default=2,
-                        help="spline degree (default 2)")
-        sp.add_argument("-N", type=int, default=n_default or 16,
-                        help="elements per direction")
-        sp.add_argument("-d", type=int, choices=(1, 2, 3), default=1,
-                        help="spatial dimension")
-        sp.add_argument("--method", choices=sorted(_METHOD_FLAVOR),
-                        default="softiga")
-        sp.add_argument("--eta", default=None,
-                        help="softness weight: default, super, zero, or"
-                             " a number (default: default for softiga,"
-                             " zero otherwise)")
-        sp.add_argument("--eta-b", default="zero",
-                        help="mass-side weight: zero, paper, or a"
-                             " number")
-        sp.add_argument("--out", default=None,
-                        help="output path (default stdout)")
-        sp.add_argument("--format", choices=("csv", "json"),
-                        default="csv")
-
-    common(sub.add_parser("spectrum", help="discrete vs continuum"
-                                           " spectrum"))
-    sp = sub.add_parser("condition", help="condition-number reduction")
-    common(sp)
-    sp.add_argument("--baseline", choices=sorted(_METHOD_FLAVOR),
-                    default="iga")
-    sp = sub.add_parser("convergence", help="error slopes over meshes")
-    common(sp)
-    sp.add_argument("--N-list", type=_int_list,
-                    default=[9, 12, 15, 18, 21, 24, 27, 30],
-                    help="comma-separated element counts")
-    sp.add_argument("--j", type=int, default=1, help="mode index")
-    sp.add_argument("--quantity", choices=("eigenvalue", "h1"),
-                    default="eigenvalue")
-    sp = sub.add_parser("eta-sweep", help="weight sweep up to the sharp"
-                                          " bound")
-    common(sp)
-    sp.add_argument("--grid-points", type=int, default=13)
-    common(sub.add_parser("dispersion", help="dispersion-coefficient"
-                                             " fit"))
-    common(sub.add_parser("verify", help="cross-module oracle suite"))
+    for command, (text, options) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        for option in options:
+            sp.add_argument(option, **_OPTIONS[option])
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up at call time, so a rebound cmd_* function is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        config = _config_from_args(args)
-        if args.command == "spectrum":
-            return cmd_spectrum(config)
-        if args.command == "condition":
-            return cmd_condition(config, args.baseline)
-        if args.command == "convergence":
-            return cmd_convergence(config, args.N_list, args.j,
-                                   args.quantity)
-        if args.command == "eta-sweep":
-            return cmd_eta_sweep(config, args.grid_points)
-        if args.command == "dispersion":
-            return cmd_dispersion(config)
-        if args.command == "verify":
-            return cmd_verify(config)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return command(args)
     except (ConfigError, KeyError, ValueError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"softiga: config error: {message}", file=sys.stderr)

@@ -3,10 +3,13 @@
 The solve reduces A v = lambda B v to a standard symmetric problem via
 the Cholesky factor of B, tridiagonalizes, and runs implicit-shift QR
 (the LAPACK sygv path). Eigenvalues are then refined by one Rayleigh
-quotient per pair, v^T A v / v^T B v, which restores per-mode relative
-accuracy near machine precision; the plain factorized solve only bounds
-the absolute error by eps times the largest eigenvalue, i.e. the small
-end of a stiff spectrum would carry relative errors around 1e-13.
+quotient per pair, v^T A v / v^T B v, with the assembled float
+operators. That does not reach machine precision on the low modes: in
+the interior the operators are a differencing stencil whose entry
+errors of eps*||A|| move every quotient by about eps*lambda_max, a
+relative error of about eps*lambda_max/lambda_j. Against the closed
+form at the default weight, lambda_1 at p = 2, N = 2000 is off by
+2.3e-11 to 2.4e-11 relative.
 
 Assembled operators arrive in LAPACK lower band storage
 (SymBandedMatrix): one (hbw + 1, n) array whose row k holds the k-th
@@ -123,7 +126,7 @@ def cholesky_pivot(B):
     return int(info) if info > 0 else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Full solution of a symmetric-definite pencil.
 

@@ -18,6 +18,7 @@ import numpy as np
 from .analytic import eta_table
 from .assembly import build_soft_system
 from .eigensolve import generalized_eig
+from .spaces import space_dimension
 from .splines import basis_table
 from .tensor import continuum_values, kron_sum_spectrum
 
@@ -26,7 +27,7 @@ class InsufficientDataError(ValueError):
     """Raised when a fit has fewer than two usable points."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralReport:
     """Discrete spectrum paired with continuum targets, rank by rank."""
 
@@ -68,6 +69,15 @@ def relative_errors(p, N, eta, d=1, eta_b=0.0, flavor="outlier_free"):
     """
     system = build_soft_system(p, N, eta, eta_b, flavor)
     return spectral_report(system, solve_system(system), d)
+
+
+def _check_mode(p, N_list, j, flavor):
+    """Refuse a mode index j outside 1..dim before any assembly, dim
+    the smallest space dimension over the meshes of N_list."""
+    dim = min((space_dimension(p, N, flavor) for N in N_list), default=0)
+    if not 1 <= j <= dim:
+        raise ValueError(f"mode index j must be in 1..{dim}, the smallest"
+                         f" space dimension over the meshes, got {j}")
 
 
 def _mode_errors(system, spectrum, js, nq):
@@ -129,6 +139,7 @@ def h1_eigenfunction_error(p, N, eta, j, eta_b=0.0, nq=None,
     the continuum mode before the seminorm of the difference is
     integrated with Gauss quadrature (p + 4 points per element).
     """
+    _check_mode(p, [N], j, flavor)
     system = build_soft_system(p, N, eta, eta_b, flavor)
     spectrum = solve_system(system)
     return h1_errors_for_modes(system, spectrum, [j], nq)[0]
@@ -221,6 +232,7 @@ def convergence_slope(ns, errors):
 def eigenvalue_convergence(p, N_list, j, eta=0.0, eta_b=0.0,
                            flavor="outlier_free"):
     """Relative eigenvalue errors of mode j over a mesh family."""
+    _check_mode(p, N_list, j, flavor)
     errs = []
     for N in N_list:
         report = relative_errors(p, N, eta, 1, eta_b, flavor)
@@ -231,6 +243,7 @@ def eigenvalue_convergence(p, N_list, j, eta=0.0, eta_b=0.0,
 def h1_convergence(p, N_list, j, eta=0.0, eta_b=0.0,
                    flavor="outlier_free"):
     """H1 eigenfunction errors of mode j over a mesh family."""
+    _check_mode(p, N_list, j, flavor)
     return [h1_eigenfunction_error(p, N, eta, j, eta_b, flavor=flavor)
             for N in N_list]
 
@@ -243,6 +256,7 @@ def pythagorean_check(p, N, eta, j):
     eigenvalue error. Returns (residual, gap) where gap is the
     eigenvalue error, so residual should be far below gap.
     """
+    _check_mode(p, [N], j, "outlier_free")
     system = build_soft_system(p, N, eta)
     spectrum = solve_system(system)
     lam_h = spectrum.values[j - 1]

@@ -27,7 +27,7 @@ import numpy as np
 MAX_LIFT_ENTRIES = 2_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TensorSpectrum:
     """Composed spectrum with multi-indices, sorted ascending.
 

@@ -17,7 +17,9 @@ from softiga.assembly import (IndefinitenessWarning, SymBandedMatrix,
 from softiga.eigensolve import (DefinitenessError, cholesky_pivot,
                                 generalized_eig)
 from softiga.spaces import build_of_space, build_standard_space
+from softiga.spectral_analysis import solve_system, spectral_report
 from softiga.splines import eval_basis
+from softiga.tensor import kron_sum_spectrum
 
 
 def test_banded_storage_round_trip():
@@ -205,7 +207,13 @@ def test_bands_and_systems_compare_by_identity():
     one = build_soft_system(3, 8, 1e-4)
     two = build_soft_system(3, 8, 1e-4)
     assert one.stiffness.band.tobytes() == two.stiffness.band.tobytes()
-    for a, b in [(one, two), (one.stiffness, two.stiffness)]:
+    spectra = [solve_system(one), solve_system(two)]
+    assert spectra[0].values.tobytes() == spectra[1].values.tobytes()
+    reports = [spectral_report(system, spectrum, 2)
+               for system, spectrum in zip((one, two), spectra)]
+    lifts = [kron_sum_spectrum(spectrum.values, 2) for spectrum in spectra]
+    for a, b in [(one, two), (one.stiffness, two.stiffness), spectra,
+                 reports, lifts]:
         assert (a == b) is False
         assert (a != b) is True
         assert a == a

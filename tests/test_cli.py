@@ -1,12 +1,15 @@
 """End-to-end command line checks via in-process main()."""
 
+import argparse
 import hashlib
 import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,31 +171,62 @@ def test_verify_reports_all_green(capsys):
     ["spectrum", "-p", "2", "--eta", "-0.001"],
     ["condition", "-p", "2", "-N", "10", "--eta", "nan"],
     ["spectrum", "-p", "2", "-N", "10", "--eta-b", "nan"],
-    ["convergence", "-p", "2", "-d", "3", "--N-list", "8,16"],
-    ["dispersion", "-p", "3", "-d", "3"],
+    ["eta-sweep", "-p", "5", "-N", "10"],
+    # j = 9 fits N = 16 but not N = 8, which comes second
+    ["convergence", "-p", "2", "--j", "9", "--quantity", "h1",
+     "--N-list", "16,8"],
     ["convergence", "-p", "2", "--j", "0", "--N-list", "8,16"],
     ["convergence", "-p", "2", "--j", "-2", "--quantity", "h1",
      "--N-list", "8,16"],
     ["convergence", "-p", "2", "--j", "40", "--N-list", "8,16"],
     ["convergence", "-p", "2", "--N-list", ""],
+    ["dispersion", "-p", "3", "--eta", ""],
 ])
-def test_invalid_configurations_exit_with_config_code(argv, capsys):
+def test_invalid_configurations_exit_with_config_code(argv, monkeypatch,
+                                                      capsys):
+    builds = _counting_builds(monkeypatch)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == EXIT_CONFIG
     assert "config error" in captured.err
+    assert builds == []
+
+
+# options the subcommand does not read, which argparse refuses
+_UNREAD_OPTIONS = [
+    ["verify", "-p", "3"],
+    ["verify", "--format", "csv"],
+    ["dispersion", "-p", "3", "--eta-b", "paper"],
+    ["dispersion", "-p", "3", "-N", "40"],
+    ["dispersion", "-p", "3", "--method", "iga"],
+    ["dispersion", "-p", "3", "-d", "3"],
+    ["eta-sweep", "-p", "2", "-N", "10", "--method", "iga"],
+    ["eta-sweep", "-p", "2", "-N", "10", "--eta", "0.001"],
+    ["convergence", "-p", "2", "-N", "40"],
+    ["convergence", "-p", "2", "-d", "3", "--N-list", "8,16"],
+]
 
 
 @pytest.mark.parametrize("argv", [
     ["no-such-command"],
     ["spectrum", "-d", "4"],
     [],
-])
-def test_usage_errors_exit_with_config_code(argv, capsys):
+] + _UNREAD_OPTIONS)
+def test_usage_errors_exit_with_config_code(argv, monkeypatch, capsys):
+    builds = _counting_builds(monkeypatch)
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
-    capsys.readouterr()
+    err = capsys.readouterr().err
     assert excinfo.value.code == EXIT_CONFIG
+    assert builds == []
+    if argv in _UNREAD_OPTIONS:
+        assert "unrecognized arguments" in err
+
+
+def test_main_runs_the_command_bound_at_call_time(monkeypatch):
+    # perfbench's tracer times each cmd_* by rebinding it in the module
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: 7)
+    assert main(["verify"]) == 7
 
 
 def test_weight_above_default_warns_but_runs(capsys):
@@ -249,13 +283,14 @@ def test_condition_equals_the_full_lift_route(p, d, baseline, monkeypatch,
     assert code == EXIT_OK
     # a baseline on the target's (outlier-free) space is not reassembled
     assert len(builds) == (1 if baseline == "of-iga" else 2)
-    config = cli._config_from_args(cli.build_parser().parse_args(argv))
+    args = cli.build_parser().parse_args(argv)
+    eta, eta_b = cli._weights(args)
     stats = condition_stats(
-        full_lift_values(p, 20, config.eta, d, config.eta_b),
+        full_lift_values(p, 20, eta, d, eta_b),
         full_lift_values(p, 20, 0.0, d, 0.0, cli._METHOD_FLAVOR[baseline]))
-    cli._emit(config, ["d", "p", "lambda_min", "lambda_max_baseline",
-                       "lambda_max_target", "gamma_baseline",
-                       "gamma_target", "rho", "varrho_pct"],
+    cli._emit(args, ["d", "p", "lambda_min", "lambda_max_baseline",
+                     "lambda_max_target", "gamma_baseline",
+                     "gamma_target", "rho", "varrho_pct"],
               [[d, p, stats.lambda_min, stats.lambda_max_baseline,
                 stats.lambda_max_target, stats.gamma_baseline,
                 stats.gamma_target, stats.rho, stats.varrho_pct]])
@@ -331,6 +366,14 @@ _GOLDEN_STDOUT = {
         "1cb541f1b767f726ec03d12557aa0bcf",
     "dispersion -p 3 --eta super": "191625458240f70948464229e03030d3",
     "verify": "88fd938e446fba6ba5adae056b7cbb05",
+    # recorded from the code that still gave every subcommand the same
+    # eight options
+    "eta-sweep -p 2 -N 10 --format json":
+        "e0a1a94929edc637b2b774acb1e2fd0e",
+    "convergence -p 2 --N-list 8,16 --format json":
+        "0c1290e2d901651015c73e5ebb1fd675",
+    "dispersion -p 3 --eta super --format json":
+        "37a88a9e2ca04c37efd5de551e2d4616",
 }
 
 
@@ -339,6 +382,45 @@ def test_stdout_matches_recorded_digest(command, capsys):
     code, out = run(command.split(), capsys)
     assert code == EXIT_OK
     assert hashlib.md5(out.encode()).hexdigest() == _GOLDEN_STDOUT[command]
+
+
+@pytest.mark.parametrize("command", [
+    "spectrum -p 3 -N 8 --format json",
+    "condition -p 2 -N 60 -d 2",
+    "convergence -p 2 --N-list 8,16 --format json",
+    "eta-sweep -p 2 -N 10 -d 2 --grid-points 4",
+    "dispersion -p 3 --eta super",
+    "verify",
+])
+def test_out_file_holds_the_stdout_bytes(command, tmp_path, capsys):
+    path = tmp_path / "report"
+    code, out = run(command.split() + ["--out", str(path)], capsys)
+    assert code == EXIT_OK and out == ""
+    digest = hashlib.md5(path.read_bytes()).hexdigest()
+    assert digest == _GOLDEN_STDOUT[command]
+
+
+def _readme_option_table():
+    """{subcommand: options} from the option table in README.md."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = {}
+    for line in readme.read_text().splitlines():
+        cells = line.strip().strip("|").split("|")
+        if line.startswith("| `") and len(cells) == 2:
+            options = re.findall(r"`([^`]+)`", cells[1])
+            table[cells[0].strip().strip("`")] = sorted(options)
+    return table
+
+
+def test_readme_option_table_matches_the_parser():
+    parser = cli.build_parser()
+    sub, = [action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)]
+    options = {command: sorted(s for action in sp._actions
+                               for s in action.option_strings
+                               if s not in ("-h", "--help"))
+               for command, sp in sub.choices.items()}
+    assert _readme_option_table() == options
 
 
 def test_import_loads_no_sparse_module():

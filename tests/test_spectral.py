@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import softiga.spectral_analysis as spectral
 from oracles import full_lift_values
 from softiga.analytic import analytic_eigenvalue, eta_table
 from softiga.spectral_analysis import (ConditionStats,
@@ -173,6 +174,33 @@ def test_pythagorean_identity_residual_is_negligible():
         residual, gap = pythagorean_check(p, N, eta, 2)
         assert gap > 0
         assert residual <= 1e-3 * gap
+
+
+# (function, its arguments with the mode index last, space dimension):
+# the convergence functions take the smallest over the N list, whose
+# smaller mesh comes second so that a late check would assemble first
+_MODE_FUNCTIONS = [
+    (eigenvalue_convergence, (2, [16, 8]), 8),
+    (h1_convergence, (3, [16, 8]), 7),
+    (h1_eigenfunction_error, (2, 8, 0.0), 8),
+    (pythagorean_check, (3, 8, 0.0), 7),
+]
+
+
+@pytest.mark.parametrize("function,args,dim", _MODE_FUNCTIONS,
+                         ids=[f.__name__ for f, _, _ in _MODE_FUNCTIONS])
+def test_mode_index_out_of_range_is_refused_before_assembly(
+        function, args, dim, monkeypatch):
+    builds = []
+    monkeypatch.setattr(spectral, "build_soft_system",
+                        lambda *a, **k: builds.append(a))
+    for j in (0, -1, dim + 1):
+        with pytest.raises(ValueError, match="mode index"):
+            function(*args, j)
+    assert builds == []
+    monkeypatch.undo()
+    # the top mode itself is accepted
+    assert np.all(np.isfinite(function(*args, dim)))
 
 
 def test_lifted_spectrum_dimensions():
