@@ -231,11 +231,11 @@ def softened_reference(p, N, eta, eta_b=0):
 
 
 def commutator_norm(A, B):
-    """Frobenius norm of AB - BA; exact when entries are rationals."""
-    A = A.toarray() if hasattr(A, "toarray") else np.asarray(A)
-    B = B.toarray() if hasattr(B, "toarray") else np.asarray(B)
-    if A.shape != B.shape:
-        raise ValueError(f"order mismatch: {A.shape} vs {B.shape}")
+    """Frobenius norm of AB - BA for two SymBandedMatrix operands; exact
+    when entries are rationals."""
+    if A.n != B.n:
+        raise ValueError(f"order mismatch: {A.n} vs {B.n}")
+    A, B = A.toarray(), B.toarray()
     C = A @ B - B @ A
     total = sum(x * x for x in C.ravel())
     return math.sqrt(total)

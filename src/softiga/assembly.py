@@ -56,8 +56,8 @@ class SoftSystem:
     A = stiffness - eta * softness, and the mass side carries the
     dimensionless weight of the printed pencil, B = mass +
     eta_b * h^2 * softness. Only the three banded operators are stored;
-    A and B are built from them, as dense arrays, on access. Instances
-    compare and hash by identity.
+    A and B are built from them, as bands, on access. Instances compare
+    and hash by identity.
     """
 
     p: int
@@ -72,14 +72,11 @@ class SoftSystem:
     @property
     def A(self):
         """Stiffness side K - eta * S."""
-        return self.stiffness.plus(-self.eta, self.softness).toarray()
+        return self.stiffness.plus(-self.eta, self.softness)
 
     @property
     def B(self):
         """Mass side M + eta_b * h^2 * S."""
-        return self._mass_side().toarray()
-
-    def _mass_side(self):
         h = self.space.kv.h
         return self.mass.plus(self.eta_b * h * h, self.softness)
 
@@ -113,7 +110,7 @@ def _checked_weights(p, eta, eta_b):
 def _pencil(space, K, M, S, eta, eta_b):
     system = SoftSystem(space.p, space.N, eta, eta_b, space, K, M, S)
     if eta_b > 0:
-        pivot = cholesky_pivot(system._mass_side())
+        pivot = cholesky_pivot(system.B)
         if pivot:
             raise DefinitenessError(pivot, "mass side lost definiteness")
     return system

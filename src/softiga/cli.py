@@ -50,27 +50,33 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+def _number(option, text, names):
+    """A weight option given as a number, finite and nonnegative;
+    ``names`` lists its named values for the error message."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{option} must be {names}, or a number,"
+                          f" got {text!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{option} must be finite, got {value}")
+    if value < 0:
+        raise ConfigError(f"{option} must be nonnegative, got {value}")
+    return value
+
+
 def _resolve_eta(p, spec_text):
-    """Map an --eta value to a number; named modes use the exact table."""
+    """Map an --eta value to a number; named modes use the exact table,
+    whose KeyError for a degree it lacks main reports as a config
+    error."""
     table = eta_table()
     named = {"default": "default", "super": "superconvergent",
-             "superconvergent": "superconvergent", "zero": None}
+             "superconvergent": "superconvergent"}
+    if spec_text == "zero":
+        return Fraction(0)
     if spec_text in named:
-        if named[spec_text] is None:
-            return Fraction(0)
-        try:
-            return table.resolve(p, named[spec_text])
-        except KeyError as exc:
-            raise ConfigError(exc.args[0])
-    try:
-        value = float(spec_text)
-    except ValueError:
-        raise ConfigError(f"--eta must be default, super, zero, or a"
-                          f" number, got {spec_text!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"--eta must be finite, got {value}")
-    if value < 0:
-        raise ConfigError(f"--eta must be nonnegative, got {value}")
+        return table.resolve(p, named[spec_text])
+    value = _number("--eta", spec_text, "default, super, zero")
     sharp = table.sharp_max.get(p)
     if sharp is not None:
         if value > float(sharp):
@@ -90,20 +96,8 @@ def _resolve_eta_b(p, spec_text):
     if spec_text == "zero":
         return Fraction(0)
     if spec_text == "paper":
-        try:
-            return eta_table().resolve(p, "mass_side")
-        except KeyError as exc:
-            raise ConfigError(exc.args[0])
-    try:
-        value = float(spec_text)
-    except ValueError:
-        raise ConfigError(f"--eta-b must be zero, paper, or a number,"
-                          f" got {spec_text!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"--eta-b must be finite, got {value}")
-    if value < 0:
-        raise ConfigError(f"--eta-b must be nonnegative, got {value}")
-    return value
+        return eta_table().resolve(p, "mass_side")
+    return _number("--eta-b", spec_text, "zero, paper")
 
 
 def _weights(args):
@@ -233,6 +227,9 @@ def cmd_convergence(args):
 
 def cmd_eta_sweep(args):
     """Reduction ratio and total eigenvalue error along a weight grid."""
+    if args.grid_points < 1:
+        raise ConfigError(f"--grid-points must be at least 1, got"
+                          f" {args.grid_points}")
     sharp = eta_table().resolve(args.p, "sharp_max")
     _check_lift(args, "outlier_free")
     grid = np.linspace(0.0, float(sharp), args.grid_points, endpoint=False)
@@ -300,7 +297,7 @@ def _verify_checks():
             warnings.simplefilter("ignore", IndefinitenessWarning)
             below = solve_system(base.with_weights(0.99 * sharp))
             above = base.with_weights(1.01 * sharp)
-        low = float(np.linalg.eigvalsh(above.A)[0])
+        low = float(np.linalg.eigvalsh(above.A.toarray())[0])
         if below.lam_min <= 0:
             ok = False
             details.append(f"p={p}: spectrum not positive below sharp")
@@ -320,7 +317,7 @@ def _verify_checks():
         system = build_soft_system(p, 20, eta)
         K = system.stiffness.toarray()
         beta = 1.0 - eta / theo
-        gap = float(np.linalg.eigvalsh(system.A - beta * K)[0])
+        gap = float(np.linalg.eigvalsh(system.A.toarray() - beta * K)[0])
         scale = float(np.linalg.norm(K))
         worst = min(worst, gap / scale)
         if gap < -1e-10 * scale:

@@ -11,10 +11,12 @@ relative error of about eps*lambda_max/lambda_j. Against the closed
 form at the default weight, lambda_1 at p = 2, N = 2000 is off by
 2.3e-11 to 2.4e-11 relative.
 
-Assembled operators arrive in LAPACK lower band storage
-(SymBandedMatrix): one (hbw + 1, n) array whose row k holds the k-th
-subdiagonal, ``band[k, i]`` = entry (i + k, i). Definiteness checks hand
-that array to ``dpbtrf`` as it is.
+Both sides of the pencil arrive in LAPACK lower band storage
+(SymBandedMatrix), the one matrix type every function of the package
+takes: one (hbw + 1, n) array whose row k holds the k-th subdiagonal,
+``band[k, i]`` = entry (i + k, i). The definiteness check hands that
+array to ``dpbtrf`` as it is, in O(n * hbw^2); the solve densifies each
+side once, and dense arrays live only inside it.
 
 A solve returns a ``Spectrum``: the eigenvalues, the B-orthonormal
 eigenvectors and the residual contract of every pair, nothing more.
@@ -105,24 +107,10 @@ class SymBandedMatrix:
 RESIDUAL_RTOL = 1e-10
 
 
-def _as_dense(A):
-    if hasattr(A, "toarray"):
-        A = A.toarray()
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    return A
-
-
 def cholesky_pivot(B):
-    """0 if B is positive definite, else the 1-based failing pivot.
-
-    A SymBandedMatrix is factored in band storage, in O(n * hbw^2).
-    """
-    if isinstance(B, SymBandedMatrix):
-        _, info = lapack.dpbtrf(B.band, lower=1)
-    else:
-        _, info = lapack.dpotrf(_as_dense(B), lower=1)
+    """0 if the SymBandedMatrix B is positive definite, else the 1-based
+    failing pivot; factored in band storage, in O(n * hbw^2)."""
+    _, info = lapack.dpbtrf(B.band, lower=1)
     return int(info) if info > 0 else 0
 
 
@@ -166,8 +154,9 @@ def generalized_eig(A, B):
 
     Parameters
     ----------
-    A, B : array or SymBandedMatrix
-        Same order; A symmetric, B symmetric positive definite.
+    A, B : SymBandedMatrix
+        Same order; B positive definite. Entries of any real dtype,
+        Fraction included, are solved in double precision.
 
     Returns
     -------
@@ -180,15 +169,13 @@ def generalized_eig(A, B):
     EigenSolveError
         If the iteration does not converge.
     """
-    A = _as_dense(A)
-    B = _as_dense(B)
-    if A.shape != B.shape:
-        raise ValueError(f"order mismatch: {A.shape} vs {B.shape}")
-    A = (A + A.T) / 2.0
-    B = (B + B.T) / 2.0
+    if A.n != B.n:
+        raise ValueError(f"order mismatch: {A.n} vs {B.n}")
     pivot = cholesky_pivot(B)
     if pivot:
         raise DefinitenessError(pivot)
+    # exact (Fraction) bands are solved in double precision too
+    A, B = (np.asarray(X.toarray(), dtype=float) for X in (A, B))
     try:
         w, V = sla.eigh(A, B)
     except (np.linalg.LinAlgError, ValueError) as exc:

@@ -95,6 +95,10 @@ def _mode_errors(system, spectrum, js, nq):
     kv = space.kv
     p, N, h = kv.p, kv.N, kv.h
     js = list(js)
+    for j in js:
+        if not 1 <= j <= spectrum.n:
+            raise ValueError(f"mode index j must be in 1..{spectrum.n},"
+                             f" got {j}")
     coeffs = spectrum.vectors[:, [j - 1 for j in js]]
     norms = np.einsum("ij,ij->j", coeffs, system.mass.toarray() @ coeffs)
     coeffs = coeffs / np.sqrt(norms)
@@ -214,7 +218,7 @@ def convergence_slope(ns, errors):
     """Least-squares slope of log(error) against log(1/N).
 
     Non-positive errors carry no rate information and are dropped; a
-    fit needs at least two surviving points.
+    fit needs surviving points on at least two distinct meshes.
     """
     ns = np.asarray(ns, dtype=float)
     errors = np.asarray(errors, dtype=float)
@@ -222,9 +226,9 @@ def convergence_slope(ns, errors):
         raise ValueError("N list and error list must have equal length")
     keep = errors > 0
     ns, errors = ns[keep], errors[keep]
-    if ns.size < 2:
-        raise InsufficientDataError("need at least two positive errors"
-                                    " to fit a slope")
+    if np.unique(ns).size < 2:
+        raise InsufficientDataError("need positive errors on at least two"
+                                    " distinct meshes to fit a slope")
     slope = np.polyfit(np.log(1.0 / ns), np.log(errors), 1)[0]
     return float(slope)
 

@@ -4,15 +4,28 @@ The package assembles from per-element basis tables; two helpers here
 evaluate one space member or one face jump at a time through
 ``eval_basis``, so the tests can check the banded operators against an
 independent route. ``full_lift_values`` builds the whole d-dimensional
-spectrum, which the ``condition`` command never does.
+spectrum, which the ``condition`` command never does. ``banded`` turns
+a dense symmetric test matrix into the band type the package takes.
 """
 
 import numpy as np
 
 from softiga.assembly import build_soft_system
+from softiga.eigensolve import SymBandedMatrix
 from softiga.spectral_analysis import solve_system
 from softiga.splines import eval_basis
 from softiga.tensor import kron_sum_spectrum
+
+
+def banded(dense):
+    """Full-bandwidth SymBandedMatrix of a dense symmetric array; only
+    its lower triangle is read."""
+    dense = np.asarray(dense)
+    n = len(dense)
+    band = np.zeros((n, n), dtype=dense.dtype)
+    for k in range(n):
+        band[k, :n - k] = np.diagonal(dense, -k)
+    return SymBandedMatrix(band)
 
 
 def full_lift_values(p, N, eta, d=1, eta_b=0.0, flavor="outlier_free"):

@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import banded
 from softiga.analytic import (analytic_eigenvalue,
                               analytic_eigenvector_sample,
                               commutator_norm, dispersion_eigenvalue,
@@ -231,13 +232,13 @@ def test_softened_commutator_at_arbitrary_weight():
     assert commutator_norm(A, T) == 0
 
 
-def test_commutator_norm_on_plain_arrays():
-    X = np.array([[0.0, 1.0], [0.0, 0.0]])
-    Y = np.array([[1.0, 0.0], [0.0, 2.0]])
-    # [X, Y] = XY - YX has entries (0, 1; 0, 0)
-    assert commutator_norm(X, Y) == pytest.approx(1.0)
+def test_commutator_norm_on_float_bands():
+    X = banded([[0.0, 1.0], [1.0, 0.0]])
+    Y = banded([[1.0, 0.0], [0.0, 2.0]])
+    # [X, Y] = XY - YX has entries (0, 1; -1, 0)
+    assert commutator_norm(X, Y) == pytest.approx(math.sqrt(2.0))
     with pytest.raises(ValueError):
-        commutator_norm(np.eye(2), np.eye(3))
+        commutator_norm(banded(np.eye(2)), banded(np.eye(3)))
 
 
 def test_reference_pencil_eigenvalues_match_closed_form():
@@ -245,8 +246,7 @@ def test_reference_pencil_eigenvalues_match_closed_form():
     p, N = 3, 16
     eta = eta_table().default[p]
     A, B = softened_reference(p, N, eta)
-    w = generalized_eig(A.toarray().astype(float),
-                        B.toarray().astype(float)).values * N ** 2
+    w = generalized_eig(A, B).values * N ** 2
     exact = np.array([analytic_eigenvalue(p, float(eta), j, N)
                       for j in range(1, N)])
     np.testing.assert_allclose(w, exact, rtol=1e-10)

@@ -129,6 +129,14 @@ def test_convergence_subcommand_fits_quartic_slope(capsys):
     assert float(rows[0][2]) == pytest.approx(4.0, abs=0.2)
 
 
+def test_convergence_on_one_repeated_mesh_is_refused(capsys):
+    code = main(["convergence", "-p", "2", "--N-list", "8,8"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert "two distinct meshes" in captured.err
+
+
 def test_eta_sweep_subcommand_rows_and_monotonicity(capsys):
     code, out = run(["eta-sweep", "-p", "2", "-N", "16",
                      "--grid-points", "5"], capsys)
@@ -181,6 +189,8 @@ def test_verify_reports_all_green(capsys):
     ["convergence", "-p", "2", "--j", "40", "--N-list", "8,16"],
     ["convergence", "-p", "2", "--N-list", ""],
     ["dispersion", "-p", "3", "--eta", ""],
+    ["eta-sweep", "-p", "2", "-N", "10", "--grid-points", "0"],
+    ["eta-sweep", "-p", "2", "-N", "10", "--grid-points", "-2"],
 ])
 def test_invalid_configurations_exit_with_config_code(argv, monkeypatch,
                                                       capsys):
@@ -374,6 +384,15 @@ _GOLDEN_STDOUT = {
         "0c1290e2d901651015c73e5ebb1fd675",
     "dispersion -p 3 --eta super --format json":
         "37a88a9e2ca04c37efd5de551e2d4616",
+    # recorded from the code whose SoftSystem.A/.B were dense arrays:
+    # a mass side B != M, both space pairings of condition, and p = 4
+    "spectrum -p 2 -N 12 --eta-b paper": "cff3c379036fecfba2ca65f54c4402ee",
+    "spectrum -p 3 -N 12 --eta-b paper": "3b1d5f01689d768603949ea52123af7b",
+    "condition -p 2 -N 30 --eta-b paper --baseline of-iga":
+        "911df1453a7e1292630ebe48c53b041e",
+    "condition -p 3 -N 20 --method of-iga --baseline iga":
+        "ee0a5bf593ae8e963f1bdc09f08a7ed7",
+    "spectrum -p 4 -N 10 --method iga": "900028075c5b9cc5999e3fd2b088a356",
 }
 
 

@@ -157,6 +157,16 @@ def test_convergence_slope_on_synthetic_data():
         convergence_slope([10, 20], [1e-3])
 
 
+def test_convergence_slope_needs_two_distinct_meshes():
+    with pytest.raises(InsufficientDataError):
+        convergence_slope([8, 8], [1e-3, 2e-3])
+    # the one other mesh carries no positive error
+    with pytest.raises(InsufficientDataError):
+        convergence_slope([8, 8, 16], [1e-3, 1e-3, 0.0])
+    assert convergence_slope([8, 8, 16], [1e-3, 1e-3, 1.25e-4]) == (
+        pytest.approx(3.0))
+
+
 def test_eigenvalue_convergence_rates():
     ns = [9, 12, 15, 18, 21, 24, 27, 30]
     for p, eta_name, expected, tol in [
@@ -232,6 +242,18 @@ def test_eta_sweep_assembles_once_and_matches_fresh_builds(monkeypatch):
         stats = condition_stats(report.computed, baseline)
         assert rho == stats.rho
         assert e_lambda == float(np.sqrt(np.sum(report.rel_errors ** 2)))
+
+
+def test_h1_mode_index_outside_the_spectrum_is_refused():
+    from softiga.assembly import build_soft_system
+    from softiga.spectral_analysis import h1_errors_for_modes, solve_system
+
+    system = build_soft_system(2, 8, 0.0)
+    spectrum = solve_system(system)
+    for j in (0, -1, spectrum.n + 1):
+        with pytest.raises(ValueError, match="mode index"):
+            h1_errors_for_modes(system, spectrum, [1, j])
+    assert len(h1_errors_for_modes(system, spectrum, [1, spectrum.n])) == 2
 
 
 def test_h1_errors_match_pointwise_sampling():
