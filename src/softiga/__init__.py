@@ -7,9 +7,8 @@ from .analytic import (DispersionExpansion, EtaTable, analytic_eigenvalue,
                        analytic_eigenvector_sample, commutator_norm,
                        dispersion_eigenvalue, dispersion_expansion,
                        eta_table, fit_leading_coefficient,
-                       inverse_constants, inverse_constants_squared,
-                       interior_stencil, reference_matrix,
-                       softened_reference)
+                       inverse_constants_squared, interior_stencil,
+                       reference_matrix, softened_reference)
 from .assembly import (IndefinitenessWarning, SoftSystem, SymBandedMatrix,
                        assemble_mass, assemble_softness,
                        assemble_stiffness, build_soft_system)
@@ -20,11 +19,9 @@ from .splines import (BasisEval, KnotVector, basis_table, eval_basis,
                       open_knot_vector)
 from .spectral_analysis import (ConditionStats, InsufficientDataError,
                                 SpectralReport, condition_stats,
-                                convergence_slope, eigenvalue_convergence,
-                                eta_sweep, h1_convergence,
-                                h1_eigenfunction_error,
-                                h1_errors_for_modes, pythagorean_check,
-                                relative_errors, solve_system,
+                                convergence_slope, eta_sweep,
+                                h1_errors_for_modes, mode_convergence,
+                                pythagorean_check, solve_system,
                                 spectral_report)
 from .tensor import (TensorSpectrum, continuum_values, kron_sum_spectrum,
                      lifted_extremes)
@@ -41,12 +38,11 @@ __all__ = [
     "assemble_stiffness", "basis_table", "build_of_space",
     "build_soft_system", "build_standard_space", "commutator_norm",
     "condition_stats", "continuum_values", "convergence_slope",
-    "dispersion_eigenvalue", "dispersion_expansion",
-    "eigenvalue_convergence", "eta_sweep", "eta_table", "eval_basis",
-    "fit_leading_coefficient", "generalized_eig", "h1_convergence",
-    "h1_eigenfunction_error", "h1_errors_for_modes", "interior_stencil",
-    "inverse_constants", "inverse_constants_squared", "kron_sum_spectrum",
-    "lifted_extremes", "open_knot_vector", "pythagorean_check",
-    "reference_matrix", "relative_errors", "softened_reference",
-    "solve_system", "spectral_report",
+    "dispersion_eigenvalue", "dispersion_expansion", "eta_sweep",
+    "eta_table", "eval_basis", "fit_leading_coefficient",
+    "generalized_eig", "h1_errors_for_modes", "interior_stencil",
+    "inverse_constants_squared", "kron_sum_spectrum", "lifted_extremes",
+    "mode_convergence", "open_knot_vector", "pythagorean_check",
+    "reference_matrix", "softened_reference", "solve_system",
+    "spectral_report",
 ]

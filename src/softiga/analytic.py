@@ -79,11 +79,6 @@ def inverse_constants_squared(p, k=1):
     return c1, c2, c3
 
 
-def inverse_constants(p, k=1):
-    """Inverse-estimate constants (C_{p,1}, C_{p,2}(k), C_{p,3})."""
-    return tuple(math.sqrt(c) for c in inverse_constants_squared(p, k))
-
-
 def eta_table():
     """The canonical softness-weight table for p in {2, 3, 4, 5}."""
     theoretical = {p: 1 / (2 * inverse_constants_squared(p)[2])
@@ -290,10 +285,16 @@ def dispersion_eigenvalue(p, t, eta=0, eta_b=0):
     return num / den
 
 
-def fit_leading_coefficient(p, eta, ts=(0.02, 0.01, 0.005), dps=60):
+# Sample wavenumbers t of the dispersion fit, and its mpmath precision
+# in decimal digits.
+FIT_WAVENUMBERS = (0.02, 0.01, 0.005)
+FIT_DPS = 60
+
+
+def fit_leading_coefficient(p, eta):
     """Empirical leading dispersion coefficient from a 3-point fit.
 
-    Evaluates the symbol relative error at the sample wavenumbers,
+    Evaluates the symbol relative error at ``FIT_WAVENUMBERS``,
     divides by the leading power of t, and extrapolates t -> 0 with a
     quadratic in t^2. The leading power is 2p, or 2p+2 when the exact
     t^(2p) coefficient vanishes (superconvergent eta).
@@ -309,9 +310,9 @@ def fit_leading_coefficient(p, eta, ts=(0.02, 0.01, 0.005), dps=60):
         power, target = 2 * p, exp.lead
     else:
         power, target = 2 * p + 2, exp.next
-    with mpmath.workdps(dps):
+    with mpmath.workdps(FIT_DPS):
         rows, rhs = [], []
-        for t in ts:
+        for t in FIT_WAVENUMBERS:
             t = mpmath.mpf(t)
             err = dispersion_eigenvalue(p, t, eta) / t ** 2 - 1
             rows.append([mpmath.mpf(1), t ** 2, t ** 4])

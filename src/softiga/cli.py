@@ -24,9 +24,9 @@ from .assembly import IndefinitenessWarning, build_soft_system
 from .eigensolve import DefinitenessError, EigenSolveError
 from .spaces import space_dimension
 from .spectral_analysis import (condition_stats, convergence_slope,
-                                eigenvalue_convergence, eta_sweep,
-                                h1_convergence, h1_errors_for_modes,
-                                solve_system, spectral_report)
+                                eta_sweep, h1_errors_for_modes,
+                                mode_convergence, solve_system,
+                                spectral_report)
 from .tensor import check_lift_size, lifted_extremes
 
 EXIT_OK = 0
@@ -168,7 +168,7 @@ def cmd_spectrum(args):
     _check_lift(args, flavor)
     system = build_soft_system(args.p, args.N, eta, eta_b, flavor)
     spectrum = solve_system(system)
-    report = spectral_report(system, spectrum, args.d)
+    report = spectral_report(spectrum.values, args.d)
     columns = ["j", "indices", "lambda_exact", "lambda_h", "rel_err"]
     rows = [[k + 1, "-".join(map(str, modes)), report.exact[k],
              report.computed[k], report.rel_errors[k]]
@@ -215,10 +215,8 @@ def cmd_condition(args):
 def cmd_convergence(args):
     """Per-N errors of one mode plus the fitted convergence slope."""
     eta, eta_b = _weights(args)
-    measure = (eigenvalue_convergence if args.quantity == "eigenvalue"
-               else h1_convergence)
-    errors = measure(args.p, args.N_list, args.j, eta, eta_b,
-                     _METHOD_FLAVOR[args.method])
+    errors = mode_convergence(args.p, args.N_list, args.j, args.quantity,
+                              eta, eta_b, _METHOD_FLAVOR[args.method])
     slope = convergence_slope(args.N_list, errors)
     rows = [[N, err, slope] for N, err in zip(args.N_list, errors)]
     _emit(args, ["N", "error", "fitted_slope"], rows)
@@ -440,7 +438,7 @@ def main(argv=None):
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except (ConfigError, KeyError, ValueError) as exc:
+    except (ConfigError, KeyError, ValueError, OSError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"softiga: config error: {message}", file=sys.stderr)
         return EXIT_CONFIG

@@ -16,7 +16,9 @@ Both sides of the pencil arrive in LAPACK lower band storage
 takes: one (hbw + 1, n) array whose row k holds the k-th subdiagonal,
 ``band[k, i]`` = entry (i + k, i). The definiteness check hands that
 array to ``dpbtrf`` as it is, in O(n * hbw^2); the solve densifies each
-side once, and dense arrays live only inside it.
+side once, and dense arrays live only inside it. Its peak memory is
+about 8 n^2 doubles, so an order above ``MAX_DENSE_ORDER`` is refused
+before anything dense is allocated.
 
 A solve returns a ``Spectrum``: the eigenvalues, the B-orthonormal
 eigenvectors and the residual contract of every pair, nothing more.
@@ -106,6 +108,9 @@ class SymBandedMatrix:
 
 RESIDUAL_RTOL = 1e-10
 
+# Largest order the dense solve accepts: 8 n^2 doubles is about 1.6 GB.
+MAX_DENSE_ORDER = 5000
+
 
 def cholesky_pivot(B):
     """0 if the SymBandedMatrix B is positive definite, else the 1-based
@@ -164,6 +169,9 @@ def generalized_eig(A, B):
 
     Raises
     ------
+    ValueError
+        On an order mismatch, or, before densifying, for an order above
+        ``MAX_DENSE_ORDER``.
     DefinitenessError
         If B fails its Cholesky factorization; carries the pivot index.
     EigenSolveError
@@ -171,6 +179,9 @@ def generalized_eig(A, B):
     """
     if A.n != B.n:
         raise ValueError(f"order mismatch: {A.n} vs {B.n}")
+    if A.n > MAX_DENSE_ORDER:
+        raise ValueError(f"a dense solve of order {A.n} is above the limit"
+                         f" of {MAX_DENSE_ORDER}")
     pivot = cholesky_pivot(B)
     if pivot:
         raise DefinitenessError(pivot)

@@ -113,7 +113,7 @@ def _left_null_basis(kv, m, alpha):
     C = _boundary_constraints(kv, m, alpha)
     u, s, vt = np.linalg.svd(C)
     if s[-1] < 1e-8:
-        raise RuntimeError("boundary constraint system is rank-deficient")
+        raise ValueError("boundary constraint system is rank-deficient")
     null = vt[alpha + 1:]
     # canonical order and sign: sort by peak position, peak made positive
     peaks = [int(np.argmax(np.abs(row))) for row in null]

@@ -3,9 +3,12 @@ eigenvalue errors, H1 eigenfunction errors, condition-number reduction
 statistics, weight sweeps, convergence-rate fits, and the energy-norm
 identity check.
 
-Every report, in any dimension, lifts the 1D spectrum with
-``kron_sum_spectrum`` and pairs it by rank with ``continuum_values``
-(``spectral_report``). Condition statistics read only the two ends of
+Every report, in any dimension, lifts the ascending 1D eigenvalues with
+``kron_sum_spectrum`` and pairs them by rank with ``continuum_values``
+(``spectral_report``); a report holds only the paired arrays. The error
+of one mode over a mesh family, of its eigenvalue or of its H1
+seminorm, comes from one routine (``mode_convergence``) that builds and
+solves each mesh once. Condition statistics read only the two ends of
 each spectrum, which the ``condition`` command takes from
 ``tensor.lifted_extremes`` without building a lift.
 """
@@ -31,10 +34,6 @@ class InsufficientDataError(ValueError):
 class SpectralReport:
     """Discrete spectrum paired with continuum targets, rank by rank."""
 
-    dimension: int
-    p: int
-    N: int
-    eta: float
     indices: np.ndarray  # (n1^d, d) 1-based mode numbers, one row per mode
     exact: np.ndarray
     computed: np.ndarray
@@ -46,8 +45,8 @@ def solve_system(system):
     return generalized_eig(system.A, system.B)
 
 
-def spectral_report(system, spectrum, d=1):
-    """Pair a solved pencil's spectrum, lifted to d dimensions, with the
+def spectral_report(values, d=1):
+    """Pair ascending 1D eigenvalues, lifted to d dimensions, with the
     continuum eigenvalues pi^2 * sum(j_i^2) by rank.
 
     The k-th discrete eigenvalue is compared with the k-th smallest
@@ -55,20 +54,10 @@ def spectral_report(system, spectrum, d=1):
     lexicographic index order. A 1D spectrum is its own lift. Returns a
     SpectralReport.
     """
-    lift = kron_sum_spectrum(spectrum.values, d)
-    exact = continuum_values(d, spectrum.values.size)
+    lift = kron_sum_spectrum(values, d)
+    exact = continuum_values(d, len(values))
     rel = np.abs(lift.values - exact) / exact
-    return SpectralReport(d, system.p, system.N, system.eta, lift.indices,
-                          exact, lift.values, rel)
-
-
-def relative_errors(p, N, eta, d=1, eta_b=0.0, flavor="outlier_free"):
-    """Per-mode relative eigenvalue errors against pi^2 * sum(j_i^2).
-
-    Modes are paired by rank as in ``spectral_report``.
-    """
-    system = build_soft_system(p, N, eta, eta_b, flavor)
-    return spectral_report(system, solve_system(system), d)
+    return SpectralReport(lift.indices, exact, lift.values, rel)
 
 
 def _check_mode(p, N_list, j, flavor):
@@ -80,12 +69,12 @@ def _check_mode(p, N_list, j, flavor):
                          f" space dimension over the meshes, got {j}")
 
 
-def _mode_errors(system, spectrum, js, nq):
+def _mode_errors(system, spectrum, js):
     """Squared L2 and H1-seminorm errors of several discrete modes.
 
     Each mode j is rescaled to unit L2 norm and sign-aligned with its
     continuum counterpart sqrt(2)*sin(j*pi*x); the mismatch is then
-    integrated with an nq-point Gauss rule per element, using basis
+    integrated with a (p + 4)-point Gauss rule per element, using basis
     values tabulated once per distinct element.
 
     Returns (l2_sq, h1_sq, coeffs) with the rescaled coefficient vectors
@@ -103,10 +92,10 @@ def _mode_errors(system, spectrum, js, nq):
     norms = np.einsum("ij,ij->j", coeffs, system.mass.toarray() @ coeffs)
     coeffs = coeffs / np.sqrt(norms)
 
-    xg, wg = np.polynomial.legendre.leggauss(nq)
+    xg, wg = np.polynomial.legendre.leggauss(p + 4)
     t = 0.5 * (xg + 1.0)
     ders, index = basis_table(kv, t, 1)
-    ders = ders[index]  # (N, nq, 2, p + 1)
+    ders = ders[index]  # (N, p + 4, 2, p + 1)
     x = ((np.arange(N)[:, None] + t) * h).reshape(-1)
     w = np.tile(wg * (0.5 * h), N)
     raw = space.raw_coefficients(coeffs)
@@ -124,29 +113,40 @@ def _mode_errors(system, spectrum, js, nq):
     return l2_sq, h1_sq, coeffs
 
 
-def h1_errors_for_modes(system, spectrum, js, nq=None):
+def h1_errors_for_modes(system, spectrum, js):
     """H1-seminorm errors of several modes from one solved pencil.
 
     Each mode is rescaled to unit L2 norm and sign-aligned with its
     continuum counterpart sqrt(2)*sin(j*pi*x) before integrating the
     derivative mismatch.
     """
-    _, h1_sq, _ = _mode_errors(system, spectrum, js, nq or system.p + 4)
+    _, h1_sq, _ = _mode_errors(system, spectrum, js)
     return [math.sqrt(float(e)) for e in h1_sq]
 
 
-def h1_eigenfunction_error(p, N, eta, j, eta_b=0.0, nq=None,
-                           flavor="outlier_free"):
-    """H1-seminorm error |u_j - u_j^h|_{H1} against sin(j*pi*x).
+def mode_convergence(p, N_list, j, quantity="eigenvalue", eta=0.0,
+                     eta_b=0.0, flavor="outlier_free"):
+    """Errors of mode j over a mesh family, one build and solve per mesh.
 
-    The discrete mode is rescaled to unit L2 norm and sign-aligned with
-    the continuum mode before the seminorm of the difference is
-    integrated with Gauss quadrature (p + 4 points per element).
+    ``quantity`` is "eigenvalue" for the relative error against
+    (j*pi)^2, or "h1" for the H1-seminorm error against
+    sqrt(2)*sin(j*pi*x) (see ``h1_errors_for_modes``). Both j and the
+    quantity are checked before any assembly.
     """
-    _check_mode(p, [N], j, flavor)
-    system = build_soft_system(p, N, eta, eta_b, flavor)
-    spectrum = solve_system(system)
-    return h1_errors_for_modes(system, spectrum, [j], nq)[0]
+    _check_mode(p, N_list, j, flavor)
+    if quantity not in ("eigenvalue", "h1"):
+        raise ValueError(f"quantity must be 'eigenvalue' or 'h1', got"
+                         f" {quantity!r}")
+    errors = []
+    for N in N_list:
+        system = build_soft_system(p, N, eta, eta_b, flavor)
+        spectrum = solve_system(system)
+        if quantity == "eigenvalue":
+            error = spectral_report(spectrum.values).rel_errors[j - 1]
+        else:
+            error = h1_errors_for_modes(system, spectrum, [j])[0]
+        errors.append(float(error))
+    return errors
 
 
 @dataclass(frozen=True)
@@ -201,13 +201,13 @@ def eta_sweep(p, N, etas, d=1):
         if not 0.0 <= e < sharp:
             raise ValueError(f"weight {e} outside [0, {sharp})")
     system = build_soft_system(p, N, 0.0)
-    baseline = spectral_report(system, solve_system(system), d)
+    baseline = spectral_report(solve_system(system).values, d)
     rows = []
     for e in etas:
         report = baseline
         if e != 0.0:
             softened = system.with_weights(e)
-            report = spectral_report(softened, solve_system(softened), d)
+            report = spectral_report(solve_system(softened).values, d)
         stats = condition_stats(report.computed, baseline.computed)
         e_lambda = float(np.sqrt(np.sum(report.rel_errors ** 2)))
         rows.append((e, stats.rho, e_lambda))
@@ -233,25 +233,6 @@ def convergence_slope(ns, errors):
     return float(slope)
 
 
-def eigenvalue_convergence(p, N_list, j, eta=0.0, eta_b=0.0,
-                           flavor="outlier_free"):
-    """Relative eigenvalue errors of mode j over a mesh family."""
-    _check_mode(p, N_list, j, flavor)
-    errs = []
-    for N in N_list:
-        report = relative_errors(p, N, eta, 1, eta_b, flavor)
-        errs.append(float(report.rel_errors[j - 1]))
-    return errs
-
-
-def h1_convergence(p, N_list, j, eta=0.0, eta_b=0.0,
-                   flavor="outlier_free"):
-    """H1 eigenfunction errors of mode j over a mesh family."""
-    _check_mode(p, N_list, j, flavor)
-    return [h1_eigenfunction_error(p, N, eta, j, eta_b, flavor=flavor)
-            for N in N_list]
-
-
 def pythagorean_check(p, N, eta, j):
     """Residual of the energy-norm identity for mode j.
 
@@ -264,7 +245,7 @@ def pythagorean_check(p, N, eta, j):
     system = build_soft_system(p, N, eta)
     spectrum = solve_system(system)
     lam_h = spectrum.values[j - 1]
-    l2_sq, h1_sq, coeffs = _mode_errors(system, spectrum, [j], p + 4)
+    l2_sq, h1_sq, coeffs = _mode_errors(system, spectrum, [j])
     coeffs = coeffs[:, 0]
     lam = (j * math.pi) ** 2
 

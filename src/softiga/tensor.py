@@ -35,7 +35,6 @@ class TensorSpectrum:
     1D mode numbers whose eigenvalues sum to ``values[k]``.
     """
 
-    dimension: int
     values: np.ndarray
     indices: np.ndarray = field(repr=False)
 
@@ -89,7 +88,7 @@ def kron_sum_spectrum(one_d, d):
     sums = sums.reshape(-1)  # row-major: lexicographic multi-index order
     order = np.argsort(sums, kind="stable")
     indices = np.stack(np.unravel_index(order, (n,) * d), axis=1) + 1
-    return TensorSpectrum(d, sums[order], indices)
+    return TensorSpectrum(sums[order], indices)
 
 
 def lifted_extremes(one_d, d):

@@ -29,8 +29,7 @@ from softiga.assembly import (IndefinitenessWarning, assemble_stiffness,
 from softiga.cli import EXIT_OK, main
 from softiga.spaces import build_of_space
 from softiga.spectral_analysis import (convergence_slope,
-                                       eigenvalue_convergence,
-                                       h1_convergence, solve_system)
+                                       mode_convergence, solve_system)
 from softiga.splines import eval_basis, open_knot_vector
 
 # (d, p) -> lambda_min, lambda_max_baseline, lambda_max_target,
@@ -231,12 +230,13 @@ def test_criterion_06_convergence_slopes():
         eta = float(table.default[p])
         for j in (1, 3):
             check(f"eigenvalue p={p} j={j}", ns,
-                  eigenvalue_convergence(p, ns, j, eta), 2 * p, 0.2)
-        check(f"h1 p={p} j=1", ns, h1_convergence(p, ns, 1, eta), p, 0.1)
+                  mode_convergence(p, ns, j, eta=eta), 2 * p, 0.2)
+        check(f"h1 p={p} j=1", ns, mode_convergence(p, ns, 1, "h1", eta),
+              p, 0.1)
     for p, ns_used in ((2, ns), (3, ns), (4, [6, 9, 12, 15, 18])):
         eta = float(table.superconvergent[p])
         check(f"super p={p} j=1", ns_used,
-              eigenvalue_convergence(p, ns_used, 1, eta), 2 * p + 2, 0.3)
+              mode_convergence(p, ns_used, 1, eta=eta), 2 * p + 2, 0.3)
     _finish(6, failures)
 
 

@@ -14,7 +14,6 @@ from softiga.analytic import (analytic_eigenvalue,
                               commutator_norm, dispersion_eigenvalue,
                               dispersion_expansion, eta_table,
                               fit_leading_coefficient, interior_stencil,
-                              inverse_constants,
                               inverse_constants_squared, reference_matrix,
                               softened_reference)
 from softiga.assembly import build_soft_system
@@ -60,8 +59,6 @@ def test_inverse_constants_squared():
     c1, c2, _ = inverse_constants_squared(2, k=2)
     assert c1 == F(2 * 3 * 4 * 5, 2)
     assert c2 == 1  # the k = p constant is exactly one
-    c1f, c2f, c3f = inverse_constants(3)
-    assert c3f == pytest.approx(math.sqrt(1440))
     with pytest.raises(ValueError):
         inverse_constants_squared(0)
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import softiga.cli as cli
+import softiga.eigensolve as eigensolve
 import softiga.spectral_analysis as spectral
 import softiga.tensor as tensor
 from oracles import full_lift_values
@@ -233,6 +234,42 @@ def test_usage_errors_exit_with_config_code(argv, monkeypatch, capsys):
         assert "unrecognized arguments" in err
 
 
+def _one_line_config_error(argv, capsys):
+    """Run argv; assert exit 1, no stdout and a one-line config error."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert captured.err.startswith("softiga: config error: ")
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_out_to_a_missing_directory_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x"
+    err = _one_line_config_error(["spectrum", "-p", "2", "-N", "8",
+                                  "--out", str(path)], capsys)
+    assert str(path) in err
+    assert not path.parent.exists()
+
+
+def test_rank_deficient_outlier_free_space_is_a_config_error(capsys):
+    err = _one_line_config_error(["spectrum", "-p", "17", "-N", "40",
+                                  "--eta", "zero"], capsys)
+    assert "rank-deficient" in err
+
+
+def test_dense_solve_above_the_order_limit_is_a_config_error(monkeypatch,
+                                                             capsys):
+    argv = ["condition", "-p", "2", "-N", "20"]
+    monkeypatch.setattr(eigensolve, "MAX_DENSE_ORDER", 10)
+    err = _one_line_config_error(argv, capsys)
+    assert "above the limit of 10" in err
+    # the outlier-free space of N = 20 has order 20, the standard one 21
+    monkeypatch.setattr(eigensolve, "MAX_DENSE_ORDER", 21)
+    assert main(argv) == EXIT_OK
+
+
 def test_main_runs_the_command_bound_at_call_time(monkeypatch):
     # perfbench's tracer times each cmd_* by rebinding it in the module
     monkeypatch.setattr(cli, "cmd_verify", lambda args: 7)
@@ -393,6 +430,14 @@ _GOLDEN_STDOUT = {
     "condition -p 3 -N 20 --method of-iga --baseline iga":
         "ee0a5bf593ae8e963f1bdc09f08a7ed7",
     "spectrum -p 4 -N 10 --method iga": "900028075c5b9cc5999e3fd2b088a356",
+    # recorded from the code that reached a mode error through four
+    # wrappers: h1 on the standard space, a mass side, a super weight
+    "convergence -p 3 --quantity h1 --method iga --N-list 8,12":
+        "8cd2643cc74f4cba43c8b207f6c2b141",
+    "convergence -p 2 --eta-b paper --N-list 8,16":
+        "66f42aaac8a4bce6a8321424059b3823",
+    "convergence -p 4 --eta super --N-list 6,9,12":
+        "31b260f8188cb0da040c56d259796b0f",
 }
 
 

@@ -4,11 +4,13 @@ definiteness diagnostics, and the deterministic sign convention."""
 import numpy as np
 import pytest
 
+import softiga.eigensolve as eigensolve
 from oracles import banded
 from softiga.analytic import analytic_eigenvalue, eta_table
 from softiga.assembly import build_soft_system
 from softiga.eigensolve import (DefinitenessError, EigenSolveError,
-                                Spectrum, cholesky_pivot, generalized_eig)
+                                Spectrum, SymBandedMatrix, cholesky_pivot,
+                                generalized_eig)
 
 
 def test_identity_mass_reduces_to_ordinary_eigenproblem():
@@ -76,6 +78,22 @@ def test_shape_validation():
     # a band is square by construction; only the orders can disagree
     with pytest.raises(ValueError):
         generalized_eig(banded(np.eye(3)), banded(np.eye(4)))
+
+
+def test_order_above_the_dense_limit_is_refused_before_densifying(
+        monkeypatch):
+    A, B = banded(np.diag([3.0, 1.0, 2.0])), banded(np.eye(3))
+    dense = []
+    toarray = SymBandedMatrix.toarray
+    monkeypatch.setattr(SymBandedMatrix, "toarray",
+                        lambda self: dense.append(self) or toarray(self))
+    monkeypatch.setattr(eigensolve, "MAX_DENSE_ORDER", 2)
+    with pytest.raises(ValueError, match="above the limit of 2"):
+        generalized_eig(A, B)
+    assert dense == []
+    monkeypatch.setattr(eigensolve, "MAX_DENSE_ORDER", 3)
+    np.testing.assert_allclose(generalized_eig(A, B).values,
+                               [1.0, 2.0, 3.0])
 
 
 def test_nonfinite_input_is_a_solver_error():

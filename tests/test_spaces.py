@@ -89,6 +89,14 @@ def test_outlier_free_nests_in_standard():
         assert np.all(E[:, -1] == 0)
 
 
+def test_rank_deficient_boundary_constraints_are_a_value_error():
+    # from p = 17 on, the boundary constraint rows are numerically
+    # dependent (smallest singular value below 1e-8)
+    assert build_of_space(16, 40).dim == 40
+    with pytest.raises(ValueError, match="rank-deficient"):
+        build_of_space(17, 40)
+
+
 def test_small_mesh_validation():
     with pytest.raises(ValueError):
         build_of_space(5, 5)

@@ -1,8 +1,8 @@
 """Spectrum reports, eigenfunction errors, condition statistics, weight
 sweeps, and convergence fits."""
 
+import functools
 import math
-from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -10,19 +10,23 @@ import pytest
 import softiga.spectral_analysis as spectral
 from oracles import full_lift_values
 from softiga.analytic import analytic_eigenvalue, eta_table
+from softiga.assembly import build_soft_system
 from softiga.spectral_analysis import (ConditionStats,
                                        InsufficientDataError,
                                        condition_stats, convergence_slope,
-                                       eigenvalue_convergence, eta_sweep,
-                                       h1_convergence,
-                                       h1_eigenfunction_error,
-                                       pythagorean_check, relative_errors)
+                                       eta_sweep, mode_convergence,
+                                       pythagorean_check, solve_system,
+                                       spectral_report)
+
+
+def _report(p, N, eta, d=1):
+    """Rank-paired report of one freshly assembled and solved pencil."""
+    return spectral_report(solve_system(build_soft_system(p, N, eta)).values,
+                           d)
 
 
 def test_relative_errors_report_shape_and_pairing():
-    report = relative_errors(2, 12, 0.0)
-    assert report.dimension == 1
-    assert (report.p, report.N) == (2, 12)
+    report = _report(2, 12, 0.0)
     assert report.indices.shape == (12, 1)
     assert report.indices[0].tolist() == [1]
     assert report.exact[0] == pytest.approx(math.pi ** 2)
@@ -35,7 +39,7 @@ def test_relative_errors_report_shape_and_pairing():
 def test_relative_errors_match_closed_form_errors():
     p, N = 3, 16
     eta = float(eta_table().default[p])
-    report = relative_errors(p, N, eta)
+    report = _report(p, N, eta)
     for j in (1, 2, 5):
         lam = (j * math.pi) ** 2
         expected = abs(analytic_eigenvalue(p, eta, j, N) - lam) / lam
@@ -47,13 +51,12 @@ def test_superconvergent_first_mode_hits_machine_floor():
     # quartic on 24 elements at the superconvergent weight leaves no
     # measurable error in the first eigenvalue
     eta = float(eta_table().superconvergent[4])
-    report = relative_errors(4, 24, eta)
+    report = _report(4, 24, eta)
     assert report.rel_errors[0] < 1e-14
 
 
 def test_two_dimensional_report_uses_index_tuples():
-    report = relative_errors(2, 6, 0.0, d=2)
-    assert report.dimension == 2
+    report = _report(2, 6, 0.0, d=2)
     assert report.indices[0].tolist() == [1, 1]
     assert report.exact[0] == pytest.approx(2 * math.pi ** 2)
     assert report.indices.shape == (36, 2)
@@ -61,15 +64,15 @@ def test_two_dimensional_report_uses_index_tuples():
 
 def test_h1_error_decreases_with_refinement_at_rate_p():
     ns = [9, 12, 15, 18, 21, 24, 27, 30]
-    errs = h1_convergence(2, ns, 1, float(eta_table().default[2]))
+    errs = mode_convergence(2, ns, 1, "h1", float(eta_table().default[2]))
     slope = convergence_slope(ns, errs)
     assert slope == pytest.approx(2.0, abs=0.1)
 
 
 def test_higher_modes_have_larger_h1_error():
     eta = float(eta_table().default[3])
-    e1 = h1_eigenfunction_error(3, 20, eta, 1)
-    e3 = h1_eigenfunction_error(3, 20, eta, 3)
+    e1, = mode_convergence(3, [20], 1, "h1", eta)
+    e3, = mode_convergence(3, [20], 3, "h1", eta)
     assert e3 > e1 > 0
 
 
@@ -173,7 +176,7 @@ def test_eigenvalue_convergence_rates():
             (2, "default", 4.0, 0.2), (3, "default", 6.0, 0.2),
             (2, "superconvergent", 6.0, 0.3)]:
         eta = float(eta_table().resolve(p, eta_name))
-        errs = eigenvalue_convergence(p, ns, 1, eta)
+        errs = mode_convergence(p, ns, 1, eta=eta)
         assert convergence_slope(ns, errs) == pytest.approx(expected,
                                                             abs=tol)
 
@@ -186,19 +189,24 @@ def test_pythagorean_identity_residual_is_negligible():
         assert residual <= 1e-3 * gap
 
 
-# (function, its arguments with the mode index last, space dimension):
-# the convergence functions take the smallest over the N list, whose
+# (id, function, its arguments with the mode index last, space
+# dimension): mode_convergence takes the smallest over the N list, whose
 # smaller mesh comes second so that a late check would assemble first
 _MODE_FUNCTIONS = [
-    (eigenvalue_convergence, (2, [16, 8]), 8),
-    (h1_convergence, (3, [16, 8]), 7),
-    (h1_eigenfunction_error, (2, 8, 0.0), 8),
-    (pythagorean_check, (3, 8, 0.0), 7),
+    ("mode_convergence-eigenvalue", mode_convergence, (2, [16, 8]), 8),
+    ("mode_convergence-h1", functools.partial(mode_convergence,
+                                              quantity="h1"),
+     (3, [16, 8]), 7),
+    ("mode_convergence-h1-one_mesh", functools.partial(mode_convergence,
+                                                       quantity="h1"),
+     (2, [8]), 8),
+    ("pythagorean_check", pythagorean_check, (3, 8, 0.0), 7),
 ]
 
 
-@pytest.mark.parametrize("function,args,dim", _MODE_FUNCTIONS,
-                         ids=[f.__name__ for f, _, _ in _MODE_FUNCTIONS])
+@pytest.mark.parametrize("function,args,dim",
+                         [case[1:] for case in _MODE_FUNCTIONS],
+                         ids=[case[0] for case in _MODE_FUNCTIONS])
 def test_mode_index_out_of_range_is_refused_before_assembly(
         function, args, dim, monkeypatch):
     builds = []
@@ -211,6 +219,17 @@ def test_mode_index_out_of_range_is_refused_before_assembly(
     monkeypatch.undo()
     # the top mode itself is accepted
     assert np.all(np.isfinite(function(*args, dim)))
+
+
+def test_mode_convergence_refuses_an_unknown_quantity_before_assembly(
+        monkeypatch):
+    builds = []
+    monkeypatch.setattr(spectral, "build_soft_system",
+                        lambda *a, **k: builds.append(a))
+    for quantity in ("l2", "H1", None):
+        with pytest.raises(ValueError, match="quantity"):
+            mode_convergence(2, [8, 16], 1, quantity)
+    assert builds == []
 
 
 def test_lifted_spectrum_dimensions():
@@ -238,7 +257,7 @@ def test_eta_sweep_assembles_once_and_matches_fresh_builds(monkeypatch):
     monkeypatch.undo()
     baseline = full_lift_values(2, 16, 0.0, d=2)
     for (eta, rho, e_lambda), eta_in in zip(rows, etas):
-        report = relative_errors(2, 16, eta_in, d=2)
+        report = _report(2, 16, eta_in, d=2)
         stats = condition_stats(report.computed, baseline)
         assert rho == stats.rho
         assert e_lambda == float(np.sqrt(np.sum(report.rel_errors ** 2)))
@@ -295,7 +314,7 @@ def test_h1_errors_match_pointwise_sampling():
 
 def test_multi_dimensional_report_pairs_with_lattice_values():
     # 3D lift of 4 modes: the eighth target is (1, 1, 3), not (1, 2, 2)
-    report = relative_errors(2, 4, 0.0, d=3)
+    report = _report(2, 4, 0.0, d=3)
     assert report.computed.size == 64
     np.testing.assert_allclose(report.exact[:8] / math.pi ** 2,
                                [3, 6, 6, 6, 9, 9, 9, 11])

@@ -45,7 +45,6 @@ def test_kron_sum_counts_and_values():
     vals = np.array([1.0, 4.0, 9.0])
     for d in (1, 2, 3):
         tensor = kron_sum_spectrum(vals, d)
-        assert tensor.dimension == d
         assert tensor.values.size == 3 ** d
         assert tensor.indices.shape == (3 ** d, d)
     two = kron_sum_spectrum(vals, 2)
