@@ -230,8 +230,9 @@ def commutator_norm(A, B):
     when entries are rationals."""
     if A.n != B.n:
         raise ValueError(f"order mismatch: {A.n} vs {B.n}")
-    A, B = A.toarray(), B.toarray()
-    C = A @ B - B @ A
+    # both operands are symmetric, so BA = (AB)^T
+    C = A.toarray() @ B.toarray()
+    C = C - C.T
     total = sum(x * x for x in C.ravel())
     return math.sqrt(total)
 
@@ -241,8 +242,6 @@ class DispersionExpansion:
     """Two leading coefficients of the relative eigenvalue-error
     expansion in t = omega*h: lead * t^(2p) + next * t^(2p+2) + ..."""
 
-    p: int
-    eta: Fraction
     lead: Fraction
     next: Fraction
 
@@ -253,7 +252,7 @@ def dispersion_expansion(p, eta):
     if p not in _SUPER:
         raise ValueError(f"no dispersion expansion for p={p}")
     eta = Fraction(eta)
-    return DispersionExpansion(p, eta, _SUPER[p] - eta, _NEXT_COEFF[p])
+    return DispersionExpansion(_SUPER[p] - eta, _NEXT_COEFF[p])
 
 
 def dispersion_eigenvalue(p, t, eta=0, eta_b=0):

@@ -60,8 +60,6 @@ class SoftSystem:
     and hash by identity.
     """
 
-    p: int
-    N: int
     eta: float
     eta_b: float
     space: SplineSpace
@@ -85,7 +83,7 @@ class SoftSystem:
 
         Runs the checks of ``build_soft_system`` without reassembling.
         """
-        eta, eta_b = _checked_weights(self.p, eta, eta_b)
+        eta, eta_b = _checked_weights(self.space.kv.p, eta, eta_b)
         return _pencil(self.space, self.stiffness, self.mass,
                        self.softness, eta, eta_b)
 
@@ -108,7 +106,7 @@ def _checked_weights(p, eta, eta_b):
 
 
 def _pencil(space, K, M, S, eta, eta_b):
-    system = SoftSystem(space.p, space.N, eta, eta_b, space, K, M, S)
+    system = SoftSystem(eta, eta_b, space, K, M, S)
     if eta_b > 0:
         pivot = cholesky_pivot(system.B)
         if pivot:

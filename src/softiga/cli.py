@@ -194,7 +194,9 @@ def cmd_condition(args):
     system = build_soft_system(args.p, args.N, eta, eta_b,
                                _METHOD_FLAVOR[args.method])
     flavor = _METHOD_FLAVOR[args.baseline]
-    if flavor == system.space.flavor:
+    # the OF space lies inside the standard one, so equal dimensions
+    # mean the same space: the same flavor, or any p <= 2
+    if space_dimension(args.p, args.N, flavor) == system.space.dim:
         base = system.with_weights(0.0)
     else:
         base = build_soft_system(args.p, args.N, 0.0, 0.0, flavor)
@@ -265,9 +267,8 @@ def _verify_checks():
         base = build_soft_system(p, 16, 0.0)
         for eta in (Fraction(0), table.default[p]):
             values = solve_system(base.with_weights(eta)).values
-            top = 16 if p % 2 == 0 else 15
             exact = np.array([analytic_eigenvalue(p, float(eta), j, 16)
-                              for j in range(1, top + 1)])
+                              for j in range(1, len(values) + 1)])
             worst = max(worst, float(np.max(np.abs(values - exact)
                                             / exact)))
     add("closed_form_match", worst <= 1e-9,
@@ -329,7 +330,7 @@ def _verify_checks():
     for p, (c_default, c_super) in bounds.items():
         N = 20
         h = 1.0 / N
-        top = N if p % 2 == 0 else N - 1
+        top = space_dimension(p, N, "outlier_free")
         eta = float(table.default[p])
         sup = float(table.superconvergent[p])
         for j in range(1, top + 1):
@@ -437,6 +438,10 @@ def main(argv=None):
     # looked up at call time, so a rebound cmd_* function is the one run
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        if args.out:
+            # refuse an unwritable path before any work; append mode
+            # leaves an existing file unchanged until the report is done
+            open(args.out, "a").close()
         return command(args)
     except (ConfigError, KeyError, ValueError, OSError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) else exc

@@ -1,16 +1,17 @@
 """Trial spaces as extraction operators over raw B-splines.
 
-Two flavors share one representation: a (dim x raw) extraction operator
-whose rows express each space basis function in raw coordinates. It is
-the identity away from the boundary, so a space stores only its two
-corner blocks; the dense matrix is built on request.
+Two flavors share one representation, which does not record the
+flavor: a (dim x raw) extraction operator whose rows express each space
+basis function in raw coordinates. It is the identity away from the
+boundary, so a space stores only its two corner blocks; the dense
+matrix is built on request.
 
 * standard: drop the two endpoint-interpolatory raw functions, which
   imposes homogeneous Dirichlet conditions; dim = N + p - 2.
 * outlier_free: additionally force even boundary derivatives up to
   order 2*alpha_p to vanish, alpha_p = floor((p-1)/2); dim = N - 1 for
-  odd p and N for even p. For p <= 2 no extra constraint binds and the
-  extraction coincides with the standard one.
+  odd p and N for even p. For p <= 2 no extra constraint binds, so the
+  two flavors are one space.
 
 The constrained boundary basis is any orthonormal null-space basis of
 the boundary constraint matrix; the pencil spectrum does not depend on
@@ -39,7 +40,6 @@ class SplineSpace:
     """
 
     kv: KnotVector
-    flavor: str  # "standard" or "outlier_free"
     left: np.ndarray
     right: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
@@ -51,19 +51,6 @@ class SplineSpace:
     @property
     def dim(self):
         return self.left.shape[0] + self.inner + self.right.shape[0]
-
-    @property
-    def p(self):
-        return self.kv.p
-
-    @property
-    def N(self):
-        return self.kv.N
-
-    @property
-    def alpha(self):
-        """Highest constrained half-order: even derivatives 0..2*alpha."""
-        return (self.kv.p - 1) // 2
 
     @property
     def extraction(self):
@@ -95,7 +82,7 @@ def build_standard_space(p, N):
     raw = kv.num_raw
     if raw < 3:
         raise ValueError(f"no interior functions for p={p}, N={N}")
-    return SplineSpace(kv, "standard", _ENDPOINT, _ENDPOINT)
+    return SplineSpace(kv, _ENDPOINT, _ENDPOINT)
 
 
 def _boundary_constraints(kv, m, alpha):
@@ -136,12 +123,12 @@ def build_of_space(p, N):
 
     Returns
     -------
-    SplineSpace with flavor "outlier_free".
+    SplineSpace. For p <= 2 no constraint binds, and the result is
+    ``build_standard_space(p, N)`` itself.
     """
     alpha = (p - 1) // 2
     if p <= 2:
-        std = build_standard_space(p, N)
-        return SplineSpace(std.kv, "outlier_free", std.left, std.right)
+        return build_standard_space(p, N)
     n_min = max(2 * alpha + 2, 4 * alpha + 2 - p)
     if N < n_min:
         raise ValueError(
@@ -150,7 +137,7 @@ def build_of_space(p, N):
     m = 2 * alpha + 1  # raw functions with a constrained boundary trace
     left = _left_null_basis(kv, m, alpha)
     # mirrored right block, reversed row order for persymmetry
-    return SplineSpace(kv, "outlier_free", left, left[::-1, ::-1].copy())
+    return SplineSpace(kv, left, left[::-1, ::-1].copy())
 
 
 def space_dimension(p, N, flavor):

@@ -43,10 +43,6 @@ class KnotVector:
         """Number of raw basis functions, N + p."""
         return self.N + self.p
 
-    @property
-    def breakpoints(self):
-        return np.linspace(0.0, 1.0, self.N + 1)
-
 
 @dataclass(frozen=True)
 class BasisEval:
@@ -57,26 +53,14 @@ class BasisEval:
     element : int
         Anchor element index; the supported functions are
         ``element .. element + p``.
-    order : int
-        Highest derivative order evaluated.
-    ders : ndarray, shape (order + 1, p + 1)
+    ders : ndarray, shape (r + 1, p + 1)
         ``ders[k, m]`` is the k-th derivative of raw function
-        ``element + m`` at the evaluation point.
+        ``element + m`` at the evaluation point, for k = 0..r, r the
+        highest derivative order evaluated.
     """
 
     element: int
-    order: int
     ders: np.ndarray
-
-    @property
-    def first(self):
-        """Index of the first supported raw function (equals element)."""
-        return self.element
-
-    @property
-    def values(self):
-        """The requested derivative order, ``ders[order]``."""
-        return self.ders[self.order]
 
 
 def open_knot_vector(p, N):
@@ -193,7 +177,7 @@ def eval_basis(kv, x, r=0, side=None):
     for k in range(1, r + 1):
         ders[k] *= fact
         fact *= p - k
-    return BasisEval(element, r, ders)
+    return BasisEval(element, ders)
 
 
 def basis_table(kv, points, r=0):

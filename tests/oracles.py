@@ -43,14 +43,14 @@ def space_member_eval(space, i, x, r=0, side=None):
     unit[i] = 1.0
     row = space.raw_coefficients(unit)
     p = space.kv.p
-    return float(row[be.first:be.first + p + 1] @ be.ders[r])
+    return float(row[be.element:be.element + p + 1] @ be.ders[r])
 
 
 def _pth_trace(kv, x, side):
     """Dense p-th-derivative values at x, as a raw-length row."""
     be = eval_basis(kv, x, kv.p, side)
     out = np.zeros(kv.num_raw)
-    out[be.first:be.first + kv.p + 1] = be.ders[kv.p]
+    out[be.element:be.element + kv.p + 1] = be.ders[kv.p]
     return out
 
 

@@ -315,17 +315,18 @@ def test_criterion_10_property_floor():
     rng = np.random.default_rng(7)
     for p in (2, 3, 4, 5):
         kv = open_knot_vector(p, 16)
-        xs = np.concatenate([rng.uniform(0, 1, 40), kv.breakpoints])
+        xs = np.concatenate([rng.uniform(0, 1, 40),
+                             np.linspace(0.0, 1.0, kv.N + 1)])
         for x in xs:
             basis = eval_basis(kv, float(x))
-            total = float(np.sum(basis.values))
+            total = float(np.sum(basis.ders[-1]))
             if abs(total - 1.0) > 1e-12:
                 failures.append(f"partition of unity off by"
                                 f" {abs(total - 1.0):.2e} at p={p}")
                 break
             for m in range(p + 1):
-                lo = kv.knots[basis.first + m]
-                hi = kv.knots[basis.first + m + p + 1]
+                lo = kv.knots[basis.element + m]
+                hi = kv.knots[basis.element + m + p + 1]
                 if not lo <= x <= hi:
                     failures.append(f"support window wrong at p={p}"
                                     f" x={x:.4f}")

@@ -99,7 +99,7 @@ def test_softness_vanishes_on_low_degree_polynomials():
         for row, x in enumerate(xs):
             be = eval_basis(kv, float(x))
             full = np.zeros(kv.num_raw)
-            full[be.first:be.first + p + 1] = be.values
+            full[be.element:be.element + p + 1] = be.ders[-1]
             A[row] = space.extraction @ full
         coeff = np.linalg.solve(A, xs * (1 - xs))
         energy = float(coeff @ S @ coeff)
@@ -118,7 +118,7 @@ def test_even_degree_boundary_faces_carry_energy():
     for row, x in enumerate(xs):
         be = eval_basis(kv, float(x))
         full = np.zeros(kv.num_raw)
-        full[be.first:be.first + 3] = be.values
+        full[be.element:be.element + 3] = be.ders[-1]
         A[row] = space.extraction @ full
     coeff = np.linalg.solve(A, xs - xs ** 2)
     energy = float(coeff @ S @ coeff)
@@ -139,7 +139,7 @@ def test_odd_degree_boundary_faces_carry_no_energy():
     for row, x in enumerate(xs):
         be = eval_basis(kv, float(x))
         full = np.zeros(kv.num_raw)
-        full[be.first:be.first + 4] = be.values
+        full[be.element:be.element + 4] = be.ders[-1]
         A[row] = space.extraction @ full
     coeff = np.linalg.solve(A, target(xs))
     energy = float(coeff @ S @ coeff)
@@ -193,7 +193,7 @@ def test_soft_system_fields_and_pencil_composition():
     p, N = 3, 8
     eta = 1e-4
     system = build_soft_system(p, N, eta)
-    assert (system.p, system.N) == (p, N)
+    assert (system.space.kv.p, system.space.kv.N) == (p, N)
     assert system.eta == eta
     assert system.eta_b == 0.0
     K = system.stiffness.toarray()
@@ -367,7 +367,7 @@ def _reference_operators(space):
     for e in range(N):
         for xq, wq in zip(x, w):
             be = eval_basis(kv, (e + 0.5 * (xq + 1.0)) * h, 1)
-            window = slice(be.first, be.first + p + 1)
+            window = slice(be.element, be.element + p + 1)
             M[window, window] += 0.5 * h * wq * np.outer(be.ders[0],
                                                          be.ders[0])
             K[window, window] += 0.5 * h * wq * np.outer(be.ders[1],

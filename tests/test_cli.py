@@ -245,12 +245,25 @@ def _one_line_config_error(argv, capsys):
     return captured.err
 
 
-def test_out_to_a_missing_directory_is_a_config_error(tmp_path, capsys):
+def test_out_to_a_missing_directory_is_a_config_error(tmp_path,
+                                                      monkeypatch, capsys):
     path = tmp_path / "missing" / "x"
+    builds = _counting_builds(monkeypatch)
     err = _one_line_config_error(["spectrum", "-p", "2", "-N", "8",
                                   "--out", str(path)], capsys)
     assert str(path) in err
     assert not path.parent.exists()
+    assert builds == []
+
+
+def test_failing_run_leaves_an_existing_out_file_unchanged(tmp_path,
+                                                          capsys):
+    path = tmp_path / "report"
+    path.write_bytes(b"an earlier report\n")
+    # p = 5 has no default softness weight: a config error
+    _one_line_config_error(["spectrum", "-p", "5", "--out", str(path)],
+                           capsys)
+    assert path.read_bytes() == b"an earlier report\n"
 
 
 def test_rank_deficient_outlier_free_space_is_a_config_error(capsys):
@@ -328,8 +341,9 @@ def test_condition_equals_the_full_lift_route(p, d, baseline, monkeypatch,
     builds = _counting_builds(monkeypatch)
     code, out = run(argv, capsys)
     assert code == EXIT_OK
-    # a baseline on the target's (outlier-free) space is not reassembled
-    assert len(builds) == (1 if baseline == "of-iga" else 2)
+    # a baseline on the target's (outlier-free) space is not reassembled;
+    # for p <= 2 both flavors are one space
+    assert len(builds) == (1 if baseline == "of-iga" or p <= 2 else 2)
     args = cli.build_parser().parse_args(argv)
     eta, eta_b = cli._weights(args)
     stats = condition_stats(
@@ -438,6 +452,13 @@ _GOLDEN_STDOUT = {
         "66f42aaac8a4bce6a8321424059b3823",
     "convergence -p 4 --eta super --N-list 6,9,12":
         "31b260f8188cb0da040c56d259796b0f",
+    # recorded from the code whose p <= 2 outlier-free space was a
+    # relabeled copy of the standard one, assembled twice by condition
+    "condition -p 2 -N 12 --method of-iga --baseline iga":
+        "26609979b415e169bf7398ff3096e491",
+    "condition -p 2 -N 12 --method iga --baseline of-iga":
+        "26609979b415e169bf7398ff3096e491",
+    "spectrum -p 1 -N 6 --method of-iga": "742288b673498a6ae7531fd6678beded",
 }
 
 

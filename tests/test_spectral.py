@@ -299,7 +299,7 @@ def test_h1_errors_match_pointwise_sampling():
                 for xq, wq in zip(xg, wg):
                     x = (e + 0.5 * (xq + 1.0)) / N
                     be = eval_basis(kv, x, 1)
-                    local = c[be.first:be.first + p + 1]
+                    local = c[be.element:be.element + p + 1]
                     rows.append((0.5 * wq / N, be.ders[0] @ local,
                                  be.ders[1] @ local,
                                  math.sqrt(2.0) * math.sin(omega * x),

@@ -67,8 +67,8 @@ def test_values_and_derivatives_match_symbolic_recurrence(p, N):
         be = eval_basis(kv, float(x), r=p)
         assert be.element == e
         for r in range(p + 1):
-            for local, i in enumerate(range(be.first,
-                                            be.first + p + 1)):
+            for local, i in enumerate(range(be.element,
+                                            be.element + p + 1)):
                 exact = sp.diff(basis[i][e], x_sym, r).subs(
                     x_sym, sp.Rational(x).limit_denominator(10**12))
                 got = be.ders[r][local]
@@ -90,8 +90,8 @@ def test_one_sided_limits_differ_by_the_derivative_jump():
         for r in range(p):
             full_l = np.zeros(kv.num_raw)
             full_r = np.zeros(kv.num_raw)
-            full_l[left.first:left.first + p + 1] = left.ders[r]
-            full_r[right.first:right.first + p + 1] = right.ders[r]
+            full_l[left.element:left.element + p + 1] = left.ders[r]
+            full_r[right.element:right.element + p + 1] = right.ders[r]
             np.testing.assert_allclose(full_l, full_r, atol=1e-9)
 
 
@@ -106,17 +106,17 @@ def test_pth_derivative_jump_matches_one_sided_traces():
             left = eval_basis(kv, x, r=p, side="left")
             right = eval_basis(kv, x, r=p, side="right")
             manual = np.zeros(kv.num_raw)
-            manual[left.first:left.first + p + 1] += left.ders[p]
-            manual[right.first:right.first + p + 1] -= right.ders[p]
+            manual[left.element:left.element + p + 1] += left.ders[p]
+            manual[right.element:right.element + p + 1] -= right.ders[p]
             np.testing.assert_allclose(jump, manual, atol=1e-9)
     # boundary faces carry the outward-signed one-sided trace
     right = eval_basis(kv, 0.0, r=p, side="right")
     manual = np.zeros(kv.num_raw)
-    manual[right.first:right.first + p + 1] = -right.ders[p]
+    manual[right.element:right.element + p + 1] = -right.ders[p]
     np.testing.assert_allclose(pth_derivative_jump(kv, 0), manual)
     left = eval_basis(kv, 1.0, r=p, side="left")
     manual = np.zeros(kv.num_raw)
-    manual[left.first:left.first + p + 1] = left.ders[p]
+    manual[left.element:left.element + p + 1] = left.ders[p]
     np.testing.assert_allclose(pth_derivative_jump(kv, N), manual)
 
 
@@ -126,8 +126,8 @@ def test_pth_derivative_jump_matches_one_sided_traces():
 def test_partition_of_unity_and_nonnegativity(p, N, x):
     kv = open_knot_vector(p, N)
     be = eval_basis(kv, x)
-    assert abs(be.values.sum() - 1.0) < 1e-13
-    assert np.all(be.values > -1e-14)
+    assert abs(be.ders[-1].sum() - 1.0) < 1e-13
+    assert np.all(be.ders[-1] > -1e-14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,8 +150,8 @@ def test_finite_difference_consistency():
         lo = eval_basis(kv, x - delta, r=0)
         hi = eval_basis(kv, x + delta, r=0)
         mid = eval_basis(kv, x, r=1)
-        if lo.first == hi.first == mid.first:
-            fd = (hi.values - lo.values) / (2 * delta)
+        if lo.element == hi.element == mid.element:
+            fd = (hi.ders[-1] - lo.ders[-1]) / (2 * delta)
             np.testing.assert_allclose(mid.ders[1], fd, atol=1e-5,
                                        rtol=1e-5)
 
@@ -163,7 +163,7 @@ def test_local_support_window():
         x = (e + 0.37) / N
         be = eval_basis(kv, x)
         assert be.element == e
-        assert be.first == e
+        assert be.element == e
         assert be.ders.shape == (1, p + 1)
 
 
@@ -206,12 +206,12 @@ def test_endpoint_values_are_interpolatory():
     for p in (1, 2, 3, 4):
         kv = open_knot_vector(p, 5)
         at0 = eval_basis(kv, 0.0)
-        assert at0.first == 0
-        np.testing.assert_allclose(at0.values,
+        assert at0.element == 0
+        np.testing.assert_allclose(at0.ders[-1],
                                    [1.0] + [0.0] * p, atol=1e-14)
         at1 = eval_basis(kv, 1.0)
-        assert at1.first == kv.N - 1
-        np.testing.assert_allclose(at1.values,
+        assert at1.element == kv.N - 1
+        np.testing.assert_allclose(at1.ders[-1],
                                    [0.0] * p + [1.0], atol=1e-14)
 
 
