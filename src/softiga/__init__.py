@@ -13,7 +13,7 @@ from .assembly import (IndefinitenessWarning, SoftSystem, SymBandedMatrix,
                        assemble_mass, assemble_softness,
                        assemble_stiffness, build_soft_system)
 from .eigensolve import (DefinitenessError, EigenSolveError, Spectrum,
-                         generalized_eig)
+                         extreme_eigenpairs, generalized_eig)
 from .spaces import SplineSpace, build_of_space, build_standard_space
 from .splines import (BasisEval, KnotVector, basis_table, eval_basis,
                       open_knot_vector)
@@ -39,7 +39,8 @@ __all__ = [
     "build_soft_system", "build_standard_space", "commutator_norm",
     "condition_stats", "continuum_values", "convergence_slope",
     "dispersion_eigenvalue", "dispersion_expansion", "eta_sweep",
-    "eta_table", "eval_basis", "fit_leading_coefficient",
+    "eta_table", "eval_basis", "extreme_eigenpairs",
+    "fit_leading_coefficient",
     "generalized_eig", "h1_errors_for_modes", "interior_stencil",
     "inverse_constants_squared", "kron_sum_spectrum", "lifted_extremes",
     "mode_convergence", "open_knot_vector", "pythagorean_check",

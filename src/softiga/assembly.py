@@ -144,11 +144,16 @@ def _softness_raw(kv):
     p, N = kv.p, kv.N
     ders, index = basis_table(kv, [0.5], p)
     pth = ders[:, 0, p, :]  # the p-th derivative is constant per element
-    jumps = np.zeros((N - 1, p + 2))
-    jumps[:, :p + 1] = pth[index[:-1]]
-    jumps[:, 1:] -= pth[index[1:]]
+    # a jump depends only on the table rows of its two elements, so one
+    # block per distinct pair of rows serves every face
+    pairs, face = np.unique(index[:-1] * len(pth) + index[1:],
+                            return_inverse=True)
+    left, right = np.divmod(pairs, len(pth))
+    jumps = np.zeros((len(pairs), p + 2))
+    jumps[:, :p + 1] = pth[left]
+    jumps[:, 1:] -= pth[right]
     blocks = np.einsum("fi,fj->fij", jumps, jumps)
-    band = _raw_band(kv.num_raw, blocks, np.arange(N - 1))
+    band = _raw_band(kv.num_raw, blocks, face)
     if p % 2 == 0:
         # boundary faces: twice the one-sided trace products
         for first, trace in ((0, pth[index[0]]), (N - 1, pth[index[-1]])):

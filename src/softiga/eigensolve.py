@@ -1,34 +1,46 @@
-"""Symmetric-definite generalized eigensolver with a residual contract.
-
-The solve reduces A v = lambda B v to a standard symmetric problem via
-the Cholesky factor of B, tridiagonalizes, and runs implicit-shift QR
-(the LAPACK sygv path). Eigenvalues are then refined by one Rayleigh
-quotient per pair, v^T A v / v^T B v, with the assembled float
-operators. That does not reach machine precision on the low modes: in
-the interior the operators are a differencing stencil whose entry
-errors of eps*||A|| move every quotient by about eps*lambda_max, a
-relative error of about eps*lambda_max/lambda_j. Against the closed
-form at the default weight, lambda_1 at p = 2, N = 2000 is off by
-2.3e-11 to 2.4e-11 relative.
+"""Symmetric-definite generalized eigensolvers with a residual contract.
 
 Both sides of the pencil arrive in LAPACK lower band storage
 (SymBandedMatrix), the one matrix type every function of the package
 takes: one (hbw + 1, n) array whose row k holds the k-th subdiagonal,
 ``band[k, i]`` = entry (i + k, i). The definiteness check hands that
-array to ``dpbtrf`` as it is, in O(n * hbw^2); the solve densifies each
-side once, and dense arrays live only inside it. Its peak memory is
-about 8 n^2 doubles, so an order above ``MAX_DENSE_ORDER`` is refused
-before anything dense is allocated.
+array to ``dpbtrf`` as it is, in O(n * hbw^2). There are two solvers:
+
+* ``generalized_eig`` returns every eigenpair. It densifies each side
+  once and runs the LAPACK sygv path: the Cholesky factor of B reduces
+  the pencil to a standard symmetric problem, which is tridiagonalized
+  and solved by implicit-shift QR. Dense arrays live only inside it.
+  Its peak memory is about 8 n^2 doubles, so an order above
+  ``MAX_DENSE_ORDER`` is refused before anything dense is allocated.
+* ``extreme_eigenpairs`` returns only the smallest and the largest
+  pair, from band factorizations alone. By Sylvester's law of inertia,
+  sigma*B - A is positive definite exactly when sigma > lambda_max,
+  and one ``dpbtrf`` decides that in O(n * hbw^2). lambda_max is
+  bracketed and bisected until the bracket stops shrinking, about 55
+  factorizations, and shift-invert steps at the final shift give its
+  vector. lambda_min comes from inverse iteration with the factor of A,
+  certified by one more factorization; when A is not definite it is
+  bisected like lambda_max. Its memory is a few bands, O(n * hbw).
+
+Every eigenvalue is then a Rayleigh quotient v^T A v / v^T B v with the
+assembled float operators. That does not reach machine precision on
+the low modes: in the interior the operators are a differencing stencil
+whose entry errors of eps*||A|| move every quotient by about
+eps*lambda_max, a relative error of about eps*lambda_max/lambda_j. Both
+solvers share that floor. Against the closed form at the default
+weight, lambda_1 at p = 2, N = 2000 is off by 2.3e-11 to 2.4e-11
+relative.
 
 A solve returns a ``Spectrum``: the eigenvalues, the B-orthonormal
 eigenvectors and the residual contract of every pair, nothing more.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 
 class DefinitenessError(ArithmeticError):
@@ -97,13 +109,19 @@ class SymBandedMatrix:
         return SymBandedMatrix(self.band[:hi - lo, lo:hi]).toarray()
 
     def plus(self, weight, other):
-        """self + weight * other, in the dtype of both bands."""
+        """self + weight * other, in the dtype of both bands and in
+        Fortran order, which BLAS and LAPACK read in place."""
         count = max(len(self.band), len(other.band))
         dtype = np.result_type(self.band, other.band)
-        band = np.zeros((count, self.n), dtype=dtype)
+        band = np.zeros((count, self.n), dtype=dtype, order="F")
         band[:len(self.band)] += self.band
         band[:len(other.band)] += weight * other.band
         return SymBandedMatrix(band)
+
+    def matvec(self, x):
+        """The product with the vector x in double precision, in
+        O(n * hbw) (BLAS dsbmv on the band as it is)."""
+        return blas.dsbmv(self.half_bandwidth, 1.0, self.band, x, lower=1)
 
 
 RESIDUAL_RTOL = 1e-10
@@ -121,14 +139,17 @@ def cholesky_pivot(B):
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Full solution of a symmetric-definite pencil.
+    """Eigenpairs of a symmetric-definite pencil: all of them
+    (``generalized_eig``) or the smallest and the largest
+    (``extreme_eigenpairs``).
 
     Attributes
     ----------
     values : ndarray
         Eigenvalues, ascending.
     vectors : ndarray
-        Eigenvectors as columns, B-orthonormal, largest-magnitude
+        Eigenvectors as columns, B-orthonormal (the two extreme ones of
+        a pencil of order 1 are one vector), largest-magnitude
         component positive.
     residuals : ndarray
         ||A v - lambda B v||_2 per pair.
@@ -210,3 +231,213 @@ def generalized_eig(A, B):
     residuals = np.linalg.norm(AV - BV * w, axis=0)
     bounds = RESIDUAL_RTOL * (np.linalg.norm(A) + np.abs(w) * np.linalg.norm(B))
     return Spectrum(w, V, residuals, bounds)
+
+
+# Inverse-iteration steps one end of a spectrum may take.
+MAX_INVERSE_STEPS = 64
+
+_EPS = np.finfo(float).eps
+
+
+def _frobenius(band):
+    """Frobenius norm of a symmetric band; off-diagonal rows count twice."""
+    flat = band.ravel(order="K")
+    return math.sqrt(2.0 * (flat @ flat) - band[0] @ band[0])
+
+
+def _padded(band, rows):
+    """The band with ``rows`` rows, in double precision and Fortran
+    order so that BLAS and LAPACK read it in place; not copied when it
+    already is one."""
+    if len(band) == rows:
+        return np.asarray(band, dtype=float, order="F")
+    out = np.zeros((rows, band.shape[1]), order="F")
+    out[:len(band)] = band
+    return out
+
+
+def _shifted_factor(a, b, t, out):
+    """Cholesky factor of t*B - A in ``out``, or None when t*B - A is not
+    positive definite, which by Sylvester's law of inertia is exactly
+    when t <= lambda_max."""
+    np.multiply(b, t, out=out)
+    np.subtract(out, a, out=out)
+    factor, info = lapack.dpbtrf(out, lower=1, overwrite_ab=1)
+    return factor if info == 0 else None
+
+
+def _inverse_iteration(factor, t, B, x, norms, tol, steps):
+    """Shift-invert steps x <- (t*B - A)^-1 B x with the factor of
+    t*B - A, towards the eigenpair nearest t.
+
+    The steps settle once the eigenvalue estimate moves by at most tol
+    and the pair meets the residual contract RESIDUAL_RTOL * (||A||_F +
+    |lambda| ||B||_F) a hundredfold, ``norms`` holding the two Frobenius
+    norms. Returns the B-normalized x, B x, the estimate and whether the
+    steps settled.
+    """
+    bx = B.matvec(x)
+    estimate = None
+    settled = False
+    for _ in range(steps):
+        y, _ = lapack.dpbtrs(factor, bx, lower=1)
+        by = B.matvec(y)
+        yby = y @ by
+        # (t*B - A) y = B x, so A y = t*B y - B x: the Rayleigh quotient
+        # and the residual A y - estimate*B y need no product with A
+        shift = (y @ bx) / yby
+        previous, estimate = estimate, t - shift
+        if previous is not None and abs(estimate - previous) <= tol:
+            r = shift * by - bx
+            bound = RESIDUAL_RTOL * (norms[0] + abs(estimate) * norms[1])
+            settled = r @ r <= (0.01 * bound) ** 2 * yby
+        scale = math.sqrt(yby)
+        x, bx = y / scale, by / scale
+        if settled:
+            break
+    return x, bx, estimate, settled
+
+
+def _edge_start(n):
+    """Start vector for an end found by bisection: alternating signs,
+    as the top modes of a stiffness pencil, on a ramp that breaks every
+    symmetry."""
+    x = 1.0 + np.arange(n) / n
+    x[1::2] *= -1.0
+    return x
+
+
+def _edge(a, b, B, norms, tol):
+    """The eigenpair of the largest eigenvalue of the pencil (a, b), as
+    (x, B x), x B-normalized.
+
+    A shift t is above lambda_max exactly when t*B - A factors. The
+    bracket lo <= lambda_max < hi starts at the largest diagonal ratio,
+    a Rayleigh quotient, and doubles its width until hi factors; it is
+    then halved until it stops shrinking, about 53 factorizations, and
+    shift-invert steps with the factor at hi, from ``_edge_start``,
+    give the eigenvector. Only a bracket that tight separates the top
+    pair of a standard space at p >= 3, which can lie 1e-12 apart.
+    """
+    work = np.empty_like(a)
+    lo = float(np.max(a[0] / b[0]))
+    step = abs(lo) or 1.0
+    hi = lo + step
+    while _shifted_factor(a, b, hi, work) is None:
+        lo, step = hi, 2.0 * step
+        hi = lo + step
+        if not np.isfinite(hi):
+            raise EigenSolveError("no shift above the spectrum")
+    floor = _EPS * max(abs(lo), abs(hi))
+    while hi - lo > floor:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if _shifted_factor(a, b, mid, work) is None:
+            lo = mid
+        else:
+            hi = mid
+    factor = _shifted_factor(a, b, hi, work)
+    x, bx, _, _ = _inverse_iteration(factor, hi, B, _edge_start(a.shape[1]),
+                                     norms, max(tol, 4.0 * floor),
+                                     MAX_INVERSE_STEPS)
+    return x, bx
+
+
+def _lowest(a, b, B, norms, tol):
+    """The eigenpair of the smallest eigenvalue of the pencil (a, b), as
+    (x, B x), x B-normalized.
+
+    When A is positive definite, inverse iteration with its factor from
+    the smooth vector sin(pi i / (n + 1)) settles in a few steps. One
+    more factorization certifies the result: A - s*B must be definite
+    for s a little below the eigenvalue found, so that none lies below
+    it. Otherwise, or when A is not definite, the end is found as the
+    top of the pencil (-A, B) by ``_edge``.
+    """
+    n = a.shape[1]
+    negated = -a
+    factor, info = lapack.dpbtrf(a, lower=1)
+    if info == 0:
+        x = np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+        # the factor of A is that of t*B - (-A) at t = 0: the pencil
+        # (-A, B), whose eigenvalue nearest 0 is -lambda_min
+        x, bx, estimate, settled = _inverse_iteration(
+            factor, 0.0, B, x, norms, tol, MAX_INVERSE_STEPS)
+        # a definiteness test resolves a shift only to the round-off of
+        # A, which tol measures
+        below = -estimate - math.sqrt(_EPS) * abs(estimate) - 256.0 * tol
+        if settled and _shifted_factor(negated, b, -below,
+                                       factor) is not None:
+            return x, bx
+    return _edge(negated, b, B, norms, tol)
+
+
+def extreme_eigenpairs(A, B):
+    """The smallest and the largest eigenpair of A v = lambda B v, for
+    symmetric A and SPD B, from band factorizations alone.
+
+    lambda_max comes from bisection on the definiteness of sigma*B - A
+    (about 55 band Cholesky factorizations of O(n * hbw^2) each) and a
+    few shift-invert steps at the final shift; lambda_min from inverse
+    iteration with the factor of A, certified by one more factorization,
+    or by the same bisection when A is not definite. Both values are
+    Rayleigh quotients with band products, so lambda_min carries the
+    same round-off floor of about eps * lambda_max as the dense solve.
+
+    Parameters
+    ----------
+    A, B : SymBandedMatrix
+        Same order; B positive definite. Entries of any real dtype are
+        solved in double precision.
+
+    Returns
+    -------
+    Spectrum
+        Two pairs, ``values`` = [lambda_min, lambda_max].
+
+    Raises
+    ------
+    ValueError
+        On an order mismatch.
+    DefinitenessError
+        If B fails its Cholesky factorization; carries the pivot index.
+    EigenSolveError
+        On non-finite entries, or when a pair breaks the residual
+        contract.
+    """
+    if A.n != B.n:
+        raise ValueError(f"order mismatch: {A.n} vs {B.n}")
+    pivot = cholesky_pivot(B)
+    if pivot:
+        raise DefinitenessError(pivot)
+    rows = max(len(A.band), len(B.band))
+    a, b = _padded(A.band, rows), _padded(B.band, rows)
+    norms = (_frobenius(a), _frobenius(b))
+    if not np.all(np.isfinite(norms)):
+        raise EigenSolveError("non-finite entries in the pencil")
+    A, B = SymBandedMatrix(a), SymBandedMatrix(b)
+
+    top, b_top = _edge(a, b, B, norms, 0.0)
+    a_top = A.matvec(top)
+    # eps * lambda_max is the round-off floor of both ends
+    tol = 4.0 * _EPS * abs(top @ a_top)
+    bottom, b_bottom = _lowest(a, b, B, norms, tol)
+    pairs = [(bottom, A.matvec(bottom), b_bottom), (top, a_top, b_top)]
+    values, vectors, residuals = [], [], []
+    for x, ax, bx in pairs:
+        value = (x @ ax) / (x @ bx)
+        # deterministic sign: largest-magnitude component positive
+        sign = 1.0 if x[np.argmax(np.abs(x))] > 0 else -1.0
+        values.append(value)
+        vectors.append(sign * x)
+        residuals.append(np.linalg.norm(ax - value * bx))
+    values, residuals = np.array(values), np.array(residuals)
+    bounds = RESIDUAL_RTOL * (norms[0] + np.abs(values) * norms[1])
+    if not (np.all(np.isfinite(values)) and np.all(residuals <= bounds)):
+        raise EigenSolveError(f"an extreme eigenpair breaks the residual"
+                              f" contract: residuals {residuals}, bounds"
+                              f" {bounds}")
+    order = np.argsort(values, kind="stable")
+    return Spectrum(values[order], np.column_stack(vectors)[:, order],
+                    residuals[order], bounds[order])

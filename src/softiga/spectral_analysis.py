@@ -249,7 +249,7 @@ def pythagorean_check(p, N, eta, j):
     coeffs = coeffs[:, 0]
     lam = (j * math.pi) ** 2
 
-    soft = float(coeffs @ system.softness.toarray() @ coeffs)
+    soft = float(coeffs @ system.softness.matvec(coeffs))
     energy_sq = float(h1_sq[0]) - system.eta * soft
     residual = abs(energy_sq - (lam * float(l2_sq[0]) + (lam_h - lam)))
     gap = abs(lam_h - lam)

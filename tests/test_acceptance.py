@@ -19,6 +19,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import softiga.cli
 import softiga.eigensolve
 import softiga.spectral_analysis
 from softiga.analytic import (analytic_eigenvalue, commutator_norm,
@@ -75,25 +76,37 @@ _MESH_FOR_DIM = {1: 100, 2: 40, 3: 20}
 SOLVE_LOG = []
 
 
+# every binding through which a table solve is reached: the dense solve
+# and the band solve of the ``condition`` command
+_SOLVER_BINDINGS = [(softiga.eigensolve, "generalized_eig"),
+                    (softiga.spectral_analysis, "generalized_eig"),
+                    (softiga.eigensolve, "extreme_eigenpairs"),
+                    (softiga.cli, "extreme_eigenpairs")]
+
+
 @pytest.fixture(autouse=True, scope="module")
 def _track_solves():
     """Record residual-contract and B-orthonormality facts per solve."""
-    original = softiga.eigensolve.generalized_eig
+    originals = [getattr(module, name) for module, name in _SOLVER_BINDINGS]
 
-    def wrapped(A, B):
-        spectrum = original(A, B)
-        gram = spectrum.vectors.T @ B.toarray() @ spectrum.vectors
-        SOLVE_LOG.append((
-            bool(np.all(spectrum.residuals <= spectrum.residual_bounds)),
-            float(np.max(np.abs(gram - np.eye(gram.shape[0])))),
-        ))
-        return spectrum
+    def tracked(solve):
+        def wrapped(A, B):
+            spectrum = solve(A, B)
+            gram = spectrum.vectors.T @ B.toarray() @ spectrum.vectors
+            SOLVE_LOG.append((
+                bool(np.all(spectrum.residuals
+                            <= spectrum.residual_bounds)),
+                float(np.max(np.abs(gram - np.eye(gram.shape[0])))),
+            ))
+            return spectrum
 
-    softiga.eigensolve.generalized_eig = wrapped
-    softiga.spectral_analysis.generalized_eig = wrapped
+        return wrapped
+
+    for (module, name), original in zip(_SOLVER_BINDINGS, originals):
+        setattr(module, name, tracked(original))
     yield
-    softiga.eigensolve.generalized_eig = original
-    softiga.spectral_analysis.generalized_eig = original
+    for (module, name), original in zip(_SOLVER_BINDINGS, originals):
+        setattr(module, name, original)
 
 
 def _finish(num, failures):

@@ -19,6 +19,7 @@ import softiga.eigensolve as eigensolve
 import softiga.spectral_analysis as spectral
 import softiga.tensor as tensor
 from oracles import full_lift_values
+from softiga.analytic import analytic_eigenvalue, eta_table
 from softiga.cli import EXIT_CONFIG, EXIT_OK, main
 from softiga.spectral_analysis import condition_stats
 
@@ -274,12 +275,39 @@ def test_rank_deficient_outlier_free_space_is_a_config_error(capsys):
 
 def test_dense_solve_above_the_order_limit_is_a_config_error(monkeypatch,
                                                              capsys):
-    argv = ["condition", "-p", "2", "-N", "20"]
+    # condition solves on bands; spectrum needs the dense solve
+    argv = ["spectrum", "-p", "2", "-N", "20"]
     monkeypatch.setattr(eigensolve, "MAX_DENSE_ORDER", 10)
     err = _one_line_config_error(argv, capsys)
     assert "above the limit of 10" in err
-    # the outlier-free space of N = 20 has order 20, the standard one 21
+    # the space of p = 2, N = 20 has order 20
     monkeypatch.setattr(eigensolve, "MAX_DENSE_ORDER", 21)
+    assert main(argv) == EXIT_OK
+
+
+def test_condition_above_the_dense_limit_runs_on_bands(capsys):
+    p, N = 3, 6000
+    assert N > eigensolve.MAX_DENSE_ORDER
+    code, out = run(["condition", "-p", str(p), "-N", str(N)], capsys)
+    assert code == EXIT_OK
+    header, rows = parse_csv(out)
+    row = dict(zip(header, rows[0]))
+    eta = float(eta_table().default[p])
+    exact = analytic_eigenvalue(p, eta, N - 1, N)
+    assert float(row["lambda_max_target"]) == pytest.approx(exact,
+                                                            rel=1e-14)
+
+
+def test_condition_above_its_order_limit_is_refused_before_assembly(
+        monkeypatch, capsys):
+    # the standard space of p = 3, N = 20 has order 21, the OF one 19
+    argv = ["condition", "-p", "3", "-N", "20"]
+    monkeypatch.setattr(cli, "MAX_CONDITION_ORDER", 20)
+    builds = _counting_builds(monkeypatch)
+    err = _one_line_config_error(argv, capsys)
+    assert "order 21 is above the limit of 20" in err
+    assert builds == []
+    monkeypatch.setattr(cli, "MAX_CONDITION_ORDER", 21)
     assert main(argv) == EXIT_OK
 
 
@@ -349,13 +377,15 @@ def test_condition_equals_the_full_lift_route(p, d, baseline, monkeypatch,
     stats = condition_stats(
         full_lift_values(p, 20, eta, d, eta_b),
         full_lift_values(p, 20, 0.0, d, 0.0, cli._METHOD_FLAVOR[baseline]))
-    cli._emit(args, ["d", "p", "lambda_min", "lambda_max_baseline",
-                     "lambda_max_target", "gamma_baseline",
-                     "gamma_target", "rho", "varrho_pct"],
-              [[d, p, stats.lambda_min, stats.lambda_max_baseline,
-                stats.lambda_max_target, stats.gamma_baseline,
-                stats.gamma_target, stats.rho, stats.varrho_pct]])
-    assert out == capsys.readouterr().out
+    header, rows = parse_csv(out)
+    row = dict(zip(header, map(float, rows[0])))
+    assert (row["d"], row["p"]) == (d, p)
+    # the band ends differ from the dense ones only by round-off, up to
+    # eps * lambda_max on lambda_min, so by eps * gamma relative
+    rtol = 8 * np.finfo(float).eps * max(stats.gamma_baseline,
+                                         stats.gamma_target)
+    for name in header[2:]:
+        assert row[name] == pytest.approx(getattr(stats, name), rel=rtol)
 
 
 def test_verify_assembles_each_mesh_once(monkeypatch):
@@ -401,7 +431,9 @@ def test_lift_limit_boundary(argv, monkeypatch, capsys):
 # md5 of stdout for a fixed command list, recorded from the code that
 # still had a separate d = 1 report path and a second condition path, so
 # any byte a refactor changes fails here. Every pencil has order <= 60,
-# where the output does not depend on the number of BLAS threads.
+# where the output does not depend on the number of BLAS threads. The
+# condition digests were recorded again when condition moved from the
+# dense solve to the band one, which moves the last one or two digits.
 _GOLDEN_STDOUT = {
     "spectrum -p 2 -N 4 -d 3": "c1ca552d0175fe25f81c7f0df56e86c0",
     "spectrum -p 3 -N 16 -d 2": "76c061cfee912d9a284479ea17c63060",
@@ -410,12 +442,12 @@ _GOLDEN_STDOUT = {
     "spectrum -p 2 -N 8": "d476db39a2d0b04e7632ad3a6682b12d",
     "spectrum -p 3 -N 8 --format json": "c31f144dc48a8bcf707a1261deb1408c",
     "spectrum -p 1 -N 4 --method iga": "60296e64660454d8c3f777e79b86679b",
-    "condition -p 4 -N 40 -d 3": "dccbd8b47aae5320b73f7a409fa2e8e3",
+    "condition -p 4 -N 40 -d 3": "78cb98c68e92a0d12ad6dcd4c35e48bf",
     "condition -p 3 -N 40 -d 3 --baseline of-iga":
-        "63c8cb5b246b339c84fa7d58e9d36f94",
-    "condition -p 2 -N 60 -d 2": "1b1ba0419900a50e49e74f2aeefca128",
+        "96f6ce98c9746a10007bac6d515f5c1e",
+    "condition -p 2 -N 60 -d 2": "e50c28243ce50ae9d2261c037d5391cc",
     "condition -p 2 -N 10 -d 1 --format json":
-        "a9ebe865040a4228705129907fbef726",
+        "c02e508f1bbae4036507f9ec99d7efa3",
     "eta-sweep -p 2 -N 10 -d 3": "795769c7ae8fbe1714155eb47fec7ac9",
     "eta-sweep -p 2 -N 10 -d 2 --grid-points 4":
         "33afa2e375ef8afa4859976d94df1ead",
@@ -440,9 +472,9 @@ _GOLDEN_STDOUT = {
     "spectrum -p 2 -N 12 --eta-b paper": "cff3c379036fecfba2ca65f54c4402ee",
     "spectrum -p 3 -N 12 --eta-b paper": "3b1d5f01689d768603949ea52123af7b",
     "condition -p 2 -N 30 --eta-b paper --baseline of-iga":
-        "911df1453a7e1292630ebe48c53b041e",
+        "9269e2a7537a8bad3804aa8c3da98593",
     "condition -p 3 -N 20 --method of-iga --baseline iga":
-        "ee0a5bf593ae8e963f1bdc09f08a7ed7",
+        "b053f7785e15aee824d0615df636a352",
     "spectrum -p 4 -N 10 --method iga": "900028075c5b9cc5999e3fd2b088a356",
     # recorded from the code that reached a mode error through four
     # wrappers: h1 on the standard space, a mass side, a super weight
@@ -455,9 +487,9 @@ _GOLDEN_STDOUT = {
     # recorded from the code whose p <= 2 outlier-free space was a
     # relabeled copy of the standard one, assembled twice by condition
     "condition -p 2 -N 12 --method of-iga --baseline iga":
-        "26609979b415e169bf7398ff3096e491",
+        "2349662bae133876b22b5a418d9808ee",
     "condition -p 2 -N 12 --method iga --baseline of-iga":
-        "26609979b415e169bf7398ff3096e491",
+        "2349662bae133876b22b5a418d9808ee",
     "spectrum -p 1 -N 6 --method of-iga": "742288b673498a6ae7531fd6678beded",
 }
 

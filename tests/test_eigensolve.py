@@ -1,5 +1,8 @@
-"""Generalized symmetric eigensolver: oracles, residual contract,
-definiteness diagnostics, and the deterministic sign convention."""
+"""Generalized symmetric eigensolvers, dense and band: oracles,
+residual contract, definiteness diagnostics, and the deterministic sign
+convention."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -7,10 +10,13 @@ import pytest
 import softiga.eigensolve as eigensolve
 from oracles import banded
 from softiga.analytic import analytic_eigenvalue, eta_table
-from softiga.assembly import build_soft_system
+from softiga.assembly import IndefinitenessWarning, build_soft_system
+from softiga.cli import EXIT_CONFIG, main
 from softiga.eigensolve import (DefinitenessError, EigenSolveError,
                                 Spectrum, SymBandedMatrix, cholesky_pivot,
-                                generalized_eig)
+                                extreme_eigenpairs, generalized_eig)
+
+EPS = np.finfo(float).eps
 
 
 def test_identity_mass_reduces_to_ordinary_eigenproblem():
@@ -139,10 +145,6 @@ def test_refined_eigenvalues_hit_closed_form_at_machine_level():
 
 
 def test_pencil_turns_indefinite_beyond_sharp_weight():
-    import warnings
-
-    from softiga.assembly import IndefinitenessWarning
-
     table = eta_table()
     for p in (2, 3, 4):
         sharp = float(table.sharp_max[p])
@@ -152,3 +154,131 @@ def test_pencil_turns_indefinite_beyond_sharp_weight():
             above = build_soft_system(p, 50, 1.01 * sharp)
         assert generalized_eig(below.A, below.B).lam_min > 0
         assert generalized_eig(above.A, above.B).lam_min < 0
+
+
+def test_band_product_matches_the_dense_product():
+    rng = np.random.default_rng(5)
+    for n, hbw in ((1, 0), (2, 1), (7, 3), (40, 5)):
+        dense = rng.standard_normal((n, n))
+        dense = np.tril(np.triu(dense + dense.T, -hbw), hbw)
+        band = SymBandedMatrix(banded(dense).band[:hbw + 1])
+        x = rng.standard_normal(n)
+        np.testing.assert_allclose(band.matvec(x), dense @ x, rtol=1e-13,
+                                   atol=1e-13)
+
+
+def _weights(p):
+    """(label, eta, eta_b) of every tabulated weight of degree p."""
+    table = eta_table()
+    out = [("zero", 0.0, 0.0)]
+    for label, eta in (("default", table.default.get(p)),
+                       ("super", table.superconvergent.get(p))):
+        if eta is not None:
+            out.append((label, float(eta), 0.0))
+    mass_side = table.mass_side.get(p)
+    if mass_side is not None:
+        out.append(("eta_b paper", float(table.default[p]),
+                    float(mass_side)))
+    return out
+
+
+def _assert_ends_match_the_dense_solve(A, B):
+    ends = extreme_eigenpairs(A, B)
+    dense = generalized_eig(A, B)
+    assert ends.values[1] == pytest.approx(dense.lam_max, rel=1e-13)
+    # both solves carry the round-off floor eps * lambda_max on the low end
+    assert abs(ends.values[0] - dense.lam_min) <= 8 * EPS * abs(
+        dense.lam_max)
+    assert np.all(ends.residuals <= ends.residual_bounds)
+    norms = np.einsum("ij,ij->j", ends.vectors,
+                      B.toarray() @ ends.vectors)
+    np.testing.assert_allclose(norms, 1.0, rtol=1e-12)
+    return ends
+
+
+@pytest.mark.parametrize("flavor", ["outlier_free", "standard"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_band_ends_match_the_dense_solve(p, flavor):
+    for label, eta, eta_b in _weights(p):
+        for N in (12, 61, 240):
+            system = build_soft_system(p, N, eta, eta_b, flavor)
+            _assert_ends_match_the_dense_solve(system.A, system.B)
+
+
+def test_band_ends_match_the_dense_solve_at_n_800():
+    table = eta_table()
+    for flavor in ("outlier_free", "standard"):
+        system = build_soft_system(3, 800, table.default[3], 0.0, flavor)
+        _assert_ends_match_the_dense_solve(system.A, system.B)
+
+
+@pytest.mark.parametrize("N", [1000, 10_000, 100_000])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_band_lambda_max_hits_the_closed_form_at_scale(p, N):
+    eta = float(eta_table().default[p])
+    top = N if p % 2 == 0 else N - 1
+    system = build_soft_system(p, N, eta)
+    ends = extreme_eigenpairs(system.A, system.B)
+    assert ends.values[1] == pytest.approx(
+        analytic_eigenvalue(p, eta, top, N), rel=1e-13)
+
+
+def test_band_ends_of_orders_one_and_two():
+    one = extreme_eigenpairs(banded([[2.0]]), banded([[4.0]]))
+    np.testing.assert_allclose(one.values, [0.5, 0.5], rtol=1e-15)
+    np.testing.assert_allclose(one.vectors, [[0.5, 0.5]], rtol=1e-15)
+    # the smooth start vector of inverse iteration is blind to the
+    # lowest mode here, (1, -1); the definiteness certificate catches it
+    two = extreme_eigenpairs(banded([[2.0, 1.0], [1.0, 2.0]]),
+                             banded(np.eye(2)))
+    np.testing.assert_allclose(two.values, [1.0, 3.0], rtol=1e-14)
+    A = banded([[4.0, 1.0], [1.0, 3.0]])
+    B = banded([[2.0, 0.3], [0.3, 1.5]])
+    _assert_ends_match_the_dense_solve(A, B)
+
+
+def test_band_ends_of_sides_with_different_bandwidths():
+    rng = np.random.default_rng(2)
+    Q = rng.standard_normal((9, 9))
+    A = banded(np.tril(np.triu(Q + Q.T, -3), 3))
+    B = SymBandedMatrix(rng.uniform(1.0, 2.0, (1, 9)))  # diagonal
+    _assert_ends_match_the_dense_solve(A, B)
+    _assert_ends_match_the_dense_solve(B, A.plus(20.0, SymBandedMatrix(
+        np.ones((1, 9)))))
+
+
+def test_band_ends_of_an_indefinite_stiffness_side():
+    sharp = float(eta_table().sharp_max[3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IndefinitenessWarning)
+        system = build_soft_system(3, 50, 1.01 * sharp)
+    ends = _assert_ends_match_the_dense_solve(system.A, system.B)
+    assert ends.lam_min < 0
+
+
+def test_band_solve_refuses_an_indefinite_mass_side_with_its_pivot():
+    A = banded(np.eye(4))
+    B = banded(np.diag([1.0, 1.0, -1.0, 1.0]))
+    with pytest.raises(DefinitenessError) as err:
+        extreme_eigenpairs(A, B)
+    assert err.value.pivot == cholesky_pivot(B) == 3
+
+
+def test_band_solve_refuses_bad_input():
+    with pytest.raises(ValueError):
+        extreme_eigenpairs(banded(np.eye(3)), banded(np.eye(4)))
+    A = np.eye(3)
+    A[0, 0] = np.nan
+    with pytest.raises(EigenSolveError):
+        extreme_eigenpairs(banded(A), banded(np.eye(3)))
+
+
+def test_condition_with_an_indefinite_pencil_keeps_its_message(capsys):
+    # p = 5 has no sharp bound to refuse eta = 1 up front; the band
+    # solve finds lambda_min < 0 and the statistics refuse it
+    code = main(["condition", "-p", "5", "-N", "40", "--eta", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert captured.err == ("softiga: config error: spectra must be"
+                            " positive to form condition numbers\n")
