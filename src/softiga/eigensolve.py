@@ -31,8 +31,17 @@ solvers share that floor. Against the closed form at the default
 weight, lambda_1 at p = 2, N = 2000 is off by 2.3e-11 to 2.4e-11
 relative.
 
-A solve returns a ``Spectrum``: the eigenvalues, the B-orthonormal
-eigenvectors and the residual contract of every pair, nothing more.
+Both solvers enter through one check of the pencil and leave through
+one finish; each keeps only its own algorithm. The check refuses an
+order mismatch, a B that is not definite (with its Cholesky pivot) and
+non-finite entries, and hands the solver double-precision bands of one
+height with their Frobenius norms. The finish fixes each eigenvector's
+sign, sorts the pairs and enforces the residual contract
+||A v - lambda B v|| <= RESIDUAL_RTOL * (||A||_F + |lambda| ||B||_F):
+a pair that breaks it raises ``EigenSolveError`` (exit 2 on the command
+line) rather than being returned. A solve returns a ``Spectrum``: the
+eigenvalues, the B-orthonormal eigenvectors and the residual contract
+of every pair, nothing more.
 """
 
 import math
@@ -58,7 +67,8 @@ class DefinitenessError(ArithmeticError):
 
 
 class EigenSolveError(RuntimeError):
-    """The QR iteration failed to converge within bounded sweeps."""
+    """A solve failed: non-finite entries, no convergence, or a pair
+    that breaks the residual contract."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,6 +185,73 @@ class Spectrum:
         return float(self.values[-1])
 
 
+def _frobenius(band):
+    """Frobenius norm of a symmetric band; off-diagonal rows count twice."""
+    flat = band.ravel(order="K")
+    return math.sqrt(2.0 * (flat @ flat) - band[0] @ band[0])
+
+
+def _padded(band, rows):
+    """The band with ``rows`` rows, in double precision and Fortran
+    order so that BLAS and LAPACK read it in place; not copied when it
+    already is one."""
+    if len(band) == rows:
+        return np.asarray(band, dtype=float, order="F")
+    out = np.zeros((rows, band.shape[1]), order="F")
+    out[:len(band)] = band
+    return out
+
+
+def _checked_pencil(A, B):
+    """The pencil (A, B) as two double-precision, Fortran-order bands of
+    one height, which BLAS and LAPACK read in place, and their Frobenius
+    norms.
+
+    Raises ValueError on an order mismatch, DefinitenessError with the
+    pivot when B is not positive definite, and EigenSolveError on
+    non-finite entries.
+    """
+    if A.n != B.n:
+        raise ValueError(f"order mismatch: {A.n} vs {B.n}")
+    pivot = cholesky_pivot(B)
+    if pivot:
+        raise DefinitenessError(pivot)
+    rows = max(len(A.band), len(B.band))
+    a, b = _padded(A.band, rows), _padded(B.band, rows)
+    norms = (_frobenius(a), _frobenius(b))
+    if not np.all(np.isfinite(norms)):
+        raise EigenSolveError("non-finite entries in the pencil")
+    return SymBandedMatrix(a), SymBandedMatrix(b), norms
+
+
+def _spectrum(values, X, AX, BX, norms):
+    """The Spectrum of the pairs (values[j], X[:, j]), with A X and B X
+    and the Frobenius norms of A and B: largest-magnitude component of
+    every vector positive, pairs in stable ascending order.
+
+    Raises EigenSolveError on non-finite values or vectors, or when a
+    pair breaks the residual contract ||A x - lambda B x|| <=
+    RESIDUAL_RTOL * (||A||_F + |lambda| ||B||_F).
+    """
+    peaks = np.argmax(np.abs(X), axis=0)
+    signs = np.sign(X[peaks, np.arange(X.shape[1])])
+    signs[signs == 0] = 1.0
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    X, AX, BX = ((Y * signs)[:, order] for Y in (X, AX, BX))
+    if not np.all(np.isfinite(values)) or not np.all(np.isfinite(X)):
+        raise EigenSolveError("non-finite values in eigensolution")
+    residuals = np.linalg.norm(AX - BX * values, axis=0)
+    bounds = RESIDUAL_RTOL * (norms[0] + np.abs(values) * norms[1])
+    if not np.all(residuals <= bounds):
+        j = int(np.argmax(residuals / bounds))
+        raise EigenSolveError(f"eigenpair {j + 1} of {len(values)} breaks"
+                              f" the residual contract: residual"
+                              f" {residuals[j]:.3e} above its bound"
+                              f" {bounds[j]:.3e}")
+    return Spectrum(values, X, residuals, bounds)
+
+
 def generalized_eig(A, B):
     """Solve A v = lambda B v for symmetric A and SPD B.
 
@@ -191,69 +268,33 @@ def generalized_eig(A, B):
     Raises
     ------
     ValueError
-        On an order mismatch, or, before densifying, for an order above
-        ``MAX_DENSE_ORDER``.
+        For an order above ``MAX_DENSE_ORDER``, before densifying, or
+        on an order mismatch.
     DefinitenessError
         If B fails its Cholesky factorization; carries the pivot index.
     EigenSolveError
-        If the iteration does not converge.
+        On non-finite entries, if the iteration does not converge, or
+        when a pair breaks the residual contract.
     """
-    if A.n != B.n:
-        raise ValueError(f"order mismatch: {A.n} vs {B.n}")
     if A.n > MAX_DENSE_ORDER:
         raise ValueError(f"a dense solve of order {A.n} is above the limit"
                          f" of {MAX_DENSE_ORDER}")
-    pivot = cholesky_pivot(B)
-    if pivot:
-        raise DefinitenessError(pivot)
-    # exact (Fraction) bands are solved in double precision too
-    A, B = (np.asarray(X.toarray(), dtype=float) for X in (A, B))
+    A, B, norms = _checked_pencil(A, B)
+    A, B = A.toarray(), B.toarray()
     try:
         w, V = sla.eigh(A, B)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise EigenSolveError(str(exc)) from exc
-
-    # deterministic sign: largest-magnitude component positive
-    idx = np.argmax(np.abs(V), axis=0)
-    signs = np.sign(V[idx, np.arange(V.shape[1])])
-    signs[signs == 0] = 1.0
-    V = V * signs
-
     AV = A @ V
     BV = B @ V
     w = np.einsum("ij,ij->j", V, AV) / np.einsum("ij,ij->j", V, BV)
-    order = np.argsort(w, kind="stable")
-    w, V, AV, BV = w[order], V[:, order], AV[:, order], BV[:, order]
-
-    if not np.all(np.isfinite(w)) or not np.all(np.isfinite(V)):
-        raise EigenSolveError("non-finite values in eigensolution")
-
-    residuals = np.linalg.norm(AV - BV * w, axis=0)
-    bounds = RESIDUAL_RTOL * (np.linalg.norm(A) + np.abs(w) * np.linalg.norm(B))
-    return Spectrum(w, V, residuals, bounds)
+    return _spectrum(w, V, AV, BV, norms)
 
 
 # Inverse-iteration steps one end of a spectrum may take.
 MAX_INVERSE_STEPS = 64
 
 _EPS = np.finfo(float).eps
-
-
-def _frobenius(band):
-    """Frobenius norm of a symmetric band; off-diagonal rows count twice."""
-    flat = band.ravel(order="K")
-    return math.sqrt(2.0 * (flat @ flat) - band[0] @ band[0])
-
-
-def _padded(band, rows):
-    """The band with ``rows`` rows, in double precision and Fortran
-    order so that BLAS and LAPACK read it in place; not copied when it
-    already is one."""
-    if len(band) == rows:
-        return np.asarray(band, dtype=float, order="F")
-    out = np.zeros((rows, band.shape[1]), order="F")
-    out[:len(band)] = band
-    return out
 
 
 def _shifted_factor(a, b, t, out):
@@ -307,8 +348,8 @@ def _edge_start(n):
     return x
 
 
-def _edge(a, b, B, norms, tol):
-    """The eigenpair of the largest eigenvalue of the pencil (a, b), as
+def _edge(A, B, norms, tol):
+    """The eigenpair of the largest eigenvalue of the pencil (A, B), as
     (x, B x), x B-normalized.
 
     A shift t is above lambda_max exactly when t*B - A factors. The
@@ -319,6 +360,7 @@ def _edge(a, b, B, norms, tol):
     give the eigenvector. Only a bracket that tight separates the top
     pair of a standard space at p >= 3, which can lie 1e-12 apart.
     """
+    a, b = A.band, B.band
     work = np.empty_like(a)
     lo = float(np.max(a[0] / b[0]))
     step = abs(lo) or 1.0
@@ -338,14 +380,14 @@ def _edge(a, b, B, norms, tol):
         else:
             hi = mid
     factor = _shifted_factor(a, b, hi, work)
-    x, bx, _, _ = _inverse_iteration(factor, hi, B, _edge_start(a.shape[1]),
+    x, bx, _, _ = _inverse_iteration(factor, hi, B, _edge_start(A.n),
                                      norms, max(tol, 4.0 * floor),
                                      MAX_INVERSE_STEPS)
     return x, bx
 
 
-def _lowest(a, b, B, norms, tol):
-    """The eigenpair of the smallest eigenvalue of the pencil (a, b), as
+def _lowest(A, B, norms, tol):
+    """The eigenpair of the smallest eigenvalue of the pencil (A, B), as
     (x, B x), x B-normalized.
 
     When A is positive definite, inverse iteration with its factor from
@@ -355,11 +397,10 @@ def _lowest(a, b, B, norms, tol):
     it. Otherwise, or when A is not definite, the end is found as the
     top of the pencil (-A, B) by ``_edge``.
     """
-    n = a.shape[1]
-    negated = -a
-    factor, info = lapack.dpbtrf(a, lower=1)
+    negated = SymBandedMatrix(-A.band)
+    factor, info = lapack.dpbtrf(A.band, lower=1)
     if info == 0:
-        x = np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+        x = np.sin(np.pi * np.arange(1, A.n + 1) / (A.n + 1))
         # the factor of A is that of t*B - (-A) at t = 0: the pencil
         # (-A, B), whose eigenvalue nearest 0 is -lambda_min
         x, bx, estimate, settled = _inverse_iteration(
@@ -367,10 +408,10 @@ def _lowest(a, b, B, norms, tol):
         # a definiteness test resolves a shift only to the round-off of
         # A, which tol measures
         below = -estimate - math.sqrt(_EPS) * abs(estimate) - 256.0 * tol
-        if settled and _shifted_factor(negated, b, -below,
+        if settled and _shifted_factor(negated.band, B.band, -below,
                                        factor) is not None:
             return x, bx
-    return _edge(negated, b, B, norms, tol)
+    return _edge(negated, B, norms, tol)
 
 
 def extreme_eigenpairs(A, B):
@@ -406,38 +447,15 @@ def extreme_eigenpairs(A, B):
         On non-finite entries, or when a pair breaks the residual
         contract.
     """
-    if A.n != B.n:
-        raise ValueError(f"order mismatch: {A.n} vs {B.n}")
-    pivot = cholesky_pivot(B)
-    if pivot:
-        raise DefinitenessError(pivot)
-    rows = max(len(A.band), len(B.band))
-    a, b = _padded(A.band, rows), _padded(B.band, rows)
-    norms = (_frobenius(a), _frobenius(b))
-    if not np.all(np.isfinite(norms)):
-        raise EigenSolveError("non-finite entries in the pencil")
-    A, B = SymBandedMatrix(a), SymBandedMatrix(b)
-
-    top, b_top = _edge(a, b, B, norms, 0.0)
+    A, B, norms = _checked_pencil(A, B)
+    top, b_top = _edge(A, B, norms, 0.0)
     a_top = A.matvec(top)
     # eps * lambda_max is the round-off floor of both ends
     tol = 4.0 * _EPS * abs(top @ a_top)
-    bottom, b_bottom = _lowest(a, b, B, norms, tol)
-    pairs = [(bottom, A.matvec(bottom), b_bottom), (top, a_top, b_top)]
-    values, vectors, residuals = [], [], []
-    for x, ax, bx in pairs:
-        value = (x @ ax) / (x @ bx)
-        # deterministic sign: largest-magnitude component positive
-        sign = 1.0 if x[np.argmax(np.abs(x))] > 0 else -1.0
-        values.append(value)
-        vectors.append(sign * x)
-        residuals.append(np.linalg.norm(ax - value * bx))
-    values, residuals = np.array(values), np.array(residuals)
-    bounds = RESIDUAL_RTOL * (norms[0] + np.abs(values) * norms[1])
-    if not (np.all(np.isfinite(values)) and np.all(residuals <= bounds)):
-        raise EigenSolveError(f"an extreme eigenpair breaks the residual"
-                              f" contract: residuals {residuals}, bounds"
-                              f" {bounds}")
-    order = np.argsort(values, kind="stable")
-    return Spectrum(values[order], np.column_stack(vectors)[:, order],
-                    residuals[order], bounds[order])
+    bottom, b_bottom = _lowest(A, B, norms, tol)
+    a_bottom = A.matvec(bottom)
+    values = np.array([(x @ ax) / (x @ bx) for x, ax, bx in
+                       ((bottom, a_bottom, b_bottom), (top, a_top, b_top))])
+    return _spectrum(values, np.column_stack((bottom, top)),
+                     np.column_stack((a_bottom, a_top)),
+                     np.column_stack((b_bottom, b_top)), norms)

@@ -20,7 +20,7 @@ import softiga.spectral_analysis as spectral
 import softiga.tensor as tensor
 from oracles import full_lift_values
 from softiga.analytic import analytic_eigenvalue, eta_table
-from softiga.cli import EXIT_CONFIG, EXIT_OK, main
+from softiga.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from softiga.spectral_analysis import condition_stats
 
 
@@ -131,12 +131,15 @@ def test_convergence_subcommand_fits_quartic_slope(capsys):
     assert float(rows[0][2]) == pytest.approx(4.0, abs=0.2)
 
 
-def test_convergence_on_one_repeated_mesh_is_refused(capsys):
+def test_convergence_on_one_repeated_mesh_is_refused(monkeypatch, capsys):
+    builds = _counting_builds(monkeypatch)
     code = main(["convergence", "-p", "2", "--N-list", "8,8"])
     captured = capsys.readouterr()
     assert code == EXIT_CONFIG
     assert captured.out == ""
     assert "two distinct meshes" in captured.err
+    assert "'8,8'" in captured.err
+    assert builds == []
 
 
 def test_eta_sweep_subcommand_rows_and_monotonicity(capsys):
@@ -193,6 +196,10 @@ def test_verify_reports_all_green(capsys):
     ["dispersion", "-p", "3", "--eta", ""],
     ["eta-sweep", "-p", "2", "-N", "10", "--grid-points", "0"],
     ["eta-sweep", "-p", "2", "-N", "10", "--grid-points", "-2"],
+    # --N-list needs two distinct meshes with N >= 1
+    ["convergence", "-p", "2", "--N-list", "8"],
+    ["convergence", "-p", "2", "--N-list", "0,8"],
+    ["convergence", "-p", "2", "--N-list", ","],
 ])
 def test_invalid_configurations_exit_with_config_code(argv, monkeypatch,
                                                       capsys):
@@ -244,6 +251,36 @@ def _one_line_config_error(argv, capsys):
     assert captured.err.startswith("softiga: config error: ")
     assert captured.err.count("\n") == 1
     return captured.err
+
+
+def _numerical_failure(argv, capsys):
+    """Run argv; assert exit 2, no stdout and a one-line residual-contract
+    failure."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL
+    assert captured.out == ""
+    assert re.fullmatch(r"softiga: numerical failure: .*residual"
+                        r" contract.*\n", captured.err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "-p", "16", "-N", "3", "--method", "iga"],
+    ["convergence", "-p", "16", "--method", "iga", "--N-list", "3,4"],
+])
+def test_dense_contract_breach_is_a_numerical_failure(argv, capsys):
+    # the standard space of p = 16 on three elements: the dense solve's
+    # worst pair misses its residual bound 25-fold
+    _numerical_failure(argv, capsys)
+
+
+def test_main_parses_with_the_parser_built_at_import(monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("build_parser called by main")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert main(["condition", "-p", "2", "-N", "8"]) == EXIT_OK
+    capsys.readouterr()
 
 
 def test_out_to_a_missing_directory_is_a_config_error(tmp_path,

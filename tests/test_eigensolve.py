@@ -2,6 +2,7 @@
 residual contract, definiteness diagnostics, and the deterministic sign
 convention."""
 
+import re
 import warnings
 
 import numpy as np
@@ -100,13 +101,6 @@ def test_order_above_the_dense_limit_is_refused_before_densifying(
     monkeypatch.setattr(eigensolve, "MAX_DENSE_ORDER", 3)
     np.testing.assert_allclose(generalized_eig(A, B).values,
                                [1.0, 2.0, 3.0])
-
-
-def test_nonfinite_input_is_a_solver_error():
-    A = np.eye(3)
-    A[0, 0] = np.nan
-    with pytest.raises((EigenSolveError, DefinitenessError)):
-        generalized_eig(banded(A), banded(np.eye(3)))
 
 
 def test_sign_convention_is_deterministic():
@@ -264,13 +258,36 @@ def test_band_solve_refuses_an_indefinite_mass_side_with_its_pivot():
     assert err.value.pivot == cholesky_pivot(B) == 3
 
 
-def test_band_solve_refuses_bad_input():
+@pytest.mark.parametrize("solve", [generalized_eig, extreme_eigenpairs],
+                         ids=lambda solve: solve.__name__)
+def test_solvers_refuse_bad_input(solve):
     with pytest.raises(ValueError):
-        extreme_eigenpairs(banded(np.eye(3)), banded(np.eye(4)))
+        solve(banded(np.eye(3)), banded(np.eye(4)))
     A = np.eye(3)
     A[0, 0] = np.nan
     with pytest.raises(EigenSolveError):
-        extreme_eigenpairs(banded(A), banded(np.eye(3)))
+        solve(banded(A), banded(np.eye(3)))
+
+
+@pytest.mark.parametrize("solve", [generalized_eig, extreme_eigenpairs],
+                         ids=lambda solve: solve.__name__)
+def test_solvers_raise_on_a_contract_breach(solve, monkeypatch):
+    monkeypatch.setattr(eigensolve, "RESIDUAL_RTOL", 1e-300)
+    A = banded([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+    with pytest.raises(EigenSolveError) as err:
+        solve(A, banded(np.diag([2.0, 1.5, 1.0])))
+    # one line naming the worst pair, not the arrays of every pair
+    assert re.fullmatch(r"eigenpair \d+ of \d+ breaks the residual"
+                        r" contract: residual \S+ above its bound \S+",
+                        str(err.value))
+
+
+def test_dense_solve_of_a_high_degree_coarse_space_breaks_the_contract():
+    # the dense pairs of standard spaces with p >= 14 on coarse meshes
+    # miss their bound; at p = 16, N = 3 the worst misses it 25-fold
+    system = build_soft_system(16, 3, 0.0, 0.0, "standard")
+    with pytest.raises(EigenSolveError, match="residual contract"):
+        generalized_eig(system.A, system.B)
 
 
 def test_condition_with_an_indefinite_pencil_keeps_its_message(capsys):
