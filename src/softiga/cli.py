@@ -22,7 +22,7 @@ from .analytic import (analytic_eigenvalue, commutator_norm,
                        softened_reference)
 from .assembly import IndefinitenessWarning, build_soft_system
 from .eigensolve import (DefinitenessError, EigenSolveError,
-                         extreme_eigenpairs)
+                         SymBandedMatrix, extreme_eigenpairs)
 from .spaces import space_dimension
 from .spectral_analysis import (condition_stats, convergence_slope,
                                 eta_sweep, h1_errors_for_modes,
@@ -277,6 +277,12 @@ def cmd_dispersion(args):
     return EXIT_OK
 
 
+def _lowest_eigenvalue(X):
+    """Smallest eigenvalue of the symmetric band X."""
+    unit = SymBandedMatrix(np.ones((1, X.n)))
+    return extreme_eigenpairs(X, unit).lam_min
+
+
 def _verify_checks():
     """Cross-module oracle suite at reduced sizes; yields check dicts."""
     checks = []
@@ -321,7 +327,7 @@ def _verify_checks():
             warnings.simplefilter("ignore", IndefinitenessWarning)
             below = base.with_weights(0.99 * sharp)
             above = base.with_weights(1.01 * sharp)
-        low = float(np.linalg.eigvalsh(above.A.toarray())[0])
+        low = _lowest_eigenvalue(above.A)
         if extreme_eigenpairs(below.A, below.B).lam_min <= 0:
             ok = False
             details.append(f"p={p}: spectrum not positive below sharp")
@@ -339,10 +345,9 @@ def _verify_checks():
         eta = float(table.default[p])
         theo = float(table.theoretical_max[p])
         system = build_soft_system(p, 20, eta)
-        K = system.stiffness.toarray()
         beta = 1.0 - eta / theo
-        gap = float(np.linalg.eigvalsh(system.A.toarray() - beta * K)[0])
-        scale = float(np.linalg.norm(K))
+        gap = _lowest_eigenvalue(system.A.plus(-beta, system.stiffness))
+        scale = system.stiffness.frobenius()
         worst = min(worst, gap / scale)
         if gap < -1e-10 * scale:
             ok = False

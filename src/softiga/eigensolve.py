@@ -39,11 +39,14 @@ height with their Frobenius norms. The finish fixes each eigenvector's
 sign, sorts the pairs and enforces the residual contract
 ||A v - lambda B v|| <= RESIDUAL_RTOL * (||A||_F + |lambda| ||B||_F):
 a pair that breaks it raises ``EigenSolveError`` (exit 2 on the command
-line) rather than being returned. A solve returns a ``Spectrum``: the
-eigenvalues, the B-orthonormal eigenvectors and the residual contract
-of every pair, nothing more.
+line) rather than being returned. So does a floating-point overflow,
+invalid operation or division by zero anywhere inside a solve, as with
+finite entries whose squares overflow the Frobenius norm. A solve
+returns a ``Spectrum``: the eigenvalues, the B-orthonormal eigenvectors
+and the residual contract of every pair, nothing more.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -128,6 +131,11 @@ class SymBandedMatrix:
         band[:len(other.band)] += weight * other.band
         return SymBandedMatrix(band)
 
+    def frobenius(self):
+        """Frobenius norm; the off-diagonal rows count twice."""
+        flat = self.band.ravel(order="K")
+        return math.sqrt(2.0 * (flat @ flat) - self.band[0] @ self.band[0])
+
     def matvec(self, x):
         """The product with the vector x in double precision, in
         O(n * hbw) (BLAS dsbmv on the band as it is)."""
@@ -185,12 +193,6 @@ class Spectrum:
         return float(self.values[-1])
 
 
-def _frobenius(band):
-    """Frobenius norm of a symmetric band; off-diagonal rows count twice."""
-    flat = band.ravel(order="K")
-    return math.sqrt(2.0 * (flat @ flat) - band[0] @ band[0])
-
-
 def _padded(band, rows):
     """The band with ``rows`` rows, in double precision and Fortran
     order so that BLAS and LAPACK read it in place; not copied when it
@@ -218,10 +220,24 @@ def _checked_pencil(A, B):
         raise DefinitenessError(pivot)
     rows = max(len(A.band), len(B.band))
     a, b = _padded(A.band, rows), _padded(B.band, rows)
-    norms = (_frobenius(a), _frobenius(b))
-    if not np.all(np.isfinite(norms)):
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise EigenSolveError("non-finite entries in the pencil")
-    return SymBandedMatrix(a), SymBandedMatrix(b), norms
+    A, B = SymBandedMatrix(a), SymBandedMatrix(b)
+    return A, B, (A.frobenius(), B.frobenius())
+
+
+def _solver(solve):
+    """The pencil solver ``solve`` with every floating-point overflow,
+    invalid operation or division by zero inside it raised as one
+    EigenSolveError instead of warned about and carried on."""
+    @functools.wraps(solve)
+    def checked(A, B):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return solve(A, B)
+        except FloatingPointError as exc:
+            raise EigenSolveError(f"{exc} during the solve") from None
+    return checked
 
 
 def _spectrum(values, X, AX, BX, norms):
@@ -252,6 +268,7 @@ def _spectrum(values, X, AX, BX, norms):
     return Spectrum(values, X, residuals, bounds)
 
 
+@_solver
 def generalized_eig(A, B):
     """Solve A v = lambda B v for symmetric A and SPD B.
 
@@ -273,8 +290,9 @@ def generalized_eig(A, B):
     DefinitenessError
         If B fails its Cholesky factorization; carries the pivot index.
     EigenSolveError
-        On non-finite entries, if the iteration does not converge, or
-        when a pair breaks the residual contract.
+        On non-finite entries, if the iteration does not converge, on
+        a floating-point overflow, or when a pair breaks the residual
+        contract.
     """
     if A.n > MAX_DENSE_ORDER:
         raise ValueError(f"a dense solve of order {A.n} is above the limit"
@@ -414,6 +432,7 @@ def _lowest(A, B, norms, tol):
     return _edge(negated, B, norms, tol)
 
 
+@_solver
 def extreme_eigenpairs(A, B):
     """The smallest and the largest eigenpair of A v = lambda B v, for
     symmetric A and SPD B, from band factorizations alone.
@@ -444,8 +463,8 @@ def extreme_eigenpairs(A, B):
     DefinitenessError
         If B fails its Cholesky factorization; carries the pivot index.
     EigenSolveError
-        On non-finite entries, or when a pair breaks the residual
-        contract.
+        On non-finite entries, on a floating-point overflow, or when a
+        pair breaks the residual contract.
     """
     A, B, norms = _checked_pencil(A, B)
     top, b_top = _edge(A, B, norms, 0.0)

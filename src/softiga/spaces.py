@@ -88,10 +88,7 @@ def build_standard_space(p, N):
 def _boundary_constraints(kv, m, alpha):
     """Constraint rows: even derivatives 0..2*alpha of the first m raw
     functions at x=0, one row per order, unit-normalized."""
-    rows = np.zeros((alpha + 1, m))
-    be = eval_basis(kv, 0.0, 2 * alpha)
-    for a in range(alpha + 1):
-        rows[a, :] = be.ders[2 * a][:m]
+    rows = eval_basis(kv, 0.0, 2 * alpha).ders[::2, :m]
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 

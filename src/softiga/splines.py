@@ -4,12 +4,16 @@ Degree-p splines of maximal continuity C^{p-1}: the knot vector repeats
 each endpoint p+1 times and places single knots at the N-1 interior
 breakpoints j/N. Values and derivatives come from the knot-difference
 recursion (never numeric differentiation), so polynomial data is exact.
+The recursion runs its loops over the degree once for a whole array of
+points, each point an entry along a numpy axis, so every point takes
+the same floating-point operations as when evaluated on its own.
 
 Breakpoint evaluations are one-sided. The default is the right-limit,
 except at x=1 where only the left-limit exists; callers may force a side
 to probe the piecewise-constant p-th derivative on a chosen element.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,52 +95,49 @@ def open_knot_vector(p, N):
     return KnotVector(p, N, knots)
 
 
-def _find_element(kv, x, side):
-    """Element index containing x under the requested one-sided limit."""
-    if side == "left":
-        span = int(np.searchsorted(kv.knots, x, side="left")) - 1
-    else:
-        span = int(np.searchsorted(kv.knots, x, side="right")) - 1
-    # clamp: below the first element there is no left limit, above the
-    # last there is no right limit
-    span = min(max(span, kv.p), kv.N - 1 + kv.p)
-    return span - kv.p
-
-
 def eval_basis(kv, x, r=0, side=None):
-    """Evaluate raw basis derivatives of orders 0..r at a point.
+    """Evaluate raw basis derivatives of orders 0..r at a point or at
+    an array of points.
 
     Parameters
     ----------
     kv : KnotVector
-    x : float
-        Point in [0, 1].
+    x : float or array_like
+        Point(s) in [0, 1]; an array of shape S is evaluated in one
+        pass, every point through the same arithmetic as on its own.
     r : int
         Highest derivative order, 0 <= r <= p.
     side : {"right", "left", None}
-        One-sided limit taken when x is exactly a breakpoint. None means
-        right-limit (left-limit at x=1).
+        One-sided limit taken when a point is exactly a breakpoint. None
+        means right-limit (left-limit at x=1).
 
     Returns
     -------
     BasisEval
+        For a scalar x, ``element`` is an int and ``ders`` has shape
+        (r + 1, p + 1); for an array of shape S, ``element`` is an int
+        array of shape S and ``ders`` a C-ordered array of shape
+        S + (r + 1, p + 1).
     """
-    p = kv.p
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"evaluation point {x} outside [0, 1]")
+    p, N = kv.p, kv.N
+    x = np.asarray(x, dtype=float)
+    if not np.all((0.0 <= x) & (x <= 1.0)):
+        raise ValueError(f"evaluation points must lie in [0, 1], got {x}")
     if not 0 <= r <= p:
         raise ValueError(f"derivative order must be in 0..{p}, got {r}")
     if side not in (None, "right", "left"):
         raise ValueError(f"unknown side {side!r}")
-    element = _find_element(kv, x, side or "right")
-    span = element + p
+    # clamp: below the first element there is no left limit, above the
+    # last there is no right limit
+    span = np.clip(np.searchsorted(kv.knots, x, side=side or "right") - 1,
+                   p, N - 1 + p)
     U = kv.knots
 
     # Triangular table of all lower-degree values plus the knot
-    # differences needed for the derivative recursion.
-    ndu = np.zeros((p + 1, p + 1))
-    left = np.zeros(p + 1)
-    right = np.zeros(p + 1)
+    # differences needed for the derivative recursion; the trailing
+    # axes run over the points.
+    ndu = np.zeros((p + 1, p + 1) + x.shape)
+    left, right = np.zeros((2, p + 1) + x.shape)
     ndu[0, 0] = 1.0
     for j in range(1, p + 1):
         left[j] = x - U[span + 1 - j]
@@ -149,9 +150,9 @@ def eval_basis(kv, x, r=0, side=None):
             saved = left[j - k] * temp
         ndu[j, j] = saved
 
-    ders = np.zeros((r + 1, p + 1))
+    ders = np.zeros((r + 1, p + 1) + x.shape)
     ders[0] = ndu[:, p]
-    a = np.zeros((2, p + 1))
+    a = np.zeros((2, p + 1) + x.shape)
     for m in range(p + 1):
         s1, s2 = 0, 1
         a[0, 0] = 1.0
@@ -170,14 +171,14 @@ def eval_basis(kv, x, r=0, side=None):
             if m <= pk:
                 a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, m]
                 d += a[s2, k] * ndu[m, pk]
-            ders[k, m] = d
+            # the recursion gives the k-th derivative over p!/(p-k)!
+            ders[k, m] = d * math.perm(p, k)
             s1, s2 = s2, s1
 
-    fact = p
-    for k in range(1, r + 1):
-        ders[k] *= fact
-        fact *= p - k
-    return BasisEval(element, ders)
+    element = span - p if x.ndim else int(span - p)
+    # C order: callers contract the last two axes with einsum
+    return BasisEval(element, np.ascontiguousarray(
+        np.moveaxis(ders, (0, 1), (-2, -1))))
 
 
 def basis_table(kv, points, r=0):
@@ -187,7 +188,8 @@ def basis_table(kv, points, r=0):
     depend only on the knots U[e+1..e+2p]. Those are equally spaced for
     p-1 <= e <= N-p, so every such element is a translate of element
     p-1 and is evaluated once; only the p-1 elements at each end (all
-    elements when N < 2p-1) are evaluated on their own.
+    elements when N < 2p-1) are evaluated on their own. All of them go
+    through one ``eval_basis`` call on a (distinct, len(points)) array.
 
     Parameters
     ----------
@@ -208,15 +210,11 @@ def basis_table(kv, points, r=0):
     """
     p, N = kv.p, kv.N
     points = np.asarray(points, dtype=float)
-    if np.any((points <= 0.0) | (points >= 1.0)):
+    if not np.all((0.0 < points) & (points < 1.0)):
         raise ValueError("reference points must lie in (0, 1)")
     elements = np.arange(N)
     interior = (elements >= p - 1) & (elements <= N - p)
     distinct, index = np.unique(np.where(interior, p - 1, elements),
                                 return_inverse=True)
-    ders = np.empty((distinct.size, points.size, r + 1, p + 1))
-    for row, e in enumerate(distinct):
-        for q, t in enumerate(points):
-            ders[row, q] = eval_basis(kv, (e + t) / N, r).ders
-    return ders, index
+    return eval_basis(kv, (distinct[:, None] + points) / N, r).ders, index
 

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -204,10 +205,7 @@ def test_verify_reports_all_green(capsys):
 def test_invalid_configurations_exit_with_config_code(argv, monkeypatch,
                                                       capsys):
     builds = _counting_builds(monkeypatch)
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == EXIT_CONFIG
-    assert "config error" in captured.err
+    _one_line_config_error(argv, capsys)
     assert builds == []
 
 
@@ -272,6 +270,24 @@ def test_dense_contract_breach_is_a_numerical_failure(argv, capsys):
     # the standard space of p = 16 on three elements: the dense solve's
     # worst pair misses its residual bound 25-fold
     _numerical_failure(argv, capsys)
+
+
+@pytest.mark.parametrize("eta_b", ["1e100", "1e150", "1e200", "1e300"])
+@pytest.mark.parametrize("command", ["spectrum", "condition"])
+def test_huge_mass_side_weight_succeeds_or_fails_in_one_line(command, eta_b,
+                                                             capsys):
+    # the pencil is finite, but its products may overflow in the solve
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "-p", "2", "-N", "8", "--eta-b", eta_b])
+    captured = capsys.readouterr()
+    if code == EXIT_OK:
+        assert captured.out and captured.err == ""
+    else:
+        assert code == EXIT_NUMERICAL
+        assert captured.out == ""
+        assert re.fullmatch(r"softiga: numerical failure: [^\n]*\n",
+                            captured.err)
 
 
 def test_main_parses_with_the_parser_built_at_import(monkeypatch, capsys):

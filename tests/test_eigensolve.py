@@ -271,6 +271,20 @@ def test_solvers_refuse_bad_input(solve):
 
 @pytest.mark.parametrize("solve", [generalized_eig, extreme_eigenpairs],
                          ids=lambda solve: solve.__name__)
+def test_overflow_in_a_solve_is_one_solver_error(solve):
+    A = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # finite entries whose squares overflow
+        with pytest.raises(EigenSolveError, match="^overflow encountered"):
+            solve(banded(A), banded(1e200 * np.eye(3)))
+        A[0, 0] = np.inf
+        with pytest.raises(EigenSolveError, match="non-finite entries"):
+            solve(banded(A), banded(np.eye(3)))
+
+
+@pytest.mark.parametrize("solve", [generalized_eig, extreme_eigenpairs],
+                         ids=lambda solve: solve.__name__)
 def test_solvers_raise_on_a_contract_breach(solve, monkeypatch):
     monkeypatch.setattr(eigensolve, "RESIDUAL_RTOL", 1e-300)
     A = banded([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])

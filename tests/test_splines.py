@@ -11,7 +11,10 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import softiga.spaces as spaces
+import softiga.splines as splines
 from oracles import pth_derivative_jump
+from softiga.assembly import build_soft_system
 from softiga.splines import basis_table, eval_basis, open_knot_vector
 
 x_sym = sp.Symbol("x")
@@ -226,13 +229,75 @@ def test_basis_table_matches_pointwise_evaluation(p):
         assert index.shape == (N,)
         # p - 1 distinct elements at each end plus one translate
         assert len(ders) == min(N, 2 * p - 1)
+        distinct = [e for e in range(N) if e < p or e > N - p]
+        assert len(distinct) == len(ders)
         for e in range(N):
             for q, t in enumerate(points):
                 be = eval_basis(kv, (e + t) / N, p)
                 assert be.element == e
-                scale = np.abs(be.ders).max(axis=1, keepdims=True)
-                assert np.all(np.abs(ders[index[e], q] - be.ders)
-                              <= 1e-12 * scale)
+                row = ders[index[e], q]
+                if e in distinct:
+                    # the row was evaluated on element e itself
+                    assert row.tobytes() == be.ders.tobytes()
+                else:
+                    # a translate: its knot differences round apart
+                    scale = np.abs(be.ders).max(axis=1, keepdims=True)
+                    assert np.all(np.abs(row - be.ders) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("side", [None, "left", "right"])
+def test_array_evaluation_equals_pointwise_calls_bitwise(side):
+    p, N = 3, 5
+    kv = open_knot_vector(p, N)
+    # both ends, interior breakpoints and points inside elements
+    x = np.array([[0.0, 1 / N, 0.37], [3 / N, 0.71, 1.0]])
+    be = eval_basis(kv, x, p, side)
+    assert be.element.shape == (2, 3)
+    assert be.ders.shape == (2, 3, p + 1, p + 1)
+    assert be.ders.flags.c_contiguous
+    for i, j in np.ndindex(x.shape):
+        one = eval_basis(kv, float(x[i, j]), p, side)
+        assert isinstance(one.element, int)
+        assert be.element[i, j] == one.element
+        assert be.ders[i, j].tobytes() == one.ders.tobytes()
+    if side == "left":
+        assert be.element.tolist() == [[0, 0, 1], [2, 3, 4]]
+    else:
+        assert be.element.tolist() == [[0, 1, 1], [3, 3, 4]]
+
+
+def test_nan_points_are_refused():
+    kv = open_knot_vector(2, 4)
+    for x in (np.nan, [0.5, np.nan]):
+        with pytest.raises(ValueError):
+            eval_basis(kv, x)
+    with pytest.raises(ValueError):
+        basis_table(kv, [np.nan])
+
+
+def _counting_evaluations(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return eval_basis(*args, **kwargs)
+
+    monkeypatch.setattr(splines, "eval_basis", counted)
+    monkeypatch.setattr(spaces, "eval_basis", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("N", [6, 13, 400])
+def test_assembly_evaluates_the_basis_once_per_table(p, N, monkeypatch):
+    calls = _counting_evaluations(monkeypatch)
+    build_soft_system(p, N, 0.0, 0.0, "standard")
+    # stiffness, mass and softness tables
+    assert len(calls) == 3
+    calls.clear()
+    build_soft_system(p, N, 0.0)
+    # an outlier-free space of p >= 3 adds its boundary constraints
+    assert len(calls) == (4 if p >= 3 else 3)
 
 
 def test_basis_table_rejects_points_on_breakpoints():
