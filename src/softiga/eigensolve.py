@@ -32,8 +32,10 @@ weight, lambda_1 at p = 2, N = 2000 is off by 2.3e-11 to 2.4e-11
 relative.
 
 Both solvers enter through one check of the pencil and leave through
-one finish; each keeps only its own algorithm. The check refuses an
-order mismatch, a B that is not definite (with its Cholesky pivot) and
+one finish; each keeps only its own algorithm. The pairs that
+``spectral_analysis.reweighted_values`` reads off one solve for other
+weights leave through the same finish. The check refuses an order
+mismatch, a B that is not definite (with its Cholesky pivot) and
 non-finite entries, and hands the solver double-precision bands of one
 height with their Frobenius norms. The finish fixes each eigenvector's
 sign, sorts the pairs and enforces the residual contract
@@ -128,7 +130,10 @@ class SymBandedMatrix:
         dtype = np.result_type(self.band, other.band)
         band = np.zeros((count, self.n), dtype=dtype, order="F")
         band[:len(self.band)] += self.band
-        band[:len(other.band)] += weight * other.band
+        # a weight past the double range leaves inf entries, which the
+        # pencil check of both solvers refuses in one error
+        with np.errstate(over="ignore"):
+            band[:len(other.band)] += weight * other.band
         return SymBandedMatrix(band)
 
     def frobenius(self):
@@ -340,6 +345,13 @@ def _inverse_iteration(factor, t, B, x, norms, tol, steps):
     settled = False
     for _ in range(steps):
         y, _ = lapack.dpbtrs(factor, bx, lower=1)
+        # y grows as B x over the gap to t, so its products with B may
+        # overflow: bring its norm into [0.5, 1) first, with B x
+        # alongside. A power of two scales every product exactly, so
+        # the steps are the same to the last bit wherever the unscaled
+        # ones stay finite.
+        power = -math.frexp(blas.dnrm2(y))[1]
+        y, bx = np.ldexp(y, power), np.ldexp(bx, power)
         by = B.matvec(y)
         yby = y @ by
         # (t*B - A) y = B x, so A y = t*B y - B x: the Rayleigh quotient

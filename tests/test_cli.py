@@ -276,11 +276,14 @@ def test_dense_contract_breach_is_a_numerical_failure(argv, capsys):
 @pytest.mark.parametrize("command", ["spectrum", "condition"])
 def test_huge_mass_side_weight_succeeds_or_fails_in_one_line(command, eta_b,
                                                              capsys):
-    # the pencil is finite, but its products may overflow in the solve
+    # the pencil is finite, but its products may overflow in the solve;
+    # up to 1e150 both solvers finish
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main([command, "-p", "2", "-N", "8", "--eta-b", eta_b])
     captured = capsys.readouterr()
+    if eta_b in ("1e100", "1e150"):
+        assert code == EXIT_OK
     if code == EXIT_OK:
         assert captured.out and captured.err == ""
     else:
@@ -288,6 +291,26 @@ def test_huge_mass_side_weight_succeeds_or_fails_in_one_line(command, eta_b,
         assert captured.out == ""
         assert re.fullmatch(r"softiga: numerical failure: [^\n]*\n",
                             captured.err)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "condition"])
+def test_mass_side_weight_past_the_double_range_fails_in_one_line(command,
+                                                                  capsys):
+    # the weighted softness band overflows to inf before any solve
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "-p", "2", "-N", "8", "--eta-b", "1.7e308"])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL
+    assert captured.out == ""
+    assert captured.err == ("softiga: numerical failure: non-finite entries"
+                            " in the pencil\n")
+
+
+def test_eta_sweep_contract_breach_is_a_numerical_failure(monkeypatch,
+                                                          capsys):
+    monkeypatch.setattr(eigensolve, "RESIDUAL_RTOL", 1e-300)
+    _numerical_failure(["eta-sweep", "-p", "2", "-N", "10"], capsys)
 
 
 def test_main_parses_with_the_parser_built_at_import(monkeypatch, capsys):
@@ -486,7 +509,9 @@ def test_lift_limit_boundary(argv, monkeypatch, capsys):
 # any byte a refactor changes fails here. Every pencil has order <= 60,
 # where the output does not depend on the number of BLAS threads. The
 # condition digests were recorded again when condition moved from the
-# dense solve to the band one, which moves the last one or two digits.
+# dense solve to the band one, which moves the last one or two digits,
+# and the eta-sweep and verify digests when their weights were first
+# reweighted from one solve per space instead of solved afresh.
 _GOLDEN_STDOUT = {
     "spectrum -p 2 -N 4 -d 3": "c1ca552d0175fe25f81c7f0df56e86c0",
     "spectrum -p 3 -N 16 -d 2": "76c061cfee912d9a284479ea17c63060",
@@ -501,21 +526,21 @@ _GOLDEN_STDOUT = {
     "condition -p 2 -N 60 -d 2": "e50c28243ce50ae9d2261c037d5391cc",
     "condition -p 2 -N 10 -d 1 --format json":
         "c02e508f1bbae4036507f9ec99d7efa3",
-    "eta-sweep -p 2 -N 10 -d 3": "795769c7ae8fbe1714155eb47fec7ac9",
+    "eta-sweep -p 2 -N 10 -d 3": "d5c31ec4c1e9a758479b833bf408c899",
     "eta-sweep -p 2 -N 10 -d 2 --grid-points 4":
-        "33afa2e375ef8afa4859976d94df1ead",
-    "eta-sweep -p 3 -N 12": "f941f7c8c140a6fb6c1eb8f317a44a13",
+        "ee79bc6d6b6257f5506deb18bf6f8b83",
+    "eta-sweep -p 3 -N 12": "fdc8096bf555a5f2bb67354089a0d61f",
     "convergence -p 3": "bcba7dea4577345adbc2cb4a3a5ad3fc",
     "convergence -p 2 --quantity h1 --N-list 8,12,16":
         "44c9191f9e18c7455aede55a333adb82",
     "convergence -p 2 --j 3 --N-list 8,16":
         "1cb541f1b767f726ec03d12557aa0bcf",
     "dispersion -p 3 --eta super": "191625458240f70948464229e03030d3",
-    "verify": "88fd938e446fba6ba5adae056b7cbb05",
+    "verify": "0c064cc4d2b1725e05dd635876ddeae2",
     # recorded from the code that still gave every subcommand the same
     # eight options
     "eta-sweep -p 2 -N 10 --format json":
-        "e0a1a94929edc637b2b774acb1e2fd0e",
+        "d33afebe58c9abe73f8e26b57517c770",
     "convergence -p 2 --N-list 8,16 --format json":
         "0c1290e2d901651015c73e5ebb1fd675",
     "dispersion -p 3 --eta super --format json":

@@ -283,6 +283,21 @@ def test_overflow_in_a_solve_is_one_solver_error(solve):
             solve(banded(A), banded(np.eye(3)))
 
 
+@pytest.mark.parametrize("eta_b", [1e100, 1e150])
+def test_band_ends_of_a_huge_mass_side_weight(eta_b):
+    # B x, and with it the inverse-iteration iterate, grows as eta_b;
+    # its products with B must not overflow
+    system = build_soft_system(2, 8, eta_table().default[2], eta_b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ends = extreme_eigenpairs(system.A, system.B)
+    dense = generalized_eig(system.A, system.B)
+    assert abs(ends.values[0] - dense.lam_min) <= 8 * EPS * dense.lam_max
+    # the top end carries a floor of about 1e-13 relative on this pencil
+    # at any mass-side weight: 8.6e-14 at eta_b = 1e10, 1.1e-13 here
+    assert ends.values[1] == pytest.approx(dense.lam_max, rel=5e-13)
+
+
 @pytest.mark.parametrize("solve", [generalized_eig, extreme_eigenpairs],
                          ids=lambda solve: solve.__name__)
 def test_solvers_raise_on_a_contract_breach(solve, monkeypatch):

@@ -11,11 +11,13 @@ import softiga.spectral_analysis as spectral
 from oracles import full_lift_values
 from softiga.analytic import analytic_eigenvalue, eta_table
 from softiga.assembly import build_soft_system
+from softiga.eigensolve import EigenSolveError
 from softiga.spectral_analysis import (ConditionStats,
                                        InsufficientDataError,
                                        condition_stats, convergence_slope,
                                        eta_sweep, mode_convergence,
-                                       pythagorean_check, solve_system,
+                                       pythagorean_check,
+                                       reweighted_values, solve_system,
                                        spectral_report)
 
 
@@ -240,27 +242,76 @@ def test_lifted_spectrum_dimensions():
     assert two[0] == pytest.approx(2 * one[0], rel=1e-12)
 
 
-def test_eta_sweep_assembles_once_and_matches_fresh_builds(monkeypatch):
-    import softiga.spectral_analysis as spectral
-
-    builds = []
-    original = spectral.build_soft_system
+def _counting(monkeypatch, name):
+    """Record the arguments of every call to spectral_analysis.<name>."""
+    calls = []
+    original = getattr(spectral, name)
 
     def counting(*args, **kwargs):
-        builds.append(args)
+        calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(spectral, "build_soft_system", counting)
+    monkeypatch.setattr(spectral, name, counting)
+    return calls
+
+
+def _fresh_rows(p, N, etas, d=1):
+    """eta_sweep rows from one assembly and one solve per weight."""
+    baseline = full_lift_values(p, N, 0.0, d=d)
+    rows = []
+    for eta in etas:
+        report = _report(p, N, eta, d)
+        stats = condition_stats(report.computed, baseline)
+        rows.append((eta, stats.rho,
+                     float(np.sqrt(np.sum(report.rel_errors ** 2)))))
+    return rows
+
+
+def test_eta_sweep_assembles_once_and_matches_fresh_builds(monkeypatch):
+    builds = _counting(monkeypatch, "build_soft_system")
+    solves = _counting(monkeypatch, "generalized_eig")
     etas = [0.0, 2e-3, 8e-3]
     rows = eta_sweep(2, 16, etas, d=2)
-    assert len(builds) == 1
+    assert len(builds) == len(solves) == 1
     monkeypatch.undo()
-    baseline = full_lift_values(2, 16, 0.0, d=2)
-    for (eta, rho, e_lambda), eta_in in zip(rows, etas):
-        report = _report(2, 16, eta_in, d=2)
-        stats = condition_stats(report.computed, baseline)
-        assert rho == stats.rho
-        assert e_lambda == float(np.sqrt(np.sum(report.rel_errors ** 2)))
+    # the reweighted rows differ from fresh solves by round-off: at most
+    # 3.9e-15 relative at this size over the default 13-weight grid
+    np.testing.assert_allclose(rows, _fresh_rows(2, 16, etas, d=2),
+                               rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_reweighted_rows_match_fresh_solves(p):
+    grid = np.linspace(0.0, float(eta_table().sharp_max[p]), 13,
+                       endpoint=False)
+    # both carry the eps * lambda_max / lambda_1 floor of the Rayleigh
+    # quotients, which grows as N^2: at N = 200 the rows differ by at
+    # most 5.4e-13 relative (p = 2)
+    for N in (10, 50, 200):
+        np.testing.assert_allclose(eta_sweep(p, N, grid),
+                                   _fresh_rows(p, N, grid), rtol=2e-12,
+                                   atol=0)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_reweighting_keeps_the_mass_side_weight(p):
+    table = eta_table()
+    eta_b = table.mass_side[p]
+    etas = [0.0, table.default[p], table.superconvergent[p]]
+    values = reweighted_values(build_soft_system(p, 30, 0.0, eta_b), etas)
+    for eta, reweighted in zip(etas, values):
+        fresh = solve_system(build_soft_system(p, 30, eta, eta_b)).values
+        # 3.8e-15 at most, measured
+        np.testing.assert_allclose(reweighted, fresh, rtol=1e-13, atol=0)
+
+
+def test_reweighting_a_space_its_vectors_do_not_diagonalize_fails():
+    # on the standard space with p >= 3 the eta = 0 eigenvectors do not
+    # diagonalize S, so the reweighted pairs miss the residual contract
+    system = build_soft_system(3, 20, 0.0, flavor="standard")
+    with pytest.raises(EigenSolveError, match="residual contract"):
+        reweighted_values(system, [0.0, eta_table().default[3]])
+    assert len(reweighted_values(system, [0.0])[0]) == system.space.dim
 
 
 def test_h1_mode_index_outside_the_spectrum_is_refused():
