@@ -225,16 +225,37 @@ def softened_reference(p, N, eta, eta_b=0):
             reference_matrix("M", p, N).plus(Fraction(eta_b), S))
 
 
+def _scaled(M):
+    """The dense integer matrix d*M and d, d the least common multiple
+    of the denominators of the rational entries of the band M."""
+    entries = [Fraction(x) for x in M.band.ravel()]
+    d = math.lcm(*(x.denominator for x in entries))
+    band = np.array([x.numerator * (d // x.denominator) for x in entries],
+                    dtype=object).reshape(M.band.shape)
+    return SymBandedMatrix(band).toarray(), d
+
+
 def commutator_norm(A, B):
-    """Frobenius norm of AB - BA for two SymBandedMatrix operands; exact
-    when entries are rationals."""
+    """Frobenius norm of AB - BA for two SymBandedMatrix operands.
+
+    When either band holds rationals (object dtype), each operand is
+    scaled to integers by the lcm of its denominators, so the products
+    run in Python integers with no gcd per operation; the result is the
+    square root of the exact rational norm squared. Other bands are
+    multiplied in floating point.
+    """
     if A.n != B.n:
         raise ValueError(f"order mismatch: {A.n} vs {B.n}")
+    exact = object in (A.band.dtype, B.band.dtype)
+    if exact:
+        (A, d_A), (B, d_B) = _scaled(A), _scaled(B)
+    else:
+        A, B = A.toarray(), B.toarray()
     # both operands are symmetric, so BA = (AB)^T
-    C = A.toarray() @ B.toarray()
+    C = A @ B
     C = C - C.T
     total = sum(x * x for x in C.ravel())
-    return math.sqrt(total)
+    return math.sqrt(Fraction(total, (d_A * d_B) ** 2) if exact else total)
 
 
 @dataclass(frozen=True)

@@ -37,12 +37,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .analytic import eta_table
 from .eigensolve import DefinitenessError, SymBandedMatrix, cholesky_pivot
 from .spaces import SplineSpace, build_of_space, build_standard_space
-from .splines import basis_table
+from .splines import basis_table, gauss_rule
 
 
 class IndefinitenessWarning(UserWarning):
@@ -141,7 +140,7 @@ def _raw_band(num_raw, blocks, index):
 
 def _gram(kv, deriv):
     """Raw band of the deriv-th-derivative Gram matrix, Gauss p+1 points."""
-    x, w = np.polynomial.legendre.leggauss(kv.p + 1)
+    x, w = gauss_rule(kv.p + 1)
     ders, index = basis_table(kv, (x + 1.0) / 2.0, deriv)
     values = ders[:, :, deriv, :]
     blocks = np.einsum("q,dqi,dqj->dij", w * (kv.h / 2.0), values, values)
@@ -177,6 +176,15 @@ def _softness_raw(kv):
     return SymBandedMatrix(kv.h ** (2 * p - 1) * band)
 
 
+def _block_diag(first, second):
+    """The block-diagonal matrix with blocks first and second."""
+    (r, c), (s, t) = first.shape, second.shape
+    W = np.zeros((r + s, c + t))
+    W[:r, :c] = first
+    W[r:, c:] = second
+    return W
+
+
 def _extract(space, raw):
     """Space operator E R E^T in band storage from the raw band R.
 
@@ -194,8 +202,8 @@ def _extract(space, raw):
         windows = [(space.extraction, 0, 0)]
     else:
         hbw = max(q, a + q - 1, b + q - 1)
-        windows = [(sla.block_diag(space.left, np.eye(q)), 0, 0),
-                   (sla.block_diag(np.eye(q), space.right), dim - b - q,
+        windows = [(_block_diag(space.left, np.eye(q)), 0, 0),
+                   (_block_diag(np.eye(q), space.right), dim - b - q,
                     num_raw - e - q)]
     band = np.zeros((hbw + 1, dim))
     if inner >= q:

@@ -258,8 +258,16 @@ def _spectrum(values, X, AX, BX, norms):
     signs = np.sign(X[peaks, np.arange(X.shape[1])])
     signs[signs == 0] = 1.0
     order = np.argsort(values, kind="stable")
-    values = values[order]
-    X, AX, BX = ((Y * signs)[:, order] for Y in (X, AX, BX))
+    values, signs = values[order], signs[order]
+    # one Fortran-order copy of each array: the layout a column gather
+    # gives, in which the residual norms below sum each column. The
+    # caller's arrays are never written; reweighted_values shares X.
+    if np.array_equal(order, np.arange(len(order))):
+        X, AX, BX = (np.multiply(Y, signs, order="F") for Y in (X, AX, BX))
+    else:
+        X, AX, BX = (Y[:, order] for Y in (X, AX, BX))
+        for Y in (X, AX, BX):
+            Y *= signs
     if not np.all(np.isfinite(values)) or not np.all(np.isfinite(X)):
         raise EigenSolveError("non-finite values in eigensolution")
     residuals = np.linalg.norm(AX - BX * values, axis=0)

@@ -11,8 +11,12 @@ the same floating-point operations as when evaluated on its own.
 Breakpoint evaluations are one-sided. The default is the right-limit,
 except at x=1 where only the left-limit exists; callers may force a side
 to probe the piecewise-constant p-th derivative on a chosen element.
+
+The Gauss-Legendre rule the quadratures sample these bases at is
+computed once per point count (``gauss_rule``).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -179,6 +183,17 @@ def eval_basis(kv, x, r=0, side=None):
     # C order: callers contract the last two axes with einsum
     return BasisEval(element, np.ascontiguousarray(
         np.moveaxis(ders, (0, 1), (-2, -1))))
+
+
+@functools.cache
+def gauss_rule(n):
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], computed
+    once per n and shared by every caller, so both arrays are
+    read-only."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def basis_table(kv, points, r=0):

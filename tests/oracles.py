@@ -6,7 +6,12 @@ evaluate one space member or one face jump at a time through
 independent route. ``full_lift_values`` builds the whole d-dimensional
 spectrum, which the ``condition`` command never does. ``banded`` turns
 a dense symmetric test matrix into the band type the package takes.
+``dense_commutator_norm`` multiplies dense operands in the arithmetic
+of their entries, Fractions included: the reference for the package's
+scaled-integer commutators.
 """
+
+import math
 
 import numpy as np
 
@@ -26,6 +31,18 @@ def banded(dense):
     for k in range(n):
         band[k, :n - k] = np.diagonal(dense, -k)
     return SymBandedMatrix(band)
+
+
+def dense_commutator_norm(A, B):
+    """Frobenius norm of AB - BA from the dense products of two
+    SymBandedMatrix operands, in the arithmetic of their entries."""
+    if A.n != B.n:
+        raise ValueError(f"order mismatch: {A.n} vs {B.n}")
+    # both operands are symmetric, so BA = (AB)^T
+    C = A.toarray() @ B.toarray()
+    C = C - C.T
+    total = sum(x * x for x in C.ravel())
+    return math.sqrt(total)
 
 
 def full_lift_values(p, N, eta, d=1, eta_b=0.0, flavor="outlier_free"):

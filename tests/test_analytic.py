@@ -2,13 +2,14 @@
 matrices, commutators, and dispersion expansions."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import mpmath
 import numpy as np
 import pytest
 
-from oracles import banded
+from oracles import banded, dense_commutator_norm
 from softiga.analytic import (analytic_eigenvalue,
                               analytic_eigenvector_sample,
                               commutator_norm, dispersion_eigenvalue,
@@ -17,7 +18,7 @@ from softiga.analytic import (analytic_eigenvalue,
                               inverse_constants_squared, reference_matrix,
                               softened_reference)
 from softiga.assembly import build_soft_system
-from softiga.eigensolve import generalized_eig
+from softiga.eigensolve import SymBandedMatrix, generalized_eig
 
 
 def test_eta_table_exact_values():
@@ -236,6 +237,62 @@ def test_commutator_norm_on_float_bands():
     assert commutator_norm(X, Y) == pytest.approx(math.sqrt(2.0))
     with pytest.raises(ValueError):
         commutator_norm(banded(np.eye(2)), banded(np.eye(3)))
+
+
+def _random_band(rng, n, hbw, entry):
+    """A symmetric band of order n whose slots inside the matrix hold
+    entry(rng) and whose slots past it hold zero."""
+    band = np.zeros((hbw + 1, n), dtype=object)
+    for k in range(hbw + 1):
+        for i in range(n - k):
+            band[k, i] = entry(rng)
+    return SymBandedMatrix(band)
+
+
+def _rational(rng):
+    if rng.random() < 0.25:
+        return rng.randint(-9, 9)
+    return F(rng.randint(-60, 60), rng.randint(1, 97))
+
+
+def test_scaled_commutator_matches_dense_fractions():
+    # the integer kernel returns the float of the same exact rational
+    # as dense Fraction products; random operands do not commute unless
+    # both are diagonal or the order is one
+    rng = random.Random(15)
+    for n in range(1, 21):
+        for a in range(6):
+            b = rng.randint(0, 5)
+            a, b = min(a, n - 1), min(b, n - 1)
+            A, B = (_random_band(rng, n, hbw, _rational) for hbw in (a, b))
+            norm = commutator_norm(A, B)
+            assert norm == dense_commutator_norm(A, B)
+            assert (norm > 0) == (n > 1 and max(a, b) > 0)
+
+
+def test_scaled_commutator_matches_dense_fractions_on_references():
+    table = eta_table()
+    for p in (2, 3, 4, 5):
+        T = reference_matrix("T", p, 14)
+        # the pairs verify checks, and a mass side with a nonzero weight
+        pairs = [(reference_matrix(kind, p, 14), T) for kind in "KM"]
+        if table.default.get(p) is not None:
+            pairs.extend((side, T) for side in
+                         softened_reference(p, 14, table.default[p],
+                                            table.superconvergent[p]))
+        for A, B in pairs:
+            assert commutator_norm(A, B) == dense_commutator_norm(A, B)
+
+
+def test_float_commutator_matches_dense_products():
+    rng = random.Random(16)
+    for n in (1, 2, 7, 20):
+        for a, b in ((0, 3), (2, 2), (5, 1)):
+            A, B = (_random_band(rng, n, min(hbw, n - 1),
+                                 lambda r: r.uniform(-1, 1))
+                    for hbw in (a, b))
+            A, B = (SymBandedMatrix(M.band.astype(float)) for M in (A, B))
+            assert commutator_norm(A, B) == dense_commutator_norm(A, B)
 
 
 def test_reference_pencil_eigenvalues_match_closed_form():

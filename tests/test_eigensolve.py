@@ -117,6 +117,34 @@ def test_sign_convention_is_deterministic():
     assert np.all(peaks > 0)
 
 
+@pytest.mark.parametrize("layout", [np.ascontiguousarray,
+                                    np.asfortranarray])
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_finish_signs_and_sorts_in_copies(layout, shuffle, monkeypatch):
+    # signing every column, then gathering, is the reference: same
+    # bytes, same Fortran layout, inputs untouched; random pairs break
+    # any contract, so the bound is lifted
+    monkeypatch.setattr(eigensolve, "RESIDUAL_RTOL", 1e300)
+    rng = np.random.default_rng(12)
+    values = rng.standard_normal(7)
+    if not shuffle:
+        values.sort()
+    X, AX, BX = (layout(rng.standard_normal((9, 7))) for _ in range(3))
+    held = [Y.copy() for Y in (X, AX, BX)]
+    signs = np.sign(X[np.argmax(np.abs(X), axis=0), np.arange(7)])
+    order = np.argsort(values, kind="stable")
+    spectrum = eigensolve._spectrum(values, X, AX, BX, (1.0, 1.0))
+    for Y, copy in zip((X, AX, BX), held):
+        assert Y.tobytes() == copy.tobytes()
+    reference = (X * signs)[:, order]
+    assert spectrum.vectors.tobytes() == reference.tobytes()
+    assert spectrum.vectors.flags.f_contiguous
+    residuals = np.linalg.norm((AX * signs)[:, order]
+                               - (BX * signs)[:, order] * values[order],
+                               axis=0)
+    assert spectrum.residuals.tobytes() == residuals.tobytes()
+
+
 def test_spectrum_dataclass_accessors():
     spectrum = generalized_eig(banded(np.diag([2.0, 5.0])),
                                banded(np.eye(2)))

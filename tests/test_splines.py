@@ -15,7 +15,8 @@ import softiga.spaces as spaces
 import softiga.splines as splines
 from oracles import pth_derivative_jump
 from softiga.assembly import build_soft_system
-from softiga.splines import basis_table, eval_basis, open_knot_vector
+from softiga.splines import (basis_table, eval_basis, gauss_rule,
+                             open_knot_vector)
 
 x_sym = sp.Symbol("x")
 
@@ -306,3 +307,16 @@ def test_basis_table_rejects_points_on_breakpoints():
         basis_table(kv, [0.0, 0.5])
     with pytest.raises(ValueError):
         basis_table(kv, [1.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_gauss_rule_is_shared_and_read_only(n):
+    x, w = gauss_rule(n)
+    expected = np.polynomial.legendre.leggauss(n)
+    assert x.tobytes() == expected[0].tobytes()
+    assert w.tobytes() == expected[1].tobytes()
+    assert gauss_rule(n)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w *= 2.0
