@@ -79,15 +79,13 @@ class SoftSystem:
 
     def energies(self, X):
         """Per-mode stiffness, mass and softness energies of the
-        B-orthonormal columns X, each operator applied to one column at
-        a time on its band.
+        B-orthonormal columns X, from one band product per operator.
 
         Returns ((k, m, s), (KX, MX, SX)): k_j = x_j^T K x_j, m_j and
         s_j likewise, and the three products they were read from.
         """
-        products = tuple(np.column_stack([op.matvec(x) for x in X.T])
-                         for op in (self.stiffness, self.mass,
-                                    self.softness))
+        products = tuple(op.matvec(X) for op in (self.stiffness, self.mass,
+                                                  self.softness))
         return (tuple(np.einsum("ij,ij->j", X, Y) for Y in products),
                 products)
 

@@ -6,11 +6,11 @@ takes: one (hbw + 1, n) array whose row k holds the k-th subdiagonal,
 ``band[k, i]`` = entry (i + k, i). The definiteness check hands that
 array to ``dpbtrf`` as it is, in O(n * hbw^2). There are two solvers:
 
-* ``generalized_eig`` returns every eigenpair. It densifies each side
-  once and runs the LAPACK sygv path: the Cholesky factor of B reduces
-  the pencil to a standard symmetric problem, which is tridiagonalized
-  and solved by implicit-shift QR. Dense arrays live only inside it.
-  Its peak memory is about 8 n^2 doubles, so an order above
+* ``generalized_eig`` returns every eigenpair from the LAPACK sygvd
+  path: the Cholesky factor of B reduces the pencil to a standard
+  problem, solved by tridiagonal divide and conquer. The dense sides
+  are only its arguments, A V and B V are band products, and its peak
+  of about 6 n^2 doubles is the solve's peak, so an order above
   ``MAX_DENSE_ORDER`` is refused before anything dense is allocated.
 * ``extreme_eigenpairs`` returns only the smallest and the largest
   pair, from band factorizations alone. By Sylvester's law of inertia,
@@ -142,14 +142,21 @@ class SymBandedMatrix:
         return math.sqrt(2.0 * (flat @ flat) - self.band[0] @ self.band[0])
 
     def matvec(self, x):
-        """The product with the vector x in double precision, in
-        O(n * hbw) (BLAS dsbmv on the band as it is)."""
-        return blas.dsbmv(self.half_bandwidth, 1.0, self.band, x, lower=1)
+        """The product with the vector x, or with every column of the
+        (n, m) block x into one C-order block, in double precision and
+        O(n * hbw) per column (BLAS dsbmv)."""
+        if x.ndim == 1:
+            return blas.dsbmv(self.half_bandwidth, 1.0, self.band, x, lower=1)
+        fortran = SymBandedMatrix(np.asfortranarray(self.band, dtype=float))
+        out = np.empty(x.shape)
+        for j in range(x.shape[1]):
+            out[:, j] = fortran.matvec(x[:, j])
+        return out
 
 
 RESIDUAL_RTOL = 1e-10
 
-# Largest order the dense solve accepts: 8 n^2 doubles is about 1.6 GB.
+# Largest order the dense solve accepts: 6 n^2 doubles is about 1.2 GB.
 MAX_DENSE_ORDER = 5000
 
 
@@ -254,23 +261,21 @@ def _spectrum(values, X, AX, BX, norms):
     pair breaks the residual contract ||A x - lambda B x|| <=
     RESIDUAL_RTOL * (||A||_F + |lambda| ||B||_F).
     """
+    if not np.all(np.isfinite(values)) or not np.all(np.isfinite(X)):
+        raise EigenSolveError("non-finite values in eigensolution")
     peaks = np.argmax(np.abs(X), axis=0)
     signs = np.sign(X[peaks, np.arange(X.shape[1])])
     signs[signs == 0] = 1.0
-    order = np.argsort(values, kind="stable")
-    values, signs = values[order], signs[order]
-    # one Fortran-order copy of each array: the layout a column gather
-    # gives, in which the residual norms below sum each column. The
-    # caller's arrays are never written; reweighted_values shares X.
-    if np.array_equal(order, np.arange(len(order))):
-        X, AX, BX = (np.multiply(Y, signs, order="F") for Y in (X, AX, BX))
-    else:
-        X, AX, BX = (Y[:, order] for Y in (X, AX, BX))
-        for Y in (X, AX, BX):
-            Y *= signs
-    if not np.all(np.isfinite(values)) or not np.all(np.isfinite(X)):
-        raise EigenSolveError("non-finite values in eigensolution")
+    # a sign flip keeps every norm: read AX and BX as they are
     residuals = np.linalg.norm(AX - BX * values, axis=0)
+    order = np.argsort(values, kind="stable")
+    values, signs, residuals = values[order], signs[order], residuals[order]
+    # one Fortran-order copy of X; reweighted_values shares the input
+    if np.array_equal(order, np.arange(len(order))):
+        X = np.multiply(X, signs, order="F")
+    else:
+        X = X[:, order]
+        X *= signs
     bounds = RESIDUAL_RTOL * (norms[0] + np.abs(values) * norms[1])
     if not np.all(residuals <= bounds):
         j = int(np.argmax(residuals / bounds))
@@ -311,13 +316,11 @@ def generalized_eig(A, B):
         raise ValueError(f"a dense solve of order {A.n} is above the limit"
                          f" of {MAX_DENSE_ORDER}")
     A, B, norms = _checked_pencil(A, B)
-    A, B = A.toarray(), B.toarray()
     try:
-        w, V = sla.eigh(A, B)
+        w, V = sla.eigh(A.toarray(), B.toarray())
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise EigenSolveError(str(exc)) from exc
-    AV = A @ V
-    BV = B @ V
+    AV, BV = A.matvec(V), B.matvec(V)
     w = np.einsum("ij,ij->j", V, AV) / np.einsum("ij,ij->j", V, BV)
     return _spectrum(w, V, AV, BV, norms)
 

@@ -119,7 +119,7 @@ def _mode_errors(system, spectrum, js):
             raise ValueError(f"mode index j must be in 1..{spectrum.n},"
                              f" got {j}")
     coeffs = spectrum.vectors[:, [j - 1 for j in js]]
-    norms = np.einsum("ij,ij->j", coeffs, system.mass.toarray() @ coeffs)
+    norms = np.einsum("ij,ij->j", coeffs, system.mass.matvec(coeffs))
     coeffs = coeffs / np.sqrt(norms)
 
     xg, wg = gauss_rule(p + 4)

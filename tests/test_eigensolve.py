@@ -3,6 +3,7 @@ residual contract, definiteness diagnostics, and the deterministic sign
 convention."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -121,9 +122,10 @@ def test_sign_convention_is_deterministic():
                                     np.asfortranarray])
 @pytest.mark.parametrize("shuffle", [False, True])
 def test_finish_signs_and_sorts_in_copies(layout, shuffle, monkeypatch):
-    # signing every column, then gathering, is the reference: same
-    # bytes, same Fortran layout, inputs untouched; random pairs break
-    # any contract, so the bound is lifted
+    # signing every column, then gathering, is the reference for the
+    # vectors: same bytes, same Fortran layout, inputs untouched. The
+    # residuals are the norms of the caller's unsigned columns, sorted.
+    # Random pairs break any contract, so the bound is lifted.
     monkeypatch.setattr(eigensolve, "RESIDUAL_RTOL", 1e300)
     rng = np.random.default_rng(12)
     values = rng.standard_normal(7)
@@ -139,9 +141,7 @@ def test_finish_signs_and_sorts_in_copies(layout, shuffle, monkeypatch):
     reference = (X * signs)[:, order]
     assert spectrum.vectors.tobytes() == reference.tobytes()
     assert spectrum.vectors.flags.f_contiguous
-    residuals = np.linalg.norm((AX * signs)[:, order]
-                               - (BX * signs)[:, order] * values[order],
-                               axis=0)
+    residuals = np.linalg.norm(AX - BX * values, axis=0)[order]
     assert spectrum.residuals.tobytes() == residuals.tobytes()
 
 
@@ -187,6 +187,44 @@ def test_band_product_matches_the_dense_product():
         x = rng.standard_normal(n)
         np.testing.assert_allclose(band.matvec(x), dense @ x, rtol=1e-13,
                                    atol=1e-13)
+
+
+@pytest.mark.parametrize("band_order", ["C", "F"])
+@pytest.mark.parametrize("layout", [np.ascontiguousarray,
+                                    np.asfortranarray])
+def test_block_product_is_the_column_products(layout, band_order):
+    # bit for bit the vector products of the columns, in one C-order
+    # block, within rounding of the dense product
+    rng = np.random.default_rng(17)
+    for n, hbw, m in ((1, 0, 1), (2, 1, 3), (9, 3, 1), (40, 5, 7)):
+        dense = rng.standard_normal((n, n))
+        dense = np.tril(np.triu(dense + dense.T, -hbw), hbw)
+        band = SymBandedMatrix(np.array(banded(dense).band[:hbw + 1],
+                                        order=band_order))
+        X = layout(rng.standard_normal((n, m)))
+        AX = band.matvec(X)
+        assert AX.flags.c_contiguous
+        columns = np.column_stack([band.matvec(x) for x in X.T])
+        assert AX.tobytes() == columns.tobytes()
+        assert (band.matvec(X[:, :1])[:, 0].tobytes()
+                == band.matvec(X[:, 0]).tobytes())
+        assert np.all(np.abs(AX - dense @ X)
+                      <= 1e-14 * (np.abs(dense) @ np.abs(X)))
+
+
+def test_dense_solve_holds_no_dense_copy_past_eigh():
+    # the dense sides live only as the arguments of eigh, and A V and
+    # B V are band products: the peak is eigh's own, about 6 n^2
+    p, N = 3, 400
+    system = build_soft_system(p, N, float(eta_table().default[p]))
+    n = system.A.n
+    tracemalloc.start()
+    try:
+        generalized_eig(system.A, system.B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * n * n * 8
 
 
 def _weights(p):

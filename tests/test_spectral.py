@@ -3,6 +3,7 @@ sweeps, and convergence fits."""
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from softiga.eigensolve import EigenSolveError
 from softiga.spectral_analysis import (ConditionStats,
                                        InsufficientDataError,
                                        condition_stats, convergence_slope,
-                                       eta_sweep, mode_convergence,
+                                       eta_sweep, h1_errors_for_modes,
+                                       mode_convergence,
                                        pythagorean_check,
                                        reweighted_values, solve_system,
                                        spectral_report)
@@ -315,9 +317,6 @@ def test_reweighting_a_space_its_vectors_do_not_diagonalize_fails():
 
 
 def test_h1_mode_index_outside_the_spectrum_is_refused():
-    from softiga.assembly import build_soft_system
-    from softiga.spectral_analysis import h1_errors_for_modes, solve_system
-
     system = build_soft_system(2, 8, 0.0)
     spectrum = solve_system(system)
     for j in (0, -1, spectrum.n + 1):
@@ -369,3 +368,17 @@ def test_multi_dimensional_report_pairs_with_lattice_values():
     assert report.computed.size == 64
     np.testing.assert_allclose(report.exact[:8] / math.pi ** 2,
                                [3, 6, 6, 6, 9, 9, 9, 11])
+
+
+def test_one_mode_error_allocates_no_square_array():
+    # the mass norm of a mode is a band product, not a dense one
+    system = build_soft_system(3, 400, 0.0)
+    spectrum = solve_system(system)
+    n = spectrum.n
+    tracemalloc.start()
+    try:
+        h1_errors_for_modes(system, spectrum, [1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * n * n * 8
