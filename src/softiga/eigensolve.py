@@ -9,8 +9,8 @@ array to ``dpbtrf`` as it is, in O(n * hbw^2). There are two solvers:
 * ``generalized_eig`` returns every eigenpair from the LAPACK sygvd
   path: the Cholesky factor of B reduces the pencil to a standard
   problem, solved by tridiagonal divide and conquer. The dense sides
-  are only its arguments, A V and B V are band products, and its peak
-  of about 6 n^2 doubles is the solve's peak, so an order above
+  exist only as the call's arguments and A V and B V are band products,
+  so the call's peak of about 6 n^2 doubles is the solve's; an order above
   ``MAX_DENSE_ORDER`` is refused before anything dense is allocated.
 * ``extreme_eigenpairs`` returns only the smallest and the largest
   pair, from band factorizations alone. By Sylvester's law of inertia,
