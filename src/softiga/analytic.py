@@ -14,9 +14,11 @@ function of the normalized wavenumber t; evaluated in high precision it
 supports dispersion-coefficient fits far below double-precision noise.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import mpmath
 import numpy as np
@@ -79,12 +81,17 @@ def inverse_constants_squared(p, k=1):
     return c1, c2, c3
 
 
+@functools.cache
 def eta_table():
-    """The canonical softness-weight table for p in {2, 3, 4, 5}."""
+    """The canonical softness-weight table for p in {2, 3, 4, 5}.
+
+    Built once and shared: its tables are read-only mappings of
+    immutable Fractions.
+    """
     theoretical = {p: 1 / (2 * inverse_constants_squared(p)[2])
                    for p in (2, 3, 4, 5)}
-    return EtaTable(theoretical, dict(_SHARP), dict(_DEFAULT),
-                    dict(_SUPER), dict(_MASS_SIDE))
+    return EtaTable(*(MappingProxyType(dict(table)) for table in
+                      (theoretical, _SHARP, _DEFAULT, _SUPER, _MASS_SIDE)))
 
 
 def analytic_eigenvalue(p, eta, j, N):
@@ -276,6 +283,37 @@ def dispersion_expansion(p, eta):
     return DispersionExpansion(_SUPER[p] - eta, _NEXT_COEFF[p])
 
 
+def _symbol(p, eta, eta_b):
+    """The interior symbol of the softened pencil as two cosine series,
+    (numerator, denominator), each the list of its mpmath coefficients
+    c_k of c_0 + sum over k >= 1 of 2 c_k cos(k t), converted at the
+    caller's working precision."""
+    ss = interior_stencil("S", p)
+
+    def frac(x):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    def series(stencil, weight):
+        return [frac(stencil[k] if k < len(stencil) else F(0))
+                + weight * frac(ss[k]) for k in range(len(ss))]
+
+    return (series(interior_stencil("K", p), -frac(Fraction(eta))),
+            series(interior_stencil("M", p), frac(Fraction(eta_b))))
+
+
+def _symbol_value(symbol, t):
+    """lambda * h^2 at wavenumber t from the series of ``_symbol``."""
+
+    def value(coeffs):
+        out = coeffs[0]
+        for k in range(1, len(coeffs)):
+            out += 2 * coeffs[k] * mpmath.cos(k * t)
+        return out
+
+    num, den = symbol
+    return value(num) / value(den)
+
+
 def dispersion_eigenvalue(p, t, eta=0, eta_b=0):
     """Interior-symbol pencil eigenvalue, as lambda*h^2 (dimensionless).
 
@@ -283,26 +321,7 @@ def dispersion_eigenvalue(p, t, eta=0, eta_b=0):
     relative errors (t^(2p+2) scales) stay resolvable. For p in {2,3,4}
     this equals the closed-form eigenvalue times h^2.
     """
-    ks = interior_stencil("K", p)
-    ms = interior_stencil("M", p)
-    ss = interior_stencil("S", p)
-    eta = Fraction(eta)
-    eta_b = Fraction(eta_b)
-    t = mpmath.mpf(t)
-
-    def frac(x):
-        return mpmath.mpf(x.numerator) / x.denominator
-
-    def series(stencil, weight, soft):
-        out = frac(stencil[0]) + weight * frac(soft[0])
-        for k in range(1, max(len(stencil), len(soft))):
-            c = stencil[k] if k < len(stencil) else F(0)
-            out += 2 * (frac(c) + weight * frac(soft[k])) * mpmath.cos(k * t)
-        return out
-
-    num = series(ks, -frac(eta), ss)
-    den = series(ms, frac(eta_b), ss)
-    return num / den
+    return _symbol_value(_symbol(p, eta, eta_b), mpmath.mpf(t))
 
 
 # Sample wavenumbers t of the dispersion fit, and its mpmath precision
@@ -331,10 +350,11 @@ def fit_leading_coefficient(p, eta):
     else:
         power, target = 2 * p + 2, exp.next
     with mpmath.workdps(FIT_DPS):
+        symbol = _symbol(p, eta, 0)
         rows, rhs = [], []
         for t in FIT_WAVENUMBERS:
             t = mpmath.mpf(t)
-            err = dispersion_eigenvalue(p, t, eta) / t ** 2 - 1
+            err = _symbol_value(symbol, t) / t ** 2 - 1
             rows.append([mpmath.mpf(1), t ** 2, t ** 4])
             rhs.append(err / t ** power)
         sol = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(rhs))

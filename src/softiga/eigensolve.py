@@ -142,22 +142,46 @@ class SymBandedMatrix:
         return math.sqrt(2.0 * (flat @ flat) - self.band[0] @ self.band[0])
 
     def matvec(self, x):
-        """The product with the vector x, or with every column of the
-        (n, m) block x into one C-order block, in double precision and
-        O(n * hbw) per column (BLAS dsbmv)."""
+        """The product with the vector x (BLAS dsbmv), or with every
+        column of the (n, m) block x into one C-order block, in double
+        precision and O(n * hbw) per column.
+
+        A block takes one whole-array pass per diagonal, so its cost does
+        not grow with a call per column; its sums run in another order
+        than dsbmv's, so a column differs from the vector product in
+        round-off.
+        """
         if x.ndim == 1:
             return blas.dsbmv(self.half_bandwidth, 1.0, self.band, x, lower=1)
-        fortran = SymBandedMatrix(np.asfortranarray(self.band, dtype=float))
-        out = np.empty(x.shape)
-        for j in range(x.shape[1]):
-            out[:, j] = fortran.matvec(x[:, j])
+        band = np.asarray(self.band, dtype=float)
+        n = self.n
+        out = np.multiply(band[0, :, None], x, order="C")
+        work = np.empty_like(out)
+        for k in range(1, min(len(band), n)):
+            diag, part = band[k, :n - k, None], work[:n - k]
+            # entry (i + k, i) scales x_i into row i + k, and its mirror
+            # (i, i + k) scales x_(i + k) into row i
+            np.multiply(diag, x[:n - k], out=part)
+            out[k:] += part
+            np.multiply(diag, x[k:], out=part)
+            out[:n - k] += part
         return out
 
 
 RESIDUAL_RTOL = 1e-10
 
-# Largest order the dense solve accepts: 6 n^2 doubles is about 1.2 GB.
+# Largest order whose full spectrum is computed: the dense solve's 6 n^2
+# doubles are about 1.2 GB there, and the closed-form one of
+# ``spectral_analysis.solve_system`` holds up to 5 n^2.
 MAX_DENSE_ORDER = 5000
+
+
+def check_full_order(n):
+    """Refuse a full spectrum of order n above ``MAX_DENSE_ORDER``, before
+    anything of order n^2 is allocated."""
+    if n > MAX_DENSE_ORDER:
+        raise ValueError(f"a full spectrum of order {n} is above the limit"
+                         f" of {MAX_DENSE_ORDER}")
 
 
 def cholesky_pivot(B):
@@ -239,14 +263,14 @@ def _checked_pencil(A, B):
 
 
 def _solver(solve):
-    """The pencil solver ``solve`` with every floating-point overflow,
-    invalid operation or division by zero inside it raised as one
+    """The solver ``solve`` with every floating-point overflow, invalid
+    operation or division by zero inside it raised as one
     EigenSolveError instead of warned about and carried on."""
     @functools.wraps(solve)
-    def checked(A, B):
+    def checked(*args):
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                return solve(A, B)
+                return solve(*args)
         except FloatingPointError as exc:
             raise EigenSolveError(f"{exc} during the solve") from None
     return checked
@@ -263,11 +287,21 @@ def _spectrum(values, X, AX, BX, norms):
     """
     if not np.all(np.isfinite(values)) or not np.all(np.isfinite(X)):
         raise EigenSolveError("non-finite values in eigensolution")
-    peaks = np.argmax(np.abs(X), axis=0)
+    # the first largest magnitude per column; argmax over the flags, not
+    # over |X|, so a C-order X is not copied into columns
+    magnitude = np.abs(X)
+    peaks = np.argmax(magnitude == magnitude.max(axis=0), axis=0)
+    del magnitude
     signs = np.sign(X[peaks, np.arange(X.shape[1])])
     signs[signs == 0] = 1.0
-    # a sign flip keeps every norm: read AX and BX as they are
-    residuals = np.linalg.norm(AX - BX * values, axis=0)
+    # a sign flip keeps every norm: read AX and BX as they are. The
+    # residual block is formed and squared in place, the arithmetic of
+    # np.linalg.norm(AX - BX * values, axis=0) with one temporary.
+    R = BX * values
+    np.subtract(AX, R, out=R)
+    np.multiply(R, R, out=R)
+    residuals = np.sqrt(np.add.reduce(R, axis=0))
+    del R
     order = np.argsort(values, kind="stable")
     values, signs, residuals = values[order], signs[order], residuals[order]
     # one Fortran-order copy of X; reweighted_values shares the input
@@ -312,15 +346,19 @@ def generalized_eig(A, B):
         a floating-point overflow, or when a pair breaks the residual
         contract.
     """
-    if A.n > MAX_DENSE_ORDER:
-        raise ValueError(f"a dense solve of order {A.n} is above the limit"
-                         f" of {MAX_DENSE_ORDER}")
+    check_full_order(A.n)
     A, B, norms = _checked_pencil(A, B)
     try:
         w, V = sla.eigh(A.toarray(), B.toarray())
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise EigenSolveError(str(exc)) from exc
-    AV, BV = A.matvec(V), B.matvec(V)
+    # one vector product per column, not the block product: the dense
+    # solve decides pencils at the edge of the residual contract, such as
+    # standard spaces of degree 14 to 16 on coarse meshes, and keeps the
+    # arithmetic, and so the verdict, of its earlier releases
+    AV, BV = np.empty(V.shape), np.empty(V.shape)
+    for j, v in enumerate(V.T):
+        AV[:, j], BV[:, j] = A.matvec(v), B.matvec(v)
     w = np.einsum("ij,ij->j", V, AV) / np.einsum("ij,ij->j", V, BV)
     return _spectrum(w, V, AV, BV, norms)
 

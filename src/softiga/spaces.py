@@ -17,9 +17,22 @@ The constrained boundary basis is any orthonormal null-space basis of
 the boundary constraint matrix; the pencil spectrum does not depend on
 that choice. The right-end basis mirrors the left-end one, which keeps
 assembled matrices exactly persymmetric on the uniform mesh.
+
+The pencils of the outlier-free space have the paper's closed-form
+eigenvectors (``sine_modes``). Every member of the space is the
+restriction to [0, 1] of a spline on the bi-infinite uniform mesh that
+is odd about 0 and about 1, and mode j is the one whose uniform
+B-spline coefficients are sine samples sin(j*pi*node/N), node the
+centre of the B-spline: k for odd p and k - 1/2 for even p. Those
+samples are the components of the identity part of the space basis
+itself. The r = (p - 1) // 2 corner members at each end are a fixed
+map of the first p + 2 samples, found once per degree by knot
+insertion in exact rationals (``_corner_samples``).
 """
 
+import functools
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -146,3 +159,100 @@ def space_dimension(p, N, flavor):
         return N + p - 2 - 2 * ((p - 1) // 2)
     raise ValueError(f"unknown space flavor {flavor!r}")
 
+
+
+# Highest degree whose pencils take their eigenvectors from
+# ``sine_modes``. Up to it the closed-form pairs meet the residual
+# contract with a margin of at least 1000 (tests/test_spectral.py);
+# above it the margin shrinks to a few units at p = 15.
+SINE_MODE_MAX_DEGREE = 12
+
+
+@functools.cache
+def _corner_samples(p):
+    """Raw coefficients of the first p + 1 raw functions of the odd
+    extension, as a read-only (p + 1, p + 2) map of the samples
+    s_1..s_(p+2).
+
+    The odd extension carries sample s_k at node k (odd p) or k - 1/2
+    (even p) and -s_k at the mirrored node on the uniform mesh, knots
+    at every integer multiple of h. Inserting the knot 0 p more times
+    (Boehm's algorithm) leaves a (p + 1)-fold knot at 0, where the
+    B-splines that start there are the raw functions of the open knot
+    vector; their coefficients are read off. Every step is exact in
+    rationals, so the map is exact up to its final rounding.
+    """
+    count = p + 2
+    reach = 2 * p + 2
+    knots = [Fraction(i) for i in range(-reach, reach + 1)]
+    coeffs = []
+    for start in range(len(knots) - p - 1):
+        # twice the centre of the B-spline on knots start..start + p + 1
+        twice = 2 * (start - reach) + p + 1
+        row = np.full(count, Fraction(0), dtype=object)
+        k = (abs(twice) - 1) // 2
+        if twice and k < count:
+            row[k] = Fraction(1 if twice > 0 else -1)
+        coeffs.append(row)
+    for _ in range(p):
+        span = len(knots) - 1 - knots[::-1].index(0)
+        refined = coeffs[:span - p + 1]
+        for i in range(span - p + 1, span + 1):
+            a = -knots[i] / (knots[i + p] - knots[i])
+            refined.append(a * coeffs[i] + (1 - a) * coeffs[i - 1])
+        refined += coeffs[span:]
+        knots.insert(span + 1, Fraction(0))
+        coeffs = refined
+    first = knots.index(0)
+    out = np.array(coeffs[first:first + p + 1], dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+def corner_map(space):
+    """The (r, p + 2) map Q from the first p + 2 sine samples to the r
+    left corner members of a mode of ``sine_modes``."""
+    left = space.left
+    return left @ _corner_samples(space.kv.p)[:left.shape[1]]
+
+
+def sine_table(N):
+    """sin(pi*i/(2N)) for i = 0..4N-1, exactly odd about i = 0 and 2N and
+    even about N and 3N, as the sine is: entry (2*a*b) mod 4N is
+    sin(pi*a*b/N) for integers a, b, with no rounding of the argument
+    past the one of pi*i/(2N), i <= N."""
+    quarter = np.sin(np.pi / (2 * N) * np.arange(N + 1))
+    return np.concatenate((quarter, quarter[-2::-1], -quarter[1:],
+                           -quarter[-2:0:-1]))
+
+
+def sine_modes(space):
+    """The pencil eigenvectors of ``space`` in closed form, unnormalized,
+    mode j in column j - 1; None where they are not known.
+
+    They are known on the outlier-free space up to degree
+    ``SINE_MODE_MAX_DEGREE``, the standard space included for p <= 2,
+    where the two are one. Component k of mode j is sin(j*pi*node_k/N),
+    node_k = k for odd p and k - 1/2 for even p, the argument reduced
+    in integers and read from ``sine_table``. The r corner members at
+    the left are ``corner_map`` of the first p + 2 samples, and those at
+    the right their mirror times (-1)^(j + 1), as for every sample.
+    """
+    p, N = space.kv.p, space.kv.N
+    alpha = (p - 1) // 2
+    if p > SINE_MODE_MAX_DEGREE or space.left.shape != (alpha, 2 * alpha + 1):
+        return None
+    n, r = space.dim, alpha
+    # 2 * node_k, and every product reduced modulo 4N before the lookup
+    twice = 2 * np.arange(1, max(n, p + 2) + 1) - (p + 1) % 2
+    index = np.multiply.outer(twice, np.arange(1, n + 1))
+    np.remainder(index, 4 * N, out=index)
+    samples = sine_table(N)[index]
+    del index
+    X = samples[:n]
+    if r:
+        corner = corner_map(space) @ samples[:p + 2]
+        X[:r] = corner
+        X[n - r:] = corner[::-1] * np.where(np.arange(1, n + 1) % 2, 1.0,
+                                            -1.0)
+    return X

@@ -22,8 +22,9 @@ import numpy as np
 
 from .analytic import eta_table
 from .assembly import build_soft_system
-from .eigensolve import _spectrum, generalized_eig
-from .spaces import space_dimension
+from .eigensolve import (_checked_pencil, _solver, _spectrum,
+                         check_full_order, generalized_eig)
+from .spaces import sine_modes, sine_table, space_dimension
 from .splines import basis_table, gauss_rule
 from .tensor import continuum_values, kron_sum_spectrum
 
@@ -42,36 +43,88 @@ class SpectralReport:
     rel_errors: np.ndarray
 
 
+@_solver
+def _sine_spectrum(system):
+    """The Spectrum of the system's pencil from its closed-form
+    eigenvectors (``sine_modes``), or None where they are not known.
+
+    The pencil first gets the refusals of the dense solve: an order
+    above ``MAX_DENSE_ORDER``, a mass side that is not definite and
+    non-finite entries. Each value is the Rayleigh quotient of its
+    vector with the band products A x and B x, and every scaling is in
+    place, so the peak is about 4 n^2 doubles where the dense solve's is
+    6 n^2.
+    """
+    check_full_order(system.space.dim)
+    A, B, norms = _checked_pencil(system.A, system.B)
+    X = sine_modes(system.space)
+    if X is None:
+        return None
+    AX = A.matvec(X)
+    BX = B.matvec(X)
+    mass = np.einsum("ij,ij->j", X, BX)
+    values = np.einsum("ij,ij->j", X, AX) / mass
+    scale = 1.0 / np.sqrt(mass)
+    for Y in (X, AX, BX):
+        Y *= scale
+    return _spectrum(values, X, AX, BX, norms)
+
+
 def solve_system(system):
-    """Generalized eigenpairs of an assembled pencil."""
-    return generalized_eig(system.A, system.B)
+    """Generalized eigenpairs of an assembled pencil.
+
+    Where ``sine_modes`` knows the eigenvectors (the outlier-free space
+    up to ``spaces.SINE_MODE_MAX_DEGREE``) no dense solve is made: the
+    pairs are the closed-form vectors with their Rayleigh quotients,
+    and every pair leaves through the residual contract of both
+    solvers, so a wrong vector exits 2 rather than printing. Elsewhere
+    it is ``generalized_eig``.
+    """
+    spectrum = _sine_spectrum(system)
+    if spectrum is None:
+        return generalized_eig(system.A, system.B)
+    return spectrum
 
 
 def reweighted_values(system, etas):
     """Eigenvalues of the system's operators under each softness weight
-    of ``etas``, with its own mass-side weight eta_b, from one solve of
-    its pencil.
+    of ``etas``, with its own mass-side weight eta_b, from one set of
+    eigenvectors.
 
     On the outlier-free space K, M and S all commute with the paper's
     transformation T, so one set of eigenvectors X diagonalizes all
     three, and with the per-mode energies (k_j, m_j, s_j) of
     ``SoftSystem.energies`` every weight's eigenvalues are lambda_j =
-    (k_j - eta s_j) / (m_j + eta_b h^2 s_j). Each weight's pairs are
-    sorted and held to the residual contract of both solvers against
-    that weight's bands, so a pencil that X does not diagonalize, such
-    as a standard space with p >= 3, raises EigenSolveError.
+    (k_j - eta s_j) / (m_j + eta_b h^2 s_j). X is the closed form of
+    ``sine_modes``, B-normalized with the same energies, or the dense
+    eigenvectors of the pencil where that knows none. Each weight's
+    pairs are sorted and held to the residual contract of both solvers
+    against that weight's bands, so a pencil that X does not
+    diagonalize, such as a standard space with p >= 3, raises
+    EigenSolveError.
     """
-    X = solve_system(system).vectors
+    check_full_order(system.space.dim)
+    _checked_pencil(system.A, system.B)
+    X = sine_modes(system.space)
+    closed_form = X is not None
+    if not closed_form:
+        X = generalized_eig(system.A, system.B).vectors
     (k, m, s), (KX, MX, SX) = system.energies(X)
     h = system.space.kv.h
     mass_weight = system.eta_b * h * h
+    mass = m + mass_weight * s
+    if closed_form:
+        scale = 1.0 / np.sqrt(mass)
+        for Y in (X, KX, MX, SX):
+            Y *= scale
+    BX = MX + mass_weight * SX
+    mass_norm = system.B.frobenius()
     values = []
     for eta in etas:
         pencil = system.with_weights(eta, system.eta_b)
-        norms = (pencil.A.frobenius(), pencil.B.frobenius())
-        values.append(_spectrum((k - pencil.eta * s) / (m + mass_weight * s),
-                                X, KX - pencil.eta * SX,
-                                MX + mass_weight * SX, norms).values)
+        norms = (pencil.A.frobenius(), mass_norm)
+        values.append(_spectrum((k - pencil.eta * s) / mass, X,
+                                KX - pencil.eta * SX, BX, norms).values)
     return values
 
 
@@ -99,48 +152,83 @@ def _check_mode(p, N_list, j, flavor):
                          f" space dimension over the meshes, got {j}")
 
 
+# Working memory of one block of modes in ``_mode_errors``, about nine
+# arrays of one value per quadrature point and mode.
+_ERROR_BLOCK_BYTES = 1 << 19
+
+
 def _mode_errors(system, spectrum, js):
     """Squared L2 and H1-seminorm errors of several discrete modes.
 
     Each mode j is rescaled to unit L2 norm and sign-aligned with its
     continuum counterpart sqrt(2)*sin(j*pi*x); the mismatch is then
     integrated with a (p + 4)-point Gauss rule per element, using basis
-    values tabulated once per distinct element.
+    values tabulated once per distinct element. The rule is exact for
+    the square of a mode, so the norm is taken with it too.
 
-    Returns (l2_sq, h1_sq, coeffs) with the rescaled coefficient vectors
-    as the columns of ``coeffs``.
+    The modes go in blocks of columns, each sized to
+    ``_ERROR_BLOCK_BYTES``: one batched matrix product per block gives
+    the values and derivatives of its modes at every point, and the
+    continuum mode at x = (e + t) h comes from angle addition, the
+    element part e*j reduced in integers.
+
+    Returns (l2_sq, h1_sq).
     """
     space = system.space
     kv = space.kv
-    p, N, h = kv.p, kv.N, kv.h
+    p, N = kv.p, kv.N
     js = list(js)
     for j in js:
         if not 1 <= j <= spectrum.n:
             raise ValueError(f"mode index j must be in 1..{spectrum.n},"
                              f" got {j}")
-    coeffs = spectrum.vectors[:, [j - 1 for j in js]]
-    norms = np.einsum("ij,ij->j", coeffs, system.mass.matvec(coeffs))
-    coeffs = coeffs / np.sqrt(norms)
-
     xg, wg = gauss_rule(p + 4)
     t = 0.5 * (xg + 1.0)
     ders, index = basis_table(kv, t, 1)
-    ders = ders[index]  # (N, p + 4, 2, p + 1)
-    x = ((np.arange(N)[:, None] + t) * h).reshape(-1)
-    w = np.tile(wg * (0.5 * h), N)
-    raw = space.raw_coefficients(coeffs)
+    # (2, N, p + 4, p + 1): values, then first derivatives, per element
+    ders = np.ascontiguousarray(np.moveaxis(ders[index], 2, 0))
+    table = math.sqrt(2.0) * sine_table(N)
+    # quadrature weights per point, which every element shares
+    weights = (wg * (0.5 * kv.h))[:, None]
+
+    def integral(f):
+        """Quadrature per mode of f, ordered (point, mode, element)."""
+        return np.sum(weights * f.sum(axis=2), axis=0)
+
     l2_sq, h1_sq = np.empty(len(js)), np.empty(len(js))
-    for k, j in enumerate(js):
+    width = max(1, _ERROR_BLOCK_BYTES // (9 * 8 * N * len(t)))
+    for lo in range(0, len(js), width):
+        block = js[lo:lo + width]
+        raw = space.raw_coefficients(
+            spectrum.vectors[:, [j - 1 for j in block]])
         # raw coefficients of the p+1 functions living on each element
-        local = np.lib.stride_tricks.sliding_window_view(raw[:, k], p + 1)
-        uh, duh = np.einsum("eqrm,em->req", ders, local).reshape(2, -1)
-        omega = j * math.pi
-        u = math.sqrt(2.0) * np.sin(omega * x)
-        du = math.sqrt(2.0) * omega * np.cos(omega * x)
-        sign = 1.0 if float(w @ (uh * u)) >= 0 else -1.0
-        l2_sq[k] = w @ (sign * uh - u) ** 2
-        h1_sq[k] = w @ (sign * duh - du) ** 2
-    return l2_sq, h1_sq, coeffs
+        local = np.lib.stride_tricks.sliding_window_view(
+            raw, p + 1, axis=0).transpose(0, 2, 1)
+        # values and derivatives, ordered (point, mode, element) so that
+        # every pass below runs along the elements
+        uh, duh = np.matmul(ders, local).transpose(0, 2, 3, 1).copy()
+        omega = math.pi * np.array(block)
+        # sqrt(2) sin(j pi e / N) and cos(...) per element e, reduced in
+        # integers, and sin(j pi t / N), cos(...) per point t
+        phase = np.multiply.outer(block, 2 * np.arange(N)) % (4 * N)
+        se = table[phase]
+        phase += N
+        ce = table[phase % (4 * N)]
+        inner = np.multiply.outer(t, omega / N)[:, :, None]
+        sq, cq = np.sin(inner), np.cos(inner)
+        # u = sqrt(2) sin(omega x) and its derivative at every point
+        u = se * cq
+        u += ce * sq
+        du = ce * (omega[:, None] * cq)
+        du -= se * (omega[:, None] * sq)
+        factor = (np.where(integral(uh * u) >= 0, 1.0, -1.0)
+                  / np.sqrt(integral(uh * uh)))[:, None]
+        for approx, exact, out in ((uh, u, l2_sq), (duh, du, h1_sq)):
+            approx *= factor
+            approx -= exact
+            approx *= approx
+            out[lo:lo + len(block)] = integral(approx)
+    return l2_sq, h1_sq
 
 
 def h1_errors_for_modes(system, spectrum, js):
@@ -150,7 +238,7 @@ def h1_errors_for_modes(system, spectrum, js):
     continuum counterpart sqrt(2)*sin(j*pi*x) before integrating the
     derivative mismatch.
     """
-    _, h1_sq, _ = _mode_errors(system, spectrum, js)
+    _, h1_sq = _mode_errors(system, spectrum, js)
     return [math.sqrt(float(e)) for e in h1_sq]
 
 
@@ -275,8 +363,9 @@ def pythagorean_check(p, N, eta, j):
     system = build_soft_system(p, N, eta)
     spectrum = solve_system(system)
     lam_h = spectrum.values[j - 1]
-    l2_sq, h1_sq, coeffs = _mode_errors(system, spectrum, [j])
-    coeffs = coeffs[:, 0]
+    l2_sq, h1_sq = _mode_errors(system, spectrum, [j])
+    coeffs = spectrum.vectors[:, j - 1]
+    coeffs = coeffs / math.sqrt(coeffs @ system.mass.matvec(coeffs))
     lam = (j * math.pi) ** 2
 
     soft = float(coeffs @ system.softness.matvec(coeffs))
