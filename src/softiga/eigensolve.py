@@ -10,8 +10,12 @@ array to ``dpbtrf`` as it is, in O(n * hbw^2). There are two solvers:
   path: the Cholesky factor of B reduces the pencil to a standard
   problem, solved by tridiagonal divide and conquer. The dense sides
   exist only as the call's arguments and A V and B V are band products,
-  so the call's peak of about 6 n^2 doubles is the solve's; an order above
-  ``MAX_DENSE_ORDER`` is refused before anything dense is allocated.
+  one vector at a time, so the call's peak of about 6 n^2 doubles is the
+  solve's; an order above ``MAX_DENSE_ORDER`` is refused before anything
+  dense is allocated. On the outlier-free space
+  ``spectral_analysis.solve_system`` needs no dense solve: it builds the
+  paper's closed-form eigenvectors and uses this one only where they are
+  not known.
 * ``extreme_eigenpairs`` returns only the smallest and the largest
   pair, from band factorizations alone. By Sylvester's law of inertia,
   sigma*B - A is positive definite exactly when sigma > lambda_max,
@@ -32,9 +36,11 @@ weight, lambda_1 at p = 2, N = 2000 is off by 2.3e-11 to 2.4e-11
 relative.
 
 Both solvers enter through one check of the pencil and leave through
-one finish; each keeps only its own algorithm. The pairs that
-``spectral_analysis.reweighted_values`` reads off one solve for other
-weights leave through the same finish. The check refuses an order
+one finish; each keeps only its own algorithm. The closed-form pairs of
+``spectral_analysis.solve_system``, and those that
+``spectral_analysis.reweighted_values`` reads off one set of
+eigenvectors for other weights, pass the same check and leave through
+the same finish. The check refuses an order
 mismatch, a B that is not definite (with its Cholesky pivot) and
 non-finite entries, and hands the solver double-precision bands of one
 height with their Frobenius norms. The finish fixes each eigenvector's
@@ -171,8 +177,8 @@ class SymBandedMatrix:
 RESIDUAL_RTOL = 1e-10
 
 # Largest order whose full spectrum is computed: the dense solve's 6 n^2
-# doubles are about 1.2 GB there, and the closed-form one of
-# ``spectral_analysis.solve_system`` holds up to 5 n^2.
+# doubles are about 1.2 GB there, the closed-form pairs of
+# ``spectral_analysis.solve_system`` about 4.5 n^2.
 MAX_DENSE_ORDER = 5000
 
 

@@ -163,8 +163,9 @@ def space_dimension(p, N, flavor):
 
 # Highest degree whose pencils take their eigenvectors from
 # ``sine_modes``. Up to it the closed-form pairs meet the residual
-# contract with a margin of at least 1000 (tests/test_spectral.py);
-# above it the margin shrinks to a few units at p = 15.
+# contract with a margin above 300 on every mesh measured (N up to
+# 2000; above 1800 for N <= 200, which tests/test_spectral.py holds);
+# past it the margin falls to about 130 at p = 14 and 5 at p = 15.
 SINE_MODE_MAX_DEGREE = 12
 
 

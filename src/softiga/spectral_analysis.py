@@ -8,11 +8,20 @@ Every report, in any dimension, lifts the ascending 1D eigenvalues with
 (``spectral_report``); a report holds only the paired arrays. The error
 of one mode over a mesh family, of its eigenvalue or of its H1
 seminorm, comes from one routine (``mode_convergence``) that builds and
-solves each mesh once. A weight sweep solves its space once and
-reweights every weight from the shared eigenvectors
-(``reweighted_values``). Condition statistics read only the two ends
-of each spectrum, which the ``condition`` command takes from
-``tensor.lifted_extremes`` without building a lift.
+solves each mesh once. A weight sweep takes one set of eigenvectors
+per space and reweights every weight from it (``reweighted_values``).
+Condition statistics read only the two ends of each spectrum, which the
+``condition`` command takes from ``tensor.lifted_extremes`` without
+building a lift.
+
+On the outlier-free space, up to degree ``spaces.SINE_MODE_MAX_DEGREE``
+and for the standard space at p <= 2, which is the same space, the
+eigenvectors are the paper's closed form (``spaces.sine_modes``), so
+``solve_system`` and ``reweighted_values`` make no dense solve: the
+pairs cost O(n^2 * hbw) instead of O(n^3), and every pair still leaves
+through the residual contract of ``eigensolve``. Elsewhere they use the
+dense ``generalized_eig``. H1 errors are integrated over blocks of
+modes of a fixed byte size (``_mode_errors``).
 """
 
 import math
@@ -52,8 +61,8 @@ def _sine_spectrum(system):
     above ``MAX_DENSE_ORDER``, a mass side that is not definite and
     non-finite entries. Each value is the Rayleigh quotient of its
     vector with the band products A x and B x, and every scaling is in
-    place, so the peak is about 4 n^2 doubles where the dense solve's is
-    6 n^2.
+    place, so the peak is about 4.5 n^2 doubles where the dense solve's
+    is 6 n^2.
     """
     check_full_order(system.space.dim)
     A, B, norms = _checked_pencil(system.A, system.B)

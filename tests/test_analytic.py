@@ -40,6 +40,16 @@ def test_eta_table_exact_values():
     assert table.theoretical_max[4] == F(1, 518400)
 
 
+def test_eta_table_is_built_once_and_read_only():
+    table = eta_table()
+    assert eta_table() is table
+    for weights in (table.theoretical_max, table.sharp_max, table.default,
+                    table.superconvergent, table.mass_side):
+        with pytest.raises(TypeError):
+            weights[2] = F(1)
+    assert table.sharp_max[2] == F(1, 48)
+
+
 def test_eta_table_orderings_and_resolution():
     table = eta_table()
     for p in (2, 3, 4):

@@ -2,13 +2,16 @@
 and invariance of assembled operators under a change of null-space
 basis."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from oracles import space_member_eval
 from softiga.assembly import assemble_mass, assemble_stiffness
-from softiga.spaces import (SplineSpace, build_of_space,
-                            build_standard_space, space_dimension)
+from softiga.spaces import (SINE_MODE_MAX_DEGREE, SplineSpace,
+                            build_of_space, build_standard_space,
+                            corner_map, sine_modes, sine_table,
+                            space_dimension)
 from softiga.splines import eval_basis, open_knot_vector
 
 
@@ -173,3 +176,63 @@ def test_dense_extraction_builds_a_space_without_identity_part():
     dense = SplineSpace(space.kv, space.extraction)
     assert dense.inner == 0 and dense.dim == space.dim
     np.testing.assert_array_equal(dense.extraction, space.extraction)
+
+
+def _meshes(p, top=300):
+    """Every N up to top on which the outlier-free space of degree p
+    exists."""
+    return [N for N in range(1, top) if N >= max(2 * ((p - 1) // 2) + 2,
+                                                 4 * ((p - 1) // 2) + 2 - p,
+                                                 3 - p)]
+
+
+@pytest.mark.parametrize("p", range(3, SINE_MODE_MAX_DEGREE + 1))
+def test_corner_map_does_not_depend_on_the_mesh(p):
+    # it follows the space's own corner basis, whose rounding varies with
+    # N: measured at most 5.9e-14 apart (p = 12) over N up to 300
+    maps = [corner_map(build_of_space(p, N)) for N in _meshes(p)]
+    assert maps[0].shape == ((p - 1) // 2, p + 2)
+    for Q in maps[1:]:
+        np.testing.assert_allclose(Q, maps[0], rtol=0, atol=1e-13)
+
+
+def test_corner_map_of_the_cubic_and_quartic_spaces():
+    root = np.sqrt(10.0)
+    np.testing.assert_allclose(corner_map(build_of_space(3, 9)),
+                               [[root / 3, 0, 0, 0, 0]], atol=1e-15)
+    np.testing.assert_allclose(corner_map(build_of_space(4, 9)),
+                               [[root / 4, root / 12, 0, 0, 0, 0]],
+                               atol=1e-15)
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 40])
+def test_sine_table_is_the_sine_with_its_symmetries_exact(N):
+    table = sine_table(N)
+    i = np.arange(4 * N)
+    with mpmath.workdps(30):
+        exact = [float(mpmath.sin(mpmath.pi * k / (2 * N))) for k in i]
+    np.testing.assert_allclose(table, exact, rtol=0, atol=3e-16)
+    # odd about 0 and 2N, even about N, exactly
+    assert np.array_equal(table[(4 * N - i) % (4 * N)], -table)
+    assert np.array_equal(table[(2 * N - i) % (4 * N)], table)
+
+
+@pytest.mark.parametrize("p,N", [(1, 6), (2, 7), (3, 9), (4, 10), (7, 20),
+                                 (12, 30)])
+def test_sine_modes_are_sine_samples_in_the_identity_part(p, N):
+    space = build_of_space(p, N)
+    X = sine_modes(space)
+    n, r = space.dim, (p - 1) // 2
+    node = np.arange(1, n + 1) - (0.0 if p % 2 else 0.5)
+    expected = np.sin(np.pi / N * np.multiply.outer(node, np.arange(1, n + 1)))
+    np.testing.assert_allclose(X[r:n - r], expected[r:n - r], rtol=0,
+                               atol=1e-13)
+    # the right corner mirrors the left one, times (-1)^(j + 1)
+    signs = np.where(np.arange(1, n + 1) % 2, 1.0, -1.0)
+    assert np.array_equal(X[n - r:], X[:r][::-1] * signs)
+
+
+def test_only_outlier_free_spaces_within_the_gate_have_sine_modes():
+    assert sine_modes(build_standard_space(2, 10)) is not None
+    assert sine_modes(build_standard_space(3, 10)) is None
+    assert sine_modes(build_of_space(SINE_MODE_MAX_DEGREE + 1, 40)) is None

@@ -12,7 +12,8 @@ import softiga.spectral_analysis as spectral
 from oracles import full_lift_values
 from softiga.analytic import analytic_eigenvalue, eta_table
 from softiga.assembly import build_soft_system
-from softiga.eigensolve import EigenSolveError
+from softiga.eigensolve import EigenSolveError, generalized_eig
+from softiga.spaces import SINE_MODE_MAX_DEGREE, build_of_space
 from softiga.spectral_analysis import (ConditionStats,
                                        InsufficientDataError,
                                        condition_stats, convergence_slope,
@@ -389,3 +390,98 @@ def test_one_mode_error_allocates_no_square_array():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * n * n * 8
+
+
+def _gate_weights(p):
+    """(eta, eta_b) pairs of the tabulated weights of degree p: zero,
+    default and super, each alone and with the paper's mass-side
+    weight where one is tabulated."""
+    table = eta_table()
+    etas = [0.0] + [float(w) for w in (table.default.get(p),
+                                       table.superconvergent.get(p))
+                    if w is not None]
+    sides = [0.0] + ([float(table.mass_side[p])]
+                     if table.mass_side.get(p) is not None else [])
+    return [(eta, eta_b) for eta in etas for eta_b in sides]
+
+
+def _smallest_mesh(p):
+    """The smallest N on which the outlier-free space of degree p exists."""
+    for N in range(1, 4 * p + 4):
+        try:
+            build_of_space(p, N)
+        except ValueError:
+            continue
+        return N
+
+
+@pytest.mark.parametrize("p", range(1, SINE_MODE_MAX_DEGREE + 1))
+def test_closed_form_pairs_match_the_dense_solve(p, monkeypatch):
+    # measured over these meshes and weights: values within 5.5e-13
+    # relative of the dense solve's, 1 - |x^T B v| below 4.6e-13, and the
+    # residual contract kept with a margin above 1800 (all at p = 12)
+    def refuse(A, B):
+        raise AssertionError("dense solve inside the closed-form gate")
+
+    monkeypatch.setattr(spectral, "generalized_eig", refuse)
+    N0 = _smallest_mesh(p)
+    for N in sorted({N0, N0 + 1, 2 * p + 3, 40, 200}):
+        for eta, eta_b in _gate_weights(p):
+            system = build_soft_system(p, N, eta, eta_b)
+            closed = solve_system(system)
+            dense = generalized_eig(system.A, system.B)
+            np.testing.assert_allclose(closed.values, dense.values,
+                                       rtol=2e-12, atol=0)
+            overlap = np.einsum("ij,ij->j", closed.vectors,
+                                system.B.matvec(dense.vectors))
+            np.testing.assert_allclose(np.abs(overlap), 1.0, rtol=0,
+                                       atol=2e-12)
+            assert np.all(closed.residuals <= 1e-3 * closed.residual_bounds)
+
+
+def test_the_first_degree_past_the_gate_and_standard_spaces_stay_dense(
+        monkeypatch):
+    dense = _counting(monkeypatch, "generalized_eig")
+    for p, N, flavor in ((SINE_MODE_MAX_DEGREE + 1, 40, "outlier_free"),
+                         (3, 20, "standard")):
+        system = build_soft_system(p, N, 0.0, flavor=flavor)
+        assert solve_system(system).n == system.space.dim
+    assert len(dense) == 2
+    monkeypatch.undo()
+    # p <= 2 has one space for both flavors, which the closed form covers
+    dense = _counting(monkeypatch, "generalized_eig")
+    solve_system(build_soft_system(2, 20, 0.0, flavor="standard"))
+    assert dense == []
+
+
+def _traced_peak(call, *args):
+    """Peak bytes that tracemalloc sees allocated during call(*args)."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_closed_form_solve_peaks_below_the_dense_solve():
+    # measured at p = 3, N = 200 (n = 199): 4.5 n^2 doubles against the
+    # dense solve's 6.1 n^2 (1.93 MB)
+    p = 3
+    system = build_soft_system(p, 200, float(eta_table().default[p]))
+    n = system.space.dim
+    closed = _traced_peak(solve_system, system)
+    dense = _traced_peak(generalized_eig, system.A, system.B)
+    assert closed <= 5 * n * n * 8 < dense
+
+
+def test_h1_errors_of_every_mode_stay_within_their_block_budget():
+    # the per-mode loop this replaced peaked at 0.85 MB here; measured
+    # 0.71 MB with blocks of five modes
+    p = 3
+    system = build_soft_system(p, 200, float(eta_table().default[p]))
+    spectrum = solve_system(system)
+    peak = _traced_peak(h1_errors_for_modes, system, spectrum,
+                        range(1, spectrum.n + 1))
+    assert peak <= 0.84e6
