@@ -52,21 +52,26 @@ class SpectralReport:
     rel_errors: np.ndarray
 
 
+def _checked_sine_modes(system):
+    """The checked pencil of ``eigensolve._checked_pencil`` and the
+    closed-form eigenvectors of ``sine_modes`` (None where they are not
+    known), after the refusals of the dense solve: an order above
+    ``MAX_DENSE_ORDER``, a mass side that is not definite and non-finite
+    entries."""
+    check_full_order(system.space.dim)
+    return _checked_pencil(system.A, system.B), sine_modes(system.space)
+
+
 @_solver
 def _sine_spectrum(system):
     """The Spectrum of the system's pencil from its closed-form
-    eigenvectors (``sine_modes``), or None where they are not known.
+    eigenvectors, or None where they are not known.
 
-    The pencil first gets the refusals of the dense solve: an order
-    above ``MAX_DENSE_ORDER``, a mass side that is not definite and
-    non-finite entries. Each value is the Rayleigh quotient of its
-    vector with the band products A x and B x, and every scaling is in
-    place, so the peak is about 4.5 n^2 doubles where the dense solve's
-    is 6 n^2.
+    Each value is the Rayleigh quotient of its vector with the band
+    products A x and B x, and every scaling is in place, so the peak is
+    about 4.5 n^2 doubles where the dense solve's is 6 n^2.
     """
-    check_full_order(system.space.dim)
-    A, B, norms = _checked_pencil(system.A, system.B)
-    X = sine_modes(system.space)
+    (A, B, norms), X = _checked_sine_modes(system)
     if X is None:
         return None
     AX = A.matvec(X)
@@ -112,9 +117,7 @@ def reweighted_values(system, etas):
     diagonalize, such as a standard space with p >= 3, raises
     EigenSolveError.
     """
-    check_full_order(system.space.dim)
-    _checked_pencil(system.A, system.B)
-    X = sine_modes(system.space)
+    _, X = _checked_sine_modes(system)
     closed_form = X is not None
     if not closed_form:
         X = generalized_eig(system.A, system.B).vectors
