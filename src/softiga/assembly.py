@@ -78,8 +78,8 @@ class SoftSystem:
         return self.mass.plus(self.eta_b * h * h, self.softness)
 
     def energies(self, X):
-        """Per-mode stiffness, mass and softness energies of the
-        B-orthonormal columns X, from one band product per operator.
+        """Per-mode stiffness, mass and softness energies of the columns
+        X, from one block band product per operator.
 
         Returns ((k, m, s), (KX, MX, SX)): k_j = x_j^T K x_j, m_j and
         s_j likewise, and the three products they were read from.
