@@ -160,7 +160,6 @@ def space_dimension(p, N, flavor):
     raise ValueError(f"unknown space flavor {flavor!r}")
 
 
-
 # Highest degree whose pencils take their eigenvectors from
 # ``sine_modes``. Up to it the closed-form pairs meet the residual
 # contract with a margin above 300 on every mesh measured (N up to
@@ -219,9 +218,9 @@ def corner_map(space):
 
 def sine_table(N):
     """sin(pi*i/(2N)) for i = 0..4N-1, exactly odd about i = 0 and 2N and
-    even about N and 3N, as the sine is: entry (2*a*b) mod 4N is
-    sin(pi*a*b/N) for integers a, b, with no rounding of the argument
-    past the one of pi*i/(2N), i <= N."""
+    even about N and 3N, as the sine is. Entry (2*a*b) mod 4N is
+    sin(pi*a*b/N) for integers a, b; the only rounding in its argument
+    is that of pi*i/(2N) for some i <= N."""
     quarter = np.sin(np.pi / (2 * N) * np.arange(N + 1))
     return np.concatenate((quarter, quarter[-2::-1], -quarter[1:],
                            -quarter[-2:0:-1]))
@@ -241,7 +240,8 @@ def sine_modes(space):
     """
     p, N = space.kv.p, space.kv.N
     alpha = (p - 1) // 2
-    if p > SINE_MODE_MAX_DEGREE or space.left.shape != (alpha, 2 * alpha + 1):
+    if (p > SINE_MODE_MAX_DEGREE
+            or space.left.shape != (alpha, 2 * alpha + 1)):
         return None
     n, r = space.dim, alpha
     # 2 * node_k, and every product reduced modulo 4N before the lookup
