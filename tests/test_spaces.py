@@ -179,11 +179,10 @@ def test_dense_extraction_builds_a_space_without_identity_part():
 
 
 def _meshes(p, top=300):
-    """Every N up to top on which the outlier-free space of degree p
-    exists."""
-    return [N for N in range(1, top) if N >= max(2 * ((p - 1) // 2) + 2,
-                                                 4 * ((p - 1) // 2) + 2 - p,
-                                                 3 - p)]
+    """Every N up to top on which the outlier-free space of degree
+    p >= 3 exists."""
+    alpha = (p - 1) // 2
+    return range(max(2 * alpha + 2, 4 * alpha + 2 - p), top)
 
 
 @pytest.mark.parametrize("p", range(3, SINE_MODE_MAX_DEGREE + 1))
