@@ -20,7 +20,8 @@ from .splines import (BasisEval, KnotVector, basis_table, eval_basis,
 from .spectral_analysis import (ConditionStats, InsufficientDataError,
                                 SpectralReport, condition_stats,
                                 convergence_slope, eta_sweep,
-                                h1_errors_for_modes, mode_convergence,
+                                extreme_values, h1_errors_for_modes,
+                                mode_convergence,
                                 pythagorean_check, solve_system,
                                 spectral_report)
 from .tensor import (TensorSpectrum, continuum_values, kron_sum_spectrum,
@@ -39,7 +40,7 @@ __all__ = [
     "build_soft_system", "build_standard_space", "commutator_norm",
     "condition_stats", "continuum_values", "convergence_slope",
     "dispersion_eigenvalue", "dispersion_expansion", "eta_sweep",
-    "eta_table", "eval_basis", "extreme_eigenpairs",
+    "eta_table", "eval_basis", "extreme_eigenpairs", "extreme_values",
     "fit_leading_coefficient",
     "generalized_eig", "h1_errors_for_modes", "interior_stencil",
     "inverse_constants_squared", "kron_sum_spectrum", "lifted_extremes",

@@ -12,6 +12,8 @@ band storage of each reference matrix directly, in O(n * hbw) work.
 The interior symbol of a stencil also yields the pencil eigenvalue as a
 function of the normalized wavenumber t; evaluated in high precision it
 supports dispersion-coefficient fits far below double-precision noise.
+Only those evaluations use mpmath, so it is imported by them, not with
+the package.
 """
 
 import functools
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-import mpmath
 import numpy as np
 
 from .eigensolve import SymBandedMatrix
@@ -288,6 +289,8 @@ def _symbol(p, eta, eta_b):
     (numerator, denominator), each the list of its mpmath coefficients
     c_k of c_0 + sum over k >= 1 of 2 c_k cos(k t), converted at the
     caller's working precision."""
+    import mpmath
+
     ss = interior_stencil("S", p)
 
     def frac(x):
@@ -303,6 +306,7 @@ def _symbol(p, eta, eta_b):
 
 def _symbol_value(symbol, t):
     """lambda * h^2 at wavenumber t from the series of ``_symbol``."""
+    import mpmath
 
     def value(coeffs):
         out = coeffs[0]
@@ -321,6 +325,8 @@ def dispersion_eigenvalue(p, t, eta=0, eta_b=0):
     relative errors (t^(2p+2) scales) stay resolvable. For p in {2,3,4}
     this equals the closed-form eigenvalue times h^2.
     """
+    import mpmath
+
     return _symbol_value(_symbol(p, eta, eta_b), mpmath.mpf(t))
 
 
@@ -344,6 +350,8 @@ def fit_leading_coefficient(p, eta):
         Fitted coefficient, its exact rational target, and the power of
         t it multiplies.
     """
+    import mpmath
+
     exp = dispersion_expansion(p, eta)
     if exp.lead != 0:
         power, target = 2 * p, exp.lead

@@ -27,6 +27,11 @@ bandwidth (p, or p+1 for the softness form) so that every coupling of a
 boundary member is covered. On tiny meshes whose corners meet, one
 block covers the whole matrix.
 
+The raw bands depend only on the knot vector, so the spaces of one
+mesh can share them: ``build_soft_system`` assembles them once into a
+list its caller passes to the next build, and extracts each space from
+them.
+
 Every band, raw or extracted, is one LAPACK lower band array
 (``SymBandedMatrix.band``, row k the k-th subdiagonal), so the
 definiteness check factors it with no repacking.
@@ -236,7 +241,8 @@ def assemble_softness(space):
     return _extract(space, _softness_raw(space.kv))
 
 
-def build_soft_system(p, N, eta, eta_b=0.0, flavor="outlier_free"):
+def build_soft_system(p, N, eta, eta_b=0.0, flavor="outlier_free",
+                      raw=None):
     """Assemble the softened pencil (A, B).
 
     Parameters
@@ -252,6 +258,12 @@ def build_soft_system(p, N, eta, eta_b=0.0, flavor="outlier_free"):
     flavor : {"outlier_free", "standard"}
         Trial space; the plain Galerkin baseline uses "standard" with
         eta = 0.
+    raw : list, optional
+        The raw stiffness, mass and softness bands of the knot vector,
+        shared by the spaces built on it: an empty list receives them
+        from the raw assembly, and a filled one is extracted as it is,
+        with no assembly. Both spaces of one mesh then cost one raw
+        assembly and two extractions.
 
     Returns
     -------
@@ -264,5 +276,10 @@ def build_soft_system(p, N, eta, eta_b=0.0, flavor="outlier_free"):
         space = build_of_space(p, N)
     else:
         raise ValueError(f"unknown space flavor {flavor!r}")
-    return _pencil(space, assemble_stiffness(space), assemble_mass(space),
-                   assemble_softness(space), eta, eta_b)
+    if raw is None:
+        raw = []
+    if not raw:
+        kv = space.kv
+        raw += _gram(kv, 1), _gram(kv, 0), _softness_raw(kv)
+    K, M, S = (_extract(space, band) for band in raw)
+    return _pencil(space, K, M, S, eta, eta_b)

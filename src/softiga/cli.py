@@ -24,9 +24,10 @@ from .eigensolve import (DefinitenessError, EigenSolveError,
                          SymBandedMatrix, extreme_eigenpairs)
 from .spaces import space_dimension
 from .spectral_analysis import (condition_stats, convergence_slope,
-                                eta_sweep, h1_errors_for_modes,
-                                mode_convergence, reweighted_values,
-                                solve_system, spectral_report)
+                                eta_sweep, extreme_values,
+                                h1_errors_for_modes, mode_convergence,
+                                reweighted_values, solve_system,
+                                spectral_report)
 from .tensor import check_lift_size, lifted_extremes
 
 EXIT_OK = 0
@@ -189,40 +190,48 @@ def cmd_spectrum(args):
     return EXIT_OK
 
 
-def _lifted_ends(system, d):
-    """[lambda_min, lambda_max] of an assembled pencil, lifted to d."""
-    return lifted_extremes(extreme_eigenpairs(system.A, system.B).values, d)
-
-
 def cmd_condition(args):
     """Condition-number reduction of the target method over a baseline.
 
     Only the two ends of each lifted spectrum matter, and they are the
     d-fold sums of the 1D ends, so no lift is built. The 1D ends come
-    from band factorizations alone (``extreme_eigenpairs``): about 55
-    band Cholesky factorizations of O(n * hbw^2) each per pencil, so the
-    cost grows linearly in N. A 1D order above ``MAX_CONDITION_ORDER``
-    is refused before any assembly. A baseline on the target's space
-    reuses its assembled operators.
+    from band factorizations alone (``extreme_values``): about 8 band
+    Cholesky factorizations of O(n * hbw^2) each per pencil of the
+    outlier-free space, whose closed-form top mode seeds lambda_max,
+    and about 55 per pencil of a standard space of p >= 3, so the cost
+    grows linearly in N. A 1D order above ``MAX_CONDITION_ORDER`` is
+    refused before any assembly. A baseline on the target's space
+    reuses its assembled operators and its seed; a baseline on another
+    space reuses the raw bands of the knot vector.
     """
     eta, eta_b = _weights(args)
     target_flavor = _METHOD_FLAVOR[args.method]
     flavor = _METHOD_FLAVOR[args.baseline]
-    order = max(space_dimension(args.p, args.N, f)
-                for f in (target_flavor, flavor))
+    dims = {space_dimension(args.p, args.N, f)
+            for f in (target_flavor, flavor)}
+    order = max(dims)
     if order > MAX_CONDITION_ORDER:
         raise ConfigError(f"a pencil of order {order} is above the limit"
                           f" of {MAX_CONDITION_ORDER} for condition")
-    system = build_soft_system(args.p, args.N, eta, eta_b, target_flavor)
-    target = _lifted_ends(system, args.d)
     # the OF space lies inside the standard one, so equal dimensions
     # mean the same space: the same flavor, or any p <= 2
-    if space_dimension(args.p, args.N, flavor) == system.space.dim:
-        base = system.with_weights(0.0)
+    if len(dims) == 1:
+        target, base = extreme_values(
+            build_soft_system(args.p, args.N, eta, eta_b, target_flavor),
+            baseline=True)
     else:
-        del system  # free the target's operators before the next space
-        base = build_soft_system(args.p, args.N, 0.0, 0.0, flavor)
-    stats = condition_stats(target, _lifted_ends(base, args.d))
+        # one raw assembly for both spaces. The target's system goes in
+        # as a temporary, freed once its pencil is formed, and the raw
+        # bands are freed before the baseline's pencil is: no more is
+        # held at once than with an assembly per space.
+        raw = []
+        target, = extreme_values(build_soft_system(
+            args.p, args.N, eta, eta_b, target_flavor, raw))
+        system = build_soft_system(args.p, args.N, 0.0, 0.0, flavor, raw)
+        del raw
+        base, = extreme_values(system)
+    stats = condition_stats(lifted_extremes(target, args.d),
+                            lifted_extremes(base, args.d))
     columns = ["d", "p", "lambda_min", "lambda_max_baseline",
                "lambda_max_target", "gamma_baseline", "gamma_target",
                "rho", "varrho_pct"]

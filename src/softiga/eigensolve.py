@@ -22,9 +22,14 @@ array to ``dpbtrf`` as it is, in O(n * hbw^2). There are two solvers:
   and one ``dpbtrf`` decides that in O(n * hbw^2). lambda_max is
   bracketed and bisected until the bracket stops shrinking, about 55
   factorizations, and shift-invert steps at the final shift give its
-  vector. lambda_min comes from inverse iteration with the factor of A,
-  certified by one more factorization; when A is not definite it is
-  bisected like lambda_max. Its memory is a few bands, O(n * hbw).
+  vector. A seed vector near the top eigenvector, such as the
+  closed-form mode that ``spectral_analysis.extreme_values`` passes on
+  the outlier-free space, brackets lambda_max between its Rayleigh
+  quotient, a lower bound, and one shift 16 eps above it, which cuts
+  that to about 8. lambda_min comes from inverse iteration with the
+  factor of A, certified by one more factorization; when A is not
+  definite it is bisected like lambda_max. Its memory is a few bands,
+  O(n * hbw).
 
 Every eigenvalue is then a Rayleigh quotient v^T A v / v^T B v with the
 assembled float operators. That does not reach machine precision on
@@ -37,10 +42,11 @@ relative.
 
 Both solvers enter through one check of the pencil and leave through
 one finish; each keeps only its own algorithm. The closed-form pairs of
-``spectral_analysis.solve_system``, and those that
-``spectral_analysis.reweighted_values`` reads off one set of
-eigenvectors for other weights, pass the same check and leave through
-the same finish. The check refuses an order
+``spectral_analysis.solve_system`` pass the same check and leave through
+the same finish. Those that ``spectral_analysis.reweighted_values``
+reads off one set of eigenvectors for other weights keep only their
+values, so they pass the finish's residual contract alone
+(``_contract``), with no signed copy of the vectors. The check refuses an order
 mismatch, a B that is not definite (with its Cholesky pivot) and
 non-finite entries, and hands the solver double-precision bands of one
 height with their Frobenius norms. The finish fixes each eigenvector's
@@ -273,13 +279,43 @@ def _solver(solve):
     operation or division by zero inside it raised as one
     EigenSolveError instead of warned about and carried on."""
     @functools.wraps(solve)
-    def checked(*args):
+    def checked(*args, **kwargs):
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                return solve(*args)
+                return solve(*args, **kwargs)
         except FloatingPointError as exc:
             raise EigenSolveError(f"{exc} during the solve") from None
     return checked
+
+
+def _contract(values, AX, BX, norms):
+    """The pairs' values in stable ascending order, the order itself, and
+    the residuals and contract bounds in that order, from A X and B X and
+    the Frobenius norms of A and B; the vectors themselves are not read.
+
+    Raises EigenSolveError on non-finite values, or when a pair breaks
+    the residual contract ||A x - lambda B x|| <= RESIDUAL_RTOL *
+    (||A||_F + |lambda| ||B||_F).
+    """
+    if not np.all(np.isfinite(values)):
+        raise EigenSolveError("non-finite values in eigensolution")
+    # the residual block is formed and squared in place, the arithmetic
+    # of np.linalg.norm(AX - BX * values, axis=0) with one temporary
+    R = BX * values
+    np.subtract(AX, R, out=R)
+    np.multiply(R, R, out=R)
+    residuals = np.sqrt(np.add.reduce(R, axis=0))
+    del R
+    order = np.argsort(values, kind="stable")
+    values, residuals = values[order], residuals[order]
+    bounds = RESIDUAL_RTOL * (norms[0] + np.abs(values) * norms[1])
+    if not np.all(residuals <= bounds):
+        j = int(np.argmax(residuals / bounds))
+        raise EigenSolveError(f"eigenpair {j + 1} of {len(values)} breaks"
+                              f" the residual contract: residual"
+                              f" {residuals[j]:.3e} above its bound"
+                              f" {bounds[j]:.3e}")
+    return values, order, residuals, bounds
 
 
 def _spectrum(values, X, AX, BX, norms):
@@ -288,11 +324,13 @@ def _spectrum(values, X, AX, BX, norms):
     every vector positive, pairs in stable ascending order.
 
     Raises EigenSolveError on non-finite values or vectors, or when a
-    pair breaks the residual contract ||A x - lambda B x|| <=
-    RESIDUAL_RTOL * (||A||_F + |lambda| ||B||_F).
+    pair breaks the residual contract (``_contract``).
     """
-    if not np.all(np.isfinite(values)) or not np.all(np.isfinite(X)):
+    if not np.all(np.isfinite(X)):
         raise EigenSolveError("non-finite values in eigensolution")
+    # a sign flip keeps every norm, so the contract reads AX and BX as
+    # they are
+    values, order, residuals, bounds = _contract(values, AX, BX, norms)
     # the first largest magnitude per column; argmax over the flags, not
     # over |X|, so a C-order X is not copied into columns
     magnitude = np.abs(X)
@@ -300,29 +338,12 @@ def _spectrum(values, X, AX, BX, norms):
     del magnitude
     signs = np.sign(X[peaks, np.arange(X.shape[1])])
     signs[signs == 0] = 1.0
-    # a sign flip keeps every norm: read AX and BX as they are. The
-    # residual block is formed and squared in place, the arithmetic of
-    # np.linalg.norm(AX - BX * values, axis=0) with one temporary.
-    R = BX * values
-    np.subtract(AX, R, out=R)
-    np.multiply(R, R, out=R)
-    residuals = np.sqrt(np.add.reduce(R, axis=0))
-    del R
-    order = np.argsort(values, kind="stable")
-    values, signs, residuals = values[order], signs[order], residuals[order]
-    # one Fortran-order copy of X; reweighted_values shares the input
+    # one Fortran-order copy of X; the input is never written
     if np.array_equal(order, np.arange(len(order))):
         X = np.multiply(X, signs, order="F")
     else:
         X = X[:, order]
-        X *= signs
-    bounds = RESIDUAL_RTOL * (norms[0] + np.abs(values) * norms[1])
-    if not np.all(residuals <= bounds):
-        j = int(np.argmax(residuals / bounds))
-        raise EigenSolveError(f"eigenpair {j + 1} of {len(values)} breaks"
-                              f" the residual contract: residual"
-                              f" {residuals[j]:.3e} above its bound"
-                              f" {bounds[j]:.3e}")
+        X *= signs[order]
     return Spectrum(values, X, residuals, bounds)
 
 
@@ -433,7 +454,7 @@ def _edge_start(n):
     return x
 
 
-def _edge(A, B, norms, tol):
+def _edge(A, B, norms, tol, seed=None):
     """The eigenpair of the largest eigenvalue of the pencil (A, B), as
     (x, B x), x B-normalized.
 
@@ -444,29 +465,51 @@ def _edge(A, B, norms, tol):
     shift-invert steps with the factor at hi, from ``_edge_start``,
     give the eigenvector. Only a bracket that tight separates the top
     pair of a standard space at p >= 3, which can lie 1e-12 apart.
+
+    A ``seed``, a vector near the top eigenvector, raises lo to its own
+    Rayleigh quotient where that is larger, which no Rayleigh quotient
+    can lift past lambda_max, and the first shift tried is then
+    hi = lo + 16*eps*|lo|. When that factors, the bracket is already
+    16 eps wide and a few halvings close it; when it does not, the
+    doubling goes on from lo as without a seed. The shift-invert steps
+    start from the seed.
     """
     a, b = A.band, B.band
     work = np.empty_like(a)
     lo = float(np.max(a[0] / b[0]))
-    step = abs(lo) or 1.0
-    hi = lo + step
-    while _shifted_factor(a, b, hi, work) is None:
-        lo, step = hi, 2.0 * step
+    factor = None
+    if seed is None:
+        start = _edge_start(A.n)
+    else:
+        start = seed
+        lo = max(lo, (seed @ A.matvec(seed)) / (seed @ B.matvec(seed)))
+        hi = lo + 16.0 * _EPS * abs(lo)
+        if hi > lo:
+            factor = _shifted_factor(a, b, hi, work)
+    if factor is None:
+        step = abs(lo) or 1.0
         hi = lo + step
-        if not np.isfinite(hi):
-            raise EigenSolveError("no shift above the spectrum")
+        while (factor := _shifted_factor(a, b, hi, work)) is None:
+            lo, step = hi, 2.0 * step
+            hi = lo + step
+            if not np.isfinite(hi):
+                raise EigenSolveError("no shift above the spectrum")
     floor = _EPS * max(abs(lo), abs(hi))
     while hi - lo > floor:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if _shifted_factor(a, b, mid, work) is None:
+        # a shift that does not factor spoils the factor at hi in work,
+        # which is then redone once after the halvings
+        factor = _shifted_factor(a, b, mid, work)
+        if factor is None:
             lo = mid
         else:
             hi = mid
-    factor = _shifted_factor(a, b, hi, work)
-    x, bx, _, _ = _inverse_iteration(factor, hi, B, _edge_start(A.n),
-                                     norms, max(tol, 4.0 * floor),
+    if factor is None:
+        factor = _shifted_factor(a, b, hi, work)
+    x, bx, _, _ = _inverse_iteration(factor, hi, B, start, norms,
+                                     max(tol, 4.0 * floor),
                                      MAX_INVERSE_STEPS)
     return x, bx
 
@@ -500,13 +543,14 @@ def _lowest(A, B, norms, tol):
 
 
 @_solver
-def extreme_eigenpairs(A, B):
+def extreme_eigenpairs(A, B, seed=None):
     """The smallest and the largest eigenpair of A v = lambda B v, for
     symmetric A and SPD B, from band factorizations alone.
 
     lambda_max comes from bisection on the definiteness of sigma*B - A
-    (about 55 band Cholesky factorizations of O(n * hbw^2) each) and a
-    few shift-invert steps at the final shift; lambda_min from inverse
+    (about 55 band Cholesky factorizations of O(n * hbw^2) each, about
+    8 from a good ``seed``) and a few shift-invert steps at the final
+    shift; lambda_min from inverse
     iteration with the factor of A, certified by one more factorization,
     or by the same bisection when A is not definite. Both values are
     Rayleigh quotients with band products, so lambda_min carries the
@@ -517,6 +561,11 @@ def extreme_eigenpairs(A, B):
     A, B : SymBandedMatrix
         Same order; B positive definite. Entries of any real dtype are
         solved in double precision.
+    seed : ndarray, optional
+        A vector near the eigenvector of lambda_max, such as a
+        closed-form mode. Its Rayleigh quotient, a lower bound of
+        lambda_max, starts the bracket, which then takes about 8
+        factorizations; a poor seed costs at most one more than none.
 
     Returns
     -------
@@ -534,7 +583,7 @@ def extreme_eigenpairs(A, B):
         pair breaks the residual contract.
     """
     A, B, norms = _checked_pencil(A, B)
-    top, b_top = _edge(A, B, norms, 0.0)
+    top, b_top = _edge(A, B, norms, 0.0, seed)
     a_top = A.matvec(top)
     # eps * lambda_max is the round-off floor of both ends
     tol = 4.0 * _EPS * abs(top @ a_top)

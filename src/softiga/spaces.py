@@ -226,9 +226,10 @@ def sine_table(N):
                            -quarter[-2:0:-1]))
 
 
-def sine_modes(space):
+def sine_modes(space, js=None):
     """The pencil eigenvectors of ``space`` in closed form, unnormalized,
-    mode j in column j - 1; None where they are not known.
+    mode js[i] in column i (every mode 1..dim by default, mode j in
+    column j - 1); None where they are not known.
 
     They are known on the outlier-free space up to degree
     ``SINE_MODE_MAX_DEGREE``, the standard space included for p <= 2,
@@ -236,7 +237,8 @@ def sine_modes(space):
     node_k = k for odd p and k - 1/2 for even p, the argument reduced
     in integers and read from ``sine_table``. The r corner members at
     the left are ``corner_map`` of the first p + 2 samples, and those at
-    the right their mirror times (-1)^(j + 1), as for every sample.
+    the right their mirror times (-1)^(j + 1), as for every sample. Each
+    mode costs O(dim).
     """
     p, N = space.kv.p, space.kv.N
     alpha = (p - 1) // 2
@@ -244,9 +246,10 @@ def sine_modes(space):
             or space.left.shape != (alpha, 2 * alpha + 1)):
         return None
     n, r = space.dim, alpha
+    js = np.arange(1, n + 1) if js is None else np.asarray(js)
     # 2 * node_k, and every product reduced modulo 4N before the lookup
     twice = 2 * np.arange(1, max(n, p + 2) + 1) - (p + 1) % 2
-    index = np.multiply.outer(twice, np.arange(1, n + 1))
+    index = np.multiply.outer(twice, js)
     np.remainder(index, 4 * N, out=index)
     samples = sine_table(N)[index]
     del index
@@ -254,6 +257,5 @@ def sine_modes(space):
     if r:
         corner = corner_map(space) @ samples[:p + 2]
         X[:r] = corner
-        X[n - r:] = corner[::-1] * np.where(np.arange(1, n + 1) % 2, 1.0,
-                                            -1.0)
+        X[n - r:] = corner[::-1] * np.where(js % 2, 1.0, -1.0)
     return X

@@ -12,7 +12,7 @@ solves each mesh once. A weight sweep takes one set of eigenvectors
 per space and reweights every weight from it (``reweighted_values``).
 Condition statistics read only the two ends of each spectrum, which the
 ``condition`` command takes from ``tensor.lifted_extremes`` without
-building a lift.
+building a lift, from the 1D ends of ``extreme_values``.
 
 On the outlier-free space, up to degree ``spaces.SINE_MODE_MAX_DEGREE``
 and for the standard space at p <= 2, which is the same space, the
@@ -31,8 +31,9 @@ import numpy as np
 
 from .analytic import eta_table
 from .assembly import build_soft_system
-from .eigensolve import (_checked_pencil, _solver, _spectrum,
-                         check_full_order, generalized_eig)
+from .eigensolve import (_checked_pencil, _contract, _solver, _spectrum,
+                         check_full_order, extreme_eigenpairs,
+                         generalized_eig)
 from .spaces import sine_modes, sine_table, space_dimension
 from .splines import basis_table, gauss_rule
 from .tensor import continuum_values, kron_sum_spectrum
@@ -100,6 +101,35 @@ def solve_system(system):
     return spectrum
 
 
+def extreme_values(system, baseline=False):
+    """[lambda_min, lambda_max] of the system's pencil, and with
+    ``baseline`` also of its unsoftened pencil
+    (``system.with_weights(0.0)``) on the same space, from
+    ``extreme_eigenpairs``: a list of one or two arrays.
+
+    Where ``sine_modes`` knows the eigenvectors, the top mode j = n,
+    built once in O(n), seeds the bracket of lambda_max of both pencils,
+    about 8 band factorizations each in place of about 55. Near the
+    sharp threshold the top can be another mode, which costs at most
+    one factorization more. lambda_min is found as without a seed. A
+    system passed as a temporary is freed once its pencil is formed,
+    unless the baseline shares its operators, so that only the bands
+    of the pencil live through its solve.
+    """
+    space = system.space
+    unsoftened = system.with_weights(0.0) if baseline else None
+    A, B = system.A, system.B
+    del system
+    modes = sine_modes(space, [space.dim])
+    seed = None if modes is None else modes[:, 0]
+    ends = [extreme_eigenpairs(A, B, seed).values]
+    del A, B
+    if unsoftened is not None:
+        ends.append(extreme_eigenpairs(unsoftened.A, unsoftened.B,
+                                       seed).values)
+    return ends
+
+
 def reweighted_values(system, etas):
     """Eigenvalues of the system's operators under each softness weight
     of ``etas``, with its own mass-side weight eta_b, from one set of
@@ -135,8 +165,10 @@ def reweighted_values(system, etas):
     for eta in etas:
         pencil = system.with_weights(eta, system.eta_b)
         norms = (pencil.A.frobenius(), mass_norm)
-        values.append(_spectrum((k - pencil.eta * s) / mass, X,
-                                KX - pencil.eta * SX, BX, norms).values)
+        # only the values are kept, so each weight's pairs pass the
+        # contract alone, with no signed copy of the shared X
+        values.append(_contract((k - pencil.eta * s) / mass,
+                                KX - pencil.eta * SX, BX, norms)[0])
     return values
 
 

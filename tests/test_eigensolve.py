@@ -17,6 +17,7 @@ from softiga.cli import EXIT_CONFIG, main
 from softiga.eigensolve import (DefinitenessError, EigenSolveError,
                                 Spectrum, SymBandedMatrix, cholesky_pivot,
                                 extreme_eigenpairs, generalized_eig)
+from softiga.spaces import sine_modes
 
 EPS = np.finfo(float).eps
 
@@ -395,3 +396,78 @@ def test_condition_with_an_indefinite_pencil_keeps_its_message(capsys):
     assert captured.out == ""
     assert captured.err == ("softiga: config error: spectra must be"
                             " positive to form condition numbers\n")
+
+
+def _counting_factorizations(monkeypatch):
+    """Count the shifted band factorizations of the band solver."""
+    calls = []
+    original = eigensolve._shifted_factor
+
+    def counted(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(eigensolve, "_shifted_factor", counted)
+    return calls
+
+
+def _top_mode(space, j=None):
+    return sine_modes(space, [space.dim if j is None else j])[:, 0]
+
+
+@pytest.mark.parametrize("N", [100, 400])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_seeded_outlier_free_top_takes_few_factorizations(p, N,
+                                                          monkeypatch):
+    system = build_soft_system(p, N, eta_table().default[p])
+    calls = _counting_factorizations(monkeypatch)
+    seeded = extreme_eigenpairs(system.A, system.B, _top_mode(system.space))
+    assert len(calls) <= 10
+    calls.clear()
+    plain = extreme_eigenpairs(system.A, system.B)
+    assert len(calls) > 50
+    assert seeded.values[0] == plain.values[0]
+    assert seeded.values[1] == pytest.approx(plain.values[1], rel=4 * EPS)
+
+
+def _poor_seeds(system):
+    """(label, system, seed) of seeds that are not the top eigenvector:
+    other modes, a random vector, and the mode n of weights near the
+    sharp threshold, where the top is another mode."""
+    space = system.space
+    n = space.dim
+    rng = np.random.default_rng(5)
+    out = [("mode n - 1", system, _top_mode(space, n - 1)),
+           ("mode 1", system, _top_mode(space, 1)),
+           ("random", system, rng.standard_normal(n))]
+    sharp = float(eta_table().sharp_max[space.kv.p])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IndefinitenessWarning)
+        for share in (0.95, 0.97):
+            out.append((f"{share} sharp", system.with_weights(share * sharp),
+                        _top_mode(space)))
+    return out
+
+
+@pytest.mark.parametrize("N", [16, 100])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_poor_seeds_cost_at_most_one_factorization(p, N, monkeypatch):
+    calls = _counting_factorizations(monkeypatch)
+    for label, system, seed in _poor_seeds(build_soft_system(p, N, 0.0)):
+        calls.clear()
+        plain = extreme_eigenpairs(system.A, system.B)
+        unseeded = len(calls)
+        calls.clear()
+        seeded = extreme_eigenpairs(system.A, system.B, seed)
+        assert len(calls) <= unseeded + 1, label
+        assert seeded.values[0] == plain.values[0], label
+        # both are Rayleigh quotients of a converged top vector, which
+        # round to about 25 eps here; they agree to 4 eps but at p = 4,
+        # N = 100 from mode n - 1 (6 eps), where the seeded one is the
+        # closer to the closed form
+        top = max(analytic_eigenvalue(p, system.eta, j, N)
+                  for j in range(1, system.space.dim + 1))
+        gap = abs(seeded.values[1] - plain.values[1])
+        assert (gap <= 4 * EPS * plain.values[1]
+                or abs(seeded.values[1] - top) < abs(plain.values[1] - top)
+                ), label

@@ -235,3 +235,11 @@ def test_only_outlier_free_spaces_within_the_gate_have_sine_modes():
     assert sine_modes(build_standard_space(2, 10)) is not None
     assert sine_modes(build_standard_space(3, 10)) is None
     assert sine_modes(build_of_space(SINE_MODE_MAX_DEGREE + 1, 40)) is None
+
+
+@pytest.mark.parametrize("p,N", [(2, 7), (3, 9), (4, 10), (12, 30)])
+def test_chosen_sine_modes_are_those_columns_of_all_modes(p, N):
+    space = build_of_space(p, N)
+    every = sine_modes(space)
+    js = [space.dim, 1, 2]
+    assert np.array_equal(sine_modes(space, js), every[:, [j - 1 for j in js]])

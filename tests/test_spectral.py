@@ -485,3 +485,17 @@ def test_h1_errors_of_every_mode_stay_within_their_block_budget():
     peak = _traced_peak(h1_errors_for_modes, system, spectrum,
                         range(1, spectrum.n + 1))
     assert peak <= 0.84e6
+
+
+@pytest.mark.parametrize("N", [16, 100, 400, 2000])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_seeded_extremes_hit_the_closed_form(p, N):
+    table = eta_table()
+    for eta in (0.0, table.default[p], table.superconvergent[p]):
+        system = build_soft_system(p, N, eta)
+        seeded, unsoftened = spectral.extreme_values(system, baseline=True)
+        # the top mode is j = n at these weights
+        n = system.space.dim
+        for ends, weight in ((seeded, float(eta)), (unsoftened, 0.0)):
+            top = analytic_eigenvalue(p, weight, n, N)
+            assert ends[1] == pytest.approx(top, rel=2e-14)
