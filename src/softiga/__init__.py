@@ -10,8 +10,7 @@ from .analytic import (DispersionExpansion, EtaTable, analytic_eigenvalue,
                        inverse_constants_squared, interior_stencil,
                        reference_matrix, softened_reference)
 from .assembly import (IndefinitenessWarning, SoftSystem, SymBandedMatrix,
-                       assemble_mass, assemble_softness,
-                       assemble_stiffness, build_soft_system)
+                       assemble_operators, build_soft_system)
 from .eigensolve import (DefinitenessError, EigenSolveError, Spectrum,
                          extreme_eigenpairs, generalized_eig)
 from .spaces import SplineSpace, build_of_space, build_standard_space
@@ -35,8 +34,8 @@ __all__ = [
     "IndefinitenessWarning", "InsufficientDataError", "KnotVector",
     "SoftSystem", "SpectralReport", "Spectrum", "SplineSpace",
     "SymBandedMatrix", "TensorSpectrum", "analytic_eigenvalue",
-    "analytic_eigenvector_sample", "assemble_mass", "assemble_softness",
-    "assemble_stiffness", "basis_table", "build_of_space",
+    "analytic_eigenvector_sample", "assemble_operators", "basis_table",
+    "build_of_space",
     "build_soft_system", "build_standard_space", "commutator_norm",
     "condition_stats", "continuum_values", "convergence_slope",
     "dispersion_eigenvalue", "dispersion_expansion", "eta_sweep",

@@ -8,9 +8,12 @@ Per-element Gauss-Legendre quadrature with p+1 points is exact through
 polynomial degree 2p+1, so stiffness and mass entries are exact up to
 round-off. On the uniform open knot vector all elements but the p-1 at
 each end are translates of one another, so the basis is evaluated once
-per distinct element (``splines.basis_table``), the element matrices
-come from one ``einsum`` over that table, and they are added into the
-raw band one (row, column) slot at a time across all elements.
+per distinct element, and all three forms read one table
+(``splines.basis_table``): derivatives 0..p at the p+1 Gauss points and
+at the element midpoint. The stiffness and mass element matrices come
+from one ``einsum`` each over its rows 1 and 0 at the Gauss points, and
+they are added into the raw band one (row, column) slot at a time
+across all elements.
 
 The softness form needs no quadrature at all: in 1D a face is a point
 and the form is a weighted sum of p-th-derivative jump products,
@@ -19,7 +22,8 @@ and the form is a weighted sum of p-th-derivative jump products,
             + (even p only) 2 * sum over the two boundary faces.
 
 The p-th derivative is constant on each element, so the jump at face f
-touches only raw functions f-1..f+p and comes from the same table.
+touches only raw functions f-1..f+p and comes from row p of the same
+table at the midpoint.
 
 The space extraction is the identity away from the boundary; it is
 applied to the two corner blocks alone, each widened by the raw half
@@ -30,21 +34,21 @@ block covers the whole matrix.
 The raw bands depend only on the knot vector, so the spaces of one
 mesh can share them: ``build_soft_system`` assembles them once into a
 list its caller passes to the next build, and extracts each space from
-them.
+them. ``assemble_operators`` gives the three bands of one space.
 
 Every band, raw or extracted, is one LAPACK lower band array
 (``SymBandedMatrix.band``, row k the k-th subdiagonal), so the
 definiteness check factors it with no repacking.
 """
 
+import dataclasses
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import eta_table
-from .eigensolve import DefinitenessError, SymBandedMatrix, cholesky_pivot
+from .eigensolve import SymBandedMatrix
 from .spaces import SplineSpace, build_of_space, build_standard_space
 from .splines import basis_table, gauss_rule
 
@@ -53,7 +57,7 @@ class IndefinitenessWarning(UserWarning):
     """Softness weight at or beyond the sharp threshold."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False)
 class SoftSystem:
     """The softened generalized eigenvalue pencil on the OF space.
 
@@ -100,8 +104,7 @@ class SoftSystem:
         Runs the checks of ``build_soft_system`` without reassembling.
         """
         eta, eta_b = _checked_weights(self.space.kv.p, eta, eta_b)
-        return _pencil(self.space, self.stiffness, self.mass,
-                       self.softness, eta, eta_b)
+        return dataclasses.replace(self, eta=eta, eta_b=eta_b)
 
 
 def _checked_weights(p, eta, eta_b):
@@ -121,15 +124,6 @@ def _checked_weights(p, eta, eta_b):
     return eta, eta_b
 
 
-def _pencil(space, K, M, S, eta, eta_b):
-    system = SoftSystem(eta, eta_b, space, K, M, S)
-    if eta_b > 0:
-        pivot = cholesky_pivot(system.B)
-        if pivot:
-            raise DefinitenessError(pivot, "mass side lost definiteness")
-    return system
-
-
 def _raw_band(num_raw, blocks, index):
     """Raw band of the sum over i of blocks[index[i]], each (w x w)
     block placed on raw functions i..i+w-1."""
@@ -141,25 +135,24 @@ def _raw_band(num_raw, blocks, index):
     return band
 
 
-def _gram(kv, deriv):
-    """Raw band of the deriv-th-derivative Gram matrix, Gauss p+1 points."""
-    x, w = gauss_rule(kv.p + 1)
-    ders, index = basis_table(kv, (x + 1.0) / 2.0, deriv)
-    values = ders[:, :, deriv, :]
-    blocks = np.einsum("q,dqi,dqj->dij", w * (kv.h / 2.0), values, values)
-    return SymBandedMatrix(_raw_band(kv.num_raw, blocks, index))
-
-
-def _softness_raw(kv):
-    """Raw band of the softness form from per-element p-th derivatives.
+def _raw_operators(kv):
+    """Raw bands [K, M, S] of the stiffness, mass and softness forms,
+    from one basis table of derivatives 0..p at the p+1 Gauss points
+    and the element midpoint.
 
     The jump at interior face f lives on raw functions f-1..f+p: the
     left limit on element f-1 minus the right limit on element f, both
     rows of the per-element table.
     """
-    p, N = kv.p, kv.N
-    ders, index = basis_table(kv, [0.5], p)
-    pth = ders[:, 0, p, :]  # the p-th derivative is constant per element
+    p, N, h = kv.p, kv.N, kv.h
+    x, w = gauss_rule(p + 1)
+    ders, index = basis_table(kv, np.append((x + 1.0) / 2.0, 0.5), p)
+    raw = []
+    for deriv in (1, 0):
+        values = ders[:, :-1, deriv, :]
+        blocks = np.einsum("q,dqi,dqj->dij", w * (h / 2.0), values, values)
+        raw.append(SymBandedMatrix(_raw_band(kv.num_raw, blocks, index)))
+    pth = ders[:, -1, p, :]  # the p-th derivative is constant per element
     # a jump depends only on the table rows of its two elements, so one
     # block per distinct pair of rows serves every face
     pairs, face = np.unique(index[:-1] * len(pth) + index[1:],
@@ -176,7 +169,8 @@ def _softness_raw(kv):
             for k in range(p + 1):
                 band[k, first:first + p + 1 - k] += (
                     2.0 * trace[:p + 1 - k] * trace[k:])
-    return SymBandedMatrix(kv.h ** (2 * p - 1) * band)
+    raw.append(SymBandedMatrix(h ** (2 * p - 1) * band))
+    return raw
 
 
 def _block_diag(first, second):
@@ -221,24 +215,16 @@ def _extract(space, raw):
     return SymBandedMatrix(band)
 
 
-def assemble_stiffness(space):
-    """Gram matrix of first derivatives, a(v, w) = (v', w')."""
-    return _extract(space, _gram(space.kv, 1))
+def assemble_operators(space):
+    """The stiffness, mass and softness matrices of the space, (K, M, S).
 
-
-def assemble_mass(space):
-    """Gram matrix of values, b(v, w) = (v, w)."""
-    return _extract(space, _gram(space.kv, 0))
-
-
-def assemble_softness(space):
-    """Jump-penalty matrix of the softness form.
-
-    Interior faces contribute h^(2p-1) times the product of the p-th
-    derivative jumps; for even p the two boundary faces contribute twice
-    the one-sided trace products on top.
+    K is the Gram matrix of first derivatives, a(v, w) = (v', w'), and
+    M that of values, b(v, w) = (v, w). S is the jump-penalty matrix of
+    the softness form: interior faces contribute h^(2p-1) times the
+    product of the p-th derivative jumps; for even p the two boundary
+    faces contribute twice the one-sided trace products on top.
     """
-    return _extract(space, _softness_raw(space.kv))
+    return tuple(_extract(space, band) for band in _raw_operators(space.kv))
 
 
 def build_soft_system(p, N, eta, eta_b=0.0, flavor="outlier_free",
@@ -253,8 +239,8 @@ def build_soft_system(p, N, eta, eta_b=0.0, flavor="outlier_free",
         Softness weight, >= 0. A warning is issued at or beyond the
         sharp admissibility threshold, where A may turn indefinite.
     eta_b : float
-        Mass-side softness weight, >= 0; accepted whenever the mass side
-        stays positive definite.
+        Mass-side softness weight, >= 0. The solvers refuse a mass side
+        that is not positive definite.
     flavor : {"outlier_free", "standard"}
         Trial space; the plain Galerkin baseline uses "standard" with
         eta = 0.
@@ -279,7 +265,6 @@ def build_soft_system(p, N, eta, eta_b=0.0, flavor="outlier_free",
     if raw is None:
         raw = []
     if not raw:
-        kv = space.kv
-        raw += _gram(kv, 1), _gram(kv, 0), _softness_raw(kv)
+        raw += _raw_operators(space.kv)
     K, M, S = (_extract(space, band) for band in raw)
-    return _pencil(space, K, M, S, eta, eta_b)
+    return SoftSystem(eta, eta_b, space, K, M, S)

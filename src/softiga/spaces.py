@@ -226,26 +226,32 @@ def sine_table(N):
                            -quarter[-2:0:-1]))
 
 
+def has_sine_modes(space):
+    """Whether ``sine_modes`` knows the eigenvectors of ``space``: the
+    outlier-free space up to degree ``SINE_MODE_MAX_DEGREE``, the
+    standard space included for p <= 2, where the two are one."""
+    p = space.kv.p
+    alpha = (p - 1) // 2
+    return (p <= SINE_MODE_MAX_DEGREE
+            and space.left.shape == (alpha, 2 * alpha + 1))
+
+
 def sine_modes(space, js=None):
     """The pencil eigenvectors of ``space`` in closed form, unnormalized,
     mode js[i] in column i (every mode 1..dim by default, mode j in
-    column j - 1); None where they are not known.
+    column j - 1); None where they are not known (``has_sine_modes``).
 
-    They are known on the outlier-free space up to degree
-    ``SINE_MODE_MAX_DEGREE``, the standard space included for p <= 2,
-    where the two are one. Component k of mode j is sin(j*pi*node_k/N),
-    node_k = k for odd p and k - 1/2 for even p, the argument reduced
-    in integers and read from ``sine_table``. The r corner members at
-    the left are ``corner_map`` of the first p + 2 samples, and those at
-    the right their mirror times (-1)^(j + 1), as for every sample. Each
-    mode costs O(dim).
+    Component k of mode j is sin(j*pi*node_k/N), node_k = k for odd p
+    and k - 1/2 for even p, the argument reduced in integers and read
+    from ``sine_table``. The r corner members at the left are
+    ``corner_map`` of the first p + 2 samples, and those at the right
+    their mirror times (-1)^(j + 1), as for every sample. Each mode
+    costs O(dim).
     """
-    p, N = space.kv.p, space.kv.N
-    alpha = (p - 1) // 2
-    if (p > SINE_MODE_MAX_DEGREE
-            or space.left.shape != (alpha, 2 * alpha + 1)):
+    if not has_sine_modes(space):
         return None
-    n, r = space.dim, alpha
+    p, N = space.kv.p, space.kv.N
+    n, r = space.dim, (p - 1) // 2
     js = np.arange(1, n + 1) if js is None else np.asarray(js)
     # 2 * node_k, and every product reduced modulo 4N before the lookup
     twice = 2 * np.arange(1, max(n, p + 2) + 1) - (p + 1) % 2

@@ -17,11 +17,13 @@ building a lift, from the 1D ends of ``extreme_values``.
 On the outlier-free space, up to degree ``spaces.SINE_MODE_MAX_DEGREE``
 and for the standard space at p <= 2, which is the same space, the
 eigenvectors are the paper's closed form (``spaces.sine_modes``), so
-``solve_system`` and ``reweighted_values`` make no dense solve: the
-pairs cost O(n^2 * hbw) instead of O(n^3), and every pair still leaves
-through the residual contract of ``eigensolve``. Elsewhere they use the
-dense ``generalized_eig``. H1 errors are integrated over blocks of
-modes of a fixed byte size (``_mode_errors``).
+``solve_system`` makes no dense solve: the pairs cost O(n^2 * hbw)
+instead of O(n^3), and every pair still leaves through the residual
+contract of ``eigensolve``. Elsewhere it uses the dense
+``generalized_eig``, and ``reweighted_values``, which needs vectors
+that diagonalize every weight's pencil, refuses the space. H1 errors
+are integrated over blocks of modes of a fixed byte size
+(``_mode_errors``).
 """
 
 import math
@@ -34,7 +36,8 @@ from .assembly import build_soft_system
 from .eigensolve import (_checked_pencil, _contract, _solver, _spectrum,
                          check_full_order, extreme_eigenpairs,
                          generalized_eig)
-from .spaces import sine_modes, sine_table, space_dimension
+from .spaces import (has_sine_modes, sine_modes, sine_table,
+                     space_dimension)
 from .splines import basis_table, gauss_rule
 from .tensor import continuum_values, kron_sum_spectrum
 
@@ -55,10 +58,9 @@ class SpectralReport:
 
 def _checked_sine_modes(system):
     """The checked pencil of ``eigensolve._checked_pencil`` and the
-    closed-form eigenvectors of ``sine_modes`` (None where they are not
-    known), after the refusals of the dense solve: an order above
-    ``MAX_DENSE_ORDER``, a mass side that is not definite and non-finite
-    entries."""
+    closed-form eigenvectors of ``sine_modes``, after the refusals of the
+    dense solve: an order above ``MAX_DENSE_ORDER``, a mass side that is
+    not definite and non-finite entries."""
     check_full_order(system.space.dim)
     return _checked_pencil(system.A, system.B), sine_modes(system.space)
 
@@ -66,15 +68,13 @@ def _checked_sine_modes(system):
 @_solver
 def _sine_spectrum(system):
     """The Spectrum of the system's pencil from its closed-form
-    eigenvectors, or None where they are not known.
+    eigenvectors, on a space ``has_sine_modes`` accepts.
 
     Each value is the Rayleigh quotient of its vector with the band
     products A x and B x, and every scaling is in place, so the peak is
     about 4.5 n^2 doubles where the dense solve's is 6 n^2.
     """
     (A, B, norms), X = _checked_sine_modes(system)
-    if X is None:
-        return None
     AX = A.matvec(X)
     BX = B.matvec(X)
     mass = np.einsum("ij,ij->j", X, BX)
@@ -93,12 +93,11 @@ def solve_system(system):
     pairs are the closed-form vectors with their Rayleigh quotients,
     and every pair leaves through the residual contract of both
     solvers, so a wrong vector exits 2 rather than printing. Elsewhere
-    it is ``generalized_eig``.
+    it is ``generalized_eig``. Either way the pencil is checked once.
     """
-    spectrum = _sine_spectrum(system)
-    if spectrum is None:
-        return generalized_eig(system.A, system.B)
-    return spectrum
+    if has_sine_modes(system.space):
+        return _sine_spectrum(system)
+    return generalized_eig(system.A, system.B)
 
 
 def extreme_values(system, baseline=False):
@@ -140,25 +139,27 @@ def reweighted_values(system, etas):
     three, and with the per-mode energies (k_j, m_j, s_j) of
     ``SoftSystem.energies`` every weight's eigenvalues are lambda_j =
     (k_j - eta s_j) / (m_j + eta_b h^2 s_j). X is the closed form of
-    ``sine_modes``, B-normalized with the same energies, or the dense
-    eigenvectors of the pencil where that knows none. Each weight's
+    ``sine_modes``, B-normalized with the same energies. Each weight's
     pairs are sorted and held to the residual contract of both solvers
-    against that weight's bands, so a pencil that X does not
-    diagonalize, such as a standard space with p >= 3, raises
-    EigenSolveError.
+    against that weight's bands.
+
+    A space whose eigenvectors ``sine_modes`` does not know, such as a
+    standard space with p >= 3, is refused with ValueError before
+    anything of order n^2 is allocated: its eta = 0 eigenvectors do not
+    diagonalize S.
     """
+    if not has_sine_modes(system.space):
+        raise ValueError(f"no closed-form eigenvectors to reweight on"
+                         f" this space (p={system.space.kv.p})")
     _, X = _checked_sine_modes(system)
-    closed_form = X is not None
-    if not closed_form:
-        X = generalized_eig(system.A, system.B).vectors
     (k, m, s), (KX, MX, SX) = system.energies(X)
+    del X
     h = system.space.kv.h
     mass_weight = system.eta_b * h * h
     mass = m + mass_weight * s
-    if closed_form:
-        scale = 1.0 / np.sqrt(mass)
-        for Y in (X, KX, MX, SX):
-            Y *= scale
+    scale = 1.0 / np.sqrt(mass)
+    for Y in (KX, MX, SX):
+        Y *= scale
     BX = MX + mass_weight * SX
     mass_norm = system.B.frobenius()
     values = []

@@ -25,10 +25,8 @@ import softiga.spectral_analysis
 from softiga.analytic import (analytic_eigenvalue, commutator_norm,
                               eta_table, fit_leading_coefficient,
                               reference_matrix, softened_reference)
-from softiga.assembly import (IndefinitenessWarning, assemble_stiffness,
-                              build_soft_system)
+from softiga.assembly import IndefinitenessWarning, build_soft_system
 from softiga.cli import EXIT_OK, main
-from softiga.spaces import build_of_space
 from softiga.spectral_analysis import (convergence_slope,
                                        mode_convergence, solve_system)
 from softiga.splines import eval_basis, open_knot_vector
@@ -219,7 +217,7 @@ def test_criterion_05_coercivity_and_sharpness():
         eta = float(table.default[p])
         beta = 1.0 - eta / float(table.theoretical_max[p])
         system = build_soft_system(p, 50, eta)
-        K = assemble_stiffness(build_of_space(p, 50)).toarray()
+        K = system.stiffness.toarray()
         slack = float(np.linalg.eigvalsh(system.A.toarray() - beta * K)[0])
         floor = -1e-10 * float(np.linalg.norm(K))
         if slack < floor:

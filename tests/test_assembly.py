@@ -1,6 +1,7 @@
 """Assembled operators against hand-computable stencils, polynomial
 identities, and the closed-form spectrum."""
 
+import hashlib
 import warnings
 from fractions import Fraction
 
@@ -9,17 +10,17 @@ import pytest
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
+import softiga.assembly as assembly
 from oracles import pth_derivative_jump, space_member_eval
 from softiga.analytic import (analytic_eigenvalue, eta_table,
                               interior_stencil)
 from softiga.assembly import (IndefinitenessWarning, SymBandedMatrix,
-                              assemble_mass, assemble_softness,
-                              assemble_stiffness, build_soft_system)
+                              assemble_operators, build_soft_system)
 from softiga.eigensolve import (DefinitenessError, cholesky_pivot,
                                 generalized_eig)
 from softiga.spaces import build_of_space, build_standard_space
 from softiga.spectral_analysis import solve_system, spectral_report
-from softiga.splines import eval_basis
+from softiga.splines import eval_basis, open_knot_vector
 from softiga.tensor import kron_sum_spectrum
 
 
@@ -56,8 +57,7 @@ def test_banded_storage_keeps_exact_rationals():
 def test_linear_elements_reproduce_textbook_stencils():
     N = 6
     space = build_standard_space(1, N)
-    K = assemble_stiffness(space).toarray()
-    M = assemble_mass(space).toarray()
+    K, M, _ = (op.toarray() for op in assemble_operators(space))
     h = 1.0 / N
     i = 2
     np.testing.assert_allclose(K[i, i - 1:i + 2],
@@ -69,9 +69,7 @@ def test_linear_elements_reproduce_textbook_stencils():
 def test_quadratic_interior_rows_match_reference_stencils():
     N = 10
     space = build_standard_space(2, N)
-    K = assemble_stiffness(space).toarray()
-    M = assemble_mass(space).toarray()
-    S = assemble_softness(space).toarray()
+    K, M, S = (op.toarray() for op in assemble_operators(space))
     h = 1.0 / N
     i = 5
     np.testing.assert_allclose(
@@ -91,7 +89,7 @@ def test_softness_vanishes_on_low_degree_polynomials():
     # standard space contains such members for p >= 3
     for p, N in [(3, 6), (4, 6), (5, 7)]:
         space = build_standard_space(p, N)
-        S = assemble_softness(space).toarray()
+        S = assemble_operators(space)[2].toarray()
         kv = space.kv
         # interpolate x(1-x), a degree-2 polynomial in the space
         xs = np.linspace(0.02, 0.98, space.dim)
@@ -111,7 +109,7 @@ def test_even_degree_boundary_faces_carry_energy():
     # the two boundary faces contribute 2 * h^3 * (2 * (-2)^2) = 16 h^3
     N = 8
     space = build_standard_space(2, N)
-    S = assemble_softness(space).toarray()
+    S = assemble_operators(space)[2].toarray()
     kv = space.kv
     xs = np.linspace(0.05, 0.95, space.dim)
     A = np.zeros((space.dim, space.dim))
@@ -131,7 +129,7 @@ def test_odd_degree_boundary_faces_carry_no_energy():
     # odd degree adds no boundary terms, so the energy is zero
     N = 8
     space = build_standard_space(3, N)
-    S = assemble_softness(space).toarray()
+    S = assemble_operators(space)[2].toarray()
     kv = space.kv
     target = lambda x: x * (1 - x) * (1 + 2 * x)  # cubic, u''' = -12
     xs = np.linspace(0.03, 0.97, space.dim)
@@ -151,7 +149,7 @@ def test_mass_row_sums_integrate_against_member_sum():
     from scipy.integrate import quad
 
     space = build_of_space(3, 6)
-    M = assemble_mass(space).toarray()
+    M = assemble_operators(space)[1].toarray()
 
     def member_sum(x):
         return sum(space_member_eval(space, j, x)
@@ -170,8 +168,8 @@ def test_mass_row_sums_integrate_against_member_sum():
 def test_operators_are_symmetric_and_persymmetric():
     for p, N in [(2, 9), (3, 9), (4, 9)]:
         space = build_of_space(p, N)
-        for op in (assemble_stiffness, assemble_mass, assemble_softness):
-            A = op(space).toarray()
+        for op in assemble_operators(space):
+            A = op.toarray()
             np.testing.assert_allclose(A, A.T, atol=1e-13 * abs(A).max())
             np.testing.assert_allclose(A, A[::-1, ::-1].T,
                                        atol=1e-11 * abs(A).max())
@@ -267,7 +265,7 @@ def test_coercivity_certificate_at_default_weight():
         eta = float(table.default[p])
         beta = 1.0 - eta / float(table.theoretical_max[p])
         space = build_of_space(p, 20)
-        K = assemble_stiffness(space).toarray()
+        K = assemble_operators(space)[0].toarray()
         system = build_soft_system(p, 20, eta)
         low = float(np.linalg.eigvalsh(system.A.toarray() - beta * K)[0])
         assert low >= -1e-10 * np.linalg.norm(K)
@@ -394,9 +392,8 @@ def test_banded_operators_match_per_point_quadrature(p, flavor):
             space = build(p, N)
         except ValueError:
             continue
-        operators = (assemble_stiffness(space), assemble_mass(space),
-                     assemble_softness(space))
-        for got, expected in zip(operators, _reference_operators(space)):
+        for got, expected in zip(assemble_operators(space),
+                                 _reference_operators(space)):
             scale = max(abs(expected).max(), 1e-300)
             assert np.abs(got.toarray() - expected).max() <= 1e-13 * scale
             # the band is LAPACK lower storage, usable as it is
@@ -406,18 +403,103 @@ def test_banded_operators_match_per_point_quadrature(p, flavor):
                     <= 1e-12 * max(np.abs(dense).max(), 1e-300))
 
 
+
+# md5 digests of the raw stiffness, mass and softness bands of the knot
+# vector (``band.tobytes()``), recorded when each of the three was
+# assembled from a basis table of its own; the one shared table must
+# give the same bytes. N < 2p - 1 leaves no interior element, so the
+# two corners meet.
+_RAW_BAND_DIGESTS = {
+    (1, 1): ("b73037c3c7cf568a37d18eda0920da80",
+             "ddf38f5ee41d862af44755a56ac2626c",
+             "70bc8f4b72a86921468bf8e8441dce51"),
+    (1, 7): ("81ccd0f5cbb2b5c007e9a0c32660bcc1",
+             "b67024a303819e532a3667a553d99cff",
+             "f2243946d5ae22990f27f49a7de0f77b"),
+    (2, 1): ("cbe6882ef464b9860ab3969002517269",
+             "87be76a736660165fdc3982260928c12",
+             "23d8f14e10b8ae81e8c0a161b45557e0"),
+    (2, 3): ("79c7e2212be2c56030cb8c344347a5f0",
+             "741b7f06420d67f3a4ffdfec785a56d6",
+             "bb5895a969d911921c9f0bf06d036d8c"),
+    (2, 100): ("5131d7c7ab3ed1d8635f58dee7d9f035",
+               "55169b5fda85715ad17c153e7eea0aa9",
+               "be9cfa95d450d6bafc4be3644a641911"),
+    (3, 2): ("ea3242eceddbfa381d4b19fc23226f7a",
+             "38fc4f0a714b8833694d2ed23ef138a6",
+             "90ad0d5dc7bfa3baa78c2323873fdcf5"),
+    (3, 5): ("c0553feee49e1b2983fe891fc5bca3d3",
+             "7d94d6bf33c09b5df4ee7c9c6f789e03",
+             "fcfd27fc8695ed78266464f8f2e34640"),
+    (3, 40): ("90cd073957d4d4f4673492dac7d0d44b",
+              "07b419c8c60777b0502b17ea35b378fe",
+              "20b4fe1c5d8ea94cb7d95352376e6077"),
+    (4, 3): ("d2eaaace13cb10c8fe4a23b9ee4261b8",
+             "51bda1d70be5fab972f68166d93ca1a3",
+             "7f21f92a68b93bab0b215d8278736924"),
+    (4, 7): ("fa5deb62687c1f4384f8ebca8d4f013e",
+             "1182d0ddf16f8ab7f3ba718921fba8ba",
+             "ce37fd8f8ec49b4cfc782b9e2930f3f8"),
+    (4, 400): ("3a2ac89fa18555b9afbe27edc65f172a",
+               "20e0a40984861c47bcefc1806caba0e0",
+               "d885dd04d87d355c959d3ac9221d4859"),
+    (5, 4): ("3de584631b35de9b101ff13c4e83e13f",
+             "d7853870086fb21cada2c59c26edc36e",
+             "a656806475116e1c67c56873989e4ef7"),
+    (6, 11): ("82d2581a32d608009147ab2b3251da6e",
+              "bd70b60b4dbe0091bcd85e60a3ca9f77",
+              "e6a3a4deddbd22eb2faf40380a6893ef"),
+    (7, 13): ("3c76b3311216201bd8dfa33a254b7636",
+              "dad6d433e30f9a41a4aedda7b975ae04",
+              "c261d20694e0c552b87f83434a3be8ab"),
+    (8, 2): ("b888c8029790a01d513d2e364488d151",
+             "7772f6ad84a56aba8f19b8249dca6e73",
+             "c268cd1b87df8f40184617129fa1b779"),
+    (9, 20): ("24ddd7aaf4bf9f6b1edf6107842d4a9e",
+              "c5e5f491af0515197508594b13c80346",
+              "feb95b7f1d7bc5f7cba89491c24e5536"),
+    (10, 19): ("ff9bd010b3c9593d71c2c9a58fd194d3",
+               "ca8e14b12145b27dcb4bb67deeb90105",
+               "69cd2216ba0f30fd0ac34290887be1f2"),
+    (12, 1): ("584808334bc6501a591bc37af0d9a24d",
+              "765c9cdc659066d61294f1cee34d5af3",
+              "0c690449f4e1643f119f547f4684934c"),
+    (13, 25): ("fb142011708a46275269c84e1e90da8d",
+               "ff533e4b04493feb8728e6210a701b6d",
+               "4e7ccd247ea2685e56f483d1839714f5"),
+    (16, 1): ("1fdcc2f224df8ce6f6555f88ab922512",
+              "32fd8ea6e6492a5348de948f67fafa1d",
+              "c6b834143e2a893b6919a793be7736f5"),
+    (16, 3): ("5b0f76c523da37248f9614c5f7f22be0",
+              "f059b404faebf6ba1a8349f0fb40ab9a",
+              "e5d1ac2f85d83a1a12c7f7a516122669"),
+    (16, 31): ("0f8a447489f6460c9077ce9120ef99e0",
+               "03b138d21fd28a17dc0247c9522abd49",
+               "96e55f4977371bb3dad6f1cf6d521aee"),
+    (16, 100): ("7d007a24ec52f91b16c3086b35d4e5d3",
+                "0a01d0bd3671fa189cf888d99eec4eb4",
+                "25a679c62dd4b6bd090888ebbabe62b8"),
+}
+
+
+@pytest.mark.parametrize("p,N", sorted(_RAW_BAND_DIGESTS))
+def test_raw_bands_match_recorded_digests(p, N):
+    raw = assembly._raw_operators(open_knot_vector(p, N))
+    digests = tuple(hashlib.md5(op.band.tobytes()).hexdigest() for op in raw)
+    assert digests == _RAW_BAND_DIGESTS[p, N]
+
+
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_interior_rows_match_printed_stencils(p):
     N = 400
     h = 1.0 / N
     space = build_of_space(p, N)
-    for kind, op, unit in (("K", assemble_stiffness, h),
-                           ("M", assemble_mass, 1.0 / h),
-                           ("S", assemble_softness, h)):
+    for kind, op, unit in zip("KMS", assemble_operators(space),
+                              (h, 1.0 / h, h)):
         stencil = np.array([float(c) for c in interior_stencil(kind, p)])
         full = np.concatenate([stencil[::-1], stencil[1:]])
         width = len(stencil) - 1
-        dense = op(space).toarray()
+        dense = op.toarray()
         margin = 3 * p + 2  # rows untouched by the boundary elements
         worst = max(
             np.abs(dense[i, i - width:i + width + 1] * unit
@@ -465,7 +547,7 @@ def test_with_weights_runs_the_build_checks():
 
 
 def test_mass_side_definiteness_is_checked_on_the_band(monkeypatch):
-    import softiga.assembly as assembly
+    import softiga.eigensolve as eigensolve
 
     seen = []
 
@@ -473,10 +555,12 @@ def test_mass_side_definiteness_is_checked_on_the_band(monkeypatch):
         seen.append(B)
         return 2
 
-    monkeypatch.setattr(assembly, "cholesky_pivot", failing_pivot)
-    build_soft_system(2, 10, 0.0)  # eta_b = 0 skips the check
+    monkeypatch.setattr(eigensolve, "cholesky_pivot", failing_pivot)
+    # the build factors nothing; the solve checks B once, as its band
+    system = build_soft_system(2, 10, 0.0, 1e-3)
     assert seen == []
     with pytest.raises(DefinitenessError) as err:
-        build_soft_system(2, 10, 0.0, 1e-3)
+        solve_system(system)
     assert err.value.pivot == 2
-    assert isinstance(seen[0], SymBandedMatrix)
+    assert len(seen) == 1 and isinstance(seen[0], SymBandedMatrix)
+    np.testing.assert_array_equal(seen[0].band, system.B.band)

@@ -467,21 +467,18 @@ def test_condition_equals_the_full_lift_route(p, d, baseline, monkeypatch,
 
 def test_condition_assembles_each_raw_operator_once(monkeypatch, capsys):
     calls = []
+    original = assembly._raw_operators
 
-    def counting(name, original):
-        def counted(kv, *args):
-            calls.append((name,) + args)
-            return original(kv, *args)
-        return counted
+    def counted(kv):
+        calls.append((kv.p, kv.N))
+        return original(kv)
 
-    for name in ("_gram", "_softness_raw"):
-        monkeypatch.setattr(assembly, name,
-                            counting(name, getattr(assembly, name)))
+    monkeypatch.setattr(assembly, "_raw_operators", counted)
     code, _ = run(["condition", "-p", "3", "-N", "40"], capsys)
     assert code == EXIT_OK
     # the outlier-free target and the standard baseline share one knot
     # vector, so its raw bands are assembled once for both
-    assert sorted(calls) == [("_gram", 0), ("_gram", 1), ("_softness_raw",)]
+    assert calls == [(3, 40)]
 
 
 def test_verify_assembles_each_mesh_once(monkeypatch):

@@ -12,7 +12,7 @@ import softiga.spectral_analysis as spectral
 from oracles import full_lift_values
 from softiga.analytic import analytic_eigenvalue, eta_table
 from softiga.assembly import build_soft_system
-from softiga.eigensolve import EigenSolveError, generalized_eig
+from softiga.eigensolve import generalized_eig
 from softiga.spaces import SINE_MODE_MAX_DEGREE, build_of_space
 from softiga.spectral_analysis import (ConditionStats,
                                        InsufficientDataError,
@@ -311,13 +311,36 @@ def test_reweighting_keeps_the_mass_side_weight(p):
         np.testing.assert_allclose(reweighted, fresh, rtol=1e-13, atol=0)
 
 
-def test_reweighting_a_space_its_vectors_do_not_diagonalize_fails():
+def test_reweighting_a_space_its_vectors_do_not_diagonalize_fails(
+        monkeypatch):
     # on the standard space with p >= 3 the eta = 0 eigenvectors do not
-    # diagonalize S, so the reweighted pairs miss the residual contract
+    # diagonalize S, so no one set of vectors serves every weight: the
+    # space is refused before its pencil is checked or its modes formed
+    checks = _counting(monkeypatch, "_checked_pencil")
+    modes = _counting(monkeypatch, "sine_modes")
     system = build_soft_system(3, 20, 0.0, flavor="standard")
-    with pytest.raises(EigenSolveError, match="residual contract"):
-        reweighted_values(system, [0.0, eta_table().default[3]])
-    assert len(reweighted_values(system, [0.0])[0]) == system.space.dim
+    for etas in ([0.0], [0.0, eta_table().default[3]]):
+        with pytest.raises(ValueError, match="closed-form"):
+            reweighted_values(system, etas)
+    assert checks == modes == []
+
+
+@pytest.mark.parametrize("flavor", ["standard", "outlier_free"])
+def test_each_solve_checks_its_pencil_once(flavor, monkeypatch):
+    # the standard space at p = 3 takes the dense solve, the outlier-free
+    # one the closed form; both factor B once
+    import softiga.eigensolve as eigensolve
+
+    pivots = []
+    original = eigensolve.cholesky_pivot
+
+    def counting(B):
+        pivots.append(B)
+        return original(B)
+
+    monkeypatch.setattr(eigensolve, "cholesky_pivot", counting)
+    solve_system(build_soft_system(3, 20, 0.0, flavor=flavor))
+    assert len(pivots) == 1
 
 
 def test_h1_mode_index_outside_the_spectrum_is_refused():

@@ -293,12 +293,12 @@ def _counting_evaluations(monkeypatch):
 def test_assembly_evaluates_the_basis_once_per_table(p, N, monkeypatch):
     calls = _counting_evaluations(monkeypatch)
     build_soft_system(p, N, 0.0, 0.0, "standard")
-    # stiffness, mass and softness tables
-    assert len(calls) == 3
+    # one table serves the stiffness, mass and softness forms
+    assert len(calls) == 1
     calls.clear()
     build_soft_system(p, N, 0.0)
     # an outlier-free space of p >= 3 adds its boundary constraints
-    assert len(calls) == (4 if p >= 3 else 3)
+    assert len(calls) == (2 if p >= 3 else 1)
 
 
 def test_basis_table_rejects_points_on_breakpoints():
