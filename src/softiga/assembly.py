@@ -248,8 +248,8 @@ def build_soft_system(p, N, eta, eta_b=0.0, flavor="outlier_free",
         The raw stiffness, mass and softness bands of the knot vector,
         shared by the spaces built on it: an empty list receives them
         from the raw assembly, and a filled one is extracted as it is,
-        with no assembly. Both spaces of one mesh then cost one raw
-        assembly and two extractions.
+        with no assembly. Two builds on one mesh, on one space or on
+        both, then cost one raw assembly and one extraction each.
 
     Returns
     -------

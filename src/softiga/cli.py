@@ -200,36 +200,27 @@ def cmd_condition(args):
     outlier-free space, whose closed-form top mode seeds lambda_max,
     and about 55 per pencil of a standard space of p >= 3, so the cost
     grows linearly in N. A 1D order above ``MAX_CONDITION_ORDER`` is
-    refused before any assembly. A baseline on the target's space
-    reuses its assembled operators and its seed; a baseline on another
-    space reuses the raw bands of the knot vector.
+    refused before any assembly. The baseline is the unsoftened pencil
+    of its method's space, and both spaces, the same one or not, are
+    extracted from one raw assembly of the knot vector.
     """
     eta, eta_b = _weights(args)
     target_flavor = _METHOD_FLAVOR[args.method]
     flavor = _METHOD_FLAVOR[args.baseline]
-    dims = {space_dimension(args.p, args.N, f)
-            for f in (target_flavor, flavor)}
-    order = max(dims)
+    order = max(space_dimension(args.p, args.N, f)
+                for f in (target_flavor, flavor))
     if order > MAX_CONDITION_ORDER:
         raise ConfigError(f"a pencil of order {order} is above the limit"
                           f" of {MAX_CONDITION_ORDER} for condition")
-    # the OF space lies inside the standard one, so equal dimensions
-    # mean the same space: the same flavor, or any p <= 2
-    if len(dims) == 1:
-        target, base = extreme_values(
-            build_soft_system(args.p, args.N, eta, eta_b, target_flavor),
-            baseline=True)
-    else:
-        # one raw assembly for both spaces. The target's system goes in
-        # as a temporary, freed once its pencil is formed, and the raw
-        # bands are freed before the baseline's pencil is: no more is
-        # held at once than with an assembly per space.
-        raw = []
-        target, = extreme_values(build_soft_system(
-            args.p, args.N, eta, eta_b, target_flavor, raw))
-        system = build_soft_system(args.p, args.N, 0.0, 0.0, flavor, raw)
-        del raw
-        base, = extreme_values(system)
+    # the target's system goes in as a temporary, freed once its pencil
+    # is formed, and the raw bands are freed before the baseline's
+    # pencil is: no more is held at once than with an assembly per space
+    raw = []
+    target = extreme_values(build_soft_system(
+        args.p, args.N, eta, eta_b, target_flavor, raw))
+    system = build_soft_system(args.p, args.N, 0.0, 0.0, flavor, raw)
+    del raw
+    base = extreme_values(system)
     stats = condition_stats(lifted_extremes(target, args.d),
                             lifted_extremes(base, args.d))
     columns = ["d", "p", "lambda_min", "lambda_max_baseline",
@@ -429,7 +420,10 @@ _OPTIONS = {
                       " of-iga)"},
     "--eta-b": {"default": "zero",
                 "help": "mass-side weight: zero, paper, or a number"},
-    "--baseline": {"choices": sorted(_METHOD_FLAVOR), "default": "iga"},
+    "--baseline": {"choices": sorted(_METHOD_FLAVOR), "default": "iga",
+                   "help": "unsoftened pencil to compare against: iga, or"
+                           " of-iga (softiga names the same of-iga"
+                           " baseline)"},
     "--N-list": {"type": _int_list, "default": (9, 12, 15, 18, 21, 24, 27, 30),
                  "help": "comma-separated element counts"},
     "--j": {"type": int, "default": 1, "help": "mode index"},

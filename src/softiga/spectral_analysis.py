@@ -12,7 +12,9 @@ solves each mesh once. A weight sweep takes one set of eigenvectors
 per space and reweights every weight from it (``reweighted_values``).
 Condition statistics read only the two ends of each spectrum, which the
 ``condition`` command takes from ``tensor.lifted_extremes`` without
-building a lift, from the 1D ends of ``extreme_values``.
+building a lift, from the 1D ends of ``extreme_values``, one call per
+pencil: the target and its unsoftened baseline are two systems, on one
+space or two, extracted from one raw assembly.
 
 On the outlier-free space, up to degree ``spaces.SINE_MODE_MAX_DEGREE``
 and for the standard space at p <= 2, which is the same space, the
@@ -100,33 +102,24 @@ def solve_system(system):
     return generalized_eig(system.A, system.B)
 
 
-def extreme_values(system, baseline=False):
-    """[lambda_min, lambda_max] of the system's pencil, and with
-    ``baseline`` also of its unsoftened pencil
-    (``system.with_weights(0.0)``) on the same space, from
-    ``extreme_eigenpairs``: a list of one or two arrays.
+def extreme_values(system):
+    """[lambda_min, lambda_max] of the system's pencil, from
+    ``extreme_eigenpairs``.
 
     Where ``sine_modes`` knows the eigenvectors, the top mode j = n,
-    built once in O(n), seeds the bracket of lambda_max of both pencils,
-    about 8 band factorizations each in place of about 55. Near the
-    sharp threshold the top can be another mode, which costs at most
-    one factorization more. lambda_min is found as without a seed. A
-    system passed as a temporary is freed once its pencil is formed,
-    unless the baseline shares its operators, so that only the bands
-    of the pencil live through its solve.
+    built in O(n), seeds the bracket of lambda_max, about 8 band
+    factorizations in place of about 55. Near the sharp threshold the
+    top can be another mode, which costs at most one factorization
+    more. lambda_min is found as without a seed. A system passed as a
+    temporary is freed once its pencil is formed, so that only the
+    bands of the pencil live through the solve.
     """
     space = system.space
-    unsoftened = system.with_weights(0.0) if baseline else None
     A, B = system.A, system.B
     del system
     modes = sine_modes(space, [space.dim])
     seed = None if modes is None else modes[:, 0]
-    ends = [extreme_eigenpairs(A, B, seed).values]
-    del A, B
-    if unsoftened is not None:
-        ends.append(extreme_eigenpairs(unsoftened.A, unsoftened.B,
-                                       seed).values)
-    return ends
+    return extreme_eigenpairs(A, B, seed).values
 
 
 def reweighted_values(system, etas):

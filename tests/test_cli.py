@@ -202,6 +202,9 @@ def test_verify_reports_all_green(capsys):
     ["convergence", "-p", "2", "--N-list", "8"],
     ["convergence", "-p", "2", "--N-list", "0,8"],
     ["convergence", "-p", "2", "--N-list", ","],
+    # only softiga takes a mass-side weight
+    ["condition", "-p", "3", "-N", "20", "--method", "of-iga",
+     "--eta-b", "paper"],
 ])
 def test_invalid_configurations_exit_with_config_code(argv, monkeypatch,
                                                       capsys):
@@ -224,12 +227,15 @@ _UNREAD_OPTIONS = [
     ["convergence", "-p", "2", "-d", "3", "--N-list", "8,16"],
 ]
 
+# a mesh list that argparse refuses as not integers
+_NOT_AN_INTEGER = ["convergence", "-p", "2", "--N-list", "8,x"]
+
 
 @pytest.mark.parametrize("argv", [
     ["no-such-command"],
     ["spectrum", "-d", "4"],
     [],
-] + _UNREAD_OPTIONS)
+] + _UNREAD_OPTIONS + [_NOT_AN_INTEGER])
 def test_usage_errors_exit_with_config_code(argv, monkeypatch, capsys):
     builds = _counting_builds(monkeypatch)
     with pytest.raises(SystemExit) as excinfo:
@@ -239,6 +245,8 @@ def test_usage_errors_exit_with_config_code(argv, monkeypatch, capsys):
     assert builds == []
     if argv in _UNREAD_OPTIONS:
         assert "unrecognized arguments" in err
+    if argv == _NOT_AN_INTEGER:
+        assert "expected comma-separated integers" in err
 
 
 def _one_line_config_error(argv, capsys):
@@ -436,6 +444,19 @@ def _counting_builds(monkeypatch):
     return builds
 
 
+def _counting_raw_operators(monkeypatch):
+    """Record the (p, N) of every raw assembly of a knot vector."""
+    calls = []
+    original = assembly._raw_operators
+
+    def counted(kv):
+        calls.append((kv.p, kv.N))
+        return original(kv)
+
+    monkeypatch.setattr(assembly, "_raw_operators", counted)
+    return calls
+
+
 @pytest.mark.parametrize("baseline", ["iga", "of-iga"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("p", [2, 3, 4])
@@ -443,12 +464,12 @@ def test_condition_equals_the_full_lift_route(p, d, baseline, monkeypatch,
                                               capsys):
     argv = ["condition", "-p", str(p), "-N", "20", "-d", str(d),
             "--baseline", baseline]
-    builds = _counting_builds(monkeypatch)
+    calls = _counting_raw_operators(monkeypatch)
     code, out = run(argv, capsys)
     assert code == EXIT_OK
-    # a baseline on the target's (outlier-free) space is not reassembled;
-    # for p <= 2 both flavors are one space
-    assert len(builds) == (1 if baseline == "of-iga" or p <= 2 else 2)
+    # the target and the baseline, on one space or two, share one raw
+    # assembly of the knot vector
+    assert calls == [(p, 20)]
     args = cli.build_parser().parse_args(argv)
     eta, eta_b = cli._weights(args)
     stats = condition_stats(
@@ -465,20 +486,30 @@ def test_condition_equals_the_full_lift_route(p, d, baseline, monkeypatch,
         assert row[name] == pytest.approx(getattr(stats, name), rel=rtol)
 
 
-def test_condition_assembles_each_raw_operator_once(monkeypatch, capsys):
-    calls = []
-    original = assembly._raw_operators
-
-    def counted(kv):
-        calls.append((kv.p, kv.N))
-        return original(kv)
-
-    monkeypatch.setattr(assembly, "_raw_operators", counted)
-    code, _ = run(["condition", "-p", "3", "-N", "40"], capsys)
+@pytest.mark.parametrize("command", [
+    "condition -p 3 -N 40",
+    "condition -p 2 -N 40",
+    "condition -p 3 -N 40 --baseline of-iga",
+    "condition -p 4 -N 40 --method iga --baseline iga",
+])
+def test_condition_assembles_each_raw_operator_once(command, monkeypatch,
+                                                    capsys):
+    calls = _counting_raw_operators(monkeypatch)
+    code, _ = run(command.split(), capsys)
     assert code == EXIT_OK
-    # the outlier-free target and the standard baseline share one knot
-    # vector, so its raw bands are assembled once for both
-    assert calls == [(3, 40)]
+    # the target and the baseline share one knot vector, so its raw
+    # bands are assembled once for both, whatever their spaces
+    assert calls == [(int(command.split()[2]), 40)]
+
+
+@pytest.mark.parametrize("mesh", ["-p 2 -N 10", "-p 3 -N 30"])
+def test_softiga_baseline_is_the_of_iga_baseline(mesh, capsys):
+    # a baseline is always the unsoftened pencil, so softiga names the
+    # outlier-free one
+    outs = [run(["condition"] + mesh.split() + ["--baseline", baseline],
+                capsys) for baseline in ("softiga", "of-iga")]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == EXIT_OK
 
 
 def test_verify_assembles_each_mesh_once(monkeypatch):
@@ -603,6 +634,13 @@ _GOLDEN_STDOUT = {
     "condition -p 2 -N 12 --method iga --baseline of-iga":
         "26609979b415e169bf7398ff3096e491",
     "spectrum -p 1 -N 6 --method of-iga": "576d6251c6495db0f72f4fa6b9ce42d4",
+    # recorded from the code that solved a baseline on the target's space
+    # through its own route: a standard space with no seed on both
+    # pencils, and an outlier-free one whose B differs between them
+    "condition -p 4 -N 30 --method iga --baseline iga":
+        "65a7ce67a4ac78d2a8a064cbb24eb95b",
+    "condition -p 3 -N 30 --eta-b paper --baseline of-iga":
+        "3224b54369bac6a495f845ce0c668e99",
 }
 
 

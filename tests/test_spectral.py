@@ -516,7 +516,8 @@ def test_seeded_extremes_hit_the_closed_form(p, N):
     table = eta_table()
     for eta in (0.0, table.default[p], table.superconvergent[p]):
         system = build_soft_system(p, N, eta)
-        seeded, unsoftened = spectral.extreme_values(system, baseline=True)
+        seeded = spectral.extreme_values(system)
+        unsoftened = spectral.extreme_values(system.with_weights(0.0))
         # the top mode is j = n at these weights
         n = system.space.dim
         for ends, weight in ((seeded, float(eta)), (unsoftened, 0.0)):
