@@ -1,6 +1,6 @@
-"""Closed-form eigenpairs, canonical softness weights, inverse-estimate
-constants, dispersion expansions, exact reference matrices, and
-commutator checks.
+"""Closed-form eigenvalues, canonical softness weights, the
+inverse-estimate constant behind the theoretical weight bound,
+dispersion expansions, exact reference matrices, and commutator checks.
 
 Everything rational is stored exactly (fractions.Fraction) and converted
 to floating point only at use sites. Reference matrices hard-code the
@@ -9,11 +9,12 @@ one completion rule (symmetric Toeplitz part minus two mirrored Hankel
 tails) that reproduces every printed boundary row. The rule fills the
 band storage of each reference matrix directly, in O(n * hbw) work.
 
-The interior symbol of a stencil also yields the pencil eigenvalue as a
-function of the normalized wavenumber t; evaluated in high precision it
-supports dispersion-coefficient fits far below double-precision noise.
-Only those evaluations use mpmath, so it is imported by them, not with
-the package.
+The interior symbol of the softened pencil's stencils gives its
+eigenvalue as a function of the normalized wavenumber t; evaluated in
+high precision it supports dispersion-coefficient fits far below
+double-precision noise. Only those fits use mpmath, so it is imported
+by them, not with the package. The closed-form eigenvectors live in
+``spaces.sine_modes``.
 """
 
 import functools
@@ -67,19 +68,13 @@ _NEXT_COEFF = {2: F(1, 3360), 3: F(1, 60480), 4: F(1, 1368576),
                5: F(691, 24216192000)}
 
 
-def inverse_constants_squared(p, k=1):
-    """Exact squares (C_{p,1}^2, C_{p,2}^2(k), C_{p,3}^2) as Fractions."""
+def inverse_constants_squared(p):
+    """Exact square C_{p,3}^2 of the inverse-estimate constant, a
+    Fraction."""
     if p < 1:
         raise ValueError(f"degree must be at least 1, got {p}")
-    if not 1 <= k <= p:
-        raise ValueError(f"k must be in 1..{p}, got {k}")
-    c1 = F(p * (p + 1) * (p + 2) * (p + 3), 2)
-    q = p - k
-    c2 = F(math.factorial(q) * math.factorial(q + 1) * math.factorial(q + 2)
-           * math.factorial(q + 3), 3 * 2 ** (q + 2))
-    c3 = F(math.factorial(p - 1) * math.factorial(p) * math.factorial(p + 1)
-           * math.factorial(p + 2), 3 * 2 ** p)
-    return c1, c2, c3
+    return F(math.factorial(p - 1) * math.factorial(p) * math.factorial(p + 1)
+             * math.factorial(p + 2), 3 * 2 ** p)
 
 
 @functools.cache
@@ -89,7 +84,7 @@ def eta_table():
     Built once and shared: its tables are read-only mappings of
     immutable Fractions.
     """
-    theoretical = {p: 1 / (2 * inverse_constants_squared(p)[2])
+    theoretical = {p: 1 / (2 * inverse_constants_squared(p))
                    for p in (2, 3, 4, 5)}
     return EtaTable(*(MappingProxyType(dict(table)) for table in
                       (theoretical, _SHARP, _DEFAULT, _SUPER, _MASS_SIDE)))
@@ -138,20 +133,6 @@ def analytic_eigenvalue(p, eta, j, N):
                              - 5040.0 * eta * c4)
                 / (78095.0 + 88234.0 * c1 + 14608.0 * c2 + 502.0 * c3 + c4))
     raise ValueError(f"no closed form for p={p}")
-
-
-def analytic_eigenvector_sample(p, j, N, k):
-    """k-th component of the sine-pattern eigenvector (unnormalized).
-
-    Odd p samples sin(j*pi*k/N) at the nodes k/N, k = 1..N-1; even p
-    samples sin(j*pi*(k-1/2)/N) at the staggered nodes, k = 1..N.
-    """
-    top = N if p % 2 == 0 else N - 1
-    if not 1 <= j <= top or not 1 <= k <= top:
-        raise ValueError(f"indices must be in 1..{top}, got j={j}, k={k}")
-    t = j * math.pi / N
-    node = k if p % 2 else k - 0.5
-    return math.sin(node * t)
 
 
 # Interior stencils of the printed matrices: (symbol, completion parity).
@@ -224,13 +205,6 @@ def reference_matrix(kind, p, N):
             band[k, i] = (sym[k] - s(2 * i + k + 1 + sigma)
                           - s(2 * (n - 1) - 2 * i - k + 1 + sigma))
     return SymBandedMatrix(band)
-
-
-def softened_reference(p, N, eta, eta_b=0):
-    """Printed-pencil matrices (K - eta*S, M + eta_b*S), exact."""
-    S = reference_matrix("S", p, N)
-    return (reference_matrix("K", p, N).plus(-Fraction(eta), S),
-            reference_matrix("M", p, N).plus(Fraction(eta_b), S))
 
 
 def _scaled(M):
@@ -316,18 +290,6 @@ def _symbol_value(symbol, t):
 
     num, den = symbol
     return value(num) / value(den)
-
-
-def dispersion_eigenvalue(p, t, eta=0, eta_b=0):
-    """Interior-symbol pencil eigenvalue, as lambda*h^2 (dimensionless).
-
-    Evaluated with mpmath at the caller's working precision, so tiny
-    relative errors (t^(2p+2) scales) stay resolvable. For p in {2,3,4}
-    this equals the closed-form eigenvalue times h^2.
-    """
-    import mpmath
-
-    return _symbol_value(_symbol(p, eta, eta_b), mpmath.mpf(t))
 
 
 # Sample wavenumbers t of the dispersion fit, and its mpmath precision

@@ -34,7 +34,8 @@ block covers the whole matrix.
 The raw bands depend only on the knot vector, so the spaces of one
 mesh can share them: ``build_soft_system`` assembles them once into a
 list its caller passes to the next build, and extracts each space from
-them. ``assemble_operators`` gives the three bands of one space.
+them. The three bands of a space are the ``stiffness``, ``mass`` and
+``softness`` of its ``SoftSystem``.
 
 Every band, raw or extracted, is one LAPACK lower band array
 (``SymBandedMatrix.band``, row k the k-th subdiagonal), so the
@@ -213,18 +214,6 @@ def _extract(space, raw):
             band[k, space_start:space_start + len(block) - k] = (
                 np.diagonal(block, -k))
     return SymBandedMatrix(band)
-
-
-def assemble_operators(space):
-    """The stiffness, mass and softness matrices of the space, (K, M, S).
-
-    K is the Gram matrix of first derivatives, a(v, w) = (v', w'), and
-    M that of values, b(v, w) = (v, w). S is the jump-penalty matrix of
-    the softness form: interior faces contribute h^(2p-1) times the
-    product of the p-th derivative jumps; for even p the two boundary
-    faces contribute twice the one-sided trace products on top.
-    """
-    return tuple(_extract(space, band) for band in _raw_operators(space.kv))
 
 
 def build_soft_system(p, N, eta, eta_b=0.0, flavor="outlier_free",

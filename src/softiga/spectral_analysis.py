@@ -1,7 +1,6 @@
 """Spectrum comparison against the continuum problem: relative
 eigenvalue errors, H1 eigenfunction errors, condition-number reduction
-statistics, weight sweeps, convergence-rate fits, and the energy-norm
-identity check.
+statistics, weight sweeps, and convergence-rate fits.
 
 Every report, in any dimension, lifts the ascending 1D eigenvalues with
 ``kron_sum_spectrum`` and pairs them by rank with ``continuum_values``
@@ -25,7 +24,8 @@ contract of ``eigensolve``. Elsewhere it uses the dense
 ``generalized_eig``, and ``reweighted_values``, which needs vectors
 that diagonalize every weight's pencil, refuses the space. H1 errors
 are integrated over blocks of modes of a fixed byte size
-(``_mode_errors``).
+(``h1_errors_for_modes``); the H1 seminorm is the only eigenfunction
+error the package reports.
 """
 
 import math
@@ -190,27 +190,25 @@ def _check_mode(p, N_list, j, flavor):
                          f" space dimension over the meshes, got {j}")
 
 
-# Working memory of one block of modes in ``_mode_errors``, about nine
-# arrays of one value per quadrature point and mode.
+# Working memory of one block of modes in ``h1_errors_for_modes``,
+# about nine arrays of one value per quadrature point and mode.
 _ERROR_BLOCK_BYTES = 1 << 19
 
 
-def _mode_errors(system, spectrum, js):
-    """Squared L2 and H1-seminorm errors of several discrete modes.
+def h1_errors_for_modes(system, spectrum, js):
+    """H1-seminorm errors of several modes from one solved pencil.
 
     Each mode j is rescaled to unit L2 norm and sign-aligned with its
-    continuum counterpart sqrt(2)*sin(j*pi*x); the mismatch is then
-    integrated with a (p + 4)-point Gauss rule per element, using basis
-    values tabulated once per distinct element. The rule is exact for
-    the square of a mode, so the norm is taken with it too.
+    continuum counterpart sqrt(2)*sin(j*pi*x); the derivative mismatch
+    is then integrated with a (p + 4)-point Gauss rule per element,
+    using basis values tabulated once per distinct element. The rule is
+    exact for the square of a mode, so the norm is taken with it too.
 
     The modes go in blocks of columns, each sized to
     ``_ERROR_BLOCK_BYTES``: one batched matrix product per block gives
     the values and derivatives of its modes at every point, and the
     continuum mode at x = (e + t) h comes from angle addition, the
     element part e*j reduced in integers.
-
-    Returns (l2_sq, h1_sq).
     """
     space = system.space
     kv = space.kv
@@ -233,7 +231,7 @@ def _mode_errors(system, spectrum, js):
         """Quadrature per mode of f, ordered (point, mode, element)."""
         return np.sum(weights * f.sum(axis=2), axis=0)
 
-    l2_sq, h1_sq = np.empty(len(js)), np.empty(len(js))
+    h1_sq = np.empty(len(js))
     width = max(1, _ERROR_BLOCK_BYTES // (9 * 8 * N * len(t)))
     for lo in range(0, len(js), width):
         block = js[lo:lo + width]
@@ -259,24 +257,11 @@ def _mode_errors(system, spectrum, js):
         u += ce * sq
         du = ce * (omega[:, None] * cq)
         du -= se * (omega[:, None] * sq)
-        factor = (np.where(integral(uh * u) >= 0, 1.0, -1.0)
-                  / np.sqrt(integral(uh * uh)))[:, None]
-        for approx, exact, out in ((uh, u, l2_sq), (duh, du, h1_sq)):
-            approx *= factor
-            approx -= exact
-            approx *= approx
-            out[lo:lo + len(block)] = integral(approx)
-    return l2_sq, h1_sq
-
-
-def h1_errors_for_modes(system, spectrum, js):
-    """H1-seminorm errors of several modes from one solved pencil.
-
-    Each mode is rescaled to unit L2 norm and sign-aligned with its
-    continuum counterpart sqrt(2)*sin(j*pi*x) before integrating the
-    derivative mismatch.
-    """
-    _, h1_sq = _mode_errors(system, spectrum, js)
+        duh *= (np.where(integral(uh * u) >= 0, 1.0, -1.0)
+                / np.sqrt(integral(uh * uh)))[:, None]
+        duh -= du
+        duh *= duh
+        h1_sq[lo:lo + len(block)] = integral(duh)
     return [math.sqrt(float(e)) for e in h1_sq]
 
 
@@ -387,27 +372,3 @@ def convergence_slope(ns, errors):
                                     " distinct meshes to fit a slope")
     slope = np.polyfit(np.log(1.0 / ns), np.log(errors), 1)[0]
     return float(slope)
-
-
-def pythagorean_check(p, N, eta, j):
-    """Residual of the energy-norm identity for mode j.
-
-    With the energy seminorm induced by the softened stiffness form,
-    the squared error splits as lambda_j * ||u - u_h||_L2^2 plus the
-    eigenvalue error. Returns (residual, gap) where gap is the
-    eigenvalue error, so residual should be far below gap.
-    """
-    _check_mode(p, [N], j, "outlier_free")
-    system = build_soft_system(p, N, eta)
-    spectrum = solve_system(system)
-    lam_h = spectrum.values[j - 1]
-    l2_sq, h1_sq = _mode_errors(system, spectrum, [j])
-    coeffs = spectrum.vectors[:, j - 1]
-    coeffs = coeffs / math.sqrt(coeffs @ system.mass.matvec(coeffs))
-    lam = (j * math.pi) ** 2
-
-    soft = float(coeffs @ system.softness.matvec(coeffs))
-    energy_sq = float(h1_sq[0]) - system.eta * soft
-    residual = abs(energy_sq - (lam * float(l2_sq[0]) + (lam_h - lam)))
-    gap = abs(lam_h - lam)
-    return residual, gap

@@ -9,15 +9,29 @@ a dense symmetric test matrix into the band type the package takes.
 ``dense_commutator_norm`` multiplies dense operands in the arithmetic
 of their entries, Fractions included: the reference for the package's
 scaled-integer commutators.
+
+The rest restate, for the tests, what the package computes only on
+its way to a printed number:
+- ``space_operators``, the (K, M, S) bands of any space, such as a
+  remixed one that ``build_soft_system`` does not build;
+- ``softened_reference``, the printed pencil in exact rationals;
+- ``dispersion_eigenvalue``, the interior symbol's eigenvalue at one
+  wavenumber, in mpmath;
+- ``sine_sample``, one component of a closed-form eigenvector;
+- ``pythagorean_residual``, the energy-norm identity of one mode, whose
+  L2 error is integrated here point by point.
 """
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 
-from softiga.assembly import build_soft_system
+from softiga.analytic import _symbol, _symbol_value, reference_matrix
+from softiga.assembly import _extract, _raw_operators, build_soft_system
 from softiga.eigensolve import SymBandedMatrix
-from softiga.spectral_analysis import solve_system
+from softiga.spectral_analysis import h1_errors_for_modes, solve_system
 from softiga.splines import eval_basis
 from softiga.tensor import kron_sum_spectrum
 
@@ -99,3 +113,68 @@ def pth_derivative_jump(kv, interface_index):
     if k == N:
         return _pth_trace(kv, x, "left")
     return _pth_trace(kv, x, "left") - _pth_trace(kv, x, "right")
+
+
+def space_operators(space):
+    """The stiffness, mass and softness bands (K, M, S) of the space."""
+    return tuple(_extract(space, band) for band in _raw_operators(space.kv))
+
+
+def softened_reference(p, N, eta, eta_b=0):
+    """Printed-pencil matrices (K - eta*S, M + eta_b*S), exact."""
+    S = reference_matrix("S", p, N)
+    return (reference_matrix("K", p, N).plus(-Fraction(eta), S),
+            reference_matrix("M", p, N).plus(Fraction(eta_b), S))
+
+
+def dispersion_eigenvalue(p, t, eta=0, eta_b=0):
+    """Interior-symbol pencil eigenvalue lambda*h^2 at wavenumber t, at
+    the caller's mpmath working precision."""
+    return _symbol_value(_symbol(p, eta, eta_b), mpmath.mpf(t))
+
+
+def sine_sample(p, j, N, k):
+    """k-th component of the sine-pattern eigenvector (unnormalized).
+
+    Odd p samples sin(j*pi*k/N) at the nodes k/N, k = 1..N-1; even p
+    samples sin(j*pi*(k-1/2)/N) at the staggered nodes, k = 1..N.
+    """
+    node = k if p % 2 else k - 0.5
+    return math.sin(node * (j * math.pi / N))
+
+
+def pythagorean_residual(p, N, eta, j):
+    """Residual of the energy-norm identity for mode j of the
+    outlier-free pencil.
+
+    With the energy seminorm induced by the softened stiffness form,
+    the squared error splits as lambda_j * ||u - u_h||_L2^2 plus the
+    eigenvalue error. The H1 error is the package's; the L2 error is
+    integrated here with the same (p + 4)-point Gauss rule, one
+    ``eval_basis`` call per point. Returns (residual, gap) where gap is
+    the eigenvalue error, so residual should be far below gap.
+    """
+    system = build_soft_system(p, N, eta)
+    spectrum = solve_system(system)
+    lam_h = spectrum.values[j - 1]
+    lam = (j * math.pi) ** 2
+    c = spectrum.vectors[:, j - 1]
+    c = c / math.sqrt(c @ system.mass.matvec(c))
+    soft = float(c @ system.softness.matvec(c))
+    raw = system.space.raw_coefficients(c)
+    xg, wg = np.polynomial.legendre.leggauss(p + 4)
+    rows = []
+    for e in range(N):
+        for xq, wq in zip(xg, wg):
+            x = (e + 0.5 * (xq + 1.0)) / N
+            be = eval_basis(system.space.kv, x, 0)
+            rows.append((0.5 * wq / N,
+                         be.ders[0] @ raw[be.element:be.element + p + 1],
+                         math.sqrt(2.0) * math.sin(j * math.pi * x)))
+    w, uh, u = map(np.array, zip(*rows))
+    sign = 1.0 if w @ (uh * u) >= 0 else -1.0
+    l2_sq = w @ (sign * uh - u) ** 2
+    h1_sq = h1_errors_for_modes(system, spectrum, [j])[0] ** 2
+    energy_sq = h1_sq - system.eta * soft
+    gap = abs(lam_h - lam)
+    return abs(energy_sq - (lam * l2_sq + lam_h - lam)), gap

@@ -22,9 +22,10 @@ import pytest
 import softiga.cli
 import softiga.eigensolve
 import softiga.spectral_analysis
+from oracles import softened_reference
 from softiga.analytic import (analytic_eigenvalue, commutator_norm,
                               eta_table, fit_leading_coefficient,
-                              reference_matrix, softened_reference)
+                              reference_matrix)
 from softiga.assembly import IndefinitenessWarning, build_soft_system
 from softiga.cli import EXIT_OK, main
 from softiga.spectral_analysis import (convergence_slope,

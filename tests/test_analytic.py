@@ -9,14 +9,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import banded, dense_commutator_norm
-from softiga.analytic import (analytic_eigenvalue,
-                              analytic_eigenvector_sample,
-                              commutator_norm, dispersion_eigenvalue,
+from oracles import (banded, dense_commutator_norm, dispersion_eigenvalue,
+                     sine_sample, softened_reference)
+from softiga.analytic import (analytic_eigenvalue, commutator_norm,
                               dispersion_expansion, eta_table,
                               fit_leading_coefficient, interior_stencil,
-                              inverse_constants_squared, reference_matrix,
-                              softened_reference)
+                              inverse_constants_squared, reference_matrix)
 from softiga.assembly import build_soft_system
 from softiga.eigensolve import SymBandedMatrix, generalized_eig
 
@@ -65,15 +63,9 @@ def test_eta_table_orderings_and_resolution():
 
 def test_inverse_constants_squared():
     for p, expected in [(2, 24), (3, 1440), (4, 259200)]:
-        _, _, c3 = inverse_constants_squared(p)
-        assert c3 == expected
-    c1, c2, _ = inverse_constants_squared(2, k=2)
-    assert c1 == F(2 * 3 * 4 * 5, 2)
-    assert c2 == 1  # the k = p constant is exactly one
+        assert inverse_constants_squared(p) == expected
     with pytest.raises(ValueError):
         inverse_constants_squared(0)
-    with pytest.raises(ValueError):
-        inverse_constants_squared(3, k=4)
 
 
 def test_closed_form_reference_points():
@@ -111,7 +103,7 @@ def test_assembled_modes_follow_sine_coefficient_pattern(p, N):
     for j in (1, 2, 5):
         c = spectrum.vectors[:, j - 1]
         inner = c[side:dim - side]
-        want = np.array([analytic_eigenvector_sample(p, j, N, i + 1)
+        want = np.array([sine_sample(p, j, N, i + 1)
                          for i in range(side, dim - side)])
         scale = (inner @ want) / (want @ want)
         residual = np.linalg.norm(inner - scale * want)

@@ -11,11 +11,11 @@ import scipy.linalg as sla
 from scipy.linalg import lapack
 
 import softiga.assembly as assembly
-from oracles import pth_derivative_jump, space_member_eval
+from oracles import pth_derivative_jump, space_member_eval, space_operators
 from softiga.analytic import (analytic_eigenvalue, eta_table,
                               interior_stencil)
 from softiga.assembly import (IndefinitenessWarning, SymBandedMatrix,
-                              assemble_operators, build_soft_system)
+                              build_soft_system)
 from softiga.eigensolve import (DefinitenessError, cholesky_pivot,
                                 generalized_eig)
 from softiga.spaces import build_of_space, build_standard_space
@@ -57,7 +57,7 @@ def test_banded_storage_keeps_exact_rationals():
 def test_linear_elements_reproduce_textbook_stencils():
     N = 6
     space = build_standard_space(1, N)
-    K, M, _ = (op.toarray() for op in assemble_operators(space))
+    K, M, _ = (op.toarray() for op in space_operators(space))
     h = 1.0 / N
     i = 2
     np.testing.assert_allclose(K[i, i - 1:i + 2],
@@ -69,7 +69,7 @@ def test_linear_elements_reproduce_textbook_stencils():
 def test_quadratic_interior_rows_match_reference_stencils():
     N = 10
     space = build_standard_space(2, N)
-    K, M, S = (op.toarray() for op in assemble_operators(space))
+    K, M, S = (op.toarray() for op in space_operators(space))
     h = 1.0 / N
     i = 5
     np.testing.assert_allclose(
@@ -89,7 +89,7 @@ def test_softness_vanishes_on_low_degree_polynomials():
     # standard space contains such members for p >= 3
     for p, N in [(3, 6), (4, 6), (5, 7)]:
         space = build_standard_space(p, N)
-        S = assemble_operators(space)[2].toarray()
+        S = space_operators(space)[2].toarray()
         kv = space.kv
         # interpolate x(1-x), a degree-2 polynomial in the space
         xs = np.linspace(0.02, 0.98, space.dim)
@@ -109,7 +109,7 @@ def test_even_degree_boundary_faces_carry_energy():
     # the two boundary faces contribute 2 * h^3 * (2 * (-2)^2) = 16 h^3
     N = 8
     space = build_standard_space(2, N)
-    S = assemble_operators(space)[2].toarray()
+    S = space_operators(space)[2].toarray()
     kv = space.kv
     xs = np.linspace(0.05, 0.95, space.dim)
     A = np.zeros((space.dim, space.dim))
@@ -129,7 +129,7 @@ def test_odd_degree_boundary_faces_carry_no_energy():
     # odd degree adds no boundary terms, so the energy is zero
     N = 8
     space = build_standard_space(3, N)
-    S = assemble_operators(space)[2].toarray()
+    S = space_operators(space)[2].toarray()
     kv = space.kv
     target = lambda x: x * (1 - x) * (1 + 2 * x)  # cubic, u''' = -12
     xs = np.linspace(0.03, 0.97, space.dim)
@@ -149,7 +149,7 @@ def test_mass_row_sums_integrate_against_member_sum():
     from scipy.integrate import quad
 
     space = build_of_space(3, 6)
-    M = assemble_operators(space)[1].toarray()
+    M = space_operators(space)[1].toarray()
 
     def member_sum(x):
         return sum(space_member_eval(space, j, x)
@@ -168,7 +168,7 @@ def test_mass_row_sums_integrate_against_member_sum():
 def test_operators_are_symmetric_and_persymmetric():
     for p, N in [(2, 9), (3, 9), (4, 9)]:
         space = build_of_space(p, N)
-        for op in assemble_operators(space):
+        for op in space_operators(space):
             A = op.toarray()
             np.testing.assert_allclose(A, A.T, atol=1e-13 * abs(A).max())
             np.testing.assert_allclose(A, A[::-1, ::-1].T,
@@ -265,7 +265,7 @@ def test_coercivity_certificate_at_default_weight():
         eta = float(table.default[p])
         beta = 1.0 - eta / float(table.theoretical_max[p])
         space = build_of_space(p, 20)
-        K = assemble_operators(space)[0].toarray()
+        K = space_operators(space)[0].toarray()
         system = build_soft_system(p, 20, eta)
         low = float(np.linalg.eigvalsh(system.A.toarray() - beta * K)[0])
         assert low >= -1e-10 * np.linalg.norm(K)
@@ -392,7 +392,7 @@ def test_banded_operators_match_per_point_quadrature(p, flavor):
             space = build(p, N)
         except ValueError:
             continue
-        for got, expected in zip(assemble_operators(space),
+        for got, expected in zip(space_operators(space),
                                  _reference_operators(space)):
             scale = max(abs(expected).max(), 1e-300)
             assert np.abs(got.toarray() - expected).max() <= 1e-13 * scale
@@ -494,7 +494,7 @@ def test_interior_rows_match_printed_stencils(p):
     N = 400
     h = 1.0 / N
     space = build_of_space(p, N)
-    for kind, op, unit in zip("KMS", assemble_operators(space),
+    for kind, op, unit in zip("KMS", space_operators(space),
                               (h, 1.0 / h, h)):
         stencil = np.array([float(c) for c in interior_stencil(kind, p)])
         full = np.concatenate([stencil[::-1], stencil[1:]])

