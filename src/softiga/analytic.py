@@ -258,11 +258,12 @@ def dispersion_expansion(p, eta):
     return DispersionExpansion(_SUPER[p] - eta, _NEXT_COEFF[p])
 
 
-def _symbol(p, eta, eta_b):
-    """The interior symbol of the softened pencil as two cosine series,
-    (numerator, denominator), each the list of its mpmath coefficients
-    c_k of c_0 + sum over k >= 1 of 2 c_k cos(k t), converted at the
-    caller's working precision."""
+def _symbol(p, eta):
+    """The interior symbol of the softened pencil K - eta S, M as two
+    cosine series, (numerator, denominator), each the list of its
+    mpmath coefficients c_k of c_0 + sum over k >= 1 of 2 c_k cos(k t),
+    converted at the caller's working precision; both lists are as long
+    as the softness stencil."""
     import mpmath
 
     ss = interior_stencil("S", p)
@@ -270,12 +271,12 @@ def _symbol(p, eta, eta_b):
     def frac(x):
         return mpmath.mpf(x.numerator) / x.denominator
 
-    def series(stencil, weight):
+    def series(stencil, weight=0):
         return [frac(stencil[k] if k < len(stencil) else F(0))
                 + weight * frac(ss[k]) for k in range(len(ss))]
 
     return (series(interior_stencil("K", p), -frac(Fraction(eta))),
-            series(interior_stencil("M", p), frac(Fraction(eta_b))))
+            series(interior_stencil("M", p)))
 
 
 def _symbol_value(symbol, t):
@@ -320,7 +321,7 @@ def fit_leading_coefficient(p, eta):
     else:
         power, target = 2 * p + 2, exp.next
     with mpmath.workdps(FIT_DPS):
-        symbol = _symbol(p, eta, 0)
+        symbol = _symbol(p, eta)
         rows, rhs = [], []
         for t in FIT_WAVENUMBERS:
             t = mpmath.mpf(t)

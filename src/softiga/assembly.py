@@ -49,7 +49,7 @@ import warnings
 import numpy as np
 
 from .analytic import eta_table
-from .eigensolve import SymBandedMatrix
+from .eigensolve import SymBandedMatrix, _column_dots
 from .spaces import SplineSpace, build_of_space, build_standard_space
 from .splines import basis_table, gauss_rule
 
@@ -92,12 +92,12 @@ class SoftSystem:
         X, from one block band product per operator.
 
         Returns ((k, m, s), (KX, MX, SX)): k_j = x_j^T K x_j, m_j and
-        s_j likewise, and the three products they were read from.
+        s_j likewise, and the three products they were read from. A
+        column's energies are the same bits in a block of any width.
         """
         products = tuple(op.matvec(X) for op in (self.stiffness, self.mass,
                                                   self.softness))
-        return (tuple(np.einsum("ij,ij->j", X, Y) for Y in products),
-                products)
+        return tuple(_column_dots(X, Y) for Y in products), products
 
     def with_weights(self, eta, eta_b=0.0):
         """The same operators under other softness weights.

@@ -10,6 +10,7 @@ separator, newline line endings, and sorted JSON keys.
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from fractions import Fraction
@@ -480,20 +481,27 @@ def main(argv=None):
     args = _PARSER.parse_args(argv)
     # looked up at call time, so a rebound cmd_* function is the one run
     command = globals()["cmd_" + args.command.replace("-", "_")]
+    created = False
     try:
         if args.out:
             # refuse an unwritable path before any work; append mode
             # leaves an existing file unchanged until the report is done
+            existed = os.path.exists(args.out)
             open(args.out, "a").close()
+            created = not existed
         return command(args)
     except (ConfigError, KeyError, ValueError, OSError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"softiga: config error: {message}", file=sys.stderr)
-        return EXIT_CONFIG
+        code = EXIT_CONFIG
     except (DefinitenessError, EigenSolveError,
             np.linalg.LinAlgError) as exc:
         print(f"softiga: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        code = EXIT_NUMERICAL
+    if created:
+        # a failed run leaves no empty report where there was no file
+        os.remove(args.out)
+    return code
 
 
 if __name__ == "__main__":

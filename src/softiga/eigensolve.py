@@ -31,14 +31,16 @@ array to ``dpbtrf`` as it is, in O(n * hbw^2). There are two solvers:
   definite it is bisected like lambda_max. Its memory is a few bands,
   O(n * hbw).
 
-Every eigenvalue is then a Rayleigh quotient v^T A v / v^T B v with the
-assembled float operators. That does not reach machine precision on
-the low modes: in the interior the operators are a differencing stencil
-whose entry errors of eps*||A|| move every quotient by about
-eps*lambda_max, a relative error of about eps*lambda_max/lambda_j. Both
-solvers share that floor. Against the closed form at the default
-weight, lambda_1 at p = 2, N = 2000 is off by 2.3e-11 to 2.4e-11
-relative.
+Every eigenvalue is then a Rayleigh quotient of the assembled float
+operators: v^T A v / v^T B v here, and for the closed-form pairs of
+``spectral_analysis`` the same quotient read off per-mode energies,
+(k - eta s) / (m + eta_b h^2 s) (``SoftSystem.energies``). That does
+not reach machine precision on the low modes: in the interior the
+operators are a differencing stencil whose entry errors of eps*||A||
+move every quotient by about eps*lambda_max, a relative error of about
+eps*lambda_max/lambda_j. Both solvers share that floor. Against the
+closed form at the default weight, lambda_1 at p = 2, N = 2000 is off
+by 2.3e-11 to 2.4e-11 relative.
 
 Both solvers enter through one check of the pencil and leave through
 one finish; each keeps only its own algorithm. The closed-form pairs of
@@ -46,18 +48,22 @@ one finish; each keeps only its own algorithm. The closed-form pairs of
 the same finish. Those that ``spectral_analysis.reweighted_values``
 reads off one set of eigenvectors for other weights keep only their
 values, so they pass the finish's residual contract alone
-(``_contract``), with no signed copy of the vectors. The check refuses an order
-mismatch, a B that is not definite (with its Cholesky pivot) and
-non-finite entries, and hands the solver double-precision bands of one
-height with their Frobenius norms. The finish fixes each eigenvector's
-sign, sorts the pairs and enforces the residual contract
-||A v - lambda B v|| <= RESIDUAL_RTOL * (||A||_F + |lambda| ||B||_F):
-a pair that breaks it raises ``EigenSolveError`` (exit 2 on the command
-line) rather than being returned. So does a floating-point overflow,
-invalid operation or division by zero anywhere inside a solve, as with
-finite entries whose squares overflow the Frobenius norm. A solve
-returns a ``Spectrum``: the eigenvalues, the B-orthonormal eigenvectors
-and the residual contract of every pair, nothing more.
+(``_contract``). The check refuses an order mismatch, a B that is not
+definite (with its Cholesky pivot) and non-finite entries, and hands
+the solver double-precision bands of one height with their Frobenius
+norms. Every path measures ||A v - lambda B v|| with one helper
+(``_residual_norms``), whose sums do not depend on how many pairs are
+measured at once. The finish sorts the pairs and enforces the residual
+contract ||A v - lambda B v|| <= RESIDUAL_RTOL * (||A||_F + |lambda|
+||B||_F): a pair that breaks it raises ``EigenSolveError`` (exit 2 on
+the command line) rather than being returned. So does a floating-point
+overflow, invalid operation or division by zero anywhere inside a
+solve, as with finite entries whose squares overflow the Frobenius
+norm. A solve returns a ``Spectrum``: the eigenvalues, the B-orthonormal
+eigenvectors and the residual contract of every pair, nothing more. No
+sign convention is imposed on a vector: it keeps the sign its solver
+gave it, and the one printed number read from vectors, the H1 error,
+aligns each mode with its continuum counterpart first.
 """
 
 import functools
@@ -183,8 +189,10 @@ class SymBandedMatrix:
 RESIDUAL_RTOL = 1e-10
 
 # Largest order whose full spectrum is computed: the dense solve's 6 n^2
-# doubles are about 1.2 GB there, the closed-form pairs of
-# ``spectral_analysis.solve_system`` about 4.5 n^2.
+# doubles are about 1.2 GB there. The closed-form pairs of
+# ``spectral_analysis.solve_system`` peak at about 2 n^2 there (3.5 n^2
+# at n = 199), mostly the n vectors they return, and the values of
+# ``reweighted_values`` at a few blocks of modes, O(n).
 MAX_DENSE_ORDER = 5000
 
 
@@ -214,9 +222,9 @@ class Spectrum:
     values : ndarray
         Eigenvalues, ascending.
     vectors : ndarray
-        Eigenvectors as columns, B-orthonormal (the two extreme ones of
-        a pencil of order 1 are one vector), largest-magnitude
-        component positive.
+        Eigenvectors as columns in the order of ``values``, B-normalized
+        and B-orthogonal (the two extreme ones of a pencil of order 1
+        are one vector), each with the sign its solver gave it.
     residuals : ndarray
         ||A v - lambda B v||_2 per pair.
     residual_bounds : ndarray
@@ -288,10 +296,28 @@ def _solver(solve):
     return checked
 
 
-def _contract(values, AX, BX, norms):
+def _column_dots(X, Y):
+    """x_j^T y_j for every column pair of the blocks X and Y, summed
+    row after row whatever the number of columns, so that a column's
+    value does not depend on the block it came in: numpy would sum a
+    lone contiguous column pairwise instead."""
+    if X.shape[1] == 1:
+        return np.add.accumulate(X[:, 0] * Y[:, 0])[-1:]
+    return np.einsum("ij,ij->j", X, Y)
+
+
+def _residual_norms(values, AX, BX):
+    """||A x_j - values[j] B x_j|| for every column of the products A X
+    and B X, with one temporary block."""
+    R = BX * values
+    np.subtract(AX, R, out=R)
+    return np.sqrt(_column_dots(R, R))
+
+
+def _contract(values, residuals, norms):
     """The pairs' values in stable ascending order, the order itself, and
-    the residuals and contract bounds in that order, from A X and B X and
-    the Frobenius norms of A and B; the vectors themselves are not read.
+    the residual norms and contract bounds in that order, from the
+    Frobenius norms of A and B.
 
     Raises EigenSolveError on non-finite values, or when a pair breaks
     the residual contract ||A x - lambda B x|| <= RESIDUAL_RTOL *
@@ -299,13 +325,6 @@ def _contract(values, AX, BX, norms):
     """
     if not np.all(np.isfinite(values)):
         raise EigenSolveError("non-finite values in eigensolution")
-    # the residual block is formed and squared in place, the arithmetic
-    # of np.linalg.norm(AX - BX * values, axis=0) with one temporary
-    R = BX * values
-    np.subtract(AX, R, out=R)
-    np.multiply(R, R, out=R)
-    residuals = np.sqrt(np.add.reduce(R, axis=0))
-    del R
     order = np.argsort(values, kind="stable")
     values, residuals = values[order], residuals[order]
     bounds = RESIDUAL_RTOL * (norms[0] + np.abs(values) * norms[1])
@@ -318,32 +337,20 @@ def _contract(values, AX, BX, norms):
     return values, order, residuals, bounds
 
 
-def _spectrum(values, X, AX, BX, norms):
-    """The Spectrum of the pairs (values[j], X[:, j]), with A X and B X
-    and the Frobenius norms of A and B: largest-magnitude component of
-    every vector positive, pairs in stable ascending order.
+def _spectrum(values, X, residuals, norms):
+    """The Spectrum of the pairs (values[j], X[:, j]), with the residual
+    norms of ``_residual_norms`` and the Frobenius norms of A and B, the
+    pairs in stable ascending order: X itself when already in that
+    order, else a sorted copy.
 
     Raises EigenSolveError on non-finite values or vectors, or when a
     pair breaks the residual contract (``_contract``).
     """
     if not np.all(np.isfinite(X)):
         raise EigenSolveError("non-finite values in eigensolution")
-    # a sign flip keeps every norm, so the contract reads AX and BX as
-    # they are
-    values, order, residuals, bounds = _contract(values, AX, BX, norms)
-    # the first largest magnitude per column; argmax over the flags, not
-    # over |X|, so a C-order X is not copied into columns
-    magnitude = np.abs(X)
-    peaks = np.argmax(magnitude == magnitude.max(axis=0), axis=0)
-    del magnitude
-    signs = np.sign(X[peaks, np.arange(X.shape[1])])
-    signs[signs == 0] = 1.0
-    # one Fortran-order copy of X; the input is never written
-    if np.array_equal(order, np.arange(len(order))):
-        X = np.multiply(X, signs, order="F")
-    else:
+    values, order, residuals, bounds = _contract(values, residuals, norms)
+    if not np.array_equal(order, np.arange(len(order))):
         X = X[:, order]
-        X *= signs[order]
     return Spectrum(values, X, residuals, bounds)
 
 
@@ -387,7 +394,9 @@ def generalized_eig(A, B):
     for j, v in enumerate(V.T):
         AV[:, j], BV[:, j] = A.matvec(v), B.matvec(v)
     w = np.einsum("ij,ij->j", V, AV) / np.einsum("ij,ij->j", V, BV)
-    return _spectrum(w, V, AV, BV, norms)
+    residuals = _residual_norms(w, AV, BV)
+    del AV, BV
+    return _spectrum(w, V, residuals, norms)
 
 
 # Inverse-iteration steps one end of a spectrum may take.
@@ -591,6 +600,7 @@ def extreme_eigenpairs(A, B, seed=None):
     a_bottom = A.matvec(bottom)
     values = np.array([(x @ ax) / (x @ bx) for x, ax, bx in
                        ((bottom, a_bottom, b_bottom), (top, a_top, b_top))])
-    return _spectrum(values, np.column_stack((bottom, top)),
-                     np.column_stack((a_bottom, a_top)),
-                     np.column_stack((b_bottom, b_top)), norms)
+    residuals = _residual_norms(values, np.column_stack((a_bottom, a_top)),
+                                np.column_stack((b_bottom, b_top)))
+    return _spectrum(values, np.column_stack((bottom, top)), residuals,
+                     norms)

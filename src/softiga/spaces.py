@@ -257,11 +257,18 @@ def sine_modes(space, js=None):
     twice = 2 * np.arange(1, max(n, p + 2) + 1) - (p + 1) % 2
     index = np.multiply.outer(twice, js)
     np.remainder(index, 4 * N, out=index)
-    samples = sine_table(N)[index]
+    table = sine_table(N)
+    samples = table[index]
     del index
     X = samples[:n]
     if r:
-        corner = corner_map(space) @ samples[:p + 2]
+        # the corners of all n modes come from one product, and the
+        # chosen ones are picked from it: a BLAS product orders a
+        # column's sums by its place in the product, so a mode's corner
+        # is then the same bits whichever modes are asked for
+        heads = np.multiply.outer(twice[:p + 2], np.arange(1, n + 1))
+        np.remainder(heads, 4 * N, out=heads)
+        corner = (corner_map(space) @ table[heads])[:, js - 1]
         X[:r] = corner
         X[n - r:] = corner[::-1] * np.where(js % 2, 1.0, -1.0)
     return X

@@ -20,7 +20,12 @@ and for the standard space at p <= 2, which is the same space, the
 eigenvectors are the paper's closed form (``spaces.sine_modes``), so
 ``solve_system`` makes no dense solve: the pairs cost O(n^2 * hbw)
 instead of O(n^3), and every pair still leaves through the residual
-contract of ``eigensolve``. Elsewhere it uses the dense
+contract of ``eigensolve``. Both ``solve_system`` and
+``reweighted_values`` read the closed-form pairs through one routine
+(``_sine_pairs``), one block of ``_MODE_BLOCK`` modes at a time: every
+value is (k - eta s) / (m + eta_b h^2 s) from the per-mode energies of
+``SoftSystem.energies``, whatever the weights, and a block's working
+memory is O(n). Elsewhere ``solve_system`` uses the dense
 ``generalized_eig``, and ``reweighted_values``, which needs vectors
 that diagonalize every weight's pencil, refuses the space. H1 errors
 are integrated over blocks of modes of a fixed byte size
@@ -35,9 +40,9 @@ import numpy as np
 
 from .analytic import eta_table
 from .assembly import build_soft_system
-from .eigensolve import (_checked_pencil, _contract, _solver, _spectrum,
-                         check_full_order, extreme_eigenpairs,
-                         generalized_eig)
+from .eigensolve import (_checked_pencil, _contract, _residual_norms,
+                         _solver, _spectrum, check_full_order,
+                         extreme_eigenpairs, generalized_eig)
 from .spaces import (has_sine_modes, sine_modes, sine_table,
                      space_dimension)
 from .splines import basis_table, gauss_rule
@@ -58,48 +63,77 @@ class SpectralReport:
     rel_errors: np.ndarray
 
 
-def _checked_sine_modes(system):
-    """The checked pencil of ``eigensolve._checked_pencil`` and the
-    closed-form eigenvectors of ``sine_modes``, after the refusals of the
-    dense solve: an order above ``MAX_DENSE_ORDER``, a mass side that is
-    not definite and non-finite entries."""
-    check_full_order(system.space.dim)
-    return _checked_pencil(system.A, system.B), sine_modes(system.space)
+# Modes per block of the closed-form pairs (``_sine_pairs``): a block
+# takes about five arrays of n x 128 doubles, and every pencil of the
+# benchmark (order <= 199) takes one or two blocks.
+_MODE_BLOCK = 128
+
+
+def _sine_pairs(system, etas):
+    """Values and residual norms of the closed-form pairs of the
+    system's operators under each softness weight of ``etas``, with its
+    own mass-side weight eta_b, and 1/sqrt(m_j + eta_b h^2 s_j), the
+    scale that B-normalizes mode j.
+
+    The modes of ``sine_modes`` go in blocks of ``_MODE_BLOCK``
+    columns, and only one block and its products live at a time. With
+    the per-mode energies (k_j, m_j, s_j) of ``SoftSystem.energies``,
+    each weight's value of mode j is (k_j - eta s_j) / (m_j + eta_b h^2
+    s_j), and its residual norm is that of the B-normalized mode
+    against the weight's pencil. Rows follow ``etas``, columns the
+    modes in order; nothing is sorted or held to the contract yet, and
+    every value is the same bits at any block width.
+    """
+    space = system.space
+    n = space.dim
+    h = space.kv.h
+    mass_weight = system.eta_b * h * h
+    values = np.empty((len(etas), n))
+    residuals = np.empty((len(etas), n))
+    scales = np.empty(n)
+    for lo in range(0, n, _MODE_BLOCK):
+        js = np.arange(lo + 1, min(lo + _MODE_BLOCK, n) + 1)
+        block = slice(lo, lo + len(js))
+        (k, m, s), (KX, MX, SX) = system.energies(sine_modes(space, js))
+        mass = m + mass_weight * s
+        scales[block] = 1.0 / np.sqrt(mass)
+        for Y in (KX, MX, SX):
+            Y *= scales[block]
+        BX = MX
+        BX += mass_weight * SX
+        AX = np.empty_like(KX)
+        for row, eta in enumerate(etas):
+            values[row, block] = (k - eta * s) / mass
+            np.multiply(SX, -eta, out=AX)
+            AX += KX
+            residuals[row, block] = _residual_norms(values[row, block],
+                                                    AX, BX)
+        # freed before the next block is built
+        del KX, MX, SX, AX, BX
+    return values, residuals, scales
 
 
 @_solver
-def _sine_spectrum(system):
-    """The Spectrum of the system's pencil from its closed-form
-    eigenvectors, on a space ``has_sine_modes`` accepts.
-
-    Each value is the Rayleigh quotient of its vector with the band
-    products A x and B x, and every scaling is in place, so the peak is
-    about 4.5 n^2 doubles where the dense solve's is 6 n^2.
-    """
-    (A, B, norms), X = _checked_sine_modes(system)
-    AX = A.matvec(X)
-    BX = B.matvec(X)
-    mass = np.einsum("ij,ij->j", X, BX)
-    values = np.einsum("ij,ij->j", X, AX) / mass
-    scale = 1.0 / np.sqrt(mass)
-    for Y in (X, AX, BX):
-        Y *= scale
-    return _spectrum(values, X, AX, BX, norms)
-
-
 def solve_system(system):
     """Generalized eigenpairs of an assembled pencil.
 
     Where ``sine_modes`` knows the eigenvectors (the outlier-free space
     up to ``spaces.SINE_MODE_MAX_DEGREE``) no dense solve is made: the
-    pairs are the closed-form vectors with their Rayleigh quotients,
-    and every pair leaves through the residual contract of both
-    solvers, so a wrong vector exits 2 rather than printing. Elsewhere
-    it is ``generalized_eig``. Either way the pencil is checked once.
+    pairs are the closed-form vectors, B-normalized, with the values of
+    their energies (``_sine_pairs``), and every pair leaves through the
+    residual contract of both solvers, so a wrong vector exits 2 rather
+    than printing. Elsewhere it is ``generalized_eig``. Either way the
+    pencil is checked once.
     """
-    if has_sine_modes(system.space):
-        return _sine_spectrum(system)
-    return generalized_eig(system.A, system.B)
+    if not has_sine_modes(system.space):
+        return generalized_eig(system.A, system.B)
+    check_full_order(system.space.dim)
+    _, _, norms = _checked_pencil(system.A, system.B)
+    (values,), (residuals,), scales = _sine_pairs(system, [system.eta])
+    # stored by columns, which the H1 errors read a few at a time
+    X = np.asfortranarray(sine_modes(system.space))
+    X *= scales
+    return _spectrum(values, X, residuals, norms)
 
 
 def extreme_values(system):
@@ -122,19 +156,18 @@ def extreme_values(system):
     return extreme_eigenpairs(A, B, seed).values
 
 
+@_solver
 def reweighted_values(system, etas):
     """Eigenvalues of the system's operators under each softness weight
     of ``etas``, with its own mass-side weight eta_b, from one set of
     eigenvectors.
 
     On the outlier-free space K, M and S all commute with the paper's
-    transformation T, so one set of eigenvectors X diagonalizes all
-    three, and with the per-mode energies (k_j, m_j, s_j) of
-    ``SoftSystem.energies`` every weight's eigenvalues are lambda_j =
-    (k_j - eta s_j) / (m_j + eta_b h^2 s_j). X is the closed form of
-    ``sine_modes``, B-normalized with the same energies. Each weight's
-    pairs are sorted and held to the residual contract of both solvers
-    against that weight's bands.
+    transformation T, so one set of eigenvectors diagonalizes all
+    three, and every weight's eigenvalues come from the same per-mode
+    energies (``_sine_pairs``), one block of modes at a time. Each
+    weight's pairs are sorted and held to the residual contract of both
+    solvers against that weight's bands; only the values are kept.
 
     A space whose eigenvectors ``sine_modes`` does not know, such as a
     standard space with p >= 3, is refused with ValueError before
@@ -144,26 +177,14 @@ def reweighted_values(system, etas):
     if not has_sine_modes(system.space):
         raise ValueError(f"no closed-form eigenvectors to reweight on"
                          f" this space (p={system.space.kv.p})")
-    _, X = _checked_sine_modes(system)
-    (k, m, s), (KX, MX, SX) = system.energies(X)
-    del X
-    h = system.space.kv.h
-    mass_weight = system.eta_b * h * h
-    mass = m + mass_weight * s
-    scale = 1.0 / np.sqrt(mass)
-    for Y in (KX, MX, SX):
-        Y *= scale
-    BX = MX + mass_weight * SX
+    check_full_order(system.space.dim)
+    _checked_pencil(system.A, system.B)
+    pencils = [system.with_weights(eta, system.eta_b) for eta in etas]
+    values, residuals, _ = _sine_pairs(system,
+                                       [pencil.eta for pencil in pencils])
     mass_norm = system.B.frobenius()
-    values = []
-    for eta in etas:
-        pencil = system.with_weights(eta, system.eta_b)
-        norms = (pencil.A.frobenius(), mass_norm)
-        # only the values are kept, so each weight's pairs pass the
-        # contract alone, with no signed copy of the shared X
-        values.append(_contract((k - pencil.eta * s) / mass,
-                                KX - pencil.eta * SX, BX, norms)[0])
-    return values
+    return [_contract(row, res, (pencil.A.frobenius(), mass_norm))[0]
+            for pencil, row, res in zip(pencils, values, residuals)]
 
 
 def spectral_report(values, d=1):

@@ -28,7 +28,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from softiga.analytic import _symbol, _symbol_value, reference_matrix
+from softiga.analytic import (_symbol, _symbol_value, interior_stencil,
+                              reference_matrix)
 from softiga.assembly import _extract, _raw_operators, build_soft_system
 from softiga.eigensolve import SymBandedMatrix
 from softiga.spectral_analysis import h1_errors_for_modes, solve_system
@@ -129,8 +130,15 @@ def softened_reference(p, N, eta, eta_b=0):
 
 def dispersion_eigenvalue(p, t, eta=0, eta_b=0):
     """Interior-symbol pencil eigenvalue lambda*h^2 at wavenumber t, at
-    the caller's mpmath working precision."""
-    return _symbol_value(_symbol(p, eta, eta_b), mpmath.mpf(t))
+    the caller's mpmath working precision; the mass-side weight adds
+    eta_b times the softness series to the mass series."""
+    numerator, mass = _symbol(p, eta)
+    eta_b = Fraction(eta_b)
+    weight = mpmath.mpf(eta_b.numerator) / eta_b.denominator
+    softness = [mpmath.mpf(c.numerator) / c.denominator
+                for c in interior_stencil("S", p)]
+    denominator = [m + weight * s for m, s in zip(mass, softness)]
+    return _symbol_value((numerator, denominator), mpmath.mpf(t))
 
 
 def sine_sample(p, j, N, k):

@@ -12,6 +12,7 @@ every other column and fails those six groups honestly (see README).
 import contextlib
 import io
 import math
+import sys
 import time
 import warnings
 from fractions import Fraction as F
@@ -19,15 +20,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-import softiga.cli
-import softiga.eigensolve
-import softiga.spectral_analysis
 from oracles import softened_reference
 from softiga.analytic import (analytic_eigenvalue, commutator_norm,
                               eta_table, fit_leading_coefficient,
                               reference_matrix)
 from softiga.assembly import IndefinitenessWarning, build_soft_system
 from softiga.cli import EXIT_OK, main
+from softiga.spaces import has_sine_modes
 from softiga.spectral_analysis import (convergence_slope,
                                        mode_convergence, solve_system)
 from softiga.splines import eval_basis, open_knot_vector
@@ -75,36 +74,51 @@ _MESH_FOR_DIM = {1: 100, 2: 40, 3: 20}
 SOLVE_LOG = []
 
 
-# every binding through which the pairs of a solve leave: the finish
-# shared by the dense solve, the band solve of the ``condition`` command
-# and the closed-form pairs of ``spectral_analysis``
-_SOLVER_BINDINGS = [(softiga.eigensolve, "_spectrum"),
-                    (softiga.spectral_analysis, "_spectrum")]
+# every public solver whose pairs the criteria reach: the dense solve,
+# the band solve of the ``condition`` command and the closed-form pairs
+# of ``solve_system``, wrapped under every module name they are called by
+_SOLVERS = ("generalized_eig", "extreme_eigenpairs", "solve_system")
+_SOLVER_MODULES = ("softiga.eigensolve", "softiga.spectral_analysis",
+                   "softiga.cli", "oracles", __name__)
+
+
+def _log_solve(spectrum, B):
+    """Log the residual contract and the B-orthonormality defect of the
+    pairs of one solve, with the solver's own B."""
+    vectors = spectrum.vectors
+    gram = vectors.T @ B.matvec(vectors)
+    SOLVE_LOG.append((
+        bool(np.all(spectrum.residuals <= spectrum.residual_bounds)),
+        float(np.max(np.abs(gram - np.eye(gram.shape[0])))),
+    ))
+
+
+def _tracked(name, solve):
+    if name == "solve_system":
+        def wrapped(system):
+            spectrum = solve(system)
+            # elsewhere it is generalized_eig, which logs itself
+            if has_sine_modes(system.space):
+                _log_solve(spectrum, system.B)
+            return spectrum
+    else:
+        def wrapped(A, B, *args):
+            spectrum = solve(A, B, *args)
+            _log_solve(spectrum, B)
+            return spectrum
+    return wrapped
 
 
 @pytest.fixture(autouse=True, scope="module")
 def _track_solves():
     """Record residual-contract and B-orthonormality facts per solve."""
-    originals = [getattr(module, name) for module, name in _SOLVER_BINDINGS]
-
-    def tracked(finish):
-        def wrapped(values, X, AX, BX, norms):
-            spectrum = finish(values, X, AX, BX, norms)
-            # the columns of BX are B times those of X
-            gram = X.T @ BX
-            SOLVE_LOG.append((
-                bool(np.all(spectrum.residuals
-                            <= spectrum.residual_bounds)),
-                float(np.max(np.abs(gram - np.eye(gram.shape[0])))),
-            ))
-            return spectrum
-
-        return wrapped
-
-    for (module, name), original in zip(_SOLVER_BINDINGS, originals):
-        setattr(module, name, tracked(original))
+    bindings = [(sys.modules[module], name) for module in _SOLVER_MODULES
+                for name in _SOLVERS if hasattr(sys.modules[module], name)]
+    originals = [getattr(module, name) for module, name in bindings]
+    for (module, name), original in zip(bindings, originals):
+        setattr(module, name, _tracked(name, original))
     yield
-    for (module, name), original in zip(_SOLVER_BINDINGS, originals):
+    for (module, name), original in zip(bindings, originals):
         setattr(module, name, original)
 
 

@@ -352,6 +352,21 @@ def test_failing_run_leaves_an_existing_out_file_unchanged(tmp_path,
     assert path.read_bytes() == b"an earlier report\n"
 
 
+@pytest.mark.parametrize("argv,expected", [
+    (["spectrum", "-p", "2", "-N", "8", "--eta-b", "1e400"], EXIT_CONFIG),
+    (["condition", "-p", "5", "-N", "40", "--eta", "1"], EXIT_CONFIG),
+    (["spectrum", "-p", "16", "-N", "3", "--method", "iga"],
+     EXIT_NUMERICAL),
+])
+def test_failing_run_leaves_no_new_out_file(argv, expected, tmp_path,
+                                            capsys):
+    path = tmp_path / "report"
+    assert main(argv + ["--out", str(path)]) == expected
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert not path.exists()
+
+
 def test_rank_deficient_outlier_free_space_is_a_config_error(capsys):
     err = _one_line_config_error(["spectrum", "-p", "17", "-N", "40",
                                   "--eta", "zero"], capsys)
@@ -582,14 +597,19 @@ def test_lift_limit_boundary(argv, monkeypatch, capsys):
 # eigenvectors instead of the dense solve, the weight sweeps read their
 # energies from them, and the H1 errors were integrated in blocks of
 # modes with the continuum modes from angle addition: values, relative
-# errors and H1 errors move in their last digits.
+# errors and H1 errors move in their last digits. The outlier-free
+# spectrum and convergence digests, and verify's residual line, were
+# recorded again when the closed-form values came from the per-mode
+# energies, (k - eta s) / (m + eta_b h^2 s), instead of the band
+# quotients x^T A x / x^T B x: values move by at most 1.2e-11 relative,
+# within the eps * lambda_max / lambda_j floor both formulas share.
 _GOLDEN_STDOUT = {
-    "spectrum -p 2 -N 4 -d 3": "a8d31b617810c5d89a9b1ec7d2d206bc",
-    "spectrum -p 3 -N 16 -d 2": "5acb27136b5eb554a79fe13cabc198c1",
+    "spectrum -p 2 -N 4 -d 3": "417e7d00c3d6c038727910db96dfdd43",
+    "spectrum -p 3 -N 16 -d 2": "bea1153009bc7c84e7daa95eb326c83c",
     "spectrum -p 3 -N 12 -d 2 --format json":
-        "b0bea6066881bf5028ac515b9502dd5f",
-    "spectrum -p 2 -N 8": "ebd8a5f2d4eb1c3ec326a0f68a936688",
-    "spectrum -p 3 -N 8 --format json": "fe2b470b63d607ef9b9f625f03dd986e",
+        "1dbb1cee2497de678d736330b8345520",
+    "spectrum -p 2 -N 8": "24363ef7f2a6e702dad6d1312d4f9de4",
+    "spectrum -p 3 -N 8 --format json": "758570f18a2425424eff4a60317b2b61",
     "spectrum -p 1 -N 4 --method iga": "189e6185f6360bc3bfaa3e32a0c31834",
     # re-recorded when the outlier-free lambda_max began its bisection at
     # the Rayleigh quotient of the closed-form top mode: lambda_max and
@@ -606,25 +626,25 @@ _GOLDEN_STDOUT = {
     "eta-sweep -p 2 -N 10 -d 2 --grid-points 4":
         "b834b9b60ffc29a4180f87746085d21c",
     "eta-sweep -p 3 -N 12": "e00300bb37053a74bf7b3ee2c8fb4929",
-    "convergence -p 3": "0fc90a79400c4e3ac8b87b1faddfc19b",
+    "convergence -p 3": "5069f666998d0b6a003a7fee07c02c7b",
     "convergence -p 2 --quantity h1 --N-list 8,12,16":
         "56da584c7da758a04a60e20f5fac6c8a",
     "convergence -p 2 --j 3 --N-list 8,16":
         "6d5ac4467c8d4d6375c66c392729c91f",
     "dispersion -p 3 --eta super": "191625458240f70948464229e03030d3",
-    "verify": "92669fa9ad98db861c80d9b64c077f6a",
+    "verify": "14f7fe01b98100fa66de046b50de6287",
     # recorded from the code that still gave every subcommand the same
     # eight options
     "eta-sweep -p 2 -N 10 --format json":
         "a0269389cfb5aa1f15ecbe2f34d0501a",
     "convergence -p 2 --N-list 8,16 --format json":
-        "4a6f8c0dfd168bbc7f36cc861c4ad7bc",
+        "c6f94aa4e0ddb20cfdb585677630fab6",
     "dispersion -p 3 --eta super --format json":
         "37a88a9e2ca04c37efd5de551e2d4616",
     # recorded from the code whose SoftSystem.A/.B were dense arrays:
     # a mass side B != M, both space pairings of condition, and p = 4
-    "spectrum -p 2 -N 12 --eta-b paper": "37ec49e5d3de5502f2839e764ce08ee0",
-    "spectrum -p 3 -N 12 --eta-b paper": "f63af1fe7c996982397f58198a4f991d",
+    "spectrum -p 2 -N 12 --eta-b paper": "fd35ef6d14b29ea51785cdec9077d9f1",
+    "spectrum -p 3 -N 12 --eta-b paper": "26ddbf57b0cf4cb8c77a7a15e2537ab0",
     # re-recorded with the seeded lambda_max, as above
     "condition -p 2 -N 30 --eta-b paper --baseline of-iga":
         "04dbaf23f28edff3ac89be4af637528b",
@@ -636,9 +656,9 @@ _GOLDEN_STDOUT = {
     "convergence -p 3 --quantity h1 --method iga --N-list 8,12":
         "e96f547f6c95c54c713014af3092ef94",
     "convergence -p 2 --eta-b paper --N-list 8,16":
-        "03c06fa55f8a0d5e6ef60884c917d4a6",
+        "35e10e4d8a208f26072a6accaf947a9b",
     "convergence -p 4 --eta super --N-list 6,9,12":
-        "bd8c516e16ceabd41f83c673db75bd6d",
+        "50bb4c23bbd89c92717d3a32beabab5e",
     # recorded from the code whose p <= 2 outlier-free space was a
     # relabeled copy of the standard one, assembled twice by condition;
     # re-recorded with the seeded lambda_max, as above
@@ -654,6 +674,10 @@ _GOLDEN_STDOUT = {
         "65a7ce67a4ac78d2a8a064cbb24eb95b",
     "condition -p 3 -N 30 --eta-b paper --baseline of-iga":
         "3224b54369bac6a495f845ce0c668e99",
+    # recorded from the code that formed every closed-form mode at once:
+    # several blocks of modes (n = 299) and one (n = 119)
+    "eta-sweep -p 3 -N 300": "fd05b206177d29b0d704643882071c7f",
+    "eta-sweep -p 3 -N 120": "d4516b7c954df57da087c989420c71d7",
 }
 
 

@@ -1,6 +1,6 @@
 """Generalized symmetric eigensolvers, dense and band: oracles,
-residual contract, definiteness diagnostics, and the deterministic sign
-convention."""
+residual contract, definiteness diagnostics, and deterministic,
+sorted pairs."""
 
 import re
 import tracemalloc
@@ -26,7 +26,7 @@ def test_identity_mass_reduces_to_ordinary_eigenproblem():
     A = np.diag([3.0, 1.0, 2.0])
     spectrum = generalized_eig(banded(A), banded(np.eye(3)))
     np.testing.assert_allclose(spectrum.values, [1.0, 2.0, 3.0])
-    # eigenvectors are signed unit vectors, B-orthonormal
+    # eigenvectors are unit vectors up to sign, B-orthonormal
     np.testing.assert_allclose(np.abs(spectrum.vectors),
                                np.eye(3)[:, [1, 2, 0]], atol=1e-14)
 
@@ -105,45 +105,55 @@ def test_order_above_the_dense_limit_is_refused_before_densifying(
                                [1.0, 2.0, 3.0])
 
 
-def test_sign_convention_is_deterministic():
+def test_solves_are_deterministic():
     rng = np.random.default_rng(11)
     Q = rng.standard_normal((6, 6))
     A = Q + Q.T
     B = np.eye(6)
     first = generalized_eig(banded(A), banded(B))
     second = generalized_eig(banded(A.copy()), banded(B.copy()))
-    np.testing.assert_array_equal(first.vectors, second.vectors)
-    # largest-magnitude component of every eigenvector is positive
-    idx = np.argmax(np.abs(first.vectors), axis=0)
-    peaks = first.vectors[idx, np.arange(6)]
-    assert np.all(peaks > 0)
+    assert first.values.tobytes() == second.values.tobytes()
+    assert first.vectors.tobytes() == second.vectors.tobytes()
 
 
 @pytest.mark.parametrize("layout", [np.ascontiguousarray,
                                     np.asfortranarray])
 @pytest.mark.parametrize("shuffle", [False, True])
-def test_finish_signs_and_sorts_in_copies(layout, shuffle, monkeypatch):
-    # signing every column, then gathering, is the reference for the
-    # vectors: same bytes, same Fortran layout, inputs untouched. The
-    # residuals are the norms of the caller's unsigned columns, sorted.
-    # Random pairs break any contract, so the bound is lifted.
+def test_finish_sorts_in_copies(layout, shuffle, monkeypatch):
+    # the finish gathers the columns of X and the residuals into value
+    # order, inputs untouched. Random pairs break any contract, so the
+    # bound is lifted.
     monkeypatch.setattr(eigensolve, "RESIDUAL_RTOL", 1e300)
     rng = np.random.default_rng(12)
     values = rng.standard_normal(7)
     if not shuffle:
         values.sort()
-    X, AX, BX = (layout(rng.standard_normal((9, 7))) for _ in range(3))
-    held = [Y.copy() for Y in (X, AX, BX)]
-    signs = np.sign(X[np.argmax(np.abs(X), axis=0), np.arange(7)])
+    X = layout(rng.standard_normal((9, 7)))
+    residuals = rng.uniform(size=7)
+    held = [Y.copy() for Y in (values, X, residuals)]
     order = np.argsort(values, kind="stable")
-    spectrum = eigensolve._spectrum(values, X, AX, BX, (1.0, 1.0))
-    for Y, copy in zip((X, AX, BX), held):
+    spectrum = eigensolve._spectrum(values, X, residuals, (1.0, 1.0))
+    for Y, copy in zip((values, X, residuals), held):
         assert Y.tobytes() == copy.tobytes()
-    reference = (X * signs)[:, order]
-    assert spectrum.vectors.tobytes() == reference.tobytes()
-    assert spectrum.vectors.flags.f_contiguous
-    residuals = np.linalg.norm(AX - BX * values, axis=0)[order]
-    assert spectrum.residuals.tobytes() == residuals.tobytes()
+    assert spectrum.values.tobytes() == values[order].tobytes()
+    assert spectrum.vectors.tobytes() == X[:, order].tobytes()
+    assert spectrum.residuals.tobytes() == residuals[order].tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 2, 5, 9])
+def test_residual_norms_do_not_depend_on_the_block(width):
+    # a column's norm is the same bits alone or in a block of any width
+    rng = np.random.default_rng(13)
+    values = rng.standard_normal(9)
+    AX, BX = rng.standard_normal((2, 40, 9))
+    whole = eigensolve._residual_norms(values, AX, BX)
+    np.testing.assert_allclose(
+        whole, np.linalg.norm(AX - BX * values, axis=0), rtol=1e-14)
+    parts = [eigensolve._residual_norms(values[lo:lo + width],
+                                        AX[:, lo:lo + width].copy(),
+                                        BX[:, lo:lo + width].copy())
+             for lo in range(0, 9, width)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
 def test_spectrum_dataclass_accessors():

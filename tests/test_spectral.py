@@ -487,14 +487,53 @@ def _traced_peak(call, *args):
 
 
 def test_closed_form_solve_peaks_below_the_dense_solve():
-    # measured at p = 3, N = 200 (n = 199): 4.5 n^2 doubles against the
-    # dense solve's 6.1 n^2 (1.93 MB)
+    # measured at p = 3, N = 200 (n = 199): 3.5 n^2 doubles, two blocks
+    # of modes, against the dense solve's 6.1 n^2 (1.93 MB)
     p = 3
     system = build_soft_system(p, 200, float(eta_table().default[p]))
     n = system.space.dim
     closed = _traced_peak(solve_system, system)
     dense = _traced_peak(generalized_eig, system.A, system.B)
     assert closed <= 5 * n * n * 8 < dense
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_blocks_of_modes_do_not_change_a_bit(p, monkeypatch):
+    # one mode per block, the default blocks and all modes in one block
+    # give the same values, residuals and vectors, to the last bit
+    N = 40
+    weights = _gate_weights(p)
+    etas = sorted({eta for eta, _ in weights})
+    n = build_of_space(p, N).dim
+
+    def pairs(width):
+        monkeypatch.setattr(spectral, "_MODE_BLOCK", width)
+        out = []
+        for eta, eta_b in weights:
+            system = build_soft_system(p, N, eta, eta_b)
+            spectrum = solve_system(system)
+            out += [spectrum.values, spectrum.residuals, spectrum.vectors]
+            out += reweighted_values(system, etas)
+            out += spectral._sine_pairs(system, etas)
+        return [a.tobytes() for a in out]
+
+    default = pairs(spectral._MODE_BLOCK)
+    assert pairs(1) == default
+    assert pairs(n) == default
+    assert pairs(n + 7) == default
+
+
+def test_reweighting_peaks_at_a_few_blocks_of_modes():
+    # eta_sweep's default 14 weights at p = 3, N = 1000 (n = 999): the
+    # blocks of modes keep the peak far below the 6 n^2 doubles that
+    # whole-spectrum products took
+    p = 3
+    system = build_soft_system(p, 1000, 0.0)
+    n = system.space.dim
+    etas = [0.0] + list(np.linspace(0.0, float(eta_table().sharp_max[p]),
+                                    13, endpoint=False))
+    peak = _traced_peak(reweighted_values, system, etas)
+    assert peak < 1.5 * n * n * 8
 
 
 def test_h1_errors_of_every_mode_stay_within_their_block_budget():
