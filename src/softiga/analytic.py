@@ -209,8 +209,12 @@ def reference_matrix(kind, p, N):
 
 def _scaled(M):
     """The dense integer matrix d*M and d, d the least common multiple
-    of the denominators of the rational entries of the band M."""
-    entries = [Fraction(x) for x in M.band.ravel()]
+    of the denominators of the entries of the band M, each read as the
+    rational it is (exactly, for a double)."""
+    try:
+        entries = [Fraction(x) for x in M.band.ravel()]
+    except (OverflowError, ValueError):
+        raise ValueError("non-finite entry in a commutator operand") from None
     d = math.lcm(*(x.denominator for x in entries))
     band = np.array([x.numerator * (d // x.denominator) for x in entries],
                     dtype=object).reshape(M.band.shape)
@@ -218,26 +222,23 @@ def _scaled(M):
 
 
 def commutator_norm(A, B):
-    """Frobenius norm of AB - BA for two SymBandedMatrix operands.
+    """Frobenius norm of AB - BA for two SymBandedMatrix operands, of
+    rational or float entries, rounded once from its exact value.
 
-    When either band holds rationals (object dtype), each operand is
-    scaled to integers by the lcm of its denominators, so the products
-    run in Python integers with no gcd per operation; the result is the
-    square root of the exact rational norm squared. Other bands are
-    multiplied in floating point.
+    Each operand is scaled to integers by the lcm of its denominators (a
+    double is a rational), so the products run in Python integers with
+    no gcd per operation; the result is the square root of the exact
+    rational norm squared. Raises ValueError on an order mismatch or a
+    non-finite entry.
     """
     if A.n != B.n:
         raise ValueError(f"order mismatch: {A.n} vs {B.n}")
-    exact = object in (A.band.dtype, B.band.dtype)
-    if exact:
-        (A, d_A), (B, d_B) = _scaled(A), _scaled(B)
-    else:
-        A, B = A.toarray(), B.toarray()
+    (A, d_A), (B, d_B) = _scaled(A), _scaled(B)
     # both operands are symmetric, so BA = (AB)^T
     C = A @ B
     C = C - C.T
     total = sum(x * x for x in C.ravel())
-    return math.sqrt(Fraction(total, (d_A * d_B) ** 2) if exact else total)
+    return math.sqrt(Fraction(total, (d_A * d_B) ** 2))
 
 
 @dataclass(frozen=True)

@@ -475,13 +475,14 @@ def _edge(A, B, norms, tol, seed=None):
     give the eigenvector. Only a bracket that tight separates the top
     pair of a standard space at p >= 3, which can lie 1e-12 apart.
 
-    A ``seed``, a vector near the top eigenvector, raises lo to its own
-    Rayleigh quotient where that is larger, which no Rayleigh quotient
-    can lift past lambda_max, and the first shift tried is then
-    hi = lo + 16*eps*|lo|. When that factors, the bracket is already
-    16 eps wide and a few halvings close it; when it does not, the
-    doubling goes on from lo as without a seed. The shift-invert steps
-    start from the seed.
+    A ``seed``, a vector near the top eigenvector, first tries the
+    shift hi = q + 16*eps*|q|, q its Rayleigh quotient or the largest
+    diagonal ratio where that is larger, neither of which can pass
+    lambda_max. When that factors, the bracket [q, hi] is already 16 eps
+    wide and a few halvings close it; when it does not, the bracket is
+    found exactly as without a seed, so a poor seed costs exactly one
+    factorization more than none. The shift-invert steps start from the
+    seed.
     """
     a, b = A.band, B.band
     work = np.empty_like(a)
@@ -491,10 +492,12 @@ def _edge(A, B, norms, tol, seed=None):
         start = _edge_start(A.n)
     else:
         start = seed
-        lo = max(lo, (seed @ A.matvec(seed)) / (seed @ B.matvec(seed)))
-        hi = lo + 16.0 * _EPS * abs(lo)
-        if hi > lo:
+        q = max(lo, (seed @ A.matvec(seed)) / (seed @ B.matvec(seed)))
+        hi = q + 16.0 * _EPS * abs(q)
+        if hi > q:
             factor = _shifted_factor(a, b, hi, work)
+        if factor is not None:
+            lo = q
     if factor is None:
         step = abs(lo) or 1.0
         hi = lo + step
@@ -574,7 +577,7 @@ def extreme_eigenpairs(A, B, seed=None):
         A vector near the eigenvector of lambda_max, such as a
         closed-form mode. Its Rayleigh quotient, a lower bound of
         lambda_max, starts the bracket, which then takes about 8
-        factorizations; a poor seed costs at most one more than none.
+        factorizations; a poor seed costs exactly one more than none.
 
     Returns
     -------

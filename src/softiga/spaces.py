@@ -8,26 +8,25 @@ matrix is built on request.
 
 * standard: drop the two endpoint-interpolatory raw functions, which
   imposes homogeneous Dirichlet conditions; dim = N + p - 2.
-* outlier_free: additionally force even boundary derivatives up to
-  order 2*alpha_p to vanish, alpha_p = floor((p-1)/2); dim = N - 1 for
-  odd p and N for even p. For p <= 2 no extra constraint binds, so the
-  two flavors are one space.
+* outlier_free: the splines odd about both ends of the mesh, whose even
+  boundary derivatives vanish; dim = N - 1 for odd p and N for even p.
+  For p <= 2 the two flavors are one space.
 
-The constrained boundary basis is any orthonormal null-space basis of
-the boundary constraint matrix; the pencil spectrum does not depend on
-that choice. The right-end basis mirrors the left-end one, which keeps
-assembled matrices exactly persymmetric on the uniform mesh.
+Every member of the outlier-free space is the restriction to [0, 1] of
+a spline on the bi-infinite uniform mesh that is odd about 0 and about
+1. Member k - 1 (k = 1..dim) is the uniform B-spline B_k, centred at
+node k for odd p and k - 1/2 for even p, minus its mirror about the
+nearer end, which misses (0, 1) but for the first and the last p // 2
+members. So the first p // 2 are the folds B_k - B_(-k) restricted to
+[0, 1], over raw functions 0..p-1, found once per degree by knot
+insertion in exact rationals (``_folds``); the last p // 2 are their
+mirror, which keeps assembled matrices exactly persymmetric on the
+uniform mesh; every other member is one raw function, B_k itself.
 
-The pencils of the outlier-free space have the paper's closed-form
-eigenvectors (``sine_modes``). Every member of the space is the
-restriction to [0, 1] of a spline on the bi-infinite uniform mesh that
-is odd about 0 and about 1, and mode j is the one whose uniform
-B-spline coefficients are sine samples sin(j*pi*node/N), node the
-centre of the B-spline: k for odd p and k - 1/2 for even p. Those
-samples are the components of the identity part of the space basis
-itself. The r = (p - 1) // 2 corner members at each end are a fixed
-map of the first p + 2 samples, found once per degree by knot
-insertion in exact rationals (``_corner_samples``).
+So the pencils of the outlier-free space have the paper's closed-form
+eigenvectors as plain samples (``sine_modes``): mode j is the odd
+spline whose uniform B-spline coefficients are sin(j*pi*node/N), and
+its component k - 1 is the sample at node k, corners included.
 """
 
 import functools
@@ -36,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .splines import KnotVector, eval_basis, open_knot_vector
+from .splines import KnotVector, open_knot_vector
 
 
 @dataclass(frozen=True)
@@ -98,56 +97,29 @@ def build_standard_space(p, N):
     return SplineSpace(kv, _ENDPOINT, _ENDPOINT)
 
 
-def _boundary_constraints(kv, m, alpha):
-    """Constraint rows: even derivatives 0..2*alpha of the first m raw
-    functions at x=0, one row per order, unit-normalized."""
-    rows = eval_basis(kv, 0.0, 2 * alpha).ders[::2, :m]
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
-def _left_null_basis(kv, m, alpha):
-    """Orthonormal, sign-fixed basis of the boundary null space."""
-    C = _boundary_constraints(kv, m, alpha)
-    u, s, vt = np.linalg.svd(C)
-    if s[-1] < 1e-8:
-        raise ValueError("boundary constraint system is rank-deficient")
-    null = vt[alpha + 1:]
-    # canonical order and sign: sort by peak position, peak made positive
-    peaks = [int(np.argmax(np.abs(row))) for row in null]
-    null = null[np.argsort(peaks, kind="stable")]
-    for row in null:
-        if row[np.argmax(np.abs(row))] < 0:
-            row *= -1.0
-    return null
-
-
 def build_of_space(p, N):
-    """Outlier-free space: even boundary derivatives vanish to 2*alpha_p.
+    """Outlier-free space: the splines odd about both ends of the mesh.
 
     Parameters
     ----------
     p, N : int
-        Degree and element count. N must be large enough that the two
-        boundary constraint blocks decouple:
-        N >= max(2*alpha_p + 2, 4*alpha_p + 2 - p).
+        Degree and element count, N >= p so that the two corners, each
+        over p raw functions, do not overlap.
 
     Returns
     -------
-    SplineSpace. For p <= 2 no constraint binds, and the result is
-    ``build_standard_space(p, N)`` itself.
+    SplineSpace whose corners are the p // 2 folds at each end
+    (``_folds``). For p <= 2 the result is ``build_standard_space(p,
+    N)`` itself.
     """
-    alpha = (p - 1) // 2
     if p <= 2:
         return build_standard_space(p, N)
-    n_min = max(2 * alpha + 2, 4 * alpha + 2 - p)
-    if N < n_min:
-        raise ValueError(
-            f"p={p} needs N >= {n_min} for the boundary blocks to decouple")
-    kv = open_knot_vector(p, N)
-    m = 2 * alpha + 1  # raw functions with a constrained boundary trace
-    left = _left_null_basis(kv, m, alpha)
+    if N < p:
+        raise ValueError(f"p={p} needs N >= {p} for its two corners not"
+                         f" to overlap")
+    left = _folds(p)
     # mirrored right block, reversed row order for persymmetry
-    return SplineSpace(kv, left, left[::-1, ::-1].copy())
+    return SplineSpace(open_knot_vector(p, N), left, left[::-1, ::-1])
 
 
 def space_dimension(p, N, flavor):
@@ -162,28 +134,31 @@ def space_dimension(p, N, flavor):
 
 # Highest degree whose pencils take their eigenvectors from
 # ``sine_modes``. Up to it the closed-form pairs meet the residual
-# contract with a margin above 300 on every mesh measured (N up to
-# 2000; above 1800 for N <= 200, which tests/test_spectral.py holds);
-# past it the margin falls to about 130 at p = 14 and 5 at p = 15.
+# contract with a margin above 300 on every mesh measured (N from p to
+# 2000; above 2400 for N <= 200, which tests/test_spectral.py holds).
+# Past it the margin is 1600, 131, 689 and 53 at p = 13..16, the lows
+# of p = 14 and 16 at N = 2000, and falls to 42 at p = 20.
 SINE_MODE_MAX_DEGREE = 12
 
 
 @functools.cache
-def _corner_samples(p):
-    """Raw coefficients of the first p + 1 raw functions of the odd
-    extension, as a read-only (p + 1, p + 2) map of the samples
-    s_1..s_(p+2).
+def _folds(p):
+    """The left corner of the outlier-free space of degree p: the raw
+    coefficients of the folds B_k - B_(-k), k = 1..p // 2, over raw
+    functions 0..p-1, as a read-only (p // 2, p) array.
 
-    The odd extension carries sample s_k at node k (odd p) or k - 1/2
-    (even p) and -s_k at the mirrored node on the uniform mesh, knots
-    at every integer multiple of h. Inserting the knot 0 p more times
+    B_k is the uniform B-spline centred at node k (odd p) or k - 1/2
+    (even p) on the mesh with knots at every integer multiple of h, and
+    B_(-k) its mirror about 0. Inserting the knot 0 p more times
     (Boehm's algorithm) leaves a (p + 1)-fold knot at 0, where the
     B-splines that start there are the raw functions of the open knot
-    vector; their coefficients are read off. Every step is exact in
-    rationals, so the map is exact up to its final rounding.
+    vector; the folds' coefficients are read off them. Every step is
+    exact in rationals, so the folds are exact up to their final
+    rounding.
     """
-    count = p + 2
-    reach = 2 * p + 2
+    count = p // 2
+    # knots from -reach to reach carry every B-spline the insertion reads
+    reach = p + 1
     knots = [Fraction(i) for i in range(-reach, reach + 1)]
     coeffs = []
     for start in range(len(knots) - p - 1):
@@ -204,16 +179,9 @@ def _corner_samples(p):
         knots.insert(span + 1, Fraction(0))
         coeffs = refined
     first = knots.index(0)
-    out = np.array(coeffs[first:first + p + 1], dtype=float)
+    out = np.array(coeffs[first:first + p], dtype=float).T
     out.flags.writeable = False
     return out
-
-
-def corner_map(space):
-    """The (r, p + 2) map Q from the first p + 2 sine samples to the r
-    left corner members of a mode of ``sine_modes``."""
-    left = space.left
-    return left @ _corner_samples(space.kv.p)[:left.shape[1]]
 
 
 def sine_table(N):
@@ -228,12 +196,12 @@ def sine_table(N):
 
 def has_sine_modes(space):
     """Whether ``sine_modes`` knows the eigenvectors of ``space``: the
-    outlier-free space up to degree ``SINE_MODE_MAX_DEGREE``, the
-    standard space included for p <= 2, where the two are one."""
+    outlier-free space up to degree ``SINE_MODE_MAX_DEGREE``, known by
+    its (p // 2, p) corner of folds, the standard space included for
+    p <= 2, where the two are one."""
     p = space.kv.p
-    alpha = (p - 1) // 2
-    return (p <= SINE_MODE_MAX_DEGREE
-            and space.left.shape == (alpha, 2 * alpha + 1))
+    corner = (p // 2, p) if p >= 3 else (0, 1)
+    return p <= SINE_MODE_MAX_DEGREE and space.left.shape == corner
 
 
 def sine_modes(space, js=None):
@@ -241,34 +209,16 @@ def sine_modes(space, js=None):
     mode js[i] in column i (every mode 1..dim by default, mode j in
     column j - 1); None where they are not known (``has_sine_modes``).
 
-    Component k of mode j is sin(j*pi*node_k/N), node_k = k for odd p
-    and k - 1/2 for even p, the argument reduced in integers and read
-    from ``sine_table``. The r corner members at the left are
-    ``corner_map`` of the first p + 2 samples, and those at the right
-    their mirror times (-1)^(j + 1), as for every sample. Each mode
-    costs O(dim).
+    Component k of mode j is sin(j*pi*node_(k+1)/N), node_k = k for
+    odd p and k - 1/2 for even p, corners included, the argument reduced
+    in integers and read from ``sine_table``. Each mode costs O(dim),
+    and its bits do not depend on which other modes are asked for.
     """
     if not has_sine_modes(space):
         return None
-    p, N = space.kv.p, space.kv.N
-    n, r = space.dim, (p - 1) // 2
+    p, N, n = space.kv.p, space.kv.N, space.dim
     js = np.arange(1, n + 1) if js is None else np.asarray(js)
     # 2 * node_k, and every product reduced modulo 4N before the lookup
-    twice = 2 * np.arange(1, max(n, p + 2) + 1) - (p + 1) % 2
-    index = np.multiply.outer(twice, js)
+    index = np.multiply.outer(2 * np.arange(1, n + 1) - (p + 1) % 2, js)
     np.remainder(index, 4 * N, out=index)
-    table = sine_table(N)
-    samples = table[index]
-    del index
-    X = samples[:n]
-    if r:
-        # the corners of all n modes come from one product, and the
-        # chosen ones are picked from it: a BLAS product orders a
-        # column's sums by its place in the product, so a mode's corner
-        # is then the same bits whichever modes are asked for
-        heads = np.multiply.outer(twice[:p + 2], np.arange(1, n + 1))
-        np.remainder(heads, 4 * N, out=heads)
-        corner = (corner_map(space) @ table[heads])[:, js - 1]
-        X[:r] = corner
-        X[n - r:] = corner[::-1] * np.where(js % 2, 1.0, -1.0)
-    return X
+    return sine_table(N)[index]

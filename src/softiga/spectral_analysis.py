@@ -143,10 +143,10 @@ def extreme_values(system):
     Where ``sine_modes`` knows the eigenvectors, the top mode j = n,
     built in O(n), seeds the bracket of lambda_max, about 8 band
     factorizations in place of about 55. Near the sharp threshold the
-    top can be another mode, which costs at most one factorization
-    more. lambda_min is found as without a seed. A system passed as a
-    temporary is freed once its pencil is formed, so that only the
-    bands of the pencil live through the solve.
+    top can be another mode, which costs exactly one factorization
+    more than no seed. lambda_min is found as without a seed. A system
+    passed as a temporary is freed once its pencil is formed, so that
+    only the bands of the pencil live through the solve.
     """
     space = system.space
     A, B = system.A, system.B

@@ -98,15 +98,13 @@ def test_closed_form_validates_mode_range():
 def test_assembled_modes_follow_sine_coefficient_pattern(p, N):
     system = build_soft_system(p, N, float(eta_table().default[p]))
     spectrum = generalized_eig(system.A, system.B)
-    dim = system.space.dim
-    side = (p - 1) // 2  # recombined members per boundary
+    # every component, the fold corners included, is a sine sample
     for j in (1, 2, 5):
         c = spectrum.vectors[:, j - 1]
-        inner = c[side:dim - side]
         want = np.array([sine_sample(p, j, N, i + 1)
-                         for i in range(side, dim - side)])
-        scale = (inner @ want) / (want @ want)
-        residual = np.linalg.norm(inner - scale * want)
+                         for i in range(system.space.dim)])
+        scale = (c @ want) / (want @ want)
+        residual = np.linalg.norm(c - scale * want)
         assert residual <= 1e-8 * np.linalg.norm(c)
 
 
@@ -239,6 +237,9 @@ def test_commutator_norm_on_float_bands():
     assert commutator_norm(X, Y) == pytest.approx(math.sqrt(2.0))
     with pytest.raises(ValueError):
         commutator_norm(banded(np.eye(2)), banded(np.eye(3)))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            commutator_norm(banded([[bad, 0.0], [0.0, 1.0]]), Y)
 
 
 def _random_band(rng, n, hbw, entry):
@@ -294,7 +295,10 @@ def test_float_commutator_matches_dense_products():
                                  lambda r: r.uniform(-1, 1))
                     for hbw in (a, b))
             A, B = (SymBandedMatrix(M.band.astype(float)) for M in (A, B))
-            assert commutator_norm(A, B) == dense_commutator_norm(A, B)
+            # the exact norm of the bands' rationals, rounded once
+            exact = [SymBandedMatrix(np.vectorize(F, otypes=[object])(M.band))
+                     for M in (A, B)]
+            assert commutator_norm(A, B) == dense_commutator_norm(*exact)
 
 
 def test_reference_pencil_eigenvalues_match_closed_form():

@@ -367,10 +367,19 @@ def test_failing_run_leaves_no_new_out_file(argv, expected, tmp_path,
     assert not path.exists()
 
 
-def test_rank_deficient_outlier_free_space_is_a_config_error(capsys):
-    err = _one_line_config_error(["spectrum", "-p", "17", "-N", "40",
+def test_outlier_free_space_coarser_than_its_degree_is_a_config_error(
+        capsys):
+    err = _one_line_config_error(["spectrum", "-p", "5", "-N", "4",
                                   "--eta", "zero"], capsys)
-    assert "rank-deficient" in err
+    assert "needs N >= 5" in err
+
+
+def test_outlier_free_spectrum_past_degree_16_runs(capsys):
+    code, out = run(["spectrum", "-p", "17", "-N", "40", "--method",
+                     "of-iga"], capsys)
+    assert code == EXIT_OK
+    # a header and the N - 1 eigenvalues of the odd degree
+    assert len(out.splitlines()) == 40
 
 
 def test_dense_solve_above_the_order_limit_is_a_config_error(monkeypatch,
@@ -605,34 +614,34 @@ def test_lift_limit_boundary(argv, monkeypatch, capsys):
 # within the eps * lambda_max / lambda_j floor both formulas share.
 _GOLDEN_STDOUT = {
     "spectrum -p 2 -N 4 -d 3": "417e7d00c3d6c038727910db96dfdd43",
-    "spectrum -p 3 -N 16 -d 2": "bea1153009bc7c84e7daa95eb326c83c",
+    "spectrum -p 3 -N 16 -d 2": "495ac7cb7d64924e9110bab7df3d7b8d",
     "spectrum -p 3 -N 12 -d 2 --format json":
-        "1dbb1cee2497de678d736330b8345520",
+        "c0ff840ef5fe71fb7658c8291a38ccfb",
     "spectrum -p 2 -N 8": "24363ef7f2a6e702dad6d1312d4f9de4",
-    "spectrum -p 3 -N 8 --format json": "758570f18a2425424eff4a60317b2b61",
+    "spectrum -p 3 -N 8 --format json": "f9d69dc8e3d5c2ed975347b4d27a03b3",
     "spectrum -p 1 -N 4 --method iga": "189e6185f6360bc3bfaa3e32a0c31834",
     # re-recorded when the outlier-free lambda_max began its bisection at
     # the Rayleigh quotient of the closed-form top mode: lambda_max and
     # the columns derived from it moved in their last digits, towards
     # the closed form (1.440000000000001e+03 -> 1.440000000000000e+03
     # for p = 2, N = 12, exactly 1440); lambda_min did not move
-    "condition -p 4 -N 40 -d 3": "83b1cc9ca9d322b9e3b89079f9d6892e",
+    "condition -p 4 -N 40 -d 3": "920160cf47e4e81fad8444e464c2bbb1",
     "condition -p 3 -N 40 -d 3 --baseline of-iga":
-        "f1239d2cd7c6304e6f370efd3669b91c",
+        "8c7a60ec9a3e077a1b5db6499527219a",
     "condition -p 2 -N 60 -d 2": "e50c28243ce50ae9d2261c037d5391cc",
     "condition -p 2 -N 10 -d 1 --format json":
         "4eae7b0ac38178bce42dd68df9b4e688",
     "eta-sweep -p 2 -N 10 -d 3": "c351fc924d37343fd6bcc441597ef05a",
     "eta-sweep -p 2 -N 10 -d 2 --grid-points 4":
         "b834b9b60ffc29a4180f87746085d21c",
-    "eta-sweep -p 3 -N 12": "e00300bb37053a74bf7b3ee2c8fb4929",
-    "convergence -p 3": "5069f666998d0b6a003a7fee07c02c7b",
+    "eta-sweep -p 3 -N 12": "d569d64166cb14c8dfde65f6ee1b842c",
+    "convergence -p 3": "0f49dfb80cadd22627bf86464661bb30",
     "convergence -p 2 --quantity h1 --N-list 8,12,16":
         "56da584c7da758a04a60e20f5fac6c8a",
     "convergence -p 2 --j 3 --N-list 8,16":
         "6d5ac4467c8d4d6375c66c392729c91f",
     "dispersion -p 3 --eta super": "191625458240f70948464229e03030d3",
-    "verify": "14f7fe01b98100fa66de046b50de6287",
+    "verify": "f699098136e0c93e90c9e3fb6374e38e",
     # recorded from the code that still gave every subcommand the same
     # eight options
     "eta-sweep -p 2 -N 10 --format json":
@@ -644,12 +653,12 @@ _GOLDEN_STDOUT = {
     # recorded from the code whose SoftSystem.A/.B were dense arrays:
     # a mass side B != M, both space pairings of condition, and p = 4
     "spectrum -p 2 -N 12 --eta-b paper": "fd35ef6d14b29ea51785cdec9077d9f1",
-    "spectrum -p 3 -N 12 --eta-b paper": "26ddbf57b0cf4cb8c77a7a15e2537ab0",
+    "spectrum -p 3 -N 12 --eta-b paper": "55cca6464929602250b4339315fbb2c2",
     # re-recorded with the seeded lambda_max, as above
     "condition -p 2 -N 30 --eta-b paper --baseline of-iga":
         "04dbaf23f28edff3ac89be4af637528b",
     "condition -p 3 -N 20 --method of-iga --baseline iga":
-        "d041c3311d8f46e0f02ea748e5e0403c",
+        "25793b0d86ee2eb27534d1fe0a75d318",
     "spectrum -p 4 -N 10 --method iga": "27f89397f6dd0dcf17ccddb39bb27622",
     # recorded from the code that reached a mode error through four
     # wrappers: h1 on the standard space, a mass side, a super weight
@@ -658,7 +667,7 @@ _GOLDEN_STDOUT = {
     "convergence -p 2 --eta-b paper --N-list 8,16":
         "35e10e4d8a208f26072a6accaf947a9b",
     "convergence -p 4 --eta super --N-list 6,9,12":
-        "50bb4c23bbd89c92717d3a32beabab5e",
+        "56ddb028afbd43201652c4fb41e3e520",
     # recorded from the code whose p <= 2 outlier-free space was a
     # relabeled copy of the standard one, assembled twice by condition;
     # re-recorded with the seeded lambda_max, as above
@@ -673,7 +682,7 @@ _GOLDEN_STDOUT = {
     "condition -p 4 -N 30 --method iga --baseline iga":
         "65a7ce67a4ac78d2a8a064cbb24eb95b",
     "condition -p 3 -N 30 --eta-b paper --baseline of-iga":
-        "3224b54369bac6a495f845ce0c668e99",
+        "afada803fe0f4206b64914ddf6af9757",
     # recorded from the code that formed every closed-form mode at once:
     # several blocks of modes (n = 299) and one (n = 119)
     "eta-sweep -p 3 -N 300": "fd05b206177d29b0d704643882071c7f",

@@ -459,6 +459,28 @@ def _poor_seeds(system):
     return out
 
 
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_seeds_of_other_modes_cost_exactly_one_factorization(p,
+                                                             monkeypatch):
+    # a probe above the seed's quotient that does not factor leaves the
+    # bracket to be found as without a seed
+    calls = _counting_factorizations(monkeypatch)
+    for N in range(12, 158, 5):
+        system = build_soft_system(p, N, 0.0)
+        n = system.space.dim
+        calls.clear()
+        plain = extreme_eigenpairs(system.A, system.B).values
+        unseeded = len(calls)
+        for j in (1, 2, n // 3, n // 2, n - 2, n - 1):
+            calls.clear()
+            seeded = extreme_eigenpairs(system.A, system.B,
+                                        _top_mode(system.space, j)).values
+            assert len(calls) == unseeded + 1, (N, j)
+            assert seeded[0] == plain[0], (N, j)
+            # Rayleigh quotients of top vectors from two starts
+            assert seeded[1] == pytest.approx(plain[1], rel=32 * EPS)
+
+
 @pytest.mark.parametrize("N", [16, 100])
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_poor_seeds_cost_at_most_one_factorization(p, N, monkeypatch):

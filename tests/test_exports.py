@@ -33,3 +33,17 @@ def test_every_exported_function_is_used_inside_the_package():
               if not any(name in _names_outside_def(tree, name)
                          for tree in trees)]
     assert unused == []
+
+
+def test_every_module_level_definition_is_named_elsewhere_in_the_package():
+    # a helper whose last caller went is dead code; the cmd_* handlers
+    # are dispatched by name from ``main``
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(softiga.__file__).parent.glob("*.py"))]
+    defined = [node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("cmd_")]
+    unused = [name for name in defined
+              if not any(name in _names_outside_def(tree, name)
+                         for tree in trees)]
+    assert unused == []

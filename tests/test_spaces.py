@@ -1,16 +1,16 @@
-"""Trial-space construction: dimensions, boundary constraints, nesting,
-and invariance of assembled operators under a change of null-space
-basis."""
+"""Trial-space construction: dimensions, boundary conditions, nesting,
+the fold corners, and invariance of assembled operators under a change
+of corner basis."""
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.interpolate import BSpline
 
 from oracles import space_member_eval, space_operators
-from softiga.spaces import (SINE_MODE_MAX_DEGREE, SplineSpace,
+from softiga.spaces import (SINE_MODE_MAX_DEGREE, SplineSpace, _folds,
                             build_of_space, build_standard_space,
-                            corner_map, sine_modes, sine_table,
-                            space_dimension)
+                            sine_modes, sine_table, space_dimension)
 from softiga.splines import eval_basis, open_knot_vector
 
 
@@ -62,20 +62,6 @@ def test_even_boundary_derivatives_vanish():
                     assert abs(v) <= 1e-11 * scale, (i, order, x)
 
 
-def test_extraction_rows_are_orthonormal_within_blocks():
-    p = 5
-    space = build_of_space(p, 9)
-    E = space.extraction
-    m = 2 * ((p - 1) // 2) + 1
-    # the recombined rows act only on the first m raw functions
-    nonzero = [r for r in range(E.shape[0])
-               if np.any(np.abs(E[r, :m]) > 1e-12)
-               and np.all(np.abs(E[r, m:]) < 1e-12)]
-    block = E[np.array(nonzero)][:, :m]
-    gram = block @ block.T
-    np.testing.assert_allclose(gram, np.eye(block.shape[0]), atol=1e-12)
-
-
 def test_persymmetry_of_extraction():
     for p, N in [(3, 8), (4, 8), (5, 9)]:
         E = build_of_space(p, N).extraction
@@ -91,35 +77,26 @@ def test_outlier_free_nests_in_standard():
         assert np.all(E[:, -1] == 0)
 
 
-def test_rank_deficient_boundary_constraints_are_a_value_error():
-    # from p = 17 on, the boundary constraint rows are numerically
-    # dependent (smallest singular value below 1e-8)
-    assert build_of_space(16, 40).dim == 40
-    with pytest.raises(ValueError, match="rank-deficient"):
-        build_of_space(17, 40)
-
-
 def test_small_mesh_validation():
-    with pytest.raises(ValueError):
-        build_of_space(5, 5)
-    with pytest.raises(ValueError):
-        build_of_space(3, 3)
+    # below N = p the two corners would share raw functions
+    for p in (3, 4, 5, 12):
+        with pytest.raises(ValueError, match=f"needs N >= {p}"):
+            build_of_space(p, p - 1)
     # the smallest admissible meshes build fine
-    assert build_of_space(5, 6).dim == 5
+    assert build_of_space(5, 5).dim == 4
     assert build_of_space(4, 4).dim == 4
-    assert build_of_space(3, 4).dim == 3
+    assert build_of_space(3, 3).dim == 2
 
 
 def test_operator_spectrum_invariant_under_null_basis_remix():
-    # any other basis of the same constrained space yields congruent
-    # operators, so the generalized spectrum is unchanged
+    # any other basis of the same space yields congruent operators, so
+    # the generalized spectrum is unchanged
     import scipy.linalg as sla
 
     p, N = 4, 8
     space = build_of_space(p, N)
     rng = np.random.default_rng(42)
-    m = 2 * ((p - 1) // 2) + 1
-    k = (p - 1) // 2 + 1  # rows recombining the first m raw functions
+    k = p // 2 + 1  # the folds and the first identity member
     R = np.eye(space.dim)
     R[:k, :k] = np.eye(k) + 0.2 * rng.standard_normal((k, k))
     remixed = SplineSpace(space.kv, R @ space.extraction)
@@ -151,7 +128,7 @@ def test_extraction_has_full_rank():
 
 def test_corner_form_reproduces_the_dense_extraction():
     # the stored corners and the identity part give the same matrix as
-    # writing every row out: left null basis, unit rows, mirrored block
+    # writing every row out: left folds, unit rows, mirrored block
     for p, N in [(1, 4), (2, 6), (3, 4), (3, 9), (4, 8), (5, 6), (5, 12)]:
         space = build_of_space(p, N)
         raw = space.kv.num_raw
@@ -178,27 +155,43 @@ def test_dense_extraction_builds_a_space_without_identity_part():
 def _meshes(p, top=300):
     """Every N up to top on which the outlier-free space of degree
     p >= 3 exists."""
-    alpha = (p - 1) // 2
-    return range(max(2 * alpha + 2, 4 * alpha + 2 - p), top)
+    return range(p, top)
 
 
 @pytest.mark.parametrize("p", range(3, SINE_MODE_MAX_DEGREE + 1))
 def test_corner_map_does_not_depend_on_the_mesh(p):
-    # it follows the space's own corner basis, whose rounding varies with
-    # N: measured at most 5.9e-14 apart (p = 12) over N up to 300
-    maps = [corner_map(build_of_space(p, N)) for N in _meshes(p)]
-    assert maps[0].shape == ((p - 1) // 2, p + 2)
-    for Q in maps[1:]:
-        np.testing.assert_allclose(Q, maps[0], rtol=0, atol=1e-13)
+    # every mesh shares the one exact fold table, and its mirror
+    for N in _meshes(p):
+        space = build_of_space(p, N)
+        assert space.left is _folds(p)
+        assert space.left.shape == (p // 2, p)
+        assert np.array_equal(space.right, _folds(p)[::-1, ::-1])
+
+
+@pytest.mark.parametrize("p", range(3, SINE_MODE_MAX_DEGREE + 1))
+def test_fold_members_are_odd_pairs_of_uniform_b_splines(p):
+    # member k - 1 of the left corner is B_k(x) - B_k(-x), B_k the
+    # uniform B-spline centred at node k (odd p) or k - 1/2 (even p)
+    for N in (p, p + 1, 2 * p + 3):
+        space = build_of_space(p, N)
+        x = np.linspace(0.0, 1.0, 7 * N + 2)[1:-1]
+        for k in range(1, p // 2 + 1):
+            centre = k - (p + 1) % 2 / 2
+            knots = (centre + np.arange(p + 2) - (p + 1) / 2) / N
+            bump = BSpline.basis_element(knots, extrapolate=False)
+            expected = np.nan_to_num(bump(x)) - np.nan_to_num(bump(-x))
+            member = [space_member_eval(space, k - 1, t) for t in x]
+            np.testing.assert_allclose(member, expected, rtol=0,
+                                       atol=1e-13)
 
 
 def test_corner_map_of_the_cubic_and_quartic_spaces():
-    root = np.sqrt(10.0)
-    np.testing.assert_allclose(corner_map(build_of_space(3, 9)),
-                               [[root / 3, 0, 0, 0, 0]], atol=1e-15)
-    np.testing.assert_allclose(corner_map(build_of_space(4, 9)),
-                               [[root / 4, root / 12, 0, 0, 0, 0]],
-                               atol=1e-15)
+    # the folds, exact rationals rounded once
+    assert np.array_equal(build_of_space(3, 9).left, [[0, 1 / 3, 1]])
+    assert np.array_equal(build_of_space(4, 9).left,
+                          [[0, 1 / 4, 3 / 4, 0], [0, 1 / 12, 1 / 4, 1]])
+    assert np.array_equal(build_of_space(4, 9).right,
+                          [[1, 1 / 4, 1 / 12, 0], [0, 3 / 4, 1 / 4, 0]])
 
 
 @pytest.mark.parametrize("N", [1, 2, 7, 40])
@@ -214,15 +207,18 @@ def test_sine_table_is_the_sine_with_its_symmetries_exact(N):
 
 
 @pytest.mark.parametrize("p,N", [(1, 6), (2, 7), (3, 9), (4, 10), (7, 20),
-                                 (12, 30)])
+                                 (12, 30), (1, 2), (2, 2), (3, 3), (4, 4),
+                                 (5, 5), (5, 40), (6, 6), (6, 40), (7, 7),
+                                 (8, 8), (8, 17), (9, 9), (9, 40), (10, 10),
+                                 (10, 41), (11, 11), (11, 23), (12, 12)])
 def test_sine_modes_are_sine_samples_in_the_identity_part(p, N):
+    # and in the corners, whose folds carry the samples as they are
     space = build_of_space(p, N)
     X = sine_modes(space)
-    n, r = space.dim, (p - 1) // 2
+    n, r = space.dim, p // 2
     node = np.arange(1, n + 1) - (0.0 if p % 2 else 0.5)
     expected = np.sin(np.pi / N * np.multiply.outer(node, np.arange(1, n + 1)))
-    np.testing.assert_allclose(X[r:n - r], expected[r:n - r], rtol=0,
-                               atol=1e-13)
+    np.testing.assert_allclose(X, expected, rtol=0, atol=1e-13)
     # the right corner mirrors the left one, times (-1)^(j + 1)
     signs = np.where(np.arange(1, n + 1) % 2, 1.0, -1.0)
     assert np.array_equal(X[n - r:], X[:r][::-1] * signs)
@@ -234,7 +230,7 @@ def test_only_outlier_free_spaces_within_the_gate_have_sine_modes():
     assert sine_modes(build_of_space(SINE_MODE_MAX_DEGREE + 1, 40)) is None
 
 
-@pytest.mark.parametrize("p,N", [(2, 7), (3, 9), (4, 10), (12, 30)])
+@pytest.mark.parametrize("p,N", [(2, 7), (3, 3), (3, 9), (4, 10), (12, 30)])
 def test_chosen_sine_modes_are_those_columns_of_all_modes(p, N):
     space = build_of_space(p, N)
     every = sine_modes(space)

@@ -438,9 +438,9 @@ def _smallest_mesh(p):
 
 @pytest.mark.parametrize("p", range(1, SINE_MODE_MAX_DEGREE + 1))
 def test_closed_form_pairs_match_the_dense_solve(p, monkeypatch):
-    # measured over these meshes and weights: values within 5.5e-13
-    # relative of the dense solve's, 1 - |x^T B v| below 4.6e-13, and the
-    # residual contract kept with a margin above 1800 (all at p = 12)
+    # measured over these meshes and weights: values within 6.3e-13
+    # relative of the dense solve's, 1 - |x^T B v| below 5.7e-13, and the
+    # residual contract kept with a margin above 2700 (all at p = 12)
     def refuse(A, B):
         raise AssertionError("dense solve inside the closed-form gate")
 
@@ -458,6 +458,36 @@ def test_closed_form_pairs_match_the_dense_solve(p, monkeypatch):
             np.testing.assert_allclose(np.abs(overlap), 1.0, rtol=0,
                                        atol=2e-12)
             assert np.all(closed.residuals <= 1e-3 * closed.residual_bounds)
+
+
+@pytest.mark.parametrize("p", range(3, SINE_MODE_MAX_DEGREE + 1, 2))
+def test_closed_form_pairs_at_the_coarsest_odd_degree_mesh(p):
+    # N = p leaves the space its two corners and no identity part;
+    # measured within 9.3e-14 * lambda_max of the dense solve (p = 11)
+    for eta, eta_b in _gate_weights(p):
+        system = build_soft_system(p, p, eta, eta_b)
+        closed = solve_system(system).values
+        dense = generalized_eig(system.A, system.B).values
+        assert len(closed) == p - 1
+        np.testing.assert_allclose(closed, dense, rtol=0,
+                                   atol=5e-13 * dense[-1])
+
+
+@pytest.mark.parametrize("p,rtol", [(17, 1e-10), (20, 4e-9)])
+def test_outlier_free_spaces_past_the_gate_solve_densely_to_sine_modes(
+        p, rtol):
+    # the folds build at any degree; the dense solve's values are the
+    # Rayleigh quotients of the sine samples, measured within 1.7e-11
+    # (p = 17) and 5.6e-10 (p = 20) relative, worst at the top
+    N = 40
+    system = build_soft_system(p, N, 0.0)
+    values = solve_system(system).values
+    n = system.space.dim
+    node = np.arange(1, n + 1) - (0.0 if p % 2 else 0.5)
+    X = np.sin(np.pi / N * np.multiply.outer(node, np.arange(1, n + 1)))
+    quotients = (np.einsum("ij,ij->j", X, system.A.matvec(X))
+                 / np.einsum("ij,ij->j", X, system.B.matvec(X)))
+    np.testing.assert_allclose(values, quotients, rtol=rtol, atol=0)
 
 
 def test_the_first_degree_past_the_gate_and_standard_spaces_stay_dense(

@@ -11,7 +11,6 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import softiga.spaces as spaces
 import softiga.splines as splines
 from oracles import pth_derivative_jump
 from softiga.assembly import build_soft_system
@@ -284,7 +283,6 @@ def _counting_evaluations(monkeypatch):
         return eval_basis(*args, **kwargs)
 
     monkeypatch.setattr(splines, "eval_basis", counted)
-    monkeypatch.setattr(spaces, "eval_basis", counted)
     return calls
 
 
@@ -297,8 +295,8 @@ def test_assembly_evaluates_the_basis_once_per_table(p, N, monkeypatch):
     assert len(calls) == 1
     calls.clear()
     build_soft_system(p, N, 0.0)
-    # an outlier-free space of p >= 3 adds its boundary constraints
-    assert len(calls) == (2 if p >= 3 else 1)
+    # so does the outlier-free space, whose folds need no evaluation
+    assert len(calls) == 1
 
 
 def test_basis_table_rejects_points_on_breakpoints():
