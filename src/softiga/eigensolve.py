@@ -60,10 +60,12 @@ the command line) rather than being returned. So does a floating-point
 overflow, invalid operation or division by zero anywhere inside a
 solve, as with finite entries whose squares overflow the Frobenius
 norm. A solve returns a ``Spectrum``: the eigenvalues, the B-orthonormal
-eigenvectors and the residual contract of every pair, nothing more. No
-sign convention is imposed on a vector: it keeps the sign its solver
-gave it, and the one printed number read from vectors, the H1 error,
-aligns each mode with its continuum counterpart first.
+eigenvectors and the residual contract of every pair, and for the
+closed-form pairs the mode number of each, nothing more. No sign
+convention is imposed on a vector: it keeps the sign its solver gave
+it, and the one printed number read from vectors, the H1 error of a
+pair with no mode number or of a rank that holds another mode, aligns
+each mode with its continuum counterpart first.
 """
 
 import functools
@@ -229,12 +231,19 @@ class Spectrum:
         ||A v - lambda B v||_2 per pair.
     residual_bounds : ndarray
         Contract bound per pair, RESIDUAL_RTOL*(||A||_F + |lambda| ||B||_F).
+    modes : ndarray or None
+        The closed-form mode number j of each pair, in the order of
+        ``values``, for the pairs that ``spectral_analysis.solve_system``
+        builds from ``spaces.sine_modes``; the pair of rank r need not
+        be mode r, as when the mass-side weight lifts the top modes.
+        None for the numerical solvers, which know no mode numbers.
     """
 
     values: np.ndarray
     vectors: np.ndarray = field(repr=False)
     residuals: np.ndarray = field(repr=False)
     residual_bounds: np.ndarray = field(repr=False)
+    modes: np.ndarray = field(default=None, repr=False)
 
     @property
     def n(self):
@@ -337,11 +346,12 @@ def _contract(values, residuals, norms):
     return values, order, residuals, bounds
 
 
-def _spectrum(values, X, residuals, norms):
+def _spectrum(values, X, residuals, norms, modes=None):
     """The Spectrum of the pairs (values[j], X[:, j]), with the residual
     norms of ``_residual_norms`` and the Frobenius norms of A and B, the
     pairs in stable ascending order: X itself when already in that
-    order, else a sorted copy.
+    order, else a sorted copy. ``modes``, the closed-form mode number of
+    each column of X where it is known, follows the same order.
 
     Raises EigenSolveError on non-finite values or vectors, or when a
     pair breaks the residual contract (``_contract``).
@@ -351,7 +361,9 @@ def _spectrum(values, X, residuals, norms):
     values, order, residuals, bounds = _contract(values, residuals, norms)
     if not np.array_equal(order, np.arange(len(order))):
         X = X[:, order]
-    return Spectrum(values, X, residuals, bounds)
+    if modes is not None:
+        modes = np.asarray(modes)[order]
+    return Spectrum(values, X, residuals, bounds, modes)
 
 
 @_solver

@@ -27,10 +27,16 @@ value is (k - eta s) / (m + eta_b h^2 s) from the per-mode energies of
 ``SoftSystem.energies``, whatever the weights, and a block's working
 memory is O(n). Elsewhere ``solve_system`` uses the dense
 ``generalized_eig``, and ``reweighted_values``, which needs vectors
-that diagonalize every weight's pencil, refuses the space. H1 errors
-are integrated over blocks of modes of a fixed byte size
-(``h1_errors_for_modes``); the H1 seminorm is the only eigenfunction
-error the package reports.
+that diagonalize every weight's pencil, refuses the space.
+
+The H1 seminorm is the only eigenfunction error the package reports
+(``h1_errors_for_modes``). A closed-form spectrum records the mode
+number of every rank (``Spectrum.modes``); where rank j holds mode j,
+the error comes from one element of the uniform mesh, in O(p^2) per
+mode and with no vector read, because the element sums of the squares
+and products of sin(j*pi*e/N) and cos(j*pi*e/N) are known. The other
+ranks, and every rank of a dense solve, are integrated over all N
+elements from their vectors, in blocks of modes of a fixed byte size.
 """
 
 import math
@@ -40,12 +46,13 @@ import numpy as np
 
 from .analytic import eta_table
 from .assembly import build_soft_system
-from .eigensolve import (_checked_pencil, _contract, _residual_norms,
-                         _solver, _spectrum, check_full_order,
-                         extreme_eigenpairs, generalized_eig)
+from .eigensolve import (_checked_pencil, _column_dots, _contract,
+                         _residual_norms, _solver, _spectrum,
+                         check_full_order, extreme_eigenpairs,
+                         generalized_eig)
 from .spaces import (has_sine_modes, sine_modes, sine_table,
                      space_dimension)
-from .splines import basis_table, gauss_rule
+from .splines import basis_table, gauss_rule, open_knot_vector
 from .tensor import continuum_values, kron_sum_spectrum
 
 
@@ -130,10 +137,12 @@ def solve_system(system):
     check_full_order(system.space.dim)
     _, _, norms = _checked_pencil(system.A, system.B)
     (values,), (residuals,), scales = _sine_pairs(system, [system.eta])
-    # stored by columns, which the H1 errors read a few at a time
+    # stored by columns, which the H1 errors of a rank that holds another
+    # mode read a few at a time
     X = np.asfortranarray(sine_modes(system.space))
     X *= scales
-    return _spectrum(values, X, residuals, norms)
+    return _spectrum(values, X, residuals, norms,
+                     np.arange(1, len(X) + 1))
 
 
 def extreme_values(system):
@@ -211,42 +220,129 @@ def _check_mode(p, N_list, j, flavor):
                          f" space dimension over the meshes, got {j}")
 
 
-# Working memory of one block of modes in ``h1_errors_for_modes``,
-# about nine arrays of one value per quadrature point and mode.
-_ERROR_BLOCK_BYTES = 1 << 19
-
-
 def h1_errors_for_modes(system, spectrum, js):
-    """H1-seminorm errors of several modes from one solved pencil.
+    """H1-seminorm errors of the pairs of ranks ``js`` of one solved
+    pencil.
 
-    Each mode j is rescaled to unit L2 norm and sign-aligned with its
-    continuum counterpart sqrt(2)*sin(j*pi*x); the derivative mismatch
-    is then integrated with a (p + 4)-point Gauss rule per element,
-    using basis values tabulated once per distinct element. The rule is
-    exact for the square of a mode, so the norm is taken with it too.
+    The mode of rank j is rescaled to unit L2 norm and sign-aligned with
+    its continuum counterpart sqrt(2)*sin(j*pi*x); the derivative
+    mismatch is then integrated with a (p + 4)-point Gauss rule per
+    element. The rule is exact for the square of a mode, so the norm is
+    taken with it too.
 
-    The modes go in blocks of columns, each sized to
-    ``_ERROR_BLOCK_BYTES``: one batched matrix product per block gives
-    the values and derivatives of its modes at every point, and the
-    continuum mode at x = (e + t) h comes from angle addition, the
-    element part e*j reduced in integers.
+    Where the pair of rank j is the closed-form mode j
+    (``Spectrum.modes``), the error comes from one element
+    (``_closed_form_h1``), in O(p^2) and with no vector read, and its
+    bits do not depend on which other ranks are asked for. Every other
+    rank, such as one that a mass-side weight fills with another mode,
+    and every rank of a numerical solve, is integrated over all N
+    elements from its vector (``_quadrature_h1``).
     """
-    space = system.space
-    kv = space.kv
-    p, N = kv.p, kv.N
-    js = list(js)
+    kv = system.space.kv
+    js = np.array(list(js), dtype=int)
     for j in js:
         if not 1 <= j <= spectrum.n:
             raise ValueError(f"mode index j must be in 1..{spectrum.n},"
                              f" got {j}")
-    xg, wg = gauss_rule(p + 4)
+    xg, wg = gauss_rule(kv.p + 4)
     t = 0.5 * (xg + 1.0)
+    weights = wg * (0.5 * kv.h)
+    closed = (np.zeros(len(js), dtype=bool) if spectrum.modes is None
+              else spectrum.modes[js - 1] == js)
+    h1_sq = np.empty(len(js))
+    if closed.any():
+        h1_sq[closed] = _closed_form_h1(kv, t, weights, js[closed])
+    if not closed.all():
+        h1_sq[~closed] = _quadrature_h1(system.space, spectrum, t,
+                                        weights, js[~closed])
+    return [math.sqrt(float(e)) for e in h1_sq]
+
+
+def _closed_form_h1(kv, t, weights, js):
+    """Squared H1 errors of the closed-form modes ``js``, from one
+    element, at the Gauss points t of weights ``weights``.
+
+    With theta = j*pi/N, the B-spline coefficient of mode j that meets
+    element e as its piece m is sin(theta*(e + c_m)), c_m = m - (p -
+    1)/2, on the boundary elements too, since the outlier-free members
+    are folds of the uniform B-splines. So on element e mode j is
+    sin(theta*e)*P(t) + cos(theta*e)*Q(t), with P and Q the pieces
+    weighted by cos(theta*c_m) and sin(theta*c_m), and the continuum
+    mode sqrt(2)*sin(theta*(e + t)) and both derivatives split the same
+    way. Over e = 0..N-1 the sums of sin^2, cos^2 and sin*cos of
+    theta*e are N/2, N/2 and 0 (0, N and 0 for j = N), so every
+    integral over the mesh is a sum over the points of one element.
+    Each mode costs O((p + 4)*(p + 1)), and every sum runs in a fixed
+    order, so a mode's bits do not depend on the other modes.
+    """
+    p, N = kv.p, kv.N
+    # the pieces are those of raw functions p-1..2p-1 on element p-1 of
+    # a mesh of 2p-1 elements, the one whose knots are all equally
+    # spaced (``basis_table``), their derivatives scaled to N elements
+    size = 2 * p - 1
+    ders, index = basis_table(open_knot_vector(p, size), t, 1)
+    pieces = np.moveaxis(ders[index[p - 1]], 1, 0)
+    pieces[1] *= N / size
+    # cos and sin of theta*c_m per piece and mode, the argument 2*j*c_m
+    # reduced in integers as in ``sine_modes``
+    table = sine_table(N)
+    phase = np.multiply.outer(2 * np.arange(p + 1) - (p - 1), js)
+    phase %= 4 * N
+    coeffs = np.stack((table[(phase + N) % (4 * N)], table[phase]))
+    # values and derivatives of the sin(theta*e) and cos(theta*e) parts,
+    # ordered (derivative, part, point, mode)
+    parts = np.zeros((2, 2, len(t), len(js)))
+    for m in range(p + 1):
+        parts += pieces[:, None, :, m, None] * coeffs[None, :, m, None, :]
+    uh, duh = parts
+    omega = math.pi * js
+    inner = np.multiply.outer(t, omega / N)
+    sq, cq = np.sin(inner), np.cos(inner)
+    u = math.sqrt(2.0) * np.stack((cq, sq))
+    du = np.stack((-sq, cq))
+    du *= math.sqrt(2.0) * omega
+    # quadrature weight times the element sum of each part's square
+    top = js == N
+    sums = np.stack((np.where(top, 0.0, 0.5 * N),
+                     np.where(top, float(N), 0.5 * N)))
+    rule = (sums[:, None, :] * weights[:, None]).reshape(-1, len(js))
+
+    def integral(f):
+        """Integral over the mesh per mode, summed in a fixed order."""
+        return _column_dots(rule, f.reshape(rule.shape))
+
+    duh *= (np.where(integral(uh * u) >= 0, 1.0, -1.0)
+            / np.sqrt(integral(uh * uh)))
+    duh -= du
+    duh *= duh
+    return integral(duh)
+
+
+# Working memory of one block of modes in ``_quadrature_h1``, about
+# nine arrays of one value per quadrature point and mode.
+_ERROR_BLOCK_BYTES = 1 << 19
+
+
+def _quadrature_h1(space, spectrum, t, weights, js):
+    """Squared H1 errors of the pairs of ranks ``js``, integrated over
+    every element from their vectors, at the Gauss points t of weights
+    ``weights``.
+
+    The modes go in blocks of columns, each sized to
+    ``_ERROR_BLOCK_BYTES``: one batched matrix product per block gives
+    the values and derivatives of its modes at every point, using basis
+    values tabulated once per distinct element, and the continuum mode
+    at x = (e + t) h comes from angle addition, the element part e*j
+    reduced in integers.
+    """
+    kv = space.kv
+    p, N = kv.p, kv.N
     ders, index = basis_table(kv, t, 1)
     # (2, N, p + 4, p + 1): values, then first derivatives, per element
     ders = np.ascontiguousarray(np.moveaxis(ders[index], 2, 0))
     table = math.sqrt(2.0) * sine_table(N)
     # quadrature weights per point, which every element shares
-    weights = (wg * (0.5 * kv.h))[:, None]
+    weights = weights[:, None]
 
     def integral(f):
         """Quadrature per mode of f, ordered (point, mode, element)."""
@@ -283,7 +379,7 @@ def h1_errors_for_modes(system, spectrum, js):
         duh -= du
         duh *= duh
         h1_sq[lo:lo + len(block)] = integral(duh)
-    return [math.sqrt(float(e)) for e in h1_sq]
+    return h1_sq
 
 
 def mode_convergence(p, N_list, j, quantity="eigenvalue", eta=0.0,

@@ -611,15 +611,19 @@ def test_lift_limit_boundary(argv, monkeypatch, capsys):
 # recorded again when the closed-form values came from the per-mode
 # energies, (k - eta s) / (m + eta_b h^2 s), instead of the band
 # quotients x^T A x / x^T B x: values move by at most 1.2e-11 relative,
-# within the eps * lambda_max / lambda_j floor both formulas share.
+# within the eps * lambda_max / lambda_j floor both formulas share. The
+# digests that print H1 errors of closed-form modes were recorded again
+# when those errors came from one element instead of a quadrature over
+# all N: only the h1_err and error cells (and the slope fitted through
+# the latter) move, by at most 1.2e-12 relative and 1.1e-14 absolute.
 _GOLDEN_STDOUT = {
     "spectrum -p 2 -N 4 -d 3": "417e7d00c3d6c038727910db96dfdd43",
     "spectrum -p 3 -N 16 -d 2": "495ac7cb7d64924e9110bab7df3d7b8d",
     "spectrum -p 3 -N 12 -d 2 --format json":
         "c0ff840ef5fe71fb7658c8291a38ccfb",
-    "spectrum -p 2 -N 8": "24363ef7f2a6e702dad6d1312d4f9de4",
-    "spectrum -p 3 -N 8 --format json": "f9d69dc8e3d5c2ed975347b4d27a03b3",
-    "spectrum -p 1 -N 4 --method iga": "189e6185f6360bc3bfaa3e32a0c31834",
+    "spectrum -p 2 -N 8": "09bd24c79ae1a8e5386f3dee1ee60a56",
+    "spectrum -p 3 -N 8 --format json": "78e948d4dd1f84175a7982648c77fe83",
+    "spectrum -p 1 -N 4 --method iga": "38eef2364f20e842048e5bb66a74936e",
     # re-recorded when the outlier-free lambda_max began its bisection at
     # the Rayleigh quotient of the closed-form top mode: lambda_max and
     # the columns derived from it moved in their last digits, towards
@@ -637,7 +641,7 @@ _GOLDEN_STDOUT = {
     "eta-sweep -p 3 -N 12": "d569d64166cb14c8dfde65f6ee1b842c",
     "convergence -p 3": "0f49dfb80cadd22627bf86464661bb30",
     "convergence -p 2 --quantity h1 --N-list 8,12,16":
-        "56da584c7da758a04a60e20f5fac6c8a",
+        "842db8e636013d6a392449314a3d7acf",
     "convergence -p 2 --j 3 --N-list 8,16":
         "6d5ac4467c8d4d6375c66c392729c91f",
     "dispersion -p 3 --eta super": "191625458240f70948464229e03030d3",
@@ -652,8 +656,8 @@ _GOLDEN_STDOUT = {
         "37a88a9e2ca04c37efd5de551e2d4616",
     # recorded from the code whose SoftSystem.A/.B were dense arrays:
     # a mass side B != M, both space pairings of condition, and p = 4
-    "spectrum -p 2 -N 12 --eta-b paper": "fd35ef6d14b29ea51785cdec9077d9f1",
-    "spectrum -p 3 -N 12 --eta-b paper": "55cca6464929602250b4339315fbb2c2",
+    "spectrum -p 2 -N 12 --eta-b paper": "545acae57fc568b8c51916a17af3a948",
+    "spectrum -p 3 -N 12 --eta-b paper": "4f383a1aeec474532439a5db0c34eedb",
     # re-recorded with the seeded lambda_max, as above
     "condition -p 2 -N 30 --eta-b paper --baseline of-iga":
         "04dbaf23f28edff3ac89be4af637528b",
@@ -675,7 +679,7 @@ _GOLDEN_STDOUT = {
         "26609979b415e169bf7398ff3096e491",
     "condition -p 2 -N 12 --method iga --baseline of-iga":
         "26609979b415e169bf7398ff3096e491",
-    "spectrum -p 1 -N 6 --method of-iga": "576d6251c6495db0f72f4fa6b9ce42d4",
+    "spectrum -p 1 -N 6 --method of-iga": "2f4db11b2847e27fb5c3e122add8fbda",
     # recorded from the code that solved a baseline on the target's space
     # through its own route: a standard space with no seed on both
     # pencils, and an outlier-free one whose B differs between them

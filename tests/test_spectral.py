@@ -1,6 +1,7 @@
 """Spectrum reports, eigenfunction errors, condition statistics, weight
 sweeps, and convergence fits."""
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -400,7 +401,7 @@ def test_multi_dimensional_report_pairs_with_lattice_values():
 
 
 def test_one_mode_error_allocates_no_square_array():
-    # the mass norm of a mode is a band product, not a dense one
+    # the L2 norm of a mode is a quadrature, not a band or dense product
     system = build_soft_system(3, 400, 0.0)
     spectrum = solve_system(system)
     n = spectrum.n
@@ -411,6 +412,97 @@ def test_one_mode_error_allocates_no_square_array():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * n * n * 8
+
+
+def _by_quadrature(spectrum):
+    """The spectrum with no mode numbers, whose H1 errors are all
+    integrated over every element from its vectors."""
+    return dataclasses.replace(spectrum, modes=None)
+
+
+def _h1_gap_bound(ranks):
+    """Bound on the gap between the two routes to the H1 error of rank
+    j: the derivative of mode j has size j*pi, and both routes sit at
+    the round-off floor of its square."""
+    return 64 * np.finfo(float).eps * math.pi * np.asarray(ranks)
+
+
+@pytest.mark.parametrize("p", range(1, SINE_MODE_MAX_DEGREE + 1))
+def test_closed_form_h1_errors_match_the_quadrature(p):
+    # every rank, j = N at even p included; measured within
+    # 29.3 * eps * j * pi (4.0e-12 absolute) of the quadrature over all
+    # elements, the worst at p = 12, N = 200
+    for N in sorted({*range(_smallest_mesh(p), 2 * p), 16, 40, 200}):
+        system = build_soft_system(p, N, 0.0)
+        spectrum = solve_system(system)
+        ranks = np.arange(1, spectrum.n + 1)
+        assert np.array_equal(spectrum.modes, ranks)
+        closed = h1_errors_for_modes(system, spectrum, ranks)
+        oracle = h1_errors_for_modes(system, _by_quadrature(spectrum),
+                                     ranks)
+        assert np.all(np.abs(np.subtract(closed, oracle))
+                      <= _h1_gap_bound(ranks))
+
+
+@pytest.mark.parametrize("p,N", [(2, 8), (2, 12), (2, 40), (3, 16),
+                                 (3, 40)])
+def test_ranks_filled_by_another_mode_are_integrated_from_their_vectors(
+        p, N):
+    # with the paper's mass-side weight the top modes leave their ranks:
+    # at p = 2, N = 12 rank 10 holds mode 12, whose error against the
+    # continuum mode 10 is 49.26; keyed on mode numbers alone, the
+    # closed form gave 4.56 there
+    table = eta_table()
+    system = build_soft_system(p, N, float(table.default[p]),
+                               float(table.mass_side[p]))
+    spectrum = solve_system(system)
+    ranks = np.arange(1, spectrum.n + 1)
+    moved = spectrum.modes != ranks
+    assert moved.any()
+    got = h1_errors_for_modes(system, spectrum, ranks)
+    oracle = h1_errors_for_modes(system, _by_quadrature(spectrum), ranks)
+    assert np.all(np.abs(np.subtract(got, oracle)) <= _h1_gap_bound(ranks))
+    # a rank whose pair is another mode is far from its continuum mode
+    assert min(np.array(got)[moved]) > 1.0
+    if (p, N) == (2, 12):
+        assert spectrum.modes[9] == 12
+        assert got[9] == pytest.approx(49.26419024107608, rel=1e-12)
+
+
+@pytest.mark.parametrize("p,N", [(1, 9), (2, 12), (3, 40), (4, 31),
+                                 (5, 16), (8, 40), (12, 13)])
+def test_one_mode_error_does_not_depend_on_the_other_ranks(p, N):
+    # alone, in reverse order or among all ranks, and through
+    # mode_convergence, each closed-form mode gives the same bits
+    eta = float(eta_table().default.get(p) or 0)
+    system = build_soft_system(p, N, eta)
+    spectrum = solve_system(system)
+    ranks = list(range(1, spectrum.n + 1))
+    every = [e.hex() for e in h1_errors_for_modes(system, spectrum, ranks)]
+    alone = [h1_errors_for_modes(system, spectrum, [j])[0].hex()
+             for j in ranks]
+    assert alone == every
+    backward = h1_errors_for_modes(system, spectrum, ranks[::-1])
+    assert [e.hex() for e in backward] == every[::-1]
+    pairs = h1_errors_for_modes(system, spectrum, ranks[1::2] + ranks[::2])
+    assert sorted(e.hex() for e in pairs) == sorted(every)
+    for j in {1, len(ranks) // 2, len(ranks)}:
+        error = mode_convergence(p, [N], j, "h1", eta)[0]
+        assert error.hex() == every[j - 1]
+
+
+def test_every_closed_form_h1_error_peaks_at_a_few_values_per_point():
+    # p = 3, N = 2000 (n = 1999): measured 18.5 n (p + 4) doubles,
+    # arrays of one value per Gauss point of one element and mode;
+    # integrating each mode over all elements took about 2 n^2 doubles
+    # of vectors before it
+    p = 3
+    system = build_soft_system(p, 2000, 0.0)
+    spectrum = solve_system(system)
+    n = spectrum.n
+    peak = _traced_peak(h1_errors_for_modes, system, spectrum,
+                        range(1, n + 1))
+    assert peak < 24 * n * (p + 4) * 8
 
 
 def _gate_weights(p):
