@@ -281,16 +281,19 @@ def _symbol(p, eta):
 
 
 def _symbol_value(symbol, t):
-    """lambda * h^2 at wavenumber t from the series of ``_symbol``."""
+    """lambda * h^2 at wavenumber t from the series of ``_symbol``; each
+    cos(k t) is computed once and read by both series."""
     import mpmath
+
+    num, den = symbol
+    cosines = [mpmath.cos(k * t) for k in range(1, max(len(num), len(den)))]
 
     def value(coeffs):
         out = coeffs[0]
         for k in range(1, len(coeffs)):
-            out += 2 * coeffs[k] * mpmath.cos(k * t)
+            out += 2 * coeffs[k] * cosines[k - 1]
         return out
 
-    num, den = symbol
     return value(num) / value(den)
 
 

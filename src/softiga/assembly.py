@@ -1,8 +1,9 @@
 """Banded assembly of the stiffness, mass, and softness forms.
 
-Every operator is assembled straight into symmetric band storage in
-O(N * p^2) work; no dense matrix of the raw or space dimension is ever
-formed.
+Every operator is assembled straight into symmetric band storage, in
+O(N * p^2) work on the mesh itself or O(N * p) stretched from a
+per-degree reference; no dense matrix of the raw or space dimension is
+ever formed.
 
 Per-element Gauss-Legendre quadrature with p+1 points is exact through
 polynomial degree 2p+1, so stiffness and mass entries are exact up to
@@ -31,11 +32,19 @@ bandwidth (p, or p+1 for the softness form) so that every coupling of a
 boundary member is covered. On tiny meshes whose corners meet, one
 block covers the whole matrix.
 
-The raw bands depend only on the knot vector, so the spaces of one
-mesh can share them: ``build_soft_system`` assembles them once into a
-list its caller passes to the next build, and extracts each space from
-them. The three bands of a space are the ``stiffness``, ``mass`` and
-``softness`` of its ``SoftSystem``.
+On the uniform mesh every operator is a per-degree constant: its
+interior is Toeplitz, its two corners depend only on p and mirror each
+other, and K and S scale as N, M as 1/N. So the raw bands are
+assembled only on meshes of at most ``_reference_size(p)`` = 4p + 2
+elements, once per mesh and process, and one reference of each degree
+serves both spaces of every larger mesh: the space band there is the
+reference's left corner columns, its first interior column repeated,
+and the mirror of the left corner, times N/N_ref (K and S) or N_ref/N
+(M) (``_stretch``). That is O(N * p) writes with no basis evaluation,
+and the band is exactly persymmetric, with an exactly constant
+interior on every diagonal. On smaller meshes the space is extracted
+from the raw bands of its own mesh. The three bands of a space are the
+``stiffness``, ``mass`` and ``softness`` of its ``SoftSystem``.
 
 Every band, raw or extracted, is one LAPACK lower band array
 (``SymBandedMatrix.band``, row k the k-th subdiagonal), so the
@@ -43,6 +52,7 @@ definiteness check factors it with no repacking.
 """
 
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -51,7 +61,7 @@ import numpy as np
 from .analytic import eta_table
 from .eigensolve import SymBandedMatrix, _column_dots
 from .spaces import SplineSpace, build_of_space, build_standard_space
-from .splines import basis_table, gauss_rule
+from .splines import basis_table, gauss_rule, open_knot_vector
 
 
 class IndefinitenessWarning(UserWarning):
@@ -216,8 +226,73 @@ def _extract(space, raw):
     return SymBandedMatrix(band)
 
 
-def build_soft_system(p, N, eta, eta_b=0.0, flavor="outlier_free",
-                      raw=None):
+def _reference_size(p):
+    """Element count N_ref of the reference mesh of degree p: the
+    smallest on which the left corner of every space band, one interior
+    column, and the right corner are apart.
+
+    Raw column i meets only elements and faces that are translates of
+    one another, on every diagonal of all three raw bands (the softness
+    band reaches p + 1 rows down), for 2p <= i <= N - 2p - 2, so one
+    such column needs N = 4p + 2. On that mesh the corner columns of
+    either space (``_corner_width``), one interior column with its p + 1
+    softness rows, and the mirrored corner fill the band exactly.
+    """
+    return 4 * p + 2
+
+
+@functools.cache
+def _raw_bands(p, N):
+    """Raw bands [K, M, S] of degree p on N <= N_ref elements, assembled
+    once per process and shared by every space on the mesh; read-only."""
+    raw = _raw_operators(open_knot_vector(p, N))
+    for op in raw:
+        op.band.flags.writeable = False
+    return raw
+
+
+_SPACES = {"standard": build_standard_space, "outlier_free": build_of_space}
+
+
+def _corner_width(space):
+    """Columns of a space band that meet a boundary element or face:
+    those of the corner members and of raw functions 0..2p-1."""
+    a, c = space.left.shape
+    return a + 2 * space.kv.p - c
+
+
+@functools.cache
+def _reference_bands(p, flavor):
+    """The (K, M, S) bands of the space ``flavor`` on the reference mesh
+    and their corner width, extracted once per process; read-only."""
+    space = _SPACES[flavor](p, _reference_size(p))
+    bands = tuple(_extract(space, raw).band for raw in
+                  _raw_bands(p, space.kv.N))
+    for band in bands:
+        band.flags.writeable = False
+    return bands, _corner_width(space)
+
+
+def _stretch(band, corner, n, scale):
+    """The band of order n whose first ``corner`` columns are those of
+    ``band``, whose last ones are their mirror, and whose other
+    columns are ``band``'s column ``corner``, times scale.
+
+    Entry (i + k, i) of the right corner is entry (n-1-i, n-1-i-k) of
+    the left one, so row k of the band ends with row k of the left
+    corner reversed, followed by the k slots past the matrix.
+    """
+    out = np.empty((len(band), n))
+    out[:, :corner] = band[:, :corner]
+    out[:, corner:] = band[:, corner, None]
+    for k, row in enumerate(out):
+        row[n - k - corner:n - k] = band[k, corner - 1::-1]
+        row[n - k:] = 0.0
+    out *= scale
+    return out
+
+
+def build_soft_system(p, N, eta, eta_b=0.0, flavor="outlier_free"):
     """Assemble the softened pencil (A, B).
 
     Parameters
@@ -233,27 +308,26 @@ def build_soft_system(p, N, eta, eta_b=0.0, flavor="outlier_free",
     flavor : {"outlier_free", "standard"}
         Trial space; the plain Galerkin baseline uses "standard" with
         eta = 0.
-    raw : list, optional
-        The raw stiffness, mass and softness bands of the knot vector,
-        shared by the spaces built on it: an empty list receives them
-        from the raw assembly, and a filled one is extracted as it is,
-        with no assembly. Two builds on one mesh, on one space or on
-        both, then cost one raw assembly and one extraction each.
 
     Returns
     -------
     SoftSystem
+        On N <= N_ref elements its bands are extracted from the raw
+        bands of the mesh; on more, they are the per-degree reference
+        stretched to N (``_stretch``). Either way the raw assembly of a
+        mesh or a degree runs once per process.
     """
     eta, eta_b = _checked_weights(p, eta, eta_b)
-    if flavor == "standard":
-        space = build_standard_space(p, N)
-    elif flavor == "outlier_free":
-        space = build_of_space(p, N)
-    else:
+    if flavor not in _SPACES:
         raise ValueError(f"unknown space flavor {flavor!r}")
-    if raw is None:
-        raw = []
-    if not raw:
-        raw += _raw_operators(space.kv)
-    K, M, S = (_extract(space, band) for band in raw)
+    space = _SPACES[flavor](p, N)
+    p, N = space.kv.p, space.kv.N
+    size = _reference_size(p)
+    if N <= size:
+        K, M, S = (_extract(space, raw) for raw in _raw_bands(p, N))
+    else:
+        bands, corner = _reference_bands(p, flavor)
+        K, M, S = (SymBandedMatrix(_stretch(band, corner, space.dim, scale))
+                   for band, scale in zip(bands, (N / size, size / N,
+                                                  N / size)))
     return SoftSystem(eta, eta_b, space, K, M, S)

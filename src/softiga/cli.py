@@ -208,8 +208,9 @@ def cmd_condition(args):
     and about 55 per pencil of a standard space of p >= 3, so the cost
     grows linearly in N. A 1D order above ``MAX_CONDITION_ORDER`` is
     refused before any assembly. The baseline is the unsoftened pencil
-    of its method's space, and both spaces, the same one or not, are
-    extracted from one raw assembly of the knot vector.
+    of its method's space. Both spaces, the same one or not, read the
+    raw bands of one mesh of at most N_ref elements, assembled once per
+    degree and process (``assembly.build_soft_system``).
     """
     eta, eta_b = _weights(args)
     target_flavor = _METHOD_FLAVOR[args.method]
@@ -219,15 +220,12 @@ def cmd_condition(args):
     if order > MAX_CONDITION_ORDER:
         raise ConfigError(f"a pencil of order {order} is above the limit"
                           f" of {MAX_CONDITION_ORDER} for condition")
-    # the target's system goes in as a temporary, freed once its pencil
-    # is formed, and the raw bands are freed before the baseline's
-    # pencil is: no more is held at once than with an assembly per space
-    raw = []
+    # each system goes in as a temporary, freed once its pencil is
+    # formed: no more is held at once than the pencil of one space
     target = extreme_values(build_soft_system(
-        args.p, args.N, eta, eta_b, target_flavor, raw))
-    system = build_soft_system(args.p, args.N, 0.0, 0.0, flavor, raw)
-    del raw
-    base = extreme_values(system)
+        args.p, args.N, eta, eta_b, target_flavor))
+    base = extreme_values(build_soft_system(args.p, args.N, 0.0, 0.0,
+                                            flavor))
     stats = condition_stats(lifted_extremes(target, args.d),
                             lifted_extremes(base, args.d))
     columns = ["d", "p", "lambda_min", "lambda_max_baseline",

@@ -307,12 +307,14 @@ def _solver(solve):
 
 def _column_dots(X, Y):
     """x_j^T y_j for every column pair of the blocks X and Y, summed
-    row after row whatever the number of columns, so that a column's
-    value does not depend on the block it came in: numpy would sum a
-    lone contiguous column pairwise instead."""
+    row after row whatever the number of columns or the memory order of
+    the blocks, so that a column's value does not depend on the block it
+    came in: numpy would sum a lone contiguous column, or the columns of
+    a Fortran-order block, pairwise instead."""
     if X.shape[1] == 1:
         return np.add.accumulate(X[:, 0] * Y[:, 0])[-1:]
-    return np.einsum("ij,ij->j", X, Y)
+    return np.einsum("ij,ij->j", np.ascontiguousarray(X),
+                     np.ascontiguousarray(Y))
 
 
 def _residual_norms(values, AX, BX):

@@ -20,8 +20,9 @@ nearer end, which misses (0, 1) but for the first and the last p // 2
 members. So the first p // 2 are the folds B_k - B_(-k) restricted to
 [0, 1], over raw functions 0..p-1, found once per degree by knot
 insertion in exact rationals (``_folds``); the last p // 2 are their
-mirror, which keeps assembled matrices exactly persymmetric on the
-uniform mesh; every other member is one raw function, B_k itself.
+mirror, so the assembled matrices are persymmetric on the uniform mesh
+(exactly, once the assembly stretches them from one reference); every
+other member is one raw function, B_k itself.
 
 So the pencils of the outlier-free space have the paper's closed-form
 eigenvectors as plain samples (``sine_modes``): mode j is the odd
@@ -73,14 +74,18 @@ class SplineSpace:
         """Raw coordinates E^T c of members with coefficients c.
 
         ``coeffs`` has the space dimension as its first axis; further
-        axes (several coefficient vectors as columns) are kept.
+        axes (several coefficient vectors as columns) are kept. Each
+        corner sums its members one after another, so a column gives the
+        same bits among any others.
         """
         coeffs = np.asarray(coeffs, dtype=float)
         (a, c), (b, e) = self.left.shape, self.right.shape
-        out = np.empty((self.kv.num_raw,) + coeffs.shape[1:])
-        out[:c] = self.left.T @ coeffs[:a]
+        out = np.zeros((self.kv.num_raw,) + coeffs.shape[1:])
+        for row, member in zip(self.left, coeffs[:a]):
+            out[:c] += np.multiply.outer(row, member)
         out[c:c + self.inner] = coeffs[a:a + self.inner]
-        out[c + self.inner:] = self.right.T @ coeffs[a + self.inner:]
+        for row, member in zip(self.right, coeffs[a + self.inner:]):
+            out[c + self.inner:] += np.multiply.outer(row, member)
         return out
 
 

@@ -13,7 +13,8 @@ Condition statistics read only the two ends of each spectrum, which the
 ``condition`` command takes from ``tensor.lifted_extremes`` without
 building a lift, from the 1D ends of ``extreme_values``, one call per
 pencil: the target and its unsoftened baseline are two systems, on one
-space or two, extracted from one raw assembly.
+space or two, whose bands come from one raw reference per degree
+(``assembly.build_soft_system``).
 
 On the outlier-free space, up to degree ``spaces.SINE_MODE_MAX_DEGREE``
 and for the standard space at p <= 2, which is the same space, the
@@ -34,11 +35,15 @@ The H1 seminorm is the only eigenfunction error the package reports
 number of every rank (``Spectrum.modes``); where rank j holds mode j,
 the error comes from one element of the uniform mesh, in O(p^2) per
 mode and with no vector read, because the element sums of the squares
-and products of sin(j*pi*e/N) and cos(j*pi*e/N) are known. The other
-ranks, and every rank of a dense solve, are integrated over all N
-elements from their vectors, in blocks of modes of a fixed byte size.
+and products of sin(j*pi*e/N) and cos(j*pi*e/N) are known; the basis
+pieces on that element are evaluated once per degree. The other ranks,
+and every rank of a dense solve, are integrated over all N elements
+from their vectors, in blocks of modes of a fixed byte size. Either
+way every sum runs in a fixed order per mode, so a mode's error is the
+same bits whichever other ranks are asked for.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -258,6 +263,27 @@ def h1_errors_for_modes(system, spectrum, js):
     return [math.sqrt(float(e)) for e in h1_sq]
 
 
+@functools.cache
+def _element_pieces(p):
+    """Values and first derivatives of the p + 1 pieces of the uniform
+    B-splines on one element, at the (p + 4)-point Gauss rule of the H1
+    errors, computed once per degree: two read-only (p + 4, p + 1)
+    arrays and the element count of the mesh whose slopes they are.
+
+    They are those of raw functions p-1..2p-1 on element p-1 of a mesh
+    of 2p-1 elements, the one whose knots are all equally spaced
+    (``basis_table``).
+    """
+    size = 2 * p - 1
+    xg, _ = gauss_rule(p + 4)
+    ders, index = basis_table(open_knot_vector(p, size), 0.5 * (xg + 1.0),
+                              1)
+    values, slopes = np.moveaxis(ders[index[p - 1]], 1, 0)
+    values.flags.writeable = False
+    slopes.flags.writeable = False
+    return values, slopes, size
+
+
 def _closed_form_h1(kv, t, weights, js):
     """Squared H1 errors of the closed-form modes ``js``, from one
     element, at the Gauss points t of weights ``weights``.
@@ -276,13 +302,8 @@ def _closed_form_h1(kv, t, weights, js):
     order, so a mode's bits do not depend on the other modes.
     """
     p, N = kv.p, kv.N
-    # the pieces are those of raw functions p-1..2p-1 on element p-1 of
-    # a mesh of 2p-1 elements, the one whose knots are all equally
-    # spaced (``basis_table``), their derivatives scaled to N elements
-    size = 2 * p - 1
-    ders, index = basis_table(open_knot_vector(p, size), t, 1)
-    pieces = np.moveaxis(ders[index[p - 1]], 1, 0)
-    pieces[1] *= N / size
+    values, slopes, size = _element_pieces(p)
+    pieces = np.stack((values, slopes * (N / size)))
     # cos and sin of theta*c_m per piece and mode, the argument 2*j*c_m
     # reduced in integers as in ``sine_modes``
     table = sine_table(N)
@@ -329,37 +350,44 @@ def _quadrature_h1(space, spectrum, t, weights, js):
     ``weights``.
 
     The modes go in blocks of columns, each sized to
-    ``_ERROR_BLOCK_BYTES``: one batched matrix product per block gives
-    the values and derivatives of its modes at every point, using basis
-    values tabulated once per distinct element, and the continuum mode
-    at x = (e + t) h comes from angle addition, the element part e*j
-    reduced in integers.
+    ``_ERROR_BLOCK_BYTES``. The values and derivatives of a block's
+    modes at every point are sums over the p + 1 functions on each
+    element, using basis values tabulated once per distinct element,
+    and the continuum mode at x = (e + t) h comes from angle addition,
+    the element part e*j reduced in integers. Every sum, over the
+    functions, the elements and the points, runs in a fixed order per
+    mode, so a mode's bits do not depend on the other ranks asked for.
     """
     kv = space.kv
     p, N = kv.p, kv.N
     ders, index = basis_table(kv, t, 1)
-    # (2, N, p + 4, p + 1): values, then first derivatives, per element
-    ders = np.ascontiguousarray(np.moveaxis(ders[index], 2, 0))
+    # (2, p + 1, p + 4, N): values, then first derivatives, of each
+    # function on an element at every point of every element
+    ders = np.ascontiguousarray(ders[index].transpose(2, 3, 1, 0))
     table = math.sqrt(2.0) * sine_table(N)
-    # quadrature weights per point, which every element shares
-    weights = weights[:, None]
 
     def integral(f):
-        """Quadrature per mode of f, ordered (point, mode, element)."""
-        return np.sum(weights * f.sum(axis=2), axis=0)
+        """Quadrature per mode of f, ordered (point, mode, element):
+        along the elements, then over the points row after row."""
+        sums = f.sum(axis=2)
+        return _column_dots(np.broadcast_to(weights[:, None], sums.shape),
+                            sums)
 
     h1_sq = np.empty(len(js))
     width = max(1, _ERROR_BLOCK_BYTES // (9 * 8 * N * len(t)))
     for lo in range(0, len(js), width):
         block = js[lo:lo + width]
-        raw = space.raw_coefficients(
-            spectrum.vectors[:, [j - 1 for j in block]])
-        # raw coefficients of the p+1 functions living on each element
-        local = np.lib.stride_tricks.sliding_window_view(
-            raw, p + 1, axis=0).transpose(0, 2, 1)
+        raw = space.raw_coefficients(spectrum.vectors[:, block - 1]).T
         # values and derivatives, ordered (point, mode, element) so that
         # every pass below runs along the elements
-        uh, duh = np.matmul(ders, local).transpose(0, 2, 3, 1).copy()
+        local = np.zeros((2, len(t), len(block), N))
+        term = np.empty_like(local)
+        for m in range(p + 1):
+            np.multiply(ders[:, m, :, None, :], raw[:, m:m + N], out=term)
+            local += term
+        uh, duh = local
+        # freed before the continuum modes are built
+        del term
         omega = math.pi * np.array(block)
         # sqrt(2) sin(j pi e / N) and cos(...) per element e, reduced in
         # integers, and sin(j pi t / N), cos(...) per point t

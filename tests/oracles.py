@@ -9,11 +9,14 @@ a dense symmetric test matrix into the band type the package takes.
 ``dense_commutator_norm`` multiplies dense operands in the arithmetic
 of their entries, Fractions included: the reference for the package's
 scaled-integer commutators.
+``fresh_assembly_caches`` empties the per-degree caches of the
+assembly, so that a test can count the work of one build.
 
 The rest restate, for the tests, what the package computes only on
 its way to a printed number:
 - ``space_operators``, the (K, M, S) bands of any space, such as a
-  remixed one that ``build_soft_system`` does not build;
+  remixed one that ``build_soft_system`` does not build, assembled on
+  its own mesh whatever its size;
 - ``softened_reference``, the printed pencil in exact rationals;
 - ``dispersion_eigenvalue``, the interior symbol's eigenvalue at one
   wavenumber, in mpmath;
@@ -30,6 +33,7 @@ import numpy as np
 
 from softiga.analytic import (_symbol, _symbol_value, interior_stencil,
                               reference_matrix)
+import softiga.assembly as assembly
 from softiga.assembly import _extract, _raw_operators, build_soft_system
 from softiga.eigensolve import SymBandedMatrix
 from softiga.spectral_analysis import h1_errors_for_modes, solve_system
@@ -64,6 +68,12 @@ def full_lift_values(p, N, eta, d=1, eta_b=0.0, flavor="outlier_free"):
     """Every eigenvalue of the d-dimensional pencil, ascending."""
     system = build_soft_system(p, N, eta, eta_b, flavor)
     return kron_sum_spectrum(solve_system(system).values, d).values
+
+
+def fresh_assembly_caches():
+    """Empty the per-degree raw and reference bands of the assembly."""
+    assembly._raw_bands.cache_clear()
+    assembly._reference_bands.cache_clear()
 
 
 def space_member_eval(space, i, x, r=0, side=None):

@@ -2,6 +2,7 @@
 identities, and the closed-form spectrum."""
 
 import hashlib
+import math
 import warnings
 from fractions import Fraction
 
@@ -13,12 +14,13 @@ from scipy.linalg import lapack
 import softiga.assembly as assembly
 from oracles import pth_derivative_jump, space_member_eval, space_operators
 from softiga.analytic import (analytic_eigenvalue, eta_table,
-                              interior_stencil)
+                              interior_stencil, reference_matrix)
 from softiga.assembly import (IndefinitenessWarning, SymBandedMatrix,
                               build_soft_system)
 from softiga.eigensolve import (DefinitenessError, cholesky_pivot,
                                 generalized_eig)
-from softiga.spaces import build_of_space, build_standard_space
+from softiga.spaces import (build_of_space, build_standard_space,
+                            space_dimension)
 from softiga.spectral_analysis import solve_system, spectral_report
 from softiga.splines import eval_basis, open_knot_vector
 from softiga.tensor import kron_sum_spectrum
@@ -564,3 +566,138 @@ def test_mass_side_definiteness_is_checked_on_the_band(monkeypatch):
     assert err.value.pivot == 2
     assert len(seen) == 1 and isinstance(seen[0], SymBandedMatrix)
     np.testing.assert_array_equal(seen[0].band, system.B.band)
+
+
+_FLAVORS = ("standard", "outlier_free")
+_EPS = np.finfo(float).eps
+
+
+def _bands(system):
+    return (system.stiffness.band, system.mass.band, system.softness.band)
+
+
+@pytest.mark.parametrize("p", range(1, 17))
+def test_reference_size_is_the_smallest_with_an_interior_column(p):
+    size = assembly._reference_size(p)
+    assert size == 4 * p + 2
+    raw = assembly._raw_bands(p, size)
+    for flavor in _FLAVORS:
+        space = build_soft_system(p, size, 0.0, 0.0, flavor).space
+        corner = assembly._corner_width(space)
+        # column `corner` and its p + 1 softness rows clear both corners
+        # on the reference mesh, and on no smaller one
+        assert space.dim == 2 * corner + p + 2
+        bands, width = assembly._reference_bands(p, flavor)
+        assert width == corner
+        assert assembly._reference_bands(p, flavor)[0] is bands
+        # one raw reference per degree serves both spaces, and nothing
+        # cached can be written to
+        assert assembly._raw_bands(p, size) is raw
+        for band in bands + tuple(op.band for op in raw):
+            assert not band.flags.writeable
+
+
+@pytest.mark.parametrize("p", range(1, 17))
+def test_bands_up_to_the_reference_size_are_the_direct_assembly(p):
+    size = assembly._reference_size(p)
+    for flavor in _FLAVORS:
+        for N in sorted({max(p, 2), p + 1, 2 * p, 2 * p + 1, size - 1,
+                         size}):
+            system = build_soft_system(p, N, 0.0, 0.0, flavor)
+            for got, want in zip(_bands(system),
+                                 space_operators(system.space)):
+                assert np.array_equal(got, want.band), (flavor, N)
+
+
+@pytest.mark.parametrize("p", range(1, 17))
+def test_stretched_bands_are_persymmetric_with_a_constant_interior(p):
+    size = assembly._reference_size(p)
+    for flavor in _FLAVORS:
+        for N in list(range(size + 1, 3 * size + 1)) + [1000, 10 ** 4]:
+            system = build_soft_system(p, N, 0.0, 0.0, flavor)
+            n = system.space.dim
+            corner = assembly._corner_width(system.space)
+            for band in _bands(system):
+                for k, row in enumerate(band):
+                    inside = row[:n - k]
+                    # entry (i + k, i) equals entry (n-1-i, n-1-i-k)
+                    assert np.array_equal(inside, inside[::-1])
+                    assert np.all(inside[corner:n - k - corner]
+                                  == inside[corner])
+                    assert not row[n - k:].any()
+
+
+@pytest.mark.parametrize("p", range(1, 17))
+def test_stretched_bands_agree_with_the_direct_assembly(p):
+    # The direct assembly drifts from the exact entries by up to about
+    # 1e-12 of the largest as N grows; the stretched bands do not. The
+    # outlier-free softness past p = 8 is left to the next test: there
+    # the folded corners of the direct assembly itself lose digits.
+    size = assembly._reference_size(p)
+    for flavor in _FLAVORS:
+        for N in (size + 1, 3 * size, 1000):
+            system = build_soft_system(p, N, 0.0, 0.0, flavor)
+            for name, got, want in zip("KMS", _bands(system),
+                                       space_operators(system.space)):
+                if flavor == "outlier_free" and name == "S" and p > 8:
+                    continue
+                scale = np.abs(want.band).max()
+                assert np.abs(got - want.band).max() <= 4e-12 * scale, (
+                    flavor, N, name)
+
+
+def _exact_of_softness(p, N):
+    """The outlier-free softness band on N elements from the completion
+    rule of ``analytic.reference_matrix``, whose interior stencil is
+    (-1)^k C(2p + 2, p + 1 + k) at every degree, rounded once."""
+    stencil = [(-1) ** k * math.comb(2 * p + 2, p + 1 + k)
+               for k in range(p + 2)]
+    n = space_dimension(p, N, "outlier_free")
+    sigma = p % 2
+
+    def s(i):
+        return stencil[i] if 0 <= i < len(stencil) else 0
+
+    band = np.zeros((len(stencil), n))
+    for k in range(len(stencil)):
+        for i in range(n - k):
+            band[k, i] = N * (s(k) - s(2 * i + k + 1 + sigma)
+                              - s(2 * (n - 1) - 2 * i - k + 1 + sigma))
+    return band
+
+
+@pytest.mark.parametrize("p", range(3, 17))
+def test_outlier_free_softness_error_does_not_grow_with_the_mesh(p):
+    size = assembly._reference_size(p)
+
+    def error(N):
+        band = build_soft_system(p, N, 0.0).softness.band
+        exact = _exact_of_softness(p, N)
+        assert not band[len(exact):].any()
+        return (np.abs(band[:len(exact)] - exact).max()
+                / np.abs(exact).max())
+
+    reference = error(size)
+    for N in (size + 1, 3 * size, 1000):
+        assert error(N) <= reference + 4 * _EPS
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_stretched_bands_match_the_exact_stencils(p):
+    size = assembly._reference_size(p)
+    # the exact matrices are built in rationals, so the largest mesh is
+    # checked on the stiffness alone, whose direct assembly drifts most
+    for N, names in ((size + 1, "KMS"), (100, "KMS"), (1000, "KMS"),
+                     (10 ** 4, "K")):
+        system = build_soft_system(p, N, 0.0)
+        for name, band in zip("KMS", _bands(system)):
+            if name not in names:
+                continue
+            exact = reference_matrix(name, p, N).band
+            scale = Fraction(1, N) if name == "M" else Fraction(N)
+            exact = np.array([[float(x * scale) for x in row]
+                              for row in exact])
+            assert not band[len(exact):].any()
+            # measured at most 7.1 eps of the largest entry (p = 5, S)
+            worst = np.abs(band[:len(exact)] - exact).max()
+            assert worst <= 8 * _EPS * np.abs(exact).max(), (N, name)

@@ -20,7 +20,7 @@ import softiga.cli as cli
 import softiga.eigensolve as eigensolve
 import softiga.spectral_analysis as spectral
 import softiga.tensor as tensor
-from oracles import full_lift_values
+from oracles import fresh_assembly_caches, full_lift_values
 from softiga.analytic import analytic_eigenvalue, eta_table
 from softiga.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from softiga.spectral_analysis import condition_stats
@@ -482,7 +482,9 @@ def _counting_builds(monkeypatch):
 
 
 def _counting_raw_operators(monkeypatch):
-    """Record the (p, N) of every raw assembly of a knot vector."""
+    """Record the (p, N) of every raw assembly of a knot vector, from
+    empty per-degree caches."""
+    fresh_assembly_caches()
     calls = []
     original = assembly._raw_operators
 
@@ -504,9 +506,9 @@ def test_condition_equals_the_full_lift_route(p, d, baseline, monkeypatch,
     calls = _counting_raw_operators(monkeypatch)
     code, out = run(argv, capsys)
     assert code == EXIT_OK
-    # the target and the baseline, on one space or two, share one raw
-    # assembly of the knot vector
-    assert calls == [(p, 20)]
+    # the target and the baseline, on one space or two, are stretched
+    # from the one raw reference of their degree
+    assert calls == [(p, assembly._reference_size(p))]
     args = cli.build_parser().parse_args(argv)
     eta, eta_b = cli._weights(args)
     stats = condition_stats(
@@ -532,11 +534,14 @@ def test_condition_equals_the_full_lift_route(p, d, baseline, monkeypatch,
 def test_condition_assembles_each_raw_operator_once(command, monkeypatch,
                                                     capsys):
     calls = _counting_raw_operators(monkeypatch)
-    code, _ = run(command.split(), capsys)
+    code, out = run(command.split(), capsys)
     assert code == EXIT_OK
-    # the target and the baseline share one knot vector, so its raw
-    # bands are assembled once for both, whatever their spaces
-    assert calls == [(int(command.split()[2]), 40)]
+    # the target and the baseline, whatever their spaces, read the one
+    # raw reference of their degree, assembled once per process
+    p = int(command.split()[2])
+    assert calls == [(p, assembly._reference_size(p))]
+    assert run(command.split(), capsys) == (EXIT_OK, out)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("mesh", ["-p 2 -N 10", "-p 3 -N 30"])
@@ -616,9 +621,16 @@ def test_lift_limit_boundary(argv, monkeypatch, capsys):
 # when those errors came from one element instead of a quadrature over
 # all N: only the h1_err and error cells (and the slope fitted through
 # the latter) move, by at most 1.2e-12 relative and 1.1e-14 absolute.
+# The digests of every mesh above the reference size of its degree
+# (``assembly._reference_size``) were recorded again when its bands were
+# stretched from one reference per degree instead of assembled on the
+# mesh, and those of the dense H1 errors when their sums ran in a fixed
+# order per mode: the bands move by round-off, lambda_1 towards its
+# closed form, and every printed value by at most 3.6e-10 relative but
+# for low-mode errors at the round-off floor (see CHANGES.md).
 _GOLDEN_STDOUT = {
     "spectrum -p 2 -N 4 -d 3": "417e7d00c3d6c038727910db96dfdd43",
-    "spectrum -p 3 -N 16 -d 2": "495ac7cb7d64924e9110bab7df3d7b8d",
+    "spectrum -p 3 -N 16 -d 2": "862f74e8d7e347d280ab2161b5075ef8",
     "spectrum -p 3 -N 12 -d 2 --format json":
         "c0ff840ef5fe71fb7658c8291a38ccfb",
     "spectrum -p 2 -N 8": "09bd24c79ae1a8e5386f3dee1ee60a56",
@@ -629,68 +641,68 @@ _GOLDEN_STDOUT = {
     # the columns derived from it moved in their last digits, towards
     # the closed form (1.440000000000001e+03 -> 1.440000000000000e+03
     # for p = 2, N = 12, exactly 1440); lambda_min did not move
-    "condition -p 4 -N 40 -d 3": "920160cf47e4e81fad8444e464c2bbb1",
+    "condition -p 4 -N 40 -d 3": "dc644a0f8aa9ce43c31277564ce0f86c",
     "condition -p 3 -N 40 -d 3 --baseline of-iga":
-        "8c7a60ec9a3e077a1b5db6499527219a",
-    "condition -p 2 -N 60 -d 2": "e50c28243ce50ae9d2261c037d5391cc",
+        "9f349ecb4e5cdd7bc726c4a27d58f1d8",
+    "condition -p 2 -N 60 -d 2": "7d2b935f9ea91713fe3db9eb05c588be",
     "condition -p 2 -N 10 -d 1 --format json":
         "4eae7b0ac38178bce42dd68df9b4e688",
     "eta-sweep -p 2 -N 10 -d 3": "c351fc924d37343fd6bcc441597ef05a",
     "eta-sweep -p 2 -N 10 -d 2 --grid-points 4":
         "b834b9b60ffc29a4180f87746085d21c",
     "eta-sweep -p 3 -N 12": "d569d64166cb14c8dfde65f6ee1b842c",
-    "convergence -p 3": "0f49dfb80cadd22627bf86464661bb30",
+    "convergence -p 3": "73ff40d0b3b783a2e5b0efa0789f23b7",
     "convergence -p 2 --quantity h1 --N-list 8,12,16":
         "842db8e636013d6a392449314a3d7acf",
     "convergence -p 2 --j 3 --N-list 8,16":
-        "6d5ac4467c8d4d6375c66c392729c91f",
+        "4f62ab221659cb041d8c5095357b0b6e",
     "dispersion -p 3 --eta super": "191625458240f70948464229e03030d3",
-    "verify": "f699098136e0c93e90c9e3fb6374e38e",
+    "verify": "8d5df6c400c735699df3672d5b88f4ff",
     # recorded from the code that still gave every subcommand the same
     # eight options
     "eta-sweep -p 2 -N 10 --format json":
         "a0269389cfb5aa1f15ecbe2f34d0501a",
     "convergence -p 2 --N-list 8,16 --format json":
-        "c6f94aa4e0ddb20cfdb585677630fab6",
+        "09c32209c8e06fa90c060b0067e95487",
     "dispersion -p 3 --eta super --format json":
         "37a88a9e2ca04c37efd5de551e2d4616",
     # recorded from the code whose SoftSystem.A/.B were dense arrays:
     # a mass side B != M, both space pairings of condition, and p = 4
-    "spectrum -p 2 -N 12 --eta-b paper": "545acae57fc568b8c51916a17af3a948",
+    "spectrum -p 2 -N 12 --eta-b paper": "fcd841941eadc96f49786b77969608ce",
     "spectrum -p 3 -N 12 --eta-b paper": "4f383a1aeec474532439a5db0c34eedb",
     # re-recorded with the seeded lambda_max, as above
     "condition -p 2 -N 30 --eta-b paper --baseline of-iga":
-        "04dbaf23f28edff3ac89be4af637528b",
+        "3e5cc5780b233727d9ae580494986b88",
     "condition -p 3 -N 20 --method of-iga --baseline iga":
-        "25793b0d86ee2eb27534d1fe0a75d318",
-    "spectrum -p 4 -N 10 --method iga": "27f89397f6dd0dcf17ccddb39bb27622",
+        "72f07e1ec7e83f0e9c51b47e5166f5c9",
+    "spectrum -p 4 -N 10 --method iga": "3bf704edc90dce68ac7dfd242fa6e9ad",
     # recorded from the code that reached a mode error through four
     # wrappers: h1 on the standard space, a mass side, a super weight
     "convergence -p 3 --quantity h1 --method iga --N-list 8,12":
-        "e96f547f6c95c54c713014af3092ef94",
+        "c0260bf205fd441ebe4790ab440e6ac9",
     "convergence -p 2 --eta-b paper --N-list 8,16":
-        "35e10e4d8a208f26072a6accaf947a9b",
+        "308591b696bc70f9ed4305711775da15",
     "convergence -p 4 --eta super --N-list 6,9,12":
         "56ddb028afbd43201652c4fb41e3e520",
     # recorded from the code whose p <= 2 outlier-free space was a
     # relabeled copy of the standard one, assembled twice by condition;
     # re-recorded with the seeded lambda_max, as above
     "condition -p 2 -N 12 --method of-iga --baseline iga":
-        "26609979b415e169bf7398ff3096e491",
+        "bad939741d5fda5dcbd0b96b06f75c77",
     "condition -p 2 -N 12 --method iga --baseline of-iga":
-        "26609979b415e169bf7398ff3096e491",
+        "bad939741d5fda5dcbd0b96b06f75c77",
     "spectrum -p 1 -N 6 --method of-iga": "2f4db11b2847e27fb5c3e122add8fbda",
     # recorded from the code that solved a baseline on the target's space
     # through its own route: a standard space with no seed on both
     # pencils, and an outlier-free one whose B differs between them
     "condition -p 4 -N 30 --method iga --baseline iga":
-        "65a7ce67a4ac78d2a8a064cbb24eb95b",
+        "932e881a15b380ff6cd7e56d26c44333",
     "condition -p 3 -N 30 --eta-b paper --baseline of-iga":
-        "afada803fe0f4206b64914ddf6af9757",
+        "99d3fe4853562f535337cf3cac16b64d",
     # recorded from the code that formed every closed-form mode at once:
     # several blocks of modes (n = 299) and one (n = 119)
-    "eta-sweep -p 3 -N 300": "fd05b206177d29b0d704643882071c7f",
-    "eta-sweep -p 3 -N 120": "d4516b7c954df57da087c989420c71d7",
+    "eta-sweep -p 3 -N 300": "b81c6505c7445ac681d10e59527efb50",
+    "eta-sweep -p 3 -N 120": "d4efb8afc5602338f7fa311fcd086395",
 }
 
 
@@ -715,6 +727,19 @@ def test_out_file_holds_the_stdout_bytes(command, tmp_path, capsys):
     assert code == EXIT_OK and out == ""
     digest = hashlib.md5(path.read_bytes()).hexdigest()
     assert digest == _GOLDEN_STDOUT[command]
+
+
+def test_spectrum_and_convergence_print_the_same_dense_h1_error(capsys):
+    # mode 7 of a dense spectrum, integrated among all ranks and alone
+    _, spectrum = run("spectrum -p 3 -N 40 --method iga --eta zero".split(),
+                      capsys)
+    _, convergence = run(["convergence", "-p", "3", "--method", "iga",
+                          "--eta", "zero", "--quantity", "h1", "--j", "7",
+                          "--N-list", "40,41"], capsys)
+    header, rows = parse_csv(spectrum)
+    h1 = rows[6][header.index("h1_err")]
+    header, rows = parse_csv(convergence)
+    assert rows[0][header.index("error")] == h1
 
 
 def _readme_option_table():

@@ -156,6 +156,18 @@ def test_residual_norms_do_not_depend_on_the_block(width):
     assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray,
+                                    lambda X: np.broadcast_to(X[:, :1],
+                                                              X.shape)])
+def test_column_dots_do_not_depend_on_the_memory_order(layout):
+    # each column is summed row after row, as it is alone
+    rng = np.random.default_rng(17)
+    X, Y = (layout(Z) for Z in rng.standard_normal((2, 40, 9)))
+    alone = [eigensolve._column_dots(X[:, [j]], Y[:, [j]])[0]
+             for j in range(9)]
+    assert eigensolve._column_dots(X, Y).tolist() == alone
+
+
 def test_spectrum_dataclass_accessors():
     spectrum = generalized_eig(banded(np.diag([2.0, 5.0])),
                                banded(np.eye(2)))

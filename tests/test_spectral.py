@@ -491,6 +491,32 @@ def test_one_mode_error_does_not_depend_on_the_other_ranks(p, N):
         assert error.hex() == every[j - 1]
 
 
+@pytest.mark.parametrize("p,N,flavor", [(3, 40, "standard"),
+                                        (4, 31, "standard"),
+                                        (5, 16, "standard"),
+                                        (13, 30, "outlier_free")])
+def test_one_dense_mode_error_does_not_depend_on_the_other_ranks(p, N,
+                                                                 flavor):
+    # the quadrature route of every dense solve: alone, in reverse or
+    # interleaved order, among all ranks in several blocks, and through
+    # mode_convergence, each rank gives the same bits
+    system = build_soft_system(p, N, 0.0, 0.0, flavor)
+    spectrum = solve_system(system)
+    assert spectrum.modes is None
+    ranks = list(range(1, spectrum.n + 1))
+    every = [e.hex() for e in h1_errors_for_modes(system, spectrum, ranks)]
+    alone = [h1_errors_for_modes(system, spectrum, [j])[0].hex()
+             for j in ranks]
+    assert alone == every
+    backward = h1_errors_for_modes(system, spectrum, ranks[::-1])
+    assert [e.hex() for e in backward] == every[::-1]
+    pairs = h1_errors_for_modes(system, spectrum, ranks[1::2] + ranks[::2])
+    assert sorted(e.hex() for e in pairs) == sorted(every)
+    for j in {1, 7, len(ranks)}:
+        error = mode_convergence(p, [N], j, "h1", 0.0, 0.0, flavor)[0]
+        assert error.hex() == every[j - 1]
+
+
 def test_every_closed_form_h1_error_peaks_at_a_few_values_per_point():
     # p = 3, N = 2000 (n = 1999): measured 18.5 n (p + 4) doubles,
     # arrays of one value per Gauss point of one element and mode;
