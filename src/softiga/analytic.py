@@ -3,11 +3,15 @@ inverse-estimate constant behind the theoretical weight bound,
 dispersion expansions, exact reference matrices, and commutator checks.
 
 Everything rational is stored exactly (fractions.Fraction) and converted
-to floating point only at use sites. Reference matrices hard-code the
-printed interior stencils; the remaining boundary entries follow from
-one completion rule (symmetric Toeplitz part minus two mirrored Hankel
-tails) that reproduces every printed boundary row. The rule fills the
-band storage of each reference matrix directly, in O(n * hbw) work.
+to floating point only at use sites. The interior stencils of the
+reference matrices are samples of the cardinal B-spline and binomial
+coefficients, computed for any degree (``interior_stencil``); the
+boundary entries follow from one completion rule, the method-of-images
+sum of the stencil over the period 2N (a symmetric Toeplitz part minus
+a Hankel part), that reproduces every printed boundary row. The rule
+fills the band storage of each reference matrix directly, in
+O(n * hbw) work. On the uniform mesh these are the outlier-free
+operators themselves, which ``assembly`` rounds from them.
 
 The interior symbol of the softened pencil's stencils gives its
 eigenvalue as a function of the normalized wavenumber t; evaluated in
@@ -135,40 +139,44 @@ def analytic_eigenvalue(p, eta, j, N):
     raise ValueError(f"no closed form for p={p}")
 
 
-# Interior stencils of the printed matrices: (symbol, completion parity).
-# The symbol s_k lists the entries k off the main diagonal, k = 0 first.
-# The boundary completion subtracts two mirrored Hankel
-# tails: entry(i, j) = s_|i-j| - s_(i+j+1+sigma) - s_(2n-i-j-1+sigma),
-# sigma = 0 for even p, 1 for odd p, symbols beyond the list being zero.
-_STENCILS = {
-    ("K", 2): (F(1), F(-1, 3), F(-1, 6)),
-    ("M", 2): (F(11, 20), F(13, 60), F(1, 120)),
-    ("S", 2): (F(20), F(-15), F(6), F(-1)),
-    ("T", 2): (F(3, 4), F(1, 8)),
-    ("K", 3): (F(2, 3), F(-1, 8), F(-1, 5), F(-1, 120)),
-    ("M", 3): (F(151, 315), F(397, 1680), F(1, 42), F(1, 5040)),
-    ("S", 3): (F(70), F(-56), F(28), F(-8), F(1)),
-    ("T", 3): (F(2, 3), F(1, 6)),
-    ("K", 4): (F(35, 72), F(-11, 360), F(-17, 90), F(-59, 2520),
-               F(-1, 5040)),
-    ("M", 4): (F(15619, 36288), F(44117, 181440), F(913, 22680),
-               F(251, 181440), F(1, 362880)),
-    ("S", 4): (F(252), F(-210), F(120), F(-45), F(10), F(-1)),
-    ("T", 4): (F(115, 192), F(19, 96), F(1, 384)),
-    ("K", 5): (F(809, 2160), F(1, 64), F(-31, 189), F(-907, 24192),
-               F(-25, 18144), F(-1, 362880)),
-    ("M", 5): (F(655177, 1663200), F(1623019, 6652800), F(1093, 19800),
-               F(50879, 13305600), F(509, 9979200), F(1, 39916800)),
-    ("S", 5): (F(924), F(-792), F(495), F(-220), F(66), F(-12), F(1)),
-    ("T", 5): (F(11, 20), F(13, 60), F(1, 120)),
-}
+def _cardinal(n, x):
+    """Schoenberg's cardinal B-spline N_n of degree n, supported on
+    [0, n + 1], at the rational x, exactly."""
+    return sum(F((-1) ** j * math.comb(n + 1, j)) * (x - j) ** n
+               for j in range(n + 2) if x > j) / math.factorial(n)
 
+
+def _mass_stencil(q):
+    """The mass stencil of degree q >= 0: N_(2q+1)(q + 1 + k)."""
+    return tuple(_cardinal(2 * q + 1, F(q + 1 + k)) for k in range(q + 1))
+
+
+@functools.cache
 def interior_stencil(kind, p):
-    """Exact interior stencil (diagonal first) of a printed matrix."""
-    try:
-        return _STENCILS[(kind, p)]
-    except KeyError:
+    """Exact interior stencil s_0, s_1, ... (diagonal first) of the
+    printed matrix of the given kind and degree p >= 1, as Fractions.
+
+    The uniform B-splines of degree p are translates of the cardinal
+    B-spline N_p, so every stencil is a sample of one:
+    - M: N_(2p+1)(p + 1 + k), the Gram matrix of N_p;
+    - K: 2 c_k - c_(k-1) - c_(k+1), c the mass stencil of degree p - 1,
+      since N_p' is the difference of two translates of N_(p-1);
+    - S: (-1)^k C(2p + 2, p + 1 + k), the products of the p-th derivative
+      jumps, whose values are the binomial differences;
+    - T: N_p((p + 1)/2 + k), the B-spline values at the nodes.
+    """
+    if kind not in ("K", "M", "S", "T") or p < 1:
         raise ValueError(f"no reference matrix of kind {kind!r} for p={p}")
+    if kind == "M":
+        return _mass_stencil(p)
+    if kind == "S":
+        return tuple(F((-1) ** k * math.comb(2 * p + 2, p + 1 + k))
+                     for k in range(p + 2))
+    if kind == "T":
+        return tuple(_cardinal(p, F(p + 1, 2) + k)
+                     for k in range((p + 2) // 2))
+    c = _mass_stencil(p - 1) + (F(0), F(0))
+    return tuple(2 * c[k] - c[abs(k - 1)] - c[k + 1] for k in range(p + 1))
 
 
 def reference_matrix(kind, p, N):
@@ -180,30 +188,40 @@ def reference_matrix(kind, p, N):
         Stiffness, mass, softness, or transformation matrix. Entries
         are dimensionless as printed.
     p : int
-        Degree 2..5.
+        Degree >= 1.
     N : int
         Element count; the order is N for even p, N-1 for odd p.
 
     Returns
     -------
-    SymBandedMatrix with Fraction entries, half bandwidth
-    len(stencil) - 1, its band filled from the completion rule.
+    SymBandedMatrix with Fraction entries, its half bandwidth that of
+    the stencil (or less on a smaller order), built in O(n * hbw).
+
+    The space is the splines odd about both ends of the mesh, so its
+    members are the B-splines centred at the nodes a (a = 1..N-1 for
+    odd p, a = 1/2..N-1/2 for even p), each minus its mirror about 0,
+    repeated with period 2N. Entry (a, b) is therefore the method-of-
+    images sum over m of s(a - b + 2mN) - s(a + b + 2mN), s the two-
+    sided stencil: the stencil wrapped onto a circle of 2N nodes and
+    read as a Toeplitz part minus a Hankel part. Once the order is at
+    least twice the stencil length, only the first image of each end
+    reaches the matrix, and the Hankel part is two mirrored tails.
     """
     sym = interior_stencil(kind, p)
     n = N if p % 2 == 0 else N - 1
-    if n < 2 * len(sym):
-        raise ValueError(f"need N large enough for two disjoint boundary"
-                         f" stencils, got order {n}")
-    sigma = 1 if p % 2 else 0
-
-    def s(i):
-        return sym[i] if 0 <= i < len(sym) else F(0)
-
-    band = np.full((len(sym), n), F(0), dtype=object)
-    for k in range(len(sym)):
-        for i in range(n - k):  # entry (i + k, i)
-            band[k, i] = (sym[k] - s(2 * i + k + 1 + sigma)
-                          - s(2 * (n - 1) - 2 * i - k + 1 + sigma))
+    if n < 1:
+        raise ValueError(f"no interior node for p={p}, N={N}")
+    # the stencil wrapped onto the 2N nodes of one period
+    wrapped = [F(0)] * (2 * N)
+    for k in range(1 - len(sym), len(sym)):
+        wrapped[k % (2 * N)] += sym[abs(k)]
+    # a + b = 2i + k + 1 + sigma for entry (i + k, i), in node units
+    sigma = p % 2
+    band = np.full((min(len(sym), n), n), F(0), dtype=object)
+    for k in range(len(band)):
+        for i in range(n - k):
+            band[k, i] = (wrapped[k]
+                          - wrapped[(2 * i + k + 1 + sigma) % (2 * N)])
     return SymBandedMatrix(band)
 
 

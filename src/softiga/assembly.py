@@ -1,15 +1,24 @@
 """Banded assembly of the stiffness, mass, and softness forms.
 
-Every operator is assembled straight into symmetric band storage, in
+Every operator is built straight into symmetric band storage, in
 O(N * p^2) work on the mesh itself or O(N * p) stretched from a
 per-degree reference; no dense matrix of the raw or space dimension is
-ever formed.
+ever formed. There are two routes, one per space:
+
+* The outlier-free space (the one space for p <= 2) is the splines odd
+  about both ends of the mesh, so its operators are exact: the
+  completion of the cardinal B-spline stencils by the method of images
+  (``analytic.reference_matrix``), times N (K and S) or 1/N (M), each
+  entry rounded once. No basis is evaluated and no raw band is formed.
+* The standard space at p >= 3 drops the first and last raw function,
+  so its bands are the raw bands with their first and last row and
+  column sliced off. The raw bands come from quadrature.
 
 Per-element Gauss-Legendre quadrature with p+1 points is exact through
-polynomial degree 2p+1, so stiffness and mass entries are exact up to
-round-off. On the uniform open knot vector all elements but the p-1 at
-each end are translates of one another, so the basis is evaluated once
-per distinct element, and all three forms read one table
+polynomial degree 2p+1, so raw stiffness and mass entries are exact up
+to round-off. On the uniform open knot vector all elements but the p-1
+at each end are translates of one another, so the basis is evaluated
+once per distinct element, and all three forms read one table
 (``splines.basis_table``): derivatives 0..p at the p+1 Gauss points and
 at the element midpoint. The stiffness and mass element matrices come
 from one ``einsum`` each over its rows 1 and 0 at the Gauss points, and
@@ -26,27 +35,20 @@ The p-th derivative is constant on each element, so the jump at face f
 touches only raw functions f-1..f+p and comes from row p of the same
 table at the midpoint.
 
-The space extraction is the identity away from the boundary; it is
-applied to the two corner blocks alone, each widened by the raw half
-bandwidth (p, or p+1 for the softness form) so that every coupling of a
-boundary member is covered. On tiny meshes whose corners meet, one
-block covers the whole matrix.
-
 On the uniform mesh every operator is a per-degree constant: its
 interior is Toeplitz, its two corners depend only on p and mirror each
-other, and K and S scale as N, M as 1/N. So the raw bands are
-assembled only on meshes of at most ``_reference_size(p)`` = 4p + 2
-elements, once per mesh and process, and one reference of each degree
-serves both spaces of every larger mesh: the space band there is the
-reference's left corner columns, its first interior column repeated,
-and the mirror of the left corner, times N/N_ref (K and S) or N_ref/N
-(M) (``_stretch``). That is O(N * p) writes with no basis evaluation,
-and the band is exactly persymmetric, with an exactly constant
-interior on every diagonal. On smaller meshes the space is extracted
-from the raw bands of its own mesh. The three bands of a space are the
-``stiffness``, ``mass`` and ``softness`` of its ``SoftSystem``.
+other, and K and S scale as N, M as 1/N. So either route runs only on
+meshes of at most ``_reference_size(p)`` = 4p + 2 elements, once per
+mesh, space and process (``_bands``), and the reference of each degree
+serves every larger mesh: the space band there is the reference's left
+corner columns, its first interior column repeated, and the mirror of
+the left corner, times N/N_ref (K and S) or N_ref/N (M) (``_stretch``).
+That is O(N * p) writes, and the band is exactly persymmetric, with an
+exactly constant interior on every diagonal. The three bands of a
+space are the ``stiffness``, ``mass`` and ``softness`` of its
+``SoftSystem``.
 
-Every band, raw or extracted, is one LAPACK lower band array
+Every band, raw or of a space, is one LAPACK lower band array
 (``SymBandedMatrix.band``, row k the k-th subdiagonal), so the
 definiteness check factors it with no repacking.
 """
@@ -55,10 +57,11 @@ import dataclasses
 import functools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 
-from .analytic import eta_table
+from .analytic import eta_table, reference_matrix
 from .eigensolve import SymBandedMatrix, _column_dots
 from .spaces import SplineSpace, build_of_space, build_standard_space
 from .splines import basis_table, gauss_rule, open_knot_vector
@@ -184,48 +187,6 @@ def _raw_operators(kv):
     return raw
 
 
-def _block_diag(first, second):
-    """The block-diagonal matrix with blocks first and second."""
-    (r, c), (s, t) = first.shape, second.shape
-    W = np.zeros((r + s, c + t))
-    W[:r, :c] = first
-    W[r:, c:] = second
-    return W
-
-
-def _extract(space, raw):
-    """Space operator E R E^T in band storage from the raw band R.
-
-    The identity rows of E copy the raw band. A corner member
-    couples only with the next q raw functions, q the raw half
-    bandwidth, so each corner is computed densely on a window of its
-    block plus q identity rows. When fewer than q identity members
-    separate the corners, one window covers the whole (small) matrix.
-    """
-    q, dim, num_raw = raw.half_bandwidth, space.dim, raw.n
-    (a, c), (b, e) = space.left.shape, space.right.shape
-    inner = space.inner
-    if inner < q:
-        hbw = dim - 1
-        windows = [(space.extraction, 0, 0)]
-    else:
-        hbw = max(q, a + q - 1, b + q - 1)
-        windows = [(_block_diag(space.left, np.eye(q)), 0, 0),
-                   (_block_diag(np.eye(q), space.right), dim - b - q,
-                    num_raw - e - q)]
-    band = np.zeros((hbw + 1, dim))
-    if inner >= q:
-        for k in range(q + 1):
-            band[k, a:a + inner - k] = raw.band[k, c:c + inner - k]
-    for W, space_start, raw_start in windows:
-        R = raw.principal(raw_start, raw_start + W.shape[1])
-        block = W @ R @ W.T
-        for k in range(min(hbw + 1, len(block))):
-            band[k, space_start:space_start + len(block) - k] = (
-                np.diagonal(block, -k))
-    return SymBandedMatrix(band)
-
-
 def _reference_size(p):
     """Element count N_ref of the reference mesh of degree p: the
     smallest on which the left corner of every space band, one interior
@@ -241,16 +202,6 @@ def _reference_size(p):
     return 4 * p + 2
 
 
-@functools.cache
-def _raw_bands(p, N):
-    """Raw bands [K, M, S] of degree p on N <= N_ref elements, assembled
-    once per process and shared by every space on the mesh; read-only."""
-    raw = _raw_operators(open_knot_vector(p, N))
-    for op in raw:
-        op.band.flags.writeable = False
-    return raw
-
-
 _SPACES = {"standard": build_standard_space, "outlier_free": build_of_space}
 
 
@@ -261,16 +212,37 @@ def _corner_width(space):
     return a + 2 * space.kv.p - c
 
 
+def _without_ends(raw):
+    """The band of R without its first and last row and column: the
+    standard space's E R E^T, E dropping the two endpoint functions.
+    It keeps the raw half bandwidth unless the order is smaller."""
+    n = raw.n - 2
+    band = raw.band[:n if n < raw.half_bandwidth else None, 1:-1].copy()
+    for k, row in enumerate(band):
+        row[n - k:] = 0.0
+    return band
+
+
 @functools.cache
-def _reference_bands(p, flavor):
-    """The (K, M, S) bands of the space ``flavor`` on the reference mesh
-    and their corner width, extracted once per process; read-only."""
-    space = _SPACES[flavor](p, _reference_size(p))
-    bands = tuple(_extract(space, raw).band for raw in
-                  _raw_bands(p, space.kv.N))
+def _bands(p, N, odd):
+    """The (K, M, S) bands of degree p on N <= N_ref elements, of the
+    outlier-free space when ``odd`` (the one space for p <= 2) and of
+    the standard space otherwise; built once per process, read-only.
+
+    The outlier-free bands are the exact completions of
+    ``analytic.reference_matrix``, times N (K, S) or 1/N (M), each entry
+    rounded once. The standard ones are sliced from the raw bands of the
+    mesh.
+    """
+    if odd:
+        bands = [(reference_matrix(kind, p, N).band * scale).astype(float)
+                 for kind, scale in zip("KMS", (N, Fraction(1, N), N))]
+    else:
+        bands = [_without_ends(raw)
+                 for raw in _raw_operators(open_knot_vector(p, N))]
     for band in bands:
         band.flags.writeable = False
-    return bands, _corner_width(space)
+    return bands
 
 
 def _stretch(band, corner, n, scale):
@@ -312,22 +284,23 @@ def build_soft_system(p, N, eta, eta_b=0.0, flavor="outlier_free"):
     Returns
     -------
     SoftSystem
-        On N <= N_ref elements its bands are extracted from the raw
-        bands of the mesh; on more, they are the per-degree reference
-        stretched to N (``_stretch``). Either way the raw assembly of a
-        mesh or a degree runs once per process.
+        On N <= N_ref elements its bands are the read-only ones of the
+        mesh (``_bands``), shared by every build; on more, they are the
+        per-degree reference stretched to N (``_stretch``). Either way
+        the bands of a mesh are built once per process.
     """
     eta, eta_b = _checked_weights(p, eta, eta_b)
     if flavor not in _SPACES:
         raise ValueError(f"unknown space flavor {flavor!r}")
     space = _SPACES[flavor](p, N)
     p, N = space.kv.p, space.kv.N
+    odd = flavor == "outlier_free" or p <= 2
     size = _reference_size(p)
     if N <= size:
-        K, M, S = (_extract(space, raw) for raw in _raw_bands(p, N))
+        K, M, S = map(SymBandedMatrix, _bands(p, N, odd))
     else:
-        bands, corner = _reference_bands(p, flavor)
+        corner = _corner_width(space)
         K, M, S = (SymBandedMatrix(_stretch(band, corner, space.dim, scale))
-                   for band, scale in zip(bands, (N / size, size / N,
-                                                  N / size)))
+                   for band, scale in zip(_bands(p, size, odd),
+                                          (N / size, size / N, N / size)))
     return SoftSystem(eta, eta_b, space, K, M, S)

@@ -138,11 +138,6 @@ class SymBandedMatrix:
             flat[k:(n - k) * n:n + 1] = diag[:n - k]
         return out
 
-    def principal(self, lo, hi):
-        """The dense principal submatrix on rows and columns lo..hi-1."""
-        # the window's slots past its end are never read by toarray
-        return SymBandedMatrix(self.band[:hi - lo, lo:hi]).toarray()
-
     def plus(self, weight, other):
         """self + weight * other, in the dtype of both bands and in
         Fortran order, which BLAS and LAPACK read in place."""

@@ -12,11 +12,15 @@ scaled-integer commutators.
 ``fresh_assembly_caches`` empties the per-degree caches of the
 assembly, so that a test can count the work of one build.
 
+``PRINTED_STENCILS`` holds the paper's interior stencils for p = 2..5,
+the exact reference for the ones the package computes at any degree.
+
 The rest restate, for the tests, what the package computes only on
 its way to a printed number:
-- ``space_operators``, the (K, M, S) bands of any space, such as a
-  remixed one that ``build_soft_system`` does not build, assembled on
-  its own mesh whatever its size;
+- ``space_operators``, the (K, M, S) of any space, such as a remixed
+  one that ``build_soft_system`` does not build, as E R E^T from its
+  dense extraction and the raw bands of its own mesh, whatever its
+  size;
 - ``softened_reference``, the printed pencil in exact rationals;
 - ``dispersion_eigenvalue``, the interior symbol's eigenvalue at one
   wavenumber, in mpmath;
@@ -30,15 +34,44 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+from scipy import sparse
 
 from softiga.analytic import (_symbol, _symbol_value, interior_stencil,
                               reference_matrix)
 import softiga.assembly as assembly
-from softiga.assembly import _extract, _raw_operators, build_soft_system
+from softiga.assembly import _raw_operators, build_soft_system
 from softiga.eigensolve import SymBandedMatrix
 from softiga.spectral_analysis import h1_errors_for_modes, solve_system
 from softiga.splines import eval_basis
 from softiga.tensor import kron_sum_spectrum
+
+
+F = Fraction
+
+# Interior stencils of the printed matrices, s_k the entries k off the
+# main diagonal, k = 0 first.
+PRINTED_STENCILS = {
+    ("K", 2): (F(1), F(-1, 3), F(-1, 6)),
+    ("M", 2): (F(11, 20), F(13, 60), F(1, 120)),
+    ("S", 2): (F(20), F(-15), F(6), F(-1)),
+    ("T", 2): (F(3, 4), F(1, 8)),
+    ("K", 3): (F(2, 3), F(-1, 8), F(-1, 5), F(-1, 120)),
+    ("M", 3): (F(151, 315), F(397, 1680), F(1, 42), F(1, 5040)),
+    ("S", 3): (F(70), F(-56), F(28), F(-8), F(1)),
+    ("T", 3): (F(2, 3), F(1, 6)),
+    ("K", 4): (F(35, 72), F(-11, 360), F(-17, 90), F(-59, 2520),
+               F(-1, 5040)),
+    ("M", 4): (F(15619, 36288), F(44117, 181440), F(913, 22680),
+               F(251, 181440), F(1, 362880)),
+    ("S", 4): (F(252), F(-210), F(120), F(-45), F(10), F(-1)),
+    ("T", 4): (F(115, 192), F(19, 96), F(1, 384)),
+    ("K", 5): (F(809, 2160), F(1, 64), F(-31, 189), F(-907, 24192),
+               F(-25, 18144), F(-1, 362880)),
+    ("M", 5): (F(655177, 1663200), F(1623019, 6652800), F(1093, 19800),
+               F(50879, 13305600), F(509, 9979200), F(1, 39916800)),
+    ("S", 5): (F(924), F(-792), F(495), F(-220), F(66), F(-12), F(1)),
+    ("T", 5): (F(11, 20), F(13, 60), F(1, 120)),
+}
 
 
 def banded(dense):
@@ -71,9 +104,8 @@ def full_lift_values(p, N, eta, d=1, eta_b=0.0, flavor="outlier_free"):
 
 
 def fresh_assembly_caches():
-    """Empty the per-degree raw and reference bands of the assembly."""
-    assembly._raw_bands.cache_clear()
-    assembly._reference_bands.cache_clear()
+    """Empty the per-mesh bands of the assembly."""
+    assembly._bands.cache_clear()
 
 
 def space_member_eval(space, i, x, r=0, side=None):
@@ -127,8 +159,12 @@ def pth_derivative_jump(kv, interface_index):
 
 
 def space_operators(space):
-    """The stiffness, mass and softness bands (K, M, S) of the space."""
-    return tuple(_extract(space, band) for band in _raw_operators(space.kv))
+    """The stiffness, mass and softness (K, M, S) of the space, E R E^T
+    from its dense extraction E and the raw bands R of its mesh, as
+    full-bandwidth bands. The products skip the zeros of E and R."""
+    E = sparse.csr_array(space.extraction)
+    return tuple(banded((E @ sparse.csr_array(raw.toarray()) @ E.T)
+                        .toarray()) for raw in _raw_operators(space.kv))
 
 
 def softened_reference(p, N, eta, eta_b=0):

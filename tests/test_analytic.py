@@ -9,8 +9,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import (banded, dense_commutator_norm, dispersion_eigenvalue,
-                     sine_sample, softened_reference)
+from oracles import (PRINTED_STENCILS, banded, dense_commutator_norm,
+                     dispersion_eigenvalue, sine_sample, softened_reference)
 from softiga.analytic import (analytic_eigenvalue, commutator_norm,
                               dispersion_expansion, eta_table,
                               fit_leading_coefficient, interior_stencil,
@@ -128,18 +128,34 @@ def test_interior_stencils_spot_values():
     assert interior_stencil("S", 4) == (F(252), F(-210), F(120), F(-45),
                                         F(10), F(-1))
     assert interior_stencil("T", 5) == (F(11, 20), F(13, 60), F(1, 120))
-    with pytest.raises(ValueError):
-        interior_stencil("K", 6)
+    for (kind, p), stencil in PRINTED_STENCILS.items():
+        assert interior_stencil(kind, p) == stencil, (kind, p)
+    # past the printed degrees: the two-sided sums of the mass stencil
+    # (a partition of unity) and of the stiffness and softness stencils
+    # (they annihilate constants)
+    for kind, total in (("M", 1), ("K", 0), ("S", 0)):
+        stencil = interior_stencil(kind, 6)
+        assert stencil[0] + 2 * sum(stencil[1:]) == total, kind
     with pytest.raises(ValueError):
         interior_stencil("X", 2)
+    with pytest.raises(ValueError):
+        interior_stencil("K", 0)
 
 
 def test_reference_matrix_orders():
     assert reference_matrix("K", 2, 8).n == 8
     assert reference_matrix("K", 3, 9).n == 8
     assert reference_matrix("M", 5, 14).n == 13
+    # an order below twice the stencil length takes more images: on one
+    # element of degree 2 the one member, 2x(1 - x), is the B-spline at
+    # 1/2 with its odd images at -1/2, 3/2, ..., so its mass is
+    # s_0 - 2 s_1 + 2 s_2 = 4/30
+    S = reference_matrix("S", 5, 10)
+    assert S.n == 9 and S.half_bandwidth == 6
+    M = reference_matrix("M", 2, 1)
+    assert M.n == 1 and M.entry(0, 0) == F(2, 15)
     with pytest.raises(ValueError):
-        reference_matrix("S", 5, 10)  # boundary stencils would overlap
+        reference_matrix("K", 3, 1)  # no interior node
 
 
 def test_reference_matrix_boundary_rows_quartic():

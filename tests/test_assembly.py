@@ -1,8 +1,8 @@
 """Assembled operators against hand-computable stencils, polynomial
 identities, and the closed-form spectrum."""
 
+import functools
 import hashlib
-import math
 import warnings
 from fractions import Fraction
 
@@ -12,15 +12,15 @@ import scipy.linalg as sla
 from scipy.linalg import lapack
 
 import softiga.assembly as assembly
-from oracles import pth_derivative_jump, space_member_eval, space_operators
+from oracles import (PRINTED_STENCILS, fresh_assembly_caches,
+                     pth_derivative_jump, space_member_eval, space_operators)
 from softiga.analytic import (analytic_eigenvalue, eta_table,
-                              interior_stencil, reference_matrix)
+                              reference_matrix)
 from softiga.assembly import (IndefinitenessWarning, SymBandedMatrix,
                               build_soft_system)
 from softiga.eigensolve import (DefinitenessError, cholesky_pivot,
                                 generalized_eig)
-from softiga.spaces import (build_of_space, build_standard_space,
-                            space_dimension)
+from softiga.spaces import build_of_space, build_standard_space
 from softiga.spectral_analysis import solve_system, spectral_report
 from softiga.splines import eval_basis, open_knot_vector
 from softiga.tensor import kron_sum_spectrum
@@ -319,11 +319,6 @@ def test_banded_toarray_matches_elementwise_fill():
     np.testing.assert_array_equal(banded.toarray(), expected)
     assert banded.entry(0, hbw + 1) == 0.0
     assert banded.entry(hbw, 0) == expected[hbw, 0]
-    np.testing.assert_array_equal(banded.principal(2, 7),
-                                  expected[2:7, 2:7])
-    # a window narrower than the band drops the slots past its end
-    np.testing.assert_array_equal(banded.principal(6, 8),
-                                  expected[6:8, 6:8])
 
 
 def test_banded_rows_keep_exact_rationals():
@@ -388,14 +383,14 @@ def _reference_operators(space):
 def test_banded_operators_match_per_point_quadrature(p, flavor):
     # the meshes run from ones whose two boundary blocks meet (no
     # translate of the interior element, N < 2p + 1) to ones with many
-    build = build_standard_space if flavor == "standard" else build_of_space
     for N in range(1, 2 * p + 6):
         try:
-            space = build(p, N)
+            system = build_soft_system(p, N, 0.0, 0.0, flavor)
         except ValueError:
             continue
-        for got, expected in zip(space_operators(space),
-                                 _reference_operators(space)):
+        for got, expected in zip((system.stiffness, system.mass,
+                                  system.softness),
+                                 _reference_operators(system.space)):
             scale = max(abs(expected).max(), 1e-300)
             assert np.abs(got.toarray() - expected).max() <= 1e-13 * scale
             # the band is LAPACK lower storage, usable as it is
@@ -498,7 +493,7 @@ def test_interior_rows_match_printed_stencils(p):
     space = build_of_space(p, N)
     for kind, op, unit in zip("KMS", space_operators(space),
                               (h, 1.0 / h, h)):
-        stencil = np.array([float(c) for c in interior_stencil(kind, p)])
+        stencil = np.array([float(c) for c in PRINTED_STENCILS[kind, p]])
         full = np.concatenate([stencil[::-1], stencil[1:]])
         width = len(stencil) - 1
         dense = op.toarray()
@@ -576,37 +571,88 @@ def _bands(system):
     return (system.stiffness.band, system.mass.band, system.softness.band)
 
 
+def _at_height(band, rows):
+    """The band cut or padded with zeros to the given number of rows;
+    the rows cut must be zero."""
+    assert not band[rows:].any()
+    out = np.zeros((rows, band.shape[1]))
+    out[:len(band)] = band[:rows]
+    return out
+
+
+def _is_odd(p, flavor):
+    """Whether ``build_soft_system`` rounds the bands of the space from
+    the exact completion: the outlier-free space, the one space for
+    p <= 2."""
+    return flavor == "outlier_free" or p <= 2
+
+
+@functools.cache
+def _rounded_completion(p, N):
+    """The outlier-free (K, M, S) bands on N elements: the exact
+    completions of ``analytic.reference_matrix`` times N, 1/N and N,
+    each entry rounded once."""
+    # a quotient of two Python integers is rounded once
+    return tuple(np.array([[x.numerator * up / (x.denominator * down)
+                            for x in row]
+                           for row in reference_matrix(name, p, N).band])
+                 for name, up, down in (("K", N, 1), ("M", 1, N),
+                                        ("S", N, 1)))
+
+
 @pytest.mark.parametrize("p", range(1, 17))
 def test_reference_size_is_the_smallest_with_an_interior_column(p):
     size = assembly._reference_size(p)
     assert size == 4 * p + 2
-    raw = assembly._raw_bands(p, size)
     for flavor in _FLAVORS:
         space = build_soft_system(p, size, 0.0, 0.0, flavor).space
         corner = assembly._corner_width(space)
         # column `corner` and its p + 1 softness rows clear both corners
         # on the reference mesh, and on no smaller one
         assert space.dim == 2 * corner + p + 2
-        bands, width = assembly._reference_bands(p, flavor)
-        assert width == corner
-        assert assembly._reference_bands(p, flavor)[0] is bands
-        # one raw reference per degree serves both spaces, and nothing
-        # cached can be written to
-        assert assembly._raw_bands(p, size) is raw
-        for band in bands + tuple(op.band for op in raw):
+        # one reference per degree and space, and nothing cached can be
+        # written to
+        bands = assembly._bands(p, size, _is_odd(p, flavor))
+        assert assembly._bands(p, size, _is_odd(p, flavor)) is bands
+        for band in bands:
             assert not band.flags.writeable
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_both_flavors_share_one_reference_up_to_degree_2(p):
+    fresh_assembly_caches()
+    size = assembly._reference_size(p)
+    for N in (size, size + 1, 3 * size):
+        for flavor in _FLAVORS:
+            build_soft_system(p, N, 0.0, 0.0, flavor)
+    # the two flavors name one space, so they read one cached entry
+    assert assembly._bands.cache_info().currsize == 1
+    assert assembly._bands.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("p", range(1, 17))
 def test_bands_up_to_the_reference_size_are_the_direct_assembly(p):
+    # bit for bit on the standard space at p >= 3, whose bands are
+    # sliced from the raw ones; the outlier-free bands are rounded from
+    # the exact completion, so they agree with the direct assembly to
+    # round-off, but for the softness at high degree, whose folded
+    # corners lose digits in the direct assembly (checked against the
+    # exact completion below)
     size = assembly._reference_size(p)
     for flavor in _FLAVORS:
         for N in sorted({max(p, 2), p + 1, 2 * p, 2 * p + 1, size - 1,
                          size}):
             system = build_soft_system(p, N, 0.0, 0.0, flavor)
-            for got, want in zip(_bands(system),
-                                 space_operators(system.space)):
-                assert np.array_equal(got, want.band), (flavor, N)
+            for name, got, want in zip("KMS", _bands(system),
+                                       space_operators(system.space)):
+                want = _at_height(want.band, len(got))
+                if not _is_odd(p, flavor):
+                    assert np.array_equal(got, want), (flavor, N, name)
+                elif name != "S" or p <= 5:
+                    # measured at most 18.6 eps (p = 5, S)
+                    scale = np.abs(want).max()
+                    assert np.abs(got - want).max() <= 32 * _EPS * scale, (
+                        flavor, N, name)
 
 
 @pytest.mark.parametrize("p", range(1, 17))
@@ -631,39 +677,38 @@ def test_stretched_bands_are_persymmetric_with_a_constant_interior(p):
 def test_stretched_bands_agree_with_the_direct_assembly(p):
     # The direct assembly drifts from the exact entries by up to about
     # 1e-12 of the largest as N grows; the stretched bands do not. The
-    # outlier-free softness past p = 8 is left to the next test: there
-    # the folded corners of the direct assembly itself lose digits.
+    # outlier-free softness is checked against the exact completion,
+    # since the folded corners of the direct assembly lose digits past
+    # p = 8.
     size = assembly._reference_size(p)
     for flavor in _FLAVORS:
         for N in (size + 1, 3 * size, 1000):
             system = build_soft_system(p, N, 0.0, 0.0, flavor)
-            for name, got, want in zip("KMS", _bands(system),
-                                       space_operators(system.space)):
-                if flavor == "outlier_free" and name == "S" and p > 8:
-                    continue
-                scale = np.abs(want.band).max()
-                assert np.abs(got - want.band).max() <= 4e-12 * scale, (
+            wants = [op.band for op in space_operators(system.space)]
+            if flavor == "outlier_free":
+                wants[2] = _rounded_completion(p, N)[2]
+            for name, got, want in zip("KMS", _bands(system), wants):
+                want = _at_height(want, len(got))
+                scale = np.abs(want).max()
+                assert np.abs(got - want).max() <= 4e-12 * scale, (
                     flavor, N, name)
 
 
-def _exact_of_softness(p, N):
-    """The outlier-free softness band on N elements from the completion
-    rule of ``analytic.reference_matrix``, whose interior stencil is
-    (-1)^k C(2p + 2, p + 1 + k) at every degree, rounded once."""
-    stencil = [(-1) ** k * math.comb(2 * p + 2, p + 1 + k)
-               for k in range(p + 2)]
-    n = space_dimension(p, N, "outlier_free")
-    sigma = p % 2
-
-    def s(i):
-        return stencil[i] if 0 <= i < len(stencil) else 0
-
-    band = np.zeros((len(stencil), n))
-    for k in range(len(stencil)):
-        for i in range(n - k):
-            band[k, i] = N * (s(k) - s(2 * i + k + 1 + sigma)
-                              - s(2 * (n - 1) - 2 * i - k + 1 + sigma))
-    return band
+@pytest.mark.parametrize("p", range(1, 21))
+def test_outlier_free_bands_are_the_rounded_exact_completion(p):
+    size = assembly._reference_size(p)
+    for N in sorted({max(p, 2), p + 1, 2 * p + 1, size, size + 1,
+                     3 * size, 1000}):
+        system = build_soft_system(p, N, 0.0)
+        for name, got, want in zip("KMS", _bands(system),
+                                   _rounded_completion(p, N)):
+            assert got.shape == want.shape
+            if N <= size:
+                assert np.array_equal(got, want), (N, name)
+            else:
+                # the reference's rounding, times N/N_ref or N_ref/N
+                worst = np.abs(got - want).max()
+                assert worst <= 8 * _EPS * np.abs(want).max(), (N, name)
 
 
 @pytest.mark.parametrize("p", range(3, 17))
@@ -672,7 +717,7 @@ def test_outlier_free_softness_error_does_not_grow_with_the_mesh(p):
 
     def error(N):
         band = build_soft_system(p, N, 0.0).softness.band
-        exact = _exact_of_softness(p, N)
+        exact = _rounded_completion(p, N)[2]
         assert not band[len(exact):].any()
         return (np.abs(band[:len(exact)] - exact).max()
                 / np.abs(exact).max())

@@ -293,11 +293,13 @@ def test_assembly_evaluates_the_basis_once_per_table(p, N, monkeypatch):
     calls = _counting_evaluations(monkeypatch)
     build_soft_system(p, N, 0.0, 0.0, "standard")
     # one table serves the stiffness, mass and softness forms, of the
-    # mesh itself or, past the reference size, of the reference mesh
-    assert len(calls) == 1
+    # mesh itself or, past the reference size, of the reference mesh;
+    # for p <= 2 the standard space is the outlier-free one, whose bands
+    # are rounded from the exact completion with no table
+    assert len(calls) == (p >= 3)
     calls.clear()
-    # the outlier-free space, whose folds need no evaluation, reads the
-    # same raw bands, and a second build reads them again
+    # the outlier-free space needs no evaluation, and a second build
+    # reads the cached bands again
     build_soft_system(p, N, 0.0)
     build_soft_system(p, N, 0.0, 0.0, "standard")
     assert calls == []
