@@ -14,10 +14,13 @@ O(n * hbw) work. On the uniform mesh these are the outlier-free
 operators themselves, which ``assembly`` rounds from them.
 
 The interior symbol of the softened pencil's stencils gives its
-eigenvalue as a function of the normalized wavenumber t; evaluated in
-high precision it supports dispersion-coefficient fits far below
-double-precision noise. Only those fits use mpmath, so it is imported
-by them, not with the package. The closed-form eigenvectors live in
+eigenvalue as a function of the wavenumber (``interior_symbol``), one
+evaluator in the arithmetic of its arguments: in double precision it is
+every closed-form eigenvalue of the outlier-free pencil, and in mpmath
+it supports dispersion-coefficient fits far below double-precision
+noise. Only those fits use mpmath, so it is imported by them, not with
+the package. The same symbols give the sharp softness weight of every
+degree (``sharp_weight``). The closed-form eigenvectors live in
 ``spaces.sine_modes``.
 """
 
@@ -61,7 +64,6 @@ class EtaTable:
         return value
 
 
-_SHARP = {2: F(1, 48), 3: F(1, 480), 4: F(17, 80640), 5: None}
 _DEFAULT = {2: F(3, 272), 3: F(69, 79360), 4: F(451, 6191360), 5: None}
 _SUPER = {2: F(1, 720), 3: F(1, 30240), 4: F(1, 1209600), 5: F(1, 47900160)}
 _MASS_SIDE = {2: F(1, 3360), 3: F(1, 60480), 4: None, 5: None}
@@ -86,12 +88,15 @@ def eta_table():
     """The canonical softness-weight table for p in {2, 3, 4, 5}.
 
     Built once and shared: its tables are read-only mappings of
-    immutable Fractions.
+    immutable Fractions. The sharp weights are ``sharp_weight`` at
+    p = 2..4; p = 5 is left untabulated, so that it resolves no named
+    weight and refuses no ``--eta``.
     """
     theoretical = {p: 1 / (2 * inverse_constants_squared(p))
                    for p in (2, 3, 4, 5)}
+    sharp = {p: sharp_weight(p) for p in (2, 3, 4)} | {5: None}
     return EtaTable(*(MappingProxyType(dict(table)) for table in
-                      (theoretical, _SHARP, _DEFAULT, _SUPER, _MASS_SIDE)))
+                      (theoretical, sharp, _DEFAULT, _SUPER, _MASS_SIDE)))
 
 
 def analytic_eigenvalue(p, eta, j, N):
@@ -146,9 +151,25 @@ def _cardinal(n, x):
                for j in range(n + 2) if x > j) / math.factorial(n)
 
 
+@functools.cache
 def _mass_stencil(q):
     """The mass stencil of degree q >= 0: N_(2q+1)(q + 1 + k)."""
     return tuple(_cardinal(2 * q + 1, F(q + 1 + k)) for k in range(q + 1))
+
+
+@functools.cache
+def sharp_weight(p):
+    """The largest softness weight that keeps the stiffness side of
+    degree p >= 1 positive semidefinite, exactly: m_(p-1)(pi) / 4^p.
+
+    The stiffness side's symbol is sigma^2 (m_(p-1)(theta) - eta
+    sigma^(2p)) (``interior_symbol``), nonnegative for every theta
+    while eta <= m_(p-1)(theta) / sigma^(2p), whose minimum sits at
+    theta = pi, where sigma = 2.
+    """
+    low = _mass_stencil(p - 1)
+    return (low[0] + 2 * sum((-1) ** k * c for k, c in enumerate(low)
+                             if k)) / 4 ** p
 
 
 @functools.cache
@@ -277,42 +298,40 @@ def dispersion_expansion(p, eta):
     return DispersionExpansion(_SUPER[p] - eta, _NEXT_COEFF[p])
 
 
-def _symbol(p, eta):
-    """The interior symbol of the softened pencil K - eta S, M as two
-    cosine series, (numerator, denominator), each the list of its
-    mpmath coefficients c_k of c_0 + sum over k >= 1 of 2 c_k cos(k t),
-    converted at the caller's working precision; both lists are as long
-    as the softness stencil."""
-    import mpmath
+def interior_symbol(p, eta, eta_b, sigma, cosines, number=float):
+    """lambda * h^2 of the softened interior pencil, K - eta S over
+    M + eta_b S, at wavenumbers theta, in the arithmetic of the
+    arguments: double precision from floats, mpmath from mpmath numbers.
 
-    ss = interior_stencil("S", p)
+    ``sigma`` holds 2 sin(theta / 2) and ``cosines(k)`` cos(k theta),
+    k = 1..p, per wavenumber, and the weights are numbers of the same
+    arithmetic, each a scalar or an array that broadcasts elementwise
+    (one row per weight, say); every stencil entry is converted once by
+    ``number``. With m_q(theta) the cosine series of the mass stencil of
+    degree q, the stiffness symbol is sigma^2 m_(p-1) (de Boor's
+    derivative identity) and the softness symbol sigma^(2p+2) (the
+    binomial stencil), so the value is
 
-    def frac(x):
-        return mpmath.mpf(x.numerator) / x.denominator
+        sigma^2 (m_(p-1) - eta sigma^(2p)) / (m_p + eta_b sigma^(2p+2)).
 
-    def series(stencil, weight=0):
-        return [frac(stencil[k] if k < len(stencil) else F(0))
-                + weight * frac(ss[k]) for k in range(len(ss))]
-
-    return (series(interior_stencil("K", p), -frac(Fraction(eta))),
-            series(interior_stencil("M", p)))
-
-
-def _symbol_value(symbol, t):
-    """lambda * h^2 at wavenumber t from the series of ``_symbol``; each
-    cos(k t) is computed once and read by both series."""
-    import mpmath
-
-    num, den = symbol
-    cosines = [mpmath.cos(k * t) for k in range(1, max(len(num), len(den)))]
-
-    def value(coeffs):
-        out = coeffs[0]
-        for k in range(1, len(coeffs)):
-            out += 2 * coeffs[k] * cosines[k - 1]
-        return out
-
-    return value(num) / value(den)
+    On the outlier-free space the sine modes are the pencil's exact
+    eigenvectors, so this is the eigenvalue of mode j at theta = j pi/N,
+    times h^2. Every sum runs in a fixed order per wavenumber and weight.
+    """
+    low, mass = _mass_stencil(p - 1), _mass_stencil(p)
+    num, den = number(low[0]), number(mass[0])
+    # arrays on the left of each product and sum: mpmath reads an array
+    # on its right through its repr
+    for k in range(1, p + 1):
+        twice = 2 * cosines(k)
+        if k < p:
+            num = twice * number(low[k]) + num
+        den = twice * number(mass[k]) + den
+    square = sigma * sigma
+    soft = square
+    for _ in range(p - 1):
+        soft = soft * square
+    return square * (num - soft * eta) / (den + soft * square * eta_b)
 
 
 # Sample wavenumbers t of the dispersion fit, and its mpmath precision
@@ -342,14 +361,19 @@ def fit_leading_coefficient(p, eta):
         power, target = 2 * p, exp.lead
     else:
         power, target = 2 * p + 2, exp.next
+
+    def exact(x):
+        x = Fraction(x)
+        return mpmath.mpf(x.numerator) / x.denominator
+
     with mpmath.workdps(FIT_DPS):
-        symbol = _symbol(p, eta)
-        rows, rhs = [], []
-        for t in FIT_WAVENUMBERS:
-            t = mpmath.mpf(t)
-            err = _symbol_value(symbol, t) / t ** 2 - 1
-            rows.append([mpmath.mpf(1), t ** 2, t ** 4])
-            rhs.append(err / t ** power)
+        ts = np.array([mpmath.mpf(t) for t in FIT_WAVENUMBERS], dtype=object)
+        values = interior_symbol(
+            p, exact(eta), 0, 2 * np.array([mpmath.sin(t / 2) for t in ts]),
+            lambda k: np.array([mpmath.cos(k * t) for t in ts]), exact)
+        rows = [[mpmath.mpf(1), t ** 2, t ** 4] for t in ts]
+        rhs = [(value / t ** 2 - 1) / t ** power
+               for value, t in zip(values, ts)]
         sol = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(rhs))
         fitted = float(sol[0])
     return fitted, target, power

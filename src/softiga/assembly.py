@@ -61,8 +61,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analytic import eta_table, reference_matrix
-from .eigensolve import SymBandedMatrix, _column_dots
+from .analytic import reference_matrix, sharp_weight
+from .eigensolve import SymBandedMatrix
 from .spaces import SplineSpace, build_of_space, build_standard_space
 from .splines import basis_table, gauss_rule, open_knot_vector
 
@@ -100,18 +100,6 @@ class SoftSystem:
         h = self.space.kv.h
         return self.mass.plus(self.eta_b * h * h, self.softness)
 
-    def energies(self, X):
-        """Per-mode stiffness, mass and softness energies of the columns
-        X, from one block band product per operator.
-
-        Returns ((k, m, s), (KX, MX, SX)): k_j = x_j^T K x_j, m_j and
-        s_j likewise, and the three products they were read from. A
-        column's energies are the same bits in a block of any width.
-        """
-        products = tuple(op.matvec(X) for op in (self.stiffness, self.mass,
-                                                  self.softness))
-        return tuple(_column_dots(X, Y) for Y in products), products
-
     def with_weights(self, eta, eta_b=0.0):
         """The same operators under other softness weights.
 
@@ -122,17 +110,19 @@ class SoftSystem:
 
 
 def _checked_weights(p, eta, eta_b):
-    """Weights as floats; warns at or beyond the sharp threshold."""
+    """Weights as floats; warns at or beyond the sharp threshold
+    (``analytic.sharp_weight``) of any degree p >= 1."""
     eta, eta_b = float(eta), float(eta_b)
     if not (math.isfinite(eta) and math.isfinite(eta_b)):
         raise ValueError("softness weights must be finite")
     if eta < 0 or eta_b < 0:
         raise ValueError("softness weights must be nonnegative")
-    sharp = eta_table().sharp_max.get(p)
-    if sharp is not None and eta >= float(sharp):
+    # a degree below 1 is left to the space builders to refuse
+    sharp = float(sharp_weight(p)) if p >= 1 else math.inf
+    if eta >= sharp:
         # stacklevel 3: the caller of build_soft_system or with_weights
         warnings.warn(
-            f"eta={eta} is at or beyond the sharp threshold {float(sharp)}"
+            f"eta={eta} is at or beyond the sharp threshold {sharp}"
             f" for p={p}; the stiffness side may be indefinite",
             IndefinitenessWarning, stacklevel=3)
     return eta, eta_b

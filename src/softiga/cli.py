@@ -40,9 +40,9 @@ _METHOD_FLAVOR = {"iga": "standard", "of-iga": "outlier_free",
                   "softiga": "outlier_free"}
 
 # Largest 1D pencil order that condition accepts. Just under it, a run
-# took 13 s and 545 MB peak RSS at p = 5 (9 s and 408 MB at p = 3) on a
-# 2-core shared host with one BLAS thread; time and memory grow
-# linearly in the order.
+# took 4.5 s and 388 MB peak RSS at p = 5 (4 s and 311 MB at p = 3),
+# most of it the bisection of the standard baseline, on a 2-core shared
+# host with one BLAS thread; time and memory grow linearly in the order.
 MAX_CONDITION_ORDER = 1_000_000
 
 # Most weights eta-sweep accepts. The sweep holds n values per weight,
@@ -202,15 +202,15 @@ def cmd_condition(args):
 
     Only the two ends of each lifted spectrum matter, and they are the
     d-fold sums of the 1D ends, so no lift is built. The 1D ends come
-    from band factorizations alone (``extreme_values``): about 8 band
-    Cholesky factorizations of O(n * hbw^2) each per pencil of the
-    outlier-free space, whose closed-form top mode seeds lambda_max,
-    and about 55 per pencil of a standard space of p >= 3, so the cost
-    grows linearly in N. A 1D order above ``MAX_CONDITION_ORDER`` is
-    refused before any assembly. The baseline is the unsoftened pencil
-    of its method's space. Both spaces, the same one or not, read the
-    raw bands of one mesh of at most N_ref elements, assembled once per
-    degree and process (``assembly.build_soft_system``).
+    from ``extreme_values``: on the outlier-free space, the extremes of
+    its n closed-form values with no factorization, and on a standard
+    space of p >= 3, about 55 band Cholesky factorizations of
+    O(n * hbw^2) each, so the cost grows linearly in N. A 1D order
+    above ``MAX_CONDITION_ORDER`` is refused before any assembly. The
+    baseline is the unsoftened pencil of its method's space. Both
+    spaces, the same one or not, read the raw bands of one mesh of at
+    most N_ref elements, assembled once per degree and process
+    (``assembly.build_soft_system``).
     """
     eta, eta_b = _weights(args)
     target_flavor = _METHOD_FLAVOR[args.method]

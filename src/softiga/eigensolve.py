@@ -22,36 +22,34 @@ array to ``dpbtrf`` as it is, in O(n * hbw^2). There are two solvers:
   and one ``dpbtrf`` decides that in O(n * hbw^2). lambda_max is
   bracketed and bisected until the bracket stops shrinking, about 55
   factorizations, and shift-invert steps at the final shift give its
-  vector. A seed vector near the top eigenvector, such as the
-  closed-form mode that ``spectral_analysis.extreme_values`` passes on
-  the outlier-free space, brackets lambda_max between its Rayleigh
-  quotient, a lower bound, and one shift 16 eps above it, which cuts
-  that to about 8. lambda_min comes from inverse iteration with the
-  factor of A, certified by one more factorization; when A is not
-  definite it is bisected like lambda_max. Its memory is a few bands,
-  O(n * hbw).
+  vector. lambda_min comes from inverse iteration with the factor of A,
+  certified by one more factorization; when A is not definite it is
+  bisected like lambda_max. Its memory is a few bands, O(n * hbw). On
+  the outlier-free space ``spectral_analysis.extreme_values`` needs
+  neither: the two ends are extremes of the closed-form values.
 
-Every eigenvalue is then a Rayleigh quotient of the assembled float
-operators: v^T A v / v^T B v here, and for the closed-form pairs of
-``spectral_analysis`` the same quotient read off per-mode energies,
-(k - eta s) / (m + eta_b h^2 s) (``SoftSystem.energies``). That does
-not reach machine precision on the low modes: in the interior the
-operators are a differencing stencil whose entry errors of eps*||A||
-move every quotient by about eps*lambda_max, a relative error of about
-eps*lambda_max/lambda_j. Both solvers share that floor. Against the
-closed form at the default weight, lambda_1 at p = 2, N = 2000 is off
-by 2.3e-11 to 2.4e-11 relative.
+The eigenvalues of both solvers are Rayleigh quotients of the assembled
+float operators, v^T A v / v^T B v. That does not reach machine
+precision on the low modes: in the interior the operators are a
+differencing stencil whose entry errors of eps*||A|| move every
+quotient by about eps*lambda_max, a relative error of about
+eps*lambda_max/lambda_j. The closed-form pairs of
+``spectral_analysis`` do not take their values from the operators:
+each is the interior symbol of the exact stencils
+(``analytic.interior_symbol``), and only its residual is measured
+against the float operators.
 
 Both solvers enter through one check of the pencil and leave through
 one finish; each keeps only its own algorithm. The closed-form pairs of
 ``spectral_analysis.solve_system`` pass the same check and leave through
 the same finish. Those that ``spectral_analysis.reweighted_values``
-reads off one set of eigenvectors for other weights keep only their
-values, so they pass the finish's residual contract alone
-(``_contract``). The check refuses an order mismatch, a B that is not
-definite (with its Cholesky pivot) and non-finite entries, and hands
-the solver double-precision bands of one height with their Frobenius
-norms. Every path measures ||A v - lambda B v|| with one helper
+reads off one set of eigenvectors for other weights, and the two ends
+of ``spectral_analysis.extreme_values``, keep only their values, so
+they pass the finish's residual contract alone (``_contract``). The
+check refuses an order mismatch, a B that is not definite (with its
+Cholesky pivot) and non-finite entries, and hands the solver
+double-precision bands of one height with their Frobenius norms.
+Every path measures ||A v - lambda B v|| with one helper
 (``_residual_norms``), whose sums do not depend on how many pairs are
 measured at once. The finish sorts the pairs and enforces the residual
 contract ||A v - lambda B v|| <= RESIDUAL_RTOL * (||A||_F + |lambda|
@@ -463,16 +461,7 @@ def _inverse_iteration(factor, t, B, x, norms, tol, steps):
     return x, bx, estimate, settled
 
 
-def _edge_start(n):
-    """Start vector for an end found by bisection: alternating signs,
-    as the top modes of a stiffness pencil, on a ramp that breaks every
-    symmetry."""
-    x = 1.0 + np.arange(n) / n
-    x[1::2] *= -1.0
-    return x
-
-
-def _edge(A, B, norms, tol, seed=None):
+def _edge(A, B, norms, tol):
     """The eigenpair of the largest eigenvalue of the pencil (A, B), as
     (x, B x), x B-normalized.
 
@@ -480,41 +469,22 @@ def _edge(A, B, norms, tol, seed=None):
     bracket lo <= lambda_max < hi starts at the largest diagonal ratio,
     a Rayleigh quotient, and doubles its width until hi factors; it is
     then halved until it stops shrinking, about 53 factorizations, and
-    shift-invert steps with the factor at hi, from ``_edge_start``,
-    give the eigenvector. Only a bracket that tight separates the top
-    pair of a standard space at p >= 3, which can lie 1e-12 apart.
-
-    A ``seed``, a vector near the top eigenvector, first tries the
-    shift hi = q + 16*eps*|q|, q its Rayleigh quotient or the largest
-    diagonal ratio where that is larger, neither of which can pass
-    lambda_max. When that factors, the bracket [q, hi] is already 16 eps
-    wide and a few halvings close it; when it does not, the bracket is
-    found exactly as without a seed, so a poor seed costs exactly one
-    factorization more than none. The shift-invert steps start from the
-    seed.
+    shift-invert steps with the factor at hi give the eigenvector. They
+    start from alternating signs, as the top modes of a stiffness
+    pencil, on a ramp that breaks every symmetry. Only a bracket that
+    tight separates the top pair of a standard space at p >= 3, which
+    can lie 1e-12 apart.
     """
     a, b = A.band, B.band
     work = np.empty_like(a)
     lo = float(np.max(a[0] / b[0]))
-    factor = None
-    if seed is None:
-        start = _edge_start(A.n)
-    else:
-        start = seed
-        q = max(lo, (seed @ A.matvec(seed)) / (seed @ B.matvec(seed)))
-        hi = q + 16.0 * _EPS * abs(q)
-        if hi > q:
-            factor = _shifted_factor(a, b, hi, work)
-        if factor is not None:
-            lo = q
-    if factor is None:
-        step = abs(lo) or 1.0
+    step = abs(lo) or 1.0
+    hi = lo + step
+    while (factor := _shifted_factor(a, b, hi, work)) is None:
+        lo, step = hi, 2.0 * step
         hi = lo + step
-        while (factor := _shifted_factor(a, b, hi, work)) is None:
-            lo, step = hi, 2.0 * step
-            hi = lo + step
-            if not np.isfinite(hi):
-                raise EigenSolveError("no shift above the spectrum")
+        if not np.isfinite(hi):
+            raise EigenSolveError("no shift above the spectrum")
     floor = _EPS * max(abs(lo), abs(hi))
     while hi - lo > floor:
         mid = 0.5 * (lo + hi)
@@ -529,6 +499,8 @@ def _edge(A, B, norms, tol, seed=None):
             hi = mid
     if factor is None:
         factor = _shifted_factor(a, b, hi, work)
+    start = 1.0 + np.arange(A.n) / A.n
+    start[1::2] *= -1.0
     x, bx, _, _ = _inverse_iteration(factor, hi, B, start, norms,
                                      max(tol, 4.0 * floor),
                                      MAX_INVERSE_STEPS)
@@ -564,29 +536,23 @@ def _lowest(A, B, norms, tol):
 
 
 @_solver
-def extreme_eigenpairs(A, B, seed=None):
+def extreme_eigenpairs(A, B):
     """The smallest and the largest eigenpair of A v = lambda B v, for
     symmetric A and SPD B, from band factorizations alone.
 
     lambda_max comes from bisection on the definiteness of sigma*B - A
-    (about 55 band Cholesky factorizations of O(n * hbw^2) each, about
-    8 from a good ``seed``) and a few shift-invert steps at the final
-    shift; lambda_min from inverse
+    (about 55 band Cholesky factorizations of O(n * hbw^2) each) and a
+    few shift-invert steps at the final shift; lambda_min from inverse
     iteration with the factor of A, certified by one more factorization,
     or by the same bisection when A is not definite. Both values are
-    Rayleigh quotients with band products, so lambda_min carries the
-    same round-off floor of about eps * lambda_max as the dense solve.
+    Rayleigh quotients with band products, so lambda_min carries a
+    round-off floor of about eps * lambda_max.
 
     Parameters
     ----------
     A, B : SymBandedMatrix
         Same order; B positive definite. Entries of any real dtype are
         solved in double precision.
-    seed : ndarray, optional
-        A vector near the eigenvector of lambda_max, such as a
-        closed-form mode. Its Rayleigh quotient, a lower bound of
-        lambda_max, starts the bracket, which then takes about 8
-        factorizations; a poor seed costs exactly one more than none.
 
     Returns
     -------
@@ -604,7 +570,7 @@ def extreme_eigenpairs(A, B, seed=None):
         pair breaks the residual contract.
     """
     A, B, norms = _checked_pencil(A, B)
-    top, b_top = _edge(A, B, norms, 0.0, seed)
+    top, b_top = _edge(A, B, norms, 0.0)
     a_top = A.matvec(top)
     # eps * lambda_max is the round-off floor of both ends
     tol = 4.0 * _EPS * abs(top @ a_top)

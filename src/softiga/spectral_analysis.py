@@ -18,16 +18,19 @@ space or two, whose bands come from one raw reference per degree
 
 On the outlier-free space, up to degree ``spaces.SINE_MODE_MAX_DEGREE``
 and for the standard space at p <= 2, which is the same space, the
-eigenvectors are the paper's closed form (``spaces.sine_modes``), so
-``solve_system`` makes no dense solve: the pairs cost O(n^2 * hbw)
-instead of O(n^3), and every pair still leaves through the residual
-contract of ``eigensolve``. Both ``solve_system`` and
-``reweighted_values`` read the closed-form pairs through one routine
-(``_sine_pairs``), one block of ``_MODE_BLOCK`` modes at a time: every
-value is (k - eta s) / (m + eta_b h^2 s) from the per-mode energies of
-``SoftSystem.energies``, whatever the weights, and a block's working
-memory is O(n). Elsewhere ``solve_system`` uses the dense
-``generalized_eig``, and ``reweighted_values``, which needs vectors
+eigenvectors are the paper's closed form (``spaces.sine_modes``) and
+the eigenvalue of mode j is the interior symbol at theta = j*pi/N
+(``analytic.interior_symbol``), O(p) per mode. So ``solve_system``
+makes no dense solve: the pairs cost O(n^2 * hbw) instead of O(n^3),
+and every pair still leaves through the residual contract of
+``eigensolve``. Both ``solve_system`` and ``reweighted_values`` read
+the closed-form pairs through one routine (``_sine_pairs``), which
+measures the residuals one block of ``_MODE_BLOCK`` modes at a time, so
+a block's working memory is O(n). ``extreme_values`` takes the two ends
+as the extremes of the n symbol values, O(n * p) with no factorization,
+and measures only those two pairs. Elsewhere ``solve_system`` uses the
+dense ``generalized_eig``, ``extreme_values`` the band
+``extreme_eigenpairs``, and ``reweighted_values``, which needs vectors
 that diagonalize every weight's pencil, refuses the space.
 
 The H1 seminorm is the only eigenfunction error the package reports
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import eta_table
+from .analytic import eta_table, interior_symbol
 from .assembly import build_soft_system
 from .eigensolve import (_checked_pencil, _column_dots, _contract,
                          _residual_norms, _solver, _spectrum,
@@ -76,53 +79,67 @@ class SpectralReport:
 
 
 # Modes per block of the closed-form pairs (``_sine_pairs``): a block
-# takes about five arrays of n x 128 doubles, and every pencil of the
-# benchmark (order <= 199) takes one or two blocks.
+# of residuals takes about five arrays of n x 128 doubles, and every
+# pencil of the benchmark (order <= 199) takes one or two blocks.
 _MODE_BLOCK = 128
 
 
-def _sine_pairs(system, etas):
+@_solver
+def _sine_pairs(system, etas, ends=False):
     """Values and residual norms of the closed-form pairs of the
     system's operators under each softness weight of ``etas``, with its
-    own mass-side weight eta_b, and 1/sqrt(m_j + eta_b h^2 s_j), the
-    scale that B-normalizes mode j.
+    own mass-side weight, 1/sqrt(x_j^T B x_j), the scale that
+    B-normalizes mode j, and the Frobenius norms of the system's pencil,
+    which is checked first (``_checked_pencil``).
 
-    The modes of ``sine_modes`` go in blocks of ``_MODE_BLOCK``
-    columns, and only one block and its products live at a time. With
-    the per-mode energies (k_j, m_j, s_j) of ``SoftSystem.energies``,
-    each weight's value of mode j is (k_j - eta s_j) / (m_j + eta_b h^2
-    s_j), and its residual norm is that of the B-normalized mode
-    against the weight's pencil. Rows follow ``etas``, columns the
-    modes in order; nothing is sorted or held to the contract yet, and
-    every value is the same bits at any block width.
+    The value of mode j is the interior symbol at theta = j*pi/N
+    (``analytic.interior_symbol``) in double precision, with
+    sin(theta/2) and cos(k*theta) read from ``sine_table``, their
+    arguments reduced in integers. With ``ends``, only the modes of the
+    lowest and the highest value of the first weight are kept. Values
+    and residuals go in blocks of ``_MODE_BLOCK`` modes, so that their
+    temporaries stay a few blocks: for the residuals one block of
+    ``sine_modes`` and its band products A X and B X live at a time,
+    with S X where a weight differs from the system's own, whose
+    stiffness side is then A - (eta - eta_sys) S. Rows follow ``etas``,
+    columns the modes; nothing is sorted or held to the contract yet,
+    and every value is the same bits at any block width.
     """
-    space = system.space
-    n = space.dim
-    h = space.kv.h
-    mass_weight = system.eta_b * h * h
-    values = np.empty((len(etas), n))
-    residuals = np.empty((len(etas), n))
-    scales = np.empty(n)
-    for lo in range(0, n, _MODE_BLOCK):
-        js = np.arange(lo + 1, min(lo + _MODE_BLOCK, n) + 1)
-        block = slice(lo, lo + len(js))
-        (k, m, s), (KX, MX, SX) = system.energies(sine_modes(space, js))
-        mass = m + mass_weight * s
-        scales[block] = 1.0 / np.sqrt(mass)
-        for Y in (KX, MX, SX):
-            Y *= scales[block]
-        BX = MX
-        BX += mass_weight * SX
-        AX = np.empty_like(KX)
+    A, B, norms = _checked_pencil(system.A, system.B)
+    p, N = system.space.kv.p, system.space.kv.N
+    table = sine_table(N)
+    js = np.arange(1, system.space.dim + 1)
+    weights = np.array(etas, dtype=float)[:, None]
+    values = np.empty((len(etas), len(js)))
+    for lo in range(0, len(js), _MODE_BLOCK):
+        block = js[lo:lo + _MODE_BLOCK]
+        values[:, lo:lo + len(block)] = (N * N) * interior_symbol(
+            p, weights, system.eta_b, 2.0 * table[block],
+            lambda k: table[(2 * k * block + N) % (4 * N)])
+    if ends:
+        picks = [np.argmin(values[0]), np.argmax(values[0])]
+        js, values = js[picks], values[:, picks]
+    # freed before ``sine_modes`` builds its own
+    del table
+    residuals = np.empty_like(values)
+    scales = np.empty(len(js))
+    reweighted = any(eta != system.eta for eta in etas)
+    for lo in range(0, len(js), _MODE_BLOCK):
+        block = slice(lo, lo + _MODE_BLOCK)
+        X = sine_modes(system.space, js[block])
+        AX, BX = A.matvec(X), B.matvec(X)
+        scales[block] = 1.0 / np.sqrt(_column_dots(X, BX))
+        AX *= scales[block]
+        BX *= scales[block]
+        if reweighted:
+            SX = system.softness.matvec(X) * scales[block]
+        # freed before the products of the next block
+        del X
         for row, eta in enumerate(etas):
-            values[row, block] = (k - eta * s) / mass
-            np.multiply(SX, -eta, out=AX)
-            AX += KX
+            side = AX if eta == system.eta else AX + SX * (system.eta - eta)
             residuals[row, block] = _residual_norms(values[row, block],
-                                                    AX, BX)
-        # freed before the next block is built
-        del KX, MX, SX, AX, BX
-    return values, residuals, scales
+                                                    side, BX)
+    return values, residuals, scales, norms
 
 
 @_solver
@@ -130,18 +147,19 @@ def solve_system(system):
     """Generalized eigenpairs of an assembled pencil.
 
     Where ``sine_modes`` knows the eigenvectors (the outlier-free space
-    up to ``spaces.SINE_MODE_MAX_DEGREE``) no dense solve is made: the
-    pairs are the closed-form vectors, B-normalized, with the values of
-    their energies (``_sine_pairs``), and every pair leaves through the
-    residual contract of both solvers, so a wrong vector exits 2 rather
-    than printing. Elsewhere it is ``generalized_eig``. Either way the
+    up to ``spaces.SINE_MODE_MAX_DEGREE``, and the standard space at
+    p <= 2, which is the same space) no dense solve is made: the pairs
+    are the closed-form vectors, B-normalized, with the symbol's values
+    (``_sine_pairs``), and every pair leaves through the residual
+    contract of both solvers, so a wrong vector exits 2 rather than
+    printing. Elsewhere it is ``generalized_eig``. Either way the
     pencil is checked once.
     """
     if not has_sine_modes(system.space):
         return generalized_eig(system.A, system.B)
     check_full_order(system.space.dim)
-    _, _, norms = _checked_pencil(system.A, system.B)
-    (values,), (residuals,), scales = _sine_pairs(system, [system.eta])
+    (values,), (residuals,), scales, norms = _sine_pairs(system,
+                                                         [system.eta])
     # stored by columns, which the H1 errors of a rank that holds another
     # mode read a few at a time
     X = np.asfortranarray(sine_modes(system.space))
@@ -151,23 +169,23 @@ def solve_system(system):
 
 
 def extreme_values(system):
-    """[lambda_min, lambda_max] of the system's pencil, from
-    ``extreme_eigenpairs``.
+    """[lambda_min, lambda_max] of the system's pencil.
 
-    Where ``sine_modes`` knows the eigenvectors, the top mode j = n,
-    built in O(n), seeds the bracket of lambda_max, about 8 band
-    factorizations in place of about 55. Near the sharp threshold the
-    top can be another mode, which costs exactly one factorization
-    more than no seed. lambda_min is found as without a seed. A system
-    passed as a temporary is freed once its pencil is formed, so that
-    only the bands of the pencil live through the solve.
+    Where ``sine_modes`` knows the eigenvectors, these are the extremes
+    of the n symbol values, O(n * p) with no factorization, and only
+    their two pairs are measured and held to the residual contract
+    (``_sine_pairs``). Elsewhere they come from band factorizations
+    (``extreme_eigenpairs``), and a system passed as a temporary is
+    freed once its pencil is formed, so that only the bands of the
+    pencil live through the solve.
     """
-    space = system.space
+    if has_sine_modes(system.space):
+        (values,), (residuals,), _, norms = _sine_pairs(
+            system, [system.eta], ends=True)
+        return _contract(values, residuals, norms)[0]
     A, B = system.A, system.B
     del system
-    modes = sine_modes(space, [space.dim])
-    seed = None if modes is None else modes[:, 0]
-    return extreme_eigenpairs(A, B, seed).values
+    return extreme_eigenpairs(A, B).values
 
 
 @_solver
@@ -178,10 +196,11 @@ def reweighted_values(system, etas):
 
     On the outlier-free space K, M and S all commute with the paper's
     transformation T, so one set of eigenvectors diagonalizes all
-    three, and every weight's eigenvalues come from the same per-mode
-    energies (``_sine_pairs``), one block of modes at a time. Each
-    weight's pairs are sorted and held to the residual contract of both
-    solvers against that weight's bands; only the values are kept.
+    three, and every weight's eigenvalues are the symbol's values of the
+    same modes (``_sine_pairs``), with their residuals measured one
+    block of modes at a time. Each weight's pairs are sorted and held to
+    the residual contract of both solvers against that weight's bands;
+    only the values are kept.
 
     A space whose eigenvectors ``sine_modes`` does not know, such as a
     standard space with p >= 3, is refused with ValueError before
@@ -192,11 +211,9 @@ def reweighted_values(system, etas):
         raise ValueError(f"no closed-form eigenvectors to reweight on"
                          f" this space (p={system.space.kv.p})")
     check_full_order(system.space.dim)
-    _checked_pencil(system.A, system.B)
     pencils = [system.with_weights(eta, system.eta_b) for eta in etas]
-    values, residuals, _ = _sine_pairs(system,
-                                       [pencil.eta for pencil in pencils])
-    mass_norm = system.B.frobenius()
+    values, residuals, _, (_, mass_norm) = _sine_pairs(
+        system, [pencil.eta for pencil in pencils])
     return [_contract(row, res, (pencil.A.frobenius(), mass_norm))[0]
             for pencil, row, res in zip(pencils, values, residuals)]
 

@@ -13,7 +13,9 @@ scaled-integer commutators.
 assembly, so that a test can count the work of one build.
 
 ``PRINTED_STENCILS`` holds the paper's interior stencils for p = 2..5,
-the exact reference for the ones the package computes at any degree.
+the exact reference for the ones the package computes at any degree,
+and ``PRINTED_SHARP`` its sharp softness weights for p = 2..4, the
+reference for the package's ``sharp_weight``.
 
 The rest restate, for the tests, what the package computes only on
 its way to a printed number:
@@ -36,8 +38,7 @@ import mpmath
 import numpy as np
 from scipy import sparse
 
-from softiga.analytic import (_symbol, _symbol_value, interior_stencil,
-                              reference_matrix)
+from softiga.analytic import interior_stencil, reference_matrix
 import softiga.assembly as assembly
 from softiga.assembly import _raw_operators, build_soft_system
 from softiga.eigensolve import SymBandedMatrix
@@ -72,6 +73,11 @@ PRINTED_STENCILS = {
     ("S", 5): (F(924), F(-792), F(495), F(-220), F(66), F(-12), F(1)),
     ("T", 5): (F(11, 20), F(13, 60), F(1, 120)),
 }
+
+
+# The largest softness weights that keep the stiffness side positive
+# semidefinite, as the paper prints them for p = 2..4.
+PRINTED_SHARP = {2: F(1, 48), 3: F(1, 480), 4: F(17, 80640)}
 
 
 def banded(dense):
@@ -176,15 +182,21 @@ def softened_reference(p, N, eta, eta_b=0):
 
 def dispersion_eigenvalue(p, t, eta=0, eta_b=0):
     """Interior-symbol pencil eigenvalue lambda*h^2 at wavenumber t, at
-    the caller's mpmath working precision; the mass-side weight adds
-    eta_b times the softness series to the mass series."""
-    numerator, mass = _symbol(p, eta)
-    eta_b = Fraction(eta_b)
-    weight = mpmath.mpf(eta_b.numerator) / eta_b.denominator
-    softness = [mpmath.mpf(c.numerator) / c.denominator
-                for c in interior_stencil("S", p)]
-    denominator = [m + weight * s for m, s in zip(mass, softness)]
-    return _symbol_value((numerator, denominator), mpmath.mpf(t))
+    the caller's mpmath working precision: the cosine series of the
+    stencils of K - eta*S over that of M + eta_b*S, each term
+    s_0 + 2 * sum over k >= 1 of s_k cos(k t), summed unfactored."""
+    t = mpmath.mpf(t)
+
+    def series(kind, weight=1):
+        out = mpmath.mpf(0)
+        for k, c in enumerate(interior_stencil(kind, p)):
+            c *= Fraction(weight)
+            term = mpmath.mpf(c.numerator) / c.denominator
+            out += term * (2 * mpmath.cos(k * t) if k else 1)
+        return out
+
+    return ((series("K") - series("S", eta))
+            / (series("M") + series("S", eta_b)))
 
 
 def sine_sample(p, j, N, k):

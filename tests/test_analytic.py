@@ -9,21 +9,21 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import (PRINTED_STENCILS, banded, dense_commutator_norm,
-                     dispersion_eigenvalue, sine_sample, softened_reference)
+from oracles import (PRINTED_SHARP, PRINTED_STENCILS, banded,
+                     dense_commutator_norm, dispersion_eigenvalue,
+                     sine_sample, softened_reference)
 from softiga.analytic import (analytic_eigenvalue, commutator_norm,
                               dispersion_expansion, eta_table,
                               fit_leading_coefficient, interior_stencil,
-                              inverse_constants_squared, reference_matrix)
+                              inverse_constants_squared, reference_matrix,
+                              sharp_weight)
 from softiga.assembly import build_soft_system
 from softiga.eigensolve import SymBandedMatrix, generalized_eig
 
 
 def test_eta_table_exact_values():
     table = eta_table()
-    assert table.sharp_max[2] == F(1, 48)
-    assert table.sharp_max[3] == F(1, 480)
-    assert table.sharp_max[4] == F(17, 80640)
+    assert dict(table.sharp_max) == PRINTED_SHARP | {5: None}
     assert table.default[2] == F(3, 272)
     assert table.default[3] == F(69, 79360)
     assert table.default[4] == F(451, 6191360)
@@ -36,6 +36,27 @@ def test_eta_table_exact_values():
     assert table.theoretical_max[2] == F(1, 48)
     assert table.theoretical_max[3] == F(1, 2880)
     assert table.theoretical_max[4] == F(1, 518400)
+
+
+@pytest.mark.parametrize("p", range(1, 17))
+def test_sharp_weight_is_the_least_stiffness_to_softness_symbol_ratio(p):
+    # the stiffness side K - eta S stays positive semidefinite while eta
+    # is at most the ratio of the interior symbols of K and S, here their
+    # unfactored cosine series; its minimum over a 60-point grid sits at
+    # theta = pi
+    def series(kind, theta):
+        stencil = interior_stencil(kind, p)
+        return stencil[0] + 2 * sum(
+            mpmath.mpf(c.numerator) / c.denominator * mpmath.cos(k * theta)
+            for k, c in enumerate(stencil) if k)
+
+    with mpmath.workdps(100):
+        ratios = [series("K", theta) / series("S", theta)
+                  for theta in (mpmath.pi * i / 60 for i in range(1, 61))]
+        sharp = sharp_weight(p)
+        assert min(ratios) == ratios[-1]
+        assert abs(ratios[-1] - mpmath.mpf(sharp.numerator)
+                   / sharp.denominator) < mpmath.mpf(10) ** -90 * sharp
 
 
 def test_eta_table_is_built_once_and_read_only():

@@ -15,7 +15,7 @@ import softiga.assembly as assembly
 from oracles import (PRINTED_STENCILS, fresh_assembly_caches,
                      pth_derivative_jump, space_member_eval, space_operators)
 from softiga.analytic import (analytic_eigenvalue, eta_table,
-                              reference_matrix)
+                              reference_matrix, sharp_weight)
 from softiga.assembly import (IndefinitenessWarning, SymBandedMatrix,
                               build_soft_system)
 from softiga.eigensolve import (DefinitenessError, cholesky_pivot,
@@ -232,6 +232,19 @@ def test_mass_side_weight_scales_with_square_of_mesh():
     h = 1.0 / N
     np.testing.assert_allclose(system.B.toarray(), M + eta_b * h * h * S,
                                atol=1e-16)
+
+
+@pytest.mark.parametrize("p", range(1, 17))
+def test_every_degree_warns_at_its_sharp_weight(p):
+    sharp = float(sharp_weight(p))
+    N = 2 * p + 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        system = build_soft_system(p, N, 0.99 * sharp)
+    with pytest.warns(IndefinitenessWarning, match=f"{sharp}"):
+        build_soft_system(p, N, sharp)
+    with pytest.warns(IndefinitenessWarning, match=f"{sharp}"):
+        system.with_weights(1.01 * sharp)
 
 
 def test_sharp_threshold_warning_and_input_validation():

@@ -361,10 +361,32 @@ def test_failing_run_leaves_an_existing_out_file_unchanged(tmp_path,
 def test_failing_run_leaves_no_new_out_file(argv, expected, tmp_path,
                                             capsys):
     path = tmp_path / "report"
-    assert main(argv + ["--out", str(path)]) == expected
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--out", str(path)]) == expected
+    # eta = 1 is far beyond the sharp weight of p = 5, which the assembly
+    # warns about before the run fails
+    assert [w.category for w in caught] == (
+        [assembly.IndefinitenessWarning] if "--eta" in argv else [])
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert not path.exists()
+
+
+def test_a_weight_beyond_the_sharp_one_warns_at_an_untabulated_degree(
+        capsys):
+    # p = 14 tabulates no weight, so --eta is not refused up front; 1e-6
+    # is about 4e7 times its sharp weight, and the lowest printed value
+    # is negative
+    with pytest.warns(assembly.IndefinitenessWarning,
+                      match=r"sharp threshold 2\.403441524377253e-14"
+                            r" for p=14"):
+        code, out = run(["spectrum", "-p", "14", "-N", "15", "--eta",
+                         "1e-6", "--eta-b", "1e-4"], capsys)
+    assert code == EXIT_OK
+    header, rows = parse_csv(out)
+    column = header.index("lambda_h")
+    assert float(rows[0][column]) < 0
 
 
 def test_outlier_free_space_coarser_than_its_degree_is_a_config_error(
@@ -640,82 +662,83 @@ def test_lift_limit_boundary(argv, monkeypatch, capsys):
 # instead of assembled by quadrature and folded: eigenvalues move by at
 # most 4.6e-14 relative, the ratios read from them by at most 4.7e-13,
 # errors at the round-off floor by more, and one tie of the d = 3 lift
-# swaps its index triple (see CHANGES.md).
+# swaps its index triple (see CHANGES.md). Every digest of an
+# outlier-free or p <= 2 pencil but dispersion's was recorded again when
+# its values came from the interior symbol of the exact stencils instead
+# of quotients of the rounded bands, and condition's two ends from the
+# extremes of those values instead of bisection: eigenvalues and the
+# ratios read from them move by at most 2.6e-14 relative, relative
+# errors at the round-off floor by more (up to 9.6e-4 of a 1.1e-12
+# error), and verify's gap and residual lines in their digits; no H1
+# error moves (see CHANGES.md).
 _GOLDEN_STDOUT = {
-    "spectrum -p 2 -N 4 -d 3": "929d28da06decf633c00345027289832",
-    "spectrum -p 3 -N 16 -d 2": "30cb35b74d30070b0d33de5623e0f6e1",
+    "spectrum -p 2 -N 4 -d 3": "c62dc1e89539fcc27cbb53bd27f918c2",
+    "spectrum -p 3 -N 16 -d 2": "753137fb753cf063b4b8d50a64a0bb87",
     "spectrum -p 3 -N 12 -d 2 --format json":
-        "9e163e52ccb6a79239e172796a723254",
-    "spectrum -p 2 -N 8": "9f2aaaa74ea2b67da5edcbeef03e54e3",
-    "spectrum -p 3 -N 8 --format json": "e92f0cd3630118d9305a10d2117924c6",
-    "spectrum -p 1 -N 4 --method iga": "6e9fbef955a6de4513a333e03c1a6aff",
-    # re-recorded when the outlier-free lambda_max began its bisection at
-    # the Rayleigh quotient of the closed-form top mode: lambda_max and
-    # the columns derived from it moved in their last digits, towards
-    # the closed form (1.440000000000001e+03 -> 1.440000000000000e+03
-    # for p = 2, N = 12, exactly 1440); lambda_min did not move
-    "condition -p 4 -N 40 -d 3": "ac3e37c01a5ddcdea1b35f06180f4478",
+        "4935ebd71a5d43aa11c81fdaaa1e2e4d",
+    "spectrum -p 2 -N 8": "cf08bd06e4d4864007f54199e25c41f5",
+    "spectrum -p 3 -N 8 --format json": "9389d89a0271e2f07c270d0d303b430c",
+    "spectrum -p 1 -N 4 --method iga": "163f5af260d41899ed964f5489f00f60",
+    "condition -p 4 -N 40 -d 3": "757eff89107833689eb4a990873b56d0",
     "condition -p 3 -N 40 -d 3 --baseline of-iga":
-        "4e49e2f963bb92b9dfac8c38b95dc2fe",
-    "condition -p 2 -N 60 -d 2": "fe01d1a4f7cb90684ad09b11db6a1c1c",
+        "b42b22c72eb050b14f8ada91c59a0635",
+    "condition -p 2 -N 60 -d 2": "1d31ed20c1f8511ae8ad6781d47c2abb",
     "condition -p 2 -N 10 -d 1 --format json":
-        "ecaecb4ffbf89c9f0f7a98f303d3f16b",
-    "eta-sweep -p 2 -N 10 -d 3": "c92250f79e44b7b4d2d1b260b38d767f",
+        "384769b8730d8d6830d6ff958e06e25c",
+    "eta-sweep -p 2 -N 10 -d 3": "b26ea5a81cd5787c3e90e58c09ce8097",
     "eta-sweep -p 2 -N 10 -d 2 --grid-points 4":
-        "ea465b127a69bc0d310af5b6bcc59949",
-    "eta-sweep -p 3 -N 12": "31625b58f6de1afbd11cad03478fd804",
-    "convergence -p 3": "3397778c854db1404cd46073dd3882d8",
+        "2c87fa70eb81e8139158816430531c75",
+    "eta-sweep -p 3 -N 12": "0763b0fdb027eae0026ec639a7d1e427",
+    "convergence -p 3": "13562e40833b589e693ebf4415a70cc9",
     "convergence -p 2 --quantity h1 --N-list 8,12,16":
         "842db8e636013d6a392449314a3d7acf",
     "convergence -p 2 --j 3 --N-list 8,16":
-        "4d615be6dc6dff0cf7711432bc828ace",
+        "3bee99aa5f4cff39e84ed7893cb5364d",
     "dispersion -p 3 --eta super": "191625458240f70948464229e03030d3",
-    "verify": "dc21b560f4f6240c27813382c1093b34",
+    "verify": "93633b91e3d4e7028df213c173884ded",
     # recorded from the code that still gave every subcommand the same
     # eight options
     "eta-sweep -p 2 -N 10 --format json":
-        "90f6c35aeaf1561d17537e9057868122",
+        "1998f7df25817ed08c4661c2e747dac2",
     "convergence -p 2 --N-list 8,16 --format json":
-        "73a6e6c5845ed8abeb80317af0e195fe",
+        "775b4a52506e32cb47974aef31ec8b25",
     "dispersion -p 3 --eta super --format json":
         "37a88a9e2ca04c37efd5de551e2d4616",
     # recorded from the code whose SoftSystem.A/.B were dense arrays:
     # a mass side B != M, both space pairings of condition, and p = 4
-    "spectrum -p 2 -N 12 --eta-b paper": "e2d5a30403b005d79dc8028b28997a3d",
-    "spectrum -p 3 -N 12 --eta-b paper": "5ab674d99e51edc072749dcd4fb0f8e4",
-    # re-recorded with the seeded lambda_max, as above
+    "spectrum -p 2 -N 12 --eta-b paper": "d440c4c8ff68408c62a5784862a60bb9",
+    "spectrum -p 3 -N 12 --eta-b paper": "9788c14ac810ae7e0c6c339fa5b7a9b8",
     "condition -p 2 -N 30 --eta-b paper --baseline of-iga":
-        "a7192fe109f071bb52e6c0151c75d2ae",
+        "2aabcf93b87cf2da523b86504d0a8e39",
     "condition -p 3 -N 20 --method of-iga --baseline iga":
-        "669b5d730d9d19add1f87e28863181b6",
+        "912c1694cca31e350a77e31a2793f768",
     "spectrum -p 4 -N 10 --method iga": "3bf704edc90dce68ac7dfd242fa6e9ad",
     # recorded from the code that reached a mode error through four
     # wrappers: h1 on the standard space, a mass side, a super weight
     "convergence -p 3 --quantity h1 --method iga --N-list 8,12":
         "c0260bf205fd441ebe4790ab440e6ac9",
     "convergence -p 2 --eta-b paper --N-list 8,16":
-        "9f911a5dd52ac006ef8c36b4af0a000a",
+        "8f756a438f523b132fe80f17c9ac2251",
     "convergence -p 4 --eta super --N-list 6,9,12":
-        "147b174f829a4aeb47335c0d2dc412ed",
+        "7609ddf0e150e118f8618d50c5e9a72b",
     # recorded from the code whose p <= 2 outlier-free space was a
-    # relabeled copy of the standard one, assembled twice by condition;
-    # re-recorded with the seeded lambda_max, as above
+    # relabeled copy of the standard one, assembled twice by condition
     "condition -p 2 -N 12 --method of-iga --baseline iga":
-        "d43c912fe0eeb10497af2dcb73c5236c",
+        "651d0f42f3b2314a101c69f786d15ff6",
     "condition -p 2 -N 12 --method iga --baseline of-iga":
-        "d43c912fe0eeb10497af2dcb73c5236c",
-    "spectrum -p 1 -N 6 --method of-iga": "2f4db11b2847e27fb5c3e122add8fbda",
+        "651d0f42f3b2314a101c69f786d15ff6",
+    "spectrum -p 1 -N 6 --method of-iga": "b53bb3d691ca097d059109faa064ff7d",
     # recorded from the code that solved a baseline on the target's space
-    # through its own route: a standard space with no seed on both
-    # pencils, and an outlier-free one whose B differs between them
+    # through its own route: a standard space, bisected on both pencils,
+    # and an outlier-free one whose B differs between them
     "condition -p 4 -N 30 --method iga --baseline iga":
         "932e881a15b380ff6cd7e56d26c44333",
     "condition -p 3 -N 30 --eta-b paper --baseline of-iga":
-        "fd7417b87e73f5aa19cad5284c8ad572",
+        "732f07c7b3712462e8d36cd5e180e370",
     # recorded from the code that formed every closed-form mode at once:
     # several blocks of modes (n = 299) and one (n = 119)
-    "eta-sweep -p 3 -N 300": "159fc63ff44de5226d9bd09fdd69ad04",
-    "eta-sweep -p 3 -N 120": "be5b1a2bbfb0537598a41115d3368d00",
+    "eta-sweep -p 3 -N 300": "e4ffd478bd4a0f5b963fa347da329aae",
+    "eta-sweep -p 3 -N 120": "d93a62943ccc5f320e077eb9f0aad3b0",
 }
 
 

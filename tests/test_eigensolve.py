@@ -17,7 +17,7 @@ from softiga.cli import EXIT_CONFIG, main
 from softiga.eigensolve import (DefinitenessError, EigenSolveError,
                                 Spectrum, SymBandedMatrix, cholesky_pivot,
                                 extreme_eigenpairs, generalized_eig)
-from softiga.spaces import sine_modes
+from softiga.spectral_analysis import extreme_values
 
 EPS = np.finfo(float).eps
 
@@ -410,9 +410,11 @@ def test_dense_solve_of_a_high_degree_coarse_space_breaks_the_contract():
 
 
 def test_condition_with_an_indefinite_pencil_keeps_its_message(capsys):
-    # p = 5 has no sharp bound to refuse eta = 1 up front; the band
-    # solve finds lambda_min < 0 and the statistics refuse it
-    code = main(["condition", "-p", "5", "-N", "40", "--eta", "1"])
+    # p = 5 has no tabulated sharp bound to refuse eta = 1 up front, but
+    # the assembly warns at its sharp weight; the symbol gives
+    # lambda_min < 0 and the statistics refuse it
+    with pytest.warns(IndefinitenessWarning, match="sharp threshold"):
+        code = main(["condition", "-p", "5", "-N", "40", "--eta", "1"])
     captured = capsys.readouterr()
     assert code == EXIT_CONFIG
     assert captured.out == ""
@@ -433,85 +435,21 @@ def _counting_factorizations(monkeypatch):
     return calls
 
 
-def _top_mode(space, j=None):
-    return sine_modes(space, [space.dim if j is None else j])[:, 0]
-
-
-@pytest.mark.parametrize("N", [100, 400])
-@pytest.mark.parametrize("p", [2, 3, 4])
-def test_seeded_outlier_free_top_takes_few_factorizations(p, N,
-                                                          monkeypatch):
-    system = build_soft_system(p, N, eta_table().default[p])
+@pytest.mark.parametrize("p, N, flavor, count", [
+    (1, 40, "standard", 0), (2, 100, "standard", 0),
+    (2, 100, "outlier_free", 0), (3, 100, "outlier_free", 0),
+    (12, 40, "outlier_free", 0),
+    # recorded before the closed-form extremes were read from the symbol
+    (3, 100, "standard", 55), (4, 100, "standard", 55),
+    (5, 40, "standard", 54), (13, 40, "outlier_free", 58)])
+def test_closed_form_extremes_factor_no_shifted_pencil(p, N, flavor, count,
+                                                       monkeypatch):
+    # the extremes of a pencil with closed-form modes are the extremes of
+    # its symbol values; every other pencil keeps its bisection
     calls = _counting_factorizations(monkeypatch)
-    seeded = extreme_eigenpairs(system.A, system.B, _top_mode(system.space))
-    assert len(calls) <= 10
-    calls.clear()
-    plain = extreme_eigenpairs(system.A, system.B)
-    assert len(calls) > 50
-    assert seeded.values[0] == plain.values[0]
-    assert seeded.values[1] == pytest.approx(plain.values[1], rel=4 * EPS)
-
-
-def _poor_seeds(system):
-    """(label, system, seed) of seeds that are not the top eigenvector:
-    other modes, a random vector, and the mode n of weights near the
-    sharp threshold, where the top is another mode."""
-    space = system.space
-    n = space.dim
-    rng = np.random.default_rng(5)
-    out = [("mode n - 1", system, _top_mode(space, n - 1)),
-           ("mode 1", system, _top_mode(space, 1)),
-           ("random", system, rng.standard_normal(n))]
-    sharp = float(eta_table().sharp_max[space.kv.p])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IndefinitenessWarning)
-        for share in (0.95, 0.97):
-            out.append((f"{share} sharp", system.with_weights(share * sharp),
-                        _top_mode(space)))
-    return out
-
-
-@pytest.mark.parametrize("p", [2, 3, 4, 5])
-def test_seeds_of_other_modes_cost_exactly_one_factorization(p,
-                                                             monkeypatch):
-    # a probe above the seed's quotient that does not factor leaves the
-    # bracket to be found as without a seed
-    calls = _counting_factorizations(monkeypatch)
-    for N in range(12, 158, 5):
-        system = build_soft_system(p, N, 0.0)
-        n = system.space.dim
+    weights = [0.0] + ([eta_table().default[p]]
+                       if flavor == "outlier_free" and p <= 4 else [])
+    for eta in weights:
         calls.clear()
-        plain = extreme_eigenpairs(system.A, system.B).values
-        unseeded = len(calls)
-        for j in (1, 2, n // 3, n // 2, n - 2, n - 1):
-            calls.clear()
-            seeded = extreme_eigenpairs(system.A, system.B,
-                                        _top_mode(system.space, j)).values
-            assert len(calls) == unseeded + 1, (N, j)
-            assert seeded[0] == plain[0], (N, j)
-            # Rayleigh quotients of top vectors from two starts
-            assert seeded[1] == pytest.approx(plain[1], rel=32 * EPS)
-
-
-@pytest.mark.parametrize("N", [16, 100])
-@pytest.mark.parametrize("p", [2, 3, 4])
-def test_poor_seeds_cost_at_most_one_factorization(p, N, monkeypatch):
-    calls = _counting_factorizations(monkeypatch)
-    for label, system, seed in _poor_seeds(build_soft_system(p, N, 0.0)):
-        calls.clear()
-        plain = extreme_eigenpairs(system.A, system.B)
-        unseeded = len(calls)
-        calls.clear()
-        seeded = extreme_eigenpairs(system.A, system.B, seed)
-        assert len(calls) <= unseeded + 1, label
-        assert seeded.values[0] == plain.values[0], label
-        # both are Rayleigh quotients of a converged top vector, which
-        # round to about 25 eps here; they agree to 4 eps but at p = 4,
-        # N = 100 from mode n - 1 (6 eps), where the seeded one is the
-        # closer to the closed form
-        top = max(analytic_eigenvalue(p, system.eta, j, N)
-                  for j in range(1, system.space.dim + 1))
-        gap = abs(seeded.values[1] - plain.values[1])
-        assert (gap <= 4 * EPS * plain.values[1]
-                or abs(seeded.values[1] - top) < abs(plain.values[1] - top)
-                ), label
+        extreme_values(build_soft_system(p, N, eta, 0.0, flavor))
+        assert len(calls) == count
