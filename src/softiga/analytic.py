@@ -15,12 +15,13 @@ operators themselves, which ``assembly`` rounds from them.
 
 The interior symbol of the softened pencil's stencils gives its
 eigenvalue as a function of the wavenumber (``interior_symbol``), one
-evaluator in the arithmetic of its arguments: in double precision it is
-every closed-form eigenvalue of the outlier-free pencil, and in mpmath
-it supports dispersion-coefficient fits far below double-precision
-noise. Only those fits use mpmath, so it is imported by them, not with
-the package. The same symbols give the sharp softness weight of every
-degree (``sharp_weight``). The closed-form eigenvectors live in
+evaluator in the arithmetic of its arguments, with no cancelling sum
+(``_mass_polynomial``): in double precision it is every closed-form
+eigenvalue of the outlier-free pencil, and in mpmath it supports
+dispersion fits far below double-precision noise. Only those fits use
+mpmath, so it is imported by them, not with the package. The same
+symbols give the sharp softness weight of every degree
+(``sharp_weight``); the closed-form eigenvectors live in
 ``spaces.sine_modes``.
 """
 
@@ -158,18 +159,32 @@ def _mass_stencil(q):
 
 
 @functools.cache
+def _mass_polynomial(q):
+    """The mass symbol of degree q >= 0, m_0 + 2 sum_k m_k cos(k theta),
+    as its exact coefficients a_0..a_q in c = cos^2(theta / 2), through
+    cos(k theta) = T_k(2c - 1). All are positive (the Euler-Frobenius
+    polynomials), so it sums with no cancellation on 0 <= c <= 1."""
+    coeffs = [F(0)] * (q + 1)
+    # T_(k-1) and T_k in c, lowest power first, from T_(-1) = T_1 = 2c - 1
+    # and T_(k+1) = (4c - 2) T_k - T_(k-1)
+    before, chebyshev = [-1, 2], [1]
+    for k, m in enumerate(_mass_stencil(q)):
+        for i, t in enumerate(chebyshev):
+            coeffs[i] += (2 if k else 1) * m * t
+        before, chebyshev = chebyshev, [
+            4 * a - 2 * b - d for a, b, d in
+            zip([0] + chebyshev, chebyshev + [0], before + [0, 0])]
+    return tuple(coeffs)
+
+
 def sharp_weight(p):
     """The largest softness weight that keeps the stiffness side of
     degree p >= 1 positive semidefinite, exactly: m_(p-1)(pi) / 4^p.
 
-    The stiffness side's symbol is sigma^2 (m_(p-1)(theta) - eta
-    sigma^(2p)) (``interior_symbol``), nonnegative for every theta
-    while eta <= m_(p-1)(theta) / sigma^(2p), whose minimum sits at
-    theta = pi, where sigma = 2.
-    """
-    low = _mass_stencil(p - 1)
-    return (low[0] + 2 * sum((-1) ** k * c for k, c in enumerate(low)
-                             if k)) / 4 ** p
+    The stiffness side's symbol (``interior_symbol``) is nonnegative
+    while eta <= m_(p-1)(theta) / sigma^(2p), least at theta = pi, where
+    sigma = 2 and m_(p-1) is its constant coefficient in c (c = 0)."""
+    return _mass_polynomial(p - 1)[0] / 4 ** p
 
 
 @functools.cache
@@ -298,19 +313,18 @@ def dispersion_expansion(p, eta):
     return DispersionExpansion(_SUPER[p] - eta, _NEXT_COEFF[p])
 
 
-def interior_symbol(p, eta, eta_b, sigma, cosines, number=float):
+def interior_symbol(p, eta, eta_b, s, c, number=float):
     """lambda * h^2 of the softened interior pencil, K - eta S over
     M + eta_b S, at wavenumbers theta, in the arithmetic of the
     arguments: double precision from floats, mpmath from mpmath numbers.
 
-    ``sigma`` holds 2 sin(theta / 2) and ``cosines(k)`` cos(k theta),
-    k = 1..p, per wavenumber, and the weights are numbers of the same
-    arithmetic, each a scalar or an array that broadcasts elementwise
-    (one row per weight, say); every stencil entry is converted once by
-    ``number``. With m_q(theta) the cosine series of the mass stencil of
-    degree q, the stiffness symbol is sigma^2 m_(p-1) (de Boor's
-    derivative identity) and the softness symbol sigma^(2p+2) (the
-    binomial stencil), so the value is
+    ``s`` holds sin^2(theta / 2) and ``c`` cos^2(theta / 2) per
+    wavenumber, and the weights are numbers of the same arithmetic, each
+    a scalar or an array that broadcasts elementwise (one row per
+    weight, say). With m_q the mass symbol of degree q, a polynomial in
+    c summed by Horner's rule (``_mass_polynomial``), the stiffness
+    symbol is sigma^2 m_(p-1) (de Boor's derivative identity) and the
+    softness symbol sigma^(2p+2) (the binomial stencil), sigma^2 = 4 s:
 
         sigma^2 (m_(p-1) - eta sigma^(2p)) / (m_p + eta_b sigma^(2p+2)).
 
@@ -318,20 +332,18 @@ def interior_symbol(p, eta, eta_b, sigma, cosines, number=float):
     eigenvectors, so this is the eigenvalue of mode j at theta = j pi/N,
     times h^2. Every sum runs in a fixed order per wavenumber and weight.
     """
-    low, mass = _mass_stencil(p - 1), _mass_stencil(p)
-    num, den = number(low[0]), number(mass[0])
-    # arrays on the left of each product and sum: mpmath reads an array
-    # on its right through its repr
-    for k in range(1, p + 1):
-        twice = 2 * cosines(k)
-        if k < p:
-            num = twice * number(low[k]) + num
-        den = twice * number(mass[k]) + den
-    square = sigma * sigma
-    soft = square
-    for _ in range(p - 1):
-        soft = soft * square
-    return square * (num - soft * eta) / (den + soft * square * eta_b)
+    def horner(coeffs):
+        value = number(coeffs[-1])
+        for a in coeffs[-2::-1]:
+            # arrays on the left of each product and sum: mpmath reads
+            # an array on its right through its repr
+            value = c * value + number(a)
+        return value
+
+    square = 4 * s
+    soft = square ** p
+    return square * (horner(_mass_polynomial(p - 1)) - soft * eta) / (
+        horner(_mass_polynomial(p)) + soft * square * eta_b)
 
 
 # Sample wavenumbers t of the dispersion fit, and its mpmath precision
@@ -369,8 +381,8 @@ def fit_leading_coefficient(p, eta):
     with mpmath.workdps(FIT_DPS):
         ts = np.array([mpmath.mpf(t) for t in FIT_WAVENUMBERS], dtype=object)
         values = interior_symbol(
-            p, exact(eta), 0, 2 * np.array([mpmath.sin(t / 2) for t in ts]),
-            lambda k: np.array([mpmath.cos(k * t) for t in ts]), exact)
+            p, exact(eta), 0, np.array([mpmath.sin(t / 2) ** 2 for t in ts]),
+            np.array([mpmath.cos(t / 2) ** 2 for t in ts]), exact)
         rows = [[mpmath.mpf(1), t ** 2, t ** 4] for t in ts]
         rhs = [(value / t ** 2 - 1) / t ** power
                for value, t in zip(values, ts)]

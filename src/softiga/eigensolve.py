@@ -12,10 +12,10 @@ array to ``dpbtrf`` as it is, in O(n * hbw^2). There are two solvers:
   exist only as the call's arguments and A V and B V are band products,
   one vector at a time, so the call's peak of about 6 n^2 doubles is the
   solve's; an order above ``MAX_DENSE_ORDER`` is refused before anything
-  dense is allocated. On the outlier-free space
+  dense is allocated. On the outlier-free space of any degree
   ``spectral_analysis.solve_system`` needs no dense solve: it builds the
-  paper's closed-form eigenvectors and uses this one only where they are
-  not known.
+  paper's closed-form eigenvectors and uses this one only on the
+  standard space at p >= 3, where they are not known.
 * ``extreme_eigenpairs`` returns only the smallest and the largest
   pair, from band factorizations alone. By Sylvester's law of inertia,
   sigma*B - A is positive definite exactly when sigma > lambda_max,

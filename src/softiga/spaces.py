@@ -137,15 +137,6 @@ def space_dimension(p, N, flavor):
     raise ValueError(f"unknown space flavor {flavor!r}")
 
 
-# Highest degree whose pencils take their eigenvectors from
-# ``sine_modes``. Up to it the closed-form pairs meet the residual
-# contract with a margin above 300 on every mesh measured (N from p to
-# 2000; above 2400 for N <= 200, which tests/test_spectral.py holds).
-# Past it the margin is 1600, 131, 689 and 53 at p = 13..16, the lows
-# of p = 14 and 16 at N = 2000, and falls to 42 at p = 20.
-SINE_MODE_MAX_DEGREE = 12
-
-
 @functools.cache
 def _folds(p):
     """The left corner of the outlier-free space of degree p: the raw
@@ -201,12 +192,10 @@ def sine_table(N):
 
 def has_sine_modes(space):
     """Whether ``sine_modes`` knows the eigenvectors of ``space``: the
-    outlier-free space up to degree ``SINE_MODE_MAX_DEGREE``, known by
-    its (p // 2, p) corner of folds, the standard space included for
-    p <= 2, where the two are one."""
+    outlier-free space of any degree, known by its (p // 2, p) corner of
+    folds, the standard space included for p <= 2, the same space."""
     p = space.kv.p
-    corner = (p // 2, p) if p >= 3 else (0, 1)
-    return p <= SINE_MODE_MAX_DEGREE and space.left.shape == corner
+    return space.left.shape == ((p // 2, p) if p >= 3 else (0, 1))
 
 
 def sine_modes(space, js=None):

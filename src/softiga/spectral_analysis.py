@@ -16,22 +16,22 @@ pencil: the target and its unsoftened baseline are two systems, on one
 space or two, whose bands come from one raw reference per degree
 (``assembly.build_soft_system``).
 
-On the outlier-free space, up to degree ``spaces.SINE_MODE_MAX_DEGREE``
-and for the standard space at p <= 2, which is the same space, the
-eigenvectors are the paper's closed form (``spaces.sine_modes``) and
-the eigenvalue of mode j is the interior symbol at theta = j*pi/N
-(``analytic.interior_symbol``), O(p) per mode. So ``solve_system``
-makes no dense solve: the pairs cost O(n^2 * hbw) instead of O(n^3),
-and every pair still leaves through the residual contract of
-``eigensolve``. Both ``solve_system`` and ``reweighted_values`` read
-the closed-form pairs through one routine (``_sine_pairs``), which
-measures the residuals one block of ``_MODE_BLOCK`` modes at a time, so
-a block's working memory is O(n). ``extreme_values`` takes the two ends
-as the extremes of the n symbol values, O(n * p) with no factorization,
-and measures only those two pairs. Elsewhere ``solve_system`` uses the
-dense ``generalized_eig``, ``extreme_values`` the band
-``extreme_eigenpairs``, and ``reweighted_values``, which needs vectors
-that diagonalize every weight's pencil, refuses the space.
+On the outlier-free space of any degree, and on the standard space
+at p <= 2, which is the same space, the eigenvectors are the paper's
+closed form (``spaces.sine_modes``) and the eigenvalue of mode j is the
+interior symbol at theta = j*pi/N (``analytic.interior_symbol``), O(p)
+per mode. So ``solve_system`` makes no dense solve: the pairs cost
+O(n^2 * hbw) instead of O(n^3), and every pair still leaves through the
+residual contract of ``eigensolve``. Both ``solve_system`` and
+``reweighted_values`` read the closed-form pairs through one routine
+(``_sine_pairs``), which measures the residuals one block of
+``_MODE_BLOCK`` modes at a time, so a block's working memory is O(n).
+``extreme_values`` takes the two ends as the extremes of the n symbol
+values, O(n * p) with no factorization, and measures only those two
+pairs. On the standard space at p >= 3 ``solve_system`` uses the dense
+``generalized_eig``, ``extreme_values`` the band ``extreme_eigenpairs``,
+and ``reweighted_values``, which needs vectors that diagonalize every
+weight's pencil, refuses the space.
 
 The H1 seminorm is the only eigenfunction error the package reports
 (``h1_errors_for_modes``). A closed-form spectrum records the mode
@@ -94,9 +94,9 @@ def _sine_pairs(system, etas, ends=False):
 
     The value of mode j is the interior symbol at theta = j*pi/N
     (``analytic.interior_symbol``) in double precision, with
-    sin(theta/2) and cos(k*theta) read from ``sine_table``, their
-    arguments reduced in integers. With ``ends``, only the modes of the
-    lowest and the highest value of the first weight are kept. Values
+    sin^2(theta/2) and cos^2(theta/2) = sin^2((N - j)*pi/(2N)) squared
+    from ``sine_table``. With ``ends``, only the modes of the lowest and
+    the highest value of the first weight are kept. Values
     and residuals go in blocks of ``_MODE_BLOCK`` modes, so that their
     temporaries stay a few blocks: for the residuals one block of
     ``sine_modes`` and its band products A X and B X live at a time,
@@ -114,8 +114,7 @@ def _sine_pairs(system, etas, ends=False):
     for lo in range(0, len(js), _MODE_BLOCK):
         block = js[lo:lo + _MODE_BLOCK]
         values[:, lo:lo + len(block)] = (N * N) * interior_symbol(
-            p, weights, system.eta_b, 2.0 * table[block],
-            lambda k: table[(2 * k * block + N) % (4 * N)])
+            p, weights, system.eta_b, table[block] ** 2, table[N - block] ** 2)
     if ends:
         picks = [np.argmin(values[0]), np.argmax(values[0])]
         js, values = js[picks], values[:, picks]
@@ -147,12 +146,12 @@ def solve_system(system):
     """Generalized eigenpairs of an assembled pencil.
 
     Where ``sine_modes`` knows the eigenvectors (the outlier-free space
-    up to ``spaces.SINE_MODE_MAX_DEGREE``, and the standard space at
-    p <= 2, which is the same space) no dense solve is made: the pairs
-    are the closed-form vectors, B-normalized, with the symbol's values
-    (``_sine_pairs``), and every pair leaves through the residual
-    contract of both solvers, so a wrong vector exits 2 rather than
-    printing. Elsewhere it is ``generalized_eig``. Either way the
+    of any degree, and the standard space at p <= 2, which is the same
+    space) no dense solve is made: the pairs are the closed-form
+    vectors, B-normalized, with the symbol's values (``_sine_pairs``),
+    and every pair leaves through the residual contract of both
+    solvers, so a wrong vector exits 2 rather than printing. On the
+    standard space at p >= 3 it is ``generalized_eig``. Either way the
     pencil is checked once.
     """
     if not has_sine_modes(system.space):
@@ -174,10 +173,10 @@ def extreme_values(system):
     Where ``sine_modes`` knows the eigenvectors, these are the extremes
     of the n symbol values, O(n * p) with no factorization, and only
     their two pairs are measured and held to the residual contract
-    (``_sine_pairs``). Elsewhere they come from band factorizations
-    (``extreme_eigenpairs``), and a system passed as a temporary is
-    freed once its pencil is formed, so that only the bands of the
-    pencil live through the solve.
+    (``_sine_pairs``). On the standard space at p >= 3 they come from
+    band factorizations (``extreme_eigenpairs``), and a system passed as
+    a temporary is freed once its pencil is formed, so that only the
+    bands of the pencil live through the solve.
     """
     if has_sine_modes(system.space):
         (values,), (residuals,), _, norms = _sine_pairs(

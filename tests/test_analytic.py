@@ -12,11 +12,11 @@ import pytest
 from oracles import (PRINTED_SHARP, PRINTED_STENCILS, banded,
                      dense_commutator_norm, dispersion_eigenvalue,
                      sine_sample, softened_reference)
-from softiga.analytic import (analytic_eigenvalue, commutator_norm,
-                              dispersion_expansion, eta_table,
-                              fit_leading_coefficient, interior_stencil,
-                              inverse_constants_squared, reference_matrix,
-                              sharp_weight)
+from softiga.analytic import (_mass_polynomial, analytic_eigenvalue,
+                              commutator_norm, dispersion_expansion,
+                              eta_table, fit_leading_coefficient,
+                              interior_stencil, inverse_constants_squared,
+                              reference_matrix, sharp_weight)
 from softiga.assembly import build_soft_system
 from softiga.eigensolve import SymBandedMatrix, generalized_eig
 
@@ -57,6 +57,28 @@ def test_sharp_weight_is_the_least_stiffness_to_softness_symbol_ratio(p):
         assert min(ratios) == ratios[-1]
         assert abs(ratios[-1] - mpmath.mpf(sharp.numerator)
                    / sharp.denominator) < mpmath.mpf(10) ** -90 * sharp
+    # c = cos^2(theta / 2) vanishes at theta = pi
+    assert sharp == _mass_polynomial(p - 1)[0] / 4 ** p
+
+
+@pytest.mark.parametrize("q", range(31))
+def test_mass_polynomial_is_the_cosine_series_with_positive_coefficients(
+        q):
+    # at rational c = cos^2(theta / 2), x = cos(theta) = 2c - 1 is
+    # rational and so is cos(k theta), the real part of (x + i y)^k with
+    # y^2 = 1 - x^2 (de Moivre), which checks cos(k theta) = T_k(x)
+    def cosine(k, x):
+        return sum(math.comb(k, m) * x ** (k - m) * (x * x - 1) ** (m // 2)
+                   for m in range(0, k + 1, 2))
+
+    coeffs = _mass_polynomial(q)
+    stencil = interior_stencil("M", q) if q else (F(1),)
+    assert len(coeffs) == q + 1
+    assert all(a > 0 for a in coeffs)
+    for c in (F(0), F(1, 7), F(1, 3), F(1, 2), F(5, 6), F(1)):
+        series = stencil[0] + 2 * sum(m * cosine(k, 2 * c - 1)
+                                      for k, m in enumerate(stencil) if k)
+        assert sum(a * c ** i for i, a in enumerate(coeffs)) == series
 
 
 def test_eta_table_is_built_once_and_read_only():

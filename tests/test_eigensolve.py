@@ -438,10 +438,11 @@ def _counting_factorizations(monkeypatch):
 @pytest.mark.parametrize("p, N, flavor, count", [
     (1, 40, "standard", 0), (2, 100, "standard", 0),
     (2, 100, "outlier_free", 0), (3, 100, "outlier_free", 0),
-    (12, 40, "outlier_free", 0),
+    (12, 40, "outlier_free", 0), (13, 40, "outlier_free", 0),
+    (16, 40, "outlier_free", 0), (20, 40, "outlier_free", 0),
     # recorded before the closed-form extremes were read from the symbol
     (3, 100, "standard", 55), (4, 100, "standard", 55),
-    (5, 40, "standard", 54), (13, 40, "outlier_free", 58)])
+    (5, 40, "standard", 54)])
 def test_closed_form_extremes_factor_no_shifted_pencil(p, N, flavor, count,
                                                        monkeypatch):
     # the extremes of a pencil with closed-form modes are the extremes of

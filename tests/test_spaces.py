@@ -8,9 +8,9 @@ import pytest
 from scipy.interpolate import BSpline
 
 from oracles import space_member_eval, space_operators
-from softiga.spaces import (SINE_MODE_MAX_DEGREE, SplineSpace, _folds,
-                            build_of_space, build_standard_space,
-                            sine_modes, sine_table, space_dimension)
+from softiga.spaces import (SplineSpace, _folds, build_of_space,
+                            build_standard_space, sine_modes, sine_table,
+                            space_dimension)
 from softiga.splines import eval_basis, open_knot_vector
 
 
@@ -158,7 +158,7 @@ def _meshes(p, top=300):
     return range(p, top)
 
 
-@pytest.mark.parametrize("p", range(3, SINE_MODE_MAX_DEGREE + 1))
+@pytest.mark.parametrize("p", range(3, 13))
 def test_corner_map_does_not_depend_on_the_mesh(p):
     # every mesh shares the one exact fold table, and its mirror
     for N in _meshes(p):
@@ -168,7 +168,7 @@ def test_corner_map_does_not_depend_on_the_mesh(p):
         assert np.array_equal(space.right, _folds(p)[::-1, ::-1])
 
 
-@pytest.mark.parametrize("p", range(3, SINE_MODE_MAX_DEGREE + 1))
+@pytest.mark.parametrize("p", range(3, 13))
 def test_fold_members_are_odd_pairs_of_uniform_b_splines(p):
     # member k - 1 of the left corner is B_k(x) - B_k(-x), B_k the
     # uniform B-spline centred at node k (odd p) or k - 1/2 (even p)
@@ -224,10 +224,13 @@ def test_sine_modes_are_sine_samples_in_the_identity_part(p, N):
     assert np.array_equal(X[n - r:], X[:r][::-1] * signs)
 
 
-def test_only_outlier_free_spaces_within_the_gate_have_sine_modes():
+def test_only_outlier_free_spaces_have_sine_modes():
+    # of every degree, and the standard space where it is the same one
     assert sine_modes(build_standard_space(2, 10)) is not None
-    assert sine_modes(build_standard_space(3, 10)) is None
-    assert sine_modes(build_of_space(SINE_MODE_MAX_DEGREE + 1, 40)) is None
+    for p in (3, 13):
+        assert sine_modes(build_standard_space(p, 40)) is None
+    for p in (3, 13, 20, 40):
+        assert sine_modes(build_of_space(p, 40)) is not None
 
 
 @pytest.mark.parametrize("p,N", [(2, 7), (3, 3), (3, 9), (4, 10), (12, 30)])
