@@ -4,7 +4,9 @@ Both sides of the pencil arrive in LAPACK lower band storage
 (SymBandedMatrix), the one matrix type every function of the package
 takes: one (hbw + 1, n) array whose row k holds the k-th subdiagonal,
 ``band[k, i]`` = entry (i + k, i). The definiteness check hands that
-array to ``dpbtrf`` as it is, in O(n * hbw^2). There are two solvers:
+array to ``dpbtrf`` as it is, in O(n * hbw^2). ``scipy.linalg`` is
+imported by the functions that factor or solve, on their first call,
+not with the package. There are two solvers:
 
 * ``generalized_eig`` returns every eigenpair from the LAPACK sygvd
   path: the Cholesky factor of B reduces the pencil to a standard
@@ -71,8 +73,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import blas, lapack
 
 
 class DefinitenessError(ArithmeticError):
@@ -165,6 +165,7 @@ class SymBandedMatrix:
         round-off.
         """
         if x.ndim == 1:
+            from scipy.linalg import blas
             return blas.dsbmv(self.half_bandwidth, 1.0, self.band, x, lower=1)
         band = np.asarray(self.band, dtype=float)
         n = self.n
@@ -202,6 +203,7 @@ def check_full_order(n):
 def cholesky_pivot(B):
     """0 if the SymBandedMatrix B is positive definite, else the 1-based
     failing pivot; factored in band storage, in O(n * hbw^2)."""
+    from scipy.linalg import lapack
     _, info = lapack.dpbtrf(B.band, lower=1)
     return int(info) if info > 0 else 0
 
@@ -389,6 +391,7 @@ def generalized_eig(A, B):
     """
     check_full_order(A.n)
     A, B, norms = _checked_pencil(A, B)
+    import scipy.linalg as sla
     try:
         w, V = sla.eigh(A.toarray(), B.toarray())
     except (np.linalg.LinAlgError, ValueError) as exc:
@@ -412,13 +415,18 @@ MAX_INVERSE_STEPS = 64
 _EPS = np.finfo(float).eps
 
 
-def _shifted_factor(a, b, t, out):
-    """Cholesky factor of t*B - A in ``out``, or None when t*B - A is not
-    positive definite, which by Sylvester's law of inertia is exactly
-    when t <= lambda_max."""
+def _shifted_factor(a, b, t, out, dpbtrf):
+    """Cholesky factor of t*B - A in ``out`` by LAPACK's ``dpbtrf``, or
+    None when t*B - A is not positive definite, which by Sylvester's law
+    of inertia is exactly when t <= lambda_max.
+
+    The caller imports ``dpbtrf`` once for all of its shifts: an import
+    statement, even of a loaded module, costs up to a tenth of the
+    factorization of a small band, and a bisection factors about 55.
+    """
     np.multiply(b, t, out=out)
     np.subtract(out, a, out=out)
-    factor, info = lapack.dpbtrf(out, lower=1, overwrite_ab=1)
+    factor, info = dpbtrf(out, lower=1, overwrite_ab=1)
     return factor if info == 0 else None
 
 
@@ -432,6 +440,7 @@ def _inverse_iteration(factor, t, B, x, norms, tol, steps):
     norms. Returns the B-normalized x, B x, the estimate and whether the
     steps settled.
     """
+    from scipy.linalg import blas, lapack
     bx = B.matvec(x)
     estimate = None
     settled = False
@@ -475,12 +484,13 @@ def _edge(A, B, norms, tol):
     tight separates the top pair of a standard space at p >= 3, which
     can lie 1e-12 apart.
     """
+    from scipy.linalg.lapack import dpbtrf
     a, b = A.band, B.band
     work = np.empty_like(a)
     lo = float(np.max(a[0] / b[0]))
     step = abs(lo) or 1.0
     hi = lo + step
-    while (factor := _shifted_factor(a, b, hi, work)) is None:
+    while (factor := _shifted_factor(a, b, hi, work, dpbtrf)) is None:
         lo, step = hi, 2.0 * step
         hi = lo + step
         if not np.isfinite(hi):
@@ -492,13 +502,13 @@ def _edge(A, B, norms, tol):
             break
         # a shift that does not factor spoils the factor at hi in work,
         # which is then redone once after the halvings
-        factor = _shifted_factor(a, b, mid, work)
+        factor = _shifted_factor(a, b, mid, work, dpbtrf)
         if factor is None:
             lo = mid
         else:
             hi = mid
     if factor is None:
-        factor = _shifted_factor(a, b, hi, work)
+        factor = _shifted_factor(a, b, hi, work, dpbtrf)
     start = 1.0 + np.arange(A.n) / A.n
     start[1::2] *= -1.0
     x, bx, _, _ = _inverse_iteration(factor, hi, B, start, norms,
@@ -518,8 +528,9 @@ def _lowest(A, B, norms, tol):
     it. Otherwise, or when A is not definite, the end is found as the
     top of the pencil (-A, B) by ``_edge``.
     """
+    from scipy.linalg.lapack import dpbtrf
     negated = SymBandedMatrix(-A.band)
-    factor, info = lapack.dpbtrf(A.band, lower=1)
+    factor, info = dpbtrf(A.band, lower=1)
     if info == 0:
         x = np.sin(np.pi * np.arange(1, A.n + 1) / (A.n + 1))
         # the factor of A is that of t*B - (-A) at t = 0: the pencil
@@ -530,7 +541,7 @@ def _lowest(A, B, norms, tol):
         # A, which tol measures
         below = -estimate - math.sqrt(_EPS) * abs(estimate) - 256.0 * tol
         if settled and _shifted_factor(negated.band, B.band, -below,
-                                       factor) is not None:
+                                       factor, dpbtrf) is not None:
             return x, bx
     return _edge(negated, B, norms, tol)
 

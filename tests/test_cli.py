@@ -806,11 +806,17 @@ def test_readme_option_table_matches_the_parser():
     assert _readme_option_table() == options
 
 
-def test_import_computes_no_stencil_or_band():
+def _fresh_interpreter(code):
+    """Run ``code`` in a new interpreter that imports this package."""
     import softiga
 
     source_root = os.path.dirname(os.path.dirname(softiga.__file__))
     env = dict(os.environ, PYTHONPATH=source_root)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+def test_import_computes_no_stencil_or_band():
     # every per-process cache of the package is still empty after the
     # import, so its set-up time holds no stencil, completion or band
     code = ("import sys, softiga, softiga.cli\n"
@@ -820,19 +826,37 @@ def test_import_computes_no_stencil_or_band():
             " if hasattr(value, 'cache_info')"
             " and value.cache_info().currsize]\n"
             "sys.exit(' '.join(full) or None)")
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True)
+    result = _fresh_interpreter(code)
     assert (result.returncode, result.stderr) == (0, "")
 
 
-def test_import_loads_no_sparse_module():
-    import softiga
+def test_import_loads_no_solver_sparse_or_mpmath_module():
+    # scipy.linalg is imported by the functions that factor or solve,
+    # mpmath by the dispersion evaluations
+    code = ("import sys, softiga, softiga.cli\n"
+            "sys.exit(' '.join(name for name in"
+            " ('scipy.linalg', 'scipy.sparse', 'mpmath')"
+            " if name in sys.modules) or None)")
+    result = _fresh_interpreter(code)
+    assert (result.returncode, result.stderr) == (0, "")
 
-    source_root = os.path.dirname(os.path.dirname(softiga.__file__))
-    env = dict(os.environ, PYTHONPATH=source_root)
-    # mpmath serves only the dispersion evaluations, which import it
-    code = ("import sys, softiga, softiga.cli;"
-            " sys.exit('scipy.sparse' in sys.modules"
-            " or 'mpmath' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code],
-                          env=env).returncode == 0
+
+@pytest.mark.parametrize("argv,code,loaded", [
+    (["dispersion", "-p", "3", "--eta", "super"], EXIT_OK, False),
+    (["--help"], EXIT_OK, False),
+    (["condition", "-p", "3", "-N", "2000000"], EXIT_CONFIG, False),
+    # the definiteness check of every pencil factors its mass band
+    (["condition", "-p", "3", "-N", "100"], EXIT_OK, True),
+], ids=["dispersion", "help", "refusal", "condition"])
+def test_scipy_linalg_is_loaded_by_the_first_factorization(argv, code,
+                                                           loaded):
+    program = ("import sys\n"
+               "from softiga.cli import main\n"
+               "try:\n"
+               f"    code = main({argv!r})\n"
+               "except SystemExit as exc:\n"
+               "    code = exc.code\n"
+               "print(code, 'scipy.linalg' in sys.modules, file=sys.stderr)")
+    result = _fresh_interpreter(program)
+    assert result.returncode == 0
+    assert result.stderr.split()[-2:] == [str(code), str(loaded)]
