@@ -15,9 +15,9 @@ not with the package. There are two solvers:
   one vector at a time, so the call's peak of about 6 n^2 doubles is the
   solve's; an order above ``MAX_DENSE_ORDER`` is refused before anything
   dense is allocated. On the outlier-free space of any degree
-  ``spectral_analysis.solve_system`` needs no dense solve: it builds the
-  paper's closed-form eigenvectors and uses this one only on the
-  standard space at p >= 3, where they are not known.
+  ``spectral_analysis.solve_system`` needs no dense solve: the paper's
+  closed form gives every pair, and this one serves only the standard
+  space at p >= 3, where it is not known.
 * ``extreme_eigenpairs`` returns only the smallest and the largest
   pair, from band factorizations alone. By Sylvester's law of inertia,
   sigma*B - A is positive definite exactly when sigma > lambda_max,
@@ -43,11 +43,11 @@ against the float operators.
 
 Both solvers enter through one check of the pencil and leave through
 one finish; each keeps only its own algorithm. The closed-form pairs of
-``spectral_analysis.solve_system`` pass the same check and leave through
-the same finish. Those that ``spectral_analysis.reweighted_values``
-reads off one set of eigenvectors for other weights, and the two ends
-of ``spectral_analysis.extreme_values``, keep only their values, so
-they pass the finish's residual contract alone (``_contract``). The
+``spectral_analysis`` pass the same check and, holding no vectors, the
+finish's residual contract alone (``_contract``): those of
+``solve_system`` keep their values and mode numbers, those that
+``reweighted_values`` reads off one set of eigenvectors for other
+weights, and the two ends of ``extreme_values``, only their values. The
 check refuses an order mismatch, a B that is not definite (with its
 Cholesky pivot) and non-finite entries, and hands the solver
 double-precision bands of one height with their Frobenius norms.
@@ -59,13 +59,13 @@ contract ||A v - lambda B v|| <= RESIDUAL_RTOL * (||A||_F + |lambda|
 the command line) rather than being returned. So does a floating-point
 overflow, invalid operation or division by zero anywhere inside a
 solve, as with finite entries whose squares overflow the Frobenius
-norm. A solve returns a ``Spectrum``: the eigenvalues, the B-orthonormal
-eigenvectors and the residual contract of every pair, and for the
-closed-form pairs the mode number of each, nothing more. No sign
-convention is imposed on a vector: it keeps the sign its solver gave
-it, and the one printed number read from vectors, the H1 error of a
-pair with no mode number or of a rank that holds another mode, aligns
-each mode with its continuum counterpart first.
+norm. A solve returns a ``Spectrum``: the eigenvalues, the residual
+contract of every pair and either the B-orthonormal eigenvectors or
+the closed-form mode numbers, nothing more. No sign convention is
+imposed on a vector: it keeps the sign its solver gave it, and the one
+printed number read from vectors, the H1 error of a pair with no mode
+number or of a rank that holds another mode, aligns each mode with its
+continuum counterpart first.
 """
 
 import functools
@@ -118,12 +118,6 @@ class SymBandedMatrix:
     @property
     def half_bandwidth(self):
         return self.band.shape[0] - 1
-
-    def entry(self, i, j):
-        k = abs(i - j)
-        if k > self.half_bandwidth:
-            return self.band[0, 0] * 0
-        return self.band[k, min(i, j)]
 
     def toarray(self):
         """Dense copy; reads only the slots inside the matrix."""
@@ -186,9 +180,8 @@ RESIDUAL_RTOL = 1e-10
 
 # Largest order whose full spectrum is computed: the dense solve's 6 n^2
 # doubles are about 1.2 GB there. The closed-form pairs of
-# ``spectral_analysis.solve_system`` peak at about 2 n^2 there (3.5 n^2
-# at n = 199), mostly the n vectors they return, and the values of
-# ``reweighted_values`` at a few blocks of modes, O(n).
+# ``spectral_analysis`` keep a few blocks of modes, O(n), and there the
+# limit bounds the O(n^2 * hbw) time of their residuals.
 MAX_DENSE_ORDER = 5000
 
 
@@ -214,11 +207,14 @@ class Spectrum:
     (``generalized_eig``) or the smallest and the largest
     (``extreme_eigenpairs``).
 
+    A numerical solve sets ``vectors`` and leaves ``modes`` None; a
+    closed-form one (``spectral_analysis.solve_system``) does the reverse.
+
     Attributes
     ----------
     values : ndarray
         Eigenvalues, ascending.
-    vectors : ndarray
+    vectors : ndarray or None
         Eigenvectors as columns in the order of ``values``, B-normalized
         and B-orthogonal (the two extreme ones of a pencil of order 1
         are one vector), each with the sign its solver gave it.
@@ -228,10 +224,9 @@ class Spectrum:
         Contract bound per pair, RESIDUAL_RTOL*(||A||_F + |lambda| ||B||_F).
     modes : ndarray or None
         The closed-form mode number j of each pair, in the order of
-        ``values``, for the pairs that ``spectral_analysis.solve_system``
-        builds from ``spaces.sine_modes``; the pair of rank r need not
-        be mode r, as when the mass-side weight lifts the top modes.
-        None for the numerical solvers, which know no mode numbers.
+        ``values``; the pair of rank r need not be mode r, as when the
+        mass-side weight lifts the top modes. None for the numerical
+        solvers, which know no mode numbers.
     """
 
     values: np.ndarray
@@ -247,10 +242,6 @@ class Spectrum:
     @property
     def lam_min(self):
         return float(self.values[0])
-
-    @property
-    def lam_max(self):
-        return float(self.values[-1])
 
 
 def _padded(band, rows):
@@ -343,12 +334,11 @@ def _contract(values, residuals, norms):
     return values, order, residuals, bounds
 
 
-def _spectrum(values, X, residuals, norms, modes=None):
+def _spectrum(values, X, residuals, norms):
     """The Spectrum of the pairs (values[j], X[:, j]), with the residual
     norms of ``_residual_norms`` and the Frobenius norms of A and B, the
     pairs in stable ascending order: X itself when already in that
-    order, else a sorted copy. ``modes``, the closed-form mode number of
-    each column of X where it is known, follows the same order.
+    order, else a sorted copy.
 
     Raises EigenSolveError on non-finite values or vectors, or when a
     pair breaks the residual contract (``_contract``).
@@ -358,9 +348,7 @@ def _spectrum(values, X, residuals, norms, modes=None):
     values, order, residuals, bounds = _contract(values, residuals, norms)
     if not np.array_equal(order, np.arange(len(order))):
         X = X[:, order]
-    if modes is not None:
-        modes = np.asarray(modes)[order]
-    return Spectrum(values, X, residuals, bounds, modes)
+    return Spectrum(values, X, residuals, bounds)
 
 
 @_solver

@@ -3,8 +3,7 @@
 Two flavors share one representation, which does not record the
 flavor: a (dim x raw) extraction operator whose rows express each space
 basis function in raw coordinates. It is the identity away from the
-boundary, so a space stores only its two corner blocks; the dense
-matrix is built on request.
+boundary, so a space stores only its two corner blocks.
 
 * standard: drop the two endpoint-interpolatory raw functions, which
   imposes homogeneous Dirichlet conditions; dim = N + p - 2.
@@ -64,11 +63,6 @@ class SplineSpace:
     @property
     def dim(self):
         return self.left.shape[0] + self.inner + self.right.shape[0]
-
-    @property
-    def extraction(self):
-        """The dense (dim x raw) extraction matrix, rows independent."""
-        return self.raw_coefficients(np.eye(self.dim)).T
 
     def raw_coefficients(self, coeffs):
         """Raw coordinates E^T c of members with coefficients c.

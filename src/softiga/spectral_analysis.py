@@ -21,11 +21,13 @@ at p <= 2, which is the same space, the eigenvectors are the paper's
 closed form (``spaces.sine_modes``) and the eigenvalue of mode j is the
 interior symbol at theta = j*pi/N (``analytic.interior_symbol``), O(p)
 per mode. So ``solve_system`` makes no dense solve: the pairs cost
-O(n^2 * hbw) instead of O(n^3), and every pair still leaves through the
-residual contract of ``eigensolve``. Both ``solve_system`` and
+O(n^2 * hbw) time instead of O(n^3), and every pair still leaves through
+the residual contract of ``eigensolve``. Both ``solve_system`` and
 ``reweighted_values`` read the closed-form pairs through one routine
 (``_sine_pairs``), which measures the residuals one block of
 ``_MODE_BLOCK`` modes at a time, so a block's working memory is O(n).
+A closed-form spectrum keeps the mode number of each rank, not its
+vector, which ``_sine_block`` builds only where it is read.
 ``extreme_values`` takes the two ends as the extremes of the n symbol
 values, O(n * p) with no factorization, and measures only those two
 pairs. On the standard space at p >= 3 ``solve_system`` uses the dense
@@ -54,8 +56,8 @@ import numpy as np
 
 from .analytic import eta_table, interior_symbol
 from .assembly import build_soft_system
-from .eigensolve import (_checked_pencil, _column_dots, _contract,
-                         _residual_norms, _solver, _spectrum,
+from .eigensolve import (Spectrum, _checked_pencil, _column_dots,
+                         _contract, _residual_norms, _solver,
                          check_full_order, extreme_eigenpairs,
                          generalized_eig)
 from .spaces import (has_sine_modes, sine_modes, sine_table,
@@ -84,13 +86,21 @@ class SpectralReport:
 _MODE_BLOCK = 128
 
 
+def _sine_block(space, B, js):
+    """The block X of closed-form modes ``js`` (``sine_modes``), B X,
+    and the scales 1/sqrt(x_j^T B x_j) that B-normalize its columns,
+    each column the same bits in any block."""
+    X = sine_modes(space, js)
+    BX = B.matvec(X)
+    return X, BX, 1.0 / np.sqrt(_column_dots(X, BX))
+
+
 @_solver
 def _sine_pairs(system, etas, ends=False):
     """Values and residual norms of the closed-form pairs of the
     system's operators under each softness weight of ``etas``, with its
-    own mass-side weight, 1/sqrt(x_j^T B x_j), the scale that
-    B-normalizes mode j, and the Frobenius norms of the system's pencil,
-    which is checked first (``_checked_pencil``).
+    own mass-side weight, and the Frobenius norms of the system's
+    pencil, which is checked first (``_checked_pencil``).
 
     The value of mode j is the interior symbol at theta = j*pi/N
     (``analytic.interior_symbol``) in double precision, with
@@ -99,8 +109,8 @@ def _sine_pairs(system, etas, ends=False):
     the highest value of the first weight are kept. Values
     and residuals go in blocks of ``_MODE_BLOCK`` modes, so that their
     temporaries stay a few blocks: for the residuals one block of
-    ``sine_modes`` and its band products A X and B X live at a time,
-    with S X where a weight differs from the system's own, whose
+    modes (``_sine_block``) and its band products A X and B X live at a
+    time, with S X where a weight differs from the system's own, whose
     stiffness side is then A - (eta - eta_sys) S. Rows follow ``etas``,
     columns the modes; nothing is sorted or held to the contract yet,
     and every value is the same bits at any block width.
@@ -121,24 +131,22 @@ def _sine_pairs(system, etas, ends=False):
     # freed before ``sine_modes`` builds its own
     del table
     residuals = np.empty_like(values)
-    scales = np.empty(len(js))
     reweighted = any(eta != system.eta for eta in etas)
     for lo in range(0, len(js), _MODE_BLOCK):
         block = slice(lo, lo + _MODE_BLOCK)
-        X = sine_modes(system.space, js[block])
-        AX, BX = A.matvec(X), B.matvec(X)
-        scales[block] = 1.0 / np.sqrt(_column_dots(X, BX))
-        AX *= scales[block]
-        BX *= scales[block]
+        X, BX, scales = _sine_block(system.space, B, js[block])
+        AX = A.matvec(X)
+        AX *= scales
+        BX *= scales
         if reweighted:
-            SX = system.softness.matvec(X) * scales[block]
+            SX = system.softness.matvec(X) * scales
         # freed before the products of the next block
         del X
         for row, eta in enumerate(etas):
             side = AX if eta == system.eta else AX + SX * (system.eta - eta)
             residuals[row, block] = _residual_norms(values[row, block],
                                                     side, BX)
-    return values, residuals, scales, norms
+    return values, residuals, norms
 
 
 @_solver
@@ -147,24 +155,21 @@ def solve_system(system):
 
     Where ``sine_modes`` knows the eigenvectors (the outlier-free space
     of any degree, and the standard space at p <= 2, which is the same
-    space) no dense solve is made: the pairs are the closed-form
-    vectors, B-normalized, with the symbol's values (``_sine_pairs``),
-    and every pair leaves through the residual contract of both
-    solvers, so a wrong vector exits 2 rather than printing. On the
-    standard space at p >= 3 it is ``generalized_eig``. Either way the
-    pencil is checked once.
+    space) no dense solve is made: the pairs are the closed-form modes,
+    B-normalized, with the symbol's values (``_sine_pairs``), held to
+    the residual contract of both solvers, so a wrong vector exits 2
+    rather than printing; the Spectrum keeps their mode numbers, not
+    their vectors. On the standard space at p >= 3 it is
+    ``generalized_eig``. Either way the pencil is checked once.
     """
     if not has_sine_modes(system.space):
         return generalized_eig(system.A, system.B)
+    # the pairs keep O(n) memory; the limit bounds the O(n^2 * hbw) time
+    # of their residuals
     check_full_order(system.space.dim)
-    (values,), (residuals,), scales, norms = _sine_pairs(system,
-                                                         [system.eta])
-    # stored by columns, which the H1 errors of a rank that holds another
-    # mode read a few at a time
-    X = np.asfortranarray(sine_modes(system.space))
-    X *= scales
-    return _spectrum(values, X, residuals, norms,
-                     np.arange(1, len(X) + 1))
+    (values,), (residuals,), norms = _sine_pairs(system, [system.eta])
+    values, order, residuals, bounds = _contract(values, residuals, norms)
+    return Spectrum(values, None, residuals, bounds, order + 1)
 
 
 def extreme_values(system):
@@ -179,7 +184,7 @@ def extreme_values(system):
     bands of the pencil live through the solve.
     """
     if has_sine_modes(system.space):
-        (values,), (residuals,), _, norms = _sine_pairs(
+        (values,), (residuals,), norms = _sine_pairs(
             system, [system.eta], ends=True)
         return _contract(values, residuals, norms)[0]
     A, B = system.A, system.B
@@ -211,7 +216,7 @@ def reweighted_values(system, etas):
                          f" this space (p={system.space.kv.p})")
     check_full_order(system.space.dim)
     pencils = [system.with_weights(eta, system.eta_b) for eta in etas]
-    values, residuals, _, (_, mass_norm) = _sine_pairs(
+    values, residuals, (_, mass_norm) = _sine_pairs(
         system, [pencil.eta for pencil in pencils])
     return [_contract(row, res, (pencil.A.frobenius(), mass_norm))[0]
             for pencil, row, res in zip(pencils, values, residuals)]
@@ -274,8 +279,8 @@ def h1_errors_for_modes(system, spectrum, js):
     if closed.any():
         h1_sq[closed] = _closed_form_h1(kv, t, weights, js[closed])
     if not closed.all():
-        h1_sq[~closed] = _quadrature_h1(system.space, spectrum, t,
-                                        weights, js[~closed])
+        h1_sq[~closed] = _quadrature_h1(system, spectrum, t, weights,
+                                        js[~closed])
     return [math.sqrt(float(e)) for e in h1_sq]
 
 
@@ -360,13 +365,14 @@ def _closed_form_h1(kv, t, weights, js):
 _ERROR_BLOCK_BYTES = 1 << 19
 
 
-def _quadrature_h1(space, spectrum, t, weights, js):
-    """Squared H1 errors of the pairs of ranks ``js``, integrated over
-    every element from their vectors, at the Gauss points t of weights
-    ``weights``.
+def _quadrature_h1(system, spectrum, t, weights, js):
+    """Squared H1 errors of the pairs of ranks ``js`` of the system's
+    pencil, integrated over every element from their vectors, at the
+    Gauss points t of weights ``weights``.
 
     The modes go in blocks of columns, each sized to
-    ``_ERROR_BLOCK_BYTES``. The values and derivatives of a block's
+    ``_ERROR_BLOCK_BYTES``; a closed-form block is built from its mode
+    numbers (``_sine_block``). The values and derivatives of a block's
     modes at every point are sums over the p + 1 functions on each
     element, using basis values tabulated once per distinct element,
     and the continuum mode at x = (e + t) h comes from angle addition,
@@ -374,9 +380,9 @@ def _quadrature_h1(space, spectrum, t, weights, js):
     functions, the elements and the points, runs in a fixed order per
     mode, so a mode's bits do not depend on the other ranks asked for.
     """
-    kv = space.kv
-    p, N = kv.p, kv.N
-    ders, index = basis_table(kv, t, 1)
+    space, B = system.space, system.B
+    p, N = space.kv.p, space.kv.N
+    ders, index = basis_table(space.kv, t, 1)
     # (2, p + 1, p + 4, N): values, then first derivatives, of each
     # function on an element at every point of every element
     ders = np.ascontiguousarray(ders[index].transpose(2, 3, 1, 0))
@@ -393,7 +399,12 @@ def _quadrature_h1(space, spectrum, t, weights, js):
     width = max(1, _ERROR_BLOCK_BYTES // (9 * 8 * N * len(t)))
     for lo in range(0, len(js), width):
         block = js[lo:lo + width]
-        raw = space.raw_coefficients(spectrum.vectors[:, block - 1]).T
+        if spectrum.modes is None:
+            vectors = spectrum.vectors[:, block - 1]
+        else:
+            X, _, scales = _sine_block(space, B, spectrum.modes[block - 1])
+            vectors = X * scales
+        raw = space.raw_coefficients(vectors).T
         # values and derivatives, ordered (point, mode, element) so that
         # every pass below runs along the elements
         local = np.zeros((2, len(t), len(block), N))

@@ -11,6 +11,9 @@ of their entries, Fractions included: the reference for the package's
 scaled-integer commutators.
 ``fresh_assembly_caches`` empties the per-degree caches of the
 assembly, so that a test can count the work of one build.
+``band_entry``, ``lam_max`` and ``dense_extraction`` read one entry of a
+band, the top eigenvalue of a spectrum and the dense extraction of a
+space, which the package never reads that way.
 
 ``PRINTED_STENCILS`` holds the paper's interior stencils for p = 2..5,
 the exact reference for the ones the package computes at any degree,
@@ -26,7 +29,9 @@ its way to a printed number:
 - ``softened_reference``, the printed pencil in exact rationals;
 - ``dispersion_eigenvalue``, the interior symbol's eigenvalue at one
   wavenumber, in mpmath;
-- ``sine_sample``, one component of a closed-form eigenvector;
+- ``sine_sample``, one component of a closed-form eigenvector, and
+  ``closed_form_vectors``, the B-normalized eigenvectors of a
+  closed-form spectrum, which keeps only their mode numbers;
 - ``pythagorean_residual``, the energy-norm identity of one mode, whose
   L2 error is integrated here point by point.
 """
@@ -42,6 +47,7 @@ from softiga.analytic import interior_stencil, reference_matrix
 import softiga.assembly as assembly
 from softiga.assembly import _raw_operators, build_soft_system
 from softiga.eigensolve import SymBandedMatrix
+from softiga.spaces import sine_modes
 from softiga.spectral_analysis import h1_errors_for_modes, solve_system
 from softiga.splines import eval_basis
 from softiga.tensor import kron_sum_spectrum
@@ -89,6 +95,34 @@ def banded(dense):
     for k in range(n):
         band[k, :n - k] = np.diagonal(dense, -k)
     return SymBandedMatrix(band)
+
+
+def band_entry(A, i, j):
+    """Entry (i, j) of the SymBandedMatrix A, in the type of its band:
+    zero outside the band."""
+    k = abs(i - j)
+    if k > A.half_bandwidth:
+        return A.band[0, 0] * 0
+    return A.band[k, min(i, j)]
+
+
+def lam_max(spectrum):
+    """The largest eigenvalue of a Spectrum, as a float."""
+    return float(spectrum.values[-1])
+
+
+def dense_extraction(space):
+    """The dense (dim x raw) extraction matrix of a SplineSpace, one row
+    per member over the raw B-splines."""
+    return space.raw_coefficients(np.eye(space.dim)).T
+
+
+def closed_form_vectors(system, spectrum):
+    """The eigenvectors of a closed-form Spectrum of the system's pencil,
+    as columns in the order of its ranks: ``sine_modes`` of its mode
+    numbers, each scaled to x^T B x = 1."""
+    X = sine_modes(system.space, spectrum.modes)
+    return X / np.sqrt(np.einsum("ij,ij->j", X, system.B.matvec(X)))
 
 
 def dense_commutator_norm(A, B):
@@ -168,7 +202,7 @@ def space_operators(space):
     """The stiffness, mass and softness (K, M, S) of the space, E R E^T
     from its dense extraction E and the raw bands R of its mesh, as
     full-bandwidth bands. The products skip the zeros of E and R."""
-    E = sparse.csr_array(space.extraction)
+    E = sparse.csr_array(dense_extraction(space))
     return tuple(banded((E @ sparse.csr_array(raw.toarray()) @ E.T)
                         .toarray()) for raw in _raw_operators(space.kv))
 
@@ -224,7 +258,7 @@ def pythagorean_residual(p, N, eta, j):
     spectrum = solve_system(system)
     lam_h = spectrum.values[j - 1]
     lam = (j * math.pi) ** 2
-    c = spectrum.vectors[:, j - 1]
+    c = closed_form_vectors(system, spectrum)[:, j - 1]
     c = c / math.sqrt(c @ system.mass.matvec(c))
     soft = float(c @ system.softness.matvec(c))
     raw = system.space.raw_coefficients(c)

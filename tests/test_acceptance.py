@@ -20,7 +20,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from oracles import softened_reference
+from oracles import closed_form_vectors, softened_reference
 from softiga.analytic import (analytic_eigenvalue, commutator_norm,
                               eta_table, fit_leading_coefficient,
                               reference_matrix)
@@ -82,10 +82,9 @@ _SOLVER_MODULES = ("softiga.eigensolve", "softiga.spectral_analysis",
                    "softiga.cli", "oracles", __name__)
 
 
-def _log_solve(spectrum, B):
+def _log_solve(spectrum, vectors, B):
     """Log the residual contract and the B-orthonormality defect of the
-    pairs of one solve, with the solver's own B."""
-    vectors = spectrum.vectors
+    pairs of one solve, its vectors, with the solver's own B."""
     gram = vectors.T @ B.matvec(vectors)
     SOLVE_LOG.append((
         bool(np.all(spectrum.residuals <= spectrum.residual_bounds)),
@@ -99,12 +98,13 @@ def _tracked(name, solve):
             spectrum = solve(system)
             # elsewhere it is generalized_eig, which logs itself
             if has_sine_modes(system.space):
-                _log_solve(spectrum, system.B)
+                _log_solve(spectrum, closed_form_vectors(system, spectrum),
+                           system.B)
             return spectrum
     else:
         def wrapped(A, B, *args):
             spectrum = solve(A, B, *args)
-            _log_solve(spectrum, B)
+            _log_solve(spectrum, spectrum.vectors, B)
             return spectrum
     return wrapped
 

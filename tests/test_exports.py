@@ -1,5 +1,6 @@
-"""Every function the package exports is one its own modules use: a
-routine that only the tests call belongs in ``tests/oracles.py``."""
+"""Every function the package exports, every module-level definition
+and every public method is one its own modules use: a routine that only
+the tests call belongs in ``tests/oracles.py``."""
 
 import ast
 import inspect
@@ -44,6 +45,21 @@ def test_every_module_level_definition_is_named_elsewhere_in_the_package():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and not node.name.startswith("cmd_")]
     unused = [name for name in defined
+              if not any(name in _names_outside_def(tree, name)
+                         for tree in trees)]
+    assert unused == []
+
+
+def test_every_public_method_is_named_elsewhere_in_the_package():
+    # methods and properties of the package's classes, named outside
+    # their own def; dataclass fields are annotations, not defs
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(softiga.__file__).parent.glob("*.py"))]
+    methods = [member.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) for member in node.body
+               if isinstance(member, ast.FunctionDef)
+               and not member.name.startswith("_")]
+    unused = [name for name in methods
               if not any(name in _names_outside_def(tree, name)
                          for tree in trees)]
     assert unused == []
