@@ -9,17 +9,17 @@ coefficients, computed for any degree (``interior_stencil``); the
 boundary entries follow from one completion rule, the method-of-images
 sum of the stencil over the period 2N (a symmetric Toeplitz part minus
 a Hankel part), that reproduces every printed boundary row. The rule
-fills the band storage of each reference matrix directly, in
-O(n * hbw) work. On the uniform mesh these are the outlier-free
-operators themselves, which ``assembly`` rounds from them.
+runs in Python integers over the stencil's common denominator, in
+O(n * hbw) work; on the uniform mesh these are the outlier-free
+operators, which ``assembly`` rounds.
 
 The interior symbol of the softened pencil's stencils gives its
 eigenvalue as a function of the wavenumber (``interior_symbol``), one
 evaluator in the arithmetic of its arguments, with no cancelling sum
 (``_mass_polynomial``): in double precision it is every closed-form
-eigenvalue of the outlier-free pencil, and in mpmath it supports
-dispersion fits far below double-precision noise. Only those fits use
-mpmath, so it is imported by them, not with the package. The same
+eigenvalue of the outlier-free pencil, and in mpmath it gives dispersion
+fits, extrapolated by a Lagrange sum with no mpmath linear algebra. Only
+those fits use mpmath, so it is imported by them. The same
 symbols give the sharp softness weight of every degree
 (``sharp_weight``); the closed-form eigenvectors live in
 ``spaces.sine_modes``.
@@ -243,22 +243,30 @@ def reference_matrix(kind, p, N):
     least twice the stencil length, only the first image of each end
     reaches the matrix, and the Hankel part is two mirrored tails.
     """
+    A, d = _reference_numerators(kind, p, N)
+    return SymBandedMatrix(A.band / F(d))
+
+
+def _reference_numerators(kind, p, N):
+    """d * ``reference_matrix(kind, p, N)`` in integers, and d."""
     sym = interior_stencil(kind, p)
     n = N if p % 2 == 0 else N - 1
     if n < 1:
         raise ValueError(f"no interior node for p={p}, N={N}")
+    d = math.lcm(*(x.denominator for x in sym))
+    numerators = [x.numerator * (d // x.denominator) for x in sym]
     # the stencil wrapped onto the 2N nodes of one period
-    wrapped = [F(0)] * (2 * N)
+    wrapped = [0] * (2 * N)
     for k in range(1 - len(sym), len(sym)):
-        wrapped[k % (2 * N)] += sym[abs(k)]
+        wrapped[k % (2 * N)] += numerators[abs(k)]
     # a + b = 2i + k + 1 + sigma for entry (i + k, i), in node units
     sigma = p % 2
-    band = np.full((min(len(sym), n), n), F(0), dtype=object)
+    band = np.zeros((min(len(sym), n), n), dtype=object)
     for k in range(len(band)):
         for i in range(n - k):
             band[k, i] = (wrapped[k]
                           - wrapped[(2 * i + k + 1 + sigma) % (2 * N)])
-    return SymBandedMatrix(band)
+    return SymBandedMatrix(band), d
 
 
 def _scaled(M):
@@ -266,18 +274,18 @@ def _scaled(M):
     of the denominators of the entries of the band M, each read as the
     rational it is (exactly, for a double)."""
     try:
-        entries = [Fraction(x) for x in M.band.ravel()]
+        ratios = [x.as_integer_ratio() for x in M.band.ravel().tolist()]
     except (OverflowError, ValueError):
         raise ValueError("non-finite entry in a commutator operand") from None
-    d = math.lcm(*(x.denominator for x in entries))
-    band = np.array([x.numerator * (d // x.denominator) for x in entries],
+    d = math.lcm(*(den for _, den in ratios))
+    band = np.array([num * (d // den) for num, den in ratios],
                     dtype=object).reshape(M.band.shape)
     return SymBandedMatrix(band).toarray(), d
 
 
 def commutator_norm(A, B):
     """Frobenius norm of AB - BA for two SymBandedMatrix operands, of
-    rational or float entries, rounded once from its exact value.
+    integer, rational or float entries, rounded once from its exact value.
 
     Each operand is scaled to integers by the lcm of its denominators (a
     double is a rational), so the products run in Python integers with
@@ -292,7 +300,18 @@ def commutator_norm(A, B):
     C = A @ B
     C = C - C.T
     total = sum(x * x for x in C.ravel())
-    return math.sqrt(Fraction(total, (d_A * d_B) ** 2))
+    return math.sqrt(total / (d_A * d_B) ** 2)
+
+
+def transformation_commutators(p, N):
+    """Frobenius norms of [K, T], [M, T] and [S, T] for the reference
+    matrices of degree p on N elements; when they vanish, so does
+    [K - eta S, T] for every eta. No Fraction is built: the products
+    run on the integer completions, each norm over their denominators.
+    """
+    T, t = _reference_numerators("T", p, N)
+    return [commutator_norm(X, T) / (x * t)
+            for X, x in (_reference_numerators(kind, p, N) for kind in "KMS")]
 
 
 @dataclass(frozen=True)
@@ -356,9 +375,9 @@ def fit_leading_coefficient(p, eta):
     """Empirical leading dispersion coefficient from a 3-point fit.
 
     Evaluates the symbol relative error at ``FIT_WAVENUMBERS``,
-    divides by the leading power of t, and extrapolates t -> 0 with a
-    quadratic in t^2. The leading power is 2p, or 2p+2 when the exact
-    t^(2p) coefficient vanishes (superconvergent eta).
+    divides by the leading power of t, and extrapolates t -> 0 by the
+    Lagrange sum of the quadratic in t^2 through the three points. The
+    power is 2p, or 2p+2 when the t^(2p) coefficient vanishes.
 
     Returns
     -------
@@ -383,9 +402,8 @@ def fit_leading_coefficient(p, eta):
         values = interior_symbol(
             p, exact(eta), 0, np.array([mpmath.sin(t / 2) ** 2 for t in ts]),
             np.array([mpmath.cos(t / 2) ** 2 for t in ts]), exact)
-        rows = [[mpmath.mpf(1), t ** 2, t ** 4] for t in ts]
-        rhs = [(value / t ** 2 - 1) / t ** power
-               for value, t in zip(values, ts)]
-        sol = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(rhs))
-        fitted = float(sol[0])
+        us = ts ** 2
+        rs = (values / us - 1) / ts ** power
+        fitted = float(sum(r * math.prod(v / (v - u) for v in us if v != u)
+                           for r, u in zip(rs, us)))
     return fitted, target, power

@@ -17,12 +17,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analytic import (analytic_eigenvalue, commutator_norm,
-                       dispersion_expansion, eta_table,
-                       fit_leading_coefficient, reference_matrix)
+from .analytic import (analytic_eigenvalue, dispersion_expansion,
+                       eta_table, fit_leading_coefficient,
+                       transformation_commutators)
 from .assembly import IndefinitenessWarning, build_soft_system
 from .eigensolve import (DefinitenessError, EigenSolveError,
-                         SymBandedMatrix, extreme_eigenpairs)
+                         cholesky_pivot, lowest_eigenvalue)
 from .spaces import space_dimension
 from .spectral_analysis import (condition_stats, convergence_slope,
                                 eta_sweep, extreme_values,
@@ -281,12 +281,6 @@ def cmd_dispersion(args):
     return EXIT_OK
 
 
-def _lowest_eigenvalue(X):
-    """Smallest eigenvalue of the symmetric band X."""
-    unit = SymBandedMatrix(np.ones((1, X.n)))
-    return extreme_eigenpairs(X, unit).lam_min
-
-
 def _verify_checks():
     """Cross-module oracle suite at reduced sizes; yields check dicts."""
     checks = []
@@ -311,14 +305,7 @@ def _verify_checks():
 
     worst = 0.0
     for p in (2, 3, 4, 5):
-        T = reference_matrix("T", p, 14)
-        K = reference_matrix("K", p, 14)
-        M = reference_matrix("M", p, 14)
-        worst = max(worst, commutator_norm(K, T), commutator_norm(M, T))
-        default = table.default.get(p)
-        if default is not None:
-            A = K.plus(-default, reference_matrix("S", p, 14))
-            worst = max(worst, commutator_norm(A, T))
+        worst = max(worst, *transformation_commutators(p, 14))
     add("commutators", worst <= 1e-12,
         f"max Frobenius norm {worst:.3e} (budget 1e-12)")
 
@@ -331,8 +318,9 @@ def _verify_checks():
             warnings.simplefilter("ignore", IndefinitenessWarning)
             below = base.with_weights(0.99 * sharp)
             above = base.with_weights(1.01 * sharp)
-        low = _lowest_eigenvalue(above.A)
-        if extreme_eigenpairs(below.A, below.B).lam_min <= 0:
+        low = lowest_eigenvalue(above.A)
+        # B > 0, so the pencil is positive iff A is (Sylvester's law)
+        if cholesky_pivot(below.A) != 0:
             ok = False
             details.append(f"p={p}: spectrum not positive below sharp")
         if low >= 0:
@@ -350,7 +338,7 @@ def _verify_checks():
         theo = float(table.theoretical_max[p])
         system = build_soft_system(p, 20, eta)
         beta = 1.0 - eta / theo
-        gap = _lowest_eigenvalue(system.A.plus(-beta, system.stiffness))
+        gap = lowest_eigenvalue(system.A.plus(-beta, system.stiffness))
         scale = system.stiffness.frobenius()
         worst = min(worst, gap / scale)
         if gap < -1e-10 * scale:

@@ -201,6 +201,14 @@ def cholesky_pivot(B):
     return int(info) if info > 0 else 0
 
 
+def lowest_eigenvalue(X):
+    """Smallest eigenvalue of the SymBandedMatrix X, one selected
+    eigenvalue of its band (LAPACK dsbevx)."""
+    from scipy.linalg import eigvals_banded
+    return eigvals_banded(X.band, lower=True, select="i",
+                          select_range=(0, 0))[0]
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenpairs of a symmetric-definite pencil: all of them

@@ -192,20 +192,16 @@ def has_sine_modes(space):
     return space.left.shape == ((p // 2, p) if p >= 3 else (0, 1))
 
 
-def sine_modes(space, js=None):
+def sine_modes(space, js):
     """The pencil eigenvectors of ``space`` in closed form, unnormalized,
-    mode js[i] in column i (every mode 1..dim by default, mode j in
-    column j - 1); None where they are not known (``has_sine_modes``).
+    mode js[i] in column i, for a space that ``has_sine_modes``.
 
     Component k of mode j is sin(j*pi*node_(k+1)/N), node_k = k for
     odd p and k - 1/2 for even p, corners included, the argument reduced
     in integers and read from ``sine_table``. Each mode costs O(dim),
     and its bits do not depend on which other modes are asked for.
     """
-    if not has_sine_modes(space):
-        return None
     p, N, n = space.kv.p, space.kv.N, space.dim
-    js = np.arange(1, n + 1) if js is None else np.asarray(js)
     # 2 * node_k, and every product reduced modulo 4N before the lookup
     index = np.multiply.outer(2 * np.arange(1, n + 1) - (p + 1) % 2, js)
     np.remainder(index, 4 * N, out=index)

@@ -16,7 +16,8 @@ from softiga.analytic import (_mass_polynomial, analytic_eigenvalue,
                               commutator_norm, dispersion_expansion,
                               eta_table, fit_leading_coefficient,
                               interior_stencil, inverse_constants_squared,
-                              reference_matrix, sharp_weight)
+                              reference_matrix, sharp_weight,
+                              transformation_commutators)
 from softiga.assembly import build_soft_system
 from softiga.eigensolve import SymBandedMatrix, generalized_eig
 
@@ -346,6 +347,17 @@ def test_scaled_commutator_matches_dense_fractions_on_references():
             assert commutator_norm(A, B) == dense_commutator_norm(A, B)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 8])
+def test_transformation_commutators_are_those_of_the_references(p):
+    # the integer completions, each over its denominator, give the float
+    # of the Fraction references' commutator: zero, at every size
+    for N in (2, p + 1, 14):
+        T = reference_matrix("T", p, N)
+        exact = [commutator_norm(reference_matrix(kind, p, N), T)
+                 for kind in "KMS"]
+        assert transformation_commutators(p, N) == exact == [0, 0, 0]
+
+
 def test_float_commutator_matches_dense_products():
     rng = random.Random(16)
     for n in (1, 2, 7, 20):
@@ -404,6 +416,33 @@ def test_fitted_dispersion_coefficients(p):
         assert fitted == pytest.approx(float(exact), rel=1e-2)
         # the high-precision fit is far tighter than the 1% budget
         assert fitted == pytest.approx(float(exact), rel=1e-10)
+
+
+# The fitted doubles, bit for bit, at p = 2..5 and the weights 0,
+# superconvergent, default (where tabulated) and 1/1000, as recorded from
+# the mpmath LU solve of the 3 x 3 fit system at FIT_DPS digits.
+_FITTED_HEX = {
+    (2, F(0)): "0x1.6c16c16c16c12p-10",
+    (2, F(1, 720)): "0x1.3813813813810p-12",
+    (2, F(3, 272)): "-0x1.3be6913be6914p-7",
+    (2, F(1, 1000)): "0x1.97c790f3f085bp-12",
+    (3, F(0)): "0x1.1566abc011571p-15",
+    (3, F(1, 30240)): "0x1.1566abc011565p-16",
+    (3, F(69, 79360)): "-0x1.b681f1c184b26p-11",
+    (3, F(1, 1000)): "-0x1.faf34fa2342a1p-11",
+    (4, F(0)): "0x1.bbd779334ef89p-21",
+    (4, F(1, 1209600)): "0x1.8848c98163824p-21",
+    (4, F(451, 6191360)): "-0x1.2e0f5f1ee5296p-14",
+    (4, F(1, 1000)): "-0x1.05ed623ff435ep-10",
+    (5, F(0)): "0x1.66a8f2bf71033p-26",
+    (5, F(1, 47900160)): "0x1.ea389d9930115p-26",
+    (5, F(1, 1000)): "-0x1.0623768627e05p-10",
+}
+
+
+@pytest.mark.parametrize("p,eta", sorted(_FITTED_HEX))
+def test_fitted_dispersion_coefficient_bits(p, eta):
+    assert fit_leading_coefficient(p, eta)[0].hex() == _FITTED_HEX[p, eta]
 
 
 def test_mass_side_weight_reaches_eighth_order():

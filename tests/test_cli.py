@@ -589,6 +589,43 @@ def test_verify_assembles_each_mesh_once(monkeypatch):
     assert len(builds) == len(set(builds))
 
 
+def _verify_bands(p):
+    """The two bands whose lowest eigenvalue verify reads at degree p:
+    the stiffness side just above the sharp weight, and the coercivity
+    certificate's A - beta K."""
+    table = eta_table()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", assembly.IndefinitenessWarning)
+        above = assembly.build_soft_system(
+            p, 50, 1.01 * float(table.sharp_max[p]))
+    eta = float(table.default[p])
+    system = assembly.build_soft_system(p, 20, eta)
+    beta = 1.0 - eta / float(table.theoretical_max[p])
+    return above.A, system.A.plus(-beta, system.stiffness)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_lowest_eigenvalue_matches_the_dense_solve(p):
+    for X in _verify_bands(p):
+        dense = np.linalg.eigvalsh(X.toarray())[0]
+        low = eigensolve.lowest_eigenvalue(X)
+        assert abs(low - dense) <= 1e-13 * X.frobenius()
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_one_factorization_tells_a_positive_pencil(p, factor):
+    # the verify read of positivity below the sharp weight, against the
+    # bisection of the pencil
+    sharp = float(eta_table().sharp_max[p])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", assembly.IndefinitenessWarning)
+        system = assembly.build_soft_system(p, 50, factor * sharp)
+    positive = eigensolve.extreme_eigenpairs(system.A, system.B).lam_min > 0
+    assert (eigensolve.cholesky_pivot(system.A) == 0) == positive
+    assert positive == (factor < 1)
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "-p", "2", "-N", "200", "-d", "3"],
     ["eta-sweep", "-p", "2", "-N", "200", "-d", "3"],
