@@ -21,8 +21,8 @@ eigenvalue of the outlier-free pencil, and in mpmath it gives dispersion
 fits, extrapolated by a Lagrange sum with no mpmath linear algebra. Only
 those fits use mpmath, so it is imported by them. The same
 symbols give the sharp softness weight of every degree
-(``sharp_weight``); the closed-form eigenvectors live in
-``spaces.sine_modes``.
+(``sharp_weight``); the closed-form eigenvectors are the sine samples
+of ``spaces.sine_table``.
 """
 
 import functools

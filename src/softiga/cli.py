@@ -338,13 +338,17 @@ def _verify_checks():
         theo = float(table.theoretical_max[p])
         system = build_soft_system(p, 20, eta)
         beta = 1.0 - eta / theo
-        gap = lowest_eigenvalue(system.A.plus(-beta, system.stiffness))
+        X = system.A.plus(-beta, system.stiffness)
+        gap = lowest_eigenvalue(X)
+        # dsbevx resolves no sign within a few eps ||X|| (the p = 2 gap)
+        gap *= abs(gap) > 16 * np.finfo(float).eps * X.frobenius()
         scale = system.stiffness.frobenius()
         worst = min(worst, gap / scale)
         if gap < -1e-10 * scale:
             ok = False
     add("coercivity_certificate", ok,
-        f"worst scaled slack {worst:.3e} (floor -1e-10)")
+        f"worst scaled slack {worst:.3e} (floor -1e-10; gaps within"
+        f" 16 eps ||X||_F read as 0)")
 
     ok = True
     bounds = {2: (Fraction(37, 5040), Fraction(1, 1680)),
@@ -379,7 +383,7 @@ def _verify_checks():
     # passes or the run exits 2
     spectrum = solve_system(build_soft_system(3, 24, table.default[3]))
     add("residual_contract", True,
-        f"max residual {float(np.max(spectrum.residuals)):.3e}")
+        f"max residual bound {float(np.max(spectrum.residuals)):.3e}")
 
     return checks
 

@@ -3,69 +3,43 @@
 Both sides of the pencil arrive in LAPACK lower band storage
 (SymBandedMatrix), the one matrix type every function of the package
 takes: one (hbw + 1, n) array whose row k holds the k-th subdiagonal,
-``band[k, i]`` = entry (i + k, i). The definiteness check hands that
-array to ``dpbtrf`` as it is, in O(n * hbw^2). ``scipy.linalg`` is
-imported by the functions that factor or solve, on their first call,
-not with the package. There are two solvers:
+``band[k, i]`` = entry (i + k, i). ``scipy.linalg`` is imported by the
+functions that factor or solve, on their first call. The two solvers
+serve the standard space at p >= 3, where no closed form is known.
 
 * ``generalized_eig`` returns every eigenpair from the LAPACK sygvd
-  path: the Cholesky factor of B reduces the pencil to a standard
-  problem, solved by tridiagonal divide and conquer. The dense sides
-  exist only as the call's arguments and A V and B V are band products,
-  one vector at a time, so the call's peak of about 6 n^2 doubles is the
-  solve's; an order above ``MAX_DENSE_ORDER`` is refused before anything
-  dense is allocated. On the outlier-free space of any degree
-  ``spectral_analysis.solve_system`` needs no dense solve: the paper's
-  closed form gives every pair, and this one serves only the standard
-  space at p >= 3, where it is not known.
+  path. The dense sides exist only as the call's arguments and A V and
+  B V are band products, one vector at a time, so the call's peak of
+  about 6 n^2 doubles is the solve's; an order above
+  ``MAX_DENSE_ORDER`` is refused before anything dense is allocated.
 * ``extreme_eigenpairs`` returns only the smallest and the largest
-  pair, from band factorizations alone. By Sylvester's law of inertia,
-  sigma*B - A is positive definite exactly when sigma > lambda_max,
-  and one ``dpbtrf`` decides that in O(n * hbw^2). lambda_max is
-  bracketed and bisected until the bracket stops shrinking, about 55
-  factorizations, and shift-invert steps at the final shift give its
-  vector. lambda_min comes from inverse iteration with the factor of A,
-  certified by one more factorization; when A is not definite it is
-  bisected like lambda_max. Its memory is a few bands, O(n * hbw). On
-  the outlier-free space ``spectral_analysis.extreme_values`` needs
-  neither: the two ends are extremes of the closed-form values.
+  pair, from band factorizations alone, in O(n * hbw) memory. By
+  Sylvester's law of inertia, sigma*B - A is positive definite exactly
+  when sigma > lambda_max, which one ``dpbtrf`` decides in
+  O(n * hbw^2): lambda_max is bracketed and bisected, about 55
+  factorizations, and shift-invert steps give its vector. lambda_min
+  comes from inverse iteration with the factor of A, certified by one
+  more factorization, or is bisected like lambda_max.
 
-The eigenvalues of both solvers are Rayleigh quotients of the assembled
-float operators, v^T A v / v^T B v. That does not reach machine
-precision on the low modes: in the interior the operators are a
-differencing stencil whose entry errors of eps*||A|| move every
-quotient by about eps*lambda_max, a relative error of about
-eps*lambda_max/lambda_j. The closed-form pairs of
-``spectral_analysis`` do not take their values from the operators:
-each is the interior symbol of the exact stencils
-(``analytic.interior_symbol``), and only its residual is measured
-against the float operators.
+Their eigenvalues are Rayleigh quotients of the float operators, off by
+about eps*lambda_max/lambda_j relative on the low modes; the
+closed-form values are the interior symbol of the exact stencils.
 
-Both solvers enter through one check of the pencil and leave through
-one finish; each keeps only its own algorithm. The closed-form pairs of
-``spectral_analysis`` pass the same check and, holding no vectors, the
-finish's residual contract alone (``_contract``): those of
-``solve_system`` keep their values and mode numbers, those that
-``reweighted_values`` reads off one set of eigenvectors for other
-weights, and the two ends of ``extreme_values``, only their values. The
-check refuses an order mismatch, a B that is not definite (with its
-Cholesky pivot) and non-finite entries, and hands the solver
-double-precision bands of one height with their Frobenius norms.
-Every path measures ||A v - lambda B v|| with one helper
-(``_residual_norms``), whose sums do not depend on how many pairs are
-measured at once. The finish sorts the pairs and enforces the residual
-contract ||A v - lambda B v|| <= RESIDUAL_RTOL * (||A||_F + |lambda|
-||B||_F): a pair that breaks it raises ``EigenSolveError`` (exit 2 on
-the command line) rather than being returned. So does a floating-point
-overflow, invalid operation or division by zero anywhere inside a
-solve, as with finite entries whose squares overflow the Frobenius
-norm. A solve returns a ``Spectrum``: the eigenvalues, the residual
-contract of every pair and either the B-orthonormal eigenvectors or
-the closed-form mode numbers, nothing more. No sign convention is
-imposed on a vector: it keeps the sign its solver gave it, and the one
-printed number read from vectors, the H1 error of a pair with no mode
-number or of a rank that holds another mode, aligns each mode with its
-continuum counterpart first.
+Every path enters through one check of the pencil (``_checked_pencil``),
+which refuses an order mismatch, a B that is not definite (with its
+Cholesky pivot) and non-finite entries, and hands on double-precision
+bands of one height with their Frobenius norms, and leaves through the
+residual contract (``_contract``): ||A v - lambda B v|| <=
+RESIDUAL_RTOL * (||A||_F + |lambda| ||B||_F), measured by the solvers
+(``_residual_norms``) and certified for the closed-form pairs. A pair
+that breaks it raises ``EigenSolveError`` (exit 2 on the command line)
+rather than being returned; so does a floating-point overflow, invalid
+operation or division by zero anywhere inside a solve, as with finite
+entries whose squares overflow the Frobenius norm. A solve returns a
+``Spectrum``: the eigenvalues, the residual contract of every pair and
+either the B-orthonormal eigenvectors or the closed-form mode numbers.
+A vector keeps the sign its solver gave it; the H1 error of a pair with
+no mode number aligns it with its continuum counterpart first.
 """
 
 import functools
@@ -149,39 +123,18 @@ class SymBandedMatrix:
         return math.sqrt(2.0 * (flat @ flat) - self.band[0] @ self.band[0])
 
     def matvec(self, x):
-        """The product with the vector x (BLAS dsbmv), or with every
-        column of the (n, m) block x into one C-order block, in double
-        precision and O(n * hbw) per column.
-
-        A block takes one whole-array pass per diagonal, so its cost does
-        not grow with a call per column; its sums run in another order
-        than dsbmv's, so a column differs from the vector product in
-        round-off.
-        """
-        if x.ndim == 1:
-            from scipy.linalg import blas
-            return blas.dsbmv(self.half_bandwidth, 1.0, self.band, x, lower=1)
-        band = np.asarray(self.band, dtype=float)
-        n = self.n
-        out = np.multiply(band[0, :, None], x, order="C")
-        work = np.empty_like(out)
-        for k in range(1, min(len(band), n)):
-            diag, part = band[k, :n - k, None], work[:n - k]
-            # entry (i + k, i) scales x_i into row i + k, and its mirror
-            # (i, i + k) scales x_(i + k) into row i
-            np.multiply(diag, x[:n - k], out=part)
-            out[k:] += part
-            np.multiply(diag, x[k:], out=part)
-            out[:n - k] += part
-        return out
+        """The product with the vector x (BLAS dsbmv), in double
+        precision and O(n * hbw)."""
+        from scipy.linalg import blas
+        return blas.dsbmv(self.half_bandwidth, 1.0, self.band, x, lower=1)
 
 
 RESIDUAL_RTOL = 1e-10
 
 # Largest order whose full spectrum is computed: the dense solve's 6 n^2
 # doubles are about 1.2 GB there. The closed-form pairs of
-# ``spectral_analysis`` keep a few blocks of modes, O(n), and there the
-# limit bounds the O(n^2 * hbw) time of their residuals.
+# ``spectral_analysis`` take O(n * p^2) time and O(n) memory, and there
+# the limit bounds the report that prints them.
 MAX_DENSE_ORDER = 5000
 
 
@@ -279,7 +232,7 @@ def _checked_pencil(A, B):
         raise DefinitenessError(pivot)
     rows = max(len(A.band), len(B.band))
     a, b = _padded(A.band, rows), _padded(B.band, rows)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise EigenSolveError("non-finite entries in the pencil")
     A, B = SymBandedMatrix(a), SymBandedMatrix(b)
     return A, B, (A.frobenius(), B.frobenius())
@@ -392,9 +345,9 @@ def generalized_eig(A, B):
         w, V = sla.eigh(A.toarray(), B.toarray())
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise EigenSolveError(str(exc)) from exc
-    # one vector product per column, not the block product: the dense
-    # solve decides pencils at the edge of the residual contract, such as
-    # standard spaces of degree 14 to 16 on coarse meshes, and keeps the
+    # one vector product (dsbmv) per column: the dense solve decides
+    # pencils at the edge of the residual contract, such as standard
+    # spaces of degree 14 to 16 on coarse meshes, and keeps the
     # arithmetic, and so the verdict, of its earlier releases
     AV, BV = np.empty(V.shape), np.empty(V.shape)
     for j, v in enumerate(V.T):

@@ -24,7 +24,7 @@ mirror, so the assembled matrices are persymmetric on the uniform mesh
 other member is one raw function, B_k itself.
 
 So the pencils of the outlier-free space have the paper's closed-form
-eigenvectors as plain samples (``sine_modes``): mode j is the odd
+eigenvectors as plain samples (``has_sine_modes``): mode j is the odd
 spline whose uniform B-spline coefficients are sin(j*pi*node/N), and
 its component k - 1 is the sample at node k, corners included.
 """
@@ -174,35 +174,24 @@ def _folds(p):
     return out
 
 
-def sine_table(N):
-    """sin(pi*i/(2N)) for i = 0..4N-1, exactly odd about i = 0 and 2N and
-    even about N and 3N, as the sine is. Entry (2*a*b) mod 4N is
-    sin(pi*a*b/N) for integers a, b; the only rounding in its argument
-    is that of pi*i/(2N) for some i <= N."""
-    quarter = np.sin(np.pi / (2 * N) * np.arange(N + 1))
-    return np.concatenate((quarter, quarter[-2::-1], -quarter[1:],
-                           -quarter[-2:0:-1]))
+@functools.lru_cache(maxsize=4)
+def sine_table(N, dtype=float):
+    """sin(pi*i/(2N)) for i = 0..4N-1 in the precision ``dtype``, exactly
+    odd about i = 0 and 2N and even about N and 3N, as the sine is.
+    Entry (2*a*b) mod 4N is sin(pi*a*b/N) for integers a, b; the only
+    rounding in its argument is that of pi*i/(2N) for some i <= N.
+    Read-only, and kept for the pairs and H1 errors of the same mesh."""
+    pi = 4 * np.arctan(dtype(1))
+    quarter = np.sin(pi / (2 * N) * np.arange(N + 1, dtype=dtype))
+    table = np.concatenate((quarter, quarter[-2::-1], -quarter[1:],
+                            -quarter[-2:0:-1]))
+    table.flags.writeable = False
+    return table
 
 
 def has_sine_modes(space):
-    """Whether ``sine_modes`` knows the eigenvectors of ``space``: the
+    """Whether the eigenvectors of ``space`` are the sine samples: the
     outlier-free space of any degree, known by its (p // 2, p) corner of
     folds, the standard space included for p <= 2, the same space."""
     p = space.kv.p
     return space.left.shape == ((p // 2, p) if p >= 3 else (0, 1))
-
-
-def sine_modes(space, js):
-    """The pencil eigenvectors of ``space`` in closed form, unnormalized,
-    mode js[i] in column i, for a space that ``has_sine_modes``.
-
-    Component k of mode j is sin(j*pi*node_(k+1)/N), node_k = k for
-    odd p and k - 1/2 for even p, corners included, the argument reduced
-    in integers and read from ``sine_table``. Each mode costs O(dim),
-    and its bits do not depend on which other modes are asked for.
-    """
-    p, N, n = space.kv.p, space.kv.N, space.dim
-    # 2 * node_k, and every product reduced modulo 4N before the lookup
-    index = np.multiply.outer(2 * np.arange(1, n + 1) - (p + 1) % 2, js)
-    np.remainder(index, 4 * N, out=index)
-    return sine_table(N)[index]

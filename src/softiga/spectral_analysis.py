@@ -17,35 +17,22 @@ space or two, whose bands come from one raw reference per degree
 (``assembly.build_soft_system``).
 
 On the outlier-free space of any degree, and on the standard space
-at p <= 2, which is the same space, the eigenvectors are the paper's
-closed form (``spaces.sine_modes``) and the eigenvalue of mode j is the
-interior symbol at theta = j*pi/N (``analytic.interior_symbol``), O(p)
-per mode. So ``solve_system`` makes no dense solve: the pairs cost
-O(n^2 * hbw) time instead of O(n^3), and every pair still leaves through
-the residual contract of ``eigensolve``. Both ``solve_system`` and
-``reweighted_values`` read the closed-form pairs through one routine
-(``_sine_pairs``), which measures the residuals one block of
-``_MODE_BLOCK`` modes at a time, so a block's working memory is O(n).
-A closed-form spectrum keeps the mode number of each rank, not its
-vector, which ``_sine_block`` builds only where it is read.
-``extreme_values`` takes the two ends as the extremes of the n symbol
-values, O(n * p) with no factorization, and measures only those two
-pairs. On the standard space at p >= 3 ``solve_system`` uses the dense
-``generalized_eig``, ``extreme_values`` the band ``extreme_eigenpairs``,
-and ``reweighted_values``, which needs vectors that diagonalize every
-weight's pencil, refuses the space.
+at p <= 2, which is the same space, the eigenvector of mode j is the
+paper's closed form, the sine samples of ``spaces.sine_table``, and its
+eigenvalue the interior symbol at theta = j*pi/N. ``solve_system``,
+``extreme_values`` and ``reweighted_values`` form no vector: they read
+the pairs through ``_sine_pairs``, which certifies each against the
+residual contract of ``eigensolve`` from the bands, and a closed-form
+spectrum keeps the mode number of each rank. On the standard space at
+p >= 3 they use ``generalized_eig`` and ``extreme_eigenpairs``, and
+``reweighted_values`` refuses the space.
 
 The H1 seminorm is the only eigenfunction error the package reports
-(``h1_errors_for_modes``). A closed-form spectrum records the mode
-number of every rank (``Spectrum.modes``); where rank j holds mode j,
-the error comes from one element of the uniform mesh, in O(p^2) per
-mode and with no vector read, because the element sums of the squares
-and products of sin(j*pi*e/N) and cos(j*pi*e/N) are known; the basis
-pieces on that element are evaluated once per degree. The other ranks,
-and every rank of a dense solve, are integrated over all N elements
-from their vectors, in blocks of modes of a fixed byte size. Either
-way every sum runs in a fixed order per mode, so a mode's error is the
-same bits whichever other ranks are asked for.
+(``h1_errors_for_modes``): from one element of the uniform mesh for
+every rank of a closed-form spectrum (``_closed_form_h1``), and over
+all N elements from the vectors of a dense solve (``_quadrature_h1``).
+Either way every sum runs in a fixed order per mode, so a mode's error
+is the same bits whichever other ranks are asked for.
 """
 
 import functools
@@ -56,12 +43,11 @@ import numpy as np
 
 from .analytic import eta_table, interior_symbol
 from .assembly import build_soft_system
-from .eigensolve import (Spectrum, _checked_pencil, _column_dots,
-                         _contract, _residual_norms, _solver,
+from .eigensolve import (RESIDUAL_RTOL, Spectrum, _checked_pencil,
+                         _column_dots, _contract, _padded, _solver,
                          check_full_order, extreme_eigenpairs,
                          generalized_eig)
-from .spaces import (has_sine_modes, sine_modes, sine_table,
-                     space_dimension)
+from .spaces import has_sine_modes, sine_table, space_dimension
 from .splines import basis_table, gauss_rule, open_knot_vector
 from .tensor import continuum_values, kron_sum_spectrum
 
@@ -80,111 +66,198 @@ class SpectralReport:
     rel_errors: np.ndarray
 
 
-# Modes per block of the closed-form pairs (``_sine_pairs``): a block
-# of residuals takes about five arrays of n x 128 doubles, and every
-# pencil of the benchmark (order <= 199) takes one or two blocks.
-_MODE_BLOCK = 128
+# Modes per slice of the closed-form values, whose temporaries it bounds.
+_SLICE = 1 << 15
 
-
-def _sine_block(space, B, js):
-    """The block X of closed-form modes ``js`` (``sine_modes``), B X,
-    and the scales 1/sqrt(x_j^T B x_j) that B-normalize its columns,
-    each column the same bits in any block."""
-    X = sine_modes(space, js)
-    BX = B.matvec(X)
-    return X, BX, 1.0 / np.sqrt(_column_dots(X, BX))
+_EPS = np.finfo(float).eps
 
 
 @_solver
 def _sine_pairs(system, etas, ends=False):
-    """Values and residual norms of the closed-form pairs of the
-    system's operators under each softness weight of ``etas``, with its
-    own mass-side weight, and the Frobenius norms of the system's
-    pencil, which is checked first (``_checked_pencil``).
-
-    The value of mode j is the interior symbol at theta = j*pi/N
-    (``analytic.interior_symbol``) in double precision, with
-    sin^2(theta/2) and cos^2(theta/2) = sin^2((N - j)*pi/(2N)) squared
-    from ``sine_table``. With ``ends``, only the modes of the lowest and
-    the highest value of the first weight are kept. Values
-    and residuals go in blocks of ``_MODE_BLOCK`` modes, so that their
-    temporaries stay a few blocks: for the residuals one block of
-    modes (``_sine_block``) and its band products A X and B X live at a
-    time, with S X where a weight differs from the system's own, whose
-    stiffness side is then A - (eta - eta_sys) S. Rows follow ``etas``,
-    columns the modes; nothing is sorted or held to the contract yet,
-    and every value is the same bits at any block width.
+    """Values (the interior symbol at theta = j*pi/N), residual
+    certificates (``_certificates``) and both sides' Frobenius norms of
+    the closed-form pairs under each softness weight of ``etas``: rows
+    follow ``etas``, columns the modes, unsorted, or with ``ends`` the
+    lowest and the highest of the first weight. Another weight has the
+    stiffness side A + t S, t = eta_sys - eta, whose norm comes from
+    ||A||_F and the band dots <A, S> and <S, S>. A mode that double
+    precision does not certify is certified again in extended precision.
     """
-    A, B, norms = _checked_pencil(system.A, system.B)
+    A, B, (norm, mass_norm) = _checked_pencil(system.A, system.B)
     p, N = system.space.kv.p, system.space.kv.N
     table = sine_table(N)
     js = np.arange(1, system.space.dim + 1)
-    weights = np.array(etas, dtype=float)[:, None]
     values = np.empty((len(etas), len(js)))
-    for lo in range(0, len(js), _MODE_BLOCK):
-        block = js[lo:lo + _MODE_BLOCK]
-        values[:, lo:lo + len(block)] = (N * N) * interior_symbol(
-            p, weights, system.eta_b, table[block] ** 2, table[N - block] ** 2)
+    for lo in range(0, len(js), _SLICE):
+        part = js[lo:lo + _SLICE]
+        values[:, lo:lo + len(part)] = (N * N) * interior_symbol(
+            p, np.array(etas, dtype=float)[:, None], system.eta_b,
+            table[part] ** 2, table[N - part] ** 2)
     if ends:
-        picks = [np.argmin(values[0]), np.argmax(values[0])]
+        picks = [values[0].argmin(), values[0].argmax()]
         js, values = js[picks], values[:, picks]
-    # freed before ``sine_modes`` builds its own
-    del table
-    residuals = np.empty_like(values)
-    reweighted = any(eta != system.eta for eta in etas)
-    for lo in range(0, len(js), _MODE_BLOCK):
-        block = slice(lo, lo + _MODE_BLOCK)
-        X, BX, scales = _sine_block(system.space, B, js[block])
-        AX = A.matvec(X)
-        AX *= scales
-        BX *= scales
-        if reweighted:
-            SX = system.softness.matvec(X) * scales
-        # freed before the products of the next block
-        del X
-        for row, eta in enumerate(etas):
-            side = AX if eta == system.eta else AX + SX * (system.eta - eta)
-            residuals[row, block] = _residual_norms(values[row, block],
-                                                    side, BX)
-    return values, residuals, norms
+    bands, shifts, stiffness = [A.band, B.band], None, [norm] * len(etas)
+    if any(eta != system.eta for eta in etas):
+        shifts = system.eta - np.array(etas, dtype=float)
+        bands.append(_padded(system.softness.band, len(A.band)))
+        # off-diagonal rows count twice in the Frobenius inner products
+        as_, ss = (2.0 * np.vdot(x, bands[2]) - x[0] @ bands[2][0]
+                   for x in (A.band, bands[2]))
+        stiffness = np.sqrt(np.maximum(
+            norm ** 2 + shifts * (2 * as_ + shifts * ss), 0.0))
+    certificates = _certificates(bands, shifts, values, js, p, N, table)
+    # every contract bound is at least RESIDUAL_RTOL * ||A_t||_F
+    if certificates.max() > RESIDUAL_RTOL * min(stiffness):
+        redo = (certificates > RESIDUAL_RTOL * (
+            np.reshape(stiffness, (-1, 1)) + abs(values) * mass_norm)).any(0)
+        if redo.any():
+            extended = _certificates(bands, shifts, values[:, redo],
+                                     js[redo], p, N,
+                                     sine_table(N, np.longdouble))
+            certificates[:, redo] = np.minimum(certificates[:, redo],
+                                               extended)
+    return values, certificates, [(x, mass_norm) for x in stiffness]
+
+
+def _certificates(bands, shifts, values, js, p, N, table):
+    """Bounds on ||A_t x - lambda B x|| / sqrt(x^T B x), in exact
+    arithmetic on the stored entries, for the sine modes x of ``js`` with
+    the values ``values``, one row per shift t of A_t = A + t S; ``bands``
+    holds the lower bands of A, B and, with shifts, S, and the products
+    are summed in the precision of ``table``, a ``sine_table``.
+
+    A row is regular when it is hbw or more from either end and, in every
+    band, the columns that hold its entries equal the middle one, as read
+    off the bands. There (A_t x)_i = d_A x_i and (B x)_i = m x_i, the
+    cosine sums of the middle columns at theta = j*pi/N, so the residual
+    is d x_i, d = d_A - lambda m, and sum_reg x_i^2 = ||x||^2 (N/2, or N
+    for j = N at even p) less the R irregular samples. The irregular rows,
+    a block at each end, are products with the samples they reach, and d
+    is one more row, the middle column against cos(k*theta), k = -hbw..
+    hbw; x^T B x splits the same way. A mode costs O(p^2).
+
+    Rounding, with u = eps/2 and e the machine epsilon of the table
+    (extended precision has 64 bits where the platform has them, else
+    e = eps and the bound is looser): an entry of the table is within
+    5e/2 of its sine, relative (three roundings of the argument move
+    sin(y) by at most 3u*y*cos(y) <= 3u*sin(y), y <= pi/2, and the sine
+    takes one ulp). A row's product over at most K = 2 hbw + 1 nonzero
+    entries b_k, summed in the table's precision, is then within
+    (hbw + 4) e sum |b_k| of its exact value, and r_i or d, combined in
+    that precision and rounded to double, within (hbw + 5) e times the
+    weighted absolute row sums of A, S and B and u |r_i| more. These
+    bounds are summed as a norm with the residual's weights, sum_reg
+    x_i^2 taken up by (R + 8) eps ||x||^2 for the rounding of the
+    samples; x^T B x is taken down by the same bounds, (R/2 + 2) times
+    those of the irregular rows of B, and the certificate is infinite
+    when nothing of it is left. The sums, square roots and the u |r_i|
+    round it by at most (R/2 + 8) eps, relative, for which it is scaled
+    up: the terms of x^T B x, m x_i^2 in exact arithmetic, do not cancel.
+    """
+    eps, e = _EPS, float(np.finfo(table.dtype).eps)
+    nb, hbw, n = len(bands), len(bands[0]) - 1, bands[0].shape[1]
+    # a zero row past the bands, read by the entries beyond them
+    padded = np.zeros((nb, hbw + 2, n))
+    padded[:, :hbw + 1] = bands
+    middle = padded[:, :, n // 2]
+    # the regular rows taken are lo..hi-1: hbw or more from either end,
+    # each with its columns i - hbw..i inside the run of columns around
+    # the middle one that equal it; every other row is irregular
+    odd = (padded != middle[:, :, None]).any((0, 1)).nonzero()[0]
+    at = int(np.searchsorted(odd, n // 2))
+    lo = (int(odd[at - 1]) + 1 if at else 0) + hbw
+    hi = min(int(odd[at]) if at < len(odd) else n, n - hbw)
+    if hi <= lo:
+        lo = hi = n
+    # the irregular rows, then the regular columns that they reach
+    reach = min(lo + hbw, hi)
+    rows = [*range(lo), *range(hi, n)]
+    cols = rows + [*range(lo, reach), *range(max(hi - hbw, reach), hi)]
+    R, C, K = len(rows), len(cols), 2 * hbw + 1
+    # one block per band: the irregular rows against their columns, entry
+    # (i, k) in band slot (|i - k|, min(i, k)), and the middle column
+    # against the cosines
+    i, k = np.array(rows, dtype=int)[:, None], np.array(cols, dtype=int)
+    entries = np.zeros((nb, R + 1, C + K))
+    entries[:, :R, :C] = padded[:, np.minimum(abs(i - k), hbw + 1),
+                                np.minimum(i, k)]
+    offsets = range(-hbw, hbw + 1)
+    entries[:, R, C:] = middle[:, [abs(c) for c in offsets]]
+    entries = entries.reshape(-1, C + K)
+    # sin(j*pi*node/N), 2 * node of column k being 2k + 2 at odd p and
+    # 2k + 1 at even p, then cos(k*j*pi/N) = sin((2k*j + N)*pi/(2N));
+    # einsum sums each product in one order, so a mode's bits do not
+    # depend on the other modes
+    index = js[:, None] * np.array([2 * c + 1 + p % 2 for c in cols]
+                                   + [2 * c for c in offsets], dtype=int)
+    index[:, C:] += N
+    index %= 4 * N
+    samples = table[index]
+    del index
+    products = np.einsum("rk,jk->rj", entries, samples)
+    products = products.reshape(nb, R + 1, -1)
+    # each row's bound on the rounding of its product and combination,
+    # per unit of its weight (1, |t| or |lambda|)
+    slack = abs(entries).sum(1).reshape(nb, R + 1, 1) * ((hbw + 5) * e)
+    both = np.empty((2, len(values), R + 1, len(js)))
+    for row, lam in enumerate(values):
+        side, error = products[0], slack[0]
+        if nb > 2:
+            side = side + shifts[row] * products[2]
+            error = error + abs(shifts[row]) * slack[2]
+        # combined in the precision of the products, then rounded
+        np.subtract(side, lam * products[1], out=both[0, row])
+        np.multiply(abs(lam), slack[1], out=both[1, row])
+        both[1, row] += error
+    # sum_reg x_i^2 lies in [spread - widen, spread + widen]
+    at_rows = samples[:, :R].T
+    spread = widen = 0.0
+    if R < n:
+        norm_sq = (np.where(js == N, float(N), 0.5 * N) if p % 2 == 0
+                   else 0.5 * N)
+        spread = norm_sq - (at_rows * at_rows).sum(0)
+        widen = (R + 8) * eps * norm_sq
+    both *= both
+    both[:, :, R] *= spread + widen
+    bound = np.sqrt(both.sum(2)).sum(0)
+    bound *= 1 + (R / 2 + 8) * eps
+    symbol = products[1, R] - slack[1, R]
+    low = ((at_rows * products[1, :R]).sum(0) + symbol * spread
+           - (R / 2 + 2) * slack[1, :R].sum() - abs(symbol) * widen)
+    if low.min() > 0:
+        return bound / np.sqrt(low)
+    return np.divide(bound, np.sqrt(np.maximum(low, 0.0)), where=low > 0,
+                     out=np.full(bound.shape, np.inf))
 
 
 @_solver
 def solve_system(system):
     """Generalized eigenpairs of an assembled pencil.
 
-    Where ``sine_modes`` knows the eigenvectors (the outlier-free space
-    of any degree, and the standard space at p <= 2, which is the same
-    space) no dense solve is made: the pairs are the closed-form modes,
-    B-normalized, with the symbol's values (``_sine_pairs``), held to
-    the residual contract of both solvers, so a wrong vector exits 2
-    rather than printing; the Spectrum keeps their mode numbers, not
-    their vectors. On the standard space at p >= 3 it is
-    ``generalized_eig``. Either way the pencil is checked once.
+    Where the eigenvectors are the sine samples (``has_sine_modes``) the
+    pairs are the closed-form modes, B-normalized, with the symbol's
+    values, each certified against the residual contract
+    (``_sine_pairs``), so a wrong vector exits 2 rather than printing;
+    the Spectrum keeps their mode numbers. Else ``generalized_eig``.
     """
     if not has_sine_modes(system.space):
         return generalized_eig(system.A, system.B)
-    # the pairs keep O(n) memory; the limit bounds the O(n^2 * hbw) time
-    # of their residuals
+    # the pairs take O(n * p^2) time; the limit bounds the report
     check_full_order(system.space.dim)
-    (values,), (residuals,), norms = _sine_pairs(system, [system.eta])
+    (values,), (residuals,), (norms,) = _sine_pairs(system, [system.eta])
     values, order, residuals, bounds = _contract(values, residuals, norms)
     return Spectrum(values, None, residuals, bounds, order + 1)
 
 
 def extreme_values(system):
-    """[lambda_min, lambda_max] of the system's pencil.
-
-    Where ``sine_modes`` knows the eigenvectors, these are the extremes
-    of the n symbol values, O(n * p) with no factorization, and only
-    their two pairs are measured and held to the residual contract
-    (``_sine_pairs``). On the standard space at p >= 3 they come from
-    band factorizations (``extreme_eigenpairs``), and a system passed as
-    a temporary is freed once its pencil is formed, so that only the
-    bands of the pencil live through the solve.
+    """[lambda_min, lambda_max] of the system's pencil: the extremes of
+    the symbol values, with only their two pairs certified
+    (``_sine_pairs``), where the eigenvectors are the sine samples, else
+    from band factorizations (``extreme_eigenpairs``), for which a system
+    passed as a temporary is freed once its pencil is formed.
     """
     if has_sine_modes(system.space):
-        (values,), (residuals,), norms = _sine_pairs(
+        (values,), (residuals,), (norms,) = _sine_pairs(
             system, [system.eta], ends=True)
         return _contract(values, residuals, norms)[0]
     A, B = system.A, system.B
@@ -199,27 +272,20 @@ def reweighted_values(system, etas):
     eigenvectors.
 
     On the outlier-free space K, M and S all commute with the paper's
-    transformation T, so one set of eigenvectors diagonalizes all
-    three, and every weight's eigenvalues are the symbol's values of the
-    same modes (``_sine_pairs``), with their residuals measured one
-    block of modes at a time. Each weight's pairs are sorted and held to
-    the residual contract of both solvers against that weight's bands;
-    only the values are kept.
-
-    A space whose eigenvectors ``sine_modes`` does not know, such as a
-    standard space with p >= 3, is refused with ValueError before
-    anything of order n^2 is allocated: its eta = 0 eigenvectors do not
-    diagonalize S.
+    transformation T, so one set of eigenvectors diagonalizes all three,
+    and every weight's eigenvalues are the symbol's values of the same
+    modes, all certified at once (``_sine_pairs``). Any other space, such
+    as a standard space with p >= 3, whose eta = 0 eigenvectors do not
+    diagonalize S, is refused with ValueError before its pencil is
+    checked.
     """
     if not has_sine_modes(system.space):
         raise ValueError(f"no closed-form eigenvectors to reweight on"
                          f" this space (p={system.space.kv.p})")
     check_full_order(system.space.dim)
-    pencils = [system.with_weights(eta, system.eta_b) for eta in etas]
-    values, residuals, (_, mass_norm) = _sine_pairs(
-        system, [pencil.eta for pencil in pencils])
-    return [_contract(row, res, (pencil.A.frobenius(), mass_norm))[0]
-            for pencil, row, res in zip(pencils, values, residuals)]
+    # the checks and warnings of every weight, with no pencil formed
+    etas = [system.with_weights(eta, system.eta_b).eta for eta in etas]
+    return [_contract(*pair)[0] for pair in zip(*_sine_pairs(system, etas))]
 
 
 def spectral_report(values, d=1):
@@ -256,13 +322,9 @@ def h1_errors_for_modes(system, spectrum, js):
     element. The rule is exact for the square of a mode, so the norm is
     taken with it too.
 
-    Where the pair of rank j is the closed-form mode j
-    (``Spectrum.modes``), the error comes from one element
-    (``_closed_form_h1``), in O(p^2) and with no vector read, and its
-    bits do not depend on which other ranks are asked for. Every other
-    rank, such as one that a mass-side weight fills with another mode,
-    and every rank of a numerical solve, is integrated over all N
-    elements from its vector (``_quadrature_h1``).
+    Every rank of a closed-form spectrum, whichever mode it holds, takes
+    its error from one element (``_closed_form_h1``); every rank of a
+    numerical solve is integrated from its vector (``_quadrature_h1``).
     """
     kv = system.space.kv
     js = np.array(list(js), dtype=int)
@@ -273,14 +335,10 @@ def h1_errors_for_modes(system, spectrum, js):
     xg, wg = gauss_rule(kv.p + 4)
     t = 0.5 * (xg + 1.0)
     weights = wg * (0.5 * kv.h)
-    closed = (np.zeros(len(js), dtype=bool) if spectrum.modes is None
-              else spectrum.modes[js - 1] == js)
-    h1_sq = np.empty(len(js))
-    if closed.any():
-        h1_sq[closed] = _closed_form_h1(kv, t, weights, js[closed])
-    if not closed.all():
-        h1_sq[~closed] = _quadrature_h1(system, spectrum, t, weights,
-                                        js[~closed])
+    if spectrum.modes is None:
+        h1_sq = _quadrature_h1(system, spectrum, t, weights, js)
+    else:
+        h1_sq = _closed_form_h1(kv, t, weights, js, spectrum.modes[js - 1])
     return [math.sqrt(float(e)) for e in h1_sq]
 
 
@@ -305,9 +363,10 @@ def _element_pieces(p):
     return values, slopes, size
 
 
-def _closed_form_h1(kv, t, weights, js):
-    """Squared H1 errors of the closed-form modes ``js``, from one
-    element, at the Gauss points t of weights ``weights``.
+def _closed_form_h1(kv, t, weights, ranks, modes):
+    """Squared H1 errors of the closed-form modes ``modes`` against the
+    continuum modes ``ranks``, from one element, at the Gauss points t of
+    weights ``weights``.
 
     With theta = j*pi/N, the B-spline coefficient of mode j that meets
     element e as its piece m is sin(theta*(e + c_m)), c_m = m - (p -
@@ -316,9 +375,12 @@ def _closed_form_h1(kv, t, weights, js):
     sin(theta*e)*P(t) + cos(theta*e)*Q(t), with P and Q the pieces
     weighted by cos(theta*c_m) and sin(theta*c_m), and the continuum
     mode sqrt(2)*sin(theta*(e + t)) and both derivatives split the same
-    way. Over e = 0..N-1 the sums of sin^2, cos^2 and sin*cos of
-    theta*e are N/2, N/2 and 0 (0, N and 0 for j = N), so every
-    integral over the mesh is a sum over the points of one element.
+    way. Every integral over the mesh is then a sum over the points of
+    one element, weighted by the sums over e = 0..N-1 of the products of
+    sin and cos of theta_a*e and theta_b*e, from C(q) and S(q), the sums
+    of cos and sin of q*pi*e/N: N (q = 0 mod 2N) and 0 at even q, 1 and
+    cot(q*pi/(2N)) at odd q. A rank that holds another mode, as under a
+    mass-side weight, expands the squared mismatch into three integrals.
     Each mode costs O((p + 4)*(p + 1)), and every sum runs in a fixed
     order, so a mode's bits do not depend on the other modes.
     """
@@ -326,28 +388,51 @@ def _closed_form_h1(kv, t, weights, js):
     values, slopes, size = _element_pieces(p)
     pieces = np.stack((values, slopes * (N / size)))
     # cos and sin of theta*c_m per piece and mode, the argument 2*j*c_m
-    # reduced in integers as in ``sine_modes``
+    # reduced in integers
     table = sine_table(N)
-    phase = np.multiply.outer(2 * np.arange(p + 1) - (p - 1), js)
+    phase = np.multiply.outer(2 * np.arange(p + 1) - (p - 1), modes)
     phase %= 4 * N
     coeffs = np.stack((table[(phase + N) % (4 * N)], table[phase]))
     # values and derivatives of the sin(theta*e) and cos(theta*e) parts,
     # ordered (derivative, part, point, mode)
-    parts = np.zeros((2, 2, len(t), len(js)))
+    parts = np.zeros((2, 2, len(t), len(modes)))
     for m in range(p + 1):
         parts += pieces[:, None, :, m, None] * coeffs[None, :, m, None, :]
     uh, duh = parts
-    omega = math.pi * js
+    omega = math.pi * ranks
     inner = np.multiply.outer(t, omega / N)
     sq, cq = np.sin(inner), np.cos(inner)
     u = math.sqrt(2.0) * np.stack((cq, sq))
     du = np.stack((-sq, cq))
     du *= math.sqrt(2.0) * omega
+    moved = modes != ranks
+    if moved.any():
+        def sums(a, b):
+            """Element sums of the parts' products, (part a, part b, j)."""
+            q = np.stack((a - b, a + b)) % (2 * N)
+            cosine = np.where(q == 0, float(N), q % 2)
+            sine = np.divide(table[q + N], table[q], where=q % 2 == 1,
+                             out=np.zeros(q.shape))
+            return 0.5 * np.array([[cosine[0] - cosine[1], sine[1] + sine[0]],
+                                   [sine[1] - sine[0], cosine[0] + cosine[1]]])
+
+        def pair(f, g, sums):
+            """The integral of f g over the mesh per mode."""
+            f = sum(sums[a, b] * f[a] * g[b] for a in (0, 1) for b in (0, 1))
+            return _column_dots(np.broadcast_to(weights[:, None], f.shape), f)
+
+        m, r = modes[moved], ranks[moved]
+        f, df, g, dg = (x[..., moved] for x in (uh, duh, u, du))
+        own, cross = sums(m, m), sums(m, r)
+        norm = pair(f, f, own)
+        sign = np.where(pair(f, g, cross) >= 0, 1.0, -1.0)
+        errors = (pair(df, df, own) / norm + pair(dg, dg, sums(r, r))
+                  - 2.0 * sign * pair(df, dg, cross) / np.sqrt(norm))
     # quadrature weight times the element sum of each part's square
-    top = js == N
+    top = ranks == N
     sums = np.stack((np.where(top, 0.0, 0.5 * N),
                      np.where(top, float(N), 0.5 * N)))
-    rule = (sums[:, None, :] * weights[:, None]).reshape(-1, len(js))
+    rule = (sums[:, None, :] * weights[:, None]).reshape(-1, len(ranks))
 
     def integral(f):
         """Integral over the mesh per mode, summed in a fixed order."""
@@ -357,7 +442,10 @@ def _closed_form_h1(kv, t, weights, js):
             / np.sqrt(integral(uh * uh)))
     duh -= du
     duh *= duh
-    return integral(duh)
+    h1_sq = integral(duh)
+    if moved.any():
+        h1_sq[moved] = errors
+    return h1_sq
 
 
 # Working memory of one block of modes in ``_quadrature_h1``, about
@@ -371,8 +459,7 @@ def _quadrature_h1(system, spectrum, t, weights, js):
     Gauss points t of weights ``weights``.
 
     The modes go in blocks of columns, each sized to
-    ``_ERROR_BLOCK_BYTES``; a closed-form block is built from its mode
-    numbers (``_sine_block``). The values and derivatives of a block's
+    ``_ERROR_BLOCK_BYTES``. The values and derivatives of a block's
     modes at every point are sums over the p + 1 functions on each
     element, using basis values tabulated once per distinct element,
     and the continuum mode at x = (e + t) h comes from angle addition,
@@ -380,7 +467,7 @@ def _quadrature_h1(system, spectrum, t, weights, js):
     functions, the elements and the points, runs in a fixed order per
     mode, so a mode's bits do not depend on the other ranks asked for.
     """
-    space, B = system.space, system.B
+    space = system.space
     p, N = space.kv.p, space.kv.N
     ders, index = basis_table(space.kv, t, 1)
     # (2, p + 1, p + 4, N): values, then first derivatives, of each
@@ -399,12 +486,7 @@ def _quadrature_h1(system, spectrum, t, weights, js):
     width = max(1, _ERROR_BLOCK_BYTES // (9 * 8 * N * len(t)))
     for lo in range(0, len(js), width):
         block = js[lo:lo + width]
-        if spectrum.modes is None:
-            vectors = spectrum.vectors[:, block - 1]
-        else:
-            X, _, scales = _sine_block(space, B, spectrum.modes[block - 1])
-            vectors = X * scales
-        raw = space.raw_coefficients(vectors).T
+        raw = space.raw_coefficients(spectrum.vectors[:, block - 1]).T
         # values and derivatives, ordered (point, mode, element) so that
         # every pass below runs along the elements
         local = np.zeros((2, len(t), len(block), N))
@@ -506,9 +588,9 @@ def eta_sweep(p, N, etas, d=1):
     The baseline is the unsoftened pencil (eta = 0). Every weight must
     lie in [0, sharp_max); each row is (eta, rho, e_lambda) where
     e_lambda is the root of the sum of squared relative errors. The
-    unsoftened pencil is assembled and solved once, and every weight's
-    spectrum is reweighted from its eigenvectors
-    (``reweighted_values``).
+    unsoftened pencil is assembled and solved once, every weight's
+    spectrum is reweighted from it (``reweighted_values``), and the
+    continuum targets are built once.
     """
     sharp = float(eta_table().resolve(p, "sharp_max"))
     etas = [float(e) for e in etas]
@@ -516,13 +598,14 @@ def eta_sweep(p, N, etas, d=1):
         if not 0.0 <= e < sharp:
             raise ValueError(f"weight {e} outside [0, {sharp})")
     system = build_soft_system(p, N, 0.0)
-    values = reweighted_values(system, [0.0] + etas)
-    baseline = spectral_report(values[0], d)
+    baseline, *spectra = (kron_sum_spectrum(values, d).values for values in
+                          reweighted_values(system, [0.0] + etas))
+    exact = continuum_values(d, system.space.dim)
     rows = []
-    for e, softened in zip(etas, values[1:]):
-        report = spectral_report(softened, d)
-        stats = condition_stats(report.computed, baseline.computed)
-        e_lambda = float(np.sqrt(np.sum(report.rel_errors ** 2)))
+    for e, lift in zip(etas, spectra):
+        stats = condition_stats(lift, baseline)
+        e_lambda = float(np.sqrt(np.sum((np.abs(lift - exact) / exact)
+                                        ** 2)))
         rows.append((e, stats.rho, e_lambda))
     return rows
 

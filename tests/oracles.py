@@ -29,9 +29,14 @@ its way to a printed number:
 - ``softened_reference``, the printed pencil in exact rationals;
 - ``dispersion_eigenvalue``, the interior symbol's eigenvalue at one
   wavenumber, in mpmath;
-- ``sine_sample``, one component of a closed-form eigenvector, and
-  ``closed_form_vectors``, the B-normalized eigenvectors of a
-  closed-form spectrum, which keeps only their mode numbers;
+- ``sine_sample``, one component of a closed-form eigenvector,
+  ``sine_modes``, the unnormalized closed-form eigenvectors of chosen
+  modes, and ``closed_form_vectors``, the B-normalized eigenvectors of
+  a closed-form spectrum, which keeps only their mode numbers;
+- ``band_product``, the product of a band with a block of vectors, one
+  pass per diagonal, with which the tests measure the residuals that
+  the package only bounds, in extended precision where they are held
+  to the bounds;
 - ``pythagorean_residual``, the energy-norm identity of one mode, whose
   L2 error is integrated here point by point.
 """
@@ -47,7 +52,7 @@ from softiga.analytic import interior_stencil, reference_matrix
 import softiga.assembly as assembly
 from softiga.assembly import _raw_operators, build_soft_system
 from softiga.eigensolve import SymBandedMatrix
-from softiga.spaces import sine_modes
+from softiga.spaces import sine_table
 from softiga.spectral_analysis import h1_errors_for_modes, solve_system
 from softiga.splines import eval_basis
 from softiga.tensor import kron_sum_spectrum
@@ -117,12 +122,45 @@ def dense_extraction(space):
     return space.raw_coefficients(np.eye(space.dim)).T
 
 
+def sine_modes(space, js, dtype=float):
+    """The pencil eigenvectors of a space whose ``has_sine_modes`` holds,
+    in closed form and unnormalized, mode js[i] in column i, in the
+    precision ``dtype``.
+
+    Component k of mode j is sin(j*pi*node_(k+1)/N), node_k = k for
+    odd p and k - 1/2 for even p, corners included, the argument reduced
+    in integers and read from ``sine_table``. Each mode costs O(dim),
+    and its bits do not depend on which other modes are asked for.
+    """
+    p, N, n = space.kv.p, space.kv.N, space.dim
+    # 2 * node_k, and every product reduced modulo 4N before the lookup
+    index = np.multiply.outer(2 * np.arange(1, n + 1) - (p + 1) % 2, js)
+    np.remainder(index, 4 * N, out=index)
+    return sine_table(N, dtype)[index]
+
+
+def band_product(A, X):
+    """A X for the SymBandedMatrix A and every column of the (n, m)
+    block X, one whole-array pass per diagonal, in double precision or
+    in that of X if it is wider."""
+    band = np.asarray(A.band, dtype=np.result_type(float, X))
+    n = A.n
+    out = np.multiply(band[0, :, None], X, order="C")
+    for k in range(1, min(len(band), n)):
+        diag = band[k, :n - k, None]
+        # entry (i + k, i) scales x_i into row i + k, and its mirror
+        # (i, i + k) scales x_(i + k) into row i
+        out[k:] += diag * X[:n - k]
+        out[:n - k] += diag * X[k:]
+    return out
+
+
 def closed_form_vectors(system, spectrum):
     """The eigenvectors of a closed-form Spectrum of the system's pencil,
     as columns in the order of its ranks: ``sine_modes`` of its mode
     numbers, each scaled to x^T B x = 1."""
     X = sine_modes(system.space, spectrum.modes)
-    return X / np.sqrt(np.einsum("ij,ij->j", X, system.B.matvec(X)))
+    return X / np.sqrt(np.einsum("ij,ij->j", X, band_product(system.B, X)))
 
 
 def dense_commutator_norm(A, B):

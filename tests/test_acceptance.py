@@ -20,7 +20,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from oracles import closed_form_vectors, softened_reference
+from oracles import band_product, closed_form_vectors, softened_reference
 from softiga.analytic import (analytic_eigenvalue, commutator_norm,
                               eta_table, fit_leading_coefficient,
                               reference_matrix)
@@ -85,7 +85,7 @@ _SOLVER_MODULES = ("softiga.eigensolve", "softiga.spectral_analysis",
 def _log_solve(spectrum, vectors, B):
     """Log the residual contract and the B-orthonormality defect of the
     pairs of one solve, its vectors, with the solver's own B."""
-    gram = vectors.T @ B.matvec(vectors)
+    gram = vectors.T @ band_product(B, vectors)
     SOLVE_LOG.append((
         bool(np.all(spectrum.residuals <= spectrum.residual_bounds)),
         float(np.max(np.abs(gram - np.eye(gram.shape[0])))),

@@ -712,7 +712,12 @@ def test_lift_limit_boundary(argv, monkeypatch, capsys):
 # recorded again when the symbol summed its mass symbols as positive
 # polynomials in cos^2(theta/2) instead of cancelling cosine series:
 # eigenvalues move by at most 2.2e-15 relative, errors at the round-off
-# floor by more (see CHANGES.md).
+# floor by more (see CHANGES.md). The verify digest was recorded again
+# when the closed-form residuals became certificates read from the bands
+# ("max residual 2.643e-13" -> "max residual bound 8.777e-12") and its
+# coercivity gap within 16 eps ||X||_F of 0 read as 0 ("worst scaled
+# slack 0.000e+00 (floor -1e-10)" -> "... (floor -1e-10; gaps within 16
+# eps ||X||_F read as 0)").
 _GOLDEN_STDOUT = {
     "spectrum -p 2 -N 4 -d 3": "e5cc090f24c2f451fb52d865f7d48c02",
     "spectrum -p 3 -N 16 -d 2": "e00fb14db43005c7de3f898d4d516309",
@@ -737,7 +742,7 @@ _GOLDEN_STDOUT = {
     "convergence -p 2 --j 3 --N-list 8,16":
         "1cb541f1b767f726ec03d12557aa0bcf",
     "dispersion -p 3 --eta super": "191625458240f70948464229e03030d3",
-    "verify": "a6e227157411794f24f1db446eeca413",
+    "verify": "e95c28b6b0fe799b6604987d4782ebb8",
     # recorded from the code that still gave every subcommand the same
     # eight options
     "eta-sweep -p 2 -N 10 --format json":

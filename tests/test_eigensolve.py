@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import softiga.eigensolve as eigensolve
-from oracles import banded, lam_max
+from oracles import band_product, banded, lam_max
 from softiga.analytic import analytic_eigenvalue, eta_table
 from softiga.assembly import IndefinitenessWarning, build_soft_system
 from softiga.cli import EXIT_CONFIG, main
@@ -216,9 +216,11 @@ def test_band_product_matches_the_dense_product():
 @pytest.mark.parametrize("layout", [np.ascontiguousarray,
                                     np.asfortranarray])
 def test_block_product_is_the_column_products(layout, band_order):
-    # one C-order block within rounding of the dense product. A block
-    # sums by diagonals and a vector through dsbmv, so a column agrees
-    # with its vector product in round-off, not bit for bit.
+    # the tests' block product (``oracles.band_product``), with which they
+    # measure the residuals the package only bounds, is one C-order block
+    # within rounding of the dense product. A block sums by diagonals and
+    # a vector through dsbmv, so a column agrees with its vector product
+    # in round-off, not bit for bit.
     rng = np.random.default_rng(17)
     for n, hbw, m in ((1, 0, 1), (2, 1, 3), (9, 3, 1), (40, 5, 7),
                       (3, 5, 2)):
@@ -228,7 +230,7 @@ def test_block_product_is_the_column_products(layout, band_order):
         band[:min(hbw + 1, n)] = banded(dense).band[:hbw + 1]
         band = SymBandedMatrix(np.array(band, order=band_order))
         X = layout(rng.standard_normal((n, m)))
-        AX = band.matvec(X)
+        AX = band_product(band, X)
         assert AX.flags.c_contiguous
         scale = np.abs(dense) @ np.abs(X)
         assert np.all(np.abs(AX - dense @ X) <= 1e-14 * scale)

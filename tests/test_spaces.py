@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
-from oracles import dense_extraction, space_member_eval, space_operators
+from oracles import (dense_extraction, sine_modes, space_member_eval,
+                     space_operators)
 from softiga.spaces import (SplineSpace, _folds, build_of_space,
                             build_standard_space, has_sine_modes,
-                            sine_modes, sine_table, space_dimension)
+                            sine_table, space_dimension)
 from softiga.splines import eval_basis, open_knot_vector
 
 

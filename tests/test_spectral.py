@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 
 import softiga.spectral_analysis as spectral
-from oracles import (closed_form_vectors, dense_extraction,
+from oracles import (band_product, closed_form_vectors, dense_extraction,
                      dispersion_eigenvalue, full_lift_values,
-                     pythagorean_residual)
-from softiga.analytic import analytic_eigenvalue, eta_table
+                     pythagorean_residual, sine_modes)
+from softiga.analytic import (analytic_eigenvalue, eta_table,
+                              interior_symbol, sharp_weight)
 from softiga.assembly import build_soft_system
-from softiga.eigensolve import generalized_eig
-from softiga.spaces import build_of_space
+from softiga.eigensolve import (EigenSolveError, SymBandedMatrix,
+                                _checked_pencil, generalized_eig)
+from softiga.spaces import build_of_space, sine_table
 from softiga.spectral_analysis import (ConditionStats,
                                        InsufficientDataError,
                                        condition_stats, convergence_slope,
@@ -274,7 +276,7 @@ def _fresh_rows(p, N, etas, d=1):
 
 def test_eta_sweep_assembles_once_and_matches_fresh_builds(monkeypatch):
     builds = _counting(monkeypatch, "build_soft_system")
-    closed_form = _counting(monkeypatch, "sine_modes")
+    closed_form = _counting(monkeypatch, "_sine_pairs")
     dense = _counting(monkeypatch, "generalized_eig")
     etas = [0.0, 2e-3, 8e-3]
     rows = eta_sweep(2, 16, etas, d=2)
@@ -317,9 +319,9 @@ def test_reweighting_a_space_its_vectors_do_not_diagonalize_fails(
         monkeypatch):
     # on the standard space with p >= 3 the eta = 0 eigenvectors do not
     # diagonalize S, so no one set of vectors serves every weight: the
-    # space is refused before its pencil is checked or its modes formed
+    # space is refused before its pencil is checked or its pairs formed
     checks = _counting(monkeypatch, "_checked_pencil")
-    modes = _counting(monkeypatch, "sine_modes")
+    modes = _counting(monkeypatch, "_sine_pairs")
     system = build_soft_system(3, 20, 0.0, flavor="standard")
     for etas in ([0.0], [0.0, eta_table().default[3]]):
         with pytest.raises(ValueError, match="closed-form"):
@@ -465,7 +467,8 @@ def test_ranks_filled_by_another_mode_are_integrated_from_their_vectors(
     # with the paper's mass-side weight the top modes leave their ranks:
     # at p = 2, N = 12 rank 10 holds mode 12, whose error against the
     # continuum mode 10 is 49.26; keyed on mode numbers alone, the
-    # closed form gave 4.56 there
+    # closed form gave 4.56 there. The oracle integrates these ranks from
+    # their vectors; the package takes them from one element
     table = eta_table()
     system = build_soft_system(p, N, float(table.default[p]),
                                float(table.mass_side[p]))
@@ -576,11 +579,14 @@ def test_closed_form_pairs_match_the_dense_solve(p, monkeypatch):
     # the eigenvalue of the rounded bands and carries all of the gap, the
     # closed form being within ``_SYMBOL_RTOL`` of the 50-digit
     # eigenvalue of the exact pencil; 1 - |x^T B v| below 5.3e-13, and
-    # the residual contract kept with a margin above 4000. Past p = 12 the
+    # the residual contract kept with a margin above 3400. Past p = 12 the
     # dense solve loses digits at the top, up to 3.3e-9 of lambda_max at
     # p = 20, so there each route is held to the 50-digit values, the
     # dense one the farther; 1 - |x^T B v| below 3.5e-10 and the margin
-    # above 87 (p = 20, N = 200)
+    # above 81 (p = 20). The residuals are measured from the sampled
+    # vectors; the certificates that the solve holds to the contract
+    # reach 2.7e-2 of the bound at p <= 12 and 0.996 at p = 20, in double
+    # precision, below the bound at which extended precision takes over
     def refuse(A, B):
         raise AssertionError("dense solve on a space with closed-form pairs")
 
@@ -603,13 +609,19 @@ def test_closed_form_pairs_match_the_dense_solve(p, monkeypatch):
                                            atol=1e-8 * exact[-1])
                 assert (np.max(np.abs(closed.values - exact))
                         <= np.max(np.abs(dense.values - exact)))
-            overlap = np.einsum("ij,ij->j",
-                                closed_form_vectors(system, closed),
-                                system.B.matvec(dense.vectors))
+            vectors = closed_form_vectors(system, closed)
+            overlap = np.einsum("ij,ij->j", vectors,
+                                band_product(system.B, dense.vectors))
             np.testing.assert_allclose(np.abs(overlap), 1.0, rtol=0,
                                        atol=2e-12 if p <= 12 else 1e-9)
+            residuals = np.linalg.norm(
+                band_product(system.A, vectors)
+                - closed.values * band_product(system.B, vectors), axis=0)
             margin = 1e-3 if p <= 12 else 2e-2
-            assert np.all(closed.residuals <= margin * closed.residual_bounds)
+            assert np.all(residuals <= margin * closed.residual_bounds)
+            if p <= 12:
+                assert np.all(closed.residuals
+                              <= 3e-2 * closed.residual_bounds)
 
 
 @pytest.mark.parametrize("p", range(3, 21, 2))
@@ -662,16 +674,16 @@ def _traced_peak(call, *args):
 
 
 def test_closed_form_solve_peaks_below_the_dense_solve():
-    # measured at p = 3, N = 200 (n = 199): 2.9 n^2 doubles, the
-    # temporaries of blocks of 128 modes, which at this order are about n
-    # wide, against the dense solve's 6.1 n^2 (1.93 MB); at N = 2000 the
-    # closed form peaks at about 660 n
+    # measured at p = 3, N = 200 (n = 199): 153 n doubles, a few arrays of
+    # one value per irregular row and mode, against the dense solve's
+    # 6.1 n^2 (1.93 MB); at N = 2000 the closed form peaks at 136 n
     p = 3
     system = build_soft_system(p, 200, float(eta_table().default[p]))
     n = system.space.dim
+    solve_system(system)
     closed = _traced_peak(solve_system, system)
     dense = _traced_peak(generalized_eig, system.A, system.B)
-    assert closed <= 5 * n * n * 8 < dense
+    assert closed <= 200 * n * 8 < 5 * n * n * 8 < dense
 
 
 def _spectrum_and_every_h1_error(system):
@@ -681,16 +693,18 @@ def _spectrum_and_every_h1_error(system):
 
 @pytest.mark.parametrize("N", [1000, 2000])
 def test_a_closed_form_spectrum_and_its_h1_errors_peak_at_o_n(N):
-    # with the paper's mass-side weight, so that the ranks that hold
-    # another mode build their vectors for the quadrature. Measured: 662
-    # and 657 n doubles; keeping all n vectors took 2278 and 4008 n
+    # with the paper's mass-side weight, so that some ranks hold another
+    # mode. No vector is formed: measured 145 and 139 n doubles; blocks
+    # of 128 modes took 662 and 657 n, and keeping all n vectors 2278
+    # and 4008 n
     p = 3
     table = eta_table()
     system = build_soft_system(p, N, float(table.default[p]),
                                float(table.mass_side[p]))
     n = system.space.dim
+    _spectrum_and_every_h1_error(system)
     peak = _traced_peak(_spectrum_and_every_h1_error, system)
-    assert peak < 1000 * 8 * n
+    assert peak < 200 * 8 * n
 
 
 @pytest.mark.parametrize("p", range(1, 6))
@@ -709,49 +723,48 @@ def test_closed_form_spectra_hold_mode_numbers_and_no_vectors(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
-def test_blocks_of_modes_do_not_change_a_bit(p, monkeypatch):
-    # one mode per block, the default blocks and all modes in one block
-    # give the same values, residuals and modes, and so vectors, to the
-    # last bit
+def test_a_pairs_bits_do_not_depend_on_the_other_modes_or_weights(p):
+    # the two ends alone, every mode, one weight or all of them: each
+    # mode's value and certificate are the same bits
     N = 40
     weights = _gate_weights(p)
     etas = sorted({eta for eta, _ in weights})
-    n = build_of_space(p, N).dim
-
-    def pairs(width):
-        monkeypatch.setattr(spectral, "_MODE_BLOCK", width)
-        out = []
-        for eta, eta_b in weights:
-            system = build_soft_system(p, N, eta, eta_b)
-            spectrum = solve_system(system)
-            out += [spectrum.values, spectrum.residuals, spectrum.modes,
-                    closed_form_vectors(system, spectrum)]
-            out += reweighted_values(system, etas)
-            out += spectral._sine_pairs(system, etas)[:2]
-        return [a.tobytes() for a in out]
-
-    default = pairs(spectral._MODE_BLOCK)
-    assert pairs(1) == default
-    assert pairs(n) == default
-    assert pairs(n + 7) == default
+    for eta, eta_b in weights:
+        system = build_soft_system(p, N, eta, eta_b)
+        values, certificates, _ = spectral._sine_pairs(system, etas)
+        for row, weight in enumerate(etas):
+            alone = spectral._sine_pairs(system.with_weights(weight, eta_b),
+                                         [weight])
+            assert alone[0][0].tobytes() == values[row].tobytes()
+        own, mine, _ = spectral._sine_pairs(system, [eta])
+        ends, ends_certificates, _ = spectral._sine_pairs(system, [eta],
+                                                          ends=True)
+        picks = [np.argmin(own[0]), np.argmax(own[0])]
+        assert ends.tobytes() == own[:, picks].tobytes()
+        assert ends_certificates.tobytes() == mine[:, picks].tobytes()
+        spectrum = solve_system(system)
+        assert spectrum.values.tobytes() == np.sort(own[0]).tobytes()
 
 
 def test_reweighting_peaks_at_a_few_blocks_of_modes():
     # eta_sweep's default 14 weights at p = 3, N = 1000 (n = 999): the
-    # blocks of modes keep the peak far below the 6 n^2 doubles that
-    # whole-spectrum products took
+    # certificates form no vector, and their peak, measured 508 n
+    # doubles, a few arrays of one value per weight and mode, is far below
+    # the 6 n^2 doubles that whole-spectrum products took
     p = 3
     system = build_soft_system(p, 1000, 0.0)
     n = system.space.dim
     etas = [0.0] + list(np.linspace(0.0, float(eta_table().sharp_max[p]),
                                     13, endpoint=False))
+    reweighted_values(system, etas)
     peak = _traced_peak(reweighted_values, system, etas)
-    assert peak < 1.5 * n * n * 8
+    assert peak < 600 * n * 8
 
 
 def test_h1_errors_of_every_mode_stay_within_their_block_budget():
-    # the per-mode loop this replaced peaked at 0.85 MB here; measured
-    # 0.71 MB with blocks of five modes
+    # the per-mode loop this replaced peaked at 0.85 MB here, and blocks
+    # of five modes at 0.71 MB; every closed-form error now comes from one
+    # element, measured 0.22 MB
     p = 3
     system = build_soft_system(p, 200, float(eta_table().default[p]))
     spectrum = solve_system(system)
@@ -812,3 +825,143 @@ def test_closed_form_values_and_extremes_hit_the_exact_ones(p, N):
                                          [eta])
             np.testing.assert_allclose(values, np.sort(exact), rtol=rtol,
                                        atol=0)
+
+
+def _measured_residuals(system, etas, values, js):
+    """||(A + (eta_sys - eta) S) x - lambda B x|| of the B-normalized
+    sine modes ``js``, one row per weight of ``etas``, from band products
+    in extended precision, and the rounding that those products may
+    carry: (2 hbw + 8) eps_x times the products with the absolute
+    bands."""
+    X = sine_modes(system.space, js, np.longdouble)
+    A, B, S = system.A, system.B, system.softness
+    BX = band_product(B, X)
+    scales = 1 / np.sqrt(np.einsum("ij,ij->j", X, BX))
+    AX, SX = band_product(A, X), band_product(S, X)
+    absolute = [band_product(SymBandedMatrix(abs(M.band)), abs(X))
+                for M in (A, B, S)]
+    eps = (2 * len(A.band) + 8) * float(np.finfo(np.longdouble).eps)
+    measured, slack = [], []
+    for eta, lam in zip(etas, values):
+        shift = system.eta - eta
+        R = AX + np.longdouble(shift) * SX - lam.astype(np.longdouble) * BX
+        measured.append(np.linalg.norm((R * scales).astype(float), axis=0))
+        bound = absolute[0] + abs(shift) * absolute[2] + abs(lam) * absolute[1]
+        slack.append(eps * np.linalg.norm((bound * scales).astype(float),
+                                          axis=0))
+    return np.array(measured), np.array(slack)
+
+
+def _certificate_weights(p):
+    """(eta, eta_b) pairs: zero and a default weight (half the sharp one
+    where none is tabulated), each alone and with a mass-side weight."""
+    table = eta_table()
+    eta = float(table.default.get(p) or 0.5 * float(sharp_weight(p)))
+    eta_b = float(table.mass_side.get(p) or 1e-4)
+    return [(0.0, 0.0), (eta, 0.0), (0.0, eta_b), (eta, eta_b)]
+
+
+@pytest.mark.parametrize("p", range(1, 17))
+def test_certificates_bound_the_measured_residuals(p):
+    # every mode, every weight, reweighted to the other weights of the
+    # grid too: the certificate is at least the residual of the sines
+    # that extended band products show, measured at most 0.11 of it
+    for N in sorted({p + 1, 2 * p + 3, 4 * p + 2, 4 * p + 3, 40, 201}):
+        if N < _smallest_mesh(p):
+            continue
+        for eta, eta_b in _certificate_weights(p):
+            system = build_soft_system(p, N, eta, eta_b)
+            etas = [eta, 0.0, 0.5 * eta + 1e-3 * float(sharp_weight(p))]
+            js = np.arange(1, system.space.dim + 1)
+            values, certificates, _ = spectral._sine_pairs(system, etas)
+            measured, slack = _measured_residuals(system, etas, values, js)
+            assert np.all(measured - slack <= certificates)
+
+
+@pytest.mark.parametrize("p,N", [(20, 40), (24, 40), (28, 29), (28, 40),
+                                 (28, 100)])
+def test_high_degree_pairs_are_certified_in_extended_precision(p, N):
+    # in double precision the certificates of the top modes reach the
+    # contract's bound from about p = 20; summed over sines of extended
+    # precision every one stays below 0.3 of it, measured 0.25 at p = 28,
+    # N = 40, and both bound the residual that extended band products
+    # show. The solve keeps the smaller of the two where the first fails
+    system = build_soft_system(p, N, 0.0)
+    js = np.arange(1, system.space.dim + 1)
+    values, certificates, [(norm, mass_norm)] = spectral._sine_pairs(
+        system, [0.0])
+    bounds = 1e-10 * (norm + abs(values) * mass_norm)
+    A, B, _ = _checked_pencil(system.A, system.B)
+    extended = spectral._certificates([A.band, B.band], None, values, js,
+                                      p, N, sine_table(N, np.longdouble))
+    assert np.all(extended <= 0.3 * bounds)
+    assert np.all(certificates <= bounds)
+    measured, slack = _measured_residuals(system, [0.0], values, js)
+    assert np.all(measured - slack <= np.minimum(certificates, extended))
+    solve_system(system)
+
+
+def _perturbed(system, name, row, column, factor):
+    """The system with entry (row, column) of its operator ``name``,
+    row >= column, and its mirror scaled by factor."""
+    band = getattr(system, name).band.copy()
+    band[row - column, column] *= factor
+    return dataclasses.replace(system, **{name: SymBandedMatrix(band)})
+
+
+@pytest.mark.parametrize("name,row,column", [("stiffness", 21, 20),
+                                             ("mass", 19, 19),
+                                             ("stiffness", 1, 0),
+                                             ("mass", 2, 0)])
+def test_a_perturbed_entry_is_certified_or_refused(name, row, column):
+    # one interior entry, the middle column's among them, or one corner
+    # entry of an outlier-free pencil: by one unit in the last place its
+    # rows are irregular (every row, when the middle column is the one
+    # perturbed) and the certificate still bounds what the perturbed
+    # pencil's products show; by one part in a million the sine samples
+    # are no longer its eigenvectors, and the pencil is refused
+    system = build_soft_system(3, 40, float(eta_table().default[3]))
+    slightly = _perturbed(system, name, row, column, 1 + 2 ** -52)
+    js = np.arange(1, system.space.dim + 1)
+    values, certificates, _ = spectral._sine_pairs(slightly, [slightly.eta])
+    measured = _measured_residuals(slightly, [slightly.eta], values, js)
+    assert np.all(measured <= certificates)
+    plain = spectral._sine_pairs(system, [system.eta])[1]
+    assert np.any(certificates != plain)
+    with pytest.raises(EigenSolveError, match="residual contract"):
+        solve_system(_perturbed(system, name, row, column, 1 + 1e-6))
+
+
+@pytest.mark.parametrize("p,N", [(2, 12), (3, 40), (4, 31), (8, 40)])
+def test_closed_form_values_are_the_symbol_mode_by_mode(p, N):
+    # one mode at a time, each value is the symbol's bits, as the
+    # closed-form pairs computed them before they were certified
+    for eta, eta_b in _gate_weights(p):
+        system = build_soft_system(p, N, eta, eta_b)
+        spectrum = solve_system(system)
+        sines = sine_table(N)
+        alone = [(N * N) * interior_symbol(p, np.array([[eta]]), eta_b,
+                                           sines[[j]] ** 2,
+                                           sines[[N - j]] ** 2)[0, 0]
+                 for j in spectrum.modes]
+        assert np.array(alone).tobytes() == spectrum.values.tobytes()
+
+
+@pytest.mark.parametrize("p,N,eta_b", [(2, 12, "paper"), (3, 40, "paper"),
+                                       (4, 31, 3e-4), (5, 21, 1e-5)])
+def test_moved_ranks_h1_errors_match_the_quadrature(p, N, eta_b):
+    # the closed form of a rank that holds another mode, from the element
+    # sums of two modes, against the quadrature over every element of the
+    # oracle vectors: measured within 8.2 eps * j * pi
+    table = eta_table()
+    eta_b = float(table.mass_side[p]) if eta_b == "paper" else eta_b
+    system = build_soft_system(p, N, float(table.default.get(p) or 0),
+                               eta_b)
+    spectrum = solve_system(system)
+    ranks = np.arange(1, spectrum.n + 1)
+    assert np.any(spectrum.modes != ranks)
+    got = h1_errors_for_modes(system, spectrum, ranks)
+    oracle = h1_errors_for_modes(system, _by_quadrature(system, spectrum),
+                                 ranks)
+    assert np.all(np.abs(np.subtract(got, oracle)) <= _h1_gap_bound(ranks))
+
