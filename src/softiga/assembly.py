@@ -105,27 +105,32 @@ class SoftSystem:
 
         Runs the checks of ``build_soft_system`` without reassembling.
         """
-        eta, eta_b = _checked_weights(self.space.kv.p, eta, eta_b)
+        [eta], eta_b = _checked_weights(self.space.kv.p, [eta], eta_b)
         return dataclasses.replace(self, eta=eta, eta_b=eta_b)
 
 
-def _checked_weights(p, eta, eta_b):
-    """Weights as floats; warns at or beyond the sharp threshold
-    (``analytic.sharp_weight``) of any degree p >= 1."""
-    eta, eta_b = float(eta), float(eta_b)
-    if not (math.isfinite(eta) and math.isfinite(eta_b)):
-        raise ValueError("softness weights must be finite")
-    if eta < 0 or eta_b < 0:
-        raise ValueError("softness weights must be nonnegative")
+def _checked_weights(p, etas, eta_b, stacklevel=3):
+    """The softness weights ``etas``, a sequence, and ``eta_b`` as floats,
+    each pair (eta, eta_b) checked in turn: ValueError when one is not
+    finite or is negative, and a warning for each eta at or beyond the
+    sharp threshold (``analytic.sharp_weight``, computed once) of any
+    degree p >= 1. ``stacklevel`` locates the warnings, by default at
+    the caller of ``build_soft_system`` or ``with_weights``.
+    """
+    etas, eta_b = [float(eta) for eta in etas], float(eta_b)
     # a degree below 1 is left to the space builders to refuse
     sharp = float(sharp_weight(p)) if p >= 1 else math.inf
-    if eta >= sharp:
-        # stacklevel 3: the caller of build_soft_system or with_weights
-        warnings.warn(
-            f"eta={eta} is at or beyond the sharp threshold {sharp}"
-            f" for p={p}; the stiffness side may be indefinite",
-            IndefinitenessWarning, stacklevel=3)
-    return eta, eta_b
+    for eta in etas:
+        if not (math.isfinite(eta) and math.isfinite(eta_b)):
+            raise ValueError("softness weights must be finite")
+        if eta < 0 or eta_b < 0:
+            raise ValueError("softness weights must be nonnegative")
+        if eta >= sharp:
+            warnings.warn(
+                f"eta={eta} is at or beyond the sharp threshold {sharp}"
+                f" for p={p}; the stiffness side may be indefinite",
+                IndefinitenessWarning, stacklevel=stacklevel)
+    return etas, eta_b
 
 
 def _raw_band(num_raw, blocks, index):
@@ -279,7 +284,7 @@ def build_soft_system(p, N, eta, eta_b=0.0, flavor="outlier_free"):
         per-degree reference stretched to N (``_stretch``). Either way
         the bands of a mesh are built once per process.
     """
-    eta, eta_b = _checked_weights(p, eta, eta_b)
+    [eta], eta_b = _checked_weights(p, [eta], eta_b)
     if flavor not in _SPACES:
         raise ValueError(f"unknown space flavor {flavor!r}")
     space = _SPACES[flavor](p, N)

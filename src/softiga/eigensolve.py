@@ -275,20 +275,29 @@ def _residual_norms(values, AX, BX):
 def _contract(values, residuals, norms):
     """The pairs' values in stable ascending order, the order itself, and
     the residual norms and contract bounds in that order, from the
-    Frobenius norms of A and B.
+    Frobenius norms of A and B. Two-dimensional arrays hold one pencil
+    per row, sorted row by row, with the norms as columns.
 
     Raises EigenSolveError on non-finite values, or when a pair breaks
     the residual contract ||A x - lambda B x|| <= RESIDUAL_RTOL *
-    (||A||_F + |lambda| ||B||_F).
+    (||A||_F + |lambda| ||B||_F), naming the worst pair of the first
+    pencil that breaks it.
     """
     if not np.all(np.isfinite(values)):
         raise EigenSolveError("non-finite values in eigensolution")
-    order = np.argsort(values, kind="stable")
-    values, residuals = values[order], residuals[order]
+    order = np.argsort(values, axis=-1, kind="stable")
+    index = order if values.ndim == 1 else (
+        np.arange(len(values))[:, None], order)
+    values, residuals = values[index], residuals[index]
     bounds = RESIDUAL_RTOL * (norms[0] + np.abs(values) * norms[1])
-    if not np.all(residuals <= bounds):
+    kept = residuals <= bounds
+    if not kept.all():
+        n = values.shape[-1]
+        row = int(np.argmin(kept.reshape(-1, n).all(1)))
+        residuals = residuals.reshape(-1, n)[row]
+        bounds = bounds.reshape(-1, n)[row]
         j = int(np.argmax(residuals / bounds))
-        raise EigenSolveError(f"eigenpair {j + 1} of {len(values)} breaks"
+        raise EigenSolveError(f"eigenpair {j + 1} of {n} breaks"
                               f" the residual contract: residual"
                               f" {residuals[j]:.3e} above its bound"
                               f" {bounds[j]:.3e}")

@@ -8,7 +8,11 @@ Every report, in any dimension, lifts the ascending 1D eigenvalues with
 of one mode over a mesh family, of its eigenvalue or of its H1
 seminorm, comes from one routine (``mode_convergence``) that builds and
 solves each mesh once. A weight sweep takes one set of eigenvectors
-per space and reweights every weight from it (``reweighted_values``).
+per space and reweights every weight from it (``reweighted_values``):
+the grid is one array of values, checked once, whose condition numbers
+read the two ends of each row's lift (``lifted_extremes``) and whose
+errors lift a few rows at a time, so a sweep holds n values per weight
+and one chunk of lifts (``eta_sweep``).
 Condition statistics read only the two ends of each spectrum, which the
 ``condition`` command takes from ``tensor.lifted_extremes`` without
 building a lift, from the 1D ends of ``extreme_values``, one call per
@@ -42,14 +46,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import eta_table, interior_symbol
-from .assembly import build_soft_system
+from .assembly import _checked_weights, build_soft_system
 from .eigensolve import (RESIDUAL_RTOL, Spectrum, _checked_pencil,
                          _column_dots, _contract, _padded, _solver,
                          check_full_order, extreme_eigenpairs,
                          generalized_eig)
 from .spaces import has_sine_modes, sine_table, space_dimension
 from .splines import basis_table, gauss_rule, open_knot_vector
-from .tensor import continuum_values, kron_sum_spectrum
+from .tensor import (_sums, check_lift_size, continuum_values,
+                     kron_sum_spectrum, lifted_extremes)
 
 
 class InsufficientDataError(ValueError):
@@ -66,7 +71,8 @@ class SpectralReport:
     rel_errors: np.ndarray
 
 
-# Modes per slice of the closed-form values, whose temporaries it bounds.
+# Entries per slice of the closed-form values, of the certificates' rows
+# and of a sweep's lifts, whose temporaries it bounds.
 _SLICE = 1 << 15
 
 _EPS = np.finfo(float).eps
@@ -88,8 +94,9 @@ def _sine_pairs(system, etas, ends=False):
     table = sine_table(N)
     js = np.arange(1, system.space.dim + 1)
     values = np.empty((len(etas), len(js)))
-    for lo in range(0, len(js), _SLICE):
-        part = js[lo:lo + _SLICE]
+    width = max(1, _SLICE // len(etas))
+    for lo in range(0, len(js), width):
+        part = js[lo:lo + width]
         values[:, lo:lo + len(part)] = (N * N) * interior_symbol(
             p, np.array(etas, dtype=float)[:, None], system.eta_b,
             table[part] ** 2, table[N - part] ** 2)
@@ -199,16 +206,6 @@ def _certificates(bands, shifts, values, js, p, N, table):
     # each row's bound on the rounding of its product and combination,
     # per unit of its weight (1, |t| or |lambda|)
     slack = abs(entries).sum(1).reshape(nb, R + 1, 1) * ((hbw + 5) * e)
-    both = np.empty((2, len(values), R + 1, len(js)))
-    for row, lam in enumerate(values):
-        side, error = products[0], slack[0]
-        if nb > 2:
-            side = side + shifts[row] * products[2]
-            error = error + abs(shifts[row]) * slack[2]
-        # combined in the precision of the products, then rounded
-        np.subtract(side, lam * products[1], out=both[0, row])
-        np.multiply(abs(lam), slack[1], out=both[1, row])
-        both[1, row] += error
     # sum_reg x_i^2 lies in [spread - widen, spread + widen]
     at_rows = samples[:, :R].T
     spread = widen = 0.0
@@ -217,9 +214,25 @@ def _certificates(bands, shifts, values, js, p, N, table):
                    else 0.5 * N)
         spread = norm_sq - (at_rows * at_rows).sum(0)
         widen = (R + 8) * eps * norm_sq
-    both *= both
-    both[:, :, R] *= spread + widen
-    bound = np.sqrt(both.sum(2)).sum(0)
+    # the rows of each weight and their rounding, summed as a norm, in
+    # blocks of weights of at most _SLICE entries (or one weight)
+    block = max(1, _SLICE // ((R + 1) * len(js)))
+    bound = np.empty(values.shape)
+    for lo in range(0, len(values), block):
+        part = values[lo:lo + block]
+        both = np.empty((2, len(part), R + 1, len(js)))
+        for at, lam in enumerate(part):
+            side, error = products[0], slack[0]
+            if nb > 2:
+                side = side + shifts[lo + at] * products[2]
+                error = error + abs(shifts[lo + at]) * slack[2]
+            # combined in the precision of the products, then rounded
+            np.subtract(side, lam * products[1], out=both[0, at])
+            np.multiply(abs(lam), slack[1], out=both[1, at])
+            both[1, at] += error
+        both *= both
+        both[:, :, R] *= spread + widen
+        bound[lo:lo + block] = np.sqrt(both.sum(2)).sum(0)
     bound *= 1 + (R / 2 + 8) * eps
     symbol = products[1, R] - slack[1, R]
     low = ((at_rows * products[1, :R]).sum(0) + symbol * spread
@@ -269,23 +282,29 @@ def extreme_values(system):
 def reweighted_values(system, etas):
     """Eigenvalues of the system's operators under each softness weight
     of ``etas``, with its own mass-side weight eta_b, from one set of
-    eigenvectors.
+    eigenvectors: a (len(etas), n) array, each row ascending.
 
     On the outlier-free space K, M and S all commute with the paper's
     transformation T, so one set of eigenvectors diagonalizes all three,
     and every weight's eigenvalues are the symbol's values of the same
-    modes, all certified at once (``_sine_pairs``). Any other space, such
-    as a standard space with p >= 3, whose eta = 0 eigenvectors do not
-    diagonalize S, is refused with ValueError before its pencil is
-    checked.
+    modes, all certified at once (``_sine_pairs``). The grid is checked
+    as ``with_weights`` checks one weight, with the sharp weight computed
+    once, and the array of pairs against the contract in one pass. Any
+    other space, such as a standard space with p >= 3, whose eta = 0
+    eigenvectors do not diagonalize S, is refused with ValueError before
+    its pencil is checked.
     """
     if not has_sine_modes(system.space):
         raise ValueError(f"no closed-form eigenvectors to reweight on"
                          f" this space (p={system.space.kv.p})")
     check_full_order(system.space.dim)
-    # the checks and warnings of every weight, with no pencil formed
-    etas = [system.with_weights(eta, system.eta_b).eta for eta in etas]
-    return [_contract(*pair)[0] for pair in zip(*_sine_pairs(system, etas))]
+    # the checks and warnings of every weight, with no pencil formed;
+    # the warnings point at the caller, past the solver's wrapper
+    etas, _ = _checked_weights(system.space.kv.p, etas, system.eta_b,
+                               stacklevel=4)
+    values, residuals, norms = _sine_pairs(system, etas)
+    # the norms as two columns, one row per weight
+    return _contract(values, residuals, np.array(norms).T[..., None])[0]
 
 
 def spectral_report(values, d=1):
@@ -588,9 +607,14 @@ def eta_sweep(p, N, etas, d=1):
     The baseline is the unsoftened pencil (eta = 0). Every weight must
     lie in [0, sharp_max); each row is (eta, rho, e_lambda) where
     e_lambda is the root of the sum of squared relative errors. The
-    unsoftened pencil is assembled and solved once, every weight's
-    spectrum is reweighted from it (``reweighted_values``), and the
-    continuum targets are built once.
+    unsoftened pencil is assembled and solved once, and every weight's
+    spectrum is reweighted from it (``reweighted_values``), one row of n
+    values per weight. rho reads the two ends of each row's lift
+    (``lifted_extremes``), with no lift built, and e_lambda pairs each
+    lift, values only, with the continuum targets, built once. Those
+    lifts are formed a few weights at a time, at most ``_SLICE`` values
+    or one weight's n^d, and dropped, so the peak does not grow with the
+    grid.
     """
     sharp = float(eta_table().resolve(p, "sharp_max"))
     etas = [float(e) for e in etas]
@@ -598,16 +622,27 @@ def eta_sweep(p, N, etas, d=1):
         if not 0.0 <= e < sharp:
             raise ValueError(f"weight {e} outside [0, {sharp})")
     system = build_soft_system(p, N, 0.0)
-    baseline, *spectra = (kron_sum_spectrum(values, d).values for values in
-                          reweighted_values(system, [0.0] + etas))
-    exact = continuum_values(d, system.space.dim)
-    rows = []
-    for e, lift in zip(etas, spectra):
-        stats = condition_stats(lift, baseline)
-        e_lambda = float(np.sqrt(np.sum((np.abs(lift - exact) / exact)
-                                        ** 2)))
-        rows.append((e, stats.rho, e_lambda))
-    return rows
+    values = reweighted_values(system, [0.0] + etas)
+    ends = lifted_extremes(values, d)
+    n = values.shape[1]
+    check_lift_size(n, d)
+    exact = continuum_values(d, n)
+    if etas and ends[:, 0].min() <= 0:
+        # the refusal of condition_stats
+        raise ValueError("spectra must be positive to form condition"
+                         " numbers")
+    gammas = ends[:, 1] / ends[:, 0]
+    rhos = gammas[0] / gammas[1:]
+    errors = np.empty(len(etas))
+    step = max(1, _SLICE // n ** d)
+    for lo in range(0, len(etas), step):
+        lift = np.sort(_sums(values[1 + lo:1 + lo + step], d), axis=1)
+        lift -= exact
+        np.abs(lift, out=lift)
+        lift /= exact
+        lift *= lift
+        errors[lo:lo + step] = np.sqrt(lift.sum(1))
+    return list(zip(etas, rhos.tolist(), errors.tolist()))
 
 
 def convergence_slope(ns, errors):

@@ -5,8 +5,9 @@ so the multi-dimensional generalized eigenvalues are exactly the d-fold
 sums of the 1D ones. That makes the 3D benchmark tables computable from
 a single small 1D solve instead of a dense solve of order N^3.
 
-The lift is a left fold of ``np.add.outer`` over the 1D values, so each
-sum is formed in multi-index order, ordered by a stable argsort of the
+The lift is a left fold of broadcast sums over the 1D values
+(``_sums``, for one list or a row of them per weight), so each sum is
+formed in multi-index order, ordered by a stable argsort of the
 row-major (lexicographic) flattening. A lift has n1^d entries and is
 refused up front above ``MAX_LIFT_ENTRIES``. Condition numbers need only
 the two ends of the lifted spectrum, the d-fold sums of the 1D extremes
@@ -82,24 +83,34 @@ def kron_sum_spectrum(one_d, d):
     one_d = _ascending(one_d, d)
     n = one_d.size
     check_lift_size(n, d)
-    sums = one_d
-    for _ in range(d - 1):
-        sums = np.add.outer(sums, one_d)
-    sums = sums.reshape(-1)  # row-major: lexicographic multi-index order
+    sums = _sums(one_d, d)
     order = np.argsort(sums, kind="stable")
     indices = np.stack(np.unravel_index(order, (n,) * d), axis=1) + 1
     return TensorSpectrum(sums[order], indices)
 
 
-def lifted_extremes(one_d, d):
-    """The smallest and largest d-fold sums of a sorted 1D list.
+def _sums(rows, d):
+    """Every d-fold sum of the values along the last axis of ``rows``,
+    each added left to right over its multi-index, in row-major
+    (lexicographic) multi-index order: n^d values per row."""
+    sums = rows
+    for _ in range(d - 1):
+        sums = (sums[..., :, None] + rows[..., None, :]).reshape(
+            *rows.shape[:-1], -1)
+    return sums
 
-    Returns ``[lo, hi]``, added in the order of ``kron_sum_spectrum``,
-    so they equal the first and last entries of the lift bit for bit
-    (rounded addition is monotone) without building it.
+
+def lifted_extremes(one_d, d):
+    """The smallest and largest d-fold sums of a sorted 1D list, or of
+    each row of a 2D array of them.
+
+    Returns ``[lo, hi]`` (a row of them per row), added in the order of
+    ``kron_sum_spectrum``, so they equal the first and last entries of
+    the lift bit for bit (rounded addition is monotone) without building
+    it.
     """
     one_d = _ascending(one_d, d)
-    ends = one_d[[0, -1]]
+    ends = one_d[..., [0, -1]]
     lifted = ends
     for _ in range(d - 1):
         lifted = lifted + ends

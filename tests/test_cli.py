@@ -743,6 +743,15 @@ _GOLDEN_STDOUT = {
         "1cb541f1b767f726ec03d12557aa0bcf",
     "dispersion -p 3 --eta super": "191625458240f70948464229e03030d3",
     "verify": "e95c28b6b0fe799b6604987d4782ebb8",
+    # recorded from the code that lifted and checked every weight of a
+    # sweep in turn, and held every lift
+    "eta-sweep -p 2 -N 500 --grid-points 200":
+        "d75478e277a46f5e92f48057645da3d1",
+    "eta-sweep -p 3 -N 40 -d 2": "15238a42cad867474a35a1b9ac29731c",
+    "eta-sweep -p 2 -N 40 -d 3 --grid-points 300":
+        "6de349a75042febe267d5dd4d3fb0b41",
+    "eta-sweep -p 2 -N 40 -d 3 --grid-points 300 --format json":
+        "385644e62fac79fa530d8a933efa5699",
     # recorded from the code that still gave every subcommand the same
     # eight options
     "eta-sweep -p 2 -N 10 --format json":

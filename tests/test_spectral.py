@@ -4,19 +4,22 @@ sweeps, and convergence fits."""
 import dataclasses
 import functools
 import math
+import re
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
+import softiga.eigensolve as eigensolve
 import softiga.spectral_analysis as spectral
 from oracles import (band_product, closed_form_vectors, dense_extraction,
                      dispersion_eigenvalue, full_lift_values,
                      pythagorean_residual, sine_modes)
 from softiga.analytic import (analytic_eigenvalue, eta_table,
                               interior_symbol, sharp_weight)
-from softiga.assembly import build_soft_system
+from softiga.assembly import IndefinitenessWarning, build_soft_system
 from softiga.eigensolve import (EigenSolveError, SymBandedMatrix,
                                 _checked_pencil, generalized_eig)
 from softiga.spaces import build_of_space, sine_table
@@ -327,6 +330,93 @@ def test_reweighting_a_space_its_vectors_do_not_diagonalize_fails(
         with pytest.raises(ValueError, match="closed-form"):
             reweighted_values(system, etas)
     assert checks == modes == []
+
+
+@pytest.mark.parametrize("points", [1, 13, 300])
+def test_a_sweep_is_one_solve_and_one_contract_check(points, monkeypatch):
+    # the grid is one array from the pairs to the rows: one assembly, one
+    # set of pairs, one contract check, and no lift or condition number
+    # per weight
+    names = ("build_soft_system", "_sine_pairs", "_contract",
+             "kron_sum_spectrum", "condition_stats")
+    calls = {name: _counting(monkeypatch, name) for name in names}
+    grid = np.linspace(0.0, float(eta_table().sharp_max[2]), points,
+                       endpoint=False)
+    rows = eta_sweep(2, 12, grid, d=2)
+    assert len(rows) == points
+    assert {name: len(c) for name, c in calls.items()} == {
+        "build_soft_system": 1, "_sine_pairs": 1, "_contract": 1,
+        "kron_sum_spectrum": 0, "condition_stats": 0}
+
+
+def test_reweighting_warns_once_per_weight_at_or_beyond_sharp():
+    # the text of a single weight's check, once for each weight
+    sharp = float(sharp_weight(2))
+    system = build_soft_system(2, 10, 0.0)
+    with pytest.warns(IndefinitenessWarning) as record:
+        reweighted_values(system, [0.0, sharp, 1.5 * sharp])
+    tail = (" is at or beyond the sharp threshold 0.020833333333333332 for"
+            " p=2; the stiffness side may be indefinite")
+    assert [str(w.message) for w in record] == [
+        "eta=0.020833333333333332" + tail, "eta=0.03125" + tail]
+
+
+@pytest.mark.parametrize("etas, message, warned", [
+    ([0.0, math.nan], "finite", 0),
+    ([0.0, -1e-3], "nonnegative", 0),
+    ([-1.0, math.nan], "nonnegative", 0),
+    ([math.inf], "finite", 0),
+    ([-math.inf], "finite", 0),
+    # the weights before the first refused one warn, as one at a time
+    ([float(sharp_weight(2)), math.nan], "finite", 1),
+])
+def test_a_refused_weight_stops_the_grid_before_its_pencil(
+        etas, message, warned, monkeypatch):
+    checks = _counting(monkeypatch, "_checked_pencil")
+    system = build_soft_system(2, 10, 0.0)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError) as refusal:
+            reweighted_values(system, etas)
+    assert str(refusal.value) == f"softness weights must be {message}"
+    assert len(record) == warned
+    assert checks == []
+
+
+@pytest.mark.parametrize("p, N, etas, message", [
+    (2, 10, [0.0, 0.01], "eigenpair 9 of 10 breaks the residual contract:"
+     " residual 1.879e-12 above its bound 2.050e-298"),
+    (3, 12, [0.0, 0.001, 0.002], "eigenpair 11 of 11 breaks the residual"
+     " contract: residual 4.431e-12 above its bound 2.356e-298"),
+])
+def test_a_grid_breaking_the_contract_names_one_pair(p, N, etas, message,
+                                                     monkeypatch):
+    # messages of the one-weight-at-a-time checks: the worst pair of the
+    # first weight that breaks the contract
+    monkeypatch.setattr(eigensolve, "RESIDUAL_RTOL", 1e-300)
+    with pytest.raises(EigenSolveError) as breach:
+        reweighted_values(build_soft_system(p, N, 0.0), etas)
+    assert str(breach.value) == message
+
+
+def test_rows_of_pencils_are_checked_as_one_pencil_each():
+    rng = np.random.default_rng(7)
+    values = rng.permutation(np.tile(np.arange(6.0), (3, 2)).T).T
+    residuals = rng.uniform(0.0, 1e-12, values.shape)
+    norms = np.array([[2.0, 1.0], [3.0, 1.5], [4.0, 2.0]]).T[..., None]
+    rows = eigensolve._contract(values, residuals, norms)
+    for row in range(3):
+        one = eigensolve._contract(values[row], residuals[row],
+                                   norms[:, row, 0])
+        for got, want in zip(rows, one):
+            assert got[row].tobytes() == want.tobytes()
+    # the breach named is the first row's that breaks, as alone
+    residuals[1:, 4] = 1.0
+    residuals[2, 7] = 5.0
+    with pytest.raises(EigenSolveError) as alone:
+        eigensolve._contract(values[1], residuals[1], norms[:, 1, 0])
+    with pytest.raises(EigenSolveError, match=re.escape(str(alone.value))):
+        eigensolve._contract(values, residuals, norms)
 
 
 @pytest.mark.parametrize("flavor", ["standard", "outlier_free"])
@@ -748,8 +838,9 @@ def test_a_pairs_bits_do_not_depend_on_the_other_modes_or_weights(p):
 
 def test_reweighting_peaks_at_a_few_blocks_of_modes():
     # eta_sweep's default 14 weights at p = 3, N = 1000 (n = 999): the
-    # certificates form no vector, and their peak, measured 508 n
-    # doubles, a few arrays of one value per weight and mode, is far below
+    # certificates form no vector, and their peak, measured 205 n
+    # doubles (508 n while every weight's certificate rows were held at
+    # once), a few arrays of one value per weight and mode, is far below
     # the 6 n^2 doubles that whole-spectrum products took
     p = 3
     system = build_soft_system(p, 1000, 0.0)
@@ -759,6 +850,36 @@ def test_reweighting_peaks_at_a_few_blocks_of_modes():
     reweighted_values(system, etas)
     peak = _traced_peak(reweighted_values, system, etas)
     assert peak < 600 * n * 8
+
+
+def test_a_lifted_sweep_peaks_flat_in_its_grid():
+    # every weight's lift is formed and dropped in turn: at p = 2, N = 40,
+    # d = 3 (64,000 lifted values a weight) the grid of 300 weights peaks
+    # within 1.5 times the grid of 10, where holding every lift added
+    # about 0.5 MB a weight
+    sharp = float(eta_table().sharp_max[2])
+    peaks = []
+    for points in (10, 300):
+        grid = np.linspace(0.0, sharp, points, endpoint=False)
+        eta_sweep(2, 40, grid, 3)
+        peaks.append(_traced_peak(eta_sweep, 2, 40, grid, 3))
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_reweighting_holds_a_few_values_per_weight(p):
+    # each weight adds its values, certificates and their sorted copies,
+    # measured 6.2 n doubles at N = 400; holding every weight's
+    # certificate rows at once took 23 n (p = 2) to 33 n (p = 4)
+    system = build_soft_system(p, 400, 0.0)
+    n = system.space.dim
+    peaks = []
+    for points in (11, 301):
+        etas = list(np.linspace(0.0, float(eta_table().sharp_max[p]),
+                                points, endpoint=False))
+        reweighted_values(system, etas)
+        peaks.append(_traced_peak(reweighted_values, system, etas))
+    assert peaks[1] - peaks[0] <= 8 * 8 * n * 290
 
 
 def test_h1_errors_of_every_mode_stay_within_their_block_budget():
