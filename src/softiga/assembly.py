@@ -3,7 +3,9 @@
 Every operator is built straight into symmetric band storage, in
 O(N * p^2) work on the mesh itself or O(N * p) stretched from a
 per-degree reference; no dense matrix of the raw or space dimension is
-ever formed. There are two routes, one per space:
+ever formed, and no extraction either: a space is its knot vector and
+the flag ``odd`` (``spaces.SplineSpace``), which picks one of two
+routes:
 
 * The outlier-free space (the one space for p <= 2) is the splines odd
   about both ends of the mesh, so its operators are exact: the
@@ -41,12 +43,13 @@ other, and K and S scale as N, M as 1/N. So either route runs only on
 meshes of at most ``_reference_size(p)`` = 4p + 2 elements, once per
 mesh, space and process (``_bands``), and the reference of each degree
 serves every larger mesh: the space band there is the reference's left
-corner columns, its first interior column repeated, and the mirror of
-the left corner, times N/N_ref (K and S) or N_ref/N (M) (``_stretch``).
-That is O(N * p) writes, and the band is exactly persymmetric, with an
-exactly constant interior on every diagonal. The three bands of a
-space are the ``stiffness``, ``mass`` and ``softness`` of its
-``SoftSystem``.
+corner columns (``_corner_width``: p + p // 2 on the odd space, 2p - 1
+on the standard one), its first interior column repeated, and the
+mirror of the left corner, times N/N_ref (K and S) or N_ref/N (M)
+(``_stretch``). That is O(N * p) writes, and the band is exactly
+persymmetric, with an exactly constant interior on every diagonal. The
+three bands of a space are the ``stiffness``, ``mass`` and
+``softness`` of its ``SoftSystem``.
 
 Every band, raw or of a space, is one LAPACK lower band array
 (``SymBandedMatrix.band``, row k the k-th subdiagonal), so the
@@ -202,9 +205,10 @@ _SPACES = {"standard": build_standard_space, "outlier_free": build_of_space}
 
 def _corner_width(space):
     """Columns of a space band that meet a boundary element or face:
-    those of the corner members and of raw functions 0..2p-1."""
-    a, c = space.left.shape
-    return a + 2 * space.kv.p - c
+    those of the members over raw functions 0..2p-1, the p // 2 folds
+    and p raw functions of the odd space, or 2p - 1 raw functions."""
+    p = space.kv.p
+    return p + p // 2 if space.odd else 2 * p - 1
 
 
 def _without_ends(raw):
@@ -289,13 +293,12 @@ def build_soft_system(p, N, eta, eta_b=0.0, flavor="outlier_free"):
         raise ValueError(f"unknown space flavor {flavor!r}")
     space = _SPACES[flavor](p, N)
     p, N = space.kv.p, space.kv.N
-    odd = flavor == "outlier_free" or p <= 2
     size = _reference_size(p)
     if N <= size:
-        K, M, S = map(SymBandedMatrix, _bands(p, N, odd))
+        K, M, S = map(SymBandedMatrix, _bands(p, N, space.odd))
     else:
         corner = _corner_width(space)
         K, M, S = (SymBandedMatrix(_stretch(band, corner, space.dim, scale))
-                   for band, scale in zip(_bands(p, size, odd),
+                   for band, scale in zip(_bands(p, size, space.odd),
                                           (N / size, size / N, N / size)))
     return SoftSystem(eta, eta_b, space, K, M, S)

@@ -200,10 +200,6 @@ class Spectrum:
     def n(self):
         return len(self.values)
 
-    @property
-    def lam_min(self):
-        return float(self.values[0])
-
 
 def _padded(band, rows):
     """The band with ``rows`` rows, in double precision and Fortran
@@ -273,49 +269,52 @@ def _residual_norms(values, AX, BX):
 
 
 def _contract(values, residuals, norms):
-    """The pairs' values in stable ascending order, the order itself, and
-    the residual norms and contract bounds in that order, from the
+    """The contract bounds of the pairs, in their order, from the
     Frobenius norms of A and B. Two-dimensional arrays hold one pencil
-    per row, sorted row by row, with the norms as columns.
+    per row, with the norms as columns. Nothing is sorted: each caller
+    sorts what it reads.
 
     Raises EigenSolveError on non-finite values, or when a pair breaks
     the residual contract ||A x - lambda B x|| <= RESIDUAL_RTOL *
     (||A||_F + |lambda| ||B||_F), naming the worst pair of the first
-    pencil that breaks it.
+    pencil that breaks it by its rank in that pencil's stable ascending
+    order.
     """
     if not np.all(np.isfinite(values)):
         raise EigenSolveError("non-finite values in eigensolution")
-    order = np.argsort(values, axis=-1, kind="stable")
-    index = order if values.ndim == 1 else (
-        np.arange(len(values))[:, None], order)
-    values, residuals = values[index], residuals[index]
     bounds = RESIDUAL_RTOL * (norms[0] + np.abs(values) * norms[1])
     kept = residuals <= bounds
     if not kept.all():
         n = values.shape[-1]
         row = int(np.argmin(kept.reshape(-1, n).all(1)))
-        residuals = residuals.reshape(-1, n)[row]
-        bounds = bounds.reshape(-1, n)[row]
+        order = np.argsort(values.reshape(-1, n)[row], kind="stable")
+        residuals = residuals.reshape(-1, n)[row][order]
+        bounds = bounds.reshape(-1, n)[row][order]
         j = int(np.argmax(residuals / bounds))
         raise EigenSolveError(f"eigenpair {j + 1} of {n} breaks"
                               f" the residual contract: residual"
                               f" {residuals[j]:.3e} above its bound"
                               f" {bounds[j]:.3e}")
-    return values, order, residuals, bounds
+    return bounds
 
 
 def _spectrum(values, X, residuals, norms):
     """The Spectrum of the pairs (values[j], X[:, j]), with the residual
     norms of ``_residual_norms`` and the Frobenius norms of A and B, the
     pairs in stable ascending order: X itself when already in that
-    order, else a sorted copy.
+    order, else a sorted copy. With X None the pairs are closed-form
+    ones, and the Spectrum keeps the mode number of each rank instead.
 
     Raises EigenSolveError on non-finite values or vectors, or when a
     pair breaks the residual contract (``_contract``).
     """
-    if not np.all(np.isfinite(X)):
+    if X is not None and not np.all(np.isfinite(X)):
         raise EigenSolveError("non-finite values in eigensolution")
-    values, order, residuals, bounds = _contract(values, residuals, norms)
+    bounds = _contract(values, residuals, norms)
+    order = np.argsort(values, kind="stable")
+    values, residuals, bounds = values[order], residuals[order], bounds[order]
+    if X is None:
+        return Spectrum(values, None, residuals, bounds, order + 1)
     if not np.array_equal(order, np.arange(len(order))):
         X = X[:, order]
     return Spectrum(values, X, residuals, bounds)

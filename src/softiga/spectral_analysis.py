@@ -47,11 +47,11 @@ import numpy as np
 
 from .analytic import eta_table, interior_symbol
 from .assembly import _checked_weights, build_soft_system
-from .eigensolve import (RESIDUAL_RTOL, Spectrum, _checked_pencil,
-                         _column_dots, _contract, _padded, _solver,
+from .eigensolve import (RESIDUAL_RTOL, _checked_pencil, _column_dots,
+                         _contract, _padded, _solver, _spectrum,
                          check_full_order, extreme_eigenpairs,
                          generalized_eig)
-from .spaces import has_sine_modes, sine_table, space_dimension
+from .spaces import sine_table, space_dimension
 from .splines import basis_table, gauss_rule, open_knot_vector
 from .tensor import (_sums, check_lift_size, continuum_values,
                      kron_sum_spectrum, lifted_extremes)
@@ -247,19 +247,19 @@ def _certificates(bands, shifts, values, js, p, N, table):
 def solve_system(system):
     """Generalized eigenpairs of an assembled pencil.
 
-    Where the eigenvectors are the sine samples (``has_sine_modes``) the
-    pairs are the closed-form modes, B-normalized, with the symbol's
-    values, each certified against the residual contract
-    (``_sine_pairs``), so a wrong vector exits 2 rather than printing;
-    the Spectrum keeps their mode numbers. Else ``generalized_eig``.
+    On the odd space (``SplineSpace.odd``), whose eigenvectors are the
+    sine samples, the pairs are the closed-form modes, B-normalized,
+    with the symbol's values, each certified against the residual
+    contract (``_sine_pairs``), so a wrong vector exits 2 rather than
+    printing; the Spectrum keeps their mode numbers. Else
+    ``generalized_eig``.
     """
-    if not has_sine_modes(system.space):
+    if not system.space.odd:
         return generalized_eig(system.A, system.B)
     # the pairs take O(n * p^2) time; the limit bounds the report
     check_full_order(system.space.dim)
     (values,), (residuals,), (norms,) = _sine_pairs(system, [system.eta])
-    values, order, residuals, bounds = _contract(values, residuals, norms)
-    return Spectrum(values, None, residuals, bounds, order + 1)
+    return _spectrum(values, None, residuals, norms)
 
 
 def extreme_values(system):
@@ -269,10 +269,11 @@ def extreme_values(system):
     from band factorizations (``extreme_eigenpairs``), for which a system
     passed as a temporary is freed once its pencil is formed.
     """
-    if has_sine_modes(system.space):
+    if system.space.odd:
         (values,), (residuals,), (norms,) = _sine_pairs(
             system, [system.eta], ends=True)
-        return _contract(values, residuals, norms)[0]
+        _contract(values, residuals, norms)
+        return np.sort(values)
     A, B = system.A, system.B
     del system
     return extreme_eigenpairs(A, B).values
@@ -294,7 +295,7 @@ def reweighted_values(system, etas):
     eigenvectors do not diagonalize S, is refused with ValueError before
     its pencil is checked.
     """
-    if not has_sine_modes(system.space):
+    if not system.space.odd:
         raise ValueError(f"no closed-form eigenvectors to reweight on"
                          f" this space (p={system.space.kv.p})")
     check_full_order(system.space.dim)
@@ -304,7 +305,9 @@ def reweighted_values(system, etas):
                                stacklevel=4)
     values, residuals, norms = _sine_pairs(system, etas)
     # the norms as two columns, one row per weight
-    return _contract(values, residuals, np.array(norms).T[..., None])[0]
+    _contract(values, residuals, np.array(norms).T[..., None])
+    values.sort(axis=1, kind="stable")
+    return values
 
 
 def spectral_report(values, d=1):
@@ -473,9 +476,9 @@ _ERROR_BLOCK_BYTES = 1 << 19
 
 
 def _quadrature_h1(system, spectrum, t, weights, js):
-    """Squared H1 errors of the pairs of ranks ``js`` of the system's
-    pencil, integrated over every element from their vectors, at the
-    Gauss points t of weights ``weights``.
+    """Squared H1 errors of the pairs of ranks ``js`` of a numerical
+    solve on the standard space, integrated over every element from
+    their vectors, at the Gauss points t of weights ``weights``.
 
     The modes go in blocks of columns, each sized to
     ``_ERROR_BLOCK_BYTES``. The values and derivatives of a block's
@@ -505,7 +508,10 @@ def _quadrature_h1(system, spectrum, t, weights, js):
     width = max(1, _ERROR_BLOCK_BYTES // (9 * 8 * N * len(t)))
     for lo in range(0, len(js), width):
         block = js[lo:lo + width]
-        raw = space.raw_coefficients(spectrum.vectors[:, block - 1]).T
+        # the standard space's raw coefficients: its vectors with a zero
+        # row for each endpoint function
+        raw = np.zeros((len(block), N + p))
+        raw[:, 1:-1] = spectrum.vectors[:, block - 1].T
         # values and derivatives, ordered (point, mode, element) so that
         # every pass below runs along the elements
         local = np.zeros((2, len(t), len(block), N))

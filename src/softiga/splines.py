@@ -8,9 +8,9 @@ The recursion runs its loops over the degree once for a whole array of
 points, each point an entry along a numpy axis, so every point takes
 the same floating-point operations as when evaluated on its own.
 
-Breakpoint evaluations are one-sided. The default is the right-limit,
-except at x=1 where only the left-limit exists; callers may force a side
-to probe the piecewise-constant p-th derivative on a chosen element.
+Breakpoint evaluations take the right limit, except at x=1 where only
+the left limit exists. The p-th derivative is constant on each element,
+so it is read at a point inside the element, not at a breakpoint.
 
 The Gauss-Legendre rule the quadratures sample these bases at is
 computed once per point count (``gauss_rule``).
@@ -99,7 +99,7 @@ def open_knot_vector(p, N):
     return KnotVector(p, N, knots)
 
 
-def eval_basis(kv, x, r=0, side=None):
+def eval_basis(kv, x, r=0):
     """Evaluate raw basis derivatives of orders 0..r at a point or at
     an array of points.
 
@@ -108,12 +108,10 @@ def eval_basis(kv, x, r=0, side=None):
     kv : KnotVector
     x : float or array_like
         Point(s) in [0, 1]; an array of shape S is evaluated in one
-        pass, every point through the same arithmetic as on its own.
+        pass, every point through the same arithmetic as on its own. A
+        breakpoint is evaluated as the right limit, x=1 as the left one.
     r : int
         Highest derivative order, 0 <= r <= p.
-    side : {"right", "left", None}
-        One-sided limit taken when a point is exactly a breakpoint. None
-        means right-limit (left-limit at x=1).
 
     Returns
     -------
@@ -129,12 +127,10 @@ def eval_basis(kv, x, r=0, side=None):
         raise ValueError(f"evaluation points must lie in [0, 1], got {x}")
     if not 0 <= r <= p:
         raise ValueError(f"derivative order must be in 0..{p}, got {r}")
-    if side not in (None, "right", "left"):
-        raise ValueError(f"unknown side {side!r}")
     # clamp: below the first element there is no left limit, above the
     # last there is no right limit
-    span = np.clip(np.searchsorted(kv.knots, x, side=side or "right") - 1,
-                   p, N - 1 + p)
+    span = np.clip(np.searchsorted(kv.knots, x, side="right") - 1, p,
+                   N - 1 + p)
     U = kv.knots
 
     # Triangular table of all lower-degree values plus the knot

@@ -11,9 +11,16 @@ of their entries, Fractions included: the reference for the package's
 scaled-integer commutators.
 ``fresh_assembly_caches`` empties the per-degree caches of the
 assembly, so that a test can count the work of one build.
-``band_entry``, ``lam_max`` and ``dense_extraction`` read one entry of a
-band, the top eigenvalue of a spectrum and the dense extraction of a
-space, which the package never reads that way.
+``band_entry``, ``lam_min`` and ``lam_max`` read one entry of a band and
+the two ends of a spectrum, which the package never reads that way.
+
+A space of the package is its knot vector and the flag ``odd``; it
+forms no extraction. ``folds`` computes the corners of the outlier-free
+space by knot insertion in exact rationals, ``extraction_corners`` the
+two corner blocks of either space, and ``raw_coefficients`` and
+``dense_extraction`` the raw coordinates E^T c of its members and the
+extraction E itself: the independent route E R E^T against which the
+tests check the exact completions the package assembles.
 
 ``PRINTED_STENCILS`` holds the paper's interior stencils for p = 2..5,
 the exact reference for the ones the package computes at any degree,
@@ -22,10 +29,10 @@ reference for the package's ``sharp_weight``.
 
 The rest restate, for the tests, what the package computes only on
 its way to a printed number:
-- ``space_operators``, the (K, M, S) of any space, such as a remixed
-  one that ``build_soft_system`` does not build, as E R E^T from its
-  dense extraction and the raw bands of its own mesh, whatever its
-  size;
+- ``space_operators``, the (K, M, S) of a space, or of a remixed one
+  that ``build_soft_system`` does not build, given by its dense
+  extraction, as E R E^T from that extraction and the raw bands of its
+  own mesh, whatever its size;
 - ``softened_reference``, the printed pencil in exact rationals;
 - ``dispersion_eigenvalue``, the interior symbol's eigenvalue at one
   wavenumber, in mpmath;
@@ -41,6 +48,7 @@ its way to a printed number:
   L2 error is integrated here point by point.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -111,20 +119,108 @@ def band_entry(A, i, j):
     return A.band[k, min(i, j)]
 
 
+def lam_min(spectrum):
+    """The smallest eigenvalue of a Spectrum, as a float."""
+    return float(spectrum.values[0])
+
+
 def lam_max(spectrum):
     """The largest eigenvalue of a Spectrum, as a float."""
     return float(spectrum.values[-1])
 
 
+@functools.cache
+def folds(p):
+    """The left corner of the outlier-free space of degree p >= 3: the
+    raw coefficients of the folds B_k - B_(-k), k = 1..p // 2, over raw
+    functions 0..p-1, as a read-only (p // 2, p) array.
+
+    B_k is the uniform B-spline centred at node k (odd p) or k - 1/2
+    (even p) on the mesh with knots at every integer multiple of h, and
+    B_(-k) its mirror about 0. Inserting the knot 0 p more times
+    (Boehm's algorithm) leaves a (p + 1)-fold knot at 0, where the
+    B-splines that start there are the raw functions of the open knot
+    vector; the folds' coefficients are read off them. Every step is
+    exact in rationals, so the folds are exact up to their final
+    rounding.
+    """
+    count = p // 2
+    # knots from -reach to reach carry every B-spline the insertion reads
+    reach = p + 1
+    knots = [Fraction(i) for i in range(-reach, reach + 1)]
+    coeffs = []
+    for start in range(len(knots) - p - 1):
+        # twice the centre of the B-spline on knots start..start + p + 1
+        twice = 2 * (start - reach) + p + 1
+        row = np.full(count, Fraction(0), dtype=object)
+        k = (abs(twice) - 1) // 2
+        if twice and k < count:
+            row[k] = Fraction(1 if twice > 0 else -1)
+        coeffs.append(row)
+    for _ in range(p):
+        span = len(knots) - 1 - knots[::-1].index(0)
+        refined = coeffs[:span - p + 1]
+        for i in range(span - p + 1, span + 1):
+            a = -knots[i] / (knots[i + p] - knots[i])
+            refined.append(a * coeffs[i] + (1 - a) * coeffs[i - 1])
+        refined += coeffs[span:]
+        knots.insert(span + 1, Fraction(0))
+        coeffs = refined
+    first = knots.index(0)
+    out = np.array(coeffs[first:first + p], dtype=float).T
+    out.flags.writeable = False
+    return out
+
+
+def extraction_corners(space):
+    """The two corner blocks (left, right) of the space's extraction.
+
+    With ``left`` of shape (a, c) and ``right`` of shape (b, e), the
+    first a members are the rows of ``left`` over raw functions 0..c-1,
+    the last b members are the rows of ``right`` over the last e raw
+    functions, and every member in between is one raw function. The
+    outlier-free space of degree p >= 3 has the folds at the left and
+    their mirror, rows reversed, at the right, so its extraction is
+    persymmetric; otherwise each corner drops one endpoint function and
+    keeps no member.
+    """
+    p = space.kv.p
+    if space.odd and p >= 3:
+        left = folds(p)
+        return left, left[::-1, ::-1]
+    endpoint = np.zeros((0, 1))
+    return endpoint, endpoint
+
+
+def raw_coefficients(space, coeffs):
+    """Raw coordinates E^T c of members of the space with coefficients c.
+
+    ``coeffs`` has the space dimension as its first axis; further axes
+    (several coefficient vectors as columns) are kept. Each corner sums
+    its members one after another (``extraction_corners``).
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    left, right = extraction_corners(space)
+    (a, c), (b, e) = left.shape, right.shape
+    inner = space.kv.num_raw - c - e
+    out = np.zeros((space.kv.num_raw,) + coeffs.shape[1:])
+    for row, member in zip(left, coeffs[:a]):
+        out[:c] += np.multiply.outer(row, member)
+    out[c:c + inner] = coeffs[a:a + inner]
+    for row, member in zip(right, coeffs[a + inner:]):
+        out[c + inner:] += np.multiply.outer(row, member)
+    return out
+
+
 def dense_extraction(space):
     """The dense (dim x raw) extraction matrix of a SplineSpace, one row
     per member over the raw B-splines."""
-    return space.raw_coefficients(np.eye(space.dim)).T
+    return raw_coefficients(space, np.eye(space.dim)).T
 
 
 def sine_modes(space, js, dtype=float):
-    """The pencil eigenvectors of a space whose ``has_sine_modes`` holds,
-    in closed form and unnormalized, mode js[i] in column i, in the
+    """The pencil eigenvectors of an odd space (``SplineSpace.odd``), in
+    closed form and unnormalized, mode js[i] in column i, in the
     precision ``dtype``.
 
     Component k of mode j is sin(j*pi*node_(k+1)/N), node_k = k for
@@ -186,21 +282,24 @@ def fresh_assembly_caches():
     assembly._bands.cache_clear()
 
 
-def space_member_eval(space, i, x, r=0, side=None):
-    """Derivative of order r of the i-th space basis function at x."""
+def space_member_eval(space, i, x, r=0):
+    """Derivative of order r of the i-th space basis function at x, the
+    right limit at a breakpoint and the left one at x = 1."""
     if not 0 <= i < space.dim:
         raise IndexError(f"member index {i} out of range 0..{space.dim - 1}")
-    be = eval_basis(space.kv, x, r, side)
+    be = eval_basis(space.kv, x, r)
     unit = np.zeros(space.dim)
     unit[i] = 1.0
-    row = space.raw_coefficients(unit)
+    row = raw_coefficients(space, unit)
     p = space.kv.p
     return float(row[be.element:be.element + p + 1] @ be.ders[r])
 
 
-def _pth_trace(kv, x, side):
-    """Dense p-th-derivative values at x, as a raw-length row."""
-    be = eval_basis(kv, x, kv.p, side)
+def _pth_trace(kv, element):
+    """p-th-derivative values of every raw function on one element, as
+    a raw-length row, read at its midpoint: the derivative is constant
+    there, so this is the trace at either end of the element."""
+    be = eval_basis(kv, (element + 0.5) / kv.N, kv.p)
     out = np.zeros(kv.num_raw)
     out[be.element:be.element + kv.p + 1] = be.ders[kv.p]
     return out
@@ -228,19 +327,23 @@ def pth_derivative_jump(kv, interface_index):
     N = kv.N
     if not 0 <= k <= N:
         raise ValueError(f"interface index must be in 0..{N}, got {k}")
-    x = k / N
     if k == 0:
-        return -_pth_trace(kv, x, "right")
+        return -_pth_trace(kv, 0)
     if k == N:
-        return _pth_trace(kv, x, "left")
-    return _pth_trace(kv, x, "left") - _pth_trace(kv, x, "right")
+        return _pth_trace(kv, N - 1)
+    return _pth_trace(kv, k - 1) - _pth_trace(kv, k)
 
 
-def space_operators(space):
+def space_operators(space, E=None):
     """The stiffness, mass and softness (K, M, S) of the space, E R E^T
-    from its dense extraction E and the raw bands R of its mesh, as
-    full-bandwidth bands. The products skip the zeros of E and R."""
-    E = sparse.csr_array(dense_extraction(space))
+    from the raw bands R of its mesh and a dense extraction E, by
+    default the space's own (``dense_extraction``), as full-bandwidth
+    bands. Another E, of the same rows in another basis, gives a
+    remixed space that the package does not build. The products skip
+    the zeros of E and R."""
+    if E is None:
+        E = dense_extraction(space)
+    E = sparse.csr_array(E)
     return tuple(banded((E @ sparse.csr_array(raw.toarray()) @ E.T)
                         .toarray()) for raw in _raw_operators(space.kv))
 
@@ -299,7 +402,7 @@ def pythagorean_residual(p, N, eta, j):
     c = closed_form_vectors(system, spectrum)[:, j - 1]
     c = c / math.sqrt(c @ system.mass.matvec(c))
     soft = float(c @ system.softness.matvec(c))
-    raw = system.space.raw_coefficients(c)
+    raw = raw_coefficients(system.space, c)
     xg, wg = np.polynomial.legendre.leggauss(p + 4)
     rows = []
     for e in range(N):

@@ -632,6 +632,20 @@ def test_reference_size_is_the_smallest_with_an_interior_column(p):
             assert not band.flags.writeable
 
 
+@pytest.mark.parametrize("p", range(1, 17))
+def test_corner_width_counts_the_members_over_the_boundary_functions(p):
+    # the formula p + p // 2 (odd space) or 2p - 1 (standard) against the
+    # oracle extraction: the leading members with a nonzero coefficient
+    # on raw functions 0..2p-1, on the reference mesh and above it
+    for flavor in _FLAVORS:
+        for N in (assembly._reference_size(p), 6 * p + 5):
+            space = build_soft_system(p, N, 0.0, 0.0, flavor).space
+            assert space.odd == _is_odd(p, flavor)
+            touching = dense_extraction(space)[:, :2 * p].any(axis=1)
+            width = assembly._corner_width(space)
+            assert touching[:width].all() and not touching[width:].any()
+
+
 @pytest.mark.parametrize("p", [1, 2])
 def test_both_flavors_share_one_reference_up_to_degree_2(p):
     fresh_assembly_caches()

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
@@ -621,7 +622,7 @@ def test_one_factorization_tells_a_positive_pencil(p, factor):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", assembly.IndefinitenessWarning)
         system = assembly.build_soft_system(p, 50, factor * sharp)
-    positive = eigensolve.extreme_eigenpairs(system.A, system.B).lam_min > 0
+    positive = eigensolve.extreme_eigenpairs(system.A, system.B).values[0] > 0
     assert (eigensolve.cholesky_pivot(system.A) == 0) == positive
     assert positive == (factor < 1)
 
@@ -795,7 +796,37 @@ _GOLDEN_STDOUT = {
     # several blocks of modes (n = 299) and one (n = 119)
     "eta-sweep -p 3 -N 300": "1f68149142ddac557b6b141370f689d7",
     "eta-sweep -p 3 -N 120": "cc8a4f0d133af954e3b7bb8ba5ec3ab1",
+    # the benchmark's cases (perfbench/workloads.py) not pinned above,
+    # recorded from the code whose outlier-free space stored its folds
+    "condition -p 2 -N 100": "5945436ecff62a6b1770680181e8f26b",
+    "condition -p 2 -N 200": "ad5bd5a7391516cefcd900521e616170",
+    "condition -p 2 -N 400": "67a542e5c497c36b2b5292eb693dde71",
+    "condition -p 3 -N 100": "0d4130c2773b6dab0e20d99e291ab8d7",
+    "condition -p 3 -N 200": "4c8bca4fce87542f68defe3e6546dc17",
+    "condition -p 3 -N 400": "36bd0182b52dfcd502fa2b87661885f5",
+    "condition -p 4 -N 100": "7662488ac200c419e20f64b36a55f60e",
+    "condition -p 4 -N 200": "a72fc926caec1871fd85aea7518bd27f",
+    "condition -p 4 -N 400": "e79f246820349da50ce7e0cbbef17a58",
+    "eta-sweep -p 2 -N 100": "7156f6d3e0a7bc8423a98b745d8e4a55",
+    "eta-sweep -p 4 -N 80": "56e4ecb961cda01a6d672a1b8b67865e",
+    "spectrum -p 3 -N 200": "74f8f8aeebbb8faf9f1acbc0b26369da",
+    "spectrum -p 4 -N 120": "cfce2d1f1091e77f554ab5acac6a519e",
+    "convergence -p 2 --quantity h1": "d6c1f7392f8693ccf2dca8b9eba69416",
+    "convergence -p 3 --quantity h1": "b99c4c51c3e1b67a32775b5fb2a19370",
+    "dispersion -p 5 --eta zero": "15e4939559e521c64303606cbec16256",
 }
+
+
+def test_every_benchmark_case_has_a_recorded_digest():
+    spec = importlib.util.spec_from_file_location(
+        "workloads",
+        Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cases = {" ".join(argv) for argv in
+             itertools.chain.from_iterable(workloads.WORKLOADS.values())}
+    assert len(cases) == 24
+    assert cases <= set(_GOLDEN_STDOUT)
 
 
 @pytest.mark.parametrize("command", sorted(_GOLDEN_STDOUT))

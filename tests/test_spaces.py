@@ -1,18 +1,20 @@
 """Trial-space construction: dimensions, boundary conditions, nesting,
-the fold corners, and invariance of assembled operators under a change
-of corner basis."""
+the fold corners of the oracle extraction, and invariance of assembled
+operators under a change of corner basis."""
+
+import dataclasses
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
-from oracles import (dense_extraction, sine_modes, space_member_eval,
+from oracles import (dense_extraction, extraction_corners, folds,
+                     raw_coefficients, sine_modes, space_member_eval,
                      space_operators)
-from softiga.spaces import (SplineSpace, _folds, build_of_space,
-                            build_standard_space, has_sine_modes,
+from softiga.spaces import (build_of_space, build_standard_space,
                             sine_table, space_dimension)
-from softiga.splines import eval_basis, open_knot_vector
+from softiga.splines import eval_basis
 
 
 def test_standard_space_dimension_and_boundary_values():
@@ -101,10 +103,10 @@ def test_operator_spectrum_invariant_under_null_basis_remix():
     k = p // 2 + 1  # the folds and the first identity member
     R = np.eye(space.dim)
     R[:k, :k] = np.eye(k) + 0.2 * rng.standard_normal((k, k))
-    remixed = SplineSpace(space.kv, R @ dense_extraction(space))
+    remixed = R @ dense_extraction(space)
 
     K0, M0, _ = (op.toarray() for op in space_operators(space))
-    K1, M1, _ = (op.toarray() for op in space_operators(remixed))
+    K1, M1, _ = (op.toarray() for op in space_operators(space, remixed))
     w0 = sla.eigh(K0, M0, eigvals_only=True)
     w1 = sla.eigh(K1, M1, eigvals_only=True)
     np.testing.assert_allclose(w0, w1, rtol=1e-10)
@@ -129,30 +131,23 @@ def test_extraction_has_full_rank():
 
 
 def test_corner_form_reproduces_the_dense_extraction():
-    # the stored corners and the identity part give the same matrix as
+    # the oracle's corners and identity part give the same matrix as
     # writing every row out: left folds, unit rows, mirrored block
     for p, N in [(1, 4), (2, 6), (3, 4), (3, 9), (4, 8), (5, 6), (5, 12)]:
         space = build_of_space(p, N)
         raw = space.kv.num_raw
-        a, m = space.left.shape
+        left, _ = extraction_corners(space)
+        a, m = left.shape
         E = np.zeros((space.dim, raw))
-        E[:a, :m] = space.left
-        for i in range(space.inner):
+        E[:a, :m] = left
+        for i in range(raw - 2 * m):
             E[a + i, m + i] = 1.0
         for r in range(a):
-            E[space.dim - 1 - r, raw - m:] = space.left[r, ::-1]
+            E[space.dim - 1 - r, raw - m:] = left[r, ::-1]
         np.testing.assert_array_equal(dense_extraction(space), E)
         c = np.random.default_rng(p).standard_normal((space.dim, 2))
-        np.testing.assert_allclose(space.raw_coefficients(c), E.T @ c,
+        np.testing.assert_allclose(raw_coefficients(space, c), E.T @ c,
                                    rtol=0, atol=1e-15)
-
-
-def test_dense_extraction_builds_a_space_without_identity_part():
-    space = build_of_space(3, 7)
-    dense = SplineSpace(space.kv, dense_extraction(space))
-    assert dense.inner == 0 and dense.dim == space.dim
-    np.testing.assert_array_equal(dense_extraction(dense),
-                                  dense_extraction(space))
 
 
 def _meshes(p, top=300):
@@ -165,10 +160,10 @@ def _meshes(p, top=300):
 def test_corner_map_does_not_depend_on_the_mesh(p):
     # every mesh shares the one exact fold table, and its mirror
     for N in _meshes(p):
-        space = build_of_space(p, N)
-        assert space.left is _folds(p)
-        assert space.left.shape == (p // 2, p)
-        assert np.array_equal(space.right, _folds(p)[::-1, ::-1])
+        left, right = extraction_corners(build_of_space(p, N))
+        assert left is folds(p)
+        assert left.shape == (p // 2, p)
+        assert np.array_equal(right, folds(p)[::-1, ::-1])
 
 
 @pytest.mark.parametrize("p", range(3, 13))
@@ -190,10 +185,12 @@ def test_fold_members_are_odd_pairs_of_uniform_b_splines(p):
 
 def test_corner_map_of_the_cubic_and_quartic_spaces():
     # the folds, exact rationals rounded once
-    assert np.array_equal(build_of_space(3, 9).left, [[0, 1 / 3, 1]])
-    assert np.array_equal(build_of_space(4, 9).left,
+    (left, _), (_, right) = (extraction_corners(build_of_space(p, 9))
+                             for p in (3, 4))
+    assert np.array_equal(left, [[0, 1 / 3, 1]])
+    assert np.array_equal(folds(4),
                           [[0, 1 / 4, 3 / 4, 0], [0, 1 / 12, 1 / 4, 1]])
-    assert np.array_equal(build_of_space(4, 9).right,
+    assert np.array_equal(right,
                           [[1, 1 / 4, 1 / 12, 0], [0, 3 / 4, 1 / 4, 0]])
 
 
@@ -228,12 +225,17 @@ def test_sine_modes_are_sine_samples_in_the_identity_part(p, N):
 
 
 def test_only_outlier_free_spaces_have_sine_modes():
-    # of every degree, and the standard space where it is the same one
-    assert has_sine_modes(build_standard_space(2, 10))
+    # of every degree, and the standard space where it is the same one;
+    # a space is its knot vector and that one flag
+    for p in (1, 2):
+        assert build_standard_space(p, 10).odd
+        assert build_of_space(p, 10).odd
     for p in (3, 13):
-        assert not has_sine_modes(build_standard_space(p, 40))
+        assert not build_standard_space(p, 40).odd
     for p in (3, 13, 20, 40):
-        assert has_sine_modes(build_of_space(p, 40))
+        assert build_of_space(p, 40).odd
+    assert [f.name for f in dataclasses.fields(build_of_space(3, 9))] == [
+        "kv", "odd"]
 
 
 @pytest.mark.parametrize("p,N", [(2, 7), (3, 3), (3, 9), (4, 10), (12, 30)])

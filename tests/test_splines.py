@@ -5,6 +5,8 @@ two-term recurrence, so values and derivatives come from exact rational
 arithmetic rather than from the evaluation code under test.
 """
 
+import math
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -80,44 +82,64 @@ def test_values_and_derivatives_match_symbolic_recurrence(p, N):
                                             abs=1e-10 * scale)
 
 
+def _limits(kv, element, x):
+    """Derivatives 0..p of every raw function at x as limits from inside
+    one element, a raw-length row per order: the Taylor expansion of the
+    element's polynomial pieces about its midpoint, which is exact."""
+    p = kv.p
+    mid = (element + 0.5) / kv.N
+    be = eval_basis(kv, mid, r=p)
+    assert be.element == element
+    out = np.zeros((p + 1, kv.num_raw))
+    for r in range(p + 1):
+        for q in range(r, p + 1):
+            out[r, element:element + p + 1] += (
+                be.ders[q] * (x - mid) ** (q - r) / math.factorial(q - r))
+    return out
+
+
 def test_one_sided_limits_differ_by_the_derivative_jump():
     p, N = 3, 6
     kv = open_knot_vector(p, N)
     for k in range(1, N):
         x = k / N
-        left = eval_basis(kv, x, r=p, side="left")
-        right = eval_basis(kv, x, r=p, side="right")
-        assert left.element == k - 1
-        assert right.element == k
+        left, right = _limits(kv, k - 1, x), _limits(kv, k, x)
+        # a breakpoint is evaluated as the right limit
+        at = eval_basis(kv, x, r=p)
+        assert at.element == k
+        np.testing.assert_allclose(at.ders, right[:, k:k + p + 1],
+                                   atol=1e-9)
         # values are C^(p-1): the p-1 lowest orders agree across the face
-        for r in range(p):
-            full_l = np.zeros(kv.num_raw)
-            full_r = np.zeros(kv.num_raw)
-            full_l[left.element:left.element + p + 1] = left.ders[r]
-            full_r[right.element:right.element + p + 1] = right.ders[r]
-            np.testing.assert_allclose(full_l, full_r, atol=1e-9)
+        np.testing.assert_allclose(left[:p], right[:p], atol=1e-9)
+        # and the p-th derivatives differ by the jump
+        np.testing.assert_allclose(left[p] - right[p],
+                                   pth_derivative_jump(kv, k), atol=1e-9)
 
 
 def test_pth_derivative_jump_matches_one_sided_traces():
+    # the oracle reads each element's constant p-th derivative at its
+    # midpoint; here the traces are the breakpoint evaluations, the
+    # right limit, and the left limit at x = 1 and at a point a quarter
+    # element before each interior face
     p, N = 2, 5
     kv = open_knot_vector(p, N)
     for k in range(N + 1):
         jump = pth_derivative_jump(kv, k)
         assert jump.shape == (kv.num_raw,)
         if 1 <= k <= N - 1:
-            x = k / N
-            left = eval_basis(kv, x, r=p, side="left")
-            right = eval_basis(kv, x, r=p, side="right")
+            left = eval_basis(kv, (k - 0.25) / N, r=p)
+            right = eval_basis(kv, k / N, r=p)
+            assert (left.element, right.element) == (k - 1, k)
             manual = np.zeros(kv.num_raw)
             manual[left.element:left.element + p + 1] += left.ders[p]
             manual[right.element:right.element + p + 1] -= right.ders[p]
             np.testing.assert_allclose(jump, manual, atol=1e-9)
     # boundary faces carry the outward-signed one-sided trace
-    right = eval_basis(kv, 0.0, r=p, side="right")
+    right = eval_basis(kv, 0.0, r=p)
     manual = np.zeros(kv.num_raw)
     manual[right.element:right.element + p + 1] = -right.ders[p]
     np.testing.assert_allclose(pth_derivative_jump(kv, 0), manual)
-    left = eval_basis(kv, 1.0, r=p, side="left")
+    left = eval_basis(kv, 1.0, r=p)
     manual = np.zeros(kv.num_raw)
     manual[left.element:left.element + p + 1] = left.ders[p]
     np.testing.assert_allclose(pth_derivative_jump(kv, N), manual)
@@ -201,8 +223,6 @@ def test_eval_basis_argument_validation():
         eval_basis(kv, 1.1)
     with pytest.raises(ValueError):
         eval_basis(kv, 0.5, r=3)
-    with pytest.raises(ValueError):
-        eval_basis(kv, 0.5, side="up")
 
 
 def test_endpoint_values_are_interpolatory():
@@ -249,17 +269,23 @@ def test_basis_table_matches_pointwise_evaluation(p):
 def test_array_evaluation_equals_pointwise_calls_bitwise(side):
     p, N = 3, 5
     kv = open_knot_vector(p, N)
-    # both ends, interior breakpoints and points inside elements
+    # both ends, interior breakpoints and points inside elements; with a
+    # side, the interior breakpoints are approached one ulp from that side
     x = np.array([[0.0, 1 / N, 0.37], [3 / N, 0.71, 1.0]])
-    be = eval_basis(kv, x, p, side)
+    if side is not None:
+        toward = 0.0 if side == "left" else 1.0
+        for i, j in ((0, 1), (1, 0)):
+            x[i, j] = np.nextafter(x[i, j], toward)
+    be = eval_basis(kv, x, p)
     assert be.element.shape == (2, 3)
     assert be.ders.shape == (2, 3, p + 1, p + 1)
     assert be.ders.flags.c_contiguous
     for i, j in np.ndindex(x.shape):
-        one = eval_basis(kv, float(x[i, j]), p, side)
+        one = eval_basis(kv, float(x[i, j]), p)
         assert isinstance(one.element, int)
         assert be.element[i, j] == one.element
         assert be.ders[i, j].tobytes() == one.ders.tobytes()
+    # a breakpoint goes to the element on its right, x = 1 to the last
     if side == "left":
         assert be.element.tolist() == [[0, 0, 1], [2, 3, 4]]
     else:
