@@ -5,6 +5,15 @@ condition-number tables, convergence studies, softness-weight sweeps,
 dispersion coefficients, and a self-verification suite. Output is
 deterministic: fixed 16-significant-digit scientific notation, comma
 separator, newline line endings, and sorted JSON keys.
+
+Every command hands ``_emit`` its report as named columns, and one
+renderer writes them for all six. It formats a column a chunk of rows
+at a time, each run of equal floats once (a d-dimensional lift repeats
+a value up to d! times), and writes each chunk before it renders the
+next, so no more than one chunk of text exists at once and the peak
+memory of a report is that of the lift it prints. A report for --out
+goes to a temporary file beside the path, renamed over it once
+complete, so a run that fails leaves an existing file as it was.
 """
 
 import argparse
@@ -132,41 +141,115 @@ def _weights(args):
     return eta, eta_b
 
 
-def _fmt(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.15e" % float(value)
+# Rows of a report rendered and written at a time: the text of one
+# chunk is all of the report that exists at once, whatever its length.
+_CHUNK_ROWS = 4096
 
 
-def _write(path, text):
-    """Write a finished report to --out, or to stdout without one."""
-    if path:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+def _csv_floats(values):
+    """A list of floats in %.15e, formatted by one % operation."""
+    return ("\n".join(["%.15e"] * len(values)) % tuple(values)).split("\n")
+
+
+def _json_floats(values):
+    """A list of floats as json.dumps writes them."""
+    return [float.__repr__(v) if math.isfinite(v) else json.dumps(float(v))
+            for v in values]
+
+
+def _cells(part, floats, quote):
+    """The text of one column's cells in a chunk of rows.
+
+    A list (or a range) of floats, ints or strings prints cell by cell.
+    A 1D float array holds the values of a lift, which repeats a value
+    up to d! times, always in adjacent rows, so each run of equal values
+    (equal bit patterns, so that -0.0 and 0.0 stay apart) is formatted
+    once. A 2D integer array holds multi-indices, each row printed as
+    its entries joined by "-". ``floats`` formats a list of floats,
+    ``quote`` a string.
+    """
+    if not isinstance(part, np.ndarray):
+        first = part[0]
+        if isinstance(first, float):
+            return floats(part)
+        return map(quote if isinstance(first, str) else str, part)
+    if part.ndim == 2:
+        labels = list(map(str, range(int(part.max()) + 1)))
+        return map(quote, map("-".join, zip(*[map(labels.__getitem__, axis)
+                                              for axis in part.T.tolist()])))
+    values = np.asarray(part, dtype=float)
+    bits = values.view(np.int64)
+    starts = np.empty(len(bits), dtype=bool)
+    starts[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    text = np.array(floats(values[starts].tolist()), dtype=object)
+    return text[np.cumsum(starts) - 1].tolist()
+
+
+def _render(columns, as_json):
+    """Yield the text of a report in chunks of ``_CHUNK_ROWS`` rows.
+
+    The CSV is a header and one comma-separated line per row; the JSON
+    is, byte for byte, ``json.dumps(rows, sort_keys=True, indent=2)``
+    plus a newline, with one object per row. Each chunk starts with the
+    newline before its first row, or with the separator of two rows.
+    """
+    names = sorted(columns) if as_json else list(columns)
+    n = len(columns[names[0]])
+    if as_json:
+        floats, quote = _json_floats, json.encoder.encode_basestring_ascii
+        keys = (quote(name).replace("%", "%%") for name in names)
+        row = ("  {\n" + ",\n".join(f"    {key}: %s" for key in keys)
+               + "\n  }").__mod__
+        opening, separator, closing = "[", ",\n", "\n]\n" if n else "]\n"
     else:
-        sys.stdout.write(text)
+        floats, quote = _csv_floats, str
+        row = ",".join
+        opening, separator, closing = ",".join(names), "\n", "\n"
+    yield opening
+    for lo in range(0, n, _CHUNK_ROWS):
+        rows = slice(lo, lo + _CHUNK_ROWS)
+        cells = [_cells(columns[name][rows], floats, quote)
+                 for name in names]
+        yield (separator if lo else "\n") + separator.join(
+            map(row, zip(*cells)))
+    yield closing
 
 
-def _emit(args, columns, rows):
-    """Render rows as --format and write them."""
-    if args.format == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        def coerce(v):
-            if isinstance(v, str):
-                return v
-            if isinstance(v, (int, np.integer)):
-                return int(v)
-            return float(v)
+def _write(path, chunks):
+    """Write a report's chunks to stdout, or to --out through a
+    temporary file beside it that is renamed over the path once the last
+    chunk is written, so a run that fails on the way leaves the path as
+    it was."""
+    if not path:
+        sys.stdout.writelines(chunks)
+        return
+    import tempfile
 
-        payload = [{c: coerce(v) for c, v in zip(columns, row)}
-                   for row in rows]
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    _write(args.out, text)
+    target = os.path.realpath(path)
+    fd, temp = tempfile.mkstemp(dir=os.path.dirname(target),
+                                prefix=os.path.basename(target) + ".",
+                                suffix=".tmp")
+    try:
+        with open(fd, "w", newline="\n") as fh:
+            fh.writelines(chunks)
+        # the mode of the file main's probe opened, not mkstemp's 0600
+        os.chmod(temp, os.stat(target).st_mode & 0o7777)
+        os.replace(temp, target)
+    except BaseException:
+        os.remove(temp)
+        raise
+
+
+def _emit(args, columns):
+    """Write a report in --format, a chunk of rows at a time.
+
+    ``columns`` maps each column name, in CSV order, to its cells, all
+    of one length: a list, tuple or range of floats, ints or strings, a
+    1D float array (the values of a lift), or a 2D integer array of
+    multi-indices.
+    """
+    _write(args.out, _render(columns, args.format == "json"))
 
 
 def _check_lift(args, flavor):
@@ -183,17 +266,14 @@ def cmd_spectrum(args):
     system = build_soft_system(args.p, args.N, eta, eta_b, flavor)
     spectrum = solve_system(system)
     report = spectral_report(spectrum.values, args.d)
-    columns = ["j", "indices", "lambda_exact", "lambda_h", "rel_err"]
-    rows = [[k + 1, "-".join(map(str, modes)), report.exact[k],
-             report.computed[k], report.rel_errors[k]]
-            for k, modes in enumerate(report.indices.tolist())]
+    columns = {"j": range(1, len(report.computed) + 1),
+               "indices": report.indices,
+               "lambda_exact": report.exact, "lambda_h": report.computed,
+               "rel_err": report.rel_errors}
     if args.d == 1:
-        columns.append("h1_err")
-        h1 = h1_errors_for_modes(system, spectrum,
-                                 range(1, spectrum.n + 1))
-        for row, err in zip(rows, h1):
-            row.append(err)
-    _emit(args, columns, rows)
+        columns["h1_err"] = h1_errors_for_modes(system, spectrum,
+                                                range(1, spectrum.n + 1))
+    _emit(args, columns)
     return EXIT_OK
 
 
@@ -228,14 +308,9 @@ def cmd_condition(args):
                                             flavor))
     stats = condition_stats(lifted_extremes(target, args.d),
                             lifted_extremes(base, args.d))
-    columns = ["d", "p", "lambda_min", "lambda_max_baseline",
-               "lambda_max_target", "gamma_baseline", "gamma_target",
-               "rho", "varrho_pct"]
-    rows = [[args.d, args.p, stats.lambda_min,
-             stats.lambda_max_baseline, stats.lambda_max_target,
-             stats.gamma_baseline, stats.gamma_target, stats.rho,
-             stats.varrho_pct]]
-    _emit(args, columns, rows)
+    # the fields of ConditionStats are the remaining columns, in order
+    _emit(args, {"d": [args.d], "p": [args.p],
+                 **{name: [value] for name, value in vars(stats).items()}})
     return EXIT_OK
 
 
@@ -249,8 +324,8 @@ def cmd_convergence(args):
     errors = mode_convergence(args.p, args.N_list, args.j, args.quantity,
                               eta, eta_b, _METHOD_FLAVOR[args.method])
     slope = convergence_slope(args.N_list, errors)
-    rows = [[N, err, slope] for N, err in zip(args.N_list, errors)]
-    _emit(args, ["N", "error", "fitted_slope"], rows)
+    _emit(args, {"N": args.N_list, "error": errors,
+                 "fitted_slope": [slope] * len(errors)})
     return EXIT_OK
 
 
@@ -263,7 +338,7 @@ def cmd_eta_sweep(args):
     _check_lift(args, "outlier_free")
     grid = np.linspace(0.0, float(sharp), args.grid_points, endpoint=False)
     rows = eta_sweep(args.p, args.N, grid, args.d)
-    _emit(args, ["eta", "rho", "e_lambda"], rows)
+    _emit(args, dict(zip(["eta", "rho", "e_lambda"], zip(*rows))))
     return EXIT_OK
 
 
@@ -272,12 +347,10 @@ def cmd_dispersion(args):
     eta = _resolve_eta(args.p, "default" if args.eta is None else args.eta)
     fitted, exact, power = fit_leading_coefficient(args.p, eta)
     expansion = dispersion_expansion(args.p, eta)
-    columns = ["p", "eta", "power", "coeff_exact", "coeff_fitted",
-               "rel_gap", "next_coeff"]
     gap = abs(fitted - float(exact)) / abs(float(exact))
-    rows = [[args.p, float(eta), power, float(exact), fitted, gap,
-             float(expansion.next)]]
-    _emit(args, columns, rows)
+    _emit(args, {"p": [args.p], "eta": [float(eta)], "power": [power],
+                 "coeff_exact": [float(exact)], "coeff_fitted": [fitted],
+                 "rel_gap": [gap], "next_coeff": [float(expansion.next)]})
     return EXIT_OK
 
 
@@ -392,8 +465,8 @@ def cmd_verify(args):
     """Run the oracle suite; exit 0 only when every check passes."""
     checks = _verify_checks()
     passed = all(c["pass"] for c in checks)
-    _write(args.out, json.dumps({"checks": checks, "pass": passed},
-                                sort_keys=True, indent=2) + "\n")
+    _write(args.out, [json.dumps({"checks": checks, "pass": passed},
+                                 sort_keys=True, indent=2) + "\n"])
     return EXIT_OK if passed else EXIT_VERIFICATION
 
 
@@ -473,25 +546,30 @@ def main(argv=None):
     command = globals()["cmd_" + args.command.replace("-", "_")]
     created = False
     try:
-        if args.out:
-            # refuse an unwritable path before any work; append mode
-            # leaves an existing file unchanged until the report is done
-            existed = os.path.exists(args.out)
-            open(args.out, "a").close()
-            created = not existed
-        return command(args)
+        try:
+            if args.out:
+                # refuse an unwritable path before any work; the report
+                # goes to a temporary file beside it, renamed over it
+                # only once complete, so a failed run leaves an existing
+                # file as it was
+                existed = os.path.exists(args.out)
+                open(args.out, "a").close()
+                created = not existed
+            return command(args)
+        except BaseException:
+            if created:
+                # nor an empty report where there was no file, whatever
+                # the failure
+                os.remove(args.out)
+            raise
     except (ConfigError, KeyError, ValueError, OSError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"softiga: config error: {message}", file=sys.stderr)
-        code = EXIT_CONFIG
+        return EXIT_CONFIG
     except (DefinitenessError, EigenSolveError,
             np.linalg.LinAlgError) as exc:
         print(f"softiga: numerical failure: {exc}", file=sys.stderr)
-        code = EXIT_NUMERICAL
-    if created:
-        # a failed run leaves no empty report where there was no file
-        os.remove(args.out)
-    return code
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ of a lift stay one integer array; only the report formats them.
 
 The continuum eigenvalues that a lift is paired with by rank are the
 smallest sums pi^2 * |j|^2 over the positive lattice
-(``continuum_values``).
+(``continuum_values``), counted by |j|^2 rather than enumerated, so
+they take no more memory than the n1^d values themselves.
 """
 
 import math
@@ -85,7 +86,8 @@ def kron_sum_spectrum(one_d, d):
     check_lift_size(n, d)
     sums = _sums(one_d, d)
     order = np.argsort(sums, kind="stable")
-    indices = np.stack(np.unravel_index(order, (n,) * d), axis=1) + 1
+    indices = np.stack(np.unravel_index(order, (n,) * d), axis=1)
+    indices += 1
     return TensorSpectrum(sums[order], indices)
 
 
@@ -122,18 +124,40 @@ def continuum_values(d, n1):
 
     These are the rank-paired targets of a d-fold lift of n1 discrete
     1D eigenvalues. The box [1, n1]^d already holds n1^d lattice points
-    with |j|^2 <= d * n1^2, and a point with component j_i has
-    |j|^2 >= j_i^2 + d - 1, so every wanted point has components at most
-    floor(sqrt(d * n1^2 - (d - 1))). Cutting each axis at n1 instead
-    would miss modes such as (1, 1, n1 + 1).
+    with |j|^2 <= top = d * n1^2, so only sums up to top count, and a
+    point with component j_i has |j|^2 >= j_i^2 + d - 1, so its
+    components are at most floor(sqrt(top - (d - 1))). Cutting each axis
+    at n1 instead would miss modes such as (1, 1, n1 + 1).
+
+    In 2D and 3D the values are counted, not enumerated: the number of
+    points with each |j|^2 <= top comes from the sums of two squares,
+    and a third square shifts those counts once per square. Each value
+    is then repeated by its count, up to n1^d in all, so nothing larger
+    than the result is formed: at d = 3 the sums of two squares take
+    about 3 n1^2 entries, and at d = 2 they are 2 n1^2 int32s. Like the
+    lift, n1^d is refused above ``MAX_LIFT_ENTRIES``.
     """
     if d not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2, or 3, got {d}")
-    side = math.isqrt(d * n1 * n1 - (d - 1))
-    squares = np.arange(1, side + 1) ** 2
-    sums = squares
-    for _ in range(d - 1):
-        sums = np.add.outer(sums, squares)
-    smallest = np.sort(sums, axis=None)[:n1 ** d]
-    return np.pi ** 2 * smallest.astype(float)
-
+    # the sums below fit in int32 within the limit
+    check_lift_size(n1, d)
+    if d == 1:
+        return np.pi ** 2 * (np.arange(1, n1 + 1) ** 2).astype(float)
+    count = n1 ** d
+    top = d * n1 * n1
+    squares = np.arange(1, math.isqrt(top - (d - 1)) + 1,
+                        dtype=np.int32) ** 2
+    sums = np.add.outer(squares, squares).ravel()
+    # every sum past top counts in one bin past the end
+    np.minimum(sums, top + 1, out=sums)
+    counts = np.bincount(sums, minlength=top + 2)[:top + 1]
+    if d == 3:
+        pairs, counts = counts, np.zeros_like(counts)
+        for q in squares.tolist():
+            counts[q:] += pairs[:top + 1 - q]
+    # keep the first n1^d points, ties at the last value included
+    reached = np.cumsum(counts)
+    last = int(np.searchsorted(reached, count))
+    counts = counts[:last + 1]
+    counts[last] -= reached[last] - count
+    return np.repeat(np.pi ** 2 * np.arange(last + 1, dtype=float), counts)

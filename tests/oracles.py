@@ -4,7 +4,9 @@ The package assembles from per-element basis tables; two helpers here
 evaluate one space member or one face jump at a time through
 ``eval_basis``, so the tests can check the banded operators against an
 independent route. ``full_lift_values`` builds the whole d-dimensional
-spectrum, which the ``condition`` command never does. ``banded`` turns
+spectrum, which the ``condition`` command never does, and
+``sorted_continuum_values`` its continuum targets by sorting every
+lattice sum in a box, where the package counts them. ``banded`` turns
 a dense symmetric test matrix into the band type the package takes.
 ``dense_commutator_norm`` multiplies dense operands in the arithmetic
 of their entries, Fractions included: the reference for the package's
@@ -275,6 +277,20 @@ def full_lift_values(p, N, eta, d=1, eta_b=0.0, flavor="outlier_free"):
     """Every eigenvalue of the d-dimensional pencil, ascending."""
     system = build_soft_system(p, N, eta, eta_b, flavor)
     return kron_sum_spectrum(solve_system(system).values, d).values
+
+
+def sorted_continuum_values(d, n1):
+    """The n1^d smallest pi^2 * |j|^2 over the positive lattice, by
+    enumeration: every sum over the box [1, side]^d, side = floor(sqrt(
+    d * n1^2 - (d - 1))), which holds every wanted point, sorted. About
+    5.2 times n1^d sums at d = 3; the package counts them instead."""
+    side = math.isqrt(d * n1 * n1 - (d - 1))
+    squares = np.arange(1, side + 1) ** 2
+    sums = squares
+    for _ in range(d - 1):
+        sums = np.add.outer(sums, squares)
+    smallest = np.sort(sums, axis=None)[:n1 ** d]
+    return np.pi ** 2 * smallest.astype(float)
 
 
 def fresh_assembly_caches():

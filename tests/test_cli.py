@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -814,6 +815,16 @@ _GOLDEN_STDOUT = {
     "convergence -p 2 --quantity h1": "d6c1f7392f8693ccf2dca8b9eba69416",
     "convergence -p 3 --quantity h1": "b99c4c51c3e1b67a32775b5fb2a19370",
     "dispersion -p 5 --eta zero": "15e4939559e521c64303606cbec16256",
+    # recorded from the code that formatted a report cell by cell and
+    # held every row and the whole text at once: lifts of 64,000 rows in
+    # both formats and of 3,481 in JSON, and a sweep of 1000 weights
+    "spectrum -p 2 -N 40 -d 3": "e1beaf023e755913a9063e16f097c297",
+    "spectrum -p 2 -N 40 -d 3 --format json":
+        "1b9dcf62e40478d7cc091363d8bc91d2",
+    "spectrum -p 3 -N 60 -d 2 --format json":
+        "6ac1a0a582eccc2e2af1f260c89efbda",
+    "eta-sweep -p 3 -N 40 --grid-points 1000":
+        "ea6534b482d9abab97a4d70db3bf593b",
 }
 
 
@@ -836,8 +847,22 @@ def test_stdout_matches_recorded_digest(command, capsys):
     assert hashlib.md5(out.encode()).hexdigest() == _GOLDEN_STDOUT[command]
 
 
+@pytest.mark.parametrize("rows", [1, 7])
+def test_every_chunk_size_prints_the_recorded_bytes(rows, monkeypatch,
+                                                    capsys):
+    # a report is rendered and written a chunk of rows at a time; the
+    # chunk size moves no byte, here on chunks of one row and of a size
+    # that divides none of the reports
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", rows)
+    moved = [command for command, digest in _GOLDEN_STDOUT.items()
+             if hashlib.md5(run(command.split(), capsys)[1].encode())
+             .hexdigest() != digest]
+    assert moved == []
+
+
 @pytest.mark.parametrize("command", [
     "spectrum -p 3 -N 8 --format json",
+    "spectrum -p 2 -N 40 -d 3",
     "condition -p 2 -N 60 -d 2",
     "convergence -p 2 --N-list 8,16 --format json",
     "eta-sweep -p 2 -N 10 -d 2 --grid-points 4",
@@ -850,6 +875,114 @@ def test_out_file_holds_the_stdout_bytes(command, tmp_path, capsys):
     assert code == EXIT_OK and out == ""
     digest = hashlib.md5(path.read_bytes()).hexdigest()
     assert digest == _GOLDEN_STDOUT[command]
+
+
+@pytest.mark.parametrize("rows", [1, 3, 4096])
+@pytest.mark.parametrize("n", [0, 1, 15, 16, 40])
+def test_rendered_columns_match_the_cell_by_cell_report(n, rows,
+                                                        monkeypatch):
+    # every kind of column, with repeated values in adjacent rows (as in
+    # a lift), both zeros, NaN, infinities and strings that JSON escapes,
+    # against the cell-by-cell CSV and json.dumps of the same rows
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", rows)
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300]
+    drawn = np.random.default_rng(n).uniform(-1e3, 1e3, n).tolist()
+    values = np.repeat(special + drawn, 2)[:n]
+    weights = (special[::-1] + drawn)[:n]
+    labels = [f'mode "{k}" \u00e9' for k in range(n)]
+    modes = np.arange(1, 2 * n + 1).reshape(n, 2) % 13
+    columns = {"value": values, "label": labels, "count": range(1, n + 1),
+               "modes": modes, "weight": weights}
+    table = [{"value": float(v), "label": s, "count": k + 1,
+              "modes": "-".join(map(str, m)), "weight": w}
+             for k, (v, s, m, w) in enumerate(zip(values, labels,
+                                                  modes.tolist(), weights))]
+    csv = "".join(cli._render(columns, as_json=False))
+    assert csv == "".join(
+        ["value,label,count,modes,weight\n"]
+        + [f"{r['value']:.15e},{r['label']},{r['count']},{r['modes']},"
+           f"{r['weight']:.15e}\n" for r in table])
+    assert "".join(cli._render(columns, as_json=True)) == (
+        json.dumps(table, sort_keys=True, indent=2) + "\n")
+
+
+def _failing_after_the_first_chunk(monkeypatch, error):
+    """Make every report raise ``error`` once its first chunk is
+    written."""
+    render = cli._render
+
+    def failing(columns, as_json):
+        chunks = render(columns, as_json)
+        yield next(chunks)
+        raise error
+
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(cli, "_render", failing)
+
+
+@pytest.mark.parametrize("existed", [True, False])
+def test_a_report_failing_midway_leaves_the_out_path_as_it_was(
+        existed, tmp_path, monkeypatch, capsys):
+    _failing_after_the_first_chunk(
+        monkeypatch, OSError("no space left on device"))
+    path = tmp_path / "report"
+    if existed:
+        path.write_bytes(b"an earlier report\n")
+    err = _one_line_config_error(["spectrum", "-p", "2", "-N", "40",
+                                  "--out", str(path)], capsys)
+    assert err == "softiga: config error: no space left on device\n"
+    # no temporary file is left, and no new path is created
+    assert os.listdir(tmp_path) == (["report"] if existed else [])
+    if existed:
+        assert path.read_bytes() == b"an earlier report\n"
+
+
+def test_an_unexpected_failure_creates_no_out_path(tmp_path, monkeypatch):
+    # an error main does not report still propagates, and leaves neither
+    # the path its probe created nor a temporary file
+    _failing_after_the_first_chunk(monkeypatch, RuntimeError("a defect"))
+    with pytest.raises(RuntimeError, match="a defect"):
+        main(["spectrum", "-p", "2", "-N", "40", "--out",
+              str(tmp_path / "report")])
+    assert os.listdir(tmp_path) == []
+
+
+def test_out_keeps_the_mode_and_link_of_the_path_it_replaces(tmp_path,
+                                                             capsys):
+    target = tmp_path / "report"
+    target.write_bytes(b"an earlier report\n")
+    target.chmod(0o640)
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    command = "dispersion -p 3 --eta super"
+    assert run(command.split() + ["--out", str(link)], capsys)[0] == EXIT_OK
+    assert link.is_symlink() and (target.stat().st_mode & 0o777) == 0o640
+    digest = hashlib.md5(target.read_bytes()).hexdigest()
+    assert digest == _GOLDEN_STDOUT[command]
+    assert sorted(os.listdir(tmp_path)) == ["link", "report"]
+
+
+# Traced peak bytes per lifted mode of a spectrum report written to a
+# file: the lift and its continuum targets and errors (about 48 bytes),
+# one index per row and float column (24), the text of each distinct
+# value (about 40) and the sort in np.unique. It measured 137 (CSV) and
+# 151 (JSON) at 64,000 modes; the code that formatted cell by cell and
+# held every row and the whole text took 610 and 1,714.
+_PEAK_BYTES_PER_MODE = 200
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_lifted_report_peaks_within_its_bound_per_mode(fmt, tmp_path):
+    argv = ["spectrum", "-p", "2", "-N", "40", "-d", "3", "--format", fmt,
+            "--out", str(tmp_path / "report")]
+    assert main(argv) == EXIT_OK  # fills the per-degree caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _PEAK_BYTES_PER_MODE * 40 ** 3
 
 
 def test_spectrum_and_convergence_print_the_same_dense_h1_error(capsys):
@@ -921,6 +1054,24 @@ def test_import_loads_no_solver_sparse_or_mpmath_module():
             " if name in sys.modules) or None)")
     result = _fresh_interpreter(code)
     assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_import_loads_the_modules_it_loaded_before():
+    # beyond numpy, the modules the command line has always loaded; the
+    # report writer imports tempfile only when it writes to --out
+    code = ("import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import softiga.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    result = _fresh_interpreter(code)
+    assert result.stderr == ""
+    assert result.stdout.split() == [
+        "_decimal", "_json", "_locale", "argparse", "copy", "dataclasses",
+        "decimal", "fractions", "gettext", "json", "json.decoder",
+        "json.encoder", "json.scanner", "locale", "softiga",
+        "softiga.analytic", "softiga.assembly", "softiga.cli",
+        "softiga.eigensolve", "softiga.spaces", "softiga.spectral_analysis",
+        "softiga.splines", "softiga.tensor"]
 
 
 @pytest.mark.parametrize("argv,code,loaded", [

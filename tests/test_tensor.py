@@ -4,11 +4,12 @@ deterministic tie-breaking."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import banded
+from oracles import banded, sorted_continuum_values
 from softiga.assembly import build_soft_system
 from softiga.eigensolve import generalized_eig
 import softiga.tensor as tensor
@@ -94,6 +95,25 @@ def test_continuum_values_reach_beyond_the_box():
     np.testing.assert_allclose(values, [3, 6, 6, 6, 9, 9, 9, 11])
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_counted_continuum_values_are_the_sorted_enumeration(d):
+    for n1 in [*range(1, 41), 60, 99]:
+        assert (continuum_values(d, n1).tobytes()
+                == sorted_continuum_values(d, n1).tobytes()), n1
+
+
+def test_continuum_values_peak_near_their_own_size():
+    # the enumeration held 5.2 n1^3 sums at d = 3 and sorted a copy
+    continuum_values(3, 60)
+    tracemalloc.start()
+    try:
+        values = continuum_values(3, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * values.nbytes
+
+
 def test_continuum_values_in_one_dimension_are_bit_identical():
     for n in (1, 7, 400):
         assert (continuum_values(1, n).tobytes()
@@ -136,6 +156,9 @@ def test_lift_size_limit_is_exact(monkeypatch, n, d):
     one_d = np.arange(1.0, n + 1.0)
     monkeypatch.setattr(tensor, "MAX_LIFT_ENTRIES", n ** d)
     assert kron_sum_spectrum(one_d, d).values.size == n ** d
+    assert continuum_values(d, n).size == n ** d
     monkeypatch.setattr(tensor, "MAX_LIFT_ENTRIES", n ** d - 1)
     with pytest.raises(ValueError, match="above the limit"):
         kron_sum_spectrum(one_d, d)
+    with pytest.raises(ValueError, match="above the limit"):
+        continuum_values(d, n)
