@@ -11,9 +11,10 @@ renderer writes them for all six. It formats a column a chunk of rows
 at a time, each run of equal floats once (a d-dimensional lift repeats
 a value up to d! times), and writes each chunk before it renders the
 next, so no more than one chunk of text exists at once and the peak
-memory of a report is that of the lift it prints. A report for --out
-goes to a temporary file beside the path, renamed over it once
-complete, so a run that fails leaves an existing file as it was.
+memory of a report is that of the lift it prints. A report for a
+regular file at --out goes to a temporary file beside it, renamed over
+it once complete, so a run that fails leaves an existing file as it
+was; a pipe or a device at --out is written in place.
 """
 
 import argparse
@@ -217,16 +218,25 @@ def _render(columns, as_json):
 
 
 def _write(path, chunks):
-    """Write a report's chunks to stdout, or to --out through a
-    temporary file beside it that is renamed over the path once the last
-    chunk is written, so a run that fails on the way leaves the path as
-    it was."""
+    """Write a report's chunks to stdout or to --out.
+
+    A regular file at --out is written through a temporary file beside
+    it that is renamed over the path once the last chunk is written, so
+    a run that fails on the way leaves the file as it was. The file
+    keeps its mode, but takes the owner of the run and leaves any other
+    hard link to it with the old report. Any other path (a pipe, a
+    terminal, /dev/null) takes the chunks in place as they come.
+    """
     if not path:
         sys.stdout.writelines(chunks)
         return
+    target = os.path.realpath(path)
+    if not os.path.isfile(target):
+        with open(path, "w", newline="\n") as fh:
+            fh.writelines(chunks)
+        return
     import tempfile
 
-    target = os.path.realpath(path)
     fd, temp = tempfile.mkstemp(dir=os.path.dirname(target),
                                 prefix=os.path.basename(target) + ".",
                                 suffix=".tmp")
@@ -548,10 +558,10 @@ def main(argv=None):
     try:
         try:
             if args.out:
-                # refuse an unwritable path before any work; the report
-                # goes to a temporary file beside it, renamed over it
-                # only once complete, so a failed run leaves an existing
-                # file as it was
+                # refuse an unwritable path before any work; a report
+                # for a regular file goes to a temporary file beside it,
+                # renamed over it only once complete, so a failed run
+                # leaves an existing file as it was
                 existed = os.path.exists(args.out)
                 open(args.out, "a").close()
                 created = not existed

@@ -8,8 +8,11 @@ import json
 import math
 import os
 import re
+import select
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -962,13 +965,49 @@ def test_out_keeps_the_mode_and_link_of_the_path_it_replaces(tmp_path,
     assert sorted(os.listdir(tmp_path)) == ["link", "report"]
 
 
+def test_out_streams_into_a_named_pipe_in_place(tmp_path):
+    # a path that is no regular file (a pipe, a terminal, /dev/null) is
+    # written as the report is rendered, never replaced by a renamed file
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    # opened for reading and writing, so main's probe finds a reader and
+    # its close ends nothing
+    fd = os.open(fifo, os.O_RDWR)
+    received, finished = [], threading.Event()
+
+    def drain():
+        while True:
+            done = finished.is_set()
+            if select.select([fd], [], [], 0.05)[0]:
+                received.append(os.read(fd, 1 << 16))
+            elif done:
+                return
+
+    reader = threading.Thread(target=drain)
+    reader.start()
+    command = "spectrum -p 3 -N 60 -d 2 --format json"
+    try:
+        code = main(command.split() + ["--out", str(fifo)])
+    finally:
+        finished.set()
+        reader.join()
+        os.close(fd)
+    assert code == EXIT_OK
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
+    digest = hashlib.md5(b"".join(received)).hexdigest()
+    assert digest == _GOLDEN_STDOUT[command]
+
+
 # Traced peak bytes per lifted mode of a spectrum report written to a
-# file: the lift and its continuum targets and errors (about 48 bytes),
-# one index per row and float column (24), the text of each distinct
-# value (about 40) and the sort in np.unique. It measured 137 (CSV) and
-# 151 (JSON) at 64,000 modes; the code that formatted cell by cell and
-# held every row and the whole text took 610 and 1,714.
-_PEAK_BYTES_PER_MODE = 200
+# file, at 64,000 modes. The report holds 48 bytes a mode (the lifted
+# values, three 8-byte indices, the targets and the relative errors),
+# and forming the lift peaks at 64. The renderer adds one chunk of 4,096
+# rows, about 1.6 MB in CSV and 2.5 MB in JSON whatever the length of
+# the report, which is 25 and 40 bytes a mode at this size. It measured
+# 68 (CSV) and 78 (JSON); the code that formatted cell by cell and held
+# every row and the whole text took 610 and 1,714.
+_PEAK_BYTES_PER_MODE = 100
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
