@@ -177,6 +177,7 @@ def _mass_polynomial(q):
     return tuple(coeffs)
 
 
+@functools.cache
 def sharp_weight(p):
     """The largest softness weight that keeps the stiffness side of
     degree p >= 1 positive semidefinite, exactly: m_(p-1)(pi) / 4^p.
@@ -351,18 +352,26 @@ def interior_symbol(p, eta, eta_b, s, c, number=float):
     eigenvectors, so this is the eigenvalue of mode j at theta = j pi/N,
     times h^2. Every sum runs in a fixed order per wavenumber and weight.
     """
-    def horner(coeffs):
-        value = number(coeffs[-1])
+    def horner(q):
+        coeffs = (_float_polynomial(q) if number is float
+                  else [number(a) for a in _mass_polynomial(q)])
+        value = coeffs[-1]
         for a in coeffs[-2::-1]:
             # arrays on the left of each product and sum: mpmath reads
             # an array on its right through its repr
-            value = c * value + number(a)
+            value = c * value + a
         return value
 
     square = 4 * s
     soft = square ** p
-    return square * (horner(_mass_polynomial(p - 1)) - soft * eta) / (
-        horner(_mass_polynomial(p)) + soft * square * eta_b)
+    return square * (horner(p - 1) - soft * eta) / (
+        horner(p) + soft * square * eta_b)
+
+
+@functools.cache
+def _float_polynomial(q):
+    """The coefficients of ``_mass_polynomial(q)``, each rounded once."""
+    return tuple(map(float, _mass_polynomial(q)))
 
 
 # Sample wavenumbers t of the dispersion fit, and its mpmath precision

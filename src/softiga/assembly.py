@@ -1,7 +1,7 @@
 """Banded assembly of the stiffness, mass, and softness forms.
 
 Every operator is built straight into symmetric band storage, in
-O(N * p^2) work on the mesh itself or O(N * p) stretched from a
+O(N * p^2) work on the mesh itself or O(p^2) stretched from a
 per-degree reference; no dense matrix of the raw or space dimension is
 ever formed, and no extraction either: a space is its knot vector and
 the flag ``odd`` (``spaces.SplineSpace``), which picks one of two
@@ -45,15 +45,19 @@ mesh, space and process (``_bands``), and the reference of each degree
 serves every larger mesh: the space band there is the reference's left
 corner columns (``_corner_width``: p + p // 2 on the odd space, 2p - 1
 on the standard one), its first interior column repeated, and the
-mirror of the left corner, times N/N_ref (K and S) or N_ref/N (M)
-(``_stretch``). That is O(N * p) writes, and the band is exactly
-persymmetric, with an exactly constant interior on every diagonal. The
-three bands of a space are the ``stiffness``, ``mass`` and
-``softness`` of its ``SoftSystem``.
+mirror of the left corner, times N/N_ref (K and S) or N_ref/N (M). It
+is stored as just that, the scaled corner and column and the order, a
+stretched ``SymBandedMatrix`` of O(p^2) entries, built once per mesh
+and space (``_operators``): exactly persymmetric, with an exactly
+constant interior on every diagonal, and written out in LAPACK lower
+band layout (``SymBandedMatrix.band``, row k the k-th subdiagonal) only
+where a factorization or a dense solve reads it. The three bands of a
+space are the ``stiffness``, ``mass`` and ``softness`` of its
+``SoftSystem``, and so are the sums A and B of a stretched system.
 
-Every band, raw or of a space, is one LAPACK lower band array
-(``SymBandedMatrix.band``, row k the k-th subdiagonal), so the
-definiteness check factors it with no repacking.
+The mass side of the odd space needs no factorization to be known
+positive definite: its symbol bounds it below, less the rounding of
+its entries (``_mass_side_floor``).
 """
 
 import dataclasses
@@ -64,7 +68,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analytic import reference_matrix, sharp_weight
+from .analytic import _mass_polynomial, reference_matrix, sharp_weight
 from .eigensolve import SymBandedMatrix
 from .spaces import SplineSpace, build_of_space, build_standard_space
 from .splines import basis_table, gauss_rule, open_knot_vector
@@ -244,25 +248,6 @@ def _bands(p, N, odd):
     return bands
 
 
-def _stretch(band, corner, n, scale):
-    """The band of order n whose first ``corner`` columns are those of
-    ``band``, whose last ones are their mirror, and whose other
-    columns are ``band``'s column ``corner``, times scale.
-
-    Entry (i + k, i) of the right corner is entry (n-1-i, n-1-i-k) of
-    the left one, so row k of the band ends with row k of the left
-    corner reversed, followed by the k slots past the matrix.
-    """
-    out = np.empty((len(band), n))
-    out[:, :corner] = band[:, :corner]
-    out[:, corner:] = band[:, corner, None]
-    for k, row in enumerate(out):
-        row[n - k - corner:n - k] = band[k, corner - 1::-1]
-        row[n - k:] = 0.0
-    out *= scale
-    return out
-
-
 def build_soft_system(p, N, eta, eta_b=0.0, flavor="outlier_free"):
     """Assemble the softened pencil (A, B).
 
@@ -284,21 +269,80 @@ def build_soft_system(p, N, eta, eta_b=0.0, flavor="outlier_free"):
     -------
     SoftSystem
         On N <= N_ref elements its bands are the read-only ones of the
-        mesh (``_bands``), shared by every build; on more, they are the
-        per-degree reference stretched to N (``_stretch``). Either way
-        the bands of a mesh are built once per process.
+        mesh (``_bands``); on more, they are the per-degree reference
+        stretched to N, stored as its corner and one interior column.
+        Either way the bands of a mesh are built once per process
+        (``_operators``) and shared, read-only, by every build.
     """
     [eta], eta_b = _checked_weights(p, [eta], eta_b)
     if flavor not in _SPACES:
         raise ValueError(f"unknown space flavor {flavor!r}")
     space = _SPACES[flavor](p, N)
-    p, N = space.kv.p, space.kv.N
+    lefts, order = _operators(space.kv.p, space.kv.N, space.odd)
+    return SoftSystem(eta, eta_b, space,
+                      *(SymBandedMatrix(left, order) for left in lefts))
+
+
+@functools.lru_cache(maxsize=256)
+def _operators(p, N, odd):
+    """The read-only ``left`` of the (K, M, S) bands of the space on N
+    elements and their ``order`` (``SymBandedMatrix``): the mesh's own
+    bands up to N_ref elements, and above it the reference's corner and
+    first interior column, times N/N_ref (K and S) or N_ref/N (M)."""
     size = _reference_size(p)
     if N <= size:
-        K, M, S = map(SymBandedMatrix, _bands(p, N, space.odd))
-    else:
-        corner = _corner_width(space)
-        K, M, S = (SymBandedMatrix(_stretch(band, corner, space.dim, scale))
-                   for band, scale in zip(_bands(p, size, space.odd),
-                                          (N / size, size / N, N / size)))
-    return SoftSystem(eta, eta_b, space, K, M, S)
+        return tuple(_bands(p, N, odd)), None
+    space = SplineSpace(open_knot_vector(p, N), odd)
+    corner = _corner_width(space)
+    lefts = []
+    for band, scale in zip(_bands(p, size, odd),
+                           (N / size, size / N, N / size)):
+        left = np.asfortranarray(band[:, :corner + 1] * scale)
+        left.flags.writeable = False
+        lefts.append(left)
+    return tuple(lefts), space.dim
+
+
+@functools.lru_cache(maxsize=256)
+def _mass_side_terms(p, N):
+    """m_p(0)/N, the margin per unit of row sum, and the row-sum bounds
+    of |M| and |S| of ``_mass_side_floor``."""
+    (_, mass, softness), _ = _operators(p, N, True)
+    sums = [float(abs(X).max(1) @ np.r_[1.0, np.full(len(X) - 1, 2.0)])
+            for X in (mass, softness)]
+    hbw = max(len(mass), len(softness)) - 1
+    u = 0.5 * float(np.finfo(float).eps)
+    margin = (6.0 + (hbw + 2) ** 2) * u
+    return float(_mass_polynomial(p)[0]) / N, margin, *sums
+
+
+def _mass_side_floor(system):
+    """A lower bound on the smallest eigenvalue of the system's B from
+    its symbol, or 0.0 where none is proved.
+
+    Only the odd space's own bands, as ``build_soft_system`` forms them,
+    are bounded. Their exact completion M + w S, w the double eta_b h^2
+    of ``SoftSystem.B``, has the sine modes as eigenvectors and values
+    m_p(c)/N + w N (4s)^(p+1) >= m_p(0)/N, c = cos^2(theta/2), as the
+    mass symbol has positive coefficients in c. Each stored entry of M
+    and S is rounded at most three times from the exact one (reference,
+    scale, product) and ``plus`` rounds twice more, so B lies within
+    6 u (|M| + w |S|) of the completion, u = eps/2, entry by entry, and
+    by Weyl's inequality its eigenvalues within that difference's
+    largest absolute row sum of the completion's. The bound takes off
+    (hbw + 2)^2 u times that sum more, for its own rounding and room for
+    the factorization's, so that ``dpbtrf`` succeeds where it is positive.
+    """
+    space = system.space
+    if not space.odd:
+        return 0.0
+    p, N = space.kv.p, space.kv.N
+    (_, mass, softness), order = _operators(p, N, True)
+    if not (system.mass.left is mass and system.softness.left is softness
+            and system.mass.order == system.softness.order == order):
+        return 0.0
+    h = space.kv.h
+    symbol, margin, mass, softness = _mass_side_terms(p, N)
+    # in Python floats, which overflow to inf quietly
+    floor = symbol - margin * (mass + system.eta_b * h * h * softness)
+    return floor if floor > 0 else 0.0

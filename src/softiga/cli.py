@@ -49,10 +49,10 @@ EXIT_VERIFICATION = 3
 _METHOD_FLAVOR = {"iga": "standard", "of-iga": "outlier_free",
                   "softiga": "outlier_free"}
 
-# Largest 1D pencil order that condition accepts. Just under it, a run
-# took 4.5 s and 388 MB peak RSS at p = 5 (4 s and 311 MB at p = 3),
-# most of it the bisection of the standard baseline, on a 2-core shared
-# host with one BLAS thread; time and memory grow linearly in the order.
+# Largest 1D pencil order that condition accepts. Only the standard
+# baseline at p >= 3 grows with it: just under it, its bisection took
+# 2.2 to 3.2 s and 296 MB peak RSS at p = 3 on a 2-core shared host
+# with one BLAS thread, the outlier-free pencils 0.24 s and 35 MB.
 MAX_CONDITION_ORDER = 1_000_000
 
 # Most weights eta-sweep accepts. The sweep holds n values per weight,
@@ -293,13 +293,13 @@ def cmd_condition(args):
     Only the two ends of each lifted spectrum matter, and they are the
     d-fold sums of the 1D ends, so no lift is built. The 1D ends come
     from ``extreme_values``: on the outlier-free space, the extremes of
-    its n closed-form values with no factorization, and on a standard
-    space of p >= 3, about 55 band Cholesky factorizations of
-    O(n * hbw^2) each, so the cost grows linearly in N. A 1D order
-    above ``MAX_CONDITION_ORDER`` is refused before any assembly. The
-    baseline is the unsoftened pencil of its method's space. Both
-    spaces, the same one or not, read the raw bands of one mesh of at
-    most N_ref elements, assembled once per degree and process
+    its n closed-form values with no factorization, in memory flat in N,
+    and on a standard space of p >= 3, about 55 band Cholesky
+    factorizations of O(n * hbw^2) each, so the cost grows linearly in
+    N. A 1D order above ``MAX_CONDITION_ORDER`` is refused before any
+    assembly. The baseline is the unsoftened pencil of its method's
+    space. Both spaces, the same one or not, read the bands of one mesh
+    of at most N_ref elements, assembled once per degree and process
     (``assembly.build_soft_system``).
     """
     eta, eta_b = _weights(args)
@@ -550,6 +550,28 @@ def build_parser():
 _PARSER = build_parser()
 
 
+def _probe(path):
+    """Refuse an --out path that cannot be written, before any work;
+    True when the probe created it. A regular file is opened for
+    appending, and its directory must be writable for the temporary
+    file of ``_write``. Any other path is only asked: opening and
+    closing a named pipe would hand its reader an end of file."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not (os.path.isfile(target)
+                                       or os.path.isdir(target)):
+        if not os.access(target, os.W_OK):
+            raise ConfigError(f"--out {path} is not writable")
+        return False
+    directory = os.path.dirname(target)
+    if os.path.isdir(directory) and not os.access(directory,
+                                                  os.W_OK | os.X_OK):
+        raise ConfigError(f"--out {path}: its directory {directory} is not"
+                          f" writable")
+    existed = os.path.exists(path)
+    open(path, "a").close()
+    return not existed
+
+
 def main(argv=None):
     args = _PARSER.parse_args(argv)
     # looked up at call time, so a rebound cmd_* function is the one run
@@ -558,13 +580,7 @@ def main(argv=None):
     try:
         try:
             if args.out:
-                # refuse an unwritable path before any work; a report
-                # for a regular file goes to a temporary file beside it,
-                # renamed over it only once complete, so a failed run
-                # leaves an existing file as it was
-                existed = os.path.exists(args.out)
-                open(args.out, "a").close()
-                created = not existed
+                created = _probe(args.out)
             return command(args)
         except BaseException:
             if created:

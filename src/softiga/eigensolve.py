@@ -2,10 +2,11 @@
 
 Both sides of the pencil arrive in LAPACK lower band storage
 (SymBandedMatrix), the one matrix type every function of the package
-takes: one (hbw + 1, n) array whose row k holds the k-th subdiagonal,
-``band[k, i]`` = entry (i + k, i). ``scipy.linalg`` is imported by the
-functions that factor or solve, on their first call. The two solvers
-serve the standard space at p >= 3, where no closed form is known.
+takes, whole or stretched from its corner and one interior column:
+row k holds the k-th subdiagonal, ``band[k, i]`` = entry (i + k, i).
+``scipy.linalg`` is imported by the functions that factor or solve, on
+their first call. The two solvers serve the standard space at p >= 3,
+where no closed form is known, and write their sides out whole.
 
 * ``generalized_eig`` returns every eigenpair from the LAPACK sygvd
   path. The dense sides exist only as the call's arguments and A V and
@@ -68,6 +69,44 @@ class EigenSolveError(RuntimeError):
     that breaks the residual contract."""
 
 
+def _padded(band, rows):
+    """The band with ``rows`` rows, zero below its own, in double
+    precision and Fortran order so that BLAS and LAPACK read it in
+    place; not copied when it already is one."""
+    if len(band) == rows:
+        return np.asarray(band, dtype=float, order="F")
+    out = np.zeros((rows, band.shape[1]), order="F")
+    out[:len(band)] = band
+    return out
+
+
+def _written_out(left, out, past=0):
+    """Write into ``out`` (..., rows, n) the band stretched from ``left``
+    (..., rows, c + 1), with ``past`` in the slots past the matrix. Row
+    k ends with row k of the left corner reversed, then k such slots."""
+    c, n = left.shape[-1] - 1, out.shape[-1]
+    out[..., :c] = left[..., :c]
+    out[..., c:] = left[..., c:]
+    for k in range(left.shape[-2]):
+        out[..., k, n - k - c:n - k] = left[..., k, c - 1::-1]
+        out[..., k, n - k:] = past
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _multiplicities(rows, width, n):
+    """How often each entry of the ``left`` of a band stretched to order
+    n occurs in the matrix: a corner entry twice, the interior entry of
+    row k n - 2c - k times, and each twice again off the diagonal."""
+    c = width - 1
+    out = np.empty((rows, width))
+    out[:, :c] = 2.0
+    out[:, c] = n - 2 * c - np.arange(rows)
+    out[1:] *= 2.0
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class SymBandedMatrix:
     """Symmetric banded matrix in LAPACK lower band storage.
@@ -77,28 +116,50 @@ class SymBandedMatrix:
 
     Attributes
     ----------
-    band : ndarray, shape (half_bandwidth + 1, n)
-        ``band[k, i]`` is entry (i + k, i); the last k slots of row k
-        lie past the matrix and are zero. Entries beyond the half
-        bandwidth are exactly zero and not stored.
+    left : ndarray, shape (half_bandwidth + 1, n or c + 1)
+        The first columns of ``band``, ``left[k, i]`` entry (i + k, i):
+        all n of a whole band, whose last k slots of row k lie past the
+        matrix and are zero, or the c of a stretched band's left corner
+        and its first interior column.
+    order : int or None
+        The order n >= 2c + hbw + 1 of a stretched band, whose columns
+        c..n-c-1 all equal ``left[:, c]`` and whose last c mirror the
+        first, entry (i + k, i) equal to entry (n-1-i, n-1-i-k); None
+        for a whole band. Its sums and norms cost O(c * hbw).
+
+    Entries beyond the half bandwidth are exactly zero and not stored.
     """
 
-    band: np.ndarray
+    left: np.ndarray
+    order: int = None
 
     @property
     def n(self):
-        return self.band.shape[1]
+        return self.left.shape[1] if self.order is None else self.order
 
     @property
     def half_bandwidth(self):
-        return self.band.shape[0] - 1
+        return len(self.left) - 1
+
+    @property
+    def band(self):
+        """The band, shape (half_bandwidth + 1, n): ``left``, or a
+        stretched band written out in Fortran order."""
+        if self.order is None:
+            return self.left
+        return _written_out(self.left, np.empty(
+            (len(self.left), self.order), self.left.dtype, order="F"))
+
+    def whole(self):
+        """The same matrix as a whole band, itself when it is one."""
+        return self if self.order is None else SymBandedMatrix(self.band)
 
     def toarray(self):
         """Dense copy; reads only the slots inside the matrix."""
-        n = self.n
-        out = np.zeros((n, n), dtype=self.band.dtype)
+        n, band = self.n, self.band
+        out = np.zeros((n, n), dtype=band.dtype)
         flat = out.reshape(-1)
-        for k, diag in enumerate(self.band):
+        for k, diag in enumerate(band):
             # entries (i + k, i) and (i, i + k) are n + 1 apart in memory
             flat[k * n::n + 1] = diag[:n - k]
             flat[k:(n - k) * n:n + 1] = diag[:n - k]
@@ -106,21 +167,39 @@ class SymBandedMatrix:
 
     def plus(self, weight, other):
         """self + weight * other, in the dtype of both bands and in
-        Fortran order, which BLAS and LAPACK read in place."""
-        count = max(len(self.band), len(other.band))
-        dtype = np.result_type(self.band, other.band)
-        band = np.zeros((count, self.n), dtype=dtype, order="F")
-        band[:len(self.band)] += self.band
+        Fortran order, which BLAS and LAPACK read in place: stretched
+        when both are, to one order and corner, else whole."""
+        order = self.order if (self.order == other.order and self.left.shape[1]
+                               == other.left.shape[1]) else None
+        a, b = (self.left, other.left) if order else (self.band, other.band)
+        band = np.zeros((max(len(a), len(b)), a.shape[1]), order="F",
+                        dtype=np.result_type(a, b))
+        band[:len(a)] += a
         # a weight past the double range leaves inf entries, which the
         # pencil check of both solvers refuses in one error
         with np.errstate(over="ignore"):
-            band[:len(other.band)] += weight * other.band
-        return SymBandedMatrix(band)
+            band[:len(b)] += weight * b
+        return SymBandedMatrix(band, order)
+
+    def inner(self, other):
+        """Frobenius inner product with a band of the same form and
+        shape; the off-diagonal rows count twice."""
+        x, y = self.left, other.left
+        if self.order is None:
+            return 2.0 * np.vdot(x, y) - x[0] @ y[0]
+        # a product that overflows raises, as the whole band's matmul does
+        return (_multiplicities(*x.shape, self.order) * x).ravel() @ y.ravel()
 
     def frobenius(self):
         """Frobenius norm; the off-diagonal rows count twice."""
-        flat = self.band.ravel(order="K")
-        return math.sqrt(2.0 * (flat @ flat) - self.band[0] @ self.band[0])
+        if self.order is not None:
+            return math.sqrt(self.inner(self))
+        flat = self.left.ravel(order="K")
+        return math.sqrt(2.0 * (flat @ flat) - self.left[0] @ self.left[0])
+
+    def padded(self, rows):
+        """The matrix with ``rows`` rows of band (``_padded``)."""
+        return SymBandedMatrix(_padded(self.left, rows), self.order)
 
     def matvec(self, x):
         """The product with the vector x (BLAS dsbmv), in double
@@ -201,36 +280,26 @@ class Spectrum:
         return len(self.values)
 
 
-def _padded(band, rows):
-    """The band with ``rows`` rows, in double precision and Fortran
-    order so that BLAS and LAPACK read it in place; not copied when it
-    already is one."""
-    if len(band) == rows:
-        return np.asarray(band, dtype=float, order="F")
-    out = np.zeros((rows, band.shape[1]), order="F")
-    out[:len(band)] = band
-    return out
-
-
-def _checked_pencil(A, B):
+def _checked_pencil(A, B, definite=False):
     """The pencil (A, B) as two double-precision, Fortran-order bands of
     one height, which BLAS and LAPACK read in place, and their Frobenius
     norms.
 
     Raises ValueError on an order mismatch, DefinitenessError with the
-    pivot when B is not positive definite, and EigenSolveError on
-    non-finite entries.
+    pivot when B is not positive definite (unless the caller proved it
+    ``definite``), and EigenSolveError on non-finite entries.
     """
     if A.n != B.n:
         raise ValueError(f"order mismatch: {A.n} vs {B.n}")
-    pivot = cholesky_pivot(B)
-    if pivot:
-        raise DefinitenessError(pivot)
-    rows = max(len(A.band), len(B.band))
-    a, b = _padded(A.band, rows), _padded(B.band, rows)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    if not definite:
+        pivot = cholesky_pivot(B)
+        if pivot:
+            raise DefinitenessError(pivot)
+    rows = max(len(A.left), len(B.left))
+    A, B = A.padded(rows), B.padded(rows)
+    if not (np.logical_and.reduce(np.isfinite(A.left), None)
+            and np.logical_and.reduce(np.isfinite(B.left), None)):
         raise EigenSolveError("non-finite entries in the pencil")
-    A, B = SymBandedMatrix(a), SymBandedMatrix(b)
     return A, B, (A.frobenius(), B.frobenius())
 
 
@@ -347,7 +416,7 @@ def generalized_eig(A, B):
         contract.
     """
     check_full_order(A.n)
-    A, B, norms = _checked_pencil(A, B)
+    A, B, norms = _checked_pencil(A.whole(), B.whole())
     import scipy.linalg as sla
     try:
         w, V = sla.eigh(A.toarray(), B.toarray())
@@ -537,7 +606,7 @@ def extreme_eigenpairs(A, B):
         On non-finite entries, on a floating-point overflow, or when a
         pair breaks the residual contract.
     """
-    A, B, norms = _checked_pencil(A, B)
+    A, B, norms = _checked_pencil(A.whole(), B.whole())
     top, b_top = _edge(A, B, norms, 0.0)
     a_top = A.matvec(top)
     # eps * lambda_max is the round-off floor of both ends

@@ -15,7 +15,8 @@ and the last p // 2 members: the folds B_k - B_(-k), over raw functions
 0..p-1, and their mirror. Every other member is one raw function. So
 mode j of its pencils is the odd spline whose uniform B-spline
 coefficients are sin(j*pi*node/N): its component k - 1 is the sample
-at node k, corners included (``sine_table``).
+at node k, corners included (``sine_table``, or the few samples a
+certificate reads, ``sine_samples``).
 
 The package forms no extraction: a ``SplineSpace`` is its knot vector
 and the flag ``odd``, which picks the exact completion of the odd
@@ -94,11 +95,38 @@ def sine_table(N, dtype=float):
     odd about i = 0 and 2N and even about N and 3N, as the sine is.
     Entry (2*a*b) mod 4N is sin(pi*a*b/N) for integers a, b; the only
     rounding in its argument is that of pi*i/(2N) for some i <= N.
-    Read-only, and kept for the pairs and H1 errors of the same mesh."""
-    pi = 4 * np.arctan(dtype(1))
-    quarter = np.sin(pi / (2 * N) * np.arange(N + 1, dtype=dtype))
+    Read-only, and kept for the H1 errors of the same mesh and for
+    ``sine_samples`` that outnumber its entries."""
+    quarter = quarter_sines(N, np.arange(N + 1), dtype)
     table = np.concatenate((quarter, quarter[-2::-1], -quarter[1:],
                             -quarter[-2:0:-1]))
     table.flags.writeable = False
     return table
 
+
+def quarter_sines(N, i, dtype=float):
+    """Entries i, an integer array of 0..N, of ``sine_table(N, dtype)``,
+    bit for bit."""
+    return np.sin(_pi(dtype) / (2 * N) * i)
+
+
+@functools.cache
+def _pi(dtype):
+    """pi, rounded once to ``dtype``."""
+    return 4 * np.arctan(np.dtype(dtype).type(1))
+
+
+def sine_samples(N, index, dtype=float):
+    """Entries ``index`` (an integer array, reduced mod 4N) of
+    ``sine_table(N, dtype)``, bit for bit: the sine of the quarter-wave
+    argument the table folds each onto, or, when they outnumber its
+    entries, the table's."""
+    i = np.remainder(index, 4 * N)
+    if i.size >= 4 * N:
+        return sine_table(N, dtype)[i]
+    # onto 0..2N, odd about 2N, then onto 0..N, even about N
+    past = i > 2 * N
+    np.subtract(4 * N, i, out=i, where=past)
+    np.minimum(i, 2 * N - i, out=i)
+    value = quarter_sines(N, i, dtype)
+    return np.negative(value, out=value, where=past)

@@ -46,12 +46,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import eta_table, interior_symbol
-from .assembly import _checked_weights, build_soft_system
+from .assembly import _checked_weights, _mass_side_floor, build_soft_system
 from .eigensolve import (RESIDUAL_RTOL, _checked_pencil, _column_dots,
-                         _contract, _padded, _solver, _spectrum,
+                         _contract, _solver, _spectrum, _written_out,
                          check_full_order, extreme_eigenpairs,
                          generalized_eig)
-from .spaces import sine_table, space_dimension
+from .spaces import (quarter_sines, sine_samples, sine_table,
+                     space_dimension)
 from .splines import basis_table, gauss_rule, open_knot_vector
 from .tensor import (_sums, check_lift_size, continuum_values,
                      kron_sum_spectrum, lifted_extremes)
@@ -76,6 +77,9 @@ class SpectralReport:
 _SLICE = 1 << 15
 
 _EPS = np.finfo(float).eps
+_ZERO = np.zeros(1)
+# sums along an axis, without the wrapper of ndarray.sum
+_add = np.add.reduce
 
 
 @_solver
@@ -84,72 +88,93 @@ def _sine_pairs(system, etas, ends=False):
     certificates (``_certificates``) and both sides' Frobenius norms of
     the closed-form pairs under each softness weight of ``etas``: rows
     follow ``etas``, columns the modes, unsorted, or with ``ends`` the
-    lowest and the highest of the first weight. Another weight has the
-    stiffness side A + t S, t = eta_sys - eta, whose norm comes from
-    ||A||_F and the band dots <A, S> and <S, S>. A mode that double
-    precision does not certify is certified again in extended precision.
+    lowest and the highest of the first weight, found a block of
+    ``_SLICE`` values at a time. Another weight has the stiffness side
+    A + t S, t = eta_sys - eta, whose norm comes from ||A||_F and the
+    band dots <A, S> and <S, S>. B is factored only where its symbol
+    does not prove it positive (``assembly._mass_side_floor``). A mode
+    that double precision does not certify is certified again in
+    extended precision.
     """
-    A, B, (norm, mass_norm) = _checked_pencil(system.A, system.B)
-    p, N = system.space.kv.p, system.space.kv.N
-    table = sine_table(N)
-    js = np.arange(1, system.space.dim + 1)
-    values = np.empty((len(etas), len(js)))
+    A, B, (norm, mass_norm) = _checked_pencil(
+        system.A, system.B, _mass_side_floor(system) > 0)
+    p, N, n = system.space.kv.p, system.space.kv.N, system.space.dim
+    weights = np.array(etas, dtype=float)[:, None]
     width = max(1, _SLICE // len(etas))
-    for lo in range(0, len(js), width):
-        part = js[lo:lo + width]
-        values[:, lo:lo + len(part)] = (N * N) * interior_symbol(
-            p, np.array(etas, dtype=float)[:, None], system.eta_b,
-            table[part] ** 2, table[N - part] ** 2)
-    if ends:
-        picks = [values[0].argmin(), values[0].argmax()]
-        js, values = js[picks], values[:, picks]
-    bands, shifts, stiffness = [A.band, B.band], None, [norm] * len(etas)
+    values = np.empty((len(etas), 2 if ends else n))
+    js = np.zeros(2, dtype=int) if ends else np.arange(1, n + 1)
+    for lo in range(0, n, width):
+        part = np.arange(lo + 1, min(lo + width, n) + 1)
+        # sin^2(theta/2) and cos^2(theta/2) of modes 1..n <= N, with no
+        # folding onto the quarter wave
+        sines = quarter_sines(N, np.concatenate((part, N - part)))
+        sines *= sines
+        block = (N * N) * interior_symbol(p, weights, system.eta_b,
+                                          sines[:len(part)],
+                                          sines[len(part):])
+        if not ends:
+            values[:, lo:lo + len(part)] = block
+            continue
+        # the first lowest and the first highest, as argmin and argmax
+        for end, at in enumerate((block[0].argmin(), block[0].argmax())):
+            if (not lo or (block[0, at] < values[0, 0] if end == 0
+                           else block[0, at] > values[0, 1])):
+                js[end], values[:, end] = lo + 1 + at, block[:, at]
+    bands, shifts, stiffness = [A, B], None, [norm] * len(etas)
     if any(eta != system.eta for eta in etas):
         shifts = system.eta - np.array(etas, dtype=float)
-        bands.append(_padded(system.softness.band, len(A.band)))
-        # off-diagonal rows count twice in the Frobenius inner products
-        as_, ss = (2.0 * np.vdot(x, bands[2]) - x[0] @ bands[2][0]
-                   for x in (A.band, bands[2]))
+        bands.append(system.softness.padded(len(A.left)))
+    if len({X.left.shape[1] for X in bands}) > 1:
+        # a band changed by hand is whole, and so are the others then
+        bands = [X.whole() for X in bands]
+    if shifts is not None:
+        as_, ss = (x.inner(bands[2]) for x in (bands[0], bands[2]))
         stiffness = np.sqrt(np.maximum(
             norm ** 2 + shifts * (2 * as_ + shifts * ss), 0.0))
-    certificates = _certificates(bands, shifts, values, js, p, N, table)
+    certificates = _certificates(bands, shifts, values, js, p, N, float)
     # every contract bound is at least RESIDUAL_RTOL * ||A_t||_F
     if certificates.max() > RESIDUAL_RTOL * min(stiffness):
         redo = (certificates > RESIDUAL_RTOL * (
             np.reshape(stiffness, (-1, 1)) + abs(values) * mass_norm)).any(0)
         if redo.any():
             extended = _certificates(bands, shifts, values[:, redo],
-                                     js[redo], p, N,
-                                     sine_table(N, np.longdouble))
+                                     js[redo], p, N, np.longdouble)
             certificates[:, redo] = np.minimum(certificates[:, redo],
                                                extended)
     return values, certificates, [(x, mass_norm) for x in stiffness]
 
 
-def _certificates(bands, shifts, values, js, p, N, table):
+def _certificates(bands, shifts, values, js, p, N, dtype):
     """Bounds on ||A_t x - lambda B x|| / sqrt(x^T B x), in exact
     arithmetic on the stored entries, for the sine modes x of ``js`` with
     the values ``values``, one row per shift t of A_t = A + t S; ``bands``
-    holds the lower bands of A, B and, with shifts, S, and the products
-    are summed in the precision of ``table``, a ``sine_table``.
+    holds A, B and, with shifts, S, as bands of one form and height, and
+    the products are summed in the precision ``dtype`` of their sine
+    samples (``spaces.sine_samples``).
 
     A row is regular when it is hbw or more from either end and, in every
-    band, the columns that hold its entries equal the middle one, as read
-    off the bands. There (A_t x)_i = d_A x_i and (B x)_i = m x_i, the
-    cosine sums of the middle columns at theta = j*pi/N, so the residual
-    is d x_i, d = d_A - lambda m, and sum_reg x_i^2 = ||x||^2 (N/2, or N
-    for j = N at even p) less the R irregular samples. The irregular rows,
-    a block at each end, are products with the samples they reach, and d
-    is one more row, the middle column against cos(k*theta), k = -hbw..
-    hbw; x^T B x splits the same way. A mode costs O(p^2).
+    band, the columns that hold its entries equal the middle one, as a
+    scan of the written-out bands reads them (``_regular_run``). A
+    stretched band is read as written out at order 2c + 4 hbw + 1, whose
+    middle column is 2 hbw from either corner: every column read lies
+    within 2 hbw of a corner, and has the same index, or the same
+    distance from the end, at both orders, whose scans find the same
+    irregular columns. There (A_t x)_i = d_A x_i and (B x)_i = m x_i,
+    the cosine sums of the middle columns at theta = j*pi/N, so the
+    residual is d x_i, d = d_A - lambda m, and sum_reg x_i^2 = ||x||^2
+    (N/2, or N for j = N at even p) less the R irregular samples. The
+    irregular rows, a block at each end, are products with the samples
+    they reach, and d is one more row, the middle column against
+    cos(k*theta), k = -hbw..hbw (``_certificate_plan``); x^T B x splits
+    the same way. A mode costs O(p^2).
 
-    Rounding, with u = eps/2 and e the machine epsilon of the table
+    Rounding, with u = eps/2 and e the machine epsilon of the samples
     (extended precision has 64 bits where the platform has them, else
-    e = eps and the bound is looser): an entry of the table is within
-    5e/2 of its sine, relative (three roundings of the argument move
-    sin(y) by at most 3u*y*cos(y) <= 3u*sin(y), y <= pi/2, and the sine
-    takes one ulp). A row's product over at most K = 2 hbw + 1 nonzero
-    entries b_k, summed in the table's precision, is then within
+    e = eps and the bound is looser): a sample is within 5e/2 of its
+    sine, relative (three roundings of the argument move sin(y) by at
+    most 3u*y*cos(y) <= 3u*sin(y), y <= pi/2, and the sine takes one
+    ulp). A row's product over at most K = 2 hbw + 1 nonzero
+    entries b_k, summed in the samples' precision, is then within
     (hbw + 4) e sum |b_k| of its exact value, and r_i or d, combined in
     that precision and rounded to double, within (hbw + 5) e times the
     weighted absolute row sums of A, S and B and u |r_i| more. These
@@ -161,58 +186,30 @@ def _certificates(bands, shifts, values, js, p, N, table):
     round it by at most (R/2 + 8) eps, relative, for which it is scaled
     up: the terms of x^T B x, m x_i^2 in exact arithmetic, do not cancel.
     """
-    eps, e = _EPS, float(np.finfo(table.dtype).eps)
-    nb, hbw, n = len(bands), len(bands[0]) - 1, bands[0].shape[1]
-    # a zero row past the bands, read by the entries beyond them
-    padded = np.zeros((nb, hbw + 2, n))
-    padded[:, :hbw + 1] = bands
-    middle = padded[:, :, n // 2]
-    # the regular rows taken are lo..hi-1: hbw or more from either end,
-    # each with its columns i - hbw..i inside the run of columns around
-    # the middle one that equal it; every other row is irregular
-    odd = (padded != middle[:, :, None]).any((0, 1)).nonzero()[0]
-    at = int(np.searchsorted(odd, n // 2))
-    lo = (int(odd[at - 1]) + 1 if at else 0) + hbw
-    hi = min(int(odd[at]) if at < len(odd) else n, n - hbw)
-    if hi <= lo:
-        lo = hi = n
-    # the irregular rows, then the regular columns that they reach
-    reach = min(lo + hbw, hi)
-    rows = [*range(lo), *range(hi, n)]
-    cols = rows + [*range(lo, reach), *range(max(hi - hbw, reach), hi)]
-    R, C, K = len(rows), len(cols), 2 * hbw + 1
-    # one block per band: the irregular rows against their columns, entry
-    # (i, k) in band slot (|i - k|, min(i, k)), and the middle column
-    # against the cosines
-    i, k = np.array(rows, dtype=int)[:, None], np.array(cols, dtype=int)
-    entries = np.zeros((nb, R + 1, C + K))
-    entries[:, :R, :C] = padded[:, np.minimum(abs(i - k), hbw + 1),
-                                np.minimum(i, k)]
-    offsets = range(-hbw, hbw + 1)
-    entries[:, R, C:] = middle[:, [abs(c) for c in offsets]]
-    entries = entries.reshape(-1, C + K)
-    # sin(j*pi*node/N), 2 * node of column k being 2k + 2 at odd p and
-    # 2k + 1 at even p, then cos(k*j*pi/N) = sin((2k*j + N)*pi/(2N));
-    # einsum sums each product in one order, so a mode's bits do not
-    # depend on the other modes
-    index = js[:, None] * np.array([2 * c + 1 + p % 2 for c in cols]
-                                   + [2 * c for c in offsets], dtype=int)
-    index[:, C:] += N
-    index %= 4 * N
-    samples = table[index]
-    del index
+    eps, e = _EPS, _EPS if dtype is float else float(np.finfo(dtype).eps)
+    nb, n, hbw = len(bands), bands[0].n, bands[0].half_bandwidth
+    lo, hi, flat, shape = _regular_run(bands)
+    # a stretched band's plan is O(p^2) and kept; a whole band's is
+    # O(n^2) where a band changed by hand leaves few rows regular
+    plan = _kept_plan if shape[-1] else _certificate_plan
+    reads, nodes, R = plan(shape, n, lo, hi, N, p % 2)
+    entries = flat[reads].reshape(-1, reads.shape[2])
+    # sin(j*pi*node/N) and cos(k*j*pi/N) = sin((2k*j + N)*pi/(2N)), in
+    # quarter waves; einsum sums each product in one order, so a mode's
+    # bits do not depend on the other modes
+    samples = sine_samples(N, js[:, None] * nodes[0] + nodes[1], dtype)
     products = np.einsum("rk,jk->rj", entries, samples)
     products = products.reshape(nb, R + 1, -1)
     # each row's bound on the rounding of its product and combination,
     # per unit of its weight (1, |t| or |lambda|)
-    slack = abs(entries).sum(1).reshape(nb, R + 1, 1) * ((hbw + 5) * e)
+    slack = _add(abs(entries), 1).reshape(nb, R + 1, 1) * ((hbw + 5) * e)
     # sum_reg x_i^2 lies in [spread - widen, spread + widen]
     at_rows = samples[:, :R].T
     spread = widen = 0.0
     if R < n:
         norm_sq = (np.where(js == N, float(N), 0.5 * N) if p % 2 == 0
                    else 0.5 * N)
-        spread = norm_sq - (at_rows * at_rows).sum(0)
+        spread = norm_sq - _add(at_rows * at_rows, 0)
         widen = (R + 8) * eps * norm_sq
     # the rows of each weight and their rounding, summed as a norm, in
     # blocks of weights of at most _SLICE entries (or one weight)
@@ -232,15 +229,95 @@ def _certificates(bands, shifts, values, js, p, N, table):
             both[1, at] += error
         both *= both
         both[:, :, R] *= spread + widen
-        bound[lo:lo + block] = np.sqrt(both.sum(2)).sum(0)
+        bound[lo:lo + block] = _add(np.sqrt(_add(both, 2)), 0)
     bound *= 1 + (R / 2 + 8) * eps
     symbol = products[1, R] - slack[1, R]
-    low = ((at_rows * products[1, :R]).sum(0) + symbol * spread
-           - (R / 2 + 2) * slack[1, :R].sum() - abs(symbol) * widen)
+    low = (_add(at_rows * products[1, :R], 0) + symbol * spread
+           - (R / 2 + 2) * _add(slack[1, :R], None) - abs(symbol) * widen)
     if low.min() > 0:
         return bound / np.sqrt(low)
     return np.divide(bound, np.sqrt(np.maximum(low, 0.0)), where=low > 0,
                      out=np.full(bound.shape, np.inf))
+
+
+def _regular_run(bands):
+    """The regular rows lo..hi-1 of ``_certificates``, as a scan of the
+    written-out bands reads them, with the ``left`` of every band, in
+    Fortran order, and a zero after them in one array, and the key of
+    its ``_band_index``. Stretched bands are scanned at order
+    2c + 4 hbw + 1 at most, where a column past the middle keeps its
+    distance from the end."""
+    (rows, width), n = bands[0].left.shape, bands[0].n
+    stretched = bands[0].order is not None
+    short = min(n, 2 * width + 4 * rows - 5) if stretched else n
+    flat = np.concatenate([X.left.ravel("F") for X in bands] + [_ZERO])
+    shape = (len(bands), rows, width, short, stretched)
+    padded = flat[_band_index(*shape)]
+    odd = np.logical_or.reduce(padded != padded[:, :, short // 2, None],
+                               (0, 1)).nonzero()[0]
+    at = int(odd.searchsorted(short // 2))
+    lo = (int(odd[at - 1]) + 1 if at else 0) + rows - 1
+    hi = min(int(odd[at]) + n - short if at < len(odd) else n, n - rows + 1)
+    return *((lo, hi) if lo < hi else (n, n)), flat, shape
+
+
+@functools.lru_cache(maxsize=64)
+def _band_index(bands, rows, width, n, stretched):
+    """Where each slot of ``bands`` bands of order n, whole or stretched
+    from a ``left`` of shape (rows, width), reads their ``left``s,
+    flattened in Fortran order one after the other: shape (bands,
+    rows + 1, n), with the index past them, of a zero, in every last row
+    and in the slots of a stretched band past the matrix."""
+    size = rows * width
+    past = bands * size
+    index = np.full((bands, rows + 1, n), past)
+    left = np.arange(size).reshape(width, rows).T
+    if stretched:
+        _written_out(left, index[0, :rows], past)
+    else:
+        index[0, :rows] = left
+    for band in range(1, bands):
+        index[band] = np.where(index[0] < past, index[0] + band * size, past)
+    index.flags.writeable = False
+    return index
+
+
+def _certificate_plan(shape, n, lo, hi, N, parity):
+    """The flat indices (``_band_index(*shape)``) of the entries of the
+    irregular rows of bands of order n, regular rows lo..hi-1, against
+    their columns, themselves and the regular columns that they reach,
+    and of the middle column against the cosines, shape (R + 1, C + K);
+    the quarter waves j * nodes[0] + nodes[1] of their sine samples; R.
+
+    Entry (i, k) is band slot (|i - k|, min(i, k)), a slot past the band
+    the zero row. Node k is k + 1 at odd p and k + 1/2 at even p, its
+    sample sin(j*pi*node/N) at 2 * node j quarter waves, and cos(k*j*pi/N)
+    at 2k j + N.
+    """
+    index = _band_index(*shape)
+    rows, m = index.shape[1] - 1, index.shape[2]
+    hbw = rows - 1
+    reach = min(lo + hbw, hi)
+    irregular = [*range(lo), *range(hi, n)]
+    cols = irregular + [*range(lo, reach), *range(max(hi - hbw, reach), hi)]
+    R, C = len(irregular), len(cols)
+    i, k = np.array(irregular, dtype=int)[:, None], np.array(cols, dtype=int)
+    column = np.minimum(i, k)
+    column -= (n - m) * (column > n // 2)
+    reads = np.full((len(index), R + 1, C + 2 * hbw + 1), index[0, -1, 0])
+    reads[:, :R, :C] = index[:, np.minimum(abs(i - k), rows), column]
+    offsets = np.arange(-hbw, hbw + 1)
+    reads[:, R, C:] = index[:, abs(offsets), m // 2]
+    nodes = np.zeros((2, C + len(offsets)), dtype=int)
+    nodes[0, :C] = 2 * k + 1 + parity
+    nodes[0, C:] = 2 * offsets
+    nodes[1, C:] = N
+    for array in (reads, nodes):
+        array.flags.writeable = False
+    return reads, nodes, R
+
+
+_kept_plan = functools.lru_cache(maxsize=64)(_certificate_plan)
 
 
 @_solver

@@ -35,12 +35,18 @@ class KnotVector:
         Number of elements; breakpoints are j/N.
     knots : ndarray
         Non-decreasing knot sequence of length N + 2p + 1 with both
-        endpoints repeated p+1 times.
+        endpoints repeated p+1 times, formed on first use: the closed
+        forms of the outlier-free space never read it.
     """
 
     p: int
     N: int
-    knots: np.ndarray
+
+    @functools.cached_property
+    def knots(self):
+        return np.concatenate([np.zeros(self.p + 1),
+                               np.arange(1, self.N) / self.N,
+                               np.ones(self.p + 1)])
 
     @property
     def h(self):
@@ -91,12 +97,7 @@ def open_knot_vector(p, N):
         raise ValueError(f"degree must be at least 1, got {p}")
     if N < 1:
         raise ValueError(f"element count must be at least 1, got {N}")
-    knots = np.concatenate([
-        np.zeros(p + 1),
-        np.arange(1, N) / N,
-        np.ones(p + 1),
-    ])
-    return KnotVector(p, N, knots)
+    return KnotVector(p, N)
 
 
 def eval_basis(kv, x, r=0):

@@ -15,6 +15,10 @@ scaled-integer commutators.
 assembly, so that a test can count the work of one build.
 ``band_entry``, ``lam_min`` and ``lam_max`` read one entry of a band and
 the two ends of a spectrum, which the package never reads that way.
+``stretch`` writes a band above the reference size out entry by entry,
+and ``scanned_regular_run`` reads the certificates' regular rows off
+the written-out bands by a scan: the package stores the corners and one
+interior column instead, and reads the run from them.
 
 A space of the package is its knot vector and the flag ``odd``; it
 forms no extraction. ``folds`` computes the corners of the outlier-free
@@ -293,9 +297,49 @@ def sorted_continuum_values(d, n1):
     return np.pi ** 2 * smallest.astype(float)
 
 
+def stretch(band, corner, n, scale):
+    """The band of order n whose first ``corner`` columns are those of
+    ``band``, whose last ones are their mirror, and whose other columns
+    are ``band``'s column ``corner``, times scale, written out entry by
+    entry in O(n * hbw): the stretch the assembly once formed for every
+    mesh above the reference size.
+
+    Entry (i + k, i) of the right corner is entry (n-1-i, n-1-i-k) of
+    the left one, so row k of the band ends with row k of the left
+    corner reversed, followed by the k slots past the matrix.
+    """
+    out = np.empty((len(band), n))
+    out[:, :corner] = band[:, :corner]
+    out[:, corner:] = band[:, corner, None]
+    for k, row in enumerate(out):
+        row[n - k - corner:n - k] = band[k, corner - 1::-1]
+        row[n - k:] = 0.0
+    out *= scale
+    return out
+
+
+def scanned_regular_run(bands):
+    """The regular rows lo..hi-1 of the certificates, read off the
+    written-out bands (arrays of one shape) by a scan of every column:
+    hbw or more from either end, each with its columns i - hbw..i inside
+    the run of columns around the middle one that equal it in every
+    band."""
+    nb, hbw, n = len(bands), len(bands[0]) - 1, bands[0].shape[1]
+    padded = np.zeros((nb, hbw + 2, n))
+    padded[:, :hbw + 1] = bands
+    middle = padded[:, :, n // 2]
+    odd = (padded != middle[:, :, None]).any((0, 1)).nonzero()[0]
+    at = int(np.searchsorted(odd, n // 2))
+    lo = (int(odd[at - 1]) + 1 if at else 0) + hbw
+    hi = min(int(odd[at]) if at < len(odd) else n, n - hbw)
+    return (lo, hi) if lo < hi else (n, n)
+
+
 def fresh_assembly_caches():
-    """Empty the per-mesh bands of the assembly."""
+    """Empty the per-mesh bands and operators of the assembly."""
     assembly._bands.cache_clear()
+    assembly._operators.cache_clear()
+    assembly._mass_side_terms.cache_clear()
 
 
 def space_member_eval(space, i, x, r=0):

@@ -1,6 +1,7 @@
 """Assembled operators against hand-computable stencils, polynomial
 identities, and the closed-form spectrum."""
 
+import dataclasses
 import functools
 import hashlib
 import warnings
@@ -14,13 +15,13 @@ from scipy.linalg import lapack
 import softiga.assembly as assembly
 from oracles import (PRINTED_STENCILS, band_entry, dense_extraction,
                      fresh_assembly_caches, pth_derivative_jump,
-                     space_member_eval, space_operators)
+                     space_member_eval, space_operators, stretch)
 from softiga.analytic import (analytic_eigenvalue, eta_table,
                               reference_matrix, sharp_weight)
 from softiga.assembly import (IndefinitenessWarning, SymBandedMatrix,
                               build_soft_system)
 from softiga.eigensolve import (DefinitenessError, cholesky_pivot,
-                                generalized_eig)
+                                generalized_eig, lowest_eigenvalue)
 from softiga.spaces import build_of_space, build_standard_space
 from softiga.spectral_analysis import solve_system, spectral_report
 from softiga.splines import eval_basis, open_knot_vector
@@ -567,14 +568,21 @@ def test_mass_side_definiteness_is_checked_on_the_band(monkeypatch):
         return 2
 
     monkeypatch.setattr(eigensolve, "cholesky_pivot", failing_pivot)
-    # the build factors nothing; the solve checks B once, as its band
-    system = build_soft_system(2, 10, 0.0, 1e-3)
-    assert seen == []
-    with pytest.raises(DefinitenessError) as err:
-        solve_system(system)
-    assert err.value.pivot == 2
-    assert len(seen) == 1 and isinstance(seen[0], SymBandedMatrix)
-    np.testing.assert_array_equal(seen[0].band, system.B.band)
+    # the build factors nothing; a solve on the standard space checks B
+    # once, as its band, and one on the outlier-free space proves it
+    # positive from the symbol instead, with no factorization
+    for p, flavor in ((3, "standard"), (2, "outlier_free")):
+        system = build_soft_system(p, 20, 0.0, 1e-3, flavor)
+        assert seen == []
+        if flavor == "outlier_free":
+            solve_system(system)
+            continue
+        with pytest.raises(DefinitenessError) as err:
+            solve_system(system)
+        assert err.value.pivot == 2
+        assert len(seen) == 1 and isinstance(seen[0], SymBandedMatrix)
+        np.testing.assert_array_equal(seen[0].band, system.B.band)
+        seen.clear()
 
 
 _FLAVORS = ("standard", "outlier_free")
@@ -774,3 +782,77 @@ def test_stretched_bands_match_the_exact_stencils(p):
             # measured at most 7.1 eps of the largest entry (p = 5, S)
             worst = np.abs(band[:len(exact)] - exact).max()
             assert worst <= 8 * _EPS * np.abs(exact).max(), (N, name)
+
+
+def _stretch_weights(p):
+    """(eta, eta_b) pairs of the stretched-band checks: a softness weight
+    (the default one, or half the sharp one where none is tabulated),
+    without and with a mass-side weight (the paper's, or 1e-4)."""
+    table = eta_table()
+    eta = float(table.default.get(p) or 0.5 * float(sharp_weight(p)))
+    return [(eta, 0.0), (eta, float(table.mass_side.get(p) or 1e-4))]
+
+
+@pytest.mark.parametrize("p", range(1, 17))
+def test_stretched_bands_are_the_stretch_written_out(p):
+    # a band above the reference size is stored as its corner and one
+    # interior column; written out, it is the stretch of the reference
+    # entry for entry, and so is the sum of two, while its Frobenius norm
+    # and inner products, summed in another order, agree to n eps
+    size = assembly._reference_size(p)
+    for flavor in _FLAVORS:
+        for N in (size + 1, 2 * size + 3, 1000):
+            for eta, eta_b in _stretch_weights(p):
+                system = build_soft_system(p, N, eta, eta_b, flavor)
+                n, corner = system.space.dim, assembly._corner_width(
+                    system.space)
+                operators = (system.stiffness, system.mass, system.softness)
+                references = assembly._bands(p, size, _is_odd(p, flavor))
+                for X, band, scale in zip(operators, references,
+                                          (N / size, size / N, N / size)):
+                    assert X.order == n and X.left.shape[1] == corner + 1
+                    assert (X.band.tobytes()
+                            == stretch(band, corner, n, scale).tobytes())
+                h = system.space.kv.h
+                for total, (X, weight, Y) in (
+                        (system.A, (system.stiffness, -eta, system.softness)),
+                        (system.B, (system.mass, eta_b * h * h,
+                                    system.softness))):
+                    whole = SymBandedMatrix(X.band).plus(
+                        weight, SymBandedMatrix(Y.band))
+                    assert total.order == n
+                    assert total.band.tobytes() == whole.band.tobytes()
+                    norm = whole.frobenius()
+                    assert abs(total.frobenius() - norm) <= n * _EPS * norm
+                    S = system.softness.padded(len(total.left))
+                    dot = whole.inner(S.whole())
+                    bound = n * _EPS * norm * S.frobenius()
+                    assert abs(total.inner(S) - dot) <= bound
+
+
+@pytest.mark.parametrize("p", range(1, 17))
+def test_a_mass_side_proved_positive_factors(p):
+    # on the odd space the symbol's floor, less the distance of the
+    # stored entries from the exact completion, is positive on every
+    # mesh, with or without a mass-side weight, and below the smallest
+    # eigenvalue of B, which a Cholesky factorization confirms positive;
+    # a band changed by hand, or the standard space at p >= 3, is not
+    # proved but factored
+    size = assembly._reference_size(p)
+    for N in sorted({max(p, 2), size, size + 1, 2 * size + 3, 1000}):
+        for eta, eta_b in _stretch_weights(p):
+            system = build_soft_system(p, N, eta, eta_b)
+            floor = assembly._mass_side_floor(system)
+            assert floor > 0, (N, eta_b)
+            assert cholesky_pivot(system.B) == 0
+            assert floor <= lowest_eigenvalue(system.B)
+            mass = SymBandedMatrix(system.mass.left.copy(),
+                                   system.mass.order)
+            copied = dataclasses.replace(system, mass=mass)
+            assert assembly._mass_side_floor(copied) == 0.0
+            if p >= 3:
+                standard = build_soft_system(p, N, 0.0, eta_b, "standard")
+                assert assembly._mass_side_floor(standard) == 0.0
+    # a weight whose rounding outweighs the floor proves nothing
+    huge = build_soft_system(p, 1000, 0.0, 1e300)
+    assert assembly._mass_side_floor(huge) == 0.0

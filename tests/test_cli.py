@@ -307,6 +307,20 @@ def test_huge_mass_side_weight_succeeds_or_fails_in_one_line(command, eta_b,
                             captured.err)
 
 
+@pytest.mark.parametrize("eta_b", ["1e200", "1e300"])
+@pytest.mark.parametrize("command", ["spectrum", "condition"])
+def test_a_stretched_band_overflows_its_norm_as_a_whole_one(command, eta_b,
+                                                            capsys):
+    # the Frobenius norm of B overflows in its product, on the mesh of
+    # whole bands (N = 8) and on the stretched one (N = 40) alike
+    for N in ("8", "40"):
+        assert main([command, "-p", "2", "-N", N, "--eta-b", eta_b]) == (
+            EXIT_NUMERICAL)
+        assert capsys.readouterr() == ("", "softiga: numerical failure:"
+                                       " overflow encountered in matmul"
+                                       " during the solve\n")
+
+
 @pytest.mark.parametrize("command", ["spectrum", "condition"])
 def test_mass_side_weight_past_the_double_range_fails_in_one_line(command,
                                                                   capsys):
@@ -999,6 +1013,95 @@ def test_out_streams_into_a_named_pipe_in_place(tmp_path):
     assert digest == _GOLDEN_STDOUT[command]
 
 
+def test_out_streams_into_a_named_pipe_read_to_its_end(tmp_path):
+    # a plain reader of a named pipe reads until every writer has closed
+    # it: a probe that opened and closed the pipe would end its read
+    # there, before the report, and the report's own open would then
+    # wait for a reader for ever (here, until the timeout)
+    import softiga
+
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+
+    def drain():
+        fd = os.open(fifo, os.O_RDONLY)
+        try:
+            while chunk := os.read(fd, 1 << 16):
+                received.append(chunk)
+        finally:
+            os.close(fd)
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    command = "spectrum -p 3 -N 60 -d 2 --format json"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(softiga.__file__)))
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "softiga.cli", *command.split(), "--out",
+             str(fifo)], env=env, capture_output=True, text=True, timeout=60)
+    finally:
+        if reader.is_alive():
+            # a reader still waiting for a writer sees end of file
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:
+                pass
+        reader.join(10)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+    assert not reader.is_alive()
+    digest = hashlib.md5(b"".join(received)).hexdigest()
+    assert digest == _GOLDEN_STDOUT[command]
+
+
+def test_out_in_a_read_only_directory_is_refused_before_any_work(
+        tmp_path, monkeypatch, capsys):
+    # a regular file is replaced through a temporary file beside it, so
+    # its directory must be writable; the tests run as root, whom no
+    # permission bit refuses, so the directory's refusal is stood in for
+    path = tmp_path / "report"
+    path.write_bytes(b"an earlier report\n")
+    access = os.access
+    asked = []
+
+    def read_only(name, mode, **kwargs):
+        asked.append((os.fspath(name), mode))
+        if os.fspath(name) == str(tmp_path) and mode & os.W_OK:
+            return False
+        return access(name, mode, **kwargs)
+
+    monkeypatch.setattr(os, "access", read_only)
+    builds = _counting_builds(monkeypatch)
+    err = _one_line_config_error(["spectrum", "-p", "2", "-N", "8",
+                                  "--out", str(path)], capsys)
+    assert err == (f"softiga: config error: --out {path}: its directory"
+                   f" {tmp_path} is not writable\n")
+    assert asked == [(str(tmp_path), os.W_OK | os.X_OK)]
+    assert builds == []
+    assert path.read_bytes() == b"an earlier report\n"
+    assert os.listdir(tmp_path) == ["report"]
+
+
+def test_out_that_is_no_regular_file_is_asked_not_opened(tmp_path,
+                                                        monkeypatch, capsys):
+    # a pipe that may not be written is refused before any work, and one
+    # that may is not opened by the probe
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    monkeypatch.setattr(os, "access", lambda name, mode, **kwargs: False)
+    builds = _counting_builds(monkeypatch)
+    err = _one_line_config_error(["condition", "-p", "2", "-N", "8",
+                                  "--out", str(fifo)], capsys)
+    assert err == f"softiga: config error: --out {fifo} is not writable\n"
+    assert builds == []
+    monkeypatch.undo()
+    # the probe tells whether it created the path
+    assert cli._probe(str(fifo)) is False
+    assert cli._probe(str(tmp_path / "new")) is True
+    assert cli._probe(str(tmp_path / "new")) is False
+
+
 # Traced peak bytes per lifted mode of a spectrum report written to a
 # file, at 64,000 modes. The report holds 48 bytes a mode (the lifted
 # values, three 8-byte indices, the targets and the relative errors),
@@ -1117,9 +1220,19 @@ def test_import_loads_the_modules_it_loaded_before():
     (["dispersion", "-p", "3", "--eta", "super"], EXIT_OK, False),
     (["--help"], EXIT_OK, False),
     (["condition", "-p", "3", "-N", "2000000"], EXIT_CONFIG, False),
-    # the definiteness check of every pencil factors its mass band
+    # the standard baseline at p >= 3 factors its bands
     (["condition", "-p", "3", "-N", "100"], EXIT_OK, True),
-], ids=["dispersion", "help", "refusal", "condition"])
+    (["condition", "-p", "3", "-N", "40"], EXIT_OK, True),
+    # the outlier-free pencils, and the standard one at p <= 2, which is
+    # the same space, prove their mass side positive from the symbol and
+    # factor nothing
+    (["condition", "-p", "2", "-N", "100"], EXIT_OK, False),
+    (["condition", "-p", "3", "-N", "40", "--baseline", "of-iga"], EXIT_OK,
+     False),
+    (["eta-sweep", "-p", "3", "-N", "120"], EXIT_OK, False),
+    (["spectrum", "-p", "3", "-N", "200"], EXIT_OK, False),
+], ids=["dispersion", "help", "refusal", "condition", "iga-baseline",
+        "p2-condition", "of-iga-baseline", "eta-sweep", "spectrum"])
 def test_scipy_linalg_is_loaded_by_the_first_factorization(argv, code,
                                                            loaded):
     program = ("import sys\n"

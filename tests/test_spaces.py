@@ -13,7 +13,8 @@ from oracles import (dense_extraction, extraction_corners, folds,
                      raw_coefficients, sine_modes, space_member_eval,
                      space_operators)
 from softiga.spaces import (build_of_space, build_standard_space,
-                            sine_table, space_dimension)
+                            quarter_sines, sine_samples, sine_table,
+                            space_dimension)
 from softiga.splines import eval_basis
 
 
@@ -204,6 +205,24 @@ def test_sine_table_is_the_sine_with_its_symmetries_exact(N):
     # odd about 0 and 2N, even about N, exactly
     assert np.array_equal(table[(4 * N - i) % (4 * N)], -table)
     assert np.array_equal(table[(2 * N - i) % (4 * N)], table)
+
+
+@pytest.mark.parametrize("dtype", [float, np.longdouble])
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 40, 1001])
+def test_sine_samples_are_the_table_entries_bit_for_bit(N, dtype):
+    # folded onto the quarter wave one at a time, as a few samples of a
+    # large mesh are, or read from the table when they outnumber it; the
+    # signs of the zeros at 0 and 2N too
+    table = sine_table(N, dtype)
+    index = np.arange(-8 * N - 3, 8 * N + 5)
+    for picks in (index, index[::7][:3 * N], index[[0, -1]], index[2:3]):
+        samples = sine_samples(N, picks.reshape(-1, 1), dtype)
+        wanted = table[picks % (4 * N)].reshape(-1, 1)
+        assert samples.dtype == wanted.dtype
+        assert np.array_equal(samples, wanted)
+        assert np.array_equal(np.signbit(samples), np.signbit(wanted))
+    assert np.array_equal(quarter_sines(N, np.arange(N + 1), dtype),
+                          table[:N + 1])
 
 
 @pytest.mark.parametrize("p,N", [(1, 6), (2, 7), (3, 9), (4, 10), (7, 20),
