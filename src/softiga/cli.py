@@ -50,9 +50,12 @@ _METHOD_FLAVOR = {"iga": "standard", "of-iga": "outlier_free",
                   "softiga": "outlier_free"}
 
 # Largest 1D pencil order that condition accepts. Only the standard
-# baseline at p >= 3 grows with it: just under it, its bisection took
-# 2.2 to 3.2 s and 296 MB peak RSS at p = 3 on a 2-core shared host
-# with one BLAS thread, the outlier-free pencils 0.24 s and 35 MB.
+# baseline at p >= 3 grows with it: just under it, at p = 3 on a 2-core
+# shared host with one BLAS thread, condition took 1.4 s and 235 MB max
+# RSS in a fresh process (1.0 s after the imports), its band solve
+# peaking at 175.5 MiB traced: A, B, one factor buffer and a few vectors,
+# with the wide halvings of the bisection on the leading block. The
+# outlier-free pencils took 0.24 s and 35 MB.
 MAX_CONDITION_ORDER = 1_000_000
 
 # Most weights eta-sweep accepts. The sweep holds n values per weight,
@@ -292,14 +295,19 @@ def cmd_condition(args):
 
     Only the two ends of each lifted spectrum matter, and they are the
     d-fold sums of the 1D ends, so no lift is built. The 1D ends come
-    from ``extreme_values``: on the outlier-free space, the extremes of
-    its n closed-form values with no factorization, in memory flat in N,
-    and on a standard space of p >= 3, about 55 band Cholesky
-    factorizations of O(n * hbw^2) each, so the cost grows linearly in
-    N. A 1D order above ``MAX_CONDITION_ORDER`` is refused before any
-    assembly. The baseline is the unsoftened pencil of its method's
-    space. Both spaces, the same one or not, read the bands of one mesh
-    of at most N_ref elements, assembled once per degree and process
+    from ``extreme_values``, one call per space and mass-side weight. On
+    the outlier-free space they are the extremes of its n closed-form
+    values, with no factorization and in memory flat in N; where the
+    baseline shares the target's space and eta_b, one pass gives the
+    ends of both weights. On a standard space of p >= 3 they take a
+    bisection of about 55 band Cholesky factorizations, about 32 of them
+    on the pencil's leading block of order 12 hbw + 24 and the other 23
+    or so, which grow linearly in N, on the whole pencil; a baseline
+    identical to the target is solved once. A 1D order above
+    ``MAX_CONDITION_ORDER`` is refused before any assembly. The baseline
+    is the unsoftened pencil of its method's space. Both spaces, the
+    same one or not, read the bands of one mesh of at most N_ref
+    elements, assembled once per degree and process
     (``assembly.build_soft_system``).
     """
     eta, eta_b = _weights(args)
@@ -310,14 +318,16 @@ def cmd_condition(args):
     if order > MAX_CONDITION_ORDER:
         raise ConfigError(f"a pencil of order {order} is above the limit"
                           f" of {MAX_CONDITION_ORDER} for condition")
-    # each system goes in as a temporary, freed once its pencil is
-    # formed: no more is held at once than the pencil of one space
-    target = extreme_values(build_soft_system(
-        args.p, args.N, eta, eta_b, target_flavor))
-    base = extreme_values(build_soft_system(args.p, args.N, 0.0, 0.0,
-                                            flavor))
-    stats = condition_stats(lifted_extremes(target, args.d),
-                            lifted_extremes(base, args.d))
+    target = build_soft_system(args.p, args.N, eta, eta_b, target_flavor)
+    # a baseline on the target's space (at p <= 2 the flavors are one
+    # space) and eta_b is one more weight of the target's pass; another
+    # is built only once the target is solved, whose errors come first
+    if target.eta_b == 0.0 and (flavor == target_flavor or args.p <= 2):
+        ends = extreme_values(target, [target.eta, 0.0])
+    else:
+        ends = [extreme_values(target), extreme_values(
+            build_soft_system(args.p, args.N, 0.0, 0.0, flavor))]
+    stats = condition_stats(*(lifted_extremes(end, args.d) for end in ends))
     # the fields of ConditionStats are the remaining columns, in order
     _emit(args, {"d": [args.d], "p": [args.p],
                  **{name: [value] for name, value in vars(stats).items()}})

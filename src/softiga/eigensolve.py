@@ -14,13 +14,18 @@ where no closed form is known, and write their sides out whole.
   about 6 n^2 doubles is the solve's; an order above
   ``MAX_DENSE_ORDER`` is refused before anything dense is allocated.
 * ``extreme_eigenpairs`` returns only the smallest and the largest
-  pair, from band factorizations alone, in O(n * hbw) memory. By
+  pair, from band factorizations alone, in O(n * hbw) memory: A, B,
+  one buffer for the factors of both ends and a few vectors. By
   Sylvester's law of inertia, sigma*B - A is positive definite exactly
   when sigma > lambda_max, which one ``dpbtrf`` decides in
   O(n * hbw^2): lambda_max is bracketed and bisected, about 55
-  factorizations, and shift-invert steps give its vector. lambda_min
-  comes from inverse iteration with the factor of A, certified by one
-  more factorization, or is bisected like lambda_max.
+  factorizations, and shift-invert steps give its vector. The top mode
+  of a standard space at p >= 3 is a boundary outlier, so the wide
+  halvings, about 32, factor only the pencil's leading block, in
+  O(hbw^3), and the last 22 or so the whole pencil; the result is the
+  whole-pencil bisection's. lambda_min comes from inverse iteration
+  with the factor of A, certified by one more factorization, or is
+  bisected like lambda_max on the whole pencil.
 
 Their eigenvalues are Rayleigh quotients of the float operators, off by
 about eps*lambda_max/lambda_j relative on the low modes; the
@@ -441,19 +446,21 @@ MAX_INVERSE_STEPS = 64
 _EPS = np.finfo(float).eps
 
 
-def _shifted_factor(a, b, t, out, dpbtrf):
-    """Cholesky factor of t*B - A in ``out`` by LAPACK's ``dpbtrf``, or
-    None when t*B - A is not positive definite, which by Sylvester's law
-    of inertia is exactly when t <= lambda_max.
+def _shifted_factor(a, b, t, out, dpbtrf, flip=False):
+    """LAPACK's ``dpbtrf`` of t*B - A in ``out``, or with ``flip`` of
+    t*B + A, which is t*B - (-A) bit for bit since negation is exact: 0
+    when it factors, which by Sylvester's law of inertia is exactly when
+    t > lambda_max, else the 1-based failing pivot. ``out`` then holds the
+    factor in place; it may be a view of leading columns, which is the
+    leading block of the pencil.
 
     The caller imports ``dpbtrf`` once for all of its shifts: an import
     statement, even of a loaded module, costs up to a tenth of the
     factorization of a small band, and a bisection factors about 55.
     """
     np.multiply(b, t, out=out)
-    np.subtract(out, a, out=out)
-    factor, info = dpbtrf(out, lower=1, overwrite_ab=1)
-    return factor if info == 0 else None
+    (np.add if flip else np.subtract)(out, a, out=out)
+    return dpbtrf(out, lower=1, overwrite_ab=1)[1]
 
 
 def _inverse_iteration(factor, t, B, x, norms, tol, steps):
@@ -476,9 +483,11 @@ def _inverse_iteration(factor, t, B, x, norms, tol, steps):
         # overflow: bring its norm into [0.5, 1) first, with B x
         # alongside. A power of two scales every product exactly, so
         # the steps are the same to the last bit wherever the unscaled
-        # ones stay finite.
+        # ones stay finite. The steps work in place, with four vectors
+        # of order n at most besides x.
         power = -math.frexp(blas.dnrm2(y))[1]
-        y, bx = np.ldexp(y, power), np.ldexp(bx, power)
+        np.ldexp(y, power, out=y)
+        np.ldexp(bx, power, out=bx)
         by = B.matvec(y)
         yby = y @ by
         # (t*B - A) y = B x, so A y = t*B y - B x: the Rayleigh quotient
@@ -486,66 +495,157 @@ def _inverse_iteration(factor, t, B, x, norms, tol, steps):
         shift = (y @ bx) / yby
         previous, estimate = estimate, t - shift
         if previous is not None and abs(estimate - previous) <= tol:
-            r = shift * by - bx
+            r = shift * by
+            r -= bx
             bound = RESIDUAL_RTOL * (norms[0] + abs(estimate) * norms[1])
             settled = r @ r <= (0.01 * bound) ** 2 * yby
+            del r
         scale = math.sqrt(yby)
-        x, bx = y / scale, by / scale
+        y /= scale
+        by /= scale
+        x, bx = y, by
         if settled:
             break
     return x, bx, estimate, settled
 
 
-def _edge(A, B, norms, tol):
-    """The eigenpair of the largest eigenvalue of the pencil (A, B), as
-    (x, B x), x B-normalized.
+# The bisection for lambda_max decides a shift on the leading block of
+# order min(n, _CORNER_PER_HBW * hbw + _CORNER_EXTRA) of the pencil while
+# its bracket is wider than _WIDE of its magnitude (``_bisection``). The
+# top mode of a standard space at p >= 3 is a boundary outlier, which the
+# leading 40 rows of the p = 3 pencil give to 5e-15. Measured against the
+# bisection decided on the whole pencil at every shift: on the 180
+# standard pencils of p = 3..16 with N in {p+1, 2p, 4p+2, 4p+3, 30, 60,
+# 100, 150, 200, 300, 400, 1000, 3000} both ends and vectors were the
+# same bits with no rerun, and on 804 of p = 3..20 and N up to 4000 the
+# same bits with 7 reruns. A switch at 2^-36, 2^-40 or 2^-46 reran 1, 6
+# and 19 of the 180 and moved the bits of 0, 3 and 13: the check of a
+# trusted shift needs a gap wider than the round-off of definiteness.
+# A block of 8 hbw + 16 rows was as good, one of 4 hbw + 8 reran 60.
+_CORNER_PER_HBW, _CORNER_EXTRA = 12, 24
+_WIDE = 2.0 ** -30
 
-    A shift t is above lambda_max exactly when t*B - A factors. The
-    bracket lo <= lambda_max < hi starts at the largest diagonal ratio,
-    a Rayleigh quotient, and doubles its width until hi factors; it is
-    then halved until it stops shrinking, about 53 factorizations, and
-    shift-invert steps with the factor at hi give the eigenvector. They
+
+def _bisection(a, b, work, m, flip, dpbtrf):
+    """Bracket and halve lambda_max of the pencil (A, B), or with
+    ``flip`` of (-A, B), their bands ``a`` and ``b``, factoring the
+    shifted pencils in ``work``; a shift is decided on the leading block
+    of order m while the bracket is wider than ``_WIDE`` of its
+    magnitude, and on the whole pencil after, or throughout at m = n.
+
+    The bracket lo <= lambda_max < hi starts at the largest diagonal
+    ratio, a Rayleigh quotient, and doubles its width until hi factors;
+    it is then halved until it stops shrinking, about 53 factorizations.
+    A block of order m that fails at pivot m - hbw or before fails the
+    whole pencil at the same pivot, bit for bit: those pivots see the
+    same updates. A block that factors is taken on trust, and the first
+    halving on the whole pencil settles the last hi so taken: a whole
+    factor half a bracket below it confirms it, at least 2^-32 of its
+    magnitude away, and every earlier hi lies higher still; after a
+    shift that does not factor, the whole pencil must factor that hi.
+
+    Returns hi, the width at which the halvings stopped and whether
+    ``work`` holds the whole pencil's factor at hi, or None when the
+    whole pencil does not factor a hi that its block did.
+    """
+    n, hbw = a.shape[1], len(a) - 1
+    a_m, b_m, work_m = a[:, :m], b[:, :m], work[:, :m]
+
+    def wide(lo, hi):
+        return m < n and hi - lo > _WIDE * max(abs(lo), abs(hi))
+
+    def factors(t, block):
+        """Whether t*B - A factors, on its leading block with ``block``,
+        and whether ``work`` holds its whole factor."""
+        if block:
+            info = _shifted_factor(a_m, b_m, t, work_m, dpbtrf, flip)
+            if info == 0 or info <= m - hbw:
+                return info == 0, False
+        info = _shifted_factor(a, b, t, work, dpbtrf, flip)
+        return info == 0, info == 0
+
+    lo = float(np.max((-a[0] if flip else a[0]) / b[0]))
+    step = abs(lo) or 1.0
+    hi = lo + step
+    while not (done := factors(hi, wide(lo, hi)))[0]:
+        lo, step = hi, 2.0 * step
+        hi = lo + step
+        if not np.isfinite(hi):
+            raise EigenSolveError("no shift above the spectrum")
+    # whether work holds the whole factor at hi, and whether hi rests on
+    # the leading block alone
+    factored, trusted = done[1], not done[1]
+    floor = _EPS * max(abs(lo), abs(hi))
+    while hi - lo > floor:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        # a shift that does not factor spoils the factor at hi in work
+        block = wide(lo, hi)
+        above, factored = factors(mid, block)
+        if above:
+            hi, trusted = mid, not factored
+            continue
+        lo = mid
+        if trusted and not block:
+            # the whole pencil must factor the hi its block took
+            if _shifted_factor(a, b, hi, work, dpbtrf, flip):
+                return None
+            factored, trusted = True, False
+    if trusted and _shifted_factor(a, b, hi, work, dpbtrf, flip):
+        return None
+    return hi, floor, factored or trusted
+
+
+def _edge(A, B, norms, tol, work, flip=False):
+    """The eigenpair of the largest eigenvalue of the pencil (A, B), or
+    with ``flip`` of (-A, B), as (x, B x), x B-normalized; ``work``, a
+    band of A's shape, holds the shifted factors.
+
+    The bisection (``_bisection``) decides the top of (A, B) on the
+    leading block of order m = min(n, 12 hbw + 24) while its bracket is
+    wide, in O(m * hbw^2) a shift, and on the whole pencil, in
+    O(n * hbw^2), for its last halvings, about 22 of some 55. Where the
+    whole pencil does not factor a shift its block took, the top mode
+    is not at the corner, and the bisection runs again on the whole
+    pencil from the start. So the bracket is the whole-pencil
+    bisection's, bit for bit, wherever the definiteness of t*B - A does
+    not flip back and forth over 2^-32 of lambda_max. The lowest mode is
+    global, and the top of (-A, B) keeps the whole pencil throughout.
+    After the halvings, a hi whose factor a later shift spoiled is
+    factored again.
+
+    Shift-invert steps with the factor at hi give the eigenvector. They
     start from alternating signs, as the top modes of a stiffness
     pencil, on a ramp that breaks every symmetry. Only a bracket that
     tight separates the top pair of a standard space at p >= 3, which
     can lie 1e-12 apart.
     """
     from scipy.linalg.lapack import dpbtrf
-    a, b = A.band, B.band
-    work = np.empty_like(a)
-    lo = float(np.max(a[0] / b[0]))
-    step = abs(lo) or 1.0
-    hi = lo + step
-    while (factor := _shifted_factor(a, b, hi, work, dpbtrf)) is None:
-        lo, step = hi, 2.0 * step
-        hi = lo + step
-        if not np.isfinite(hi):
-            raise EigenSolveError("no shift above the spectrum")
-    floor = _EPS * max(abs(lo), abs(hi))
-    while hi - lo > floor:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        # a shift that does not factor spoils the factor at hi in work,
-        # which is then redone once after the halvings
-        factor = _shifted_factor(a, b, mid, work, dpbtrf)
-        if factor is None:
-            lo = mid
-        else:
-            hi = mid
-    if factor is None:
-        factor = _shifted_factor(a, b, hi, work, dpbtrf)
-    start = 1.0 + np.arange(A.n) / A.n
-    start[1::2] *= -1.0
-    x, bx, _, _ = _inverse_iteration(factor, hi, B, start, norms,
+    a, b, n = A.band, B.band, A.n
+    corner = n if flip else min(n, _CORNER_PER_HBW * A.half_bandwidth
+                                + _CORNER_EXTRA)
+    hi, floor, factored = (_bisection(a, b, work, corner, flip, dpbtrf)
+                           or _bisection(a, b, work, n, flip, dpbtrf))
+    if not factored:
+        _shifted_factor(a, b, hi, work, dpbtrf, flip)
+    x, bx, _, _ = _inverse_iteration(work, hi, B, _ramp(n), norms,
                                      max(tol, 4.0 * floor),
                                      MAX_INVERSE_STEPS)
     return x, bx
 
 
-def _lowest(A, B, norms, tol):
+def _ramp(n):
+    """1 + i/n with alternating signs, i = 0..n-1."""
+    start = 1.0 + np.arange(n) / n
+    start[1::2] *= -1.0
+    return start
+
+
+def _lowest(A, B, norms, tol, work):
     """The eigenpair of the smallest eigenvalue of the pencil (A, B), as
-    (x, B x), x B-normalized.
+    (x, B x), x B-normalized; ``work``, a band of A's shape, holds the
+    factors.
 
     When A is positive definite, inverse iteration with its factor from
     the smooth vector sin(pi i / (n + 1)) settles in a few steps. One
@@ -555,21 +655,20 @@ def _lowest(A, B, norms, tol):
     top of the pencil (-A, B) by ``_edge``.
     """
     from scipy.linalg.lapack import dpbtrf
-    negated = SymBandedMatrix(-A.band)
-    factor, info = dpbtrf(A.band, lower=1)
-    if info == 0:
-        x = np.sin(np.pi * np.arange(1, A.n + 1) / (A.n + 1))
+    np.copyto(work, A.band)
+    if dpbtrf(work, lower=1, overwrite_ab=1)[1] == 0:
         # the factor of A is that of t*B - (-A) at t = 0: the pencil
         # (-A, B), whose eigenvalue nearest 0 is -lambda_min
         x, bx, estimate, settled = _inverse_iteration(
-            factor, 0.0, B, x, norms, tol, MAX_INVERSE_STEPS)
+            work, 0.0, B, np.sin(np.pi * np.arange(1, A.n + 1) / (A.n + 1)),
+            norms, tol, MAX_INVERSE_STEPS)
         # a definiteness test resolves a shift only to the round-off of
         # A, which tol measures
         below = -estimate - math.sqrt(_EPS) * abs(estimate) - 256.0 * tol
-        if settled and _shifted_factor(negated.band, B.band, -below,
-                                       factor, dpbtrf) is not None:
+        if settled and _shifted_factor(A.band, B.band, -below, work,
+                                       dpbtrf, True) == 0:
             return x, bx
-    return _edge(negated, B, norms, tol)
+    return _edge(A, B, norms, tol, work, True)
 
 
 @_solver
@@ -578,12 +677,16 @@ def extreme_eigenpairs(A, B):
     symmetric A and SPD B, from band factorizations alone.
 
     lambda_max comes from bisection on the definiteness of sigma*B - A
-    (about 55 band Cholesky factorizations of O(n * hbw^2) each) and a
-    few shift-invert steps at the final shift; lambda_min from inverse
+    (about 55 band Cholesky factorizations: some 32 of the leading block
+    of order 12 hbw + 24, O(hbw^3) each, while the bracket is wide, and
+    some 23 of O(n * hbw^2) on the whole pencil, ``_edge``) and a few
+    shift-invert steps at the final shift; lambda_min from inverse
     iteration with the factor of A, certified by one more factorization,
-    or by the same bisection when A is not definite. Both values are
-    Rayleigh quotients with band products, so lambda_min carries a
-    round-off floor of about eps * lambda_max.
+    or by the same bisection on the whole pencil when A is not definite.
+    Both values are Rayleigh quotients with band products, so
+    lambda_min carries a round-off floor of about eps * lambda_max. One
+    buffer holds the factors of both ends, so the solve peaks at A, B,
+    that buffer and a few vectors of order n.
 
     Parameters
     ----------
@@ -607,11 +710,14 @@ def extreme_eigenpairs(A, B):
         pair breaks the residual contract.
     """
     A, B, norms = _checked_pencil(A.whole(), B.whole())
-    top, b_top = _edge(A, B, norms, 0.0)
+    # the one buffer of every shifted factor of both ends
+    work = np.empty_like(A.left)
+    top, b_top = _edge(A, B, norms, 0.0, work)
     a_top = A.matvec(top)
     # eps * lambda_max is the round-off floor of both ends
     tol = 4.0 * _EPS * abs(top @ a_top)
-    bottom, b_bottom = _lowest(A, B, norms, tol)
+    bottom, b_bottom = _lowest(A, B, norms, tol, work)
+    del work
     a_bottom = A.matvec(bottom)
     values = np.array([(x @ ax) / (x @ bx) for x, ax, bx in
                        ((bottom, a_bottom, b_bottom), (top, a_top, b_top))])

@@ -16,8 +16,10 @@ and one chunk of lifts (``eta_sweep``).
 Condition statistics read only the two ends of each spectrum, which the
 ``condition`` command takes from ``tensor.lifted_extremes`` without
 building a lift, from the 1D ends of ``extreme_values``, one call per
-pencil: the target and its unsoftened baseline are two systems, on one
-space or two, whose bands come from one raw reference per degree
+space and mass-side weight: where the target and its unsoftened
+baseline share both, one pass of the symbol gives the ends of both
+weights, and an identical pencil is solved once. The bands of every
+system come from one raw reference per degree
 (``assembly.build_soft_system``).
 
 On the outlier-free space of any degree, and on the standard space
@@ -87,22 +89,28 @@ def _sine_pairs(system, etas, ends=False):
     """Values (the interior symbol at theta = j*pi/N), residual
     certificates (``_certificates``) and both sides' Frobenius norms of
     the closed-form pairs under each softness weight of ``etas``: rows
-    follow ``etas``, columns the modes, unsorted, or with ``ends`` the
-    lowest and the highest of the first weight, found a block of
-    ``_SLICE`` values at a time. Another weight has the stiffness side
-    A + t S, t = eta_sys - eta, whose norm comes from ||A||_F and the
-    band dots <A, S> and <S, S>. B is factored only where its symbol
-    does not prove it positive (``assembly._mass_side_floor``). A mode
-    that double precision does not certify is certified again in
-    extended precision.
+    follow ``etas``, columns the modes, unsorted, or with ``ends`` each
+    row's own lowest and highest, found a block of ``_SLICE`` values at
+    a time; the modes of every row's ends are certified under every
+    weight, and each row reads its own two. Another weight has the
+    stiffness side A + t S, t = eta_sys - eta, whose norm comes from
+    ||A||_F and the band dots <A, S> and <S, S>. B is factored only
+    where its symbol does not prove it positive
+    (``assembly._mass_side_floor``). A mode that double precision does
+    not certify is certified again in extended precision.
     """
     A, B, (norm, mass_norm) = _checked_pencil(
         system.A, system.B, _mass_side_floor(system) > 0)
     p, N, n = system.space.kv.p, system.space.kv.N, system.space.dim
+    rows = len(etas)
     weights = np.array(etas, dtype=float)[:, None]
-    width = max(1, _SLICE // len(etas))
-    values = np.empty((len(etas), 2 if ends else n))
-    js = np.zeros(2, dtype=int) if ends else np.arange(1, n + 1)
+    width = max(1, _SLICE // rows)
+    if ends:
+        # row r's first lowest and first highest mode are columns 2r and
+        # 2r + 1, with the values of every weight there
+        js, values = np.empty(2 * rows, dtype=int), np.empty((rows, 2 * rows))
+    else:
+        js, values = np.arange(1, n + 1), np.empty((rows, n))
     for lo in range(0, n, width):
         part = np.arange(lo + 1, min(lo + width, n) + 1)
         # sin^2(theta/2) and cos^2(theta/2) of modes 1..n <= N, with no
@@ -115,14 +123,18 @@ def _sine_pairs(system, etas, ends=False):
         if not ends:
             values[:, lo:lo + len(part)] = block
             continue
-        # the first lowest and the first highest, as argmin and argmax
-        for end, at in enumerate((block[0].argmin(), block[0].argmax())):
-            if (not lo or (block[0, at] < values[0, 0] if end == 0
-                           else block[0, at] > values[0, 1])):
-                js[end], values[:, end] = lo + 1 + at, block[:, at]
-    bands, shifts, stiffness = [A, B], None, [norm] * len(etas)
+        for end, at in enumerate((block.argmin(1), block.argmax(1))):
+            if not lo:
+                js[end::2], values[:, end::2] = 1 + at, block[:, at]
+                continue
+            # the rows whose end this block moves
+            best, kept = block[range(rows), at], values[:, end::2].diagonal()
+            moved = best < kept if end == 0 else best > kept
+            js[end::2][moved] = lo + 1 + at[moved]
+            values[:, end::2][:, moved] = block[:, at[moved]]
+    bands, shifts, stiffness = [A, B], None, [norm] * rows
     if any(eta != system.eta for eta in etas):
-        shifts = system.eta - np.array(etas, dtype=float)
+        shifts = system.eta - weights[:, 0]
         bands.append(system.softness.padded(len(A.left)))
     if len({X.left.shape[1] for X in bands}) > 1:
         # a band changed by hand is whole, and so are the others then
@@ -134,13 +146,20 @@ def _sine_pairs(system, etas, ends=False):
     certificates = _certificates(bands, shifts, values, js, p, N, float)
     # every contract bound is at least RESIDUAL_RTOL * ||A_t||_F
     if certificates.max() > RESIDUAL_RTOL * min(stiffness):
-        redo = (certificates > RESIDUAL_RTOL * (
-            np.reshape(stiffness, (-1, 1)) + abs(values) * mass_norm)).any(0)
+        redo = certificates > RESIDUAL_RTOL * (
+            np.reshape(stiffness, (-1, 1)) + abs(values) * mass_norm)
+        if ends:
+            # only the columns of its own ends are read from a row
+            redo &= np.repeat(np.eye(rows, dtype=bool), 2, axis=1)
+        redo = redo.any(0)
         if redo.any():
             extended = _certificates(bands, shifts, values[:, redo],
                                      js[redo], p, N, np.longdouble)
             certificates[:, redo] = np.minimum(certificates[:, redo],
                                                extended)
+    if ends:
+        values, certificates = (X.reshape(rows, rows, 2).diagonal().T
+                                for X in (values, certificates))
     return values, certificates, [(x, mass_norm) for x in stiffness]
 
 
@@ -339,21 +358,38 @@ def solve_system(system):
     return _spectrum(values, None, residuals, norms)
 
 
-def extreme_values(system):
-    """[lambda_min, lambda_max] of the system's pencil: the extremes of
-    the symbol values, with only their two pairs certified
-    (``_sine_pairs``), where the eigenvectors are the sine samples, else
-    from band factorizations (``extreme_eigenpairs``), for which a system
-    passed as a temporary is freed once its pencil is formed.
+def extreme_values(system, etas=None):
+    """[lambda_min, lambda_max] of the system's pencil, or with ``etas``
+    a (len(etas), 2) array of them, one row per softness weight, each on
+    the system's stiffness and mass operators and its eta_b.
+
+    Where the eigenvectors are the sine samples, the rows are the
+    extremes of the symbol values, evaluated elementwise per weight, with
+    only their pairs certified, all in one pass (``_sine_pairs``); a
+    weight other than the system's has the checks of ``with_weights``.
+    Else the pencil is solved by band factorizations
+    (``extreme_eigenpairs``), once whatever the number of rows, and every
+    weight must be the system's own: no other has its eigenvectors.
     """
+    weights = [system.eta] if etas is None else list(map(float, etas))
+    # each distinct weight once, in order
+    distinct = list(dict.fromkeys(weights))
+    if distinct != [system.eta]:
+        if not system.space.odd:
+            raise ValueError(f"no closed-form eigenvectors to reweight on"
+                             f" this space (p={system.space.kv.p})")
+        _checked_weights(system.space.kv.p, [eta for eta in distinct
+                                             if eta != system.eta],
+                         system.eta_b)
     if system.space.odd:
-        (values,), (residuals,), (norms,) = _sine_pairs(
-            system, [system.eta], ends=True)
-        _contract(values, residuals, norms)
-        return np.sort(values)
-    A, B = system.A, system.B
-    del system
-    return extreme_eigenpairs(A, B).values
+        values, residuals, norms = _sine_pairs(system, distinct, ends=True)
+        _contract(values, residuals, np.array(norms).T[..., None])
+        values = np.sort(values, axis=1)
+    else:
+        values = extreme_eigenpairs(system.A, system.B).values[None]
+    if etas is None:
+        return values[0]
+    return values[[distinct.index(eta) for eta in weights]]
 
 
 @_solver

@@ -19,6 +19,9 @@ the two ends of a spectrum, which the package never reads that way.
 and ``scanned_regular_run`` reads the certificates' regular rows off
 the written-out bands by a scan: the package stores the corners and one
 interior column instead, and reads the run from them.
+``whole_edge`` bisects for the top of a pencil on the whole pencil at
+every shift, where the package decides the wide halvings of its top on
+the pencil's leading block.
 
 A space of the package is its knot vector and the flag ``odd``; it
 forms no extraction. ``folds`` computes the corners of the outlier-free
@@ -65,6 +68,7 @@ from scipy import sparse
 from softiga.analytic import interior_stencil, reference_matrix
 import softiga.assembly as assembly
 from softiga.assembly import _raw_operators, build_soft_system
+import softiga.eigensolve as eigensolve
 from softiga.eigensolve import SymBandedMatrix
 from softiga.spaces import sine_table
 from softiga.spectral_analysis import h1_errors_for_modes, solve_system
@@ -333,6 +337,51 @@ def scanned_regular_run(bands):
     lo = (int(odd[at - 1]) + 1 if at else 0) + hbw
     hi = min(int(odd[at]) if at < len(odd) else n, n - hbw)
     return (lo, hi) if lo < hi else (n, n)
+
+
+def whole_edge(A, B, norms, tol, work, flip=False):
+    """``eigensolve._edge`` with every shift of its bisection decided by
+    the whole pencil: the top eigenpair of (A, B), or with ``flip`` of
+    (-A, B) formed as a negated copy, as (x, B x). ``work`` is unused; the
+    bisection factors into a buffer of its own."""
+    from scipy.linalg.lapack import dpbtrf
+    if flip:
+        A = SymBandedMatrix(-A.band)
+    a, b = A.band, B.band
+    work = np.empty_like(a)
+
+    def factor_at(t):
+        np.multiply(b, t, out=work)
+        np.subtract(work, a, out=work)
+        factor, info = dpbtrf(work, lower=1, overwrite_ab=1)
+        return factor if info == 0 else None
+
+    lo = float(np.max(a[0] / b[0]))
+    step = abs(lo) or 1.0
+    hi = lo + step
+    while (factor := factor_at(hi)) is None:
+        lo, step = hi, 2.0 * step
+        hi = lo + step
+        if not np.isfinite(hi):
+            raise eigensolve.EigenSolveError("no shift above the spectrum")
+    floor = eigensolve._EPS * max(abs(lo), abs(hi))
+    while hi - lo > floor:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        factor = factor_at(mid)
+        if factor is None:
+            lo = mid
+        else:
+            hi = mid
+    if factor is None:
+        factor = factor_at(hi)
+    start = 1.0 + np.arange(A.n) / A.n
+    start[1::2] *= -1.0
+    x, bx, _, _ = eigensolve._inverse_iteration(
+        factor, hi, B, start, norms, max(tol, 4.0 * floor),
+        eigensolve.MAX_INVERSE_STEPS)
+    return x, bx
 
 
 def fresh_assembly_caches():

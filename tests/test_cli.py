@@ -1,7 +1,10 @@
 """End-to-end command line checks via in-process main()."""
 
 import argparse
+import contextlib
+import functools
 import hashlib
+import io
 import importlib.util
 import itertools
 import json
@@ -1245,3 +1248,77 @@ def test_scipy_linalg_is_loaded_by_the_first_factorization(argv, code,
     result = _fresh_interpreter(program)
     assert result.returncode == 0
     assert result.stderr.split()[-2:] == [str(code), str(loaded)]
+
+
+@pytest.mark.parametrize("argv,passes,solves", [
+    ("condition -p 2 -N 100", 1, 0),
+    ("condition -p 3 -N 100", 1, 1),
+    ("condition -p 3 -N 100 --method iga --baseline iga", 0, 1),
+    ("condition -p 2 -N 100 --method iga --baseline of-iga", 1, 0),
+    ("condition -p 3 -N 100 --method of-iga --baseline of-iga", 1, 0),
+    ("condition -p 3 -N 100 --baseline of-iga", 1, 0),
+    ("condition -p 3 -N 100 --method iga --baseline of-iga", 1, 1),
+    ("condition -p 2 -N 100 --eta-b paper", 2, 0),
+    ("condition -p 3 -N 100 --eta-b paper --baseline of-iga", 2, 0),
+])
+def test_condition_solves_each_pencil_once(argv, passes, solves, capsys,
+                                           monkeypatch):
+    # a closed-form pass serves every weight of one space and mass-side
+    # weight, and a baseline identical to the target is solved once
+    calls = []
+    for name in ("_sine_pairs", "extreme_eigenpairs"):
+        original = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name, functools.partial(
+            lambda f, name, *args, **kwargs: (calls.append(name),
+                                              f(*args, **kwargs))[1],
+            original, name))
+    code, _ = run(argv.split(), capsys)
+    assert code == EXIT_OK
+    assert calls.count("_sine_pairs") == passes
+    assert calls.count("extreme_eigenpairs") == solves
+
+
+def _condition_grid():
+    """condition at p = 1..8, 14 and 16 on meshes from N = 2 to 200,
+    every method against both baselines, d = 1..3, with softiga's
+    mass-side weight where the paper tabulates one: the high degrees on
+    coarse meshes break the residual contract (exit 2)."""
+    tabulated = {p for p, w in eta_table().mass_side.items() if w is not None}
+    grid = []
+    for p in (*range(1, 9), 14, 16):
+        for N in sorted({2, p + 1, 4 * p + 2, 4 * p + 3, 60, 200}):
+            for baseline in ("iga", "of-iga"):
+                for d in (1, 2, 3):
+                    common = ["condition", "-p", str(p), "-N", str(N),
+                              "--baseline", baseline, "-d", str(d)]
+                    grid += [common + ["--method", method]
+                             for method in ("iga", "of-iga")]
+                    grid += [common + ["--eta-b", eta_b] for eta_b in
+                             ("zero", "paper")[:1 + (p in tabulated)]]
+    return grid
+
+
+def _grid_digest(commands):
+    """One md5 over the exit code, stdout and stderr (warnings included)
+    of every command, run in-process in turn."""
+    digest = hashlib.md5()
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+        said = "".join(f"{w.category.__name__}: {w.message}\n"
+                       for w in caught)
+        digest.update(f"{' '.join(argv)}\n{code}\n{out.getvalue()}\n"
+                      f"{err.getvalue()}{said}\n".encode())
+    return digest.hexdigest()
+
+
+def test_condition_grid_prints_the_recorded_bytes():
+    # recorded from the code that solved the target and the baseline in
+    # two passes, each standard pencil bisected on the whole pencil
+    grid = _condition_grid()
+    assert len(grid) == 1134
+    assert _grid_digest(grid) == "71a2e6da27c5fc8e75c6ce734643c2e9"

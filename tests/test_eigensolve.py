@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import softiga.eigensolve as eigensolve
-from oracles import band_product, banded, lam_max, lam_min
+from oracles import band_product, banded, lam_max, lam_min, whole_edge
 from softiga.analytic import analytic_eigenvalue, eta_table
 from softiga.assembly import IndefinitenessWarning, build_soft_system
 from softiga.cli import EXIT_CONFIG, main
@@ -442,8 +442,11 @@ def _counting_factorizations(monkeypatch):
     (2, 100, "outlier_free", 0), (3, 100, "outlier_free", 0),
     (12, 40, "outlier_free", 0), (13, 40, "outlier_free", 0),
     (16, 40, "outlier_free", 0), (20, 40, "outlier_free", 0),
-    # recorded before the closed-form extremes were read from the symbol
-    (3, 100, "standard", 55), (4, 100, "standard", 55),
+    # recorded before the closed-form extremes were read from the symbol,
+    # and at p = 4 one more since the first halving on the whole pencil
+    # refuses its shift there, and the whole pencil then factors the
+    # last shift that the leading block took
+    (3, 100, "standard", 55), (4, 100, "standard", 56),
     (5, 40, "standard", 54)])
 def test_closed_form_extremes_factor_no_shifted_pencil(p, N, flavor, count,
                                                        monkeypatch):
@@ -456,3 +459,182 @@ def test_closed_form_extremes_factor_no_shifted_pencil(p, N, flavor, count,
         calls.clear()
         extreme_values(build_soft_system(p, N, eta, 0.0, flavor))
         assert len(calls) == count
+
+
+def _oracle_driven(A, B, monkeypatch):
+    """extreme_eigenpairs with every shift of its bisections decided on
+    the whole pencil (``oracles.whole_edge``)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(eigensolve, "_edge", whole_edge)
+        return extreme_eigenpairs(A, B)
+
+
+def _bisections(monkeypatch):
+    """The block order m of every bisection the band solver runs."""
+    orders = []
+    original = eigensolve._bisection
+
+    def spied(*args):
+        orders.append(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(eigensolve, "_bisection", spied)
+    return orders
+
+
+def _assert_bits_equal(got, want):
+    for name in ("values", "vectors", "residuals", "residual_bounds"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def _standard_meshes(p):
+    return sorted({p + 1, 2 * p, 4 * p + 2, 4 * p + 3, 30, 60, 100, 150, 200,
+                   300, 400, 1000, 3000})
+
+
+@pytest.mark.parametrize("p", range(3, 17))
+def test_corner_bisection_is_the_whole_one_bit_for_bit(p, monkeypatch):
+    # the top of a standard space at p >= 3 is a boundary outlier, which
+    # the leading block finds: on every mesh the ends, vectors and
+    # residuals are those of the bisection decided on the whole pencil,
+    # with no rerun, and the block is used wherever it is smaller
+    for N in _standard_meshes(p):
+        system = build_soft_system(p, N, 0.0, 0.0, "standard")
+        orders = _bisections(monkeypatch)
+        got = extreme_eigenpairs(system.A, system.B)
+        n, hbw = system.space.dim, system.A.half_bandwidth
+        assert orders == [min(n, 12 * hbw + 24)]
+        _assert_bits_equal(got, _oracle_driven(system.A, system.B,
+                                               monkeypatch))
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_corner_bisection_at_n_100_000(p, monkeypatch):
+    system = build_soft_system(p, 100_000, 0.0, 0.0, "standard")
+    orders = _bisections(monkeypatch)
+    got = extreme_eigenpairs(system.A, system.B)
+    assert len(orders) == 1 and orders[0] < system.space.dim
+    _assert_bits_equal(got, _oracle_driven(system.A, system.B, monkeypatch))
+
+
+def _random_band_pair(n, hbw, seed):
+    rng = np.random.default_rng(seed)
+    sides = []
+    for _ in range(2):
+        band = rng.standard_normal((hbw + 1, n))
+        for k in range(1, hbw + 1):
+            band[k, n - k:] = 0.0
+        # diagonally dominant, so positive definite
+        spread = abs(band[1:])
+        band[0] = 1.0 + abs(band[0]) + spread.sum(0)
+        for k in range(1, hbw + 1):
+            band[0, k:] += spread[k - 1, :n - k]
+        sides.append(SymBandedMatrix(np.asfortranarray(band)))
+    return sides
+
+
+def _global_top_pencil(n):
+    """-1 2 -1 over the identity, its diagonal raised by a bump in the
+    middle of the mesh: the top mode lives there, far from the corner."""
+    i = np.arange(n)
+    stiffness = np.zeros((2, n))
+    stiffness[0] = 2.0 + 1e-3 * np.exp(-((i - n / 2) / 50.0) ** 2)
+    stiffness[1, :-1] = -1.0
+    return (SymBandedMatrix(np.asfortranarray(stiffness)),
+            SymBandedMatrix(np.ones((1, n))))
+
+
+def _zero_corner_pencil(k):
+    """A Neumann -L of order k, an exact zero mode, decoupled from a
+    -L of order 990 shifted up to a top of 1e-3, over the identity: the
+    leading block's top is 0, the pencil's lies past it."""
+    n = k + 990
+    stiffness = np.zeros((2, n))
+    stiffness[0, :k] = -2.0
+    stiffness[0, [0, k - 1]] = -1.0
+    stiffness[1, :k - 1] = 1.0
+    stiffness[0, k:] = -2.0 + 4.0 * np.sin(np.pi / 1982) ** 2 + 1e-3
+    stiffness[1, k:n - 1] = 1.0
+    return (SymBandedMatrix(np.asfortranarray(stiffness)),
+            SymBandedMatrix(np.ones((1, n))))
+
+
+@pytest.mark.parametrize("pencil", [
+    *[f"standard-{p}-{N}" for p in (1, 2) for N in (100, 1000, 100_000)],
+    "standard-19-1721", "standard-20-1366", "standard-20-2481",
+    "random-200-3", "random-1000-5", "random-5000-2", "global-2000",
+    "zero-4", "zero-10"])
+def test_a_wrong_corner_reruns_on_the_whole_pencil(pencil, monkeypatch):
+    # where the top mode is not at the corner the block factors shifts
+    # that the whole pencil does not: the whole pencil refuses the last
+    # of them, the bisection runs again on it from the start, and the
+    # result is the whole-pencil bisection's, bit for bit. At p = 19 and
+    # 20 the top pair and the block's top lie within 1e-11 of each
+    # other, and the whole pencil's definiteness flips back and forth
+    # near lambda_max: a bisection that checked only its final hi kept a
+    # wrong bracket there, whose ends moved in the last bits. Where the
+    # block's top is an exact 0, the bracket stays wide against its
+    # magnitude down to 0, and only the check of the final hi finds the
+    # top, 1e-3, past it
+    kind, *sizes = pencil.split("-")
+    if kind == "standard":
+        system = build_soft_system(*map(int, sizes), 0.0, 0.0, "standard")
+        A, B = system.A.whole(), system.B.whole()
+    elif kind == "random":
+        A, B = _random_band_pair(*map(int, sizes), seed=sum(map(int, sizes)))
+    elif kind == "zero":
+        A, B = _zero_corner_pencil(int(sizes[0]))
+        assert lam_max(extreme_eigenpairs(A, B)) == pytest.approx(1e-3)
+    else:
+        A, B = _global_top_pencil(int(sizes[0]))
+    orders = _bisections(monkeypatch)
+    got = extreme_eigenpairs(A, B)
+    hbw = max(A.half_bandwidth, B.half_bandwidth)
+    assert orders[:2] == [12 * hbw + 24, A.n]
+    _assert_bits_equal(got, _oracle_driven(A, B, monkeypatch))
+
+
+@pytest.mark.parametrize("p, N", [(3, 200), (4, 400), (8, 300), (1, 500)])
+def test_a_corner_failing_early_fails_the_whole_pencil(p, N):
+    # a leading block of order m that fails at pivot m - hbw or before
+    # fails the whole pencil at the same pivot (past it the whole pencil
+    # decides): shifts drawn around lambda_max, on the standard pencil
+    # and on a random band pair
+    from scipy.linalg.lapack import dpbtrf
+    system = build_soft_system(p, N, 0.0, 0.0, "standard")
+    pencils = [(system.A.whole(), system.B.whole()),
+               tuple(_random_band_pair(system.space.dim, p, seed=N))]
+    rng = np.random.default_rng(p)
+    failed = 0
+    for A, B in pencils:
+        A, B, _ = eigensolve._checked_pencil(A, B)
+        a, b = A.band, B.band
+        n, hbw = A.n, A.half_bandwidth
+        top = lam_max(extreme_eigenpairs(A, B))
+        work = np.empty_like(a)
+        for m in (hbw + 2, 2 * hbw + 5, 12 * hbw + 24):
+            for t in top * (1.0 + rng.uniform(-0.5, 0.05, 40)):
+                corner = eigensolve._shifted_factor(
+                    a[:, :m], b[:, :m], t, work[:, :m], dpbtrf)
+                whole = eigensolve._shifted_factor(a, b, t, work, dpbtrf)
+                if 0 < corner <= m - hbw:
+                    failed += 1
+                    assert whole == corner
+    assert failed > 20
+
+
+def test_the_band_solver_peaks_at_six_band_arrays():
+    # the standard p = 3 pencil at N = 10^5: A, B and one buffer for the
+    # shifted factors of both ends, with a few vectors; (p + 1) n doubles
+    # are one unit (the stored bands have p + 2 rows). Measured 5.75 units;
+    # a negated copy of A and a factor of A of its own took 7.75
+    p, N = 3, 100_000
+    system = build_soft_system(p, N, 0.0, 0.0, "standard")
+    extreme_values(build_soft_system(p, 1000, 0.0, 0.0, "standard"))
+    tracemalloc.start()
+    try:
+        extreme_values(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * (p + 1) * system.space.dim

@@ -1146,3 +1146,43 @@ def test_moved_ranks_h1_errors_match_the_quadrature(p, N, eta_b):
                                  ranks)
     assert np.all(np.abs(np.subtract(got, oracle)) <= _h1_gap_bound(ranks))
 
+
+
+@pytest.mark.parametrize("p", range(1, 17))
+def test_one_pass_rows_are_the_single_weight_passes(p):
+    # the extremes of several weights on one space come from one pass of
+    # the symbol, each row's ends its own: the values are bit for bit
+    # those of one pass per weight, and the pairs of every row are held
+    # to the contract; a weight repeated is one row solved once
+    half = 0.5 * float(sharp_weight(p))
+    for N in sorted({_smallest_mesh(p), 4 * p + 2, 4 * p + 3, 200, 10 ** 5}):
+        for eta, eta_b in _gate_weights(p) + [(half, 0.0)]:
+            system = build_soft_system(p, N, eta, eta_b)
+            alone = [spectral.extreme_values(system.with_weights(w, eta_b))
+                     for w in (eta, 0.0, half)]
+            for weights in ([eta, 0.0], [0.0, eta], [eta, 0.0, half, eta]):
+                rows = spectral.extreme_values(system, weights)
+                assert rows.shape == (len(weights), 2)
+                for row, w in zip(rows, weights):
+                    want = alone[[eta, 0.0, half].index(w)]
+                    assert row.tobytes() == want.tobytes()
+            assert (spectral.extreme_values(system, [eta])[0].tobytes()
+                    == alone[0].tobytes())
+
+
+def test_extreme_values_of_other_weights_on_a_standard_space_are_refused():
+    system = build_soft_system(3, 40, 0.0, 0.0, "standard")
+    np.testing.assert_array_equal(
+        spectral.extreme_values(system, [0.0, 0.0]),
+        [spectral.extreme_values(system)] * 2)
+    with pytest.raises(ValueError, match="no closed-form eigenvectors"):
+        spectral.extreme_values(system, [0.0, 1e-4])
+
+
+def test_extreme_values_check_the_other_weights():
+    system = build_soft_system(2, 40, 0.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        spectral.extreme_values(system, [0.0, -1.0])
+    sharp = float(sharp_weight(2))
+    with pytest.warns(IndefinitenessWarning):
+        spectral.extreme_values(system, [0.0, sharp])
