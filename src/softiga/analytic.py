@@ -9,20 +9,23 @@ coefficients, computed for any degree (``interior_stencil``); the
 boundary entries follow from one completion rule, the method-of-images
 sum of the stencil over the period 2N (a symmetric Toeplitz part minus
 a Hankel part), that reproduces every printed boundary row. The rule
-runs in Python integers over the stencil's common denominator, in
-O(n * hbw) work; on the uniform mesh these are the outlier-free
-operators, which ``assembly`` rounds.
+runs in integers over the stencil's common denominator (int64 where
+they fit), read from the wrapped stencil by index arrays; on the uniform
+mesh these are the outlier-free operators, which ``assembly`` rounds.
+The commutators of those integer completions are exact: their products
+run in int64 where n * max|X| * max|T| * 2 < 2^63 bounds every partial
+sum, and in Python integers past it.
 
 The interior symbol of the softened pencil's stencils gives its
 eigenvalue as a function of the wavenumber (``interior_symbol``), one
 evaluator in the arithmetic of its arguments, with no cancelling sum
 (``_mass_polynomial``): in double precision it is every closed-form
-eigenvalue of the outlier-free pencil, and in mpmath it gives dispersion
-fits, extrapolated by a Lagrange sum with no mpmath linear algebra. Only
-those fits use mpmath, so it is imported by them. The same
-symbols give the sharp softness weight of every degree
-(``sharp_weight``); the closed-form eigenvectors are the sine samples
-of ``spaces.sine_table``.
+eigenvalue of the outlier-free pencil. The dispersion fits evaluate the
+same symbol in fixed-point Python integers with ``FIT_BITS`` = 384
+fractional bits and extrapolate it by an exact Lagrange sum, rounded
+once; nothing in the package uses mpmath. The same symbols give the
+sharp softness weight of every degree (``sharp_weight``); the
+closed-form eigenvectors are the sine samples of ``spaces.sine_table``.
 """
 
 import functools
@@ -245,11 +248,13 @@ def reference_matrix(kind, p, N):
     reaches the matrix, and the Hankel part is two mirrored tails.
     """
     A, d = _reference_numerators(kind, p, N)
-    return SymBandedMatrix(A.band / F(d))
+    return SymBandedMatrix(A.band.astype(object) / F(d))
 
 
 def _reference_numerators(kind, p, N):
-    """d * ``reference_matrix(kind, p, N)`` in integers, and d."""
+    """d * ``reference_matrix(kind, p, N)`` in integers, and d: an int64
+    band where the wrapped stencil is below 2^62, so that every entry,
+    a difference of two of its values, fits; else Python integers."""
     sym = interior_stencil(kind, p)
     n = N if p % 2 == 0 else N - 1
     if n < 1:
@@ -260,28 +265,52 @@ def _reference_numerators(kind, p, N):
     wrapped = [0] * (2 * N)
     for k in range(1 - len(sym), len(sym)):
         wrapped[k % (2 * N)] += numerators[abs(k)]
+    wrapped = np.array(wrapped, dtype=np.int64 if max(map(abs, wrapped))
+                       < 2 ** 62 else object)
     # a + b = 2i + k + 1 + sigma for entry (i + k, i), in node units
-    sigma = p % 2
-    band = np.zeros((min(len(sym), n), n), dtype=object)
-    for k in range(len(band)):
-        for i in range(n - k):
-            band[k, i] = (wrapped[k]
-                          - wrapped[(2 * i + k + 1 + sigma) % (2 * N)])
+    k, i = np.arange(min(len(sym), n))[:, None], np.arange(n)
+    band = wrapped[k] - wrapped[(2 * i + k + 1 + p % 2) % (2 * N)]
+    # the last k slots of row k lie past the matrix
+    band[i >= n - k] = 0
     return SymBandedMatrix(band), d
 
 
 def _scaled(M):
-    """The dense integer matrix d*M and d, d the least common multiple
-    of the denominators of the entries of the band M, each read as the
-    rational it is (exactly, for a double)."""
+    """The band of d*M in integers and d, d the least common multiple of
+    the denominators of the entries of the band M, each read as the
+    rational it is (exactly, for a double): M itself and 1 for an int64
+    band, else a band of Python integers."""
+    band = M.band
+    if band.dtype == np.int64:
+        return SymBandedMatrix(band), 1
     try:
-        ratios = [x.as_integer_ratio() for x in M.band.ravel().tolist()]
+        ratios = [x.as_integer_ratio() for x in band.ravel().tolist()]
     except (OverflowError, ValueError):
         raise ValueError("non-finite entry in a commutator operand") from None
     d = math.lcm(*(den for _, den in ratios))
     band = np.array([num * (d // den) for num, den in ratios],
-                    dtype=object).reshape(M.band.shape)
-    return SymBandedMatrix(band).toarray(), d
+                    dtype=object).reshape(band.shape)
+    return SymBandedMatrix(band), d
+
+
+def _commutator_square(A, B):
+    """The squared Frobenius norm of AB - BA, exactly, for two
+    SymBandedMatrix operands of one order with integer bands (int64 or
+    Python integers).
+
+    Where n * max|A| * max|B| * 2 < 2^63 bounds every partial sum of the
+    products and of their difference, the dense products run in int64,
+    exactly; past that bound, in Python integers. The squares of the
+    nonzero entries are summed in Python integers either way.
+    """
+    bound = 2 * A.n * math.prod(int(abs(M.band).max()) for M in (A, B))
+    dtype = np.int64 if bound < 2 ** 63 else object
+    A, B = (SymBandedMatrix(M.band.astype(dtype, copy=False)).toarray()
+            for M in (A, B))
+    # both operands are symmetric, so BA = (AB)^T
+    C = A @ B
+    C = C - C.T
+    return sum(x * x for x in C[C != 0].tolist())
 
 
 def commutator_norm(A, B):
@@ -289,26 +318,26 @@ def commutator_norm(A, B):
     integer, rational or float entries, rounded once from its exact value.
 
     Each operand is scaled to integers by the lcm of its denominators (a
-    double is a rational), so the products run in Python integers with
-    no gcd per operation; the result is the square root of the exact
-    rational norm squared. Raises ValueError on an order mismatch or a
-    non-finite entry.
+    double is a rational), so the products run in integers with no gcd
+    per operation: in int64 where n * max|A| * max|B| * 2 < 2^63 proves
+    every partial sum exact, in Python integers past it (where the
+    scaled doubles of most float operands lie). The result is the square
+    root of the exact rational norm squared. Raises ValueError on an
+    order mismatch or a non-finite entry.
     """
     if A.n != B.n:
         raise ValueError(f"order mismatch: {A.n} vs {B.n}")
     (A, d_A), (B, d_B) = _scaled(A), _scaled(B)
-    # both operands are symmetric, so BA = (AB)^T
-    C = A @ B
-    C = C - C.T
-    total = sum(x * x for x in C.ravel())
-    return math.sqrt(total / (d_A * d_B) ** 2)
+    return math.sqrt(_commutator_square(A, B) / (d_A * d_B) ** 2)
 
 
 def transformation_commutators(p, N):
     """Frobenius norms of [K, T], [M, T] and [S, T] for the reference
     matrices of degree p on N elements; when they vanish, so does
     [K - eta S, T] for every eta. No Fraction is built: the products
-    run on the integer completions, each norm over their denominators.
+    run on the integer completions, in int64 under the bound of
+    ``commutator_norm`` (at p = 2..5 and N = 14 the numerators have at
+    most 24 bits), each norm over their denominators.
     """
     T, t = _reference_numerators("T", p, N)
     return [commutator_norm(X, T) / (x * t)
@@ -336,7 +365,11 @@ def dispersion_expansion(p, eta):
 def interior_symbol(p, eta, eta_b, s, c, number=float):
     """lambda * h^2 of the softened interior pencil, K - eta S over
     M + eta_b S, at wavenumbers theta, in the arithmetic of the
-    arguments: double precision from floats, mpmath from mpmath numbers.
+    arguments: double precision from floats, or that of any other number
+    type (mpmath's, in the tests), whose ``number`` maps a Fraction into
+    it. The dispersion fit (``fit_leading_coefficient``) evaluates the
+    same expression at eta_b = 0 in fixed-point integers with
+    ``FIT_BITS`` = 384 fractional bits.
 
     ``s`` holds sin^2(theta / 2) and ``c`` cos^2(theta / 2) per
     wavenumber, and the weights are numbers of the same arithmetic, each
@@ -357,8 +390,8 @@ def interior_symbol(p, eta, eta_b, s, c, number=float):
                   else [number(a) for a in _mass_polynomial(q)])
         value = coeffs[-1]
         for a in coeffs[-2::-1]:
-            # arrays on the left of each product and sum: mpmath reads
-            # an array on its right through its repr
+            # arrays on the left of each product and sum: an mpmath
+            # number reads an array on its right through its repr
             value = c * value + a
         return value
 
@@ -374,10 +407,73 @@ def _float_polynomial(q):
     return tuple(map(float, _mass_polynomial(q)))
 
 
-# Sample wavenumbers t of the dispersion fit, and its mpmath precision
-# in decimal digits.
+# Sample wavenumbers t of the dispersion fit, and the fractional bits of
+# its fixed-point integers.
 FIT_WAVENUMBERS = (0.02, 0.01, 0.005)
-FIT_DPS = 60
+FIT_BITS = 384
+
+
+@functools.cache
+def _fit_sines():
+    """s = sin^2(t/2) at each of ``FIT_WAVENUMBERS``, times 2^FIT_BITS,
+    rounded to an integer.
+
+    Each t is a double, so an exact dyadic rational, and s = (1 - cos t)/2
+    is the alternating series sum over k >= 1 of (-1)^(k+1) t^(2k) /
+    (2 (2k)!), with no cancellation. It is summed exactly until a term
+    falls below 2^-(FIT_BITS + 2), which bounds the rest, so each integer
+    is within one unit of s * 2^FIT_BITS.
+    """
+    sines = []
+    for t in FIT_WAVENUMBERS:
+        square = F(t) ** 2
+        term, total, k = square / 4, F(0), 1
+        while term >= F(1, 1 << FIT_BITS + 2):
+            total += term if k % 2 else -term
+            term *= square / ((2 * k + 1) * (2 * k + 2))
+            k += 1
+        sines.append(round(total * (1 << FIT_BITS)))
+    return tuple(sines)
+
+
+@functools.cache
+def _integer_polynomial(q):
+    """The coefficients of ``_mass_polynomial(q)`` as integers over
+    their common denominator, and that denominator."""
+    coeffs = _mass_polynomial(q)
+    d = math.lcm(*(a.denominator for a in coeffs))
+    return tuple(a.numerator * (d // a.denominator) for a in coeffs), d
+
+
+@functools.cache
+def _fit_weights(power):
+    """The fit at t -> 0 as sum_i g_i V_i - h over one denominator, for
+    V_i the symbol value at the i-th of ``FIT_WAVENUMBERS``: the integers
+    g_i and h and that denominator times 2^FIT_BITS.
+
+    With u = t^2 and w_i the Lagrange weight at u = 0 of the quadratic in
+    u through the three points, the fit is sum_i w_i (V_i / u_i - 1) /
+    t_i^power, so g_i = w_i / (u_i t_i^power) and h = sum_i w_i /
+    t_i^power, each an exact rational.
+    """
+    ts = [F(t) for t in FIT_WAVENUMBERS]
+    us = [t * t for t in ts]
+    lagrange = [math.prod(v / (v - u) for v in us if v != u) / t ** power
+                for t, u in zip(ts, us)]
+    weights = [w / u for w, u in zip(lagrange, us)] + [sum(lagrange)]
+    d = math.lcm(*(w.denominator for w in weights))
+    *g, h = (w.numerator * (d // w.denominator) for w in weights)
+    return tuple(g), h, d << FIT_BITS
+
+
+def _fixed_horner(coeffs, c):
+    """The integer polynomial at c / 2^FIT_BITS, times 2^FIT_BITS and
+    rounded down at each step, so below the value by under one unit a
+    coefficient."""
+    value = coeffs[-1] << FIT_BITS
+    for a in coeffs[-2::-1]:
+        value = (value * c >> FIT_BITS) + (a << FIT_BITS)
+    return value
 
 
 def fit_leading_coefficient(p, eta):
@@ -388,31 +484,43 @@ def fit_leading_coefficient(p, eta):
     Lagrange sum of the quadratic in t^2 through the three points. The
     power is 2p, or 2p+2 when the t^(2p) coefficient vanishes.
 
+    The fit runs in Python integers with ``FIT_BITS`` = 384 fractional
+    bits, and eta as the exact rational it is. At each wavenumber, s =
+    sin^2(t/2) (``_fit_sines``) and c = 1 - s are within 2^-384 of their
+    values, m_(p-1)(c) and m_p(c) are summed by Horner's rule on the
+    integer coefficients of ``_mass_polynomial``, and the symbol value
+    (``interior_symbol`` at eta_b = 0) is one floor quotient. Since s >=
+    2^-18 and every coefficient is positive, each value is within about
+    (2p + 4) 2^-366 of its exact value relative to the larger of its two
+    terms. The Lagrange weights, over t^2 and t^power, are exact
+    rationals (``_fit_weights``) whose magnitudes sum to below 2^108, so
+    the fit, summed as one integer over 2^384 and rounded once by
+    integer division, is within 2^-260 (1 + |eta|) of the exact fit: the
+    double returned is the exact fit's, correctly rounded, unless that
+    lies within that distance of a rounding boundary.
+
     Returns
     -------
     (fitted, exact, exponent)
         Fitted coefficient, its exact rational target, and the power of
         t it multiplies.
     """
-    import mpmath
-
     exp = dispersion_expansion(p, eta)
     if exp.lead != 0:
         power, target = 2 * p, exp.lead
     else:
         power, target = 2 * p + 2, exp.next
-
-    def exact(x):
-        x = Fraction(x)
-        return mpmath.mpf(x.numerator) / x.denominator
-
-    with mpmath.workdps(FIT_DPS):
-        ts = np.array([mpmath.mpf(t) for t in FIT_WAVENUMBERS], dtype=object)
-        values = interior_symbol(
-            p, exact(eta), 0, np.array([mpmath.sin(t / 2) ** 2 for t in ts]),
-            np.array([mpmath.cos(t / 2) ** 2 for t in ts]), exact)
-        us = ts ** 2
-        rs = (values / us - 1) / ts ** power
-        fitted = float(sum(r * math.prod(v / (v - u) for v in us if v != u)
-                           for r, u in zip(rs, us)))
-    return fitted, target, power
+    eta = Fraction(eta)
+    (stiff, d_stiff), (mass, d_mass) = (_integer_polynomial(p - 1),
+                                        _integer_polynomial(p))
+    weights, h, d = _fit_weights(power)
+    # V = 4s (m_(p-1)(c) - eta (4s)^p) / m_p(c), times 2^FIT_BITS
+    shift = FIT_BITS * (p - 1)
+    total = -h << FIT_BITS
+    for g, s in zip(weights, _fit_sines()):
+        c = (1 << FIT_BITS) - s
+        top = ((_fixed_horner(stiff, c) << shift) * eta.denominator
+               - eta.numerator * d_stiff * (4 * s) ** p)
+        total += g * (4 * s * d_mass * top // (
+            d_stiff * eta.denominator * _fixed_horner(mass, c) << shift))
+    return total / d, target, power

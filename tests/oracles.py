@@ -10,7 +10,9 @@ lattice sum in a box, where the package counts them. ``banded`` turns
 a dense symmetric test matrix into the band type the package takes.
 ``dense_commutator_norm`` multiplies dense operands in the arithmetic
 of their entries, Fractions included: the reference for the package's
-scaled-integer commutators.
+scaled-integer commutators. ``loop_reference_numerators`` completes a
+reference band by a loop over its entries, where the package reads it
+from the wrapped stencil by index arrays.
 ``fresh_assembly_caches`` empties the per-degree caches of the
 assembly, so that a test can count the work of one build.
 ``band_entry``, ``lam_min`` and ``lam_max`` read one entry of a band and
@@ -45,6 +47,9 @@ its way to a printed number:
 - ``softened_reference``, the printed pencil in exact rationals;
 - ``dispersion_eigenvalue``, the interior symbol's eigenvalue at one
   wavenumber, in mpmath;
+- ``mpmath_fit``, the dispersion fit of ``fit_leading_coefficient`` in
+  mpmath at 60 digits, where the package sums it in fixed-point
+  integers;
 - ``sine_sample``, one component of a closed-form eigenvector,
   ``sine_modes``, the unnormalized closed-form eigenvectors of chosen
   modes, and ``closed_form_vectors``, the B-normalized eigenvectors of
@@ -65,7 +70,9 @@ import mpmath
 import numpy as np
 from scipy import sparse
 
-from softiga.analytic import interior_stencil, reference_matrix
+from softiga.analytic import (FIT_WAVENUMBERS, dispersion_expansion,
+                              interior_stencil, interior_symbol,
+                              reference_matrix)
 import softiga.assembly as assembly
 from softiga.assembly import _raw_operators, build_soft_system
 import softiga.eigensolve as eigensolve
@@ -481,6 +488,48 @@ def dispersion_eigenvalue(p, t, eta=0, eta_b=0):
 
     return ((series("K") - series("S", eta))
             / (series("M") + series("S", eta_b)))
+
+
+def mpmath_fit(p, eta):
+    """The fitted double of ``fit_leading_coefficient(p, eta)``, from the
+    symbol evaluated in mpmath at 60 digits (``interior_symbol`` on
+    mpmath numbers, eta rounded to that precision) and the Lagrange sum
+    at t -> 0 of the quadratic in t^2 through its three points."""
+    exp = dispersion_expansion(p, eta)
+    power = 2 * p if exp.lead != 0 else 2 * p + 2
+
+    def exact(x):
+        x = Fraction(x)
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    with mpmath.workdps(60):
+        ts = np.array([mpmath.mpf(t) for t in FIT_WAVENUMBERS], dtype=object)
+        values = interior_symbol(
+            p, exact(eta), 0, np.array([mpmath.sin(t / 2) ** 2 for t in ts]),
+            np.array([mpmath.cos(t / 2) ** 2 for t in ts]), exact)
+        us = ts ** 2
+        rs = (values / us - 1) / ts ** power
+        return float(sum(r * math.prod(v / (v - u) for v in us if v != u)
+                         for r, u in zip(rs, us)))
+
+
+def loop_reference_numerators(kind, p, N):
+    """The band of d * ``reference_matrix(kind, p, N)`` in Python
+    integers, entry by entry: the wrapped stencil at a - b less its
+    value at a + b, for entry (a, b) in node units."""
+    sym = interior_stencil(kind, p)
+    n = N if p % 2 == 0 else N - 1
+    d = math.lcm(*(x.denominator for x in sym))
+    wrapped = [0] * (2 * N)
+    for k in range(1 - len(sym), len(sym)):
+        wrapped[k % (2 * N)] += sym[abs(k)].numerator * (
+            d // sym[abs(k)].denominator)
+    band = np.zeros((min(len(sym), n), n), dtype=object)
+    for k in range(len(band)):
+        for i in range(n - k):
+            band[k, i] = (wrapped[k]
+                          - wrapped[(2 * i + k + 1 + p % 2) % (2 * N)])
+    return band, d
 
 
 def sine_sample(p, j, N, k):

@@ -11,8 +11,10 @@ import pytest
 
 from oracles import (PRINTED_SHARP, PRINTED_STENCILS, band_entry, banded,
                      dense_commutator_norm, dispersion_eigenvalue,
-                     sine_sample, softened_reference)
-from softiga.analytic import (_mass_polynomial, analytic_eigenvalue,
+                     loop_reference_numerators, mpmath_fit, sine_sample,
+                     softened_reference)
+from softiga.analytic import (_commutator_square, _mass_polynomial,
+                              _reference_numerators, analytic_eigenvalue,
                               commutator_norm, dispersion_expansion,
                               eta_table, fit_leading_coefficient,
                               interior_stencil, inverse_constants_squared,
@@ -358,6 +360,111 @@ def test_transformation_commutators_are_those_of_the_references(p):
         assert transformation_commutators(p, N) == exact == [0, 0, 0]
 
 
+@pytest.mark.parametrize("p", range(1, 17))
+def test_reference_bands_match_the_entrywise_completion(p):
+    # the completion read from the wrapped stencil by index arrays is the
+    # loop's, entry by entry, on every small mesh, odd orders included
+    for kind in "KMST":
+        for N in range(1, 4 * p + 6):
+            if p % 2 and N == 1:
+                with pytest.raises(ValueError, match="no interior node"):
+                    reference_matrix(kind, p, N)
+                continue
+            band, d = loop_reference_numerators(kind, p, N)
+            numerators, scale = _reference_numerators(kind, p, N)
+            assert scale == d
+            assert numerators.band.shape == band.shape
+            assert numerators.band.tolist() == band.tolist()
+            exact = reference_matrix(kind, p, N).band.tolist()
+            assert exact == (band / F(d)).tolist()
+            assert {type(x) for row in exact for x in row} == {F}
+
+
+def _object_commutator_norm(X, x, T, t):
+    """The norm of [X, T] over x * t from Python-integer dense products,
+    in the order and rounding of ``transformation_commutators``."""
+    return dense_commutator_norm(SymBandedMatrix(X), SymBandedMatrix(T)) / (
+        x * t)
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_transformation_commutators_match_python_integer_products(p):
+    for N in (p + 1, 14, 40):
+        T, t = loop_reference_numerators("T", p, N)
+        expected = [_object_commutator_norm(
+            *loop_reference_numerators(kind, p, N), T, t) for kind in "KMS"]
+        got = transformation_commutators(p, N)
+        assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+
+def _int64_bound(A, B):
+    return 2 * A.n * math.prod(max(abs(x) for x in M.band.ravel().tolist())
+                               for M in (A, B))
+
+
+def test_changed_entry_gives_an_exact_nonzero_commutator():
+    # one entry of K off its completion breaks the commutation; the sum
+    # of squares is the dense Python-integer products' exactly
+    for p, N in ((2, 14), (3, 14), (5, 40)):
+        (K, _), (T, _) = (_reference_numerators(kind, p, N) for kind in "KT")
+        band = K.band.astype(object)
+        band[1, 3] += 1
+        X, T = SymBandedMatrix(band), SymBandedMatrix(T.band.astype(object))
+        assert _int64_bound(X, T) < 2 ** 63
+        exact = (X.toarray() @ T.toarray()) - (T.toarray() @ X.toarray())
+        square = _commutator_square(X, T)
+        assert square == sum(x * x for x in exact.ravel().tolist()) > 0
+        assert math.sqrt(square) == dense_commutator_norm(X, T)
+
+
+def test_operands_past_the_int64_bound_take_python_integers():
+    # numerators near 2^40 and 2^30 put 2 n max|X| max|T| past 2^63,
+    # where int64 products would wrap; the norm is still exact
+    rng = random.Random(38)
+    for p, N in ((3, 14), (4, 40), (8, 40)):
+        (K, _), (T, _) = (_reference_numerators(kind, p, N) for kind in "KT")
+        X = SymBandedMatrix(K.band.astype(object) * (1 << 40)
+                            + rng.randint(1, 99))
+        Y = SymBandedMatrix(T.band.astype(object) * (1 << 30))
+        assert _int64_bound(X, Y) >= 2 ** 63
+        exact = (X.toarray() @ Y.toarray()) - (Y.toarray() @ X.toarray())
+        assert _commutator_square(X, Y) == sum(
+            x * x for x in exact.ravel().tolist()) > 0
+        assert commutator_norm(X, Y) == dense_commutator_norm(X, Y)
+
+
+def test_int64_products_are_exact_up_to_the_bound():
+    # entries as large as the bound allows, of both signs: the int64
+    # route's squares are those of the Python-integer products
+    rng = random.Random(39)
+    for n in (1, 2, 9, 30):
+        top = math.isqrt((2 ** 63 - 1) // (2 * n))
+        for a, b in ((0, 3), (4, 4), (8, 1)):
+            A, B = (_random_band(rng, n, min(hbw, n - 1),
+                                 lambda r: r.randint(-top, top))
+                    for hbw in (a, b))
+            exact = (A.toarray() @ B.toarray()) - (B.toarray() @ A.toarray())
+            assert _commutator_square(A, B) == sum(
+                x * x for x in exact.ravel().tolist())
+
+
+def test_float_operands_match_python_integer_products():
+    # doubles with small scaled integers and doubles scaled by 2^52 or
+    # more, on either side of the int64 bound, through commutator_norm
+    rng = random.Random(40)
+    for n in (3, 11):
+        small = [SymBandedMatrix(M.band.astype(float)) for M in
+                 (_random_band(rng, n, 2, lambda r: r.randint(-9, 9)),
+                  _random_band(rng, n, 1, lambda r: r.randint(-9, 9)))]
+        wide = [SymBandedMatrix(M.band.astype(float)) for M in
+                (_random_band(rng, n, 2, lambda r: r.uniform(-1, 1)),
+                 _random_band(rng, n, 3, lambda r: r.uniform(-1e3, 1e3)))]
+        for A, B in (small, wide, (small[0], wide[1])):
+            exact = [SymBandedMatrix(np.vectorize(F, otypes=[object])(M.band))
+                     for M in (A, B)]
+            assert commutator_norm(A, B) == dense_commutator_norm(*exact)
+
+
 def test_float_commutator_matches_dense_products():
     rng = random.Random(16)
     for n in (1, 2, 7, 20):
@@ -420,7 +527,7 @@ def test_fitted_dispersion_coefficients(p):
 
 # The fitted doubles, bit for bit, at p = 2..5 and the weights 0,
 # superconvergent, default (where tabulated) and 1/1000, as recorded from
-# the mpmath LU solve of the 3 x 3 fit system at FIT_DPS digits.
+# the 60-digit mpmath fit of ``oracles.mpmath_fit``.
 _FITTED_HEX = {
     (2, F(0)): "0x1.6c16c16c16c12p-10",
     (2, F(1, 720)): "0x1.3813813813810p-12",
@@ -443,6 +550,33 @@ _FITTED_HEX = {
 @pytest.mark.parametrize("p,eta", sorted(_FITTED_HEX))
 def test_fitted_dispersion_coefficient_bits(p, eta):
     assert fit_leading_coefficient(p, eta)[0].hex() == _FITTED_HEX[p, eta]
+
+
+def _fit_weights_checked(p):
+    """Every tabulated weight of degree p, the weights of ``_FITTED_HEX``,
+    the double of the superconvergent weight and its two neighbours, and
+    250 seeded random weights: 150 in [0, sharp) ([0, 0.1) at p = 5,
+    which tabulates no sharp weight) and 100 in 10^(-300..-2)."""
+    table = eta_table()
+    weights = [eta for name in ("theoretical_max", "sharp_max", "default",
+                                "superconvergent", "mass_side")
+               if (eta := getattr(table, name).get(p)) is not None]
+    weights += [eta for q, eta in _FITTED_HEX if q == p]
+    sup = float(table.superconvergent[p])
+    weights += [sup, math.nextafter(sup, 0), math.nextafter(sup, 1)]
+    rng = random.Random(3800 + p)
+    top = float(table.sharp_max[p] or 0.1)
+    weights += [rng.uniform(0, top) for _ in range(150)]
+    weights += [10 ** rng.uniform(-300, -2) for _ in range(100)]
+    return weights
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_fixed_point_fit_matches_mpmath_bits(p):
+    # the integer fit and the 60-digit mpmath fit round to one double
+    for eta in _fit_weights_checked(p):
+        assert fit_leading_coefficient(p, eta)[0].hex() == (
+            mpmath_fit(p, eta).hex()), eta
 
 
 def test_mass_side_weight_reaches_eighth_order():

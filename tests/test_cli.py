@@ -1191,12 +1191,19 @@ def test_import_computes_no_stencil_or_band():
 
 
 def test_import_loads_no_solver_sparse_or_mpmath_module():
-    # scipy.linalg is imported by the functions that factor or solve,
-    # mpmath by the dispersion evaluations
-    code = ("import sys, softiga, softiga.cli\n"
-            "sys.exit(' '.join(name for name in"
+    # scipy.linalg is imported by the functions that factor or solve;
+    # nothing in the package imports mpmath, since the dispersion fits
+    # and the commutators run in integers, so neither `dispersion` nor
+    # `verify` loads it after the import
+    code = ("import contextlib, io, sys, softiga, softiga.cli\n"
+            "loaded = [name for name in"
             " ('scipy.linalg', 'scipy.sparse', 'mpmath')"
-            " if name in sys.modules) or None)")
+            " if name in sys.modules]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [softiga.cli.main(argv) for argv in"
+            " (['dispersion', '-p', '3', '--eta', 'super'], ['verify'])]\n"
+            "loaded += [f'mpmath after {codes}'] * ('mpmath' in sys.modules)\n"
+            "sys.exit(' '.join(loaded) or any(codes) and str(codes) or None)")
     result = _fresh_interpreter(code)
     assert (result.returncode, result.stderr) == (0, "")
 
