@@ -85,16 +85,16 @@ def _padded(band, rows):
     return out
 
 
-def _written_out(left, out, past=0):
+def _written_out(left, out):
     """Write into ``out`` (..., rows, n) the band stretched from ``left``
-    (..., rows, c + 1), with ``past`` in the slots past the matrix. Row
-    k ends with row k of the left corner reversed, then k such slots."""
+    (..., rows, c + 1), with zeros in the slots past the matrix. Row k
+    ends with row k of the left corner reversed, then k such slots."""
     c, n = left.shape[-1] - 1, out.shape[-1]
     out[..., :c] = left[..., :c]
     out[..., c:] = left[..., c:]
     for k in range(left.shape[-2]):
         out[..., k, n - k - c:n - k] = left[..., k, c - 1::-1]
-        out[..., k, n - k:] = past
+        out[..., k, n - k:] = 0
     return out
 
 

@@ -29,7 +29,10 @@ eigenvalue the interior symbol at theta = j*pi/N. ``solve_system``,
 ``extreme_values`` and ``reweighted_values`` form no vector: they read
 the pairs through ``_sine_pairs``, which certifies each against the
 residual contract of ``eigensolve`` from the bands, and a closed-form
-spectrum keeps the mode number of each rank. On the standard space at
+spectrum keeps the mode number of each rank. A stretched band's
+certificates multiply out its first c + hbw rows, twice for their
+mirror, and read the rows between off the symbol; other bands are
+certified row by row. On the standard space at
 p >= 3 they use ``generalized_eig`` and ``extreme_eigenpairs``, and
 ``reweighted_values`` refuses the space.
 
@@ -50,9 +53,8 @@ import numpy as np
 from .analytic import eta_table, interior_symbol
 from .assembly import _checked_weights, _mass_side_floor, build_soft_system
 from .eigensolve import (RESIDUAL_RTOL, _checked_pencil, _column_dots,
-                         _contract, _solver, _spectrum, _written_out,
-                         check_full_order, extreme_eigenpairs,
-                         generalized_eig)
+                         _contract, _solver, _spectrum, check_full_order,
+                         extreme_eigenpairs, generalized_eig)
 from .spaces import (quarter_sines, sine_samples, sine_table,
                      space_dimension)
 from .splines import basis_table, gauss_rule, open_knot_vector
@@ -79,7 +81,6 @@ class SpectralReport:
 _SLICE = 1 << 15
 
 _EPS = np.finfo(float).eps
-_ZERO = np.zeros(1)
 # sums along an axis, without the wrapper of ndarray.sum
 _add = np.add.reduce
 
@@ -171,172 +172,160 @@ def _certificates(bands, shifts, values, js, p, N, dtype):
     the products are summed in the precision ``dtype`` of their sine
     samples (``spaces.sine_samples``).
 
-    A row is regular when it is hbw or more from either end and, in every
-    band, the columns that hold its entries equal the middle one, as a
-    scan of the written-out bands reads them (``_regular_run``). A
-    stretched band is read as written out at order 2c + 4 hbw + 1, whose
-    middle column is 2 hbw from either corner: every column read lies
-    within 2 hbw of a corner, and has the same index, or the same
-    distance from the end, at both orders, whose scans find the same
-    irregular columns. There (A_t x)_i = d_A x_i and (B x)_i = m x_i,
-    the cosine sums of the middle columns at theta = j*pi/N, so the
-    residual is d x_i, d = d_A - lambda m, and sum_reg x_i^2 = ||x||^2
-    (N/2, or N for j = N at even p) less the R irregular samples. The
-    irregular rows, a block at each end, are products with the samples
-    they reach, and d is one more row, the middle column against
-    cos(k*theta), k = -hbw..hbw (``_certificate_plan``); x^T B x splits
-    the same way. A mode costs O(p^2).
+    The rows certified come from the construction of the bands. A
+    stretched band of order n > 2L, L = c + hbw with ``left`` of c + 1
+    columns, is persymmetric, entry (i, k) equal to entry
+    (n-1-k, n-1-i), and each sine mode is even or odd under reversal,
+    x_(n-1-i) = +-x_i: so r_(n-1-i) = +-r_i exactly, and its rows
+    0..L-1 are products with the samples they reach, each counted
+    twice. Its rows L..n-1-L read only the interior column. There
+    (A_t x)_i = d_A x_i and (B x)_i = m x_i, the cosine sums of the
+    middle column at theta = j*pi/N, so the residual is d x_i,
+    d = d_A - lambda m, and sum_reg x_i^2 = ||x||^2 (N/2, or N for j = N
+    at even p) less twice the squares of the L end samples; d is one more
+    row, the middle column against cos(k*theta), k = -hbw..hbw. A mode
+    costs O(p^2) there. Every other band (a whole band, one changed by
+    hand, a stretched band of order up to 2L) is written out and every
+    row is a product, a block of rows and of modes at a time
+    (``_plan``). x^T B x splits the same way, the terms x_i (B x)_i of
+    rows 0..L-1 doubled.
 
-    Rounding, with u = eps/2 and e the machine epsilon of the samples
+    Rounding, with u = eps/2, e the machine epsilon of the samples
     (extended precision has 64 bits where the platform has them, else
-    e = eps and the bound is looser): a sample is within 5e/2 of its
+    e = eps and the bound is looser) and R the rows that are products,
+    mirrors included (2L or n): a sample is within 5e/2 of its
     sine, relative (three roundings of the argument move sin(y) by at
     most 3u*y*cos(y) <= 3u*sin(y), y <= pi/2, and the sine takes one
-    ulp). A row's product over at most K = 2 hbw + 1 nonzero
-    entries b_k, summed in the samples' precision, is then within
+    ulp). A row's product over at most K = 2 hbw + 1 nonzero entries
+    b_k, summed in the samples' precision in any order, is then within
     (hbw + 4) e sum |b_k| of its exact value, and r_i or d, combined in
     that precision and rounded to double, within (hbw + 5) e times the
     weighted absolute row sums of A, S and B and u |r_i| more. These
     bounds are summed as a norm with the residual's weights, sum_reg
     x_i^2 taken up by (R + 8) eps ||x||^2 for the rounding of the
     samples; x^T B x is taken down by the same bounds, (R/2 + 2) times
-    those of the irregular rows of B, and the certificate is infinite
-    when nothing of it is left. The sums, square roots and the u |r_i|
-    round it by at most (R/2 + 8) eps, relative, for which it is scaled
-    up: the terms of x^T B x, m x_i^2 in exact arithmetic, do not cancel.
+    those of the R rows of B, and the certificate is infinite when
+    nothing of it is left. The sums, square roots and the u |r_i| round
+    it by at most (R/2 + 8) eps, relative, for which it is scaled up:
+    the terms of x^T B x, m x_i^2 in exact arithmetic, do not cancel.
     """
     eps, e = _EPS, _EPS if dtype is float else float(np.finfo(dtype).eps)
-    nb, n, hbw = len(bands), bands[0].n, bands[0].half_bandwidth
-    lo, hi, flat, shape = _regular_run(bands)
-    # a stretched band's plan is O(p^2) and kept; a whole band's is
-    # O(n^2) where a band changed by hand leaves few rows regular
-    plan = _kept_plan if shape[-1] else _certificate_plan
-    reads, nodes, R = plan(shape, n, lo, hi, N, p % 2)
-    entries = flat[reads].reshape(-1, reads.shape[2])
-    # sin(j*pi*node/N) and cos(k*j*pi/N) = sin((2k*j + N)*pi/(2N)), in
-    # quarter waves; einsum sums each product in one order, so a mode's
-    # bits do not depend on the other modes
-    samples = sine_samples(N, js[:, None] * nodes[0] + nodes[1], dtype)
-    products = np.einsum("rk,jk->rj", entries, samples)
-    products = products.reshape(nb, R + 1, -1)
-    # each row's bound on the rounding of its product and combination,
-    # per unit of its weight (1, |t| or |lambda|)
-    slack = _add(abs(entries), 1).reshape(nb, R + 1, 1) * ((hbw + 5) * e)
-    # sum_reg x_i^2 lies in [spread - widen, spread + widen]
-    at_rows = samples[:, :R].T
-    spread = widen = 0.0
-    if R < n:
-        norm_sq = (np.where(js == N, float(N), 0.5 * N) if p % 2 == 0
-                   else 0.5 * N)
-        spread = norm_sq - _add(at_rows * at_rows, 0)
-        widen = (R + 8) * eps * norm_sq
-    # the rows of each weight and their rounding, summed as a norm, in
-    # blocks of weights of at most _SLICE entries (or one weight)
-    block = max(1, _SLICE // ((R + 1) * len(js)))
-    bound = np.empty(values.shape)
-    for lo in range(0, len(values), block):
-        part = values[lo:lo + block]
-        both = np.empty((2, len(part), R + 1, len(js)))
-        for at, lam in enumerate(part):
-            side, error = products[0], slack[0]
-            if nb > 2:
-                side = side + shifts[lo + at] * products[2]
-                error = error + abs(shifts[lo + at]) * slack[2]
-            # combined in the precision of the products, then rounded
-            np.subtract(side, lam * products[1], out=both[0, at])
-            np.multiply(abs(lam), slack[1], out=both[1, at])
-            both[1, at] += error
-        both *= both
-        both[:, :, R] *= spread + widen
-        bound[lo:lo + block] = _add(np.sqrt(_add(both, 2)), 0)
+    (rows, width), n, count = bands[0].left.shape, bands[0].n, len(bands)
+    hbw = rows - 1
+    ends = width - 1 + hbw
+    mirrored = bands[0].order is not None and n > 2 * ends
+    if mirrored:
+        explicit = step = ends
+    else:
+        bands = [X.whole() for X in bands]
+        width = explicit = n
+        step = min(n, math.isqrt(hbw * hbw + _SLICE) - hbw)
+    # each band's columns after hbw zero ones, each with a zero slot after
+    # its rows (a whole band's slots past the matrix hold zeros too)
+    flat = np.zeros((count, hbw + width, rows + 1))
+    for out, X in zip(flat, bands):
+        out[hbw:, :rows] = X.left.T
+    flat = flat.ravel()
+    reads, nodes = _plan(count, rows, width, step, N, p % 2, mirrored)
+    R, twice = (2 * ends, 2.0) if mirrored else (n, 1.0)
+    modes = max(1, _SLICE // reads.shape[2])
+    # sum r_i^2 and the sum of their rounding bounds squared, per weight
+    # and mode
+    residual, error_sq = np.zeros(values.shape), np.zeros(values.shape)
+    xbx, spread, symbol = (np.zeros(len(js), dtype) for _ in range(3))
+    rounding = 0.0
+    norm_sq = 0.5 * N * (1.0 + ((js == N) & (p % 2 == 0)))
+    widen = (R + 8) * eps * norm_sq
+    for top in range(0, explicit, step):
+        part = min(step, explicit - top)
+        entries = flat[reads[:, :part + mirrored] + (rows + 1) * top]
+        entries = entries.reshape(-1, reads.shape[2])
+        # each row's bound on the rounding of its product and combination,
+        # per unit of its weight (1, |t| or |lambda|)
+        slack = _add(abs(entries), 1).reshape(count, -1, 1) * ((hbw + 5) * e)
+        rounding += _add(slack[1, :part], None)
+        at = nodes[0] + 2 * top
+        for lo in range(0, len(js), modes):
+            hi = min(lo + modes, len(js))
+            # sin(j*pi*node/N) and cos(k*j*pi/N), in quarter waves; einsum
+            # sums each product in one order, so a mode's bits do not
+            # depend on the other modes
+            samples = sine_samples(N, js[lo:hi, None] * at + nodes[1], dtype)
+            products = np.einsum("rk,jk->rj", entries, samples)
+            products = products.reshape(count, -1, hi - lo)
+            own = samples[:, hbw:hbw + part].T
+            xbx[lo:hi] += _add(own * products[1, :part], 0)
+            if mirrored:
+                spread[lo:hi] = norm_sq[lo:hi] - 2 * _add(own * own, 0)
+                symbol[lo:hi] = products[1, part] - slack[1, part]
+            # the rows of each weight and their rounding, in blocks of
+            # weights of at most _SLICE entries (or one weight)
+            block = max(1, _SLICE // products[0].size)
+            for first in range(0, len(values), block):
+                lam = values[first:first + block, None, lo:hi]
+                side, error = products[0], slack[0]
+                if count > 2:
+                    t = shifts[first:first + block, None, None]
+                    side = side + t * products[2]
+                    error = error + abs(t) * slack[2]
+                # combined in the precision of the products, then rounded
+                both = np.empty((2, len(lam), *products[0].shape))
+                np.subtract(side, lam * products[1], out=both[0])
+                np.multiply(abs(lam), slack[1], out=both[1])
+                both[1] += error
+                both *= both
+                sums = twice * _add(both[:, :, :part], 2)
+                if mirrored:
+                    sums += both[:, :, part] * (spread[lo:hi] + widen[lo:hi])
+                residual[first:first + block, lo:hi] += sums[0]
+                error_sq[first:first + block, lo:hi] += sums[1]
+    bound = np.sqrt(residual, out=residual)
+    bound += np.sqrt(error_sq, out=error_sq)
     bound *= 1 + (R / 2 + 8) * eps
-    symbol = products[1, R] - slack[1, R]
-    low = (_add(at_rows * products[1, :R], 0) + symbol * spread
-           - (R / 2 + 2) * _add(slack[1, :R], None) - abs(symbol) * widen)
+    low = twice * (xbx - (R / 2 + 2) * rounding)
+    if mirrored:
+        low += symbol * spread - abs(symbol) * widen
     if low.min() > 0:
-        return bound / np.sqrt(low)
+        return np.divide(bound, np.sqrt(low), out=bound)
     return np.divide(bound, np.sqrt(np.maximum(low, 0.0)), where=low > 0,
                      out=np.full(bound.shape, np.inf))
 
 
-def _regular_run(bands):
-    """The regular rows lo..hi-1 of ``_certificates``, as a scan of the
-    written-out bands reads them, with the ``left`` of every band, in
-    Fortran order, and a zero after them in one array, and the key of
-    its ``_band_index``. Stretched bands are scanned at order
-    2c + 4 hbw + 1 at most, where a column past the middle keeps its
-    distance from the end."""
-    (rows, width), n = bands[0].left.shape, bands[0].n
-    stretched = bands[0].order is not None
-    short = min(n, 2 * width + 4 * rows - 5) if stretched else n
-    flat = np.concatenate([X.left.ravel("F") for X in bands] + [_ZERO])
-    shape = (len(bands), rows, width, short, stretched)
-    padded = flat[_band_index(*shape)]
-    odd = np.logical_or.reduce(padded != padded[:, :, short // 2, None],
-                               (0, 1)).nonzero()[0]
-    at = int(odd.searchsorted(short // 2))
-    lo = (int(odd[at - 1]) + 1 if at else 0) + rows - 1
-    hi = min(int(odd[at]) + n - short if at < len(odd) else n, n - rows + 1)
-    return *((lo, hi) if lo < hi else (n, n)), flat, shape
-
-
 @functools.lru_cache(maxsize=64)
-def _band_index(bands, rows, width, n, stretched):
-    """Where each slot of ``bands`` bands of order n, whole or stretched
-    from a ``left`` of shape (rows, width), reads their ``left``s,
-    flattened in Fortran order one after the other: shape (bands,
-    rows + 1, n), with the index past them, of a zero, in every last row
-    and in the slots of a stretched band past the matrix."""
-    size = rows * width
-    past = bands * size
-    index = np.full((bands, rows + 1, n), past)
-    left = np.arange(size).reshape(width, rows).T
-    if stretched:
-        _written_out(left, index[0, :rows], past)
-    else:
-        index[0, :rows] = left
-    for band in range(1, bands):
-        index[band] = np.where(index[0] < past, index[0] + band * size, past)
-    index.flags.writeable = False
-    return index
+def _plan(count, rows, width, block, N, parity, symbol):
+    """Where the entries of rows 0..block-1 of ``count`` bands with a
+    ``left`` of shape (rows, width) against columns -hbw..block-1+hbw
+    lie in the flattened columns of ``_certificates``, and with
+    ``symbol`` those of one more row, the middle column against the
+    cosines: shape (count, block + symbol, block + 2 hbw + symbol *
+    (2 hbw + 1)); and the quarter waves j * nodes[0] + nodes[1] of
+    their sine samples. Rows i + top read the same slots (rows + 1) * top
+    further on, and their samples 2 top quarter waves on.
 
-
-def _certificate_plan(shape, n, lo, hi, N, parity):
-    """The flat indices (``_band_index(*shape)``) of the entries of the
-    irregular rows of bands of order n, regular rows lo..hi-1, against
-    their columns, themselves and the regular columns that they reach,
-    and of the middle column against the cosines, shape (R + 1, C + K);
-    the quarter waves j * nodes[0] + nodes[1] of their sine samples; R.
-
-    Entry (i, k) is band slot (|i - k|, min(i, k)), a slot past the band
-    the zero row. Node k is k + 1 at odd p and k + 1/2 at even p, its
-    sample sin(j*pi*node/N) at 2 * node j quarter waves, and cos(k*j*pi/N)
-    at 2k j + N.
+    Entry (i, k) is slot |i - k| of column min(i, k, width - 1), the
+    zero slot past the band and a zero column before the first. Node k
+    is k + 1 at odd p and k + 1/2 at even p, its sample sin(j*pi*node/N)
+    at 2 * node j quarter waves, and cos(k*j*pi/N) at 2k j + N.
     """
-    index = _band_index(*shape)
-    rows, m = index.shape[1] - 1, index.shape[2]
     hbw = rows - 1
-    reach = min(lo + hbw, hi)
-    irregular = [*range(lo), *range(hi, n)]
-    cols = irregular + [*range(lo, reach), *range(max(hi - hbw, reach), hi)]
-    R, C = len(irregular), len(cols)
-    i, k = np.array(irregular, dtype=int)[:, None], np.array(cols, dtype=int)
-    column = np.minimum(i, k)
-    column -= (n - m) * (column > n // 2)
-    reads = np.full((len(index), R + 1, C + 2 * hbw + 1), index[0, -1, 0])
-    reads[:, :R, :C] = index[:, np.minimum(abs(i - k), rows), column]
+    i, k = np.arange(block)[:, None], np.arange(-hbw, block + hbw)
     offsets = np.arange(-hbw, hbw + 1)
-    reads[:, R, C:] = index[:, abs(offsets), m // 2]
-    nodes = np.zeros((2, C + len(offsets)), dtype=int)
-    nodes[0, :C] = 2 * k + 1 + parity
-    nodes[0, C:] = 2 * offsets
-    nodes[1, C:] = N
+    columns = len(k) + symbol * len(offsets)
+    reads = np.full((count, block + symbol, columns), rows)
+    reads[:, :block, :len(k)] = ((np.minimum(np.minimum(i, k), width - 1)
+                                  + hbw) * (rows + 1)
+                                 + np.minimum(abs(i - k), rows))
+    if symbol:
+        reads[:, block, len(k):] = ((width - 1 + hbw) * (rows + 1)
+                                    + abs(offsets))
+    reads += (np.arange(count) * (hbw + width) * (rows + 1))[:, None, None]
+    nodes = np.zeros((2, columns), dtype=int)
+    nodes[0, :len(k)] = 2 * k + 1 + parity
+    if symbol:
+        nodes[0, len(k):], nodes[1, len(k):] = 2 * offsets, N
     for array in (reads, nodes):
         array.flags.writeable = False
-    return reads, nodes, R
-
-
-_kept_plan = functools.lru_cache(maxsize=64)(_certificate_plan)
+    return reads, nodes
 
 
 @_solver

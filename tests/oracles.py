@@ -18,9 +18,7 @@ assembly, so that a test can count the work of one build.
 ``band_entry``, ``lam_min`` and ``lam_max`` read one entry of a band and
 the two ends of a spectrum, which the package never reads that way.
 ``stretch`` writes a band above the reference size out entry by entry,
-and ``scanned_regular_run`` reads the certificates' regular rows off
-the written-out bands by a scan: the package stores the corners and one
-interior column instead, and reads the run from them.
+where the package stores its corners and one interior column.
 ``whole_edge`` bisects for the top of a pencil on the whole pencil at
 every shift, where the package decides the wide halvings of its top on
 the pencil's leading block.
@@ -327,23 +325,6 @@ def stretch(band, corner, n, scale):
         row[n - k:] = 0.0
     out *= scale
     return out
-
-
-def scanned_regular_run(bands):
-    """The regular rows lo..hi-1 of the certificates, read off the
-    written-out bands (arrays of one shape) by a scan of every column:
-    hbw or more from either end, each with its columns i - hbw..i inside
-    the run of columns around the middle one that equal it in every
-    band."""
-    nb, hbw, n = len(bands), len(bands[0]) - 1, bands[0].shape[1]
-    padded = np.zeros((nb, hbw + 2, n))
-    padded[:, :hbw + 1] = bands
-    middle = padded[:, :, n // 2]
-    odd = (padded != middle[:, :, None]).any((0, 1)).nonzero()[0]
-    at = int(np.searchsorted(odd, n // 2))
-    lo = (int(odd[at - 1]) + 1 if at else 0) + hbw
-    hi = min(int(odd[at]) if at < len(odd) else n, n - hbw)
-    return (lo, hi) if lo < hi else (n, n)
 
 
 def whole_edge(A, B, norms, tol, work, flip=False):

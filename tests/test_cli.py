@@ -739,7 +739,10 @@ def test_lift_limit_boundary(argv, monkeypatch, capsys):
 # ("max residual 2.643e-13" -> "max residual bound 8.777e-12") and its
 # coercivity gap within 16 eps ||X||_F of 0 read as 0 ("worst scaled
 # slack 0.000e+00 (floor -1e-10)" -> "... (floor -1e-10; gaps within 16
-# eps ||X||_F read as 0)").
+# eps ||X||_F read as 0)"), and again when the certificates took a
+# stretched band's first c + hbw rows twice and certified whole bands
+# row by row instead of reading regular rows off a scan of the
+# written-out bands ("max residual bound 8.777e-12" -> "... 9.409e-12").
 _GOLDEN_STDOUT = {
     "spectrum -p 2 -N 4 -d 3": "e5cc090f24c2f451fb52d865f7d48c02",
     "spectrum -p 3 -N 16 -d 2": "e00fb14db43005c7de3f898d4d516309",
@@ -764,7 +767,7 @@ _GOLDEN_STDOUT = {
     "convergence -p 2 --j 3 --N-list 8,16":
         "1cb541f1b767f726ec03d12557aa0bcf",
     "dispersion -p 3 --eta super": "191625458240f70948464229e03030d3",
-    "verify": "e95c28b6b0fe799b6604987d4782ebb8",
+    "verify": "b7ecae1dec258e65c3d390f94017c61d",
     # recorded from the code that lifted and checked every weight of a
     # sweep in turn, and held every lift
     "eta-sweep -p 2 -N 500 --grid-points 200":
@@ -1329,3 +1332,16 @@ def test_condition_grid_prints_the_recorded_bytes():
     grid = _condition_grid()
     assert len(grid) == 1134
     assert _grid_digest(grid) == "71a2e6da27c5fc8e75c6ce734643c2e9"
+
+
+def test_spectrum_grid_prints_the_recorded_bytes():
+    # recorded from the code that certified the closed-form pairs from a
+    # scan of the written-out bands: spectrum at p = 1..16 on meshes up
+    # to N = 40, below the degree (exit 1) and where the contract breaks
+    # (exit 2) among them
+    grid = [["spectrum", "-p", str(p), "-N", str(N), "--method", method,
+             "--eta", "zero"]
+            for p in range(1, 17) for N in (*range(1, 13), 20, 40)
+            for method in ("iga", "of-iga")]
+    assert len(grid) == 448
+    assert _grid_digest(grid) == "8ec6307c1996dae5208e7d9b404737c0"
