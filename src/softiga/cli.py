@@ -51,11 +51,11 @@ _METHOD_FLAVOR = {"iga": "standard", "of-iga": "outlier_free",
 
 # Largest 1D pencil order that condition accepts. Only the standard
 # baseline at p >= 3 grows with it: just under it, at p = 3 on a 2-core
-# shared host with one BLAS thread, condition took 1.4 s and 235 MB max
-# RSS in a fresh process (1.0 s after the imports), its band solve
+# shared host with one BLAS thread, condition took 1.1 s and 235 MB max
+# RSS in a fresh process (0.9 s after the imports), its band solve
 # peaking at 175.5 MiB traced: A, B, one factor buffer and a few vectors,
-# with the wide halvings of the bisection on the leading block. The
-# outlier-free pencils took 0.24 s and 35 MB.
+# with two shifted factorizations. The outlier-free pencils took 0.24 s
+# and 35 MB.
 MAX_CONDITION_ORDER = 1_000_000
 
 # Most weights eta-sweep accepts. The sweep holds n values per weight,
@@ -299,11 +299,11 @@ def cmd_condition(args):
     the outlier-free space they are the extremes of its n closed-form
     values, with no factorization and in memory flat in N; where the
     baseline shares the target's space and eta_b, one pass gives the
-    ends of both weights. On a standard space of p >= 3 they take a
-    bisection of about 55 band Cholesky factorizations, about 32 of them
-    on the pencil's leading block of order 12 hbw + 24 and the other 23
-    or so, which grow linearly in N, on the whole pencil; a baseline
-    identical to the target is solved once. A 1D order above
+    ends of both weights. On a standard space of p >= 3 they take
+    usually two band Cholesky factorizations, linear in N, at shifts
+    just above the top of the pencil's leading block (found on that
+    block) and just below lambda_min, and a few shift-invert steps; a
+    baseline identical to the target is solved once. A 1D order above
     ``MAX_CONDITION_ORDER`` is refused before any assembly. The baseline
     is the unsoftened pencil of its method's space. Both spaces, the
     same one or not, read the bands of one mesh of at most N_ref

@@ -18,14 +18,10 @@ where no closed form is known, and write their sides out whole.
   one buffer for the factors of both ends and a few vectors. By
   Sylvester's law of inertia, sigma*B - A is positive definite exactly
   when sigma > lambda_max, which one ``dpbtrf`` decides in
-  O(n * hbw^2): lambda_max is bracketed and bisected, about 55
-  factorizations, and shift-invert steps give its vector. The top mode
-  of a standard space at p >= 3 is a boundary outlier, so the wide
-  halvings, about 32, factor only the pencil's leading block, in
-  O(hbw^3), and the last 22 or so the whole pencil; the result is the
-  whole-pencil bisection's. lambda_min comes from inverse iteration
-  with the factor of A, certified by one more factorization, or is
-  bisected like lambda_max on the whole pencil.
+  O(n * hbw^2): a shift just above the top of the pencil's leading
+  block is so proved above lambda_max, or lambda_max is bisected, and
+  a shift just below lambda_min proves it lowest; shift-invert steps
+  at those shifts give the two pairs.
 
 Their eigenvalues are Rayleigh quotients of the float operators, off by
 about eps*lambda_max/lambda_j relative on the low modes; the
@@ -85,16 +81,30 @@ def _padded(band, rows):
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _mirror_slots(rows, c):
+    """Index arrays of the right end of a band of ``rows`` rows stretched
+    from a corner of c columns, counted from the end: slot (k, j - k - c)
+    takes corner entry (k, c - 1 - j); slots (k, i - k), i < k, lie past
+    the matrix."""
+    k, j = np.ogrid[:rows, :c]
+    k_past, i = np.tril_indices(rows, -1)
+    slots = (k, j - k - c, c - 1 - j, k_past, i - k_past)
+    for index in slots:
+        index.flags.writeable = False
+    return slots
+
+
 def _written_out(left, out):
-    """Write into ``out`` (..., rows, n) the band stretched from ``left``
-    (..., rows, c + 1), with zeros in the slots past the matrix. Row k
-    ends with row k of the left corner reversed, then k such slots."""
-    c, n = left.shape[-1] - 1, out.shape[-1]
-    out[..., :c] = left[..., :c]
-    out[..., c:] = left[..., c:]
-    for k in range(left.shape[-2]):
-        out[..., k, n - k - c:n - k] = left[..., k, c - 1::-1]
-        out[..., k, n - k:] = 0
+    """Write into ``out`` (rows, n) the band stretched from ``left``
+    (rows, c + 1), with zeros in the slots past the matrix. Row k ends
+    with row k of the left corner reversed, then k such slots."""
+    c = left.shape[-1] - 1
+    k, to, source, k_past, past = _mirror_slots(len(left), c)
+    out[:, :c] = left[:, :c]
+    out[:, c:] = left[:, c:]
+    out[k, to] = left[k, source]
+    out[k_past, past] = 0
     return out
 
 
@@ -451,8 +461,7 @@ def _shifted_factor(a, b, t, out, dpbtrf, flip=False):
     t*B + A, which is t*B - (-A) bit for bit since negation is exact: 0
     when it factors, which by Sylvester's law of inertia is exactly when
     t > lambda_max, else the 1-based failing pivot. ``out`` then holds the
-    factor in place; it may be a view of leading columns, which is the
-    leading block of the pencil.
+    factor in place.
 
     The caller imports ``dpbtrf`` once for all of its shifts: an import
     statement, even of a loaded module, costs up to a tenth of the
@@ -484,7 +493,7 @@ def _inverse_iteration(factor, t, B, x, norms, tol, steps):
         # alongside. A power of two scales every product exactly, so
         # the steps are the same to the last bit wherever the unscaled
         # ones stay finite. The steps work in place, with four vectors
-        # of order n at most besides x.
+        # of order n at most besides the start.
         power = -math.frexp(blas.dnrm2(y))[1]
         np.ldexp(y, power, out=y)
         np.ldexp(bx, power, out=bx)
@@ -495,7 +504,8 @@ def _inverse_iteration(factor, t, B, x, norms, tol, steps):
         shift = (y @ bx) / yby
         previous, estimate = estimate, t - shift
         if previous is not None and abs(estimate - previous) <= tol:
-            r = shift * by
+            # the previous iterate, past the start, holds the residual
+            r = np.multiply(by, shift, out=x)
             r -= bx
             bound = RESIDUAL_RTOL * (norms[0] + abs(estimate) * norms[1])
             settled = r @ r <= (0.01 * bound) ** 2 * yby
@@ -509,92 +519,76 @@ def _inverse_iteration(factor, t, B, x, norms, tol, steps):
     return x, bx, estimate, settled
 
 
-# The bisection for lambda_max decides a shift on the leading block of
-# order min(n, _CORNER_PER_HBW * hbw + _CORNER_EXTRA) of the pencil while
-# its bracket is wider than _WIDE of its magnitude (``_bisection``). The
-# top mode of a standard space at p >= 3 is a boundary outlier, which the
-# leading 40 rows of the p = 3 pencil give to 5e-15. Measured against the
-# bisection decided on the whole pencil at every shift: on the 180
-# standard pencils of p = 3..16 with N in {p+1, 2p, 4p+2, 4p+3, 30, 60,
-# 100, 150, 200, 300, 400, 1000, 3000} both ends and vectors were the
-# same bits with no rerun, and on 804 of p = 3..20 and N up to 4000 the
-# same bits with 7 reruns. A switch at 2^-36, 2^-40 or 2^-46 reran 1, 6
-# and 19 of the 180 and moved the bits of 0, 3 and 13: the check of a
-# trusted shift needs a gap wider than the round-off of definiteness.
-# A block of 8 hbw + 16 rows was as good, one of 4 hbw + 8 reran 60.
-_CORNER_PER_HBW, _CORNER_EXTRA = 12, 24
-_WIDE = 2.0 ** -30
-
-
-def _bisection(a, b, work, m, flip, dpbtrf):
-    """Bracket and halve lambda_max of the pencil (A, B), or with
-    ``flip`` of (-A, B), their bands ``a`` and ``b``, factoring the
-    shifted pencils in ``work``; a shift is decided on the leading block
-    of order m while the bracket is wider than ``_WIDE`` of its
-    magnitude, and on the whole pencil after, or throughout at m = n.
-
-    The bracket lo <= lambda_max < hi starts at the largest diagonal
-    ratio, a Rayleigh quotient, and doubles its width until hi factors;
-    it is then halved until it stops shrinking, about 53 factorizations.
-    A block of order m that fails at pivot m - hbw or before fails the
-    whole pencil at the same pivot, bit for bit: those pivots see the
-    same updates. A block that factors is taken on trust, and the first
-    halving on the whole pencil settles the last hi so taken: a whole
-    factor half a bracket below it confirms it, at least 2^-32 of its
-    magnitude away, and every earlier hi lies higher still; after a
-    shift that does not factor, the whole pencil must factor that hi.
-
-    Returns hi, the width at which the halvings stopped and whether
-    ``work`` holds the whole pencil's factor at hi, or None when the
-    whole pencil does not factor a hi that its block did.
-    """
-    n, hbw = a.shape[1], len(a) - 1
-    a_m, b_m, work_m = a[:, :m], b[:, :m], work[:, :m]
-
-    def wide(lo, hi):
-        return m < n and hi - lo > _WIDE * max(abs(lo), abs(hi))
-
-    def factors(t, block):
-        """Whether t*B - A factors, on its leading block with ``block``,
-        and whether ``work`` holds its whole factor."""
-        if block:
-            info = _shifted_factor(a_m, b_m, t, work_m, dpbtrf, flip)
-            if info == 0 or info <= m - hbw:
-                return info == 0, False
-        info = _shifted_factor(a, b, t, work, dpbtrf, flip)
-        return info == 0, info == 0
-
-    lo = float(np.max((-a[0] if flip else a[0]) / b[0]))
-    step = abs(lo) or 1.0
-    hi = lo + step
-    while not (done := factors(hi, wide(lo, hi)))[0]:
-        lo, step = hi, 2.0 * step
-        hi = lo + step
-        if not np.isfinite(hi):
-            raise EigenSolveError("no shift above the spectrum")
-    # whether work holds the whole factor at hi, and whether hi rests on
-    # the leading block alone
-    factored, trusted = done[1], not done[1]
-    floor = _EPS * max(abs(lo), abs(hi))
+def _halve(a, b, work, lo, hi, floor, flip, dpbtrf):
+    """The bracket lo <= lambda_max < hi of the pencil of bands ``a`` and
+    ``b`` (``flip`` as for ``_bisection``) halved down to floor or until
+    it stops shrinking; returns hi, with its factor in ``work``."""
+    factored = True
     while hi - lo > floor:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
         # a shift that does not factor spoils the factor at hi in work
-        block = wide(lo, hi)
-        above, factored = factors(mid, block)
-        if above:
-            hi, trusted = mid, not factored
-            continue
-        lo = mid
-        if trusted and not block:
-            # the whole pencil must factor the hi its block took
-            if _shifted_factor(a, b, hi, work, dpbtrf, flip):
-                return None
-            factored, trusted = True, False
-    if trusted and _shifted_factor(a, b, hi, work, dpbtrf, flip):
+        factored = _shifted_factor(a, b, mid, work, dpbtrf, flip) == 0
+        if factored:
+            hi = mid
+        else:
+            lo = mid
+    if not factored:
+        _shifted_factor(a, b, hi, work, dpbtrf, flip)
+    return hi
+
+
+def _bisection(a, b, work, flip, dpbtrf, width=_EPS):
+    """Bracket and halve lambda_max of the pencil (A, B), or with
+    ``flip`` of (-A, B), their bands ``a`` and ``b`` (the first m
+    columns are its leading block of order m), factoring in ``work``:
+    from the largest diagonal ratio, a Rayleigh quotient, the bracket
+    doubles until hi factors and is halved until it stops shrinking,
+    about 53 factorizations, or fewer to a relative ``width``. Returns
+    hi and the final width."""
+    lo = float(np.max((-a[0] if flip else a[0]) / b[0]))
+    step = abs(lo) or 1.0
+    hi = lo + step
+    while _shifted_factor(a, b, hi, work, dpbtrf, flip):
+        lo, step = hi, 2.0 * step
+        hi = lo + step
+        if not np.isfinite(hi):
+            raise EigenSolveError("no shift above the spectrum")
+    floor = width * max(abs(lo), abs(hi))
+    return _halve(a, b, work, lo, hi, floor, flip, dpbtrf), floor
+
+
+def _corner_shift(a, b, work, norms, dpbtrf):
+    """A shift just above lambda_max of the pencil of bands ``a`` and
+    ``b``, its factor in ``work``, and the floor eps * s; None when the
+    pencil is no larger than its leading block of order m = 12 hbw + 24
+    or its top mode is not at the corner. The block's top lambda_b,
+    below the pencil's, is bisected to 2^-10 and read from shift-invert
+    steps there; s is the larger of |lambda_b| and the block's largest
+    diagonal ratio (lambda_b is 0 at a null corner). A whole factor at
+    lambda_b + 64 eps s proves every eigenvalue below it; a refused
+    margin is widened fourfold up to 2^-20 s, and the bracket found
+    halved to 64 eps s, which separates a top pair 1e-12 apart."""
+    n, hbw = a.shape[1], len(a) - 1
+    m = min(n, 12 * hbw + 24)
+    if m == n:
         return None
-    return hi, floor, factored or trusted
+    # a dense solve of the block (LAPACK dsygvx) takes longer, and its
+    # last bits vary with the number of BLAS threads
+    hi, _ = _bisection(a[:, :m], b[:, :m], work[:, :m], False, dpbtrf,
+                       2.0 ** -10)
+    floor = _EPS * max(abs(hi), float(np.max(abs(a[0, :m] / b[0, :m]))))
+    _, _, top, _ = _inverse_iteration(work[:, :m], hi, SymBandedMatrix(
+        b[:, :m]), _ramp(m), norms, 4.0 * floor, MAX_INVERSE_STEPS)
+    lo = top + 64.0 * floor
+    for widening in range(14):
+        hi = top + 64.0 * floor * 4.0 ** widening
+        if _shifted_factor(a, b, hi, work, dpbtrf) == 0:
+            return _halve(a, b, work, lo, hi, 64.0 * floor, False,
+                          dpbtrf), floor
+        lo = hi
+    return None
 
 
 def _edge(A, B, norms, tol, work, flip=False):
@@ -602,34 +596,20 @@ def _edge(A, B, norms, tol, work, flip=False):
     with ``flip`` of (-A, B), as (x, B x), x B-normalized; ``work``, a
     band of A's shape, holds the shifted factors.
 
-    The bisection (``_bisection``) decides the top of (A, B) on the
-    leading block of order m = min(n, 12 hbw + 24) while its bracket is
-    wide, in O(m * hbw^2) a shift, and on the whole pencil, in
-    O(n * hbw^2), for its last halvings, about 22 of some 55. Where the
-    whole pencil does not factor a shift its block took, the top mode
-    is not at the corner, and the bisection runs again on the whole
-    pencil from the start. So the bracket is the whole-pencil
-    bisection's, bit for bit, wherever the definiteness of t*B - A does
-    not flip back and forth over 2^-32 of lambda_max. The lowest mode is
-    global, and the top of (-A, B) keeps the whole pencil throughout.
-    After the halvings, a hi whose factor a later shift spoiled is
-    factored again.
-
-    Shift-invert steps with the factor at hi give the eigenvector. They
-    start from alternating signs, as the top modes of a stiffness
-    pencil, on a ramp that breaks every symmetry. Only a bracket that
-    tight separates the top pair of a standard space at p >= 3, which
-    can lie 1e-12 apart.
+    The top mode of a standard space at p >= 3 is a boundary outlier,
+    which the pencil's leading rows fix to about 1e-14, so the final
+    shift lies just above the top of its leading block
+    (``_corner_shift``); elsewhere, and for the global top of (-A, B),
+    it is bisected on the whole pencil (``_bisection``). Shift-invert
+    steps there, two from the corner's shift, give the eigenvector from
+    a ramp of alternating signs, as the top modes of a stiffness pencil,
+    that breaks every symmetry.
     """
     from scipy.linalg.lapack import dpbtrf
-    a, b, n = A.band, B.band, A.n
-    corner = n if flip else min(n, _CORNER_PER_HBW * A.half_bandwidth
-                                + _CORNER_EXTRA)
-    hi, floor, factored = (_bisection(a, b, work, corner, flip, dpbtrf)
-                           or _bisection(a, b, work, n, flip, dpbtrf))
-    if not factored:
-        _shifted_factor(a, b, hi, work, dpbtrf, flip)
-    x, bx, _, _ = _inverse_iteration(work, hi, B, _ramp(n), norms,
+    a, b = A.band, B.band
+    hi, floor = ((None if flip else _corner_shift(a, b, work, norms, dpbtrf))
+                 or _bisection(a, b, work, flip, dpbtrf))
+    x, bx, _, _ = _inverse_iteration(work, hi, B, _ramp(A.n), norms,
                                      max(tol, 4.0 * floor),
                                      MAX_INVERSE_STEPS)
     return x, bx
@@ -642,32 +622,52 @@ def _ramp(n):
     return start
 
 
+def _sine(n):
+    """sin(pi i / (n + 1)), i = 1..n: the lowest mode of a Laplacian."""
+    return np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+
+
 def _lowest(A, B, norms, tol, work):
     """The eigenpair of the smallest eigenvalue of the pencil (A, B), as
     (x, B x), x B-normalized; ``work``, a band of A's shape, holds the
     factors.
 
-    When A is positive definite, inverse iteration with its factor from
-    the smooth vector sin(pi i / (n + 1)) settles in a few steps. One
-    more factorization certifies the result: A - s*B must be definite
-    for s a little below the eigenvalue found, so that none lies below
-    it. Otherwise, or when A is not definite, the end is found as the
-    top of the pencil (-A, B) by ``_edge``.
+    When A is positive definite, two steps of inverse iteration with its
+    factor from ``_sine`` estimate lambda_min as mu. If A - sigma*B
+    factors at sigma = mu (1 - 2^-10), every eigenvalue lies above
+    sigma (Sylvester's law), and steps at sigma settle on lambda_min.
+    Otherwise the steps with the factor of A run from the start until
+    they settle, and A - s*B must factor for s a little below the value
+    found. Failing that, or when A is not definite, the end is the top
+    of the pencil (-A, B) (``_edge``).
     """
     from scipy.linalg.lapack import dpbtrf
-    np.copyto(work, A.band)
-    if dpbtrf(work, lower=1, overwrite_ab=1)[1] == 0:
-        # the factor of A is that of t*B - (-A) at t = 0: the pencil
-        # (-A, B), whose eigenvalue nearest 0 is -lambda_min
-        x, bx, estimate, settled = _inverse_iteration(
-            work, 0.0, B, np.sin(np.pi * np.arange(1, A.n + 1) / (A.n + 1)),
-            norms, tol, MAX_INVERSE_STEPS)
-        # a definiteness test resolves a shift only to the round-off of
-        # A, which tol measures
-        below = -estimate - math.sqrt(_EPS) * abs(estimate) - 256.0 * tol
-        if settled and _shifted_factor(A.band, B.band, -below, work,
-                                       dpbtrf, True) == 0:
+    a, b = A.band, B.band
+    np.copyto(work, a)
+    if dpbtrf(work, lower=1, overwrite_ab=1)[1]:
+        return _edge(A, B, norms, tol, work, True)
+    # the factor of A is that of t*B - (-A) at t = 0: the pencil (-A, B),
+    # whose eigenvalue nearest 0 is -lambda_min
+    x, bx, estimate, _ = _inverse_iteration(work, 0.0, B, _sine(A.n), norms,
+                                            tol, 2)
+    # t*B + A at t = -sigma, which is A - sigma*B
+    t = estimate * (1.0 - 2.0 ** -10)
+    del bx, estimate
+    if _shifted_factor(a, b, t, work, dpbtrf, True) == 0:
+        x, bx, _, settled = _inverse_iteration(work, t, B, x, norms, tol,
+                                               MAX_INVERSE_STEPS)
+        if settled:
             return x, bx
+    x = bx = None
+    np.copyto(work, a)
+    dpbtrf(work, lower=1, overwrite_ab=1)
+    x, bx, estimate, settled = _inverse_iteration(
+        work, 0.0, B, _sine(A.n), norms, tol, MAX_INVERSE_STEPS)
+    # a definiteness test resolves a shift only to the round-off of A,
+    # which tol measures
+    below = -estimate - math.sqrt(_EPS) * abs(estimate) - 256.0 * tol
+    if settled and _shifted_factor(a, b, -below, work, dpbtrf, True) == 0:
+        return x, bx
     return _edge(A, B, norms, tol, work, True)
 
 
@@ -676,17 +676,16 @@ def extreme_eigenpairs(A, B):
     """The smallest and the largest eigenpair of A v = lambda B v, for
     symmetric A and SPD B, from band factorizations alone.
 
-    lambda_max comes from bisection on the definiteness of sigma*B - A
-    (about 55 band Cholesky factorizations: some 32 of the leading block
-    of order 12 hbw + 24, O(hbw^3) each, while the bracket is wide, and
-    some 23 of O(n * hbw^2) on the whole pencil, ``_edge``) and a few
-    shift-invert steps at the final shift; lambda_min from inverse
-    iteration with the factor of A, certified by one more factorization,
-    or by the same bisection on the whole pencil when A is not definite.
-    Both values are Rayleigh quotients with band products, so
-    lambda_min carries a round-off floor of about eps * lambda_max. One
-    buffer holds the factors of both ends, so the solve peaks at A, B,
-    that buffer and a few vectors of order n.
+    lambda_max comes from a shift just above the top of the pencil's
+    leading block, certified by a band Cholesky factorization of
+    sigma*B - A, or from bisection on its definiteness (about 55
+    factorizations of O(n * hbw^2), ``_edge``); lambda_min from inverse
+    iteration with the factors of A and of A - sigma*B for a sigma just
+    below it, which certifies it (``_lowest``). Both values are Rayleigh
+    quotients with band products, so lambda_min carries a round-off
+    floor of about eps * lambda_max. One buffer holds the factors of
+    both ends, so the solve peaks at A, B, that buffer and a few vectors
+    of order n.
 
     Parameters
     ----------

@@ -19,9 +19,10 @@ assembly, so that a test can count the work of one build.
 the two ends of a spectrum, which the package never reads that way.
 ``stretch`` writes a band above the reference size out entry by entry,
 where the package stores its corners and one interior column.
-``whole_edge`` bisects for the top of a pencil on the whole pencil at
-every shift, where the package decides the wide halvings of its top on
-the pencil's leading block.
+``whole_edge`` bisects for the top of a pencil on the whole pencil,
+where the package first tries a shift just above the top of the
+pencil's leading block and bisects, in the same arithmetic, only where
+no such shift factors.
 
 A space of the package is its knot vector and the flag ``odd``; it
 forms no extraction. ``folds`` computes the corners of the outlier-free
@@ -328,10 +329,11 @@ def stretch(band, corner, n, scale):
 
 
 def whole_edge(A, B, norms, tol, work, flip=False):
-    """``eigensolve._edge`` with every shift of its bisection decided by
-    the whole pencil: the top eigenpair of (A, B), or with ``flip`` of
-    (-A, B) formed as a negated copy, as (x, B x). ``work`` is unused; the
-    bisection factors into a buffer of its own."""
+    """``eigensolve._edge`` bisecting on the whole pencil from the start,
+    with no shift read from the leading block: the top eigenpair of
+    (A, B), or with ``flip`` of (-A, B) formed as a negated copy, as
+    (x, B x). ``work`` is unused; the bisection factors into a buffer of
+    its own."""
     from scipy.linalg.lapack import dpbtrf
     if flip:
         A = SymBandedMatrix(-A.band)

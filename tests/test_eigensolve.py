@@ -425,12 +425,13 @@ def test_condition_with_an_indefinite_pencil_keeps_its_message(capsys):
 
 
 def _counting_factorizations(monkeypatch):
-    """Count the shifted band factorizations of the band solver."""
+    """The order of every shifted band factorization of the band solver:
+    n for the whole pencil, less for its leading block."""
     calls = []
     original = eigensolve._shifted_factor
 
     def counted(*args):
-        calls.append(args[2])
+        calls.append(args[3].shape[1])
         return original(*args)
 
     monkeypatch.setattr(eigensolve, "_shifted_factor", counted)
@@ -442,40 +443,46 @@ def _counting_factorizations(monkeypatch):
     (2, 100, "outlier_free", 0), (3, 100, "outlier_free", 0),
     (12, 40, "outlier_free", 0), (13, 40, "outlier_free", 0),
     (16, 40, "outlier_free", 0), (20, 40, "outlier_free", 0),
-    # recorded before the closed-form extremes were read from the symbol,
-    # and at p = 4 one more since the first halving on the whole pencil
-    # refuses its shift there, and the whole pencil then factors the
-    # last shift that the leading block took
-    (3, 100, "standard", 55), (4, 100, "standard", 56),
-    (5, 40, "standard", 54)])
+    # factorizations of the whole pencil: one just above the top of the
+    # leading block and one just below the estimate of lambda_min; at
+    # p = 11, N = 300 the margin is refused twice, the bracket found is
+    # halved four times, and its top factored again; at p = 5, N = 40 the
+    # block is the whole pencil, which is bisected
+    (3, 100, "standard", 2), (4, 100, "standard", 2),
+    (5, 40, "standard", 54), (11, 300, "standard", 9)])
 def test_closed_form_extremes_factor_no_shifted_pencil(p, N, flavor, count,
                                                        monkeypatch):
     # the extremes of a pencil with closed-form modes are the extremes of
-    # its symbol values; every other pencil keeps its bisection
+    # its symbol values; every other pencil keeps its band solve, whose
+    # other factorizations bisect the top of its leading block
     calls = _counting_factorizations(monkeypatch)
     weights = [0.0] + ([eta_table().default[p]]
                        if flavor == "outlier_free" and p <= 4 else [])
     for eta in weights:
         calls.clear()
-        extreme_values(build_soft_system(p, N, eta, 0.0, flavor))
-        assert len(calls) == count
+        system = build_soft_system(p, N, eta, 0.0, flavor)
+        extreme_values(system)
+        n = system.space.dim
+        assert calls.count(n) == count
+        assert set(calls) <= {n, 12 * system.A.half_bandwidth + 24}
 
 
 def _oracle_driven(A, B, monkeypatch):
-    """extreme_eigenpairs with every shift of its bisections decided on
-    the whole pencil (``oracles.whole_edge``)."""
+    """extreme_eigenpairs with its top found by bisection on the whole
+    pencil (``oracles.whole_edge``), as before the corner's shift."""
     with monkeypatch.context() as patch:
         patch.setattr(eigensolve, "_edge", whole_edge)
         return extreme_eigenpairs(A, B)
 
 
 def _bisections(monkeypatch):
-    """The block order m of every bisection the band solver runs."""
+    """The order of every bisection the band solver runs: n for the whole
+    pencil, 12 hbw + 24 for its leading block."""
     orders = []
     original = eigensolve._bisection
 
     def spied(*args):
-        orders.append(args[3])
+        orders.append(args[0].shape[1])
         return original(*args)
 
     monkeypatch.setattr(eigensolve, "_bisection", spied)
@@ -492,29 +499,64 @@ def _standard_meshes(p):
                    300, 400, 1000, 3000})
 
 
+def _rayleigh_floor(A, B, x, value):
+    """The rounding bound eps (|x|^T |A| |x| + |value| |x|^T |B| |x|) of
+    the Rayleigh quotient of a B-normalized x."""
+    x = abs(x)
+    return EPS * sum(scale * (x @ SymBandedMatrix(abs(X.whole().band))
+                              .matvec(x)) for scale, X in ((1.0, A),
+                                                           (abs(value), B)))
+
+
 @pytest.mark.parametrize("p", range(3, 17))
-def test_corner_bisection_is_the_whole_one_bit_for_bit(p, monkeypatch):
-    # the top of a standard space at p >= 3 is a boundary outlier, which
-    # the leading block finds: on every mesh the ends, vectors and
-    # residuals are those of the bisection decided on the whole pencil,
-    # with no rerun, and the block is used wherever it is smaller
+def test_the_corner_shift_meets_the_whole_bisection(p, monkeypatch):
+    # the top of a standard space at p >= 3 is a boundary outlier: on
+    # every mesh whose pencil is larger than its leading block a shift
+    # above the block's top factors, with no bisection of the whole
+    # pencil, and both ends lie within 128 eps * lambda_max of the solve
+    # whose top is bisected on the whole pencil (33 at most, at p = 8,
+    # N = 150); a pencil no larger than the block is that solve, bit for
+    # bit. From p = 9 the Rayleigh quotients of both routes and the dense
+    # solve scatter over the rounding bound of the quotient, from 2e3
+    # eps * lambda_max at p = 9 to 1.4e6 at p = 16, at most 0.16 of it
+    # apart (a 60-digit solve of the stored pencil at p = 8..10, N = 150
+    # puts this top 8 to 15 eps * lambda_max off, the bisected one 15 to
+    # 70 and the dense one 19 to 106): there the top is no farther from
+    # the dense solve than twice the bisected top, or than a quarter of
+    # that bound
+    import scipy.linalg as sla
     for N in _standard_meshes(p):
         system = build_soft_system(p, N, 0.0, 0.0, "standard")
+        A, B, n = system.A, system.B, system.space.dim
+        m = 12 * A.half_bandwidth + 24
         orders = _bisections(monkeypatch)
-        got = extreme_eigenpairs(system.A, system.B)
-        n, hbw = system.space.dim, system.A.half_bandwidth
-        assert orders == [min(n, 12 * hbw + 24)]
-        _assert_bits_equal(got, _oracle_driven(system.A, system.B,
-                                               monkeypatch))
+        got = extreme_eigenpairs(A, B)
+        want = _oracle_driven(A, B, monkeypatch)
+        if n <= m:
+            assert orders == [n]
+            _assert_bits_equal(got, want)
+            continue
+        assert orders == [m]
+        scale = 128 * EPS * lam_max(want)
+        assert abs(lam_min(got) - lam_min(want)) <= scale
+        if p <= 8:
+            assert abs(lam_max(got) - lam_max(want)) <= scale
+        elif n <= 1100:
+            dense = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True)[-1]
+            floor = _rayleigh_floor(A, B, got.vectors[:, 1], lam_max(got))
+            assert abs(lam_max(got) - dense) <= max(
+                2 * abs(lam_max(want) - dense), floor / 4)
 
 
 @pytest.mark.parametrize("p", [3, 4])
-def test_corner_bisection_at_n_100_000(p, monkeypatch):
+def test_the_corner_shift_at_n_100_000(p, monkeypatch):
     system = build_soft_system(p, 100_000, 0.0, 0.0, "standard")
     orders = _bisections(monkeypatch)
     got = extreme_eigenpairs(system.A, system.B)
-    assert len(orders) == 1 and orders[0] < system.space.dim
-    _assert_bits_equal(got, _oracle_driven(system.A, system.B, monkeypatch))
+    assert orders == [12 * system.A.half_bandwidth + 24]
+    want = _oracle_driven(system.A, system.B, monkeypatch)
+    np.testing.assert_allclose(got.values, want.values, rtol=0.0,
+                               atol=128 * EPS * lam_max(want))
 
 
 def _random_band_pair(n, hbw, seed):
@@ -561,21 +603,14 @@ def _zero_corner_pencil(k):
 
 @pytest.mark.parametrize("pencil", [
     *[f"standard-{p}-{N}" for p in (1, 2) for N in (100, 1000, 100_000)],
-    "standard-19-1721", "standard-20-1366", "standard-20-2481",
     "random-200-3", "random-1000-5", "random-5000-2", "global-2000",
     "zero-4", "zero-10"])
 def test_a_wrong_corner_reruns_on_the_whole_pencil(pencil, monkeypatch):
-    # where the top mode is not at the corner the block factors shifts
-    # that the whole pencil does not: the whole pencil refuses the last
-    # of them, the bisection runs again on it from the start, and the
-    # result is the whole-pencil bisection's, bit for bit. At p = 19 and
-    # 20 the top pair and the block's top lie within 1e-11 of each
-    # other, and the whole pencil's definiteness flips back and forth
-    # near lambda_max: a bisection that checked only its final hi kept a
-    # wrong bracket there, whose ends moved in the last bits. Where the
-    # block's top is an exact 0, the bracket stays wide against its
-    # magnitude down to 0, and only the check of the final hi finds the
-    # top, 1e-3, past it
+    # where the top mode is not at the corner, the whole pencil refuses
+    # every shift within 2^-20 of the block's top, the top is bisected on
+    # the whole pencil, and the result is the whole-pencil bisection's,
+    # bit for bit. Where the block's top is an exact 0, the diagonal sets
+    # the margins, and the top, 1e-3, lies past all of them
     kind, *sizes = pencil.split("-")
     if kind == "standard":
         system = build_soft_system(*map(int, sizes), 0.0, 0.0, "standard")
@@ -594,33 +629,46 @@ def test_a_wrong_corner_reruns_on_the_whole_pencil(pencil, monkeypatch):
     _assert_bits_equal(got, _oracle_driven(A, B, monkeypatch))
 
 
-@pytest.mark.parametrize("p, N", [(3, 200), (4, 400), (8, 300), (1, 500)])
-def test_a_corner_failing_early_fails_the_whole_pencil(p, N):
-    # a leading block of order m that fails at pivot m - hbw or before
-    # fails the whole pencil at the same pivot (past it the whole pencil
-    # decides): shifts drawn around lambda_max, on the standard pencil
-    # and on a random band pair
-    from scipy.linalg.lapack import dpbtrf
+@pytest.mark.parametrize("p, N", [(19, 1721), (20, 1366), (20, 2481)])
+def test_the_corner_shift_where_definiteness_flips(p, N, monkeypatch):
+    # at p = 19 and 20 the whole pencil's definiteness flips back and
+    # forth near lambda_max, and the top pair and the block's top lie
+    # within 1e-11 of each other: a corner shift factors, and the top is
+    # the bisected one to within a quarter of the rounding bound of its
+    # Rayleigh quotient (1e6 eps * lambda_max and more), 0.06 at most
     system = build_soft_system(p, N, 0.0, 0.0, "standard")
-    pencils = [(system.A.whole(), system.B.whole()),
-               tuple(_random_band_pair(system.space.dim, p, seed=N))]
-    rng = np.random.default_rng(p)
-    failed = 0
-    for A, B in pencils:
-        A, B, _ = eigensolve._checked_pencil(A, B)
-        a, b = A.band, B.band
-        n, hbw = A.n, A.half_bandwidth
-        top = lam_max(extreme_eigenpairs(A, B))
-        work = np.empty_like(a)
-        for m in (hbw + 2, 2 * hbw + 5, 12 * hbw + 24):
-            for t in top * (1.0 + rng.uniform(-0.5, 0.05, 40)):
-                corner = eigensolve._shifted_factor(
-                    a[:, :m], b[:, :m], t, work[:, :m], dpbtrf)
-                whole = eigensolve._shifted_factor(a, b, t, work, dpbtrf)
-                if 0 < corner <= m - hbw:
-                    failed += 1
-                    assert whole == corner
-    assert failed > 20
+    A, B = system.A, system.B
+    orders = _bisections(monkeypatch)
+    got = extreme_eigenpairs(A, B)
+    assert orders == [12 * A.half_bandwidth + 24]
+    want = _oracle_driven(A, B, monkeypatch)
+    assert abs(lam_min(got) - lam_min(want)) <= 128 * EPS * lam_max(want)
+    assert abs(lam_max(got) - lam_max(want)) <= _rayleigh_floor(
+        A, B, got.vectors[:, 1], lam_max(got)) / 4
+
+
+def test_a_start_blind_to_the_lowest_mode_is_refused_its_shift(monkeypatch):
+    # the sine start is the top mode of tridiag(1, 2, 1), orthogonal to
+    # the lowest: the first shift of the lower end, below the estimate of
+    # two steps, lies above lambda_min and does not factor, and the lower
+    # end is found from the start again, certified or bisected
+    n = 60
+    A = banded(2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1))
+    lower = []
+    original = eigensolve._shifted_factor
+
+    def spied(a, b, t, out, dpbtrf, flip=False):
+        info = original(a, b, t, out, dpbtrf, flip)
+        if flip:
+            lower.append((-t, info))
+        return info
+
+    monkeypatch.setattr(eigensolve, "_shifted_factor", spied)
+    ends = extreme_eigenpairs(A, banded(np.eye(n)))
+    exact = 2.0 + 2.0 * np.cos(np.array([n, 1]) * np.pi / (n + 1))
+    np.testing.assert_allclose(ends.values, exact, rtol=1e-12)
+    sigma, info = lower[0]
+    assert sigma > 3.9 and info > 0
 
 
 def test_the_band_solver_peaks_at_six_band_arrays():
